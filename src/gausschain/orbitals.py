@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .models import (HatanoNelsonParams, SshParams, build_hatano_nelson,
                      build_local_pump, build_ssh, matrix_entries, ssh_index)
 from .spectral import (BiorthogonalSpectrum, ModeVector, biorthogonal_decompose,
                        hn_analytic_spectrum, slow_mode_position)
-from .steady import solve_lyapunov_direct, solve_lyapunov_spectral
+from .steady import DirectSolver, solve_lyapunov_direct, solve_lyapunov_spectral
 
 # Default edge-candidate search: eigenvalues within this fraction of the
 # spectral diameter around kappa, ranked by weight on this many boundary
@@ -293,13 +294,15 @@ def _check_solver(solver: str) -> None:
 
 
 def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
-                   sites=None, route: str = "auto", threads: int = 1,
+                   sites=None, threads: int = 1,
                    solver: str = "direct") -> SourceScan:
     """Exact nu_max(s) against the closed-form slow-mode loading A_1(s).
 
-    One dense Lyapunov solve per pump position; the loading column comes
-    from the closed-form spectrum, so the two normalized columns agree
-    exactly where the slow mode locks the top orbital.
+    One Lyapunov solve per pump position, all sharing one DirectSolver
+    (stability certificate and pump-independent factors built once per
+    scan); the loading column comes from the closed-form spectrum, so the
+    two normalized columns agree exactly where the slow mode locks the top
+    orbital.
     """
     _check_solver(solver)
     x = build_hatano_nelson(params)
@@ -313,15 +316,19 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
     for s in sites:
         if not 1 <= s <= params.n_sites:
             raise SiteIndexError(f"pump site {s} outside 1..{params.n_sites}")
-    numeric = biorthogonal_decompose(x) if solver == "spectral" else None
+    if solver == "spectral":
+        solve = partial(solve_lyapunov_spectral, biorthogonal_decompose(x))
+    else:
+        try:
+            solve = DirectSolver(x).solve
+        except GausschainError as exc:
+            # no pump has a steady state; report it at the first one
+            raise type(exc)(f"pump site {sites[0]}: {exc}") from exc
 
     def job(site):
         pump = build_local_pump(params.n_sites, int(site), pump_strength)
         try:
-            if solver == "spectral":
-                corr = solve_lyapunov_spectral(numeric, pump)
-            else:
-                corr = solve_lyapunov_direct(x, pump, route=route)
+            corr = solve(pump)
         except GausschainError as exc:
             # abort the whole scan, but name the position that failed
             raise type(exc)(f"pump site {site}: {exc}") from exc
@@ -369,8 +376,7 @@ def default_crossover_grid() -> np.ndarray:
 
 
 def ssh_crossover_scan(params: SshParams, pump_cell: int = 1, pump_sublattice: str = "A",
-                       pump_strength: float = 1e-8, g_values=None, route: str = "auto",
-                       threads: int = 1,
+                       pump_strength: float = 1e-8, g_values=None, threads: int = 1,
                        window_fraction: float = EDGE_WINDOW_FRACTION,
                        boundary_sites: int = EDGE_BOUNDARY_SITES,
                        solver: str = "direct") -> CrossoverScan:
@@ -395,7 +401,7 @@ def ssh_crossover_scan(params: SshParams, pump_cell: int = 1, pump_sublattice: s
         if solver == "spectral":
             corr = solve_lyapunov_spectral(spectrum, pump)
         else:
-            corr = solve_lyapunov_direct(x, pump, route=route)
+            corr = solve_lyapunov_direct(x, pump)
         top = natural_orbitals(corr).top_orbital()
         slow = identify_slow_mode(spectrum)
         edge = identify_edge_candidate(spectrum, p.kappa, window_fraction, boundary_sites)

@@ -6,9 +6,19 @@ fixed point of the continuous Lyapunov equation
 
     X C + C X^dag = Y.
 
-Two exact routes are implemented: a dense linear solve of the
-vectorized system (the reference, with an equivalent Schur-based path
-for larger chains) and the spectral sum over biorthogonal mode pairs
+The direct solver (DirectSolver, solve_lyapunov_direct) picks its
+algorithm from X.  Both chain models build a real X with off-diagonal
+entries <= 0 (a Z-matrix), which is stable exactly when it is a
+nonsingular M-matrix.  That is certified by the positive pivots of its
+unpivoted LU factorization, not by eigenvalues, which on long nonnormal
+chains return pseudospectrum.  Such X is solved by Smith doubling on a
+Cayley transform whose terms are all nonnegative for Y >= 0, so every
+entry of C is accurate, down to the smallest at the far edge.  Its
+pump-independent part is built once per X and reused for every pump of
+a scan.  Complex or other X falls back to an eigenvalue stability
+screen and the Schur method.
+
+The spectral route sums over biorthogonal mode pairs
 
     C = sum_mn  <L_m|Y|L_n> / (beta_m + conj(beta_n))  |R_m><R_n|,
 
@@ -21,17 +31,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (DarkSourceError, ParameterError, SiteIndexError, SolveError,
                      StabilityError, StepSizeError)
 from .models import matrix_entries
 from .spectral import BiorthogonalSpectrum, slow_mode_position
 
-# Matrices smaller than this are solved by the vectorized reference route
-# when route="auto"; beyond it the Schur path is used (identical results
-# to solver accuracy, verified over the full test grid).
-AUTO_VECTORIZED_LIMIT = 16
+EPS = float(np.finfo(float).eps)
+
+# Powers A^(2^k) that still matter after this many squarings need a
+# spectral radius equal to 1 in double precision: X is numerically singular.
+MAX_DOUBLINGS = 64
 
 # Fixed-step integration diverging past this norm is reported as a step
 # size problem rather than allowed to overflow silently.
@@ -100,15 +110,6 @@ def lyapunov_residual(x, c, y) -> float:
     return defect / ynorm if ynorm > 0 else defect
 
 
-def _stable_betas(x: np.ndarray) -> np.ndarray:
-    betas = np.linalg.eigvals(x)
-    worst = float(betas.real.min())
-    if worst <= 0:
-        raise StabilityError(
-            f"relaxation matrix is not strictly stable: min Re beta = {worst:.6e}")
-    return betas
-
-
 def _check_beta_stability(betas: np.ndarray) -> None:
     worst = float(np.asarray(betas).real.min())
     if worst <= 0:
@@ -121,64 +122,204 @@ def _hermitize(c: np.ndarray) -> tuple[np.ndarray, float]:
     return 0.5 * (c + c.conj().T), asym
 
 
-def solve_vectorized(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Reference route: row-major vectorization of X C + C X^dag = Y.
-
-    vec(X C) = (X kron I) vec(C) and vec(C X^dag) = (I kron conj(X)) vec(C)
-    for row-major vec, so one dense solve of an N^2 x N^2 system.  No
-    stability screening here; callers are expected to have checked.
-    """
-    n = x.shape[0]
-    eye = np.eye(n)
-    a = np.kron(x, eye) + np.kron(eye, x.conj())
-    try:
-        c = np.linalg.solve(a, y.reshape(-1))
-    except np.linalg.LinAlgError as exc:
-        raise SolveError(f"vectorized Lyapunov system is singular: {exc}") from exc
-    return c.reshape(n, n)
-
-
 def solve_schur(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Schur-factorization route (order N^3), equivalent to the reference."""
+    """Schur-factorization route (order N^3) for complex or non-Z X."""
+    import scipy.linalg  # only this fallback needs scipy; keeps it out of import
+
     try:
         return scipy.linalg.solve_sylvester(x, x.conj().T, y)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SolveError(f"Schur Lyapunov solve failed: {exc}") from exc
 
 
-def solve_lyapunov_direct(relaxation, source, route: str = "auto") -> SteadyCorrelator:
+def _is_z_matrix(x: np.ndarray) -> bool:
+    """Real with every off-diagonal entry <= 0."""
+    if np.any(x.imag):
+        return False
+    off = x.real.copy()
+    np.fill_diagonal(off, 0.0)
+    return not np.any(off > 0)
+
+
+def _certify_m_matrix(x: np.ndarray) -> None:
+    """Raise StabilityError unless the real Z-matrix x is a nonsingular M-matrix.
+
+    For a Z-matrix this is the same as every eigenvalue having positive
+    real part, and the same as every pivot of its unpivoted LU
+    factorization being positive.  The pivots are used because eigenvalue
+    routines return pseudospectrum on long nonnormal chains and report
+    stable chains as unstable.  Tridiagonal x takes the O(N) recurrence
+    u_k = x_kk - x_k,k-1 x_k-1,k / u_k-1.
+    """
+    lower, upper = _bandwidths(x)
+    if max(lower, upper) > 1:
+        _eliminate(x.copy(), x.shape[0], lower)
+        return
+    diag = np.diagonal(x).tolist()
+    coupling = [0.0] + (np.diagonal(x, -1) * np.diagonal(x, 1)).tolist()
+    pivot = 1.0
+    for k, (d, t) in enumerate(zip(diag, coupling)):
+        pivot = d - t / pivot
+        if not pivot > 0:
+            _raise_pivot(k, pivot)
+
+
+def _raise_pivot(k: int, pivot: float):
+    raise StabilityError(
+        f"relaxation matrix is not strictly stable: pivot {k + 1} of its "
+        f"unpivoted LU factorization is {pivot:.6e} <= 0")
+
+
+def _bandwidths(m: np.ndarray) -> tuple[int, int]:
+    """Lower and upper bandwidth; unpivoted elimination creates no fill outside them."""
+    rows, cols = np.nonzero(m)
+    offsets = np.concatenate([[0], rows - cols])
+    return int(offsets.max()), int(-offsets.min())
+
+
+def _eliminate(a: np.ndarray, n: int, lower: int) -> None:
+    """Unpivoted forward elimination of the leading n columns of a, in place.
+
+    ``lower`` is the lower bandwidth of the leading block.  On a Z-matrix
+    the first pivot <= 0 raises StabilityError (see _certify_m_matrix).
+    """
+    for k in range(n):
+        pivot = a[k, k]
+        if not pivot > 0:
+            _raise_pivot(k, pivot)
+        rows = slice(k + 1, min(n, k + 1 + lower))
+        a[rows, k:] -= np.outer(a[rows, k] / pivot, a[k, k:])
+
+
+def _m_matrix_inverse(m: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular M-matrix by unpivoted Gauss-Jordan elimination.
+
+    Multipliers and off-diagonal entries keep their signs, so every update
+    outside the pivots adds numbers of one sign and each entry of the
+    (nonnegative) inverse is accurate to a few ulps times the accuracy of
+    the pivots.  Pivoting would swap rows and bring back cancellation.
+    """
+    n = m.shape[0]
+    lower, upper = _bandwidths(m)
+    a = np.concatenate([m, np.eye(n)], axis=1)
+    _eliminate(a, n, lower)
+    for k in range(n - 1, -1, -1):
+        cols = slice(k + 1, min(n, k + 1 + upper))
+        a[k, n:] -= a[k, cols] @ a[cols, n:]
+        a[k, n:] /= a[k, k]
+    return a[:, n:]
+
+
+class DirectSolver:
+    """Exact steady-state solver for one relaxation matrix, reusable across pumps.
+
+    Construction checks stability and does every pump-independent step;
+    ``solve(source)`` then costs a few matrix products per pump.  The
+    algorithm is chosen from X:
+
+    - real X with off-diagonal entries <= 0 (both chain models): the
+      stability certificate of _certify_m_matrix, then Smith doubling on
+      the Cayley transform with shift p = max diag X,
+
+          A = (pI + X)^-1 (pI - X) >= 0,   C_0 = 2p (pI + X)^-1 Y (pI + X)^-T,
+          C <- C + A_k C A_k^T,   A_k+1 = A_k^2,
+
+      kept here as (pI + X)^-1 and the powers A_k.  The number of powers
+      is fixed here by a bound that holds for every pump (see
+      _doubling_powers).  For Y >= 0 every term is nonnegative, so even
+      the smallest entries of C are accurate;
+    - anything else: the eigenvalue stability screen and the Schur method.
+
+    The instance is read-only after construction, so threads may share it.
+    """
+
+    def __init__(self, relaxation):
+        x = matrix_entries(relaxation)
+        self.x = x
+        self._powers = None
+        if not _is_z_matrix(x):
+            _check_beta_stability(np.linalg.eigvals(x))
+            return
+        x = x.real
+        _certify_m_matrix(x)
+        n = x.shape[0]
+        self._shift = float(np.diagonal(x).max())
+        shifted = self._shift * np.eye(n)
+        self._inverse = _m_matrix_inverse(shifted + x)
+        self._powers = _doubling_powers(self._inverse @ (shifted - x))
+
+    def solve(self, source) -> SteadyCorrelator:
+        """Steady correlator for pump Y; Y is trusted to be Hermitian.
+
+        Y is scaled to unit largest entry for the solve and the scale is
+        restored after, so C(2^k X, s Y) = s 2^-k C(X, Y) holds bit for
+        bit for real Y with largest entry 1.
+        """
+        y = matrix_entries(source)
+        if y.shape != self.x.shape:
+            raise ParameterError(
+                f"source shape {y.shape} does not match relaxation {self.x.shape}")
+        scale = float(np.abs(y).max()) or 1.0
+        unit = (y if np.any(y.imag) else y.real) / scale
+        c = solve_schur(self.x, unit) if self._powers is None else self._smith(unit)
+        c, asym = _hermitize(c)
+        c = scale * c
+        return SteadyCorrelator(c, "direct", lyapunov_residual(self.x, c, y), scale * asym)
+
+    def _smith(self, y: np.ndarray) -> np.ndarray:
+        c = (2.0 * self._shift) * (self._inverse @ y @ self._inverse.T)
+        for a in self._powers:
+            c = c + a @ c @ a.T
+        return c
+
+
+def _doubling_powers(a: np.ndarray) -> list[np.ndarray]:
+    """A, A^2, A^4, ... for a nonnegative A, as far as any pump needs them.
+
+    If A^(2^(k+1)) <= d A^(2^k) entrywise, the terms the doubling would
+    add after A^(2^k) sum to at most d^2 C for every Y >= 0 (for other Y,
+    to d^2 times the solution for |C_0|), so the list stops once d^2 is
+    below the unit roundoff.  Where A^(2^k) has zeros that its square
+    fills, d is infinite and squaring goes on.
+    """
+    powers = []
+    while a.any():
+        if len(powers) == MAX_DOUBLINGS:
+            raise SolveError(
+                f"Smith doubling did not converge in {MAX_DOUBLINGS} steps; "
+                "the relaxation matrix is numerically singular")
+        powers.append(a)
+        square = a @ a
+        ratio = np.divide(square, a, out=np.where(square > 0, np.inf, 0.0), where=a > 0)
+        if float(ratio.max()) ** 2 <= EPS / 2:
+            break
+        a = square
+    return powers
+
+
+def solve_lyapunov_direct(relaxation, source) -> SteadyCorrelator:
     """Exact steady correlator by dense linear algebra.
+
+    Both chain models and every other real X with off-diagonal entries
+    <= 0 take the M-matrix path of DirectSolver: stability certified by
+    LU pivots, Smith doubling with entrywise accuracy for Y >= 0.
+    Complex or non-Z X is screened by its eigenvalues and solved by the
+    Schur method.  To solve many pumps for one X, build one DirectSolver
+    and call its ``solve`` per pump.
 
     Parameters
     ----------
     relaxation, source : matrix wrappers or arrays
         X and Y of the Lyapunov equation; Y is trusted to be Hermitian.
-    route : {"auto", "vectorized", "schur"}
-        "auto" uses the vectorized reference up to dim 16 and the Schur
-        path beyond; both agree to solver accuracy.
 
     Raises
     ------
     StabilityError
-        Some Re beta <= 0, so no steady state exists.
+        X is not strictly stable, so no steady state exists.
     SolveError
         The backing linear system could not be solved.
     """
-    x = matrix_entries(relaxation)
-    y = matrix_entries(source)
-    if y.shape != x.shape:
-        raise ParameterError(f"source shape {y.shape} does not match relaxation {x.shape}")
-    _stable_betas(x)
-    if route == "auto":
-        route = "vectorized" if x.shape[0] <= AUTO_VECTORIZED_LIMIT else "schur"
-    if route == "vectorized":
-        c = solve_vectorized(x, y)
-    elif route == "schur":
-        c = solve_schur(x, y)
-    else:
-        raise ParameterError(f"unknown route {route!r}")
-    c, asym = _hermitize(c)
-    return SteadyCorrelator(c, "direct", lyapunov_residual(x, c, y), asym)
+    return DirectSolver(relaxation).solve(source)
 
 
 def _spectral_denominators(betas: np.ndarray) -> np.ndarray:

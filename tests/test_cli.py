@@ -67,6 +67,16 @@ class TestHnCommands:
         rows = data_lines(out + "/hn-profiles.csv")
         assert rows == ["j,label,R_slow_sq,phi_max_sq,density_norm", "1,1,1,1,1"]
 
+    def test_long_stable_chain_profiles_succeed(self, tmp_path):
+        # A 150-site chain is stable (min Re beta = +0.0855) but the
+        # eigenvalue screen once reported -0.09 and exited 2; the densities
+        # at the far edge must also come out positive.
+        out = str(tmp_path / "long")
+        assert main(["hn-profiles", "--n-sites", "150", "--out", out]) == 0
+        rows = data_lines(out + "/hn-profiles.csv")[1:]
+        assert len(rows) == 150
+        assert all(float(row.split(",")[4]) > 0 for row in rows)
+
     def test_occupations_table_is_sorted(self, tmp_path):
         out = str(tmp_path / "occ")
         assert main(["hn-occupations", "--n-sites", "8", "--pump-site", "3",

@@ -5,21 +5,27 @@ conftest.py and never touch the library solvers.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from gausschain import (DarkSourceError, HatanoNelsonParams, ParameterError,
-                        SiteIndexError, SolveError, StabilityError,
+                        SiteIndexError, SolveError, SshParams, StabilityError,
                         StepSizeError, biorthogonal_decompose,
-                        build_hatano_nelson, build_local_pump,
+                        build_hatano_nelson, build_local_pump, build_ssh,
                         closed_form_correlator, euclidean_normalize,
                         hn_analytic_spectrum, propagate_correlator,
                         single_mode_approximation, solve_lyapunov_direct,
                         solve_lyapunov_spectral)
-from gausschain.steady import solve_vectorized
-from tests.conftest import HN_REFERENCE, hn_closed_form_steady, lyapunov_quadrature
+from gausschain.models import matrix_entries
+from gausschain.steady import solve_schur
+from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, hn_closed_form_steady,
+                            hn_sine_steady_mp, lyapunov_quadrature, solve_vectorized,
+                            tridiagonal_steady_mp)
 
 
 def hn_reference_system(n_sites, pump_site=1):
@@ -67,27 +73,103 @@ def test_hermitian_relaxation_uniform_pump_is_half_inverse():
     assert np.abs(c.entries - expected).max() <= 1e-12
 
 
-def test_vectorized_and_schur_routes_agree():
+def test_dispatched_solve_matches_kronecker_oracle_and_schur():
+    # The 12-site chain takes the M-matrix path, also with real and
+    # complex pumps of mixed sign; the complex pairs take the Schur path.
+    # Both must agree with the Kronecker oracle and with Schur.
     rng = np.random.default_rng(3)
-    cases = [hn_reference_system(12)[1:]]
+    _, x12, y12 = hn_reference_system(12)
+    b = rng.standard_normal((12, 12))
+    cases = [(x12, y12), (x12, b @ b.T), (x12, random_stable_pair(rng, 12)[1])]
     cases += [random_stable_pair(rng, 7) for _ in range(4)]
     for x, y in cases:
-        a = solve_lyapunov_direct(x, y, route="vectorized")
-        b = solve_lyapunov_direct(x, y, route="schur")
-        ynorm = np.linalg.norm(np.asarray(getattr(y, "entries", y)))
-        diff = np.linalg.norm(a.entries - b.entries)
-        assert diff <= 1e-10 * max(1.0, np.linalg.norm(a.entries))
-        assert a.residual <= 1e-10 and b.residual <= 1e-10
-        assert ynorm > 0
+        x, y = matrix_entries(x), matrix_entries(y)
+        c = solve_lyapunov_direct(x, y)
+        for other in (solve_vectorized(x, y), solve_schur(x, y)):
+            diff = np.linalg.norm(c.entries - other)
+            assert diff <= 1e-10 * max(1.0, np.linalg.norm(other))
+        assert c.residual <= 1e-10
 
 
-def test_auto_route_matches_explicit_above_crossover():
+def test_dispatch_is_chosen_from_the_matrix():
+    # A complex X of any size goes to Schur unchanged (Y with unit peak
+    # makes the pump scaling exact); a chain of the same size takes the
+    # M-matrix path and agrees with Schur and the oracle.
+    rng = np.random.default_rng(11)
+    x, y = random_stable_pair(rng, 20)
+    y = y / np.abs(y).max()
+    schur = solve_schur(x, y)
+    assert np.array_equal(solve_lyapunov_direct(x, y).entries,
+                          0.5 * (schur + schur.conj().T))
     _, x, y = hn_reference_system(20)
-    auto = solve_lyapunov_direct(x, y)
-    schur = solve_lyapunov_direct(x, y, route="schur")
-    assert np.array_equal(auto.entries, schur.entries)
+    x, y = matrix_entries(x), matrix_entries(y)
+    chain = solve_lyapunov_direct(x, y).entries
+    assert not np.array_equal(chain, solve_schur(x, y))
+    for other in (solve_vectorized(x, y), solve_schur(x, y)):
+        assert np.linalg.norm(chain - other) <= 1e-10 * np.linalg.norm(other)
     with pytest.raises(ParameterError):
-        solve_lyapunov_direct(x, y, route="cholesky")
+        solve_lyapunov_direct(x, y[:3, :3])
+
+
+@pytest.mark.parametrize("n_sites, pump_site", [(60, 31), (80, 80)])
+def test_chain_solve_is_entrywise_accurate_against_mpmath(n_sites, pump_site):
+    # The smallest entries reach 1e-94 at 80 sites; every one must hold
+    # 12 digits against the 30 + n digit sine-basis sum.
+    params, x, _ = hn_reference_system(n_sites)
+    c = solve_lyapunov_direct(x, build_local_pump(n_sites, pump_site, 1.0)).entries
+    truth = hn_sine_steady_mp(n_sites, params.t_right, params.t_left, params.kappa,
+                              pump_site)
+    assert np.abs(c.imag).max() == 0.0
+    assert (np.abs(c.real - truth) / truth).max() <= 1e-12
+
+
+def test_two_band_solve_is_entrywise_accurate_against_mpmath():
+    params = SshParams(12, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"],
+                       SSH_REFERENCE["g_edge"], SSH_REFERENCE["kappa"])
+    x = matrix_entries(build_ssh(params))
+    c = solve_lyapunov_direct(x, build_local_pump(24, 1, 1.0)).entries.real
+    truth = tridiagonal_steady_mp(x, 1)
+    assert (np.abs(c - truth) / truth).max() <= 1e-12
+
+
+@pytest.mark.parametrize("model", ["hn", "ssh"])
+def test_power_of_two_relaxation_scaling_is_exact(model):
+    # C(2^k X, s Y) = s 2^-k C(X, Y) bit for bit for a unit-peak pump.
+    if model == "hn":
+        x = build_hatano_nelson(HatanoNelsonParams(40, 1.0, 0.17, 0.91))
+    else:
+        x = build_ssh(SshParams(20, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"],
+                                SSH_REFERENCE["g_bulk"], SSH_REFERENCE["kappa"]))
+    x = matrix_entries(x)
+    y = matrix_entries(build_local_pump(x.shape[0], 7, 1.0))
+    base = solve_lyapunov_direct(x, y).entries
+    for k in (-3, -1, 2, 5):
+        for s in (0.037, 0.5, 1e-9):
+            scaled = solve_lyapunov_direct(2.0 ** k * x, s * y).entries
+            assert np.array_equal(scaled, s * 2.0 ** -k * base)
+
+
+@pytest.mark.parametrize("n_sites", [150, 400])
+def test_long_stable_chains_solve(n_sites):
+    # The eigenvalue screen called these chains unstable (at 150 sites it
+    # saw min Re beta = -0.09; the true value is +0.0855).  Each entry of
+    # the defect must sit at rounding level of the terms that form it.
+    params, x, _ = hn_reference_system(n_sites)
+    assert params.kappa > params.stability_threshold()
+    x = matrix_entries(x)
+    y = matrix_entries(build_local_pump(n_sites, 15, 1.0))
+    c = solve_lyapunov_direct(x, y).entries
+    assert np.all(np.isfinite(c)) and np.all(c.real > 0)
+    defect = np.abs(x @ c + c @ x.T - y)
+    terms = np.abs(x) @ np.abs(c) + np.abs(c) @ np.abs(x).T + np.abs(y)
+    assert (defect / terms).max() <= 1e-13
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, gausschain; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def test_spectral_solver_matches_direct_at_moderate_conditioning():
