@@ -34,8 +34,8 @@ from .orbitals import (CROSSOVER_HEADER, PROFILE_HEADER, SOURCE_SCAN_HEADER,
                        hn_source_scan, identify_edge_candidate, identify_slow_mode,
                        natural_orbitals, normalized_density, overlap, profile_rows,
                        ssh_crossover_scan)
-from .spectral import (ModeVector, biorthogonal_decompose, hn_normalized_modes,
-                       slow_mode_position)
+from .spectral import (ModeVector, _gauge_symmetrize, biorthogonal_decompose,
+                       hn_normalized_modes, slow_mode_position)
 from .steady import (closed_form_correlator, solve_lyapunov_direct,
                      solve_lyapunov_spectral)
 
@@ -454,7 +454,10 @@ def cmd_validate(cfg: dict) -> None:
         source = None
         add("source_hermitian_psd", False, None, -1e-12, str(exc))
 
-    betas = np.linalg.eigvals(x)
+    # Tridiagonal chains get their exact rates from the imaginary gauge;
+    # eigvals on X itself returns pseudospectrum on long nonnormal chains.
+    gauge = _gauge_symmetrize(matrix_entries(x))
+    betas = np.linalg.eigvals(x) if gauge is None else np.linalg.eigvalsh(gauge[1])
     min_rate = float(betas.real.min())
     stable = min_rate > 0
     add("relaxation_stable", stable, min_rate, 0.0,

@@ -87,7 +87,9 @@ class SourceMatrix:
             raise ParameterError(f"source matrix not Hermitian: max |Y - Y^dag| = {herm:.3e}")
         m = 0.5 * (m + m.conj().T)
         if m.size:
-            w = np.linalg.eigvalsh(m)
+            diag = np.diagonal(m).real
+            # A diagonal Y (every chain pump) has its entries as eigenvalues.
+            w = diag if np.count_nonzero(m) == np.count_nonzero(diag) else np.linalg.eigvalsh(m)
             wmin, wmax = float(w.min()), float(w.max())
             # PSD up to rounding, relative to the largest eigenvalue.
             if wmin < -PSD_TOL * wmax:

@@ -10,6 +10,18 @@ envelopes, so the closed-form constructors below assemble amplitudes in
 the log domain and refuse configurations whose envelopes cannot be
 represented in double precision.
 
+:func:`biorthogonal_decompose` picks one of three routes from its input:
+
+* Hermitian X: the symmetric eigensolver; left and right modes coincide.
+* Real tridiagonal X with X[j+1, j] X[j, j+1] > 0 for every j (both chain
+  models): the imaginary gauge (Hatano & Nelson, PRL 77, 570, 1996).  The
+  diagonal similarity D with log d_{j+1} - log d_j =
+  1/2 log(X[j+1, j] / X[j, j+1]) makes H = D^-1 X D real symmetric, so
+  the rates come from the symmetric eigensolver exactly, where a
+  nonsymmetric eigensolver returns pseudospectrum on long chains.
+* Any other X: the nonsymmetric eigensolver, with left modes from the
+  inverse of the right-mode matrix.
+
 Mode indices, like site indices, are 1-based in the public interface.
 Modes are ordered by ascending real part of beta (slowest first), with
 ties broken by ascending imaginary part.
@@ -190,21 +202,62 @@ def _min_pairwise_gap(betas: np.ndarray) -> tuple[float, tuple[int, int]]:
     return float(d[i, j]), (min(i, j) + 1, max(i, j) + 1)
 
 
+def _gauge_symmetrize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Imaginary-gauge form (log d, H = D^-1 X D) of X, or None if X does not qualify.
+
+    X qualifies when it is real and tridiagonal with finite bands and
+    X[j+1, j] X[j, j+1] > 0 for every j.  Then H is real symmetric with
+    diagonal X_jj and off-diagonal sign(X[j+1, j]) sqrt(X[j+1, j] X[j, j+1]).
+    The gauge exponents log d are centred so that max + min = 0.
+    """
+    if np.any(x.imag != 0):
+        return None
+    xr = x.real
+    diag, sub, sup = np.diagonal(xr), np.diagonal(xr, -1), np.diagonal(xr, 1)
+    if not np.all(np.sign(sub) * np.sign(sup) > 0):
+        return None
+    bands = np.concatenate((diag, sub, sup))
+    # Every sub/superdiagonal entry is nonzero here, so X is tridiagonal
+    # exactly when nothing else is.
+    if not np.all(np.isfinite(bands)) or np.count_nonzero(xr) != np.count_nonzero(bands):
+        return None
+    abs_sub, abs_sup = np.abs(sub), np.abs(sup)
+    logd = np.concatenate(([0.0], np.cumsum(0.5 * (np.log(abs_sub) - np.log(abs_sup)))))
+    logd -= 0.5 * (logd.max() + logd.min())
+    off = np.sign(sub) * np.sqrt(abs_sub) * np.sqrt(abs_sup)
+    h = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+    return logd, h
+
+
 def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
     """Full biorthogonal eigendecomposition of a relaxation matrix.
 
-    Left modes are obtained from the inverse of the right-eigenvector
-    matrix, which enforces <L_m|R_n> = delta_mn to solver accuracy
-    instead of pairing two independent eigensolves.  Hermitian input is
-    detected and routed through the symmetric solver, in which case left
-    and right modes coincide and all beta are real.
+    The route is chosen from the input (see the module docstring):
+
+    * Hermitian X: ``eigh``; left and right modes coincide, all beta are
+      real, and ``condition_estimate`` is the 2-norm condition of the
+      mode matrix.
+    * Real tridiagonal X with X[j+1, j] X[j, j+1] > 0 for every j:
+      ``eigh`` of the gauge-symmetrized H = D^-1 X D, then R = D U and
+      L = D^-1 U, so <L_m|R_n> = delta_mn holds to the orthogonality of
+      U.  All beta are real.  ``condition_estimate`` is
+      exp(max log d - min log d), which equals cond_2(D U) exactly
+      because U is orthogonal; no SVD is needed.
+    * Any other X: ``eig``; left modes come from the inverse of the
+      right-eigenvector matrix, which enforces <L_m|R_n> = delta_mn to
+      solver accuracy instead of pairing two independent eigensolves,
+      and ``condition_estimate`` is the 2-norm condition of ``right``.
 
     Raises
     ------
+    EnvelopeOverflowError
+        Gauge route only: the gauge exponents span more than
+        :data:`ENVELOPE_LOG_LIMIT`, so D cannot be formed in double
+        precision.
     DegeneracyError
-        Near-defective input: an eigenvalue pair closer than 1e-10 of
-        the spectral diameter while the mode matrix condition exceeds
-        1e12.
+        ``eig`` route only: near-defective input, an eigenvalue pair
+        closer than 1e-10 of the spectral diameter while the mode matrix
+        condition exceeds 1e12.
     DecompositionError
         The eigensolver failed or the mode matrix is singular.
     """
@@ -217,6 +270,18 @@ def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
         phases = np.array([_gauge_phase(r[:, k]).conjugate() for k in range(dim)])
         r = r * phases[None, :]
         return BiorthogonalSpectrum(betas, r, r.copy(), float(np.linalg.cond(r)))
+
+    gauge = _gauge_symmetrize(x)
+    if gauge is not None:
+        logd, h = gauge
+        span = float(logd.max() - logd.min())
+        if span > ENVELOPE_LOG_LIMIT:
+            raise EnvelopeOverflowError(
+                f"gauge exponent span {span:.1f} exceeds {ENVELOPE_LOG_LIMIT:.0f}")
+        w, u = np.linalg.eigh(h)
+        d = np.exp(logd)[:, None]
+        right, left = _sign_gauge_pair(d * u, u / d)
+        return BiorthogonalSpectrum(w.astype(complex), right, left, math.exp(span))
 
     try:
         betas, r = np.linalg.eig(x)
@@ -260,12 +325,16 @@ def _require_hn_hoppings(params: HatanoNelsonParams) -> float:
     return 0.5 * (math.log(params.t_right) - math.log(params.t_left))
 
 
+def _peak_signs(m: np.ndarray) -> np.ndarray:
+    """+-1 per column: the sign of the column's largest-|entry| real part (+1 at 0)."""
+    peaks = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
+    return np.where(peaks.real >= 0, 1.0, -1.0)
+
+
 def _sign_gauge_pair(r: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flip real mode pairs so each right column peaks positive; <L|R> unchanged."""
-    signs = np.empty(r.shape[1])
-    for k in range(r.shape[1]):
-        signs[k] = 1.0 if r[int(np.argmax(np.abs(r[:, k]))), k].real >= 0 else -1.0
-    return r * signs[None, :], l * signs[None, :]
+    signs = _peak_signs(r)[None, :]
+    return r * signs, l * signs
 
 
 def hn_analytic_spectrum(params: HatanoNelsonParams) -> BiorthogonalSpectrum:
@@ -308,20 +377,16 @@ def hn_normalized_modes(params: HatanoNelsonParams) -> tuple[np.ndarray, np.ndar
     logr = _require_hn_hoppings(params)
     n = params.n_sites
     betas, phi = _hn_sine_basis(params)
-    sites = np.arange(1, n + 1, dtype=float)
-    right = np.empty((n, n))
-    left = np.empty((n, n))
+    env = np.arange(1, n + 1, dtype=float)[:, None] * logr
     with np.errstate(divide="ignore"):
         logphi = np.log(np.abs(phi))
     signs = np.sign(phi)
-    for k in range(n):
-        for dest, env in ((right, sites * logr), (left, -sites * logr)):
-            a = env + logphi[:, k]
-            col = signs[:, k] * np.exp(a - a.max())
-            col /= np.linalg.norm(col)
-            if col[int(np.argmax(np.abs(col)))] < 0:
-                col = -col
-            dest[:, k] = col
+    modes = []
+    for a in (logphi + env, logphi - env):
+        m = signs * np.exp(a - a.max(axis=0))
+        m /= np.linalg.norm(m, axis=0)
+        modes.append(m * _peak_signs(m))
+    right, left = modes
     return betas.copy(), right, left
 
 

@@ -1,13 +1,15 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from gausschain.cli import main
 from gausschain.matio import write_matrix
-from gausschain.models import HatanoNelsonParams, build_hatano_nelson, matrix_entries
+from gausschain.models import (HatanoNelsonParams, build_hatano_nelson, build_local_pump,
+                               matrix_entries)
 
 
 def read_summary(path):
@@ -318,6 +320,26 @@ class TestValidateCommand:
         assert summary["passed"] is False
         by_name = {c["name"]: c for c in summary["checks"]}
         assert by_name["relaxation_stable"]["passed"] is False
+
+    @pytest.mark.parametrize("kappa, stable", [(0.91, True), (0.5, False)])
+    def test_long_chain_stability_uses_exact_rates(self, tmp_path, kappa, stable):
+        # eigvals on this 150-site X returns pseudospectrum (min rate -0.0917
+        # at kappa 0.91); the gauge route gives the closed form.  Only this
+        # check is asserted: the pair is nonphysical and its relative
+        # residual still fails.
+        params = HatanoNelsonParams(150, 1.0, 0.17, kappa)
+        x = build_hatano_nelson(params)
+        x_file = str(tmp_path / "x.json")
+        y_file = str(tmp_path / "y.json")
+        write_matrix(x_file, matrix_entries(x), x.labels)
+        write_matrix(y_file, matrix_entries(build_local_pump(150, 15, 0.03)), x.labels)
+        out = str(tmp_path / "long")
+        main(["validate", "--x-file", x_file, "--y-file", y_file, "--out", out])
+        by_name = {c["name"]: c for c in read_summary(out + "/validate.json")["checks"]}
+        check = by_name["relaxation_stable"]
+        assert check["passed"] is stable
+        exact = kappa - 2.0 * math.sqrt(0.17) * math.cos(math.pi / 151.0)
+        assert check["value"] == pytest.approx(exact, rel=0, abs=1e-12)
 
     def test_indefinite_source_exits_1(self, tmp_path, capsys):
         params = HatanoNelsonParams(2, 1.0, 0.17, 1.5)

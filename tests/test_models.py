@@ -8,6 +8,7 @@ from gausschain import (HatanoNelsonParams, ParameterError, SiteIndexError,
                         SourceMatrix, SshParams, build_diagonal_pump,
                         build_hatano_nelson, build_local_pump, build_ssh,
                         ssh_index, ssh_labels)
+from gausschain.models import PSD_TOL
 
 
 def test_hn_two_sites_reference_values():
@@ -147,3 +148,14 @@ def test_source_matrix_validation():
     # borderline rounding noise passes the relative PSD tolerance
     m = np.array([[1.0, 0.0], [0.0, -1e-13]])
     assert SourceMatrix(m).dim == 2
+
+
+def test_source_matrix_psd_rule_on_diagonal_and_dense_pumps():
+    # Diagonal pumps are screened by their entries, others by eigvalsh;
+    # both apply the same relative tolerance and message.
+    with pytest.raises(ParameterError, match="min eigenvalue"):
+        SourceMatrix(np.diag([0.5, -0.25, 1.0]))
+    with pytest.raises(ParameterError, match="min eigenvalue"):
+        SourceMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
+    edge = SourceMatrix(np.diag([2.0, -PSD_TOL * 2.0, 0.0]))
+    assert edge.entries[1, 1] == -PSD_TOL * 2.0

@@ -238,6 +238,24 @@ def test_crossover_representative_points_order():
         assert np.all(np.isfinite(col))
 
 
+@pytest.mark.parametrize("n_cells", [50, 100])
+def test_crossover_scan_on_long_chains(n_cells):
+    # Every point of the default grid decomposes; the eig route failed on
+    # 10 (50 cells) and 14 (100 cells) of the 24.  The edge-to-bulk crossing
+    # sits one grid step lower than at 20 cells, in [0.00, 0.05].
+    from gausschain.orbitals import default_crossover_grid
+    grid = default_crossover_grid()
+    params = SshParams(n_cells, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"], 0.0,
+                       SSH_REFERENCE["kappa"])
+    scan = ssh_crossover_scan(params, pump_strength=SSH_REFERENCE["pump_strength"],
+                              g_values=grid)
+    assert scan.failures == ()
+    margin = scan.o_edge - scan.o_slow
+    flips = [k for k in range(margin.size - 1) if margin[k] * margin[k + 1] < 0]
+    assert len(flips) == 1
+    assert_allclose(grid[flips[0]:flips[0] + 2], [0.0, 0.05], atol=1e-12)
+
+
 def test_crossover_single_point_scan():
     params = SshParams(4, 0.5, 1.0, 0.0, 1.5)
     scan = ssh_crossover_scan(params, pump_strength=1e-8, g_values=[0.1])

@@ -9,12 +9,13 @@ from numpy.testing import assert_allclose
 from gausschain import (DegeneracyError, EnvelopeOverflowError,
                         HatanoNelsonParams, NormalizationError, ParameterError,
                         RegimeError, SiteIndexError, SshParams,
-                        biorthogonal_decompose, build_hatano_nelson,
+                        biorthogonal_decompose, build_hatano_nelson, build_ssh,
                         euclidean_normalize, gap_ratio, hn_analytic_spectrum,
                         hn_normalized_modes, hn_similarity_residual,
                         slow_mode_position, spectrum_payload,
                         ssh_edge_envelopes)
-from tests.conftest import HN_REFERENCE, hn_closed_form_betas
+from gausschain.orbitals import identify_edge_candidate
+from tests.conftest import HN_REFERENCE, SSH_REFERENCE, hn_closed_form_betas
 
 EPS = np.finfo(float).eps
 
@@ -28,6 +29,18 @@ def hn_params(n_sites, **overrides):
     cfg = dict(HN_REFERENCE)
     cfg.update(overrides)
     return HatanoNelsonParams(n_sites, cfg["t_right"], cfg["t_left"], cfg["kappa"])
+
+
+def ssh_params(n_cells, g):
+    return SshParams(n_cells, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"], g,
+                     SSH_REFERENCE["kappa"])
+
+
+def eigenpair_residuals(x, spec):
+    """||X r_k - beta_k r_k|| / (||X||_2 ||r_k||) for every right mode."""
+    r = spec.right
+    defect = np.linalg.norm(x @ r - r * spec.betas[None, :], axis=0)
+    return defect / (np.linalg.norm(x, 2) * np.linalg.norm(r, axis=0))
 
 
 def test_single_site_decomposition_is_trivial():
@@ -55,6 +68,17 @@ def test_numeric_betas_match_closed_form_n8():
                                             HN_REFERENCE["kappa"]))
     assert np.abs(spec.betas.imag).max() <= 1e-10
     assert_allclose(spec.betas.real, expected, atol=1e-10)
+
+
+def test_dense_long_chain_gets_exact_rates():
+    # A plain dense array, no model object: eig on this X returns
+    # pseudospectrum (min rate -0.134 against +0.0855).
+    x = np.asarray(build_hatano_nelson(hn_params(200)).entries)
+    spec = biorthogonal_decompose(x)
+    expected = np.sort(hn_closed_form_betas(200, HN_REFERENCE["t_right"],
+                                            HN_REFERENCE["t_left"], HN_REFERENCE["kappa"]))
+    assert np.all(spec.betas.imag == 0.0)
+    assert_allclose(spec.betas.real, expected, rtol=0, atol=1e-13)
 
 
 def test_slowest_rate_at_reference_parameters():
@@ -100,11 +124,33 @@ def test_eigenvector_residuals_are_small():
               for _ in range(5)]
     for x in cases:
         spec = biorthogonal_decompose(x)
-        xnorm = np.linalg.norm(x, 2)
-        for k in range(spec.dim):
-            r = spec.right[:, k]
-            resid = np.linalg.norm(x @ r - spec.betas[k] * r)
-            assert resid <= 1e-8 * xnorm * np.linalg.norm(r)
+        assert eigenpair_residuals(x, spec).max() <= 1e-8
+
+
+@pytest.mark.parametrize("g", [-0.55, 0.19, 0.20, 0.6])
+def test_long_two_band_chain_takes_the_gauge_route(g):
+    # 100 cells: eig on X raises DegeneracyError at three of these points.
+    x = np.asarray(build_ssh(ssh_params(100, g)).entries)
+    spec = biorthogonal_decompose(x)
+    assert np.all(spec.betas.imag == 0.0)
+    assert np.abs(spec.left.conj().T @ spec.right - np.eye(spec.dim)).max() <= 1e-12
+    resid = eigenpair_residuals(x, spec)
+    # The two edge modes are split by about (t1/t2)^100, far below rounding,
+    # so eigh returns them with equal rates as the two decoupled boundary
+    # states.  D times the one D amplifies more is the right mode to
+    # rounding; D times the other is no eigenvector of X, because D
+    # magnifies the far-end part that a pure boundary state lacks.  Every
+    # other mode, and the edge candidate the diagnostics use, meets the
+    # residual bound.
+    rates = spec.betas.real
+    tied = np.flatnonzero(np.diff(rates) <= 4 * EPS * np.abs(rates).max())
+    assert tied.size == 1
+    pair = [int(tied[0]), int(tied[0]) + 1]
+    assert_allclose(rates[pair], SSH_REFERENCE["kappa"], rtol=0, atol=1e-13)
+    assert np.delete(resid, pair).max() <= 1e-8
+    edge = identify_edge_candidate(spec, SSH_REFERENCE["kappa"])
+    assert edge.index - 1 in pair
+    assert resid[edge.index - 1] <= 1e-8
 
 
 @pytest.mark.parametrize("n_sites", [2, 6, 12])
@@ -170,6 +216,7 @@ def test_right_columns_gauge_largest_entry_real_positive():
             np.diag([2.0, 1.0, 3.0]) + 0.1j * np.diag([1.0, 1.0, 1.0])]
     herm = rng.standard_normal((4, 4))
     mats.append(herm + herm.T)
+    mats.append(build_ssh(ssh_params(5, 0.3)))
     for x in mats:
         spec = biorthogonal_decompose(x)
         for k in range(spec.dim):
@@ -224,6 +271,11 @@ def test_condition_estimate_is_envelope_power():
         assert spec.condition_estimate == pytest.approx(r ** 5, rel=1e-12)
         assert spec.condition_estimate == pytest.approx(
             np.linalg.cond(spec.right), rel=1e-10)
+    # The gauge route reports exp(span of log d) = cond_2(D U) without an SVD.
+    for g in (SSH_REFERENCE["g_edge"], SSH_REFERENCE["g_bulk"]):
+        spec = biorthogonal_decompose(build_ssh(ssh_params(20, g)))
+        assert spec.condition_estimate == pytest.approx(
+            np.linalg.cond(spec.right), rel=1e-10)
 
 
 def test_envelope_overflow_guard_and_normalized_fallback():
@@ -231,6 +283,8 @@ def test_envelope_overflow_guard_and_normalized_fallback():
     assert 800 * math.log(params.asymmetry_ratio()) > 700
     with pytest.raises(EnvelopeOverflowError):
         hn_analytic_spectrum(params)
+    with pytest.raises(EnvelopeOverflowError):
+        biorthogonal_decompose(build_hatano_nelson(params))
     betas, right, left = hn_normalized_modes(params)
     assert np.all(np.isfinite(right)) and np.all(np.isfinite(left))
     assert_allclose(np.linalg.norm(right, axis=0), np.ones(800), atol=1e-12)

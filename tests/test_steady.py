@@ -168,7 +168,9 @@ def test_long_stable_chains_solve(n_sites):
 def test_import_leaves_scipy_unloaded():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, gausschain; sys.exit('scipy' in sys.modules)"
+    code = ("import sys, gausschain as gc; "
+            "gc.biorthogonal_decompose(gc.build_ssh(gc.SshParams(20, 0.5, 1.0, -0.25, 1.5))); "
+            "sys.exit('scipy' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
