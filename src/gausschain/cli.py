@@ -36,8 +36,7 @@ from .orbitals import (CROSSOVER_HEADER, PROFILE_HEADER, SOURCE_SCAN_HEADER,
                        ssh_crossover_scan)
 from .spectral import (ModeVector, _gauge_symmetrize, biorthogonal_decompose,
                        hn_normalized_modes, slow_mode_position)
-from .steady import (closed_form_correlator, solve_lyapunov_direct,
-                     solve_lyapunov_spectral)
+from .steady import closed_form_correlator, solve_lyapunov_direct
 
 OCCUPATION_HEADER = ("alpha", "nu", "nu_norm")
 
@@ -50,7 +49,7 @@ VALIDATE_TRACE_LIMIT = 1e-10
 ORACLE_TRAJECTORY_LIMIT = 1e-7
 ORACLE_STEADY_LIMIT = 1e-8
 
-COMMON_DEFAULTS = {"out": ".", "threads": 1, "solver": "direct", "seed": 0}
+COMMON_DEFAULTS = {"out": "."}
 
 COMMAND_DEFAULTS = {
     "hn-profiles": {
@@ -113,12 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON file of parameter overrides (flags win)")
         p.add_argument("--out", default=None, metavar="DIR",
                        help="output directory (default current directory)")
-        p.add_argument("--threads", type=int, default=None, metavar="N",
-                       help="worker threads for scan commands (default 1)")
-        p.add_argument("--solver", choices=("direct", "spectral"), default=None,
-                       help="steady-state solver (default direct)")
-        p.add_argument("--seed", type=int, default=None, metavar="N",
-                       help="random seed; reserved, echoed into outputs")
         for key, value in defaults.items():
             flag = "--" + key.replace("_", "-")
             p.add_argument(flag, dest=key, type=type(value), default=None,
@@ -189,15 +182,6 @@ def _ssh_params(cfg: dict, g: float | None = None) -> SshParams:
                      cfg["g"] if g is None else g, cfg["kappa"])
 
 
-def _solve_steady(x, pump, solver: str, spectrum=None):
-    """Dispatch on the --solver choice; returns (correlator, spectrum or None)."""
-    if solver == "spectral":
-        if spectrum is None:
-            spectrum = biorthogonal_decompose(matrix_entries(x))
-        return solve_lyapunov_spectral(spectrum, pump), spectrum
-    return solve_lyapunov_direct(x, pump), spectrum
-
-
 def _hn_condition(params: HatanoNelsonParams) -> float:
     try:
         return math.exp((params.n_sites - 1) * abs(math.log(params.asymmetry_ratio())))
@@ -215,7 +199,7 @@ def cmd_hn_profiles(cfg: dict) -> None:
     params = _hn_params(cfg)
     x = build_hatano_nelson(params)
     pump = build_local_pump(params.n_sites, cfg["pump_site"], cfg["pump_strength"])
-    corr, _ = _solve_steady(x, pump, cfg["solver"])
+    corr = solve_lyapunov_direct(x, pump)
     betas, right_unit, _ = hn_normalized_modes(params)
     slow = slow_mode_position(betas.astype(complex))
     slow_vec = ModeVector(right_unit[:, slow], "euclidean")
@@ -250,7 +234,7 @@ def cmd_hn_occupations(cfg: dict) -> None:
     params = _hn_params(cfg)
     x = build_hatano_nelson(params)
     pump = build_local_pump(params.n_sites, cfg["pump_site"], cfg["pump_strength"])
-    corr, _ = _solve_steady(x, pump, cfg["solver"])
+    corr = solve_lyapunov_direct(x, pump)
     orbs = natural_orbitals(corr)
     normalized = orbs.occupations_normalized()
 
@@ -281,8 +265,7 @@ def cmd_hn_source_scan(cfg: dict) -> None:
     params = _hn_params(cfg)
     s_max = cfg["s_max"] if cfg["s_max"] > 0 else params.n_sites
     sites = range(cfg["s_min"], s_max + 1)
-    scan = hn_source_scan(params, cfg["pump_strength"], sites=sites,
-                          threads=cfg["threads"], solver=cfg["solver"])
+    scan = hn_source_scan(params, cfg["pump_strength"], sites=sites)
     csv_path, json_path = _out_paths(cfg)
     write_csv(csv_path, SOURCE_SCAN_HEADER, scan.rows(), comments=_comments(cfg))
     deviation = np.abs(scan.nu_max_normalized - scan.loading_normalized)
@@ -305,7 +288,7 @@ def cmd_ssh_profiles(cfg: dict) -> None:
     site = ssh_index(cfg["pump_cell"], cfg["pump_sublattice"], params.n_cells)
     pump = build_local_pump(params.n_sites, site, cfg["pump_strength"])
     spectrum = biorthogonal_decompose(matrix_entries(x))
-    corr, _ = _solve_steady(x, pump, cfg["solver"], spectrum)
+    corr = solve_lyapunov_direct(x, pump)
     orbs = natural_orbitals(corr)
     top = orbs.top_orbital()
     dens = normalized_density(corr)
@@ -345,8 +328,7 @@ def cmd_ssh_crossover(cfg: dict) -> None:
     params = _ssh_params(cfg, g=0.0)
     grid = np.linspace(cfg["g_min"], cfg["g_max"], cfg["g_points"])
     scan = ssh_crossover_scan(params, cfg["pump_cell"], cfg["pump_sublattice"],
-                              cfg["pump_strength"], g_values=grid,
-                              threads=cfg["threads"], solver=cfg["solver"])
+                              cfg["pump_strength"], g_values=grid)
     csv_path, json_path = _out_paths(cfg)
     write_csv(csv_path, CROSSOVER_HEADER, scan.rows(), comments=_comments(cfg))
     margin = scan.o_edge - scan.o_slow

@@ -15,9 +15,7 @@ the single-band chain, nonreciprocity scan for the two-band chain).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -25,9 +23,9 @@ from .errors import (GausschainError, NormalizationError, ParameterError,
                      SiteIndexError, StabilityError)
 from .models import (HatanoNelsonParams, SshParams, build_hatano_nelson,
                      build_local_pump, build_ssh, matrix_entries, ssh_index)
-from .spectral import (BiorthogonalSpectrum, ModeVector, biorthogonal_decompose,
-                       hn_analytic_spectrum, slow_mode_position)
-from .steady import DirectSolver, solve_lyapunov_direct, solve_lyapunov_spectral
+from .spectral import (BiorthogonalSpectrum, ModeVector, _gauge_columns,
+                       biorthogonal_decompose, hn_analytic_spectrum, slow_mode_position)
+from .steady import DirectSolver, solve_lyapunov_direct
 
 # Default edge-candidate search: eigenvalues within this fraction of the
 # spectral diameter around kappa, ranked by weight on this many boundary
@@ -78,14 +76,14 @@ class NaturalOrbitalSet:
             raise NormalizationError("all orbital occupations vanish")
         return self.occupations / top
 
-    def dominant_indices(self, tie_tol: float = DOMINANT_TIE_TOL) -> tuple[int, ...]:
-        """1-based indices tied with the top occupation within tie_tol.
+    def dominant_indices(self) -> tuple[int, ...]:
+        """1-based indices tied with the top occupation within DOMINANT_TIE_TOL.
 
         More than one index means the dominant orbital is ambiguous and
         the state should be flagged as unlocked, not resolved by fiat.
         """
-        top = self.occupations[0]
-        return tuple(int(a) + 1 for a in np.flatnonzero(top - self.occupations <= tie_tol))
+        ties = np.flatnonzero(self.occupations[0] - self.occupations <= DOMINANT_TIE_TOL)
+        return tuple(int(a) + 1 for a in ties)
 
     def reconstruct(self) -> np.ndarray:
         return (self.orbitals * self.occupations[None, :]) @ self.orbitals.conj().T
@@ -102,13 +100,7 @@ def natural_orbitals(correlator) -> NaturalOrbitalSet:
     if np.abs(c - c.conj().T).max() > 1e-10 * scale:
         raise ParameterError("correlator is not Hermitian; refusing to diagonalize")
     w, v = np.linalg.eigh(0.5 * (c + c.conj().T))
-    w, v = w[::-1].copy(), v[:, ::-1].copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        pivot = col[int(np.argmax(np.abs(col)))]
-        if abs(pivot) > 0:
-            v[:, k] = col * (pivot.conjugate() / abs(pivot))
-    return NaturalOrbitalSet(w, v)
+    return NaturalOrbitalSet(w[::-1].copy(), _gauge_columns(v[:, ::-1]))
 
 
 def density(correlator) -> np.ndarray:
@@ -185,25 +177,23 @@ class EdgeCandidate:
     used_fallback: bool
 
 
-def identify_edge_candidate(spectrum: BiorthogonalSpectrum, kappa: float,
-                            window_fraction: float = EDGE_WINDOW_FRACTION,
-                            boundary_sites: int = EDGE_BOUNDARY_SITES) -> EdgeCandidate:
+def identify_edge_candidate(spectrum: BiorthogonalSpectrum, kappa: float) -> EdgeCandidate:
     """Mode closest to the free-damping point kappa with boundary-peaked weight.
 
-    Scans eigenvalues within ``window_fraction`` of the spectral
+    Scans eigenvalues within :data:`EDGE_WINDOW_FRACTION` of the spectral
     diameter around kappa and returns the one whose unit-normalized
     right mode has the largest weight on the first or last
-    ``boundary_sites`` sites.  Always returns a candidate; an empty
-    window falls back to the globally closest eigenvalue.
+    :data:`EDGE_BOUNDARY_SITES` sites.  Always returns a candidate; an
+    empty window falls back to the globally closest eigenvalue.
     """
     if spectrum.dim == 1:
         return EdgeCandidate(1, 1, False)
     dist = np.abs(spectrum.betas - kappa)
     diameter = float(np.abs(spectrum.betas[:, None] - spectrum.betas[None, :]).max())
-    window = np.flatnonzero(dist <= window_fraction * diameter)
+    window = np.flatnonzero(dist <= EDGE_WINDOW_FRACTION * diameter)
     fallback = window.size == 0
     pool = window if not fallback else np.array([int(np.argmin(dist))])
-    m = min(int(boundary_sites), spectrum.dim)
+    m = min(EDGE_BOUNDARY_SITES, spectrum.dim)
     best, best_weight = None, -1.0
     for k in pool:
         profile = np.abs(np.asarray(spectrum.right_mode_unit(int(k) + 1).amplitudes)) ** 2
@@ -257,14 +247,6 @@ def diagnostics_report(spectrum: BiorthogonalSpectrum, correlator, pump_site: in
     )
 
 
-def _map_ordered(fn, items, threads: int):
-    """Apply fn preserving item order, optionally on a thread pool."""
-    if threads is None or threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(fn, items))
-
-
 @dataclass(frozen=True)
 class SourceScan:
     """Pump-position scan of the single-band chain.
@@ -288,23 +270,17 @@ class SourceScan:
 SOURCE_SCAN_HEADER = ("s", "nu_max", "A1", "nu_max_norm", "A1_norm")
 
 
-def _check_solver(solver: str) -> None:
-    if solver not in ("direct", "spectral"):
-        raise ParameterError(f"solver must be 'direct' or 'spectral', got {solver!r}")
-
-
 def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
-                   sites=None, threads: int = 1,
-                   solver: str = "direct") -> SourceScan:
+                   sites=None) -> SourceScan:
     """Exact nu_max(s) against the closed-form slow-mode loading A_1(s).
 
-    One Lyapunov solve per pump position, all sharing one DirectSolver
-    (stability certificate and pump-independent factors built once per
-    scan); the loading column comes from the closed-form spectrum, so the
-    two normalized columns agree exactly where the slow mode locks the top
-    orbital.
+    One Lyapunov solve per pump position, in order, all sharing one
+    DirectSolver (stability certificate and pump-independent factors
+    built once per scan); the loading column comes from the closed-form
+    spectrum, so the two normalized columns agree exactly where the slow
+    mode locks the top orbital.  A failed solve aborts the scan with the
+    pump site named in the message.
     """
-    _check_solver(solver)
     x = build_hatano_nelson(params)
     spectrum = hn_analytic_spectrum(params)
     slow = identify_slow_mode(spectrum) - 1
@@ -316,29 +292,22 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
     for s in sites:
         if not 1 <= s <= params.n_sites:
             raise SiteIndexError(f"pump site {s} outside 1..{params.n_sites}")
-    if solver == "spectral":
-        solve = partial(solve_lyapunov_spectral, biorthogonal_decompose(x))
-    else:
-        try:
-            solve = DirectSolver(x).solve
-        except GausschainError as exc:
-            # no pump has a steady state; report it at the first one
-            raise type(exc)(f"pump site {sites[0]}: {exc}") from exc
+    try:
+        solver = DirectSolver(x)
+    except GausschainError as exc:
+        # no pump has a steady state; report it at the first one
+        raise type(exc)(f"pump site {sites[0]}: {exc}") from exc
 
-    def job(site):
+    nu = np.empty(sites.size)
+    a1 = np.empty(sites.size)
+    for k, site in enumerate(sites):
         pump = build_local_pump(params.n_sites, int(site), pump_strength)
         try:
-            corr = solve(pump)
+            corr = solver.solve(pump)
         except GausschainError as exc:
-            # abort the whole scan, but name the position that failed
             raise type(exc)(f"pump site {site}: {exc}") from exc
-        nu = float(np.linalg.eigvalsh(np.asarray(corr.entries)).max())
-        a1 = float(loading_factors(spectrum, int(site), pump_strength).values[slow])
-        return nu, a1
-
-    results = _map_ordered(job, list(sites), threads)
-    nu = np.asarray([r[0] for r in results])
-    a1 = np.asarray([r[1] for r in results])
+        nu[k] = np.linalg.eigvalsh(np.asarray(corr.entries)).max()
+        a1[k] = loading_factors(spectrum, int(site), pump_strength).values[slow]
     return SourceScan(sites, nu, a1, nu / nu.max(), a1 / a1.max())
 
 
@@ -376,16 +345,14 @@ def default_crossover_grid() -> np.ndarray:
 
 
 def ssh_crossover_scan(params: SshParams, pump_cell: int = 1, pump_sublattice: str = "A",
-                       pump_strength: float = 1e-8, g_values=None, threads: int = 1,
-                       window_fraction: float = EDGE_WINDOW_FRACTION,
-                       boundary_sites: int = EDGE_BOUNDARY_SITES,
-                       solver: str = "direct") -> CrossoverScan:
+                       pump_strength: float = 1e-8, g_values=None) -> CrossoverScan:
     """Edge-versus-bulk locking competition along a nonreciprocity scan.
 
     ``params.g`` is ignored; each scan point replaces it with a grid
-    value.  Per-point failures do not abort the scan.
+    value and is solved in order by the direct solver, with the edge
+    candidate chosen by :func:`identify_edge_candidate`.  Per-point
+    failures do not abort the scan.
     """
-    _check_solver(solver)
     if g_values is None:
         g_values = default_crossover_grid()
     g_values = np.asarray([float(g) for g in g_values])
@@ -398,27 +365,20 @@ def ssh_crossover_scan(params: SshParams, pump_cell: int = 1, pump_sublattice: s
         x = build_ssh(p)
         spectrum = biorthogonal_decompose(x)
         pump = build_local_pump(p.n_sites, site, pump_strength)
-        if solver == "spectral":
-            corr = solve_lyapunov_spectral(spectrum, pump)
-        else:
-            corr = solve_lyapunov_direct(x, pump)
-        top = natural_orbitals(corr).top_orbital()
+        top = natural_orbitals(solve_lyapunov_direct(x, pump)).top_orbital()
         slow = identify_slow_mode(spectrum)
-        edge = identify_edge_candidate(spectrum, p.kappa, window_fraction, boundary_sites)
+        edge = identify_edge_candidate(spectrum, p.kappa)
         return (float(g),
                 overlap(spectrum.right_mode_unit(edge.index), top),
                 overlap(spectrum.right_mode_unit(slow), top),
                 edge.index, slow)
 
-    def safe_job(g):
+    rows, failures = [], []
+    for g in g_values:
         try:
-            return job(g), None
+            rows.append(job(g))
         except GausschainError as exc:
-            return None, (float(g), f"{type(exc).__name__}: {exc}")
-
-    results = _map_ordered(safe_job, list(g_values), threads)
-    rows = [r for r, _ in results if r is not None]
-    failures = tuple(f for _, f in results if f is not None)
+            failures.append((float(g), f"{type(exc).__name__}: {exc}"))
     if not rows:
         raise ParameterError("every crossover scan point failed; first: "
                              + failures[0][1])
@@ -428,7 +388,7 @@ def ssh_crossover_scan(params: SshParams, pump_cell: int = 1, pump_sublattice: s
         o_slow=np.asarray([r[2] for r in rows]),
         edge_index=np.asarray([r[3] for r in rows], dtype=int),
         slow_index=np.asarray([r[4] for r in rows], dtype=int),
-        failures=failures,
+        failures=tuple(failures),
     )
 
 

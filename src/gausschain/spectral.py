@@ -86,6 +86,17 @@ def _gauge_phase(column: np.ndarray) -> complex:
     return pivot / abs(pivot)
 
 
+def _gauge_columns(m: np.ndarray) -> np.ndarray:
+    """Copy of m with each column's largest-|entry| rotated real positive.
+
+    The columns are eigenvectors, so none is zero.
+    """
+    peaks = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
+    # hypot, not np.abs: it rounds like the scalar abs() the gauge has
+    # always used, so gauged columns keep their last bits
+    return m * (peaks.conjugate() / np.hypot(peaks.real, peaks.imag))[None, :]
+
+
 def euclidean_normalize(vector) -> ModeVector:
     """Unit-norm copy with the largest-|entry| gauged real positive."""
     v = np.asarray(getattr(vector, "amplitudes", vector), dtype=complex).reshape(-1)
@@ -266,10 +277,8 @@ def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
     scale = max(1.0, float(np.abs(x).max()))
     if np.abs(x - x.conj().T).max() <= 1e-13 * scale:
         w, r = np.linalg.eigh(0.5 * (x + x.conj().T))
-        betas = w.astype(complex)
-        phases = np.array([_gauge_phase(r[:, k]).conjugate() for k in range(dim)])
-        r = r * phases[None, :]
-        return BiorthogonalSpectrum(betas, r, r.copy(), float(np.linalg.cond(r)))
+        r = _gauge_columns(r)
+        return BiorthogonalSpectrum(w.astype(complex), r, r.copy(), float(np.linalg.cond(r)))
 
     gauge = _gauge_symmetrize(x)
     if gauge is not None:
@@ -288,9 +297,7 @@ def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"eigendecomposition failed: {exc}") from exc
     order = _sorted_order(betas)
-    betas, r = betas[order], r[:, order]
-    phases = np.array([_gauge_phase(r[:, k]).conjugate() for k in range(dim)])
-    r = r * phases[None, :]
+    betas, r = betas[order], _gauge_columns(r[:, order])
 
     cond = float(np.linalg.cond(r))
     if dim > 1:

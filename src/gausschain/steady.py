@@ -229,8 +229,6 @@ class DirectSolver:
       _doubling_powers).  For Y >= 0 every term is nonnegative, so even
       the smallest entries of C are accurate;
     - anything else: the eigenvalue stability screen and the Schur method.
-
-    The instance is read-only after construction, so threads may share it.
     """
 
     def __init__(self, relaxation):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gausschain.cli import main
+from gausschain.cli import COMMAND_DEFAULTS, main
 from gausschain.matio import write_matrix
 from gausschain.models import (HatanoNelsonParams, build_hatano_nelson, build_local_pump,
                                matrix_entries)
@@ -164,14 +164,14 @@ class TestConfigResolution:
 
     def test_config_file_applies_and_flags_win(self, tmp_path):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"n_sites": 6, "kappa": 1.2, "threads": 2}))
+        config.write_text(json.dumps({"n_sites": 6, "kappa": 1.2}))
         out = str(tmp_path / "run")
         assert main(["hn-occupations", "--config", str(config), "--n-sites", "8",
                      "--pump-site", "2", "--out", out]) == 0
         echoed = read_summary(out + "/hn-occupations.json")["config"]
         assert echoed["n_sites"] == 8
         assert echoed["kappa"] == 1.2
-        assert echoed["threads"] == 2
+        assert set(echoed) == {"command", "out"} | set(COMMAND_DEFAULTS["hn-occupations"])
 
     def test_unknown_config_key_is_an_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -187,11 +187,18 @@ class TestConfigResolution:
                      "--out", str(tmp_path)]) == 2
         assert "must be of type int" in capsys.readouterr().err
 
-    def test_seed_is_echoed_into_outputs(self, tmp_path):
-        out = str(tmp_path / "seeded")
-        assert main(["hn-occupations", "--n-sites", "4", "--pump-site", "2",
-                     "--seed", "7", "--out", out]) == 0
-        assert read_summary(out + "/hn-occupations.json")["config"]["seed"] == 7
+    @pytest.mark.parametrize("key, value", [("threads", 2), ("solver", "spectral"),
+                                            ("seed", 7)])
+    def test_removed_common_options_are_rejected(self, tmp_path, capsys, key, value):
+        with pytest.raises(SystemExit) as info:
+            main(["hn-occupations", f"--{key}", str(value), "--out", str(tmp_path)])
+        assert info.value.code == 2
+        capsys.readouterr()
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}))
+        assert main(["hn-occupations", "--config", str(config),
+                     "--out", str(tmp_path)]) == 2
+        assert "unknown config key" in capsys.readouterr().err
 
     def test_reruns_are_byte_identical(self, tmp_path):
         out = str(tmp_path / "twice")
@@ -208,29 +215,6 @@ class TestConfigResolution:
         assert main(["hn-occupations", "--n-sites", "4", "--pump-site", "1",
                      "--out", out]) == 0
         assert (tmp_path / "a" / "b" / "c" / "hn-occupations.json").exists()
-
-
-class TestSolverAndThreads:
-
-    def test_spectral_solver_matches_direct(self, tmp_path):
-        values = {}
-        for solver in ("direct", "spectral"):
-            out = str(tmp_path / solver)
-            assert main(["hn-occupations", "--n-sites", "8", "--pump-site", "3",
-                         "--solver", solver, "--out", out]) == 0
-            summary = read_summary(out + "/hn-occupations.json")
-            assert summary["method"] == solver
-            values[solver] = summary["nu_max"]
-        assert abs(values["spectral"] - values["direct"]) <= 1e-6 * values["direct"]
-
-    def test_threaded_scan_matches_serial(self, tmp_path):
-        results = {}
-        for threads in ("1", "4"):
-            out = str(tmp_path / f"t{threads}")
-            assert main(["hn-source-scan", "--n-sites", "8", "--threads", threads,
-                         "--out", out]) == 0
-            results[threads] = data_lines(out + "/hn-source-scan.csv")
-        assert results["1"] == results["4"]
 
 
 class TestFailureExitCodes:

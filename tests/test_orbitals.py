@@ -212,16 +212,6 @@ def test_source_scan_validates_sites_and_reports_failures():
     unstable = HatanoNelsonParams(4, 1.0, 0.17, 0.1)
     with pytest.raises(StabilityError, match="pump site 1"):
         hn_source_scan(unstable, 0.03)
-    with pytest.raises(ParameterError):
-        hn_source_scan(params, 0.03, solver="magic")
-
-
-def test_source_scan_thread_count_does_not_change_values():
-    params = hn_reference_params(9)
-    serial = hn_source_scan(params, 0.03)
-    threaded = hn_source_scan(params, 0.03, threads=4)
-    assert np.array_equal(serial.nu_max, threaded.nu_max)
-    assert np.array_equal(serial.loading, threaded.loading)
 
 
 def test_crossover_representative_points_order():

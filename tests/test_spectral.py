@@ -15,6 +15,7 @@ from gausschain import (DegeneracyError, EnvelopeOverflowError,
                         slow_mode_position, spectrum_payload,
                         ssh_edge_envelopes)
 from gausschain.orbitals import identify_edge_candidate
+from gausschain.spectral import _gauge_columns
 from tests.conftest import HN_REFERENCE, SSH_REFERENCE, hn_closed_form_betas
 
 EPS = np.finfo(float).eps
@@ -223,6 +224,25 @@ def test_right_columns_gauge_largest_entry_real_positive():
             pivot = spec.right[int(np.argmax(np.abs(spec.right[:, k]))), k]
             assert abs(pivot.imag) <= 1e-12 * abs(pivot)
             assert pivot.real > 0
+
+
+@pytest.mark.parametrize("n", [12, 40, 200])
+def test_column_gauge_matches_the_per_column_loop(n):
+    # the loop the natural orbitals and the eig route once ran, column by column
+    def loop_gauge(m):
+        out = m.copy()
+        for k in range(m.shape[1]):
+            col = m[:, k]
+            pivot = col[int(np.argmax(np.abs(col)))]
+            out[:, k] = col * (pivot.conjugate() / abs(pivot))
+        return out
+
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for m in (np.linalg.eigh(a + a.conj().T)[1][:, ::-1], np.linalg.eig(a)[1],
+              np.linalg.eigh(a.real + a.real.T)[1].astype(complex)):
+        got, want = _gauge_columns(m), loop_gauge(m)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_euclidean_normalize_examples():
