@@ -19,7 +19,7 @@ from .design import (JumpSet, JumpValidationReport, JumpVector,
                      MicroscopicRealization, hn_jump_decomposition, inverse_design,
                      jump_set_payload, realization_payload,
                      ssh_jump_decomposition, validate_jump_set)
-from .errors import (ConvergenceError, DarkSourceError, DecompositionError,
+from .errors import (DarkSourceError, DecompositionError,
                      DegeneracyError, EnvelopeOverflowError, GausschainError,
                      InfeasibilityError, NormalizationError, ParameterError,
                      RegimeError, ScaleError, SiteIndexError, SolveError,

@@ -53,15 +53,11 @@ class SolveError(GausschainError):
 
 
 class StepSizeError(GausschainError):
-    """Fixed-step integrator diverged or drifted beyond its guard."""
+    """``steady.propagate_correlator``'s fixed-step integrator diverged."""
 
 
 class ScaleError(GausschainError):
     """Many-body oracle requested beyond its intended size budget."""
-
-
-class ConvergenceError(GausschainError):
-    """Iterative relaxation did not reach the requested tolerance in budget."""
 
 
 class InfeasibilityError(GausschainError):

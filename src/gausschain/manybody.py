@@ -5,6 +5,11 @@ matrices and Jordan-Wigner fermion operators.  It exists to validate
 the one-body correlator reduction against the exact Lindblad dynamics,
 so it is deliberately capped at four sites; use the correlator stack
 for anything larger.
+
+Nothing is time-stepped: the Liouvillian conserves the charge
+N_ket - N_bra of |i><j| (Prosen, NJP 10, 043026 (2008)), so it is built
+per charge block, at most C(2N, N) = 70 wide.  Trajectories apply exact
+propagators exp(L t); the steady state is one linear solve.  Numpy only.
 """
 
 from __future__ import annotations
@@ -14,18 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import JumpSet
-from .errors import (ConvergenceError, ParameterError, ScaleError, StabilityError,
-                     StepSizeError)
+from .errors import ParameterError, ScaleError, StabilityError
 
 MAX_ORACLE_SITES = 4
-# Default time budget certifies convergence only up to three sites.
-MAX_DEFAULT_BUDGET_SITES = 3
 CAR_TOL = 1e-14
-TRACE_DRIFT_LIMIT = 1e-6
-# Density-matrix entries are bounded by 1, so growth past this is divergence.
-# The trace-free RHS keeps the trace exact under RK4 even when the step is
-# unstable, so the drift check alone cannot catch a blow-up.
-STATE_NORM_LIMIT = 1e3
 
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # Lowering operator |0><1| in the (empty, occupied) = (index 0, index 1) basis.
@@ -155,6 +152,8 @@ class DensityMatrix:
         n = rho.shape[0].bit_length() - 1
         if 2 ** n != rho.shape[0]:
             raise ParameterError(f"density matrix dimension {rho.shape[0]} is not 2^N")
+        if not np.isfinite(rho).all():
+            raise ParameterError("density matrix has non-finite entries")
         herm = float(np.abs(rho - rho.conj().T).max())
         if herm > 1e-12:
             raise ParameterError(f"density matrix not Hermitian: max deviation {herm:.3e}")
@@ -192,7 +191,8 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class MasterTrajectory:
-    """Sampled master-equation solution with its trace-drift log."""
+    """Exact master-equation samples, ``dt * stride`` apart except a shorter
+    last one, with the largest |Tr rho - 1| over them as the drift log."""
 
     times: np.ndarray
     states: tuple[DensityMatrix, ...]
@@ -230,14 +230,56 @@ def _master_rhs(rho: np.ndarray, k: np.ndarray, ls) -> np.ndarray:
     return out
 
 
+def _charge_blocks(ops: FockOperatorSet) -> dict:
+    """Basis matrices |i><j| grouped by their charge N_i - N_j.
+
+    Each value is the (rows, cols) index pair of one block, in row-major
+    order, so the q = 0 block starts with the vacuum projector |0><0|.
+    """
+    filled = np.array([bin(i).count("1") for i in range(ops.dim)])
+    charge = filled[:, None] - filled[None, :]
+    return {q: np.nonzero(charge == q) for q in range(-ops.n_sites, ops.n_sites + 1)}
+
+
+def _block_generator(k: np.ndarray, ls, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The Liouvillian on one charge block, one column per basis matrix.
+
+    Every term of the master equation conserves N_ket - N_bra, so the
+    image of a basis matrix stays inside its block.
+    """
+    size = rows.size
+    basis = np.zeros((size,) + k.shape, dtype=complex)
+    basis[np.arange(size), rows, cols] = 1.0
+    return _master_rhs(basis, k, ls)[:, rows, cols].T
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring a Taylor polynomial.
+
+    Moler & Van Loan, SIAM Review 45, 3 (2003).  After scaling to
+    ||a||_1 <= 1/2 the degree-14 remainder is below 2^-15 / 15! < 3e-17.
+    """
+    norm = float(np.abs(a).sum(axis=0).max())
+    squarings = max(0, int(np.ceil(np.log2(2.0 * norm)))) if norm > 0 else 0
+    b = a / 2.0 ** squarings
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    out = eye
+    for order in range(14, 0, -1):
+        out = eye + (b @ out) / order
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
 def evolve_master(rho0: DensityMatrix, h, jumps: JumpSet, t_final: float,
                   dt: float, stride: int = 1) -> MasterTrajectory:
-    """Integrate the full Lindblad equation with fixed-step RK4.
+    """Sample the full Lindblad equation with its exact propagator.
 
     ``h`` is the one-body Hamiltonian matrix (n_sites x n_sites); jump
-    vectors are promoted to Fock-space operators internally.  Snapshots
-    are stored every ``stride`` steps plus the final state.  Trace
-    drift is logged, never corrected; drift beyond 1e-6 aborts.
+    vectors are promoted to Fock-space operators internally.  Samples
+    are ``dt * stride`` apart, each the previous one times
+    exp(L dt stride), plus the state at ``t_final`` after a shorter
+    last interval.  Trace drift is logged, never corrected.
     """
     if dt <= 0 or not np.isfinite(dt):
         raise ParameterError(f"dt must be positive, got {dt}")
@@ -249,41 +291,30 @@ def evolve_master(rho0: DensityMatrix, h, jumps: JumpSet, t_final: float,
     k, ls = _liouvillian_parts(ops, h, jumps)
 
     n_steps = int(np.ceil(t_final / dt - 1e-12)) if t_final > 0 else 0
-    rho = np.array(rho0.entries, dtype=complex)
-    times = [0.0]
+    steps = list(range(stride, n_steps + 1, stride)) + ([n_steps] if n_steps % stride else [])
+    times = [0.0] + [min(step * dt, t_final) for step in steps]
+    # every sample is a full stride on from the last, except one that ends early at t_final
+    n_full = sum(step % stride == 0 and step * dt <= t_final for step in steps)
+    # blocks that rho0 leaves empty stay empty
+    blocks = [b for b in _charge_blocks(ops).values() if rho0.entries[b].any()]
+    generators = [_block_generator(k, ls, *b) for b in blocks]
+    full = [_expm(g * (stride * dt)) for g in generators] if n_full else None
+    propagators = [full] * n_full
+    if len(steps) > n_full:
+        tail = times[-1] - n_full * stride * dt
+        propagators.append([_expm(g * tail) for g in generators])
+
     states = [rho0]
-    max_drift = abs(float(np.trace(rho).real) - 1.0)
-    for step in range(1, n_steps + 1):
-        h_step = min(dt, t_final - (step - 1) * dt)
-        k1 = _master_rhs(rho, k, ls)
-        k2 = _master_rhs(rho + 0.5 * h_step * k1, k, ls)
-        k3 = _master_rhs(rho + 0.5 * h_step * k2, k, ls)
-        k4 = _master_rhs(rho + h_step * k3, k, ls)
-        rho = rho + (h_step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-        peak = float(np.abs(rho).max())
-        if not np.isfinite(peak) or peak > STATE_NORM_LIMIT:
-            raise StepSizeError(
-                f"state entries reached {peak:.3e} at step {step}; "
-                "the integration diverged, reduce dt")
-        drift = abs(float(np.trace(rho).real) - 1.0)
-        max_drift = max(max_drift, drift)
-        if drift > TRACE_DRIFT_LIMIT:
-            raise StepSizeError(
-                f"trace drift {drift:.3e} exceeds {TRACE_DRIFT_LIMIT:g} at step {step}; "
-                "reduce dt")
-        if step % stride == 0 or step == n_steps:
-            times.append(min(step * dt, t_final))
-            try:
-                states.append(DensityMatrix(rho))
-            except ParameterError as exc:
-                # truncation error past the validity band means the step is too big
-                raise StepSizeError(f"state invalid at step {step}: {exc}") from exc
+    for step_props in propagators:
+        rho = np.zeros_like(rho0.entries)
+        for b, p in zip(blocks, step_props):
+            rho[b] = p @ states[-1].entries[b]
+        states.append(DensityMatrix(rho))
     return MasterTrajectory(
         times=np.asarray(times, dtype=float),
         states=tuple(states),
         dt=float(dt),
-        max_trace_drift=float(max_drift),
+        max_trace_drift=max(abs(float(np.trace(s.entries).real) - 1.0) for s in states),
     )
 
 
@@ -298,58 +329,26 @@ def correlator_of(rho: DensityMatrix) -> np.ndarray:
     return 0.5 * (c + c.conj().T)
 
 
-def steady_state_oracle(h, jumps: JumpSet, dt: float | None = None,
-                        t_max: float | None = None) -> DensityMatrix:
-    """Long-time limit of the master equation, from the vacuum.
+def steady_state_oracle(h, jumps: JumpSet, t_max: float | None = None) -> DensityMatrix:
+    """The unique steady state of the master equation, solved exactly.
 
-    Integrates until the right-hand side max norm drops below 1e-12 or
-    the time budget 50 / (slowest relaxation rate) runs out, whichever
-    comes first.  The default budget is certified only up to three
-    sites; larger systems must pass ``t_max`` explicitly.
+    L preserves the trace, so its diagonal rows are dependent: in the
+    charge-0 block the vacuum row is replaced by Tr rho = 1 and the block
+    is solved.  ``t_max`` is ignored.
     """
-    jumps_dim = jumps.dim
-    if jumps_dim > MAX_DEFAULT_BUDGET_SITES and t_max is None:
-        raise ScaleError(
-            f"default time budget covers at most {MAX_DEFAULT_BUDGET_SITES} sites; "
-            f"pass t_max explicitly for {jumps_dim} sites")
     hmat = np.asarray(h, dtype=complex)
     x = 1j * hmat + 0.5 * (np.asarray(jumps.loss_gram()) + np.asarray(jumps.gain_gram()))
-    betas = np.linalg.eigvals(x)
-    min_rate = float(betas.real.min())
+    min_rate = float(np.linalg.eigvals(x).real.min())
     if min_rate <= 0:
         raise StabilityError(
             f"relaxation spectrum has min real part {min_rate:.6g} <= 0; "
             "no steady state to converge to")
-    if t_max is None:
-        t_max = 50.0 / min_rate
-    if dt is None:
-        dt = min(0.01, 0.1 / float(np.abs(betas).max()))
 
-    ops = operator_set(jumps_dim)
+    ops = operator_set(jumps.dim)
     k, ls = _liouvillian_parts(ops, hmat, jumps)
-    rho = np.array(DensityMatrix.vacuum(jumps_dim).entries, dtype=complex)
-    t = 0.0
-    while t < t_max:
-        k1 = _master_rhs(rho, k, ls)
-        if float(np.abs(k1).max()) < 1e-12:
-            return DensityMatrix(rho)
-        step = min(dt, t_max - t)
-        k2 = _master_rhs(rho + 0.5 * step * k1, k, ls)
-        k3 = _master_rhs(rho + 0.5 * step * k2, k, ls)
-        k4 = _master_rhs(rho + step * k3, k, ls)
-        rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-        peak = float(np.abs(rho).max())
-        if not np.isfinite(peak) or peak > STATE_NORM_LIMIT:
-            raise StepSizeError(
-                f"state entries reached {peak:.3e}; the integration diverged, reduce dt")
-        drift = abs(float(np.trace(rho).real) - 1.0)
-        if drift > TRACE_DRIFT_LIMIT:
-            raise StepSizeError(
-                f"trace drift {drift:.3e} exceeds {TRACE_DRIFT_LIMIT:g}; reduce dt")
-        t += step
-    if float(np.abs(_master_rhs(rho, k, ls)).max()) < 1e-12:
-        return DensityMatrix(rho)
-    raise ConvergenceError(
-        f"master equation not stationary after t = {t_max:.6g}; "
-        "residual still above 1e-12")
+    rows, cols = _charge_blocks(ops)[0]
+    system = _block_generator(k, ls, rows, cols)
+    system[0] = rows == cols
+    rho = np.zeros((ops.dim, ops.dim), dtype=complex)
+    rho[rows, cols] = np.linalg.solve(system, np.eye(rows.size)[0])
+    return DensityMatrix(rho)

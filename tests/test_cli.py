@@ -342,9 +342,10 @@ class TestValidateCommand:
 
 class TestOracleCheckCommand:
 
-    def test_two_site_chain_agrees_with_the_oracle(self, tmp_path, capsys):
+    @pytest.mark.parametrize("n_sites", ["2", "4"])
+    def test_chain_agrees_with_the_oracle(self, tmp_path, capsys, n_sites):
         out = str(tmp_path / "oracle")
-        assert main(["oracle-check", "--n-sites", "2", "--t-final", "2.0",
+        assert main(["oracle-check", "--n-sites", n_sites, "--t-final", "2.0",
                      "--stride", "100", "--out", out]) == 0
         summary = read_summary(out + "/oracle-check.json")
         assert summary["passed"] is True

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gausschain import (
-    ConvergenceError,
     DensityMatrix,
     HatanoNelsonParams,
     JumpSet,
@@ -13,7 +12,6 @@ from gausschain import (
     ParameterError,
     ScaleError,
     StabilityError,
-    StepSizeError,
     build_hatano_nelson,
     correlator_of,
     evolve_master,
@@ -135,6 +133,7 @@ class TestDensityMatrix:
         (np.array([[0.5, 0.1], [0.0, 0.5]]), "Hermitian"),
         (0.6 * np.eye(2), "trace"),
         (np.diag([1.5, -0.5]), "eigenvalue"),
+        (np.diag([np.nan, 1.0]), "non-finite"),
     ])
     def test_validation_rejects_bad_matrices(self, bad, match):
         with pytest.raises(ParameterError, match=match):
@@ -195,12 +194,15 @@ class TestEvolveMaster:
     def test_single_site_decay_is_exponential(self):
         lam = 0.8
         jumps = JumpSet(1, (JumpVector("onsite(1)", "loss", [np.sqrt(lam)]),), ())
-        traj = evolve_master(DensityMatrix.from_pure([0.0, 1.0]), [[0.0]], jumps,
-                             t_final=2.0, dt=1e-3, stride=500)
-        for t, state in zip(traj.times, traj.states):
-            n = correlator_of(state)[0, 0].real
-            assert_allclose(n, np.exp(-lam * t), atol=1e-10)
-        assert traj.max_trace_drift <= 1e-12
+        # 2.03 and 1.9995 end on a shorter last interval with a propagator of its own
+        for t_final in (2.0, 2.03, 1.9995):
+            traj = evolve_master(DensityMatrix.from_pure([0.0, 1.0]), [[0.0]], jumps,
+                                 t_final=t_final, dt=1e-3, stride=500)
+            assert traj.times[-1] == t_final
+            for t, state in zip(traj.times, traj.states):
+                n = correlator_of(state)[0, 0].real
+                assert_allclose(n, np.exp(-lam * t), atol=1e-10)
+            assert traj.max_trace_drift <= 1e-12
 
     def test_snapshot_grid_respects_stride(self):
         traj = evolve_master(DensityMatrix.vacuum(1), [[0.0]], JumpSet(1, (), ()),
@@ -234,16 +236,19 @@ class TestEvolveMaster:
             evolve_master(rho0, np.zeros((3, 3)), empty, t_final=1.0, dt=0.1)
         with pytest.raises(ParameterError, match="dim"):
             evolve_master(rho0, h, JumpSet(3, (), ()), t_final=1.0, dt=0.1)
+        # NaN slips through every comparison, so only the finiteness check stops it
+        with pytest.raises(ParameterError, match="non-finite"):
+            evolve_master(rho0, np.diag([np.nan, 0.0]), empty, t_final=1.0, dt=0.1)
 
-    def test_unresolved_stiff_loss_raises_step_size_error(self):
-        # the trace-free RHS hides divergence from the drift check, so the
-        # guard has to catch it through the state itself
+    def test_stiff_loss_follows_the_exponential(self):
+        # rate 100 at dt = 0.1: far outside any explicit step's stability region
         filled = DensityMatrix.from_pure([0.0, 1.0])
         jumps = JumpSet(1, (JumpVector("onsite(1)", "loss", [10.0]),), ())
         for stride in (1, 50):
-            with pytest.raises(StepSizeError):
-                evolve_master(filled, [[0.0]], jumps,
-                              t_final=10.0, dt=0.1, stride=stride)
+            traj = evolve_master(filled, [[0.0]], jumps,
+                                 t_final=10.0, dt=0.1, stride=stride)
+            for t, state in zip(traj.times, traj.states):
+                assert abs(correlator_of(state)[0, 0].real - np.exp(-100.0 * t)) <= 1e-15
 
 
 class TestCorrelatorReduction:
@@ -306,24 +311,22 @@ class TestSteadyStateOracle:
         rho = steady_state_oracle([[0.0]], jumps)
         assert_allclose(rho.entries, DensityMatrix.vacuum(1).entries, atol=0)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_oracle_matches_direct_solver(self, n):
         x, y, jumps, h = hn_system(n)
         rho = steady_state_oracle(h, jumps)
         direct = solve_lyapunov_direct(x, y)
         assert np.abs(correlator_of(rho) - direct.entries).max() <= 1e-8
 
-    def test_four_sites_need_an_explicit_budget(self):
+    def test_four_sites_need_no_time_budget(self):
         jumps = JumpSet(
             4,
             tuple(JumpVector(f"onsite({j})", "loss",
                              np.sqrt(1.6) * np.eye(4)[j - 1]) for j in range(1, 5)),
             tuple(JumpVector(f"pump({j})", "gain",
                              np.sqrt(0.4) * np.eye(4)[j - 1]) for j in range(1, 5)))
-        with pytest.raises(ScaleError, match="t_max"):
-            steady_state_oracle(np.zeros((4, 4)), jumps)
-        rho = steady_state_oracle(np.zeros((4, 4)), jumps, t_max=50.0)
-        assert np.abs(correlator_of(rho) - 0.2 * np.eye(4)).max() <= 1e-9
+        rho = steady_state_oracle(np.zeros((4, 4)), jumps)
+        assert np.abs(correlator_of(rho) - 0.2 * np.eye(4)).max() <= 1e-14
 
     def test_five_sites_exceed_the_oracle_cap(self):
         jumps = JumpSet(5, tuple(JumpVector(f"onsite({j})", "loss", np.eye(5)[j - 1])
@@ -338,18 +341,19 @@ class TestSteadyStateOracle:
         with pytest.raises(StabilityError, match="no steady state"):
             steady_state_oracle([[1.0]], JumpSet(1, (), ()))
 
-    def test_insufficient_budget_raises_convergence_error(self):
+    def test_slow_relaxation_ignores_the_time_budget(self):
+        # relaxation time 200, far beyond t_max, which is accepted and ignored
         jumps = JumpSet(
             1,
             (JumpVector("onsite(1)", "loss", [np.sqrt(0.009)]),),
             (JumpVector("pump(1)", "gain", [np.sqrt(0.001)]),))
-        with pytest.raises(ConvergenceError, match="not stationary"):
-            steady_state_oracle([[0.0]], jumps, t_max=1.0)
+        rho = steady_state_oracle([[0.0]], jumps, t_max=1.0)
+        assert abs(correlator_of(rho)[0, 0] - 0.1) <= 1e-14
 
-    def test_forced_coarse_step_diverges_loudly(self):
+    def test_stiff_pump_loss_pair_is_solved_exactly(self):
         jumps = JumpSet(
             1,
             (JumpVector("onsite(1)", "loss", [np.sqrt(140.0)]),),
             (JumpVector("pump(1)", "gain", [np.sqrt(100.0)]),))
-        with pytest.raises(StepSizeError, match="diverged"):
-            steady_state_oracle([[0.0]], jumps, dt=0.1, t_max=5.0)
+        rho = steady_state_oracle([[0.0]], jumps, t_max=5.0)
+        assert abs(correlator_of(rho)[0, 0] - 100.0 / 240.0) <= 1e-14

@@ -168,8 +168,15 @@ def test_long_stable_chains_solve(n_sites):
 def test_import_leaves_scipy_unloaded():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, gausschain as gc; "
+    # the many-body oracle's exponential and solve must stay numpy-only too
+    code = ("import sys, numpy as np, gausschain as gc; "
             "gc.biorthogonal_decompose(gc.build_ssh(gc.SshParams(20, 0.5, 1.0, -0.25, 1.5))); "
+            "p = gc.HatanoNelsonParams(2, 1.0, 0.17, 1.5); "
+            "j = gc.hn_jump_decomposition(p, 0.1); "
+            "h = gc.inverse_design(gc.models.matrix_entries(gc.build_hatano_nelson(p)), "
+            "0.1 * np.eye(2)).hamiltonian; "
+            "gc.steady_state_oracle(h, j); "
+            "gc.evolve_master(gc.DensityMatrix.vacuum(2), h, j, 0.25, 0.1); "
             "sys.exit('scipy' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
