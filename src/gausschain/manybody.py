@@ -223,13 +223,6 @@ def _liouvillian_parts(ops: FockOperatorSet, h, jumps: JumpSet):
     return k, ls
 
 
-def _master_rhs(rho: np.ndarray, k: np.ndarray, ls) -> np.ndarray:
-    out = k @ rho + rho @ k.conj().T
-    for op in ls:
-        out += op @ rho @ op.conj().T
-    return out
-
-
 def _charge_blocks(ops: FockOperatorSet) -> dict:
     """Basis matrices |i><j| grouped by their charge N_i - N_j.
 
@@ -244,13 +237,16 @@ def _charge_blocks(ops: FockOperatorSet) -> dict:
 def _block_generator(k: np.ndarray, ls, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The Liouvillian on one charge block, one column per basis matrix.
 
-    Every term of the master equation conserves N_ket - N_bra, so the
-    image of a basis matrix stays inside its block.
+    Every term of K rho + rho K^dag + sum_L L rho L^dag conserves
+    N_ket - N_bra, so the image of |i><j| stays inside its block; its
+    |r><c| entry is K_ri d_cj + d_ri conj(K_cj) + sum_L L_ri conj(L_cj).
+    Only block-sized arrays are formed.
     """
-    size = rows.size
-    basis = np.zeros((size,) + k.shape, dtype=complex)
-    basis[np.arange(size), rows, cols] = 1.0
-    return _master_rhs(basis, k, ls)[:, rows, cols].T
+    ket, bra = np.ix_(rows, rows), np.ix_(cols, cols)
+    out = k[ket] * (cols[:, None] == cols) + (rows[:, None] == rows) * k[bra].conj()
+    for op in ls:
+        out += op[ket] * op[bra].conj()
+    return out
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -265,7 +261,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
     eye = np.eye(a.shape[0], dtype=a.dtype)
     out = eye
     for order in range(14, 0, -1):
-        out = eye + (b @ out) / order
+        out = b @ out
+        out /= order
+        out += eye
     for _ in range(squarings):
         out = out @ out
     return out
