@@ -80,12 +80,16 @@ class SourceMatrix:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ParameterError(f"source matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        if not np.isfinite(m).all():
             raise ParameterError("source matrix contains non-finite entries")
-        herm = np.abs(m - m.conj().T).max() if m.size else 0.0
+        # Every builder's pump is exactly Hermitian: one comparison, no
+        # defect or symmetrization sweep over N^2 complex temporaries.
+        exact = np.array_equal(m, m.conj().T)
+        herm = 0.0 if exact else np.abs(m - m.conj().T).max()
         if herm > HERMITICITY_TOL:
             raise ParameterError(f"source matrix not Hermitian: max |Y - Y^dag| = {herm:.3e}")
-        m = 0.5 * (m + m.conj().T)
+        if not exact:
+            m = 0.5 * (m + m.conj().T)
         if m.size:
             diag = np.diagonal(m).real
             # A diagonal Y (every chain pump) has its entries as eigenvalues.

@@ -39,6 +39,12 @@ UNIT_NORM_TOL = 1e-8
 # ambiguous; diagnostics then flag the state as unlocked.
 DOMINANT_TIE_TOL = 1e-10
 
+# Largest stacked array, in float64 entries, that hn_source_scan solves at
+# once; the stacked solve keeps a few such arrays alive.  All 40 pumps of a
+# 40-site scan fit in one stack, a 200-site scan takes 3 pumps per stack,
+# and from 257 sites each stack holds one pump.
+SCAN_CHUNK_ENTRIES = 2 ** 17
+
 
 @dataclass(frozen=True)
 class NaturalOrbitalSet:
@@ -274,16 +280,22 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
                    sites=None) -> SourceScan:
     """Exact nu_max(s) against the closed-form slow-mode loading A_1(s).
 
-    One Lyapunov solve per pump position, in order, all sharing one
-    DirectSolver (stability certificate and pump-independent factors
-    built once per scan); the loading column comes from the closed-form
-    spectrum, so the two normalized columns agree exactly where the slow
-    mode locks the top orbital.  A failed solve aborts the scan with the
-    pump site named in the message.
+    The pumps are solved as stacks by one DirectSolver (stability
+    certificate and pump-independent factors built once per scan), in
+    chunks of at most SCAN_CHUNK_ENTRIES entries per stacked array, so
+    memory stays bounded on long chains; nu_max comes from one stacked
+    eigvalsh per chunk.  Each correlator is bit for bit the one
+    ``DirectSolver.solve`` gives for that pump.  The loading column comes
+    from the closed-form spectrum and equals
+    ``loading_factors(...).values`` of the slow mode, so the two
+    normalized columns agree exactly where the slow mode locks the top
+    orbital.  A chain without a steady state aborts the scan with the
+    first pump site named in the message.
     """
+    strength = float(pump_strength)
+    if strength <= 0 or not np.isfinite(strength):
+        raise ParameterError(f"pump strength must be positive, got {pump_strength}")
     x = build_hatano_nelson(params)
-    spectrum = hn_analytic_spectrum(params)
-    slow = identify_slow_mode(spectrum) - 1
     if sites is None:
         sites = np.arange(1, params.n_sites + 1)
     sites = np.asarray([int(s) for s in sites])
@@ -297,18 +309,35 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
     except GausschainError as exc:
         # no pump has a steady state; report it at the first one
         raise type(exc)(f"pump site {sites[0]}: {exc}") from exc
+    a1 = _slow_mode_loadings(params, sites, strength)
 
+    n = params.n_sites
     nu = np.empty(sites.size)
-    a1 = np.empty(sites.size)
-    for k, site in enumerate(sites):
-        pump = build_local_pump(params.n_sites, int(site), pump_strength)
-        try:
-            corr = solver.solve(pump)
-        except GausschainError as exc:
-            raise type(exc)(f"pump site {site}: {exc}") from exc
-        nu[k] = np.linalg.eigvalsh(np.asarray(corr.entries)).max()
-        a1[k] = loading_factors(spectrum, int(site), pump_strength).values[slow]
+    chunk = max(1, SCAN_CHUNK_ENTRIES // (n * n))
+    for first in range(0, sites.size, chunk):
+        block = sites[first:first + chunk] - 1
+        pumps = np.zeros((block.size, n, n))
+        pumps[np.arange(block.size), block, block] = strength
+        corr, _ = solver.solve_many(pumps)
+        nu[first:first + block.size] = np.linalg.eigvalsh(corr).max(axis=1)
     return SourceScan(sites, nu, a1, nu / nu.max(), a1 / a1.max())
+
+
+def _slow_mode_loadings(params: HatanoNelsonParams, sites: np.ndarray,
+                        strength: float) -> np.ndarray:
+    """loading_factors(...).values of the slow mode, bit for bit, at every site.
+
+    Built from the closed-form spectrum, which is dropped on return, so
+    it is not held while the scan solves its pumps.
+    """
+    spectrum = hn_analytic_spectrum(params)
+    slow = identify_slow_mode(spectrum) - 1
+    rate = spectrum.betas.real[slow]
+    if rate <= 0:
+        raise StabilityError(
+            f"loading factors need a strictly stable spectrum: min Re beta = {rate:.3e}")
+    amps = spectrum.left[sites - 1, slow]
+    return strength * np.abs(amps) ** 2 / (2.0 * rate)
 
 
 @dataclass(frozen=True)

@@ -117,9 +117,16 @@ def _check_beta_stability(betas: np.ndarray) -> None:
             f"spectrum is not strictly stable: min Re beta = {worst:.6e}")
 
 
+def _hermitize_stack(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C + C^dag) / 2 and max |C - C^dag| of each matrix of a (P, N, N) stack."""
+    adjoint = np.swapaxes(c, 1, 2).conj()
+    asym = np.abs(c - adjoint).max(axis=(1, 2), initial=0.0)
+    return 0.5 * (c + adjoint), asym
+
+
 def _hermitize(c: np.ndarray) -> tuple[np.ndarray, float]:
-    asym = float(np.abs(c - c.conj().T).max()) if c.size else 0.0
-    return 0.5 * (c + c.conj().T), asym
+    c, asym = _hermitize_stack(c[None])
+    return c[0], float(asym[0])
 
 
 def solve_schur(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -213,9 +220,12 @@ def _m_matrix_inverse(m: np.ndarray) -> np.ndarray:
 class DirectSolver:
     """Exact steady-state solver for one relaxation matrix, reusable across pumps.
 
-    Construction checks stability and does every pump-independent step;
-    ``solve(source)`` then costs a few matrix products per pump.  The
-    algorithm is chosen from X:
+    Construction checks X and its stability and does every
+    pump-independent step; ``solve(source)`` then costs a few matrix
+    products per pump, and ``solve_many(sources)`` does the same products
+    on a whole stack of pumps at once.  ``solve`` is ``solve_many`` on a
+    stack of one, so both share one solve path.  The algorithm is chosen
+    from X:
 
     - real X with off-diagonal entries <= 0 (both chain models): the
       stability certificate of _certify_m_matrix, then Smith doubling on
@@ -227,12 +237,18 @@ class DirectSolver:
       kept here as (pI + X)^-1 and the powers A_k.  The number of powers
       is fixed here by a bound that holds for every pump (see
       _doubling_powers).  For Y >= 0 every term is nonnegative, so even
-      the smallest entries of C are accurate;
-    - anything else: the eigenvalue stability screen and the Schur method.
+      the smallest entries of C are accurate.  Every product broadcasts
+      over a stack of pumps;
+    - anything else: the eigenvalue stability screen and the Schur
+      method, one pump at a time.
+
+    Raises ParameterError for non-finite X (here) or Y (when solving).
     """
 
     def __init__(self, relaxation):
         x = matrix_entries(relaxation)
+        if not np.isfinite(x).all():
+            raise ParameterError("relaxation matrix contains non-finite entries")
         self.x = x
         self._powers = None
         if not _is_z_matrix(x):
@@ -249,26 +265,45 @@ class DirectSolver:
     def solve(self, source) -> SteadyCorrelator:
         """Steady correlator for pump Y; Y is trusted to be Hermitian.
 
-        Y is scaled to unit largest entry for the solve and the scale is
-        restored after, so C(2^k X, s Y) = s 2^-k C(X, Y) holds bit for
-        bit for real Y with largest entry 1.
+        The solve of ``solve_many`` on a stack of one, plus the residual.
         """
         y = matrix_entries(source)
-        if y.shape != self.x.shape:
-            raise ParameterError(
-                f"source shape {y.shape} does not match relaxation {self.x.shape}")
-        scale = float(np.abs(y).max()) or 1.0
-        unit = (y if np.any(y.imag) else y.real) / scale
-        c = solve_schur(self.x, unit) if self._powers is None else self._smith(unit)
-        c, asym = _hermitize(c)
-        c = scale * c
-        return SteadyCorrelator(c, "direct", lyapunov_residual(self.x, c, y), scale * asym)
+        c, asym = self.solve_many(y[None])
+        return SteadyCorrelator(c[0], "direct", lyapunov_residual(self.x, c[0], y),
+                                float(asym[0]))
 
-    def _smith(self, y: np.ndarray) -> np.ndarray:
-        c = (2.0 * self._shift) * (self._inverse @ y @ self._inverse.T)
-        for a in self._powers:
-            c = c + a @ c @ a.T
-        return c
+    def solve_many(self, sources) -> tuple[np.ndarray, np.ndarray]:
+        """Hermitized steady correlators of a (P, N, N) stack of pumps.
+
+        Returns the stack of correlators and the max |C - C^dag| of each
+        before symmetrization; every Y is trusted to be Hermitian.  Each
+        Y is scaled to unit largest entry for the solve and its scale is
+        restored after, so C(2^k X, s Y) = s 2^-k C(X, Y) holds bit for
+        bit for real Y with largest entry 1.  A stack with no imaginary
+        part is solved in real arithmetic and gives real correlators,
+        each bit for bit the one ``solve`` gives for that pump; one
+        complex pump makes the whole stack complex.  The stacked products
+        hold a few arrays the size of the stack, so callers bound P*N*N.
+        """
+        y = np.asarray(sources)
+        if y.ndim != 3 or y.shape[1:] != self.x.shape:
+            raise ParameterError(
+                f"source stack shape {y.shape} does not match relaxation {self.x.shape}")
+        if not np.isfinite(y).all():
+            raise ParameterError("source matrix contains non-finite entries")
+        real = not np.iscomplexobj(y) or not y.imag.any()
+        y = np.asarray(y.real if real else y, dtype=float if real else complex)
+        scale = np.abs(y).max(axis=(1, 2), initial=0.0)
+        scale[scale == 0] = 1.0
+        unit = y / scale[:, None, None]
+        if self._powers is None:
+            c = np.stack([solve_schur(self.x, u) for u in unit])
+        else:
+            c = (2.0 * self._shift) * (self._inverse @ unit @ self._inverse.T)
+            for a in self._powers:
+                c += a @ c @ a.T
+        c, asym = _hermitize_stack(c)
+        return scale[:, None, None] * c, scale * asym
 
 
 def _doubling_powers(a: np.ndarray) -> list[np.ndarray]:

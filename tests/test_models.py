@@ -150,6 +150,27 @@ def test_source_matrix_validation():
     assert SourceMatrix(m).dim == 2
 
 
+def test_source_matrix_symmetrizes_only_inexact_input():
+    # An exactly Hermitian Y is stored as given, in a frozen copy; one
+    # within HERMITICITY_TOL is stored as (Y + Y^dag) / 2.
+    y = np.array([[1.0, 0.25 - 0.5j], [0.25 + 0.5j, 2.0]])
+    src = SourceMatrix(y)
+    assert np.array_equal(src.entries, y) and not src.entries.flags.writeable
+    y[0, 0] = 5.0
+    assert src.entries[0, 0] == 1.0
+    noisy = y.copy()
+    noisy[0, 1] += 4e-13
+    assert np.array_equal(SourceMatrix(noisy).entries, 0.5 * (noisy + noisy.conj().T))
+    noisy[0, 1] += 2e-12
+    with pytest.raises(ParameterError, match="not Hermitian"):
+        SourceMatrix(noisy)
+    for bad in (np.nan, complex(0.0, np.inf)):
+        with pytest.raises(ParameterError, match="non-finite"):
+            SourceMatrix(np.diag([1.0, bad]))
+    with pytest.raises(ParameterError, match="label count"):
+        SourceMatrix(np.eye(2), ("1",))
+
+
 def test_source_matrix_psd_rule_on_diagonal_and_dense_pumps():
     # Diagonal pumps are screened by their entries, others by eigvalsh;
     # both apply the same relative tolerance and message.

@@ -1,6 +1,7 @@
 """Natural orbitals, locking diagnostics, and the two production scans."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from gausschain import (HatanoNelsonParams, NormalizationError, ParameterError,
                         identify_slow_mode, loading_factors, natural_orbitals,
                         normalized_density, overlap, single_mode_approximation,
                         solve_lyapunov_direct, ssh_crossover_scan)
-from gausschain.orbitals import density
+from gausschain.orbitals import SCAN_CHUNK_ENTRIES, density
 from tests.conftest import HN_REFERENCE, SSH_REFERENCE
 
 
@@ -201,6 +202,43 @@ def test_source_scan_single_site_is_unity():
     scan = hn_source_scan(HatanoNelsonParams(1, 1.0, 0.17, 0.91), 0.03)
     assert_allclose(scan.nu_max_normalized, [1.0], rtol=0, atol=0)
     assert_allclose(scan.loading_normalized, [1.0], rtol=0, atol=0)
+
+
+def test_source_scan_across_stack_chunks_matches_per_pump_solves():
+    # 120 sites: 9 pumps per stack, so these 21 pump sites (out of order,
+    # some repeated) take three stacks, the last one partial.
+    params = hn_reference_params(120)
+    assert SCAN_CHUNK_ENTRIES // 120 ** 2 == 9
+    sites = [120, 3, 60, 3, 1, 77, 119, 2, 45, 60, 90, 10, 11, 12, 13, 14, 15, 16, 17, 100, 1]
+    strength = HN_REFERENCE["pump_strength"]
+    scan = hn_source_scan(params, strength, sites=sites)
+    assert scan.sites.tolist() == sites
+    x = build_hatano_nelson(params)
+    spectrum = hn_analytic_spectrum(params)
+    slow = identify_slow_mode(spectrum) - 1
+    for k, site in enumerate(sites):
+        c = np.asarray(solve_lyapunov_direct(x, build_local_pump(120, site, strength)).entries)
+        # the scan diagonalizes the real correlator; complex eigvalsh of the
+        # same matrix may differ by the eigensolver's rounding, N eps nu
+        assert not c.imag.any()
+        nu = np.linalg.eigvalsh(c.real).max()
+        assert abs(scan.nu_max[k] - nu) <= 4 * np.spacing(nu)
+        assert abs(np.linalg.eigvalsh(c).max() - nu) <= 120 * np.finfo(float).eps * nu
+        assert scan.loading[k] == loading_factors(spectrum, site, strength).values[slow]
+
+
+def test_source_scan_memory_is_bounded_by_the_stack_budget():
+    # Unchunked, 40 pumps at 200 sites would stack 12.8 MB per array and
+    # hold several such arrays at once.
+    params = hn_reference_params(200)
+    unchunked = 40 * 200 ** 2 * 8
+    tracemalloc.start()
+    try:
+        hn_source_scan(params, HN_REFERENCE["pump_strength"], sites=range(1, 41))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < unchunked
 
 
 def test_source_scan_validates_sites_and_reports_failures():

@@ -22,7 +22,7 @@ from gausschain import (DarkSourceError, HatanoNelsonParams, ParameterError,
                         single_mode_approximation, solve_lyapunov_direct,
                         solve_lyapunov_spectral)
 from gausschain.models import matrix_entries
-from gausschain.steady import solve_schur
+from gausschain.steady import DirectSolver, solve_schur
 from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, hn_closed_form_steady,
                             hn_sine_steady_mp, lyapunov_quadrature, solve_vectorized,
                             tridiagonal_steady_mp)
@@ -109,6 +109,61 @@ def test_dispatch_is_chosen_from_the_matrix():
         assert np.linalg.norm(chain - other) <= 1e-10 * np.linalg.norm(other)
     with pytest.raises(ParameterError):
         solve_lyapunov_direct(x, y[:3, :3])
+
+
+def test_solve_many_matches_per_pump_solve():
+    # Local pumps of mixed strengths, a dense pump and an all-zero pump,
+    # stacked: bit for bit the per-pump solve on the M-matrix route, to
+    # rounding on the Schur route (complex X; one complex pump makes the
+    # whole stack complex).
+    rng = np.random.default_rng(5)
+    _, x, _ = hn_reference_system(30)
+    pumps = np.zeros((5, 30, 30))
+    for k, (site, strength) in enumerate([(1, 0.03), (30, 7.5), (12, 1e-9)]):
+        pumps[k, site - 1, site - 1] = strength
+    b = rng.standard_normal((30, 30))
+    pumps[3] = b @ b.T
+    solver = DirectSolver(x)
+    c, asym = solver.solve_many(pumps)
+    assert c.shape == pumps.shape and asym.shape == (5,)
+    for k, y in enumerate(pumps):
+        one = solver.solve(y)
+        assert np.array_equal(c[k], one.entries) and asym[k] == one.asymmetry
+    assert not c[4].any() and asym[4] == 0.0
+
+    xc, yc = random_stable_pair(rng, 8)
+    pumps = np.zeros((4, 8, 8), dtype=complex)
+    pumps[0, 2, 2] = 0.03
+    pumps[1, 5, 5] = 40.0
+    pumps[2] = yc
+    solver = DirectSolver(xc)
+    c, asym = solver.solve_many(pumps)
+    for k, y in enumerate(pumps):
+        one = solver.solve(y).entries
+        assert np.abs(c[k] - one).max() <= 1e-13 * np.abs(one).max()
+    assert not c[3].any() and asym[3] == 0.0
+    with pytest.raises(ParameterError):
+        solver.solve_many(pumps[0])
+
+
+def test_direct_solver_rejects_non_finite_input():
+    # NaN in Y once came back as an all-NaN "direct" correlator, NaN on
+    # the diagonal of X as StabilityError, inf off it as LinAlgError.
+    _, x, _ = hn_reference_system(4)
+    x = matrix_entries(x)
+    with pytest.raises(ParameterError, match="source matrix contains non-finite"):
+        solve_lyapunov_direct(x, np.diag([np.nan, 0.1, 0.1, 0.1]))
+    stack = np.zeros((2, 4, 4), dtype=complex)
+    stack[1, 2, 3] = complex(0.0, np.inf)
+    with pytest.raises(ParameterError, match="source matrix contains non-finite"):
+        DirectSolver(x).solve_many(stack)
+    for row, col, bad in [(1, 1, np.nan), (0, 1, np.inf)]:
+        broken = x.copy()
+        broken[row, col] = bad
+        with pytest.raises(ParameterError, match="relaxation matrix contains non-finite"):
+            DirectSolver(broken)
+        with pytest.raises(ParameterError, match="relaxation matrix contains non-finite"):
+            solve_lyapunov_direct(broken, np.eye(4))
 
 
 @pytest.mark.parametrize("n_sites, pump_site", [(60, 31), (80, 80)])
