@@ -23,7 +23,7 @@ from .errors import (DarkSourceError, DecompositionError,
                      DegeneracyError, EnvelopeOverflowError, GausschainError,
                      InfeasibilityError, NormalizationError, ParameterError,
                      RegimeError, ScaleError, SiteIndexError, SolveError,
-                     StabilityError, StepSizeError, ValidationError)
+                     StabilityError, ValidationError)
 from .manybody import (DensityMatrix, FockOperatorSet, MasterTrajectory,
                        correlator_of, evolve_master, steady_state_oracle)
 from .models import (HatanoNelsonParams, RelaxationMatrix, SourceMatrix, SshParams,

@@ -52,10 +52,6 @@ class SolveError(GausschainError):
     """Linear system backing a solver is singular or did not solve."""
 
 
-class StepSizeError(GausschainError):
-    """``steady.propagate_correlator``'s fixed-step integrator diverged."""
-
-
 class ScaleError(GausschainError):
     """Many-body oracle requested beyond its intended size budget."""
 

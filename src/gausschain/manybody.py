@@ -20,6 +20,7 @@ import numpy as np
 
 from .design import JumpSet
 from .errors import ParameterError, ScaleError, StabilityError
+from .steady import _expm, _sample_grid
 
 MAX_ORACLE_SITES = 4
 CAR_TOL = 1e-14
@@ -249,26 +250,6 @@ def _block_generator(k: np.ndarray, ls, rows: np.ndarray, cols: np.ndarray) -> n
     return out
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring a Taylor polynomial.
-
-    Moler & Van Loan, SIAM Review 45, 3 (2003).  After scaling to
-    ||a||_1 <= 1/2 the degree-14 remainder is below 2^-15 / 15! < 3e-17.
-    """
-    norm = float(np.abs(a).sum(axis=0).max())
-    squarings = max(0, int(np.ceil(np.log2(2.0 * norm)))) if norm > 0 else 0
-    b = a / 2.0 ** squarings
-    eye = np.eye(a.shape[0], dtype=a.dtype)
-    out = eye
-    for order in range(14, 0, -1):
-        out = b @ out
-        out /= order
-        out += eye
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
 def evolve_master(rho0: DensityMatrix, h, jumps: JumpSet, t_final: float,
                   dt: float, stride: int = 1) -> MasterTrajectory:
     """Sample the full Lindblad equation with its exact propagator.
@@ -277,39 +258,25 @@ def evolve_master(rho0: DensityMatrix, h, jumps: JumpSet, t_final: float,
     vectors are promoted to Fock-space operators internally.  Samples
     are ``dt * stride`` apart, each the previous one times
     exp(L dt stride), plus the state at ``t_final`` after a shorter
-    last interval.  Trace drift is logged, never corrected.
+    last interval (_sample_grid).  Trace drift is logged, never corrected.
     """
-    if dt <= 0 or not np.isfinite(dt):
-        raise ParameterError(f"dt must be positive, got {dt}")
-    if t_final < 0 or not np.isfinite(t_final):
-        raise ParameterError(f"t_final must be >= 0, got {t_final}")
-    if stride < 1:
-        raise ParameterError(f"stride must be >= 1, got {stride}")
+    times, intervals = _sample_grid(t_final, dt, stride)
     ops = operator_set(rho0.n_sites)
     k, ls = _liouvillian_parts(ops, h, jumps)
 
-    n_steps = int(np.ceil(t_final / dt - 1e-12)) if t_final > 0 else 0
-    steps = list(range(stride, n_steps + 1, stride)) + ([n_steps] if n_steps % stride else [])
-    times = [0.0] + [min(step * dt, t_final) for step in steps]
-    # every sample is a full stride on from the last, except one that ends early at t_final
-    n_full = sum(step % stride == 0 and step * dt <= t_final for step in steps)
     # blocks that rho0 leaves empty stay empty
     blocks = [b for b in _charge_blocks(ops).values() if rho0.entries[b].any()]
     generators = [_block_generator(k, ls, *b) for b in blocks]
-    full = [_expm(g * (stride * dt)) for g in generators] if n_full else None
-    propagators = [full] * n_full
-    if len(steps) > n_full:
-        tail = times[-1] - n_full * stride * dt
-        propagators.append([_expm(g * tail) for g in generators])
+    propagators = {h: [_expm(g * h) for g in generators] for h in set(intervals)}
 
     states = [rho0]
-    for step_props in propagators:
+    for h in intervals:
         rho = np.zeros_like(rho0.entries)
-        for b, p in zip(blocks, step_props):
+        for b, p in zip(blocks, propagators[h]):
             rho[b] = p @ states[-1].entries[b]
         states.append(DensityMatrix(rho))
     return MasterTrajectory(
-        times=np.asarray(times, dtype=float),
+        times=times,
         states=tuple(states),
         dt=float(dt),
         max_trace_drift=max(abs(float(np.trace(s.entries).real) - 1.0) for s in states),

@@ -37,12 +37,11 @@ def format_csv_float(x: float) -> str:
     return f"{x:.{CSV_SIG_DIGITS}g}"
 
 
-def dumps_json(obj: Any, indent: int = 0) -> str:
+def dumps_json(obj: Any) -> str:
     """Serialize dicts/lists/scalars with fixed float formatting.
 
     Dict key order is preserved, so callers control the output layout.
     """
-    pad = " " * indent
     if obj is None:
         return "null"
     if obj is True:
@@ -57,7 +56,7 @@ def dumps_json(obj: Any, indent: int = 0) -> str:
         return format_json_float(float(obj))
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {dumps_json(v)}" for k, v in obj.items())
-        return pad + "{" + items + "}"
+        return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(dumps_json(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
@@ -113,12 +112,8 @@ def matrix_from_payload(payload: dict) -> tuple[np.ndarray, tuple[str, ...]]:
     return entries, labels
 
 
-def write_matrix(path: str, entries: np.ndarray, labels: Sequence[str],
-                 meta: dict | None = None) -> None:
-    payload = matrix_payload(entries, labels)
-    if meta is not None:
-        payload["meta"] = meta
-    write_json(path, payload)
+def write_matrix(path: str, entries: np.ndarray, labels: Sequence[str]) -> None:
+    write_json(path, matrix_payload(entries, labels))
 
 
 def read_matrix(path: str) -> tuple[np.ndarray, tuple[str, ...]]:

@@ -99,9 +99,12 @@ def natural_orbitals(correlator) -> NaturalOrbitalSet:
     """Eigendecomposition of a Hermitian correlator, most occupied first.
 
     Each orbital is phase-gauged (largest-|entry| real positive) so
-    exported profiles are reproducible.
+    exported profiles are reproducible.  Real correlators, as every chain
+    correlator is, are diagonalized in real arithmetic.
     """
     c = matrix_entries(correlator)
+    if not c.imag.any():
+        c = c.real
     scale = max(1.0, float(np.abs(c).max()))
     if np.abs(c - c.conj().T).max() > 1e-10 * scale:
         raise ParameterError("correlator is not Hermitian; refusing to diagonalize")

@@ -77,20 +77,8 @@ class ModeVector:
         return self.amplitudes.size
 
 
-def _gauge_phase(column: np.ndarray) -> complex:
-    """Phase factor that makes the largest-magnitude entry real positive."""
-    k = int(np.argmax(np.abs(column)))
-    pivot = column[k]
-    if pivot == 0:
-        raise NormalizationError("cannot gauge a zero vector")
-    return pivot / abs(pivot)
-
-
 def _gauge_columns(m: np.ndarray) -> np.ndarray:
-    """Copy of m with each column's largest-|entry| rotated real positive.
-
-    The columns are eigenvectors, so none is zero.
-    """
+    """Copy of m with each (nonzero) column's largest-|entry| rotated real positive."""
     peaks = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
     # hypot, not np.abs: it rounds like the scalar abs() the gauge has
     # always used, so gauged columns keep their last bits
@@ -105,9 +93,7 @@ def euclidean_normalize(vector) -> ModeVector:
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
         raise NormalizationError("cannot normalize the zero vector")
-    v = v / nrm
-    v = v * _gauge_phase(v).conjugate()
-    return ModeVector(v, "euclidean")
+    return ModeVector(_gauge_columns((v / nrm)[:, None])[:, 0], "euclidean")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,10 @@ The spectral route sums over biorthogonal mode pairs
 
 which is exact for trustworthy decompositions and is how closed-form
 spectra are turned into closed-form correlators.
+
+Transients are exact: each sample interval is one affine map read off a
+block exponential (_affine_step), and the many-body oracle shares the
+exponential and the sampling rule (_expm, _sample_grid).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DarkSourceError, ParameterError, SiteIndexError, SolveError,
-                     StabilityError, StepSizeError)
+                     StabilityError)
 from .models import matrix_entries
 from .spectral import BiorthogonalSpectrum, slow_mode_position
 
@@ -43,20 +47,16 @@ EPS = float(np.finfo(float).eps)
 # spectral radius equal to 1 in double precision: X is numerically singular.
 MAX_DOUBLINGS = 64
 
-# Fixed-step integration diverging past this norm is reported as a step
-# size problem rather than allowed to overflow silently.
-DIVERGENCE_NORM_LIMIT = 1e150
-
 
 @dataclass(frozen=True)
 class SteadyCorrelator:
     """Hermitian one-body correlator with solver provenance.
 
     ``method`` is "direct", "spectral", or "integrated"; ``residual`` is
-    the relative Lyapunov defect ||X C + C X^dag - Y||_F / ||Y||_F at
-    the time the object was produced (distance from stationarity for
-    transient snapshots); ``asymmetry`` records max |C - C^dag| before
-    the Hermitian symmetrization that every producer applies.
+    the normwise backward error of C as a solution of X C + C X^dag = Y
+    (see lyapunov_residual), which for transient samples measures their
+    distance from stationarity; ``asymmetry`` records max |C - C^dag|
+    before the Hermitian symmetrization that every producer applies.
     """
 
     entries: np.ndarray
@@ -95,7 +95,7 @@ class SingleModeResult:
 
 @dataclass(frozen=True)
 class CorrelatorTrajectory:
-    """Fixed-step correlator snapshots; states[k] is at times[k]."""
+    """Exact correlator samples on the grid of _sample_grid; states[k] is at times[k]."""
 
     times: np.ndarray
     states: tuple[SteadyCorrelator, ...]
@@ -103,11 +103,21 @@ class CorrelatorTrajectory:
 
 
 def lyapunov_residual(x, c, y) -> float:
-    """Relative Frobenius defect of the Lyapunov equation (absolute if Y = 0)."""
-    x, c, y = (np.asarray(matrix_entries(m)) for m in (x, c, y))
+    """Normwise backward error ||X C + C X^dag - Y||_F / (2 ||X||_F ||C||_F + ||Y||_F).
+
+    Higham, BIT 33, 124 (1993); 0 when the denominator vanishes.  C and Y
+    are divided by the larger of their peaks first, so no norm overflows
+    on long chains, and real inputs stay in real arithmetic.
+    """
+    x, c, y = (matrix_entries(m) for m in (x, c, y))
+    if not (x.imag.any() or c.imag.any() or y.imag.any()):
+        x, c, y = x.real, c.real, y.real
+    scale = max(float(np.abs(c).max(initial=0.0)), float(np.abs(y).max(initial=0.0)))
+    if scale > 0:
+        c, y = c / scale, y / scale
     defect = float(np.linalg.norm(x @ c + c @ x.conj().T - y))
-    ynorm = float(np.linalg.norm(y))
-    return defect / ynorm if ynorm > 0 else defect
+    bound = 2.0 * float(np.linalg.norm(x)) * float(np.linalg.norm(c)) + float(np.linalg.norm(y))
+    return defect / bound if bound > 0 else 0.0
 
 
 def _check_beta_stability(betas: np.ndarray) -> None:
@@ -411,62 +421,103 @@ def single_mode_approximation(spectrum: BiorthogonalSpectrum, pump_site: int,
                             loading, predicted)
 
 
-def default_step(x: np.ndarray) -> float:
-    """Default integrator step: 0.01 / max |beta|."""
-    betas = np.linalg.eigvals(x)
-    top = float(np.abs(betas).max())
-    if top == 0.0:
-        return 0.01
-    return 0.01 / top
+def _halvings(norm: float) -> int:
+    """Least k >= 0 with norm / 2^k <= 1/2."""
+    return max(0, int(np.ceil(np.log2(2.0 * norm)))) if norm > 0 else 0
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring a Taylor polynomial.
+
+    Moler & Van Loan, SIAM Review 45, 3 (2003).  After scaling to
+    ||a||_1 <= 1/2 the degree-14 remainder is below 2^-15 / 15! < 3e-17.
+    """
+    squarings = _halvings(float(np.abs(a).sum(axis=0).max()))
+    b = a / 2.0 ** squarings
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    out = eye
+    for order in range(14, 0, -1):
+        out = b @ out
+        out /= order
+        out += eye
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _sample_grid(t_final: float, dt: float, stride: int) -> tuple[np.ndarray, list[float]]:
+    """Sample times ``dt * stride`` apart from 0 and the last at ``t_final``,
+    with the interval that ends at each sample after the first."""
+    if dt <= 0 or not np.isfinite(dt):
+        raise ParameterError(f"dt must be positive, got {dt}")
+    if t_final < 0 or not np.isfinite(t_final):
+        raise ParameterError(f"t_final must be >= 0, got {t_final}")
+    if stride < 1 or int(stride) != stride:
+        raise ParameterError(f"stride must be a positive integer, got {stride!r}")
+    n_steps = int(np.ceil(t_final / dt - 1e-12)) if t_final > 0 else 0
+    steps = list(range(stride, n_steps + 1, stride)) + ([n_steps] if n_steps % stride else [])
+    times = [0.0] + [min(step * dt, t_final) for step in steps]
+    # every sample is a full stride on from the last, except one that ends early at t_final
+    n_full = sum(step % stride == 0 and step * dt <= t_final for step in steps)
+    intervals = [stride * dt] * n_full
+    if len(steps) > n_full:
+        intervals.append(times[-1] - n_full * stride * dt)
+    return np.asarray(times, dtype=float), intervals
+
+
+def _affine_step(x: np.ndarray, y: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """F = e^{-X h} and Q = int_0^h e^{-X s} Y e^{-X^dag s} ds, so C <- F C F^dag + Q.
+
+    At tau = h / 2^k with ||X||_1 tau <= 1/2, exp [[-X, Y], [0, X^dag]] tau
+    holds F and Q F^-dag (Van Loan, IEEE TAC 23, 395 (1978)).  The pair is
+    then doubled k times; over a long interval the block's growing
+    e^{X^dag h} corner would swamp Q.
+    """
+    n = x.shape[0]
+    doublings = _halvings(float(np.abs(x).sum(axis=0).max()) * h)
+    tau = h / 2.0 ** doublings
+    block = np.zeros((2 * n, 2 * n), dtype=np.result_type(x, y))
+    block[:n, :n] = -tau * x
+    block[:n, n:] = tau * y
+    block[n:, n:] = tau * x.conj().T
+    e = _expm(block)
+    f = e[:n, :n]
+    q = e[:n, n:] @ f.conj().T
+    for _ in range(doublings):
+        q = q + f @ q @ f.conj().T
+        f = f @ f
+    return f, q
 
 
 def propagate_correlator(relaxation, source, initial, t_final: float,
-                         dt: float | None = None, stride: int = 1) -> CorrelatorTrajectory:
-    """Fixed-step fourth-order Runge-Kutta integration of the correlator.
+                         dt: float, stride: int = 1) -> CorrelatorTrajectory:
+    """Sample dC/dt = -X C - C X^dag + Y exactly, as evolve_master samples.
 
-    Snapshots (symmetrized, with their distance from stationarity as
-    ``residual``) are stored every ``stride`` steps and always at the
-    final time.  Divergence under a stable relaxation matrix is reported
-    as StepSizeError rather than letting the state overflow.
+    Each sample is the last under C <- F C F^dag + Q (_affine_step), so
+    ``dt`` only spaces the samples.  Samples are symmetrized and carry
+    their distance from stationarity as ``residual``.  SolveError names
+    the first sample that is not finite, which only an unstable X gives.
     """
     x = matrix_entries(relaxation)
     y = matrix_entries(source)
     c0 = matrix_entries(initial)
     if y.shape != x.shape or c0.shape != x.shape:
         raise ParameterError("relaxation, source, and initial state dimensions differ")
-    if t_final < 0:
-        raise ParameterError(f"t_final must be nonnegative, got {t_final}")
-    if stride < 1 or int(stride) != stride:
-        raise ParameterError(f"stride must be a positive integer, got {stride!r}")
-    if dt is None:
-        dt = default_step(x)
-    if dt <= 0 or not np.isfinite(dt):
-        raise ParameterError(f"dt must be positive and finite, got {dt}")
-
-    def rhs(c):
-        return -(x @ c) - (c @ x.conj().T) + y
-
-    n_steps = int(round(t_final / dt)) if t_final > 0 else 0
+    times, intervals = _sample_grid(t_final, dt, stride)
+    if not (x.imag.any() or y.imag.any()):
+        x, y = x.real, y.real
     c, asym = _hermitize(c0)
-    times = [0.0]
     states = [SteadyCorrelator(c, "integrated", lyapunov_residual(x, c, y), asym)]
-    for step in range(1, n_steps + 1):
-        k1 = rhs(c)
-        k2 = rhs(c + 0.5 * dt * k1)
-        k3 = rhs(c + 0.5 * dt * k2)
-        k4 = rhs(c + dt * k3)
-        # re-symmetrize after every step so rounding asymmetry cannot accumulate
-        c, asym = _hermitize(c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        norm = float(np.linalg.norm(c))
-        if not np.isfinite(norm) or norm > DIVERGENCE_NORM_LIMIT:
-            raise StepSizeError(
-                f"integration diverged at t = {step * dt:.4g} (norm {norm:.3e}); "
-                f"reduce dt below {dt:.3e}")
-        if step % stride == 0 or step == n_steps:
-            times.append(step * dt)
-            states.append(SteadyCorrelator(c, "integrated",
-                                           lyapunov_residual(x, c, y), asym))
-    return CorrelatorTrajectory(np.asarray(times), tuple(states), float(dt))
+    with np.errstate(over="ignore", invalid="ignore"):  # unstable X; checked below
+        maps = {h: _affine_step(x, y, h) for h in set(intervals)}
+        for t, h in zip(times[1:], intervals):
+            f, q = maps[h]
+            c, asym = _hermitize(f @ c @ f.conj().T + q)
+            if not np.isfinite(c).all():
+                raise SolveError(f"correlator is not finite at t = {t:.6g}; "
+                                 "the relaxation matrix is not stable")
+            states.append(SteadyCorrelator(c, "integrated", lyapunov_residual(x, c, y), asym))
+    return CorrelatorTrajectory(times, tuple(states), float(dt))
 
 
 def closed_form_correlator(spectrum: BiorthogonalSpectrum, source, initial,

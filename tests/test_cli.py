@@ -79,6 +79,13 @@ class TestHnCommands:
         assert len(rows) == 150
         assert all(float(row.split(",")[4]) > 0 for row in rows)
 
+    def test_500_site_summary_has_a_finite_residual(self, tmp_path):
+        # ||R|| / ||Y|| overflowed here and the JSON writer refused the inf
+        out = str(tmp_path / "long")
+        assert main(["hn-profiles", "--n-sites", "500", "--out", out]) == 0
+        summary = read_summary(out + "/hn-profiles.json")
+        assert 0.0 <= summary["residual"] <= 1e-15
+
     def test_occupations_table_is_sorted(self, tmp_path):
         out = str(tmp_path / "occ")
         assert main(["hn-occupations", "--n-sites", "8", "--pump-site", "3",
@@ -308,9 +315,8 @@ class TestValidateCommand:
     @pytest.mark.parametrize("kappa, stable", [(0.91, True), (0.5, False)])
     def test_long_chain_stability_uses_exact_rates(self, tmp_path, kappa, stable):
         # eigvals on this 150-site X returns pseudospectrum (min rate -0.0917
-        # at kappa 0.91); the gauge route gives the closed form.  Only this
-        # check is asserted: the pair is nonphysical and its relative
-        # residual still fails.
+        # at kappa 0.91); the gauge route gives the closed form.  The pair is
+        # nonphysical, so only this check and the backward error are asserted.
         params = HatanoNelsonParams(150, 1.0, 0.17, kappa)
         x = build_hatano_nelson(params)
         x_file = str(tmp_path / "x.json")
@@ -324,6 +330,8 @@ class TestValidateCommand:
         assert check["passed"] is stable
         exact = kappa - 2.0 * math.sqrt(0.17) * math.cos(math.pi / 151.0)
         assert check["value"] == pytest.approx(exact, rel=0, abs=1e-12)
+        if stable:
+            assert by_name["steady_residual"]["passed"] is True
 
     def test_indefinite_source_exits_1(self, tmp_path, capsys):
         params = HatanoNelsonParams(2, 1.0, 0.17, 1.5)

@@ -245,6 +245,30 @@ def test_column_gauge_matches_the_per_column_loop(n):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def test_euclidean_normalize_matches_the_scalar_gauge():
+    # the per-vector rule euclidean_normalize once ran: v / ||v|| times the
+    # conjugate of its largest-|entry| phase
+    def scalar_gauge(v):
+        v = v / float(np.linalg.norm(v))
+        pivot = v[int(np.argmax(np.abs(v)))]
+        return v * (pivot / abs(pivot)).conjugate()
+
+    rng = np.random.default_rng(5)
+    for n in (1, 7, 40, 200):
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        got, want = euclidean_normalize(v).amplitudes, scalar_gauge(v)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # On chain modes every bit agrees except, where the pivot is negative
+    # real, the sign of zero imaginary parts: the old rule conjugated the
+    # phase after dividing by |pivot|, _gauge_columns conjugates before.
+    _, right_unit, _ = hn_normalized_modes(hn_params(40))
+    spec = biorthogonal_decompose(build_ssh(ssh_params(20, 0.3)))
+    for m in (right_unit.astype(complex), spec.right, spec.left):
+        for v in m.T:
+            got, want = euclidean_normalize(v).amplitudes, scalar_gauge(v)
+            assert np.array_equal((got + 0.0).view(np.uint64), (want + 0.0).view(np.uint64))
+
+
 def test_euclidean_normalize_examples():
     v = euclidean_normalize([3.0, 4.0])
     assert_allclose(v.amplitudes, [0.6, 0.8], atol=1e-15)

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gausschain import (DarkSourceError, HatanoNelsonParams, ParameterError,
-                        SiteIndexError, SolveError, SshParams, StabilityError,
-                        StepSizeError, biorthogonal_decompose,
+from gausschain import (DarkSourceError, DensityMatrix, HatanoNelsonParams,
+                        ParameterError, SiteIndexError, SolveError, SshParams,
+                        StabilityError, biorthogonal_decompose, build_diagonal_pump,
                         build_hatano_nelson, build_local_pump, build_ssh,
-                        closed_form_correlator, euclidean_normalize,
-                        hn_analytic_spectrum, propagate_correlator,
+                        closed_form_correlator, correlator_of, euclidean_normalize,
+                        evolve_master, hn_analytic_spectrum, hn_jump_decomposition,
+                        inverse_design, propagate_correlator,
                         single_mode_approximation, solve_lyapunov_direct,
                         solve_lyapunov_spectral)
 from gausschain.models import matrix_entries
@@ -213,8 +214,11 @@ def test_long_stable_chains_solve(n_sites):
     assert params.kappa > params.stability_threshold()
     x = matrix_entries(x)
     y = matrix_entries(build_local_pump(n_sites, 15, 1.0))
-    c = solve_lyapunov_direct(x, y).entries
+    corr = solve_lyapunov_direct(x, y)
+    c = corr.entries
     assert np.all(np.isfinite(c)) and np.all(c.real > 0)
+    # ||R|| / ||Y|| once read 3e34 at 150 sites and 2e128 at 400
+    assert corr.residual <= 1e-15
     defect = np.abs(x @ c + c @ x.T - y)
     terms = np.abs(x) @ np.abs(c) + np.abs(c) @ np.abs(x).T + np.abs(y)
     assert (defect / terms).max() <= 1e-13
@@ -385,7 +389,7 @@ def test_single_mode_input_validation():
 def test_steady_state_is_a_fixed_point_of_propagation():
     _, x, y = hn_reference_system(6)
     steady = solve_lyapunov_direct(x, y)
-    traj = propagate_correlator(x, y, steady.entries, t_final=5.0)
+    traj = propagate_correlator(x, y, steady.entries, t_final=5.0, dt=0.1)
     for snap in traj.states:
         assert np.abs(snap.entries - steady.entries).max() <= 1e-10
         assert snap.residual <= 1e-10
@@ -424,16 +428,50 @@ def test_unpumped_trace_decreases_with_strong_damping():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((5, 5))
     traj = propagate_correlator(x, np.zeros((5, 5)), a @ a.T,
-                                t_final=2.0, stride=10)
+                                t_final=2.0, dt=0.01, stride=10)
     traces = [float(np.trace(s.entries).real) for s in traj.states]
     assert all(b < a for a, b in zip(traces, traces[1:]))
     assert traces[-1] < 1e-3 * traces[0]
 
 
-def test_oversized_step_is_reported_not_overflowed():
-    with pytest.raises(StepSizeError):
-        propagate_correlator(np.array([[100.0]]), np.array([[0.0]]),
-                             np.array([[1.0]]), t_final=10.0, dt=0.1)
+def test_stiff_step_decays_exactly():
+    # exp(-X h) with ||X|| h = 10: the step is exact whatever its size.  Each
+    # interval is checked on its own, because rounding of the exponent makes
+    # any evaluation of e^(-200 t) uncertain by about 200 t ulps.
+    traj = propagate_correlator(np.array([[100.0]]), np.array([[0.0]]),
+                                np.array([[1.0]]), t_final=3.0, dt=0.1)
+    c = np.array([s.entries[0, 0] for s in traj.states])
+    assert traj.times.size == 31 and np.all(c.imag == 0)
+    assert_allclose(c.real[1:] / c.real[:-1], math.exp(-20.0), rtol=1e-14, atol=0)
+
+
+def test_one_long_interval_matches_ten_short_ones():
+    # unscaled, the block exponential over h = 20 is off by 0.43 relative here
+    _, x, y = hn_reference_system(100, pump_site=15)
+    zero = np.zeros((100, 100))
+    one = propagate_correlator(x, y, zero, t_final=20.0, dt=20.0).states[-1].entries
+    ten = propagate_correlator(x, y, zero, t_final=20.0, dt=2.0).states[-1].entries
+    assert np.linalg.norm(one - ten) <= 1e-13 * np.linalg.norm(ten)
+
+
+def test_propagation_samples_like_the_master_equation():
+    params = HatanoNelsonParams(2, 1.0, 0.17, 1.5)
+    x = build_hatano_nelson(params)
+    y = build_diagonal_pump([0.1, 0.1])
+    h = inverse_design(x, y).hamiltonian
+    master = evolve_master(DensityMatrix.vacuum(2), h, hn_jump_decomposition(params, 0.1),
+                           t_final=1.0005, dt=0.002, stride=50)
+    traj = propagate_correlator(x, y, np.zeros((2, 2)), t_final=1.0005, dt=0.002, stride=50)
+    assert traj.times.tobytes() == master.times.tobytes()
+    assert traj.times[-1] == 1.0005 and traj.times.size == 12
+    for state, sample in zip(master.states, traj.states):
+        assert np.abs(correlator_of(state) - sample.entries).max() <= 1e-12
+
+
+def test_unstable_relaxation_overflow_raises_solve_error():
+    with pytest.raises(SolveError, match="t = 355"):
+        propagate_correlator(np.array([[-1.0]]), np.array([[0.0]]),
+                             np.array([[1.0]]), t_final=1000.0, dt=1.0)
 
 
 def test_closed_form_boundary_values():
@@ -456,13 +494,13 @@ def test_propagation_input_validation():
     _, x, y = hn_reference_system(3)
     c0 = np.zeros((3, 3))
     with pytest.raises(ParameterError):
-        propagate_correlator(x, y, c0, t_final=-1.0)
+        propagate_correlator(x, y, c0, t_final=-1.0, dt=0.1)
     with pytest.raises(ParameterError):
         propagate_correlator(x, y, c0, t_final=1.0, dt=0.0)
     with pytest.raises(ParameterError):
-        propagate_correlator(x, y, c0, t_final=1.0, stride=0)
+        propagate_correlator(x, y, c0, t_final=1.0, dt=0.1, stride=0)
     with pytest.raises(ParameterError):
-        propagate_correlator(x, y, np.zeros((4, 4)), t_final=1.0)
+        propagate_correlator(x, y, np.zeros((4, 4)), t_final=1.0, dt=0.1)
 
 
 def test_correlator_entries_are_frozen():
