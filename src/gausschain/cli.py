@@ -346,23 +346,17 @@ def cmd_ssh_crossover(cfg: dict) -> None:
           f"wrote {csv_path} and {json_path}")
 
 
-def _uniform_pump(dim: int, gamma: float) -> SourceMatrix:
-    return build_diagonal_pump([gamma] * dim)
-
-
 def _design_inputs(cfg: dict):
-    """Target (X, labels, Y, gamma value, decomposition callable) per model."""
+    """Target (X, labels, Y) and the model's jump set (None for custom-file)."""
     model = cfg["model"]
     if model == "hn":
         params = _hn_params(cfg)
         x = build_hatano_nelson(params)
-        dim = params.n_sites
-        decompose = lambda gamma: hn_jump_decomposition(params, gamma)
+        decompose = hn_jump_decomposition
     elif model == "ssh":
         params = _ssh_params(cfg)
         x = build_ssh(params)
-        dim = params.n_sites
-        decompose = lambda gamma: ssh_jump_decomposition(params, gamma)
+        decompose = ssh_jump_decomposition
     elif model == "custom-file":
         if not cfg["x_file"] or not cfg["y_file"]:
             raise ParameterError("model custom-file requires x_file and y_file")
@@ -371,6 +365,7 @@ def _design_inputs(cfg: dict):
         return entries, labels, SourceMatrix(y_entries, labels=labels), None
     else:
         raise ParameterError(f"model must be hn, ssh, or custom-file, got {model!r}")
+    dim = params.n_sites
     if cfg["pump_file"]:
         profile = read_json(cfg["pump_file"])
         if not isinstance(profile, list) or len(profile) != dim:
@@ -380,18 +375,15 @@ def _design_inputs(cfg: dict):
         y = build_diagonal_pump(gamma)
     else:
         gamma = float(cfg["gamma"])
-        y = _uniform_pump(dim, gamma)
-    return matrix_entries(x), x.labels, y, (gamma, decompose)
+        y = build_diagonal_pump([gamma] * dim)
+    return matrix_entries(x), x.labels, y, decompose(params, gamma)
 
 
 def cmd_inverse_design(cfg: dict) -> None:
-    x_entries, labels, y, jump_spec = _design_inputs(cfg)
+    x_entries, labels, y, jumps = _design_inputs(cfg)
     realization = inverse_design(x_entries, y)
-    jumps = None
     validation = None
-    if jump_spec is not None:
-        gamma, decompose = jump_spec
-        jumps = decompose(gamma)
+    if jumps is not None:
         report = validate_jump_set(jumps, realization)
         validation = {
             "loss_gram_error": report.loss_gram_error,
@@ -493,7 +485,7 @@ def cmd_oracle_check(cfg: dict) -> None:
     n = params.n_sites
     gamma = float(cfg["gamma"])
     x = build_hatano_nelson(params)
-    y = _uniform_pump(n, gamma)
+    y = build_diagonal_pump([gamma] * n)
     realization = inverse_design(x, y)
     jumps = hn_jump_decomposition(params, gamma)
     spectrum = biorthogonal_decompose(matrix_entries(x))

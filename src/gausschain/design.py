@@ -14,13 +14,13 @@ the closed-form feasibility conditions on the residual onsite weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibilityError, ParameterError, ValidationError
-from .models import (HatanoNelsonParams, SshParams, default_labels, matrix_entries,
-                     ssh_labels)
+from .models import (HatanoNelsonParams, RelaxationMatrix, SourceMatrix, SshParams,
+                     default_labels, matrix_entries, ssh_labels)
 
 # Loss grams with min eigenvalue above this are reported as physical.
 PHYSICALITY_TOL = 1e-10
@@ -109,16 +109,10 @@ class MicroscopicRealization:
     target_source: np.ndarray
     loss_min_eigenvalue: float
     physical: bool
-    jumps: "JumpSet | None" = None
 
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
-
-    def with_jumps(self, jumps: JumpSet) -> "MicroscopicRealization":
-        if jumps.dim != self.dim:
-            raise ParameterError("jump set dimension does not match realization")
-        return replace(self, jumps=jumps)
 
     def rebuild_relaxation(self) -> np.ndarray:
         """i h + (loss gram + gain gram) / 2, which must reproduce X."""
@@ -128,23 +122,16 @@ class MicroscopicRealization:
 def inverse_design(relaxation, source) -> MicroscopicRealization:
     """Split a target (X, Y) into Hamiltonian and gain/loss Grams.
 
-    Y must be Hermitian positive semidefinite (it becomes the gain gram
+    X and Y are checked as a RelaxationMatrix and a SourceMatrix: both
+    finite, Y Hermitian positive semidefinite (it becomes the gain gram
     verbatim).  The loss gram inherits whatever X + X^dag - Y is; its
     minimum eigenvalue and the resulting physicality flag are reported,
     not enforced.
     """
-    x = matrix_entries(relaxation)
-    y = matrix_entries(source)
+    x = RelaxationMatrix(matrix_entries(relaxation)).entries
+    y = SourceMatrix(matrix_entries(source)).entries
     if y.shape != x.shape:
         raise ParameterError(f"source shape {y.shape} does not match target {x.shape}")
-    herm = float(np.abs(y - y.conj().T).max()) if y.size else 0.0
-    if herm > 1e-12:
-        raise ParameterError(f"source must be Hermitian: max |Y - Y^dag| = {herm:.3e}")
-    y = 0.5 * (y + y.conj().T)
-    yw = np.linalg.eigvalsh(y)
-    if float(yw.min()) < -1e-12 * float(yw.max()):
-        raise ParameterError(
-            f"source must be positive semidefinite: min eigenvalue {float(yw.min()):.3e}")
     h = (x - x.conj().T) / 2j
     loss = x + x.conj().T - y
     loss = 0.5 * (loss + loss.conj().T)
@@ -158,19 +145,6 @@ def inverse_design(relaxation, source) -> MicroscopicRealization:
         loss_min_eigenvalue=wmin,
         physical=wmin >= -PHYSICALITY_TOL,
     )
-
-
-def _basis(dim: int, site: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[site - 1] = 1.0
-    return v
-
-
-def _bond(dim: int, site_a: int, site_b: int, weight: float) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[site_a - 1] = weight
-    v[site_b - 1] = -weight
-    return v
 
 
 def _pump_profile(dim: int, pump, context: str) -> np.ndarray:
@@ -187,20 +161,41 @@ def _pump_profile(dim: int, pump, context: str) -> np.ndarray:
     return y
 
 
-def _gate_uniform(delta: float, required: float, context: str) -> None:
-    scale = max(1.0, abs(delta), abs(required))
-    deficit = delta - required
-    if deficit < -FEASIBILITY_RTOL * scale:
-        raise InfeasibilityError(
-            f"{context}: feasibility condition fails by {-deficit:.6g} "
-            f"(need 2 kappa - gamma >= {required:.6g}, have {delta:.6g})",
-            ((context, float(deficit)),))
+def _chain_jumps(labels: tuple[str, ...], kappa: float, bonds, gamma,
+                 context: str) -> JumpSet:
+    """Bond, onsite and pump jumps of a nearest-neighbor chain.
 
+    ``bonds`` lists ``(left site, beta)`` pairs (1-based); each bond with
+    beta > 0 becomes the loss jump sqrt(beta) (c_left - c_{left+1}).
+    Site j keeps the onsite squared weight 2 kappa - gamma_j - b_j, where
+    b_j sums beta over the bonds touching j, and a uniform gamma is gated
+    by 2 kappa - gamma >= max_j b_j.
+    """
+    dim = len(labels)
+    y = _pump_profile(dim, gamma, context)
+    bond_sum = np.zeros(dim)
+    for left, beta in bonds:
+        bond_sum[left - 1:left + 1] += beta
+    if np.all(y == y[0]):
+        delta, required = 2.0 * kappa - y[0], float(bond_sum.max())
+        scale = max(1.0, abs(delta), abs(required))
+        deficit = delta - required
+        if deficit < -FEASIBILITY_RTOL * scale:
+            raise InfeasibilityError(
+                f"{context}: feasibility condition fails by {-deficit:.6g} "
+                f"(need 2 kappa - gamma >= {required:.6g}, have {delta:.6g})",
+                ((context, float(deficit)),))
 
-def _onsite_weights(args: dict, context: str) -> dict:
-    """Clamp tiny negative squared weights; collect genuine deficits per site."""
-    scale = max(1.0, *(abs(a) for a in args.values()))
-    deficits = [(label, float(a)) for label, a in args.items()
+    loss = []
+    for left, beta in bonds:
+        if beta > 0:
+            v = np.zeros(dim, dtype=complex)
+            v[left - 1], v[left] = np.sqrt(beta), -np.sqrt(beta)
+            loss.append(JumpVector(f"bond({labels[left - 1]})", "loss", v))
+    # Clamp tiny negative squared weights; report every genuine deficit.
+    args = 2.0 * kappa - y - bond_sum
+    scale = max(1.0, float(np.abs(args).max()))
+    deficits = [(labels[j], float(a)) for j, a in enumerate(args)
                 if a < -FEASIBILITY_RTOL * scale]
     if deficits:
         worst = min(deficits, key=lambda d: d[1])
@@ -208,7 +203,12 @@ def _onsite_weights(args: dict, context: str) -> dict:
             f"{context}: onsite loss weight squared is negative at {worst[0]} "
             f"({worst[1]:.6g}); {len(deficits)} site(s) infeasible",
             tuple(deficits))
-    return {label: np.sqrt(max(a, 0.0)) for label, a in args.items()}
+    eye = np.eye(dim, dtype=complex)
+    loss += [JumpVector(f"onsite({labels[j]})", "loss", np.sqrt(max(a, 0.0)) * eye[j])
+             for j, a in enumerate(args)]
+    gain = [JumpVector(f"pump({labels[j]})", "gain", np.sqrt(y[j]) * eye[j])
+            for j in range(dim) if y[j] > 0]
+    return JumpSet(dim, tuple(loss), tuple(gain))
 
 
 def hn_jump_decomposition(params: HatanoNelsonParams, gamma) -> JumpSet:
@@ -220,38 +220,17 @@ def hn_jump_decomposition(params: HatanoNelsonParams, gamma) -> JumpSet:
     delta - 2 beta in the bulk, with delta = 2 kappa - gamma_j and
     beta = t_right + t_left.  Gain channels: sqrt(gamma_j) c_j^dag.
 
-    A uniform gamma is gated by the closed-form sufficient condition
-    2 kappa - gamma >= 2 (t_right + t_left) (for a single site the bond
-    term is absent and the condition reduces to gamma <= 2 kappa).  A
-    site-resolved profile replaces gamma by y_j in the onsite weights
-    and is gated per site on the actual squared weights, reporting
-    every deficit.
+    A uniform gamma is gated by 2 kappa - gamma >= the largest per-site
+    bond sum: 0 for a single site (gamma <= 2 kappa), beta for two
+    sites, and 2 beta from three sites on.  A site-resolved profile
+    replaces gamma by y_j in the onsite weights and is gated per site
+    on the actual squared weights, reporting every deficit.
     """
     n = params.n_sites
-    labels = default_labels(n)
-    y = _pump_profile(n, gamma, "single-band decomposition")
     beta = params.t_right + params.t_left
-    uniform = bool(np.all(y == y[0]))
-    if uniform:
-        required = 2.0 * beta if n >= 2 else 0.0
-        _gate_uniform(2.0 * params.kappa - y[0], required, "single-band decomposition")
-
-    loss = []
-    if beta > 0:
-        w = np.sqrt(beta)
-        for j in range(1, n):
-            loss.append(JumpVector(f"bond({labels[j - 1]})", "loss", _bond(n, j, j + 1, w)))
-    args = {}
-    for j in range(1, n + 1):
-        bond_diag = 0.0 if n == 1 else (beta if j in (1, n) else 2.0 * beta)
-        args[labels[j - 1]] = 2.0 * params.kappa - y[j - 1] - bond_diag
-    weights = _onsite_weights(args, "single-band decomposition")
-    for j in range(1, n + 1):
-        loss.append(JumpVector(f"onsite({labels[j - 1]})", "loss",
-                               weights[labels[j - 1]] * _basis(n, j)))
-    gain = [JumpVector(f"pump({labels[j - 1]})", "gain", np.sqrt(y[j - 1]) * _basis(n, j))
-            for j in range(1, n + 1) if y[j - 1] > 0]
-    return JumpSet(n, tuple(loss), tuple(gain))
+    return _chain_jumps(default_labels(n), params.kappa,
+                        [(j, beta) for j in range(1, n)], gamma,
+                        "single-band decomposition")
 
 
 def ssh_jump_decomposition(params: SshParams, gamma) -> JumpSet:
@@ -265,39 +244,12 @@ def ssh_jump_decomposition(params: SshParams, gamma) -> JumpSet:
     2 kappa - gamma >= beta_1 + beta_2 (single cell: >= beta_1).
     """
     n = params.n_cells
-    dim = params.n_sites
-    labels = ssh_labels(n)
-    y = _pump_profile(dim, gamma, "two-band decomposition")
     beta1 = params.t1_right + params.t1_left
     beta2 = params.t2_right + params.t2_left
-    uniform = bool(np.all(y == y[0]))
-    if uniform:
-        required = beta1 + beta2 if n >= 2 else beta1
-        _gate_uniform(2.0 * params.kappa - y[0], required, "two-band decomposition")
-
-    loss = []
-    if beta1 > 0:
-        w1 = np.sqrt(beta1)
-        for cell in range(1, n + 1):
-            a, b = 2 * cell - 1, 2 * cell
-            loss.append(JumpVector(f"bond({labels[a - 1]})", "loss", _bond(dim, a, b, w1)))
-    if beta2 > 0:
-        w2 = np.sqrt(beta2)
-        for cell in range(1, n):
-            b, a2 = 2 * cell, 2 * cell + 1
-            loss.append(JumpVector(f"bond({labels[b - 1]})", "loss", _bond(dim, b, a2, w2)))
-    args = {}
-    for site in range(1, dim + 1):
-        outer = site in (1, dim)
-        bond_diag = beta1 if outer else beta1 + beta2
-        args[labels[site - 1]] = 2.0 * params.kappa - y[site - 1] - bond_diag
-    weights = _onsite_weights(args, "two-band decomposition")
-    for site in range(1, dim + 1):
-        loss.append(JumpVector(f"onsite({labels[site - 1]})", "loss",
-                               weights[labels[site - 1]] * _basis(dim, site)))
-    gain = [JumpVector(f"pump({labels[s - 1]})", "gain", np.sqrt(y[s - 1]) * _basis(dim, s))
-            for s in range(1, dim + 1) if y[s - 1] > 0]
-    return JumpSet(dim, tuple(loss), tuple(gain))
+    bonds = ([(2 * cell - 1, beta1) for cell in range(1, n + 1)]
+             + [(2 * cell, beta2) for cell in range(1, n)])
+    return _chain_jumps(ssh_labels(n), params.kappa, bonds, gamma,
+                        "two-band decomposition")
 
 
 @dataclass(frozen=True)

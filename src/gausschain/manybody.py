@@ -119,15 +119,8 @@ class FockOperatorSet:
         return op
 
     def gain_operator(self, vector) -> np.ndarray:
-        """sum_j v_j c_j^dag."""
-        v = np.asarray(vector, dtype=complex).reshape(-1)
-        if v.size != self.n_sites:
-            raise ParameterError(f"jump vector length {v.size} != n_sites {self.n_sites}")
-        op = np.zeros((self.dim, self.dim), dtype=complex)
-        for j in range(self.n_sites):
-            if v[j] != 0:
-                op += v[j] * self._annihilation[j].conj().T
-        return op
+        """sum_j v_j c_j^dag, the adjoint of loss_operator(conj v)."""
+        return self.loss_operator(np.conj(vector)).conj().T
 
 
 _OPERATOR_CACHE: dict[int, FockOperatorSet] = {}

@@ -67,6 +67,12 @@ def test_inverse_design_rejects_bad_sources():
         inverse_design(x, np.diag([1.0, -1e-6]))
     with pytest.raises(ParameterError):
         inverse_design(x, np.zeros((3, 3)))
+    with pytest.raises(ParameterError):
+        inverse_design(x, np.diag([1.0, np.nan]))
+    bad_x = np.array(x.entries)
+    bad_x[0, 1] = np.inf
+    with pytest.raises(ParameterError):
+        inverse_design(bad_x, np.eye(2))
     # A rounding-level negative eigenvalue is tolerated.
     inverse_design(x, np.diag([1.0, -1e-13]))
 
@@ -115,6 +121,21 @@ def test_hn_decomposition_reference_damping_is_infeasible():
     (context, deficit), = err.value.deficits
     assert deficit == pytest.approx(-0.55, abs=1e-12)
     assert "0.55" in str(err.value)
+
+
+def test_two_site_chain_is_gated_by_one_bond():
+    # Each of the two sites touches one bond, so the uniform gate is
+    # 2 kappa - gamma >= t_right + t_left, not twice that.
+    params = HatanoNelsonParams(2, 1.0, 0.17, 1.5)
+    jumps = hn_jump_decomposition(params, 1.0)
+    vecs = by_label(jumps)
+    for j in (1, 2):
+        assert vecs[f"onsite({j})"].vector[j - 1] == pytest.approx(math.sqrt(0.83),
+                                                                   rel=1e-12)
+    x, y = hn_target(2, gamma=1.0)
+    assert validate_jump_set(jumps, inverse_design(x, y)).passed
+    with pytest.raises(InfeasibilityError):
+        hn_jump_decomposition(params, (2.0 * 1.5 - 1.17) * (1.0 + 1e-6))
 
 
 def test_hn_zero_hopping_is_pure_onsite():
@@ -254,10 +275,6 @@ def test_jump_container_validation():
     good = JumpVector("x", "loss", np.array([1.0, 0.0]))
     with pytest.raises(ParameterError):
         JumpSet(3, (good,), ())
-    x, y = hn_target(2)
-    real = inverse_design(x, y)
-    with pytest.raises(ParameterError):
-        real.with_jumps(JumpSet(3, (), ()))
 
 
 def test_payload_structures():
@@ -268,9 +285,8 @@ def test_payload_structures():
     assert [v["label"] for v in payload["loss"]] == ["bond(1)", "onsite(1)", "onsite(2)"]
     assert all(v["kind"] == "gain" for v in payload["gain"])
     x, y = hn_target(2)
-    real = inverse_design(x, y).with_jumps(jumps)
+    real = inverse_design(x, y)
     rp = realization_payload(real)
     assert rp["physical"] is True
     assert set(rp) == {"dim", "hamiltonian", "gain_gram", "loss_gram",
                        "loss_min_eigenvalue", "physical"}
-    assert real.jumps is jumps

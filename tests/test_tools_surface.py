@@ -1,0 +1,30 @@
+"""The program surface ``tools/make_goldens.py`` relies on.
+
+The golden-regeneration script runs only when a reference value is
+deliberately re-pinned, so a renamed or removed import would break it
+unnoticed.  It is read here with ``ast`` (never imported or run) and
+every ``from gausschain... import name`` is resolved against the package.
+"""
+
+import ast
+import importlib
+import os
+
+TOOLS = os.path.join(os.path.dirname(__file__), os.pardir, "tools")
+
+
+def gausschain_imports(name):
+    with open(os.path.join(TOOLS, name), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=name)
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "gausschain"
+            for alias in node.names]
+
+
+def test_make_goldens_imports_resolve():
+    names = gausschain_imports("make_goldens.py")
+    assert len(names) >= 10
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
