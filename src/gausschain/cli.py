@@ -85,6 +85,11 @@ COMMAND_DEFAULTS = {
     },
 }
 
+# Default kappa of inverse-design --model ssh: at t1 0.5, t2 1.0, g 0 the
+# two-band gate is 2 kappa - gamma >= t1 + t2 = 3, which the shared
+# single-band default kappa 1.5 misses.
+_SSH_DESIGN_KAPPA = 2.0
+
 COMMAND_HELP = {
     "hn-profiles": "slow-mode, top-orbital, and density profiles of the single-band chain",
     "hn-source-scan": "top occupation vs analytic loading for every pump position",
@@ -114,9 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default current directory)")
         for key, value in defaults.items():
             flag = "--" + key.replace("_", "-")
+            note = f"default {value!r}"
+            if command == "inverse-design" and key == "kappa":
+                note += f"; {_SSH_DESIGN_KAPPA!r} for model ssh"
             p.add_argument(flag, dest=key, type=type(value), default=None,
-                           metavar=key.upper(),
-                           help=f"override {key} (default {value!r})")
+                           metavar=key.upper(), help=f"override {key} ({note})")
     return parser
 
 
@@ -137,6 +144,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     command = args.command
     specific = dict(COMMAND_DEFAULTS[command])
     common = dict(COMMON_DEFAULTS)
+    given = set()
     if args.config:
         overrides = read_json(args.config)
         if not isinstance(overrides, dict):
@@ -144,6 +152,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         for key, value in overrides.items():
             if key in specific:
                 specific[key] = _coerce(key, value, type(COMMAND_DEFAULTS[command][key]))
+                given.add(key)
             elif key in common:
                 common[key] = _coerce(key, value, type(COMMON_DEFAULTS[key]))
             else:
@@ -152,6 +161,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             specific[key] = value
+            given.add(key)
+    if command == "inverse-design" and specific["model"] == "ssh" and "kappa" not in given:
+        specific["kappa"] = _SSH_DESIGN_KAPPA
     for key in common:
         value = getattr(args, key, None)
         if value is not None:

@@ -258,6 +258,17 @@ class TestInverseDesignCommand:
         assert summary["realization"]["physical"] is True
         assert summary["validation"]["passed"] is True
 
+    def test_two_band_defaults_are_feasible(self, tmp_path, capsys):
+        out = str(tmp_path / "ssh")
+        assert main(["inverse-design", "--model", "ssh", "--out", out]) == 0
+        summary = read_summary(out + "/inverse-design.json")
+        assert summary["config"]["kappa"] == 2.0
+        assert summary["validation"]["passed"] is True
+        # an explicit kappa still wins over the two-band default
+        assert main(["inverse-design", "--model", "ssh", "--kappa", "1.5",
+                     "--out", str(tmp_path / "given")]) == 3
+        assert "need 2 kappa - gamma >= 3, have 2.9" in capsys.readouterr().err
+
     def test_infeasible_damping_exits_3_with_deficits(self, tmp_path, capsys):
         assert main(["inverse-design", "--kappa", "0.91", "--gamma", "0.03",
                      "--out", str(tmp_path)]) == 3
