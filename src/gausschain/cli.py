@@ -201,6 +201,17 @@ def _hn_condition(params: HatanoNelsonParams) -> float:
         return math.inf
 
 
+def _peak_site(sites: np.ndarray, values: np.ndarray) -> int:
+    """The lowest site whose value lies within 8 eps (absolute) of the maximum.
+
+    Scan columns have unit peak (the deviation is the difference of two),
+    and mirror-image sites of a reciprocal chain tie to rounding, so a plain
+    argmax would let rounding pick the site.
+    """
+    near = values >= values.max() - 8 * np.finfo(float).eps
+    return int(sites[int(np.argmax(near))])
+
+
 def _betas_payload(betas: np.ndarray) -> dict:
     betas = np.asarray(betas, dtype=complex)
     return {"re": [float(b) for b in betas.real],
@@ -285,9 +296,9 @@ def cmd_hn_source_scan(cfg: dict) -> None:
         cfg,
         n_points=int(scan.sites.size),
         max_abs_deviation=float(deviation.max()),
-        deviation_argmax_site=int(scan.sites[int(np.argmax(deviation))]),
-        occupation_argmax_site=int(scan.sites[int(np.argmax(scan.nu_max_normalized))]),
-        loading_argmax_site=int(scan.sites[int(np.argmax(scan.loading_normalized))]),
+        deviation_argmax_site=_peak_site(scan.sites, deviation),
+        occupation_argmax_site=_peak_site(scan.sites, scan.nu_max_normalized),
+        loading_argmax_site=_peak_site(scan.sites, scan.loading_normalized),
     ))
     print(f"hn-source-scan: {scan.sites.size} sites, "
           f"max |nu_norm - A1_norm| = {deviation.max():.6g}, "

@@ -10,6 +10,13 @@ Nothing is time-stepped: the Liouvillian conserves the charge
 N_ket - N_bra of |i><j| (Prosen, NJP 10, 043026 (2008)), so it is built
 per charge block, at most C(2N, N) = 70 wide.  Trajectories apply exact
 propagators exp(L t); the steady state is one linear solve.  Numpy only.
+
+Per-sample work is vectorized.  Every column of a Jordan-Wigner pair
+product c_j^dag c_i holds at most one nonzero, and it is +-1, so
+Tr(rho c_j^dag c_i) is a signed sum of D = 2^N entries of rho:
+correlator_of is one signed gather over index and sign tables that each
+FockOperatorSet builds once.  A trajectory's samples are validated as
+one (S, D, D) stack by the same check a single DensityMatrix runs.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ class FockOperatorSet:
         self._annihilation = tuple(self._jordan_wigner(j) for j in range(self.n_sites))
         self._pair_cache: dict[tuple[int, int], np.ndarray] = {}
         self._verify_car()
+        self._trace_cols, self._trace_signs = self._trace_tables()
 
     def _jordan_wigner(self, position: int) -> np.ndarray:
         factors = [_PAULI_Z] * position + [_LOWER] + [_EYE2] * (self.n_sites - position - 1)
@@ -75,6 +83,28 @@ class FockOperatorSet:
                 if np.abs(same).max() > CAR_TOL:
                     raise ParameterError(
                         f"anticommutator {{c_{i + 1}, c_{j + 1}}} violates CAR")
+
+    def _trace_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index and sign tables of shape (n, n, D) for Tr(rho c_j^dag c_i).
+
+        Entry [i, j, a] names the one nonzero of column a of c_j^dag c_i
+        (0-based i, j): Tr(rho P) = sum_a rho[a, cols[a]] * signs[a], with
+        sign 0 where the column is empty.
+        """
+        n, dim = self.n_sites, self.dim
+        cols = np.zeros((n, n, dim), dtype=np.intp)
+        signs = np.zeros((n, n, dim))
+        for i in range(n):
+            for j in range(n):
+                p = self.pair_product(j + 1, i + 1)
+                nonzero = p != 0
+                if nonzero.sum(axis=0).max() > 1 or not np.isin(p[nonzero], (-1, 1)).all():
+                    raise ParameterError(
+                        f"c_{j + 1}^dag c_{i + 1} has a column that is not one +-1 entry")
+                cols[i, j] = nonzero.argmax(axis=0)
+                signs[i, j] = p[cols[i, j], np.arange(dim)].real
+        cols.flags.writeable = signs.flags.writeable = False
+        return cols, signs
 
     def annihilation(self, site: int) -> np.ndarray:
         """c_site, 1-based."""
@@ -133,6 +163,40 @@ def operator_set(n_sites: int) -> FockOperatorSet:
     return _OPERATOR_CACHE[n_sites]
 
 
+def _checked_states(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a (S, D, D) stack of density matrices.
+
+    Each sample must be finite, Hermitian to 1e-12 and, once symmetrized,
+    of unit trace to 1e-10 with no eigenvalue below -1e-8.  Returns the
+    symmetrized samples, read-only, and each one's |Tr rho - 1|.  A stack
+    of one is a single state; in a longer stack errors name the sample.
+    """
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ParameterError(f"density matrix must be square, got {stack.shape[1:]}")
+    dim = stack.shape[1]
+    n = dim.bit_length() - 1
+    if 2 ** n != dim:
+        raise ParameterError(f"density matrix dimension {dim} is not 2^N")
+
+    def reject(flags, problem):
+        if flags.any():
+            k = int(np.argmax(flags))
+            name = "density matrix" if len(stack) == 1 else f"density matrix sample {k}"
+            raise ParameterError(f"{name} {problem(k)}")
+
+    reject(~np.isfinite(stack).all(axis=(1, 2)), lambda k: "has non-finite entries")
+    adjoint = stack.conj().swapaxes(1, 2)
+    herm = np.abs(stack - adjoint).max(axis=(1, 2))
+    reject(herm > 1e-12, lambda k: f"not Hermitian: max deviation {herm[k]:.3e}")
+    rho = 0.5 * (stack + adjoint)
+    trace_err = np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0)
+    reject(trace_err > 1e-10, lambda k: f"trace off by {trace_err[k]:.3e}")
+    wmin = np.linalg.eigvalsh(rho).min(axis=1)
+    reject(wmin < -1e-8, lambda k: f"has eigenvalue {wmin[k]:.3e} < -1e-8")
+    rho.flags.writeable = False
+    return rho, trace_err
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated many-body state: Hermitian, unit trace, nonnegative."""
@@ -141,26 +205,14 @@ class DensityMatrix:
 
     def __post_init__(self):
         rho = np.asarray(self.entries, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ParameterError(f"density matrix must be square, got {rho.shape}")
-        n = rho.shape[0].bit_length() - 1
-        if 2 ** n != rho.shape[0]:
-            raise ParameterError(f"density matrix dimension {rho.shape[0]} is not 2^N")
-        if not np.isfinite(rho).all():
-            raise ParameterError("density matrix has non-finite entries")
-        herm = float(np.abs(rho - rho.conj().T).max())
-        if herm > 1e-12:
-            raise ParameterError(f"density matrix not Hermitian: max deviation {herm:.3e}")
-        rho = 0.5 * (rho + rho.conj().T)
-        trace_err = abs(float(np.trace(rho).real) - 1.0)
-        if trace_err > 1e-10:
-            raise ParameterError(f"density matrix trace off by {trace_err:.3e}")
-        wmin = float(np.linalg.eigvalsh(rho).min())
-        if wmin < -1e-8:
-            raise ParameterError(f"density matrix has eigenvalue {wmin:.3e} < -1e-8")
-        rho = rho.copy()
-        rho.flags.writeable = False
-        object.__setattr__(self, "entries", rho)
+        object.__setattr__(self, "entries", _checked_states(rho[None])[0][0])
+
+    @classmethod
+    def _trusted(cls, entries: np.ndarray) -> "DensityMatrix":
+        """Wrap one sample that _checked_states already returned."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "entries", entries)
+        return state
 
     @property
     def n_sites(self) -> int:
@@ -251,7 +303,9 @@ def evolve_master(rho0: DensityMatrix, h, jumps: JumpSet, t_final: float,
     vectors are promoted to Fock-space operators internally.  Samples
     are ``dt * stride`` apart, each the previous one times
     exp(L dt stride), plus the state at ``t_final`` after a shorter
-    last interval (_sample_grid).  Trace drift is logged, never corrected.
+    last interval (_sample_grid).  Each step propagates the symmetrized
+    previous sample; all samples are then validated as one stack.  Trace
+    drift is logged, never corrected.
     """
     times, intervals = _sample_grid(t_final, dt, stride)
     ops = operator_set(rho0.n_sites)
@@ -262,28 +316,27 @@ def evolve_master(rho0: DensityMatrix, h, jumps: JumpSet, t_final: float,
     generators = [_block_generator(k, ls, *b) for b in blocks]
     propagators = {h: [_expm(g * h) for g in generators] for h in set(intervals)}
 
-    states = [rho0]
-    for h in intervals:
-        rho = np.zeros_like(rho0.entries)
+    samples = np.zeros((times.size, ops.dim, ops.dim), dtype=complex)
+    samples[0] = previous = rho0.entries
+    for rho, h in zip(samples[1:], intervals):
         for b, p in zip(blocks, propagators[h]):
-            rho[b] = p @ states[-1].entries[b]
-        states.append(DensityMatrix(rho))
+            rho[b] = p @ previous[b]
+        previous = 0.5 * (rho + rho.conj().T)
+    # rho0 rides along so that its drift comes from the same stacked trace;
+    # it is symmetrized already, so its entries pass through bit for bit
+    checked, trace_err = _checked_states(samples)
     return MasterTrajectory(
         times=times,
-        states=tuple(states),
+        states=(rho0,) + tuple(DensityMatrix._trusted(rho) for rho in checked[1:]),
         dt=float(dt),
-        max_trace_drift=max(abs(float(np.trace(s.entries).real) - 1.0) for s in states),
+        max_trace_drift=float(trace_err.max()),
     )
 
 
 def correlator_of(rho: DensityMatrix) -> np.ndarray:
     """One-body correlator C_ij = Tr(rho c_j^dag c_i), symmetrized."""
     ops = operator_set(rho.n_sites)
-    n = ops.n_sites
-    c = np.empty((n, n), dtype=complex)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            c[i - 1, j - 1] = np.trace(rho.entries @ ops.pair_product(j, i))
+    c = (rho.entries[np.arange(ops.dim), ops._trace_cols] * ops._trace_signs).sum(-1)
     return 0.5 * (c + c.conj().T)
 
 

@@ -2,14 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from gausschain.cli import COMMAND_DEFAULTS, main
+from gausschain.cli import COMMAND_DEFAULTS, _peak_site, main
 from gausschain.matio import write_matrix
 from gausschain.models import (HatanoNelsonParams, build_hatano_nelson, build_local_pump,
                                matrix_entries)
+from gausschain.orbitals import hn_source_scan
 
 
 def read_summary(path):
@@ -117,6 +121,25 @@ class TestHnCommands:
         assert summary["n_points"] == 10
         # the analytic loading and the measured occupation rank sites alike
         assert summary["occupation_argmax_site"] == summary["loading_argmax_site"]
+
+    def test_mirror_symmetric_scan_reports_the_lowest_tied_site(self, tmp_path):
+        out = str(tmp_path / "mirror")
+        assert main(["hn-source-scan", "--n-sites", "7", "--t-right", "0.8",
+                     "--t-left", "0.8", "--kappa", "2", "--out", out]) == 0
+        summary = read_summary(out + "/hn-source-scan.json")
+        # sites s and 8 - s tie on a reciprocal chain
+        assert summary["deviation_argmax_site"] == 1
+        assert summary["occupation_argmax_site"] == summary["loading_argmax_site"] == 4
+
+    def test_peak_site_ties_within_eight_eps(self):
+        scan = hn_source_scan(HatanoNelsonParams(7, 0.8, 0.8, 2.0), 0.03)
+        deviation = np.abs(scan.nu_max_normalized - scan.loading_normalized)
+        for column in (deviation, deviation[::-1]):
+            assert _peak_site(scan.sites, column) == 1
+        eps = np.finfo(float).eps
+        sites = np.array([3, 4, 5])
+        assert _peak_site(sites, np.array([1.0 - 8 * eps, 1.0, 1.0])) == 3
+        assert _peak_site(sites, np.array([1.0 - 16 * eps, 1.0, 1.0 - 4 * eps])) == 4
 
     def test_scan_window_flags_restrict_the_range(self, tmp_path):
         out = str(tmp_path / "window")
@@ -372,3 +395,15 @@ class TestOracleCheckCommand:
         assert summary["steady_state_deviation"] <= summary["steady_limit"]
         assert summary["max_trace_drift"] <= 1e-10
         assert "oracle-check:" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_and_mpmath_unloaded():
+    # start-up cost of every command: neither is needed outside the tests
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, gausschain.cli; "
+            "sys.exit(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'mpmath')) or None)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -21,8 +21,19 @@ from gausschain import (
     solve_lyapunov_direct,
     steady_state_oracle,
 )
-from gausschain.manybody import CAR_TOL, FockOperatorSet, operator_set
+from gausschain.manybody import CAR_TOL, FockOperatorSet, _checked_states, operator_set
 from gausschain.models import matrix_entries
+from gausschain.steady import _sample_grid
+
+# (matrix, error match) pairs that DensityMatrix must reject
+BAD_MATRICES = [
+    (np.zeros((2, 3)), "square"),
+    (np.eye(3) / 3.0, "2\\^N"),
+    (np.array([[0.5, 0.1], [0.0, 0.5]]), "Hermitian"),
+    (0.6 * np.eye(2), "trace"),
+    (np.diag([1.5, -0.5]), "eigenvalue"),
+    (np.diag([np.nan, 1.0]), "non-finite"),
+]
 
 
 def random_jump_set(rng, n, n_loss=2, n_gain=1, gain_scale=0.5):
@@ -39,6 +50,23 @@ def random_jump_set(rng, n, n_loss=2, n_gain=1, gain_scale=0.5):
 def random_hermitian(rng, n):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return 0.5 * (a + a.conj().T)
+
+
+def trace_loop_correlator(rho):
+    """Reference C_ij = Tr(rho c_j^dag c_i): one dense product and trace per pair."""
+    ops = operator_set(rho.n_sites)
+    n = ops.n_sites
+    c = np.empty((n, n), dtype=complex)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            c[i - 1, j - 1] = np.trace(rho.entries @ ops.pair_product(j, i))
+    return 0.5 * (c + c.conj().T)
+
+
+def random_mixed_state(rng, n, rank):
+    a = rng.normal(size=(2 ** n, rank)) + 1j * rng.normal(size=(2 ** n, rank))
+    rho = a @ a.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)
 
 
 def hn_system(n, gamma=0.1, kappa=1.5):
@@ -127,17 +155,38 @@ class TestDensityMatrix:
         with pytest.raises(ParameterError, match="normalizable"):
             DensityMatrix.from_pure([np.inf, 1.0])
 
-    @pytest.mark.parametrize("bad, match", [
-        (np.zeros((2, 3)), "square"),
-        (np.eye(3) / 3.0, "2\\^N"),
-        (np.array([[0.5, 0.1], [0.0, 0.5]]), "Hermitian"),
-        (0.6 * np.eye(2), "trace"),
-        (np.diag([1.5, -0.5]), "eigenvalue"),
-        (np.diag([np.nan, 1.0]), "non-finite"),
-    ])
+    @pytest.mark.parametrize("bad, match", BAD_MATRICES)
     def test_validation_rejects_bad_matrices(self, bad, match):
-        with pytest.raises(ParameterError, match=match):
+        with pytest.raises(ParameterError, match=match) as info:
             DensityMatrix(bad)
+        assert "sample" not in str(info.value)
+
+    @pytest.mark.parametrize("bad, match", BAD_MATRICES)
+    def test_stacked_validation_names_the_bad_sample(self, bad, match):
+        if bad.shape != (2, 2):
+            # a shape fault is the whole stack's, so no sample is named
+            with pytest.raises(ParameterError, match=match):
+                _checked_states(np.array([bad] * 3))
+            return
+        good = DensityMatrix.from_pure([0.6, 0.8]).entries
+        for k in range(3):
+            stack = np.array([good] * 3)
+            stack[k] = bad
+            with pytest.raises(ParameterError, match=match) as info:
+                _checked_states(stack)
+            assert f"sample {k} " in str(info.value)
+
+    def test_stacked_validation_returns_what_single_states_hold(self):
+        rng = np.random.default_rng(11)
+        states = [random_mixed_state(rng, 2, rank) for rank in (1, 2, 4)]
+        # symmetrized but not yet exactly Hermitian, as a propagated sample is
+        raw = np.array([s.entries + 1e-14j * rng.normal(size=(4, 4)) for s in states])
+        checked, trace_err = _checked_states(raw)
+        assert not checked.flags.writeable
+        for k, rho in enumerate(raw):
+            single = DensityMatrix(rho)
+            assert np.array_equal(checked[k], single.entries)
+            assert trace_err[k] == abs(float(np.trace(single.entries).real) - 1.0)
 
     def test_entries_are_frozen(self):
         rho = DensityMatrix.vacuum(1)
@@ -146,6 +195,23 @@ class TestDensityMatrix:
 
 
 class TestCorrelatorOf:
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_signed_gather_equals_the_trace_loop(self, n):
+        _, _, jumps, h = hn_system(n)
+        traj = evolve_master(DensityMatrix.vacuum(n), h, jumps,
+                             t_final=10.0, dt=0.002, stride=50)
+        states = list(traj.states) + [steady_state_oracle(h, jumps)]
+        rng = np.random.default_rng(n)
+        states += [random_mixed_state(rng, n, rank) for rank in (1, 2, 2 ** n)]
+        for state in states:
+            assert np.array_equal(correlator_of(state), trace_loop_correlator(state))
+
+    def test_trace_tables_reject_a_column_with_two_entries(self):
+        ops = FockOperatorSet(2)
+        ops._pair_cache[(1, 2)] = np.ones((4, 4), dtype=complex)
+        with pytest.raises(ParameterError, match="not one"):
+            ops._trace_tables()
 
     def test_trivial_states(self):
         assert_allclose(correlator_of(DensityMatrix.vacuum(2)),
@@ -210,6 +276,21 @@ class TestEvolveMaster:
         assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], atol=1e-12)
         assert len(traj.states) == len(traj.times)
         assert traj.final() is traj.states[-1]
+
+    def test_samples_match_one_interval_at_a_time(self):
+        # each sample is the previous validated state propagated on its own
+        _, _, jumps, h = hn_system(3)
+        traj = evolve_master(DensityMatrix.vacuum(3), h, jumps,
+                             t_final=10.0, dt=0.002, stride=50)
+        _, intervals = _sample_grid(10.0, 0.002, 50)
+        assert len(intervals) == len(traj.states) - 1
+        for before, after, interval in zip(traj.states, traj.states[1:], intervals):
+            step = evolve_master(before, h, jumps, t_final=interval, dt=interval)
+            assert np.array_equal(step.final().entries, after.entries)
+            assert np.array_equal(DensityMatrix(after.entries).entries, after.entries)
+            assert not after.entries.flags.writeable
+        assert traj.max_trace_drift == max(abs(float(np.trace(s.entries).real) - 1.0)
+                                           for s in traj.states)
 
     def test_zero_time_returns_initial_only(self):
         rho0 = DensityMatrix.vacuum(2)
