@@ -43,8 +43,9 @@ UNIT_NORM_TOL = 1e-8
 DOMINANT_TIE_TOL = 1e-10
 
 # Largest stacked array, in float64 entries, that hn_source_scan solves at
-# once; the stacked solve keeps a few such arrays alive.  All 40 pumps of a
-# 40-site scan fit in one stack, a 200-site scan takes 3 pumps per stack,
+# once; the stacked solve keeps a few such arrays alive (the thin start of
+# a local pump adds one factor of at most the same size).  All 40 pumps of
+# a 40-site scan fit in one stack, a 200-site scan takes 3 pumps per stack,
 # and from 257 sites each stack holds one pump.
 SCAN_CHUNK_ENTRIES = 2 ** 17
 

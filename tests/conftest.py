@@ -4,8 +4,8 @@ The steady-state oracles here deliberately avoid the library's own
 solvers: a dense Kronecker solve of the vectorized equation, adaptive
 quadrature of the defining integral, a from-scratch closed form for the
 single-band chain with a local pump written directly against the
-analytic mode formulas, and high-precision mpmath versions of the
-latter for chains too long for double precision.
+analytic mode formulas, high-precision mpmath versions of the latter
+for chains too long for double precision, and Smith doubling in mpmath.
 """
 
 import json
@@ -147,6 +147,30 @@ def tridiagonal_steady_mp(x, s, dps=60):
         phi = [[vecs[j, m] for m in range(n)] for j in range(n)]
         envelope = [mpmath.exp(log_d[j] - log_d[s - 1]) for j in range(n)]
         return _mp_mode_sum(phi, list(betas), s, envelope)
+
+
+def smith_steady_mp(x, y, dps=50):
+    """Steady correlator of a real X with positive diagonal by Smith doubling
+    in mpmath at dps digits, as float64.
+
+    With p = max diag X, A = (pI + X)^-1 (pI - X) and
+    C_0 = 2p (pI + X)^-1 Y (pI + X)^-T, C = sum_j A^j C_0 A^jT is summed
+    by doubling until ||A^(2^k)||_1 falls below 10^-dps ||A||_1.  Its own
+    pivoted inverse and its own stop, so it shares no rounding with the
+    library's doubling.
+    """
+    x, y = np.asarray(x).real, np.asarray(y).real
+    with mpmath.workdps(dps):
+        p = mpmath.mpf(float(x.diagonal().max()))
+        xm, eye = mpmath.matrix(x.tolist()), mpmath.eye(x.shape[0])
+        inverse = (p * eye + xm) ** -1
+        a = inverse * (p * eye - xm)
+        c = 2 * p * inverse * mpmath.matrix(y.tolist()) * inverse.T
+        floor = mpmath.mpf(10) ** -dps * mpmath.mnorm(a, 1)
+        while mpmath.mnorm(a, 1) > floor:
+            c += a * c * a.T
+            a = a * a
+        return np.array(c.tolist(), dtype=float)
 
 
 def hn_closed_form_betas(n, t_right, t_left, kappa):

@@ -4,6 +4,7 @@ The quadrature oracle and the closed-form chain kernel live in
 conftest.py and never touch the library solvers.
 """
 
+import hashlib
 import math
 import os
 import subprocess
@@ -23,10 +24,10 @@ from gausschain import (DarkSourceError, DensityMatrix, HatanoNelsonParams,
                         single_mode_approximation, solve_lyapunov_direct,
                         solve_lyapunov_spectral)
 from gausschain.models import matrix_entries
-from gausschain.steady import DirectSolver, solve_schur
+from gausschain.steady import EPS, DirectSolver, _thin_widths, solve_schur
 from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, hn_closed_form_steady,
-                            hn_sine_steady_mp, lyapunov_quadrature, solve_vectorized,
-                            tridiagonal_steady_mp)
+                            hn_sine_steady_mp, lyapunov_quadrature, smith_steady_mp,
+                            solve_vectorized, tridiagonal_steady_mp)
 
 
 def hn_reference_system(n_sites, pump_site=1):
@@ -113,20 +114,23 @@ def test_dispatch_is_chosen_from_the_matrix():
 
 
 def test_solve_many_matches_per_pump_solve():
-    # Local pumps of mixed strengths, a dense pump and an all-zero pump,
-    # stacked: bit for bit the per-pump solve on the M-matrix route, to
-    # rounding on the Schur route (complex X; one complex pump makes the
-    # whole stack complex).
+    # Local pumps of mixed strengths, a dense pump, an all-zero pump and a
+    # two-site pump, stacked: starting widths 1 and 2 (thin) and 0 (dense)
+    # in one stack, bit for bit the per-pump solve on the M-matrix route,
+    # to rounding on the Schur route (complex X; one complex pump makes
+    # the whole stack complex).
     rng = np.random.default_rng(5)
     _, x, _ = hn_reference_system(30)
-    pumps = np.zeros((5, 30, 30))
+    pumps = np.zeros((6, 30, 30))
     for k, (site, strength) in enumerate([(1, 0.03), (30, 7.5), (12, 1e-9)]):
         pumps[k, site - 1, site - 1] = strength
     b = rng.standard_normal((30, 30))
     pumps[3] = b @ b.T
+    pumps[5, 4, 4], pumps[5, 21, 21] = 0.3, 0.011
+    assert _thin_widths(pumps).tolist() == [1, 1, 1, 0, 0, 2]
     solver = DirectSolver(x)
     c, asym = solver.solve_many(pumps)
-    assert c.shape == pumps.shape and asym.shape == (5,)
+    assert c.shape == pumps.shape and asym.shape == (6,)
     for k, y in enumerate(pumps):
         one = solver.solve(y)
         assert np.array_equal(c[k], one.entries) and asym[k] == one.asymmetry
@@ -145,6 +149,91 @@ def test_solve_many_matches_per_pump_solve():
     assert not c[3].any() and asym[3] == 0.0
     with pytest.raises(ParameterError):
         solver.solve_many(pumps[0])
+
+
+def test_solve_many_of_an_empty_stack_is_empty_on_both_routes():
+    # The Schur route once raised a bare ValueError from np.stack.
+    _, chain, _ = hn_reference_system(6)
+    for x in (matrix_entries(chain), random_stable_pair(np.random.default_rng(2), 6)[0]):
+        c, asym = DirectSolver(x).solve_many(np.zeros((0, 6, 6)))
+        assert c.shape == (0, 6, 6) and asym.shape == (0,)
+
+
+def dense_start_smith(solver, y):
+    """DirectSolver's doubling from the dense C_0 for a unit-peak real Y, hermitized."""
+    c = (2.0 * solver._shift) * (solver._inverse @ y @ solver._inverse.T)
+    for a in solver._powers:
+        c += a @ c @ a.T
+    return 0.5 * (c + c.T)
+
+
+def scan_lattice_chains():
+    """The eight 40-site chains of the pump-scan benchmark lattice
+    (perfbench/workloads.py): two (t_left, margin) draws in each of four
+    t_left strata, kappa the margin above the stability edge."""
+    rng = np.random.default_rng(int(hashlib.sha256(b"pump-scan").hexdigest()[:8], 16))
+    for lo in (0.1, 0.225, 0.35, 0.475):
+        for _ in range(2):
+            t_left, margin = float(rng.uniform(lo, lo + 0.125)), float(rng.uniform(0.1, 0.4))
+            kappa = 2.0 * math.sqrt(t_left) * math.cos(math.pi / 41) + margin
+            yield HatanoNelsonParams(40, 1.0, t_left, kappa)
+
+
+def test_thin_start_agrees_with_the_dense_start_entrywise():
+    # Every pump of the pump-scan lattice, and pumps at both ends and
+    # inside a 200-site single-band and a 100-cell two-band chain.  Both
+    # starts sum the same nonnegative terms in another order, so every
+    # entry, the smallest included, agrees to a few ulps.
+    cases = [(build_hatano_nelson(params), range(40)) for params in scan_lattice_chains()]
+    cases.append((build_hatano_nelson(HatanoNelsonParams(200, 1.0, 0.17, 0.91)), [0, 76, 199]))
+    cases.append((build_ssh(SshParams(100, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"],
+                                      SSH_REFERENCE["g_edge"], SSH_REFERENCE["kappa"])),
+                  [0, 101, 199]))
+    for x, sites in cases:
+        solver = DirectSolver(x)
+        n = solver.x.shape[0]
+        pumps = np.zeros((len(sites), n, n))
+        pumps[np.arange(len(sites)), sites, sites] = 1.0
+        assert (_thin_widths(pumps) == 1).all()
+        stack, _ = solver.solve_many(pumps)
+        for c, y in zip(stack, pumps):
+            reference = dense_start_smith(solver, y)
+            assert (np.abs(c - reference) / reference).max() <= 16 * EPS
+
+
+def test_thin_start_is_entrywise_accurate_against_mpmath_smith():
+    # Weakly locked 12-site chain (nu_2 / nu_1 up to ~0.7): unit pumps at
+    # both ends and the middle and a two-site pump, each against Smith
+    # doubling at 50 digits.
+    x = matrix_entries(build_hatano_nelson(HatanoNelsonParams(12, 1.0, 0.6, 1.6))).real
+    pumps = np.zeros((4, 12, 12))
+    pumps[[0, 1, 2], [0, 5, 11], [0, 5, 11]] = 1.0
+    pumps[3, 2, 2], pumps[3, 8, 8] = 1.0, 0.37
+    assert _thin_widths(pumps).tolist() == [1, 1, 1, 2]
+    stack, _ = DirectSolver(x).solve_many(pumps)
+    for c, y in zip(stack, pumps):
+        truth = smith_steady_mp(x, y)
+        assert (np.abs(c - truth) / truth).max() <= 16 * EPS
+
+
+def test_pumps_on_more_than_half_the_sites_keep_the_dense_start():
+    # 20 of 40 sites start thin; 21 sites, a full-width diagonal pump, a
+    # two-site diagonal pump with a negative entry (no real square root)
+    # and a two-site pump with a coupling start dense and give the
+    # dense-start doubling bit for bit.
+    _, x, _ = hn_reference_system(40)
+    solver = DirectSolver(x)
+    half, past_half, signed, coupled = np.zeros((4, 40, 40))
+    half[np.arange(20), np.arange(20)] = 1.0
+    past_half[np.arange(21), np.arange(21)] = 1.0
+    signed[3, 3], signed[30, 30] = -1.0, 0.5
+    coupled[3, 3] = coupled[30, 30] = 1.0
+    coupled[3, 30] = coupled[30, 3] = 0.5
+    full = np.diag(np.linspace(0.2, 1.0, 40))
+    stack = np.stack([half, past_half, signed, coupled, full])
+    assert _thin_widths(stack).tolist() == [20, 0, 0, 0, 0]
+    for y in stack[1:]:
+        assert np.array_equal(solver.solve(y).entries, dense_start_smith(solver, y))
 
 
 def test_direct_solver_rejects_non_finite_input():
@@ -190,7 +279,8 @@ def test_two_band_solve_is_entrywise_accurate_against_mpmath():
 
 @pytest.mark.parametrize("model", ["hn", "ssh"])
 def test_power_of_two_relaxation_scaling_is_exact(model):
-    # C(2^k X, s Y) = s 2^-k C(X, Y) bit for bit for a unit-peak pump.
+    # C(2^k X, s Y) = s 2^-k C(X, Y) bit for bit for a unit-peak pump, here
+    # a local one on the thin start.
     if model == "hn":
         x = build_hatano_nelson(HatanoNelsonParams(40, 1.0, 0.17, 0.91))
     else:
@@ -198,8 +288,9 @@ def test_power_of_two_relaxation_scaling_is_exact(model):
                                 SSH_REFERENCE["g_bulk"], SSH_REFERENCE["kappa"]))
     x = matrix_entries(x)
     y = matrix_entries(build_local_pump(x.shape[0], 7, 1.0))
+    assert _thin_widths(y.real[None]).tolist() == [1]
     base = solve_lyapunov_direct(x, y).entries
-    for k in (-3, -1, 2, 5):
+    for k in (-3, -2, -1, 2, 5):
         for s in (0.037, 0.5, 1e-9):
             scaled = solve_lyapunov_direct(2.0 ** k * x, s * y).entries
             assert np.array_equal(scaled, s * 2.0 ** -k * base)

@@ -1,8 +1,9 @@
-"""The program surface ``tools/make_goldens.py`` relies on.
+"""The program surface the scripts in ``tools/`` rely on.
 
 The golden-regeneration script runs only when a reference value is
-deliberately re-pinned, so a renamed or removed import would break it
-unnoticed.  It is read here with ``ast`` (never imported or run) and
+deliberately re-pinned, and the solver-scaling script only when long-chain
+cost is measured, so a renamed or removed import would break either
+unnoticed.  Each is read here with ``ast`` (never imported or run) and
 every ``from gausschain... import name`` is resolved against the package.
 """
 
@@ -22,9 +23,18 @@ def gausschain_imports(name):
             for alias in node.names]
 
 
+def unresolved(names):
+    return [f"{module}.{name}" for module, name in names
+            if not hasattr(importlib.import_module(module), name)]
+
+
 def test_make_goldens_imports_resolve():
     names = gausschain_imports("make_goldens.py")
     assert len(names) >= 10
-    missing = [f"{module}.{name}" for module, name in names
-               if not hasattr(importlib.import_module(module), name)]
-    assert missing == []
+    assert unresolved(names) == []
+
+
+def test_solver_scaling_imports_resolve():
+    names = gausschain_imports("solver_scaling.py")
+    assert len(names) >= 5
+    assert unresolved(names) == []
