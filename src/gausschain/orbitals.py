@@ -22,11 +22,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (GausschainError, NormalizationError, ParameterError,
-                     SiteIndexError, StabilityError)
+from .errors import GausschainError, NormalizationError, ParameterError, SiteIndexError
 from .models import (HatanoNelsonParams, SshParams, build_hatano_nelson,
                      build_local_pump, build_ssh, matrix_entries, ssh_index)
-from .spectral import (BiorthogonalSpectrum, ModeVector, _gauge_columns,
+from .spectral import (BiorthogonalSpectrum, ModeVector, _gauge_columns, _pump_loadings,
                        biorthogonal_decompose, hn_analytic_spectrum, slow_mode_position)
 from .steady import EPS, DirectSolver, solve_lyapunov_direct
 
@@ -145,17 +144,8 @@ class LoadingFactors:
 
 def loading_factors(spectrum: BiorthogonalSpectrum, pump_site: int,
                     pump_strength: float) -> LoadingFactors:
-    """A_n(s) = strength |L_n(s)|^2 / (2 Re beta_n) for every mode."""
-    if pump_strength <= 0 or not np.isfinite(pump_strength):
-        raise ParameterError(f"pump strength must be positive, got {pump_strength}")
-    if int(pump_site) != pump_site or not 1 <= pump_site <= spectrum.dim:
-        raise SiteIndexError(f"pump site {pump_site} outside 1..{spectrum.dim}")
-    rates = spectrum.betas.real
-    if rates.min() <= 0:
-        raise StabilityError(
-            f"loading factors need a strictly stable spectrum: min Re beta = {rates.min():.3e}")
-    amps = spectrum.left[int(pump_site) - 1, :]
-    values = pump_strength * np.abs(amps) ** 2 / (2.0 * rates)
+    """A_n(s) = strength |L_n(s)|^2 / (2 Re beta_n) for every mode, at any condition."""
+    values = _pump_loadings(spectrum, pump_site, pump_strength)
     peak = values.max()
     normalized = values / peak if peak > 0 else values.copy()
     return LoadingFactors(values, normalized)
@@ -323,7 +313,9 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
     except GausschainError as exc:
         # no pump has a steady state; report it at the first one
         raise type(exc)(f"pump site {sites[0]}: {exc}") from exc
-    a1 = _slow_mode_loadings(params, sites, strength)
+    spectrum = hn_analytic_spectrum(params)  # not held while the pumps are solved
+    a1 = _pump_loadings(spectrum, sites, strength)[:, identify_slow_mode(spectrum) - 1]
+    del spectrum
 
     n = params.n_sites
     nu = np.empty(sites.size)
@@ -371,23 +363,6 @@ def _top_occupations(stack: np.ndarray) -> np.ndarray:
                 return top
     top[pending] = np.linalg.eigvalsh(stack[pending])[:, -1]
     return top
-
-
-def _slow_mode_loadings(params: HatanoNelsonParams, sites: np.ndarray,
-                        strength: float) -> np.ndarray:
-    """loading_factors(...).values of the slow mode, bit for bit, at every site.
-
-    Built from the closed-form spectrum, which is dropped on return, so
-    it is not held while the scan solves its pumps.
-    """
-    spectrum = hn_analytic_spectrum(params)
-    slow = identify_slow_mode(spectrum) - 1
-    rate = spectrum.betas.real[slow]
-    if rate <= 0:
-        raise StabilityError(
-            f"loading factors need a strictly stable spectrum: min Re beta = {rate:.3e}")
-    amps = spectrum.left[sites - 1, slow]
-    return strength * np.abs(amps) ** 2 / (2.0 * rate)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DecompositionError, DegeneracyError, EnvelopeOverflowError,
-                     NormalizationError, ParameterError, RegimeError, SiteIndexError)
+                     NormalizationError, ParameterError, RegimeError, SiteIndexError,
+                     StabilityError)
 from .matio import matrix_payload
 from .models import (HatanoNelsonParams, SshParams, build_hatano_nelson,
                      default_labels, matrix_entries)
@@ -44,8 +45,9 @@ from .models import (HatanoNelsonParams, SshParams, build_hatano_nelson,
 ENVELOPE_LOG_LIMIT = 700.0
 SIMILARITY_LOG_LIMIT = 600.0
 
-# Numeric decompositions with a worse right-eigenvector condition number
-# than this are not trusted by downstream consumers.
+# Mode sums over spectra with a worse right-mode condition than this cancel
+# to noise, so steady._mode_sum refuses them; single products (loadings,
+# the single-mode term) cancel nothing and are exempt.
 CONDITION_TRUST_LIMIT = 1e12
 
 
@@ -153,6 +155,27 @@ def slow_mode_position(betas: np.ndarray) -> int:
     b = np.asarray(betas)
     order = np.lexsort((np.arange(b.size), b.imag, b.real))
     return int(order[0])
+
+
+def _check_beta_stability(betas: np.ndarray) -> None:
+    worst = float(np.asarray(betas).real.min())
+    if worst <= 0:
+        raise StabilityError(f"spectrum is not strictly stable: min Re beta = {worst:.6e}")
+
+
+def _pump_loadings(spectrum: BiorthogonalSpectrum, pump_site,
+                   pump_strength: float) -> np.ndarray:
+    """A_n(s) = strength |L_n(s)|^2 / (2 Re beta_n) of every mode n, one row per
+    1-based site if ``pump_site`` is an array of sites."""
+    if pump_strength <= 0 or not np.isfinite(pump_strength):
+        raise ParameterError(f"pump strength must be positive, got {pump_strength}")
+    sites = np.asarray(pump_site)
+    for s in sites.reshape(-1).tolist():
+        if int(s) != s or not 1 <= s <= spectrum.dim:
+            raise SiteIndexError(f"pump site {s} outside 1..{spectrum.dim}")
+    _check_beta_stability(spectrum.betas)
+    amps = spectrum.left[sites.astype(int) - 1, :]
+    return pump_strength * np.abs(amps) ** 2 / (2.0 * spectrum.betas.real)
 
 
 def gap_ratio(spectrum: BiorthogonalSpectrum) -> float:

@@ -25,8 +25,9 @@ The spectral route sums over biorthogonal mode pairs
 
     C = sum_mn  <L_m|Y|L_n> / (beta_m + conj(beta_n))  |R_m><R_n|,
 
-which is exact for trustworthy decompositions and is how closed-form
-spectra are turned into closed-form correlators.
+the paper's formula, with its transient in closed form; both run through
+one kernel that refuses spectra above CONDITION_TRUST_LIMIT, where the sum
+cancels to noise.  The one-term slow-mode approximation cancels nothing.
 
 Transients are exact: each sample interval is one affine map read off a
 block exponential (_affine_step), and the many-body oracle shares the
@@ -39,10 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DarkSourceError, ParameterError, SiteIndexError, SolveError,
+from .errors import (DarkSourceError, EnvelopeOverflowError, ParameterError, SolveError,
                      StabilityError)
 from .models import matrix_entries
-from .spectral import BiorthogonalSpectrum, slow_mode_position
+from .spectral import (CONDITION_TRUST_LIMIT, BiorthogonalSpectrum, _check_beta_stability,
+                       _pump_loadings, slow_mode_position)
 
 EPS = float(np.finfo(float).eps)
 
@@ -121,13 +123,6 @@ def lyapunov_residual(x, c, y) -> float:
     defect = float(np.linalg.norm(x @ c + c @ x.conj().T - y))
     bound = 2.0 * float(np.linalg.norm(x)) * float(np.linalg.norm(c)) + float(np.linalg.norm(y))
     return defect / bound if bound > 0 else 0.0
-
-
-def _check_beta_stability(betas: np.ndarray) -> None:
-    worst = float(np.asarray(betas).real.min())
-    if worst <= 0:
-        raise StabilityError(
-            f"spectrum is not strictly stable: min Re beta = {worst:.6e}")
 
 
 def _hermitize_stack(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -444,9 +439,33 @@ def solve_lyapunov_direct(relaxation, source) -> SteadyCorrelator:
     return DirectSolver(relaxation).solve(source)
 
 
-def _spectral_denominators(betas: np.ndarray) -> np.ndarray:
+def _mode_sum(spectrum: BiorthogonalSpectrum, source, initial=None,
+              t: float | None = None) -> tuple[np.ndarray, float]:
+    """_hermitize of the biorthogonal mode sum: the steady state for t = None,
+    else C(t) from C0 = initial.  The one place mode sums check their input,
+    and the one that enforces CONDITION_TRUST_LIMIT (SolveError)."""
+    y = matrix_entries(source)
+    c0 = y if t is None else matrix_entries(initial)
+    if y.shape[0] != spectrum.dim or c0.shape[0] != spectrum.dim:
+        raise ParameterError("source or initial state dimension does not match spectrum")
+    if not (np.isfinite(y).all() and np.isfinite(c0).all()):
+        raise ParameterError("source or initial state contains non-finite entries")
+    if t is not None and not 0 <= t < np.inf:
+        raise ParameterError(f"time must be finite and >= 0, got {t}")
+    betas, right, left = spectrum.betas, spectrum.right, spectrum.left
     _check_beta_stability(betas)
-    return betas[:, None] + betas[None, :].conj()
+    if spectrum.condition_estimate > CONDITION_TRUST_LIMIT:
+        raise SolveError(
+            f"spectrum condition estimate {spectrum.condition_estimate:.3e} exceeds the "
+            f"trust limit {CONDITION_TRUST_LIMIT:.0e}; use solve_lyapunov_direct")
+    denom = betas[:, None] + betas[None, :].conj()
+    loads = left.conj().T @ y @ left
+    if t is None:
+        return _hermitize(right @ (loads / denom) @ right.conj().T)
+    decay = right * np.exp(-betas * t)[None, :]
+    propagated = decay @ (left.conj().T @ c0 @ left) @ decay.conj().T
+    driven = right @ (loads * (-np.expm1(-denom * t) / denom)) @ right.conj().T
+    return _hermitize(propagated + driven)
 
 
 def solve_lyapunov_spectral(spectrum: BiorthogonalSpectrum, source) -> SteadyCorrelator:
@@ -454,17 +473,12 @@ def solve_lyapunov_spectral(spectrum: BiorthogonalSpectrum, source) -> SteadyCor
 
     The residual is evaluated against the matrix the spectrum actually
     diagonalizes (R diag(beta) L^dag), so it measures the accuracy of
-    the sum itself, not of the upstream eigendecomposition.
+    the sum itself and cannot see the noise of a spectrum above
+    CONDITION_TRUST_LIMIT; _mode_sum refuses those with SolveError.
     """
-    y = matrix_entries(source)
-    if y.shape[0] != spectrum.dim:
-        raise ParameterError("source dimension does not match spectrum")
-    denom = _spectral_denominators(spectrum.betas)
-    weights = (spectrum.left.conj().T @ y @ spectrum.left) / denom
-    c = spectrum.right @ weights @ spectrum.right.conj().T
-    c, asym = _hermitize(c)
-    x_rec = spectrum.reconstruct()
-    return SteadyCorrelator(c, "spectral", lyapunov_residual(x_rec, c, y), asym)
+    c, asym = _mode_sum(spectrum, source)
+    return SteadyCorrelator(c, "spectral",
+                            lyapunov_residual(spectrum.reconstruct(), c, source), asym)
 
 
 def single_mode_approximation(spectrum: BiorthogonalSpectrum, pump_site: int,
@@ -473,31 +487,32 @@ def single_mode_approximation(spectrum: BiorthogonalSpectrum, pump_site: int,
 
     For a single-site pump of the given strength at ``pump_site``,
     C ~= A_0 |R_0><R_0| with A_0 = strength |L_0(s)|^2 / (2 Re beta_0).
+    One term cancels nothing, so CONDITION_TRUST_LIMIT does not apply.
 
-    Raises DarkSourceError when the pump site sits on a node of the
-    slow left mode (|L_0(s)| <= 1e-14), where the approximation is empty.
+    Raises DarkSourceError on a node of the slow mode: the site's share
+    |L_0(s) R_0(s)| of <L_0|R_0> = 1, unchanged by how the pair is
+    normalized, is at most N eps.  Raises EnvelopeOverflowError when the
+    loading, the predicted occupation or the correlator is not representable.
     """
-    if pump_strength <= 0 or not np.isfinite(pump_strength):
-        raise ParameterError(f"pump strength must be positive, got {pump_strength}")
-    if int(pump_site) != pump_site or not 1 <= pump_site <= spectrum.dim:
-        raise SiteIndexError(f"pump site {pump_site} outside 1..{spectrum.dim}")
-    _check_beta_stability(spectrum.betas)
     pos = slow_mode_position(spectrum.betas)
-    amp = spectrum.left[int(pump_site) - 1, pos]
-    if abs(amp) <= 1e-14:
-        raise DarkSourceError(
-            f"pump site {pump_site} is a node of the slow mode (|L_0(s)| = {abs(amp):.2e})")
-    beta0 = spectrum.betas[pos]
-    loading = float(pump_strength * abs(amp) ** 2 / (2.0 * beta0.real))
     r0 = spectrum.right[:, pos]
-    c = loading * np.outer(r0, r0.conj())
-    c, asym = _hermitize(c)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        loading = float(_pump_loadings(spectrum, pump_site, pump_strength)[pos])
+        predicted = loading * float(np.vdot(r0, r0).real)
+        c, asym = _hermitize(loading * np.outer(r0, r0.conj()))
+    site = int(pump_site) - 1
+    weight = abs(spectrum.left[site, pos] * r0[site])
+    if weight <= spectrum.dim * EPS:
+        raise DarkSourceError(f"pump site {pump_site} is a node of the slow mode "
+                              f"(|L_0(s) R_0(s)| = {weight:.2e})")
+    # off a node the true loading is > 0, so 0 means it underflowed
+    if not (0 < loading and np.isfinite(predicted) and np.isfinite(c).all()):
+        raise EnvelopeOverflowError(f"slow-mode loading {loading:.3e} or occupation "
+                                    f"{predicted:.3e} is not representable")
     y = np.zeros((spectrum.dim, spectrum.dim), dtype=complex)
-    y[int(pump_site) - 1, int(pump_site) - 1] = pump_strength
+    y[site, site] = pump_strength
     residual = lyapunov_residual(spectrum.reconstruct(), c, y)
-    predicted = loading * float(np.vdot(r0, r0).real)
-    return SingleModeResult(SteadyCorrelator(c, "spectral", residual, asym),
-                            loading, predicted)
+    return SingleModeResult(SteadyCorrelator(c, "spectral", residual, asym), loading, predicted)
 
 
 def _halvings(norm: float) -> int:
@@ -607,22 +622,8 @@ def closed_form_correlator(spectrum: BiorthogonalSpectrum, source, initial,
            + sum_mn <L_m|Y|L_n> (1 - e^{-(beta_m + conj beta_n) t})
                     / (beta_m + conj beta_n) |R_m><R_n|.
 
-    Requires a strictly stable spectrum; reduces to the spectral steady
-    state as t -> inf and to C0 at t = 0.
+    Needs a finite t >= 0 and a strictly stable spectrum within
+    CONDITION_TRUST_LIMIT (see _mode_sum); C(0) = C0, and C(t) tends to
+    solve_lyapunov_spectral's steady state as t -> inf.
     """
-    y = matrix_entries(source)
-    c0 = matrix_entries(initial)
-    if y.shape[0] != spectrum.dim or c0.shape[0] != spectrum.dim:
-        raise ParameterError("source or initial state dimension does not match spectrum")
-    if t < 0:
-        raise ParameterError(f"time must be nonnegative, got {t}")
-    denom = _spectral_denominators(spectrum.betas)
-    decay = np.exp(-spectrum.betas * t)
-    propagated = (spectrum.right * decay[None, :]) @ (spectrum.left.conj().T @ c0
-                                                      @ spectrum.left) \
-        @ (spectrum.right * decay[None, :]).conj().T
-    weights = (spectrum.left.conj().T @ y @ spectrum.left) * (
-        -np.expm1(-denom * t) / denom)
-    driven = spectrum.right @ weights @ spectrum.right.conj().T
-    c, _ = _hermitize(propagated + driven)
-    return c
+    return _mode_sum(spectrum, source, initial, t)[0]

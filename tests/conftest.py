@@ -179,6 +179,40 @@ def hn_closed_form_betas(n, t_right, t_left, kappa):
     return kappa - 2.0 * math.sqrt(t_right * t_left) * np.cos(modes * np.pi / (n + 1))
 
 
+# Bit-exact references for the spectral kernels.  Each spells out the
+# paper's formula in a fixed order of floating-point operations; the
+# library must reproduce them bit for bit, so a reordering of its
+# arithmetic shows as a failed np.array_equal.  No checks, no guards.
+
+def _hermitized(c):
+    return 0.5 * (c + c.conj().T)
+
+
+def mode_sum_steady_reference(spectrum, y):
+    """sum_mn <L_m|Y|L_n> / (beta_m + conj beta_n) |R_m><R_n|, Hermitized."""
+    denom = spectrum.betas[:, None] + spectrum.betas[None, :].conj()
+    weights = (spectrum.left.conj().T @ y @ spectrum.left) / denom
+    return _hermitized(spectrum.right @ weights @ spectrum.right.conj().T)
+
+
+def mode_sum_transient_reference(spectrum, y, c0, t):
+    """C(t) = e^{-Xt} C0 e^{-X^dag t} plus the mode sum weighted by 1 - e^{-denom t}."""
+    denom = spectrum.betas[:, None] + spectrum.betas[None, :].conj()
+    decay = np.exp(-spectrum.betas * t)
+    propagated = (spectrum.right * decay[None, :]) @ (spectrum.left.conj().T @ c0
+                                                      @ spectrum.left) \
+        @ (spectrum.right * decay[None, :]).conj().T
+    weights = (spectrum.left.conj().T @ y @ spectrum.left) * (
+        -np.expm1(-denom * t) / denom)
+    driven = spectrum.right @ weights @ spectrum.right.conj().T
+    return _hermitized(propagated + driven)
+
+
+def loading_reference(spectrum, site, strength):
+    """A_n(s) = strength |L_n(s)|^2 / (2 Re beta_n) for every mode n."""
+    return strength * np.abs(spectrum.left[site - 1, :]) ** 2 / (2.0 * spectrum.betas.real)
+
+
 @pytest.fixture(scope="session")
 def golden():
     """Frozen reference values; regenerate with tools/make_goldens.py."""

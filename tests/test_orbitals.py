@@ -20,7 +20,7 @@ from gausschain import (HatanoNelsonParams, NormalizationError, ParameterError,
 from gausschain import orbitals
 from gausschain.orbitals import SCAN_CHUNK_ENTRIES, _top_occupations, density
 from gausschain.steady import DirectSolver
-from tests.conftest import HN_REFERENCE, SSH_REFERENCE
+from tests.conftest import HN_REFERENCE, SSH_REFERENCE, loading_reference
 
 
 def sine_basis(n):
@@ -129,6 +129,22 @@ def test_loading_requires_valid_site_strength_stability():
     unstable = hn_analytic_spectrum(HatanoNelsonParams(4, 1.0, 0.17, 0.1))
     with pytest.raises(StabilityError):
         loading_factors(unstable, 1, 0.03)
+
+
+def test_loadings_equal_the_formula_bit_for_bit():
+    # every mode from loading_factors, the slow one from the scan's column
+    gamma = HN_REFERENCE["pump_strength"]
+    for n in range(4, 33, 4):
+        params = hn_reference_params(n)
+        for spec in (biorthogonal_decompose(build_hatano_nelson(params)),
+                     hn_analytic_spectrum(params)):
+            for s in range(1, n + 1):
+                assert np.array_equal(loading_factors(spec, s, gamma).values,
+                                      loading_reference(spec, s, gamma))
+        closed = hn_analytic_spectrum(params)
+        slow = identify_slow_mode(closed) - 1
+        column = [loading_reference(closed, s, gamma)[slow] for s in range(1, n + 1)]
+        assert np.array_equal(hn_source_scan(params, gamma).loading, column)
 
 
 def test_overlap_trivials_and_gauge_invariance():

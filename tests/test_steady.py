@@ -7,6 +7,7 @@ conftest.py and never touch the library solvers.
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -14,9 +15,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gausschain import (DarkSourceError, DensityMatrix, HatanoNelsonParams,
-                        ParameterError, SiteIndexError, SolveError, SshParams,
-                        StabilityError, biorthogonal_decompose, build_diagonal_pump,
+from gausschain import (DarkSourceError, DensityMatrix, EnvelopeOverflowError,
+                        HatanoNelsonParams, ParameterError, SiteIndexError, SolveError,
+                        SshParams, StabilityError, biorthogonal_decompose, build_diagonal_pump,
                         build_hatano_nelson, build_local_pump, build_ssh,
                         closed_form_correlator, correlator_of, euclidean_normalize,
                         evolve_master, hn_analytic_spectrum, hn_jump_decomposition,
@@ -24,10 +25,12 @@ from gausschain import (DarkSourceError, DensityMatrix, HatanoNelsonParams,
                         single_mode_approximation, solve_lyapunov_direct,
                         solve_lyapunov_spectral)
 from gausschain.models import matrix_entries
+from gausschain.spectral import CONDITION_TRUST_LIMIT
 from gausschain.steady import EPS, DirectSolver, _thin_widths, solve_schur
 from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, hn_closed_form_steady,
-                            hn_sine_steady_mp, lyapunov_quadrature, smith_steady_mp,
-                            solve_vectorized, tridiagonal_steady_mp)
+                            hn_sine_steady_mp, loading_reference, lyapunov_quadrature,
+                            mode_sum_steady_reference, mode_sum_transient_reference,
+                            smith_steady_mp, solve_vectorized, tridiagonal_steady_mp)
 
 
 def hn_reference_system(n_sites, pump_site=1):
@@ -579,6 +582,107 @@ def test_closed_form_boundary_values():
     assert np.abs(late - steady.entries).max() <= 1e-12
     with pytest.raises(ParameterError):
         closed_form_correlator(spec, y, c0, -1.0)
+
+
+def hn_spectra(n_sites):
+    """Gauge-route and closed-form spectra of the reference chain."""
+    params, x, _ = hn_reference_system(n_sites)
+    return {"gauge": biorthogonal_decompose(x), "closed": hn_analytic_spectrum(params)}
+
+
+def test_mode_sums_equal_their_references_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for n in range(4, 33, 4):
+        a = rng.standard_normal((n, n))
+        c0 = matrix_entries(a @ a.T)
+        for spec in hn_spectra(n).values():
+            for s in (1, n // 2, n):
+                y = matrix_entries(build_local_pump(n, s, HN_REFERENCE["pump_strength"]))
+                assert np.array_equal(solve_lyapunov_spectral(spec, y).entries,
+                                      mode_sum_steady_reference(spec, y))
+                for t in (0.0, 0.7, 5.0):
+                    assert np.array_equal(closed_form_correlator(spec, y, c0, t),
+                                          mode_sum_transient_reference(spec, y, c0, t))
+
+
+def test_single_mode_loading_equals_the_formula_bit_for_bit():
+    gamma = HN_REFERENCE["pump_strength"]
+    for n in range(4, 33, 4):
+        for spec in hn_spectra(n).values():
+            pos = int(np.argmin(spec.betas.real))
+            for s in (1, n // 2, n):
+                result = single_mode_approximation(spec, s, gamma)
+                assert result.loading == loading_reference(spec, s, gamma)[pos]
+                scalar = gamma * abs(spec.left[s - 1, pos]) ** 2 / (2.0 * spec.betas[pos].real)
+                assert result.loading == float(scalar)
+
+
+def test_mode_sums_refuse_spectra_above_the_trust_limit():
+    # The 100-site reference chain: the mode sum's top eigenvalue read 1.8e46
+    # against 1.8e29 from the direct solve, with a residual of 4.5e-22.
+    _, _, y = hn_reference_system(100, pump_site=15)
+    for spec in hn_spectra(100).values():
+        assert spec.condition_estimate > CONDITION_TRUST_LIMIT
+        names = re.escape(f"{spec.condition_estimate:.3e}") + ".*" + re.escape(
+            f"{CONDITION_TRUST_LIMIT:.0e}")
+        with pytest.raises(SolveError, match=names):
+            solve_lyapunov_spectral(spec, y)
+        with pytest.raises(SolveError, match=names):
+            closed_form_correlator(spec, y, np.zeros((100, 100)), 1.0)
+
+
+def test_mode_sums_match_direct_just_below_the_trust_limit():
+    _, x, y = hn_reference_system(32, pump_site=15)
+    direct = solve_lyapunov_direct(x, y).entries
+    scale = np.linalg.norm(direct)
+    for spec in hn_spectra(32).values():
+        assert 1e11 < spec.condition_estimate <= CONDITION_TRUST_LIMIT
+        steady = solve_lyapunov_spectral(spec, y).entries
+        late = closed_form_correlator(spec, y, np.zeros((32, 32)), 1e4)
+        assert np.linalg.norm(steady - direct) <= 1e-10 * scale
+        assert np.linalg.norm(late - direct) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("case", ["nan_source", "inf_initial", "nan_time", "inf_time"])
+def test_mode_sums_reject_non_finite_input(case):
+    # each once came back as NaN with a clean exit; t = inf is the steady
+    # state of solve_lyapunov_spectral, not of the transient formula
+    spec = hn_spectra(6)["closed"]
+    _, _, y = hn_reference_system(6, pump_site=2)
+    y, c0, t = np.array(matrix_entries(y)), np.zeros((6, 6)), 1.0
+    if case == "nan_source":
+        y[0, 0] = np.nan
+        with pytest.raises(ParameterError, match="non-finite"):
+            solve_lyapunov_spectral(spec, y)
+    elif case == "inf_initial":
+        c0[:] = np.inf
+    else:
+        t = np.nan if case == "nan_time" else np.inf
+    with pytest.raises(ParameterError, match="non-finite" if "time" not in case else "time"):
+        closed_form_correlator(spec, y, c0, t)
+
+
+@pytest.mark.parametrize("n_sites,site", [(40, 40), (60, 60), (100, 50)])
+def test_single_mode_sees_no_node_where_the_sine_mode_has_none(n_sites, site):
+    # |L_0(s)| reads 6.9e-18 at site 40 of 40, far below any absolute bound,
+    # but the site's share |L_0(s) R_0(s)| = phi_0(s)^2 of <L_0|R_0> is not
+    params, _, _ = hn_reference_system(n_sites)
+    spec = hn_analytic_spectrum(params)
+    assert spec.condition_estimate > CONDITION_TRUST_LIMIT  # a single term is exempt
+    result = single_mode_approximation(spec, site, HN_REFERENCE["pump_strength"])
+    phi0 = math.sqrt(2.0 / (n_sites + 1)) * math.sin(math.pi * site / (n_sites + 1))
+    pos = int(np.argmin(spec.betas.real))
+    assert abs(spec.left[site - 1, pos] * spec.right[site - 1, pos]) == pytest.approx(
+        phi0 ** 2, rel=1e-12)
+    assert 0 < result.loading and np.isfinite(result.predicted_occupation)
+
+
+def test_single_mode_refuses_an_overflowing_prediction():
+    # R_0 peaks near r^500 = e^443, so |R_0|^2 and the rank-one term overflow
+    params, _, _ = hn_reference_system(500)
+    with pytest.raises(EnvelopeOverflowError):
+        single_mode_approximation(hn_analytic_spectrum(params), 5,
+                                  HN_REFERENCE["pump_strength"])
 
 
 def test_propagation_input_validation():
