@@ -2,13 +2,13 @@
 
 Everything here works in the full 2^N-dimensional Fock space with dense
 matrices and Jordan-Wigner fermion operators.  It exists to validate
-the one-body correlator reduction against the exact Lindblad dynamics,
-so it is deliberately capped at four sites; use the correlator stack
-for anything larger.
+the one-body correlator reduction against the exact Lindblad dynamics
+of either chain model, up to MAX_ORACLE_SITES sites; use the correlator
+stack for anything larger.
 
 Nothing is time-stepped: the Liouvillian conserves the charge
 N_ket - N_bra of |i><j| (Prosen, NJP 10, 043026 (2008)), so it is built
-per charge block, at most C(2N, N) = 70 wide.  Trajectories apply exact
+per charge block, the widest C(2N, N).  Trajectories apply exact
 propagators exp(L t); the steady state is one linear solve.  Numpy only.
 
 Per-sample work is vectorized.  Every column of a Jordan-Wigner pair
@@ -29,7 +29,8 @@ from .design import JumpSet
 from .errors import ParameterError, ScaleError, StabilityError
 from .steady import _expm, _sample_grid
 
-MAX_ORACLE_SITES = 4
+# widest charge block C(2N, N) is 924 here (seconds); 3432 at 7 sites (2 min, 1.2 GB)
+MAX_ORACLE_SITES = 6
 CAR_TOL = 1e-14
 
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -39,7 +40,7 @@ _EYE2 = np.eye(2, dtype=complex)
 
 
 class FockOperatorSet:
-    """Dense Jordan-Wigner fermion operators for up to four sites.
+    """Dense Jordan-Wigner fermion operators for up to MAX_ORACLE_SITES sites.
 
     Site 1 is the leftmost tensor factor; the sign string of Z factors
     precedes each lowering operator.  Operator matrices depend on this

@@ -166,7 +166,8 @@ def _check_beta_stability(betas: np.ndarray) -> None:
 def _pump_loadings(spectrum: BiorthogonalSpectrum, pump_site,
                    pump_strength: float) -> np.ndarray:
     """A_n(s) = strength |L_n(s)|^2 / (2 Re beta_n) of every mode n, one row per
-    1-based site if ``pump_site`` is an array of sites."""
+    1-based site if ``pump_site`` is an array of sites.  Raises
+    EnvelopeOverflowError if any loading is not finite."""
     if pump_strength <= 0 or not np.isfinite(pump_strength):
         raise ParameterError(f"pump strength must be positive, got {pump_strength}")
     sites = np.asarray(pump_site)
@@ -175,7 +176,13 @@ def _pump_loadings(spectrum: BiorthogonalSpectrum, pump_site,
             raise SiteIndexError(f"pump site {s} outside 1..{spectrum.dim}")
     _check_beta_stability(spectrum.betas)
     amps = spectrum.left[sites.astype(int) - 1, :]
-    return pump_strength * np.abs(amps) ** 2 / (2.0 * spectrum.betas.real)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        loadings = pump_strength * np.abs(amps) ** 2 / (2.0 * spectrum.betas.real)
+    if not np.isfinite(loadings).all():
+        bad = np.broadcast_to(sites[..., None], loadings.shape)[~np.isfinite(loadings)]
+        raise EnvelopeOverflowError(f"pump loading at site {int(bad[0])} is not "
+                                    "representable: |L_n(s)|^2 overflows")
+    return loadings
 
 
 def gap_ratio(spectrum: BiorthogonalSpectrum) -> float:

@@ -622,8 +622,9 @@ def closed_form_correlator(spectrum: BiorthogonalSpectrum, source, initial,
            + sum_mn <L_m|Y|L_n> (1 - e^{-(beta_m + conj beta_n) t})
                     / (beta_m + conj beta_n) |R_m><R_n|.
 
-    Needs a finite t >= 0 and a strictly stable spectrum within
-    CONDITION_TRUST_LIMIT (see _mode_sum); C(0) = C0, and C(t) tends to
-    solve_lyapunov_spectral's steady state as t -> inf.
+    The paper's formula and criterion 10's reference; library transients
+    run through propagate_correlator.  Needs a finite t >= 0 and a strictly
+    stable spectrum within CONDITION_TRUST_LIMIT (see _mode_sum); C(0) = C0,
+    and C(t) tends to solve_lyapunov_spectral's steady state as t -> inf.
     """
     return _mode_sum(spectrum, source, initial, t)[0]

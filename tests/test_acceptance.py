@@ -135,40 +135,36 @@ def test_criterion_02_cross_solver_agreement_within_conditioning():
 
 
 def test_criterion_03_many_body_oracle_equivalence():
-    params = HatanoNelsonParams(3, 1.0, 0.17, 1.5)
+    # the single-band chain at 2 and 3 sites, the two-band chain at 2 cells
     gamma = 0.1
-    x = matrix_entries(build_hatano_nelson(params))
-    y = gamma * np.eye(3)
-    realization = inverse_design(x, y)
-    assert realization.physical
-    jumps = hn_jump_decomposition(params, gamma)
-    spectrum = biorthogonal_decompose(x)
-
-    trajectory = evolve_master(DensityMatrix.vacuum(3), realization.hamiltonian,
-                               jumps, t_final=10.0, dt=0.002, stride=50)
-    zero = np.zeros((3, 3))
-    worst_traj = 0.0
-    for time, state in zip(trajectory.times, trajectory.states):
-        closed = closed_form_correlator(spectrum, y, zero, float(time))
-        worst_traj = max(worst_traj,
-                         float(np.abs(correlator_of(state) - closed).max()))
-    assert trajectory.times[-1] == 10.0
+    chains = [(HatanoNelsonParams(n, 1.0, 0.17, 1.5), build_hatano_nelson,
+               hn_jump_decomposition) for n in (2, 3)]
+    chains += [(SshParams(2, 0.5, 1.0, g, 2.0), build_ssh, ssh_jump_decomposition)
+               for g in (-0.25, 0.0, 0.3)]
+    worst_traj = worst_steady = 0.0
+    for params, build, decompose in chains:
+        n = params.n_sites
+        x = matrix_entries(build(params))
+        y = gamma * np.eye(n)
+        realization = inverse_design(x, y)
+        assert realization.physical
+        jumps = decompose(params, gamma)
+        trajectory = evolve_master(DensityMatrix.vacuum(n), realization.hamiltonian,
+                                   jumps, t_final=10.0, dt=0.002, stride=50)
+        reference = propagate_correlator(x, y, np.zeros((n, n)),
+                                         t_final=10.0, dt=0.002, stride=50)
+        assert trajectory.times[-1] == 10.0
+        for state, snapshot in zip(trajectory.states, reference.states):
+            worst_traj = max(worst_traj,
+                             float(np.abs(correlator_of(state) - snapshot.entries).max()))
+        rho = steady_state_oracle(realization.hamiltonian, jumps)
+        direct = solve_lyapunov_direct(x, y).entries
+        worst_steady = max(worst_steady, float(np.abs(correlator_of(rho) - direct).max()))
     assert worst_traj <= 1e-7
-
-    worst_steady = 0.0
-    for n in (2, 3):
-        p = HatanoNelsonParams(n, 1.0, 0.17, 1.5)
-        xn = matrix_entries(build_hatano_nelson(p))
-        yn = gamma * np.eye(n)
-        jn = hn_jump_decomposition(p, gamma)
-        hn = inverse_design(xn, yn).hamiltonian
-        rho = steady_state_oracle(hn, jn)
-        direct = solve_lyapunov_direct(xn, yn).entries
-        worst_steady = max(worst_steady,
-                           float(np.abs(correlator_of(rho) - direct).max()))
     assert worst_steady <= 1e-8
-    print(f"criterion 03 PASS: trajectory deviation {worst_traj:.3e} <= 1e-7 "
-          f"over t in [0, 10], steady deviation {worst_steady:.3e} <= 1e-8")
+    print(f"criterion 03 PASS: trajectory deviation from propagate_correlator "
+          f"{worst_traj:.3e} <= 1e-7 over t in [0, 10], steady deviation "
+          f"{worst_steady:.3e} <= 1e-8, single- and two-band chains")
 
 
 def test_criterion_04_physical_realizations_give_physical_states():

@@ -384,7 +384,7 @@ class TestValidateCommand:
 
 class TestOracleCheckCommand:
 
-    @pytest.mark.parametrize("n_sites", ["2", "4"])
+    @pytest.mark.parametrize("n_sites", ["2", "4", "5"])
     def test_chain_agrees_with_the_oracle(self, tmp_path, capsys, n_sites):
         out = str(tmp_path / "oracle")
         assert main(["oracle-check", "--n-sites", n_sites, "--t-final", "2.0",
@@ -395,6 +395,12 @@ class TestOracleCheckCommand:
         assert summary["steady_state_deviation"] <= summary["steady_limit"]
         assert summary["max_trace_drift"] <= 1e-10
         assert "oracle-check:" in capsys.readouterr().out
+
+    def test_seven_sites_exit_2_on_the_cap(self, tmp_path, capsys):
+        out = tmp_path / "oracle"
+        assert main(["oracle-check", "--n-sites", "7", "--out", str(out)]) == 2
+        assert "error: ScaleError: oracle supports at most 6 sites" in capsys.readouterr().err
+        assert not (out / "oracle-check.json").exists()
 
 
 def test_cli_import_leaves_scipy_and_mpmath_unloaded():

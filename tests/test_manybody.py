@@ -11,14 +11,17 @@ from gausschain import (
     JumpVector,
     ParameterError,
     ScaleError,
+    SshParams,
     StabilityError,
     build_hatano_nelson,
+    build_ssh,
     correlator_of,
     evolve_master,
     hn_jump_decomposition,
     inverse_design,
     propagate_correlator,
     solve_lyapunov_direct,
+    ssh_jump_decomposition,
     steady_state_oracle,
 )
 from gausschain.manybody import CAR_TOL, FockOperatorSet, _checked_states, operator_set
@@ -79,6 +82,33 @@ def hn_system(n, gamma=0.1, kappa=1.5):
     return x, y, jumps, h
 
 
+def ssh_system(n_cells, g, gamma=0.1, kappa=2.0):
+    """Feasible two-band chain: relaxation matrix, uniform source, jumps, Hamiltonian."""
+    params = SshParams(n_cells, 0.5, 1.0, g, kappa)
+    x = matrix_entries(build_ssh(params))
+    y = gamma * np.eye(params.n_sites)
+    jumps = ssh_jump_decomposition(params, gamma)
+    h = inverse_design(x, y).hamiltonian
+    return x, y, jumps, h
+
+
+def steady_deviation(x, y, jumps, h):
+    """Largest entry of C(oracle steady state) - C(direct solve)."""
+    rho = steady_state_oracle(h, jumps)
+    return float(np.abs(correlator_of(rho) - solve_lyapunov_direct(x, y).entries).max())
+
+
+def trajectory_deviation(x, y, jumps, h):
+    """Largest entry of C(master equation) - C(propagate_correlator) from the
+    vacuum, on the oracle-check grid: t in [0, 10], 101 samples."""
+    n = x.shape[0]
+    traj = evolve_master(DensityMatrix.vacuum(n), h, jumps, t_final=10.0, dt=0.002, stride=50)
+    ref = propagate_correlator(x, y, np.zeros((n, n)), t_final=10.0, dt=0.002, stride=50)
+    assert np.array_equal(traj.times, ref.times) and traj.times.size == 101
+    return max(float(np.abs(correlator_of(state) - snapshot.entries).max())
+               for state, snapshot in zip(traj.states, ref.states))
+
+
 class TestFockOperators:
 
     def test_operator_set_is_cached(self):
@@ -130,8 +160,9 @@ class TestFockOperators:
             ops.gain_operator([1.0, 2.0, 3.0])
 
     def test_site_count_limits(self):
-        with pytest.raises(ScaleError, match="at most 4"):
-            FockOperatorSet(5)
+        assert FockOperatorSet(6).dim == 64
+        with pytest.raises(ScaleError, match="at most 6 sites, got 7"):
+            FockOperatorSet(7)
         with pytest.raises(ParameterError):
             FockOperatorSet(0)
 
@@ -370,6 +401,24 @@ class TestCorrelatorReduction:
             assert np.abs(correlator_of(state) - snapshot.entries).max() <= 1e-10
 
 
+class TestBothChainModels:
+    """The oracle against the correlator stack at the criterion 03 bounds:
+    1e-7 on trajectories, 1e-8 on steady states.  A 6-site trajectory
+    needs one 924-wide block exponential (about 2 s), so only the
+    single-band chain runs one."""
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_single_band_trajectory_at_five_and_six_sites(self, n):
+        assert trajectory_deviation(*hn_system(n)) <= 1e-7
+
+    @pytest.mark.parametrize("g", [-0.25, 0.0, 0.3])
+    def test_two_band_chain_at_two_and_three_cells(self, g):
+        two_cells = ssh_system(2, g)
+        assert trajectory_deviation(*two_cells) <= 1e-7
+        assert steady_deviation(*two_cells) <= 1e-8
+        assert steady_deviation(*ssh_system(3, g)) <= 1e-8
+
+
 class TestSteadyStateOracle:
 
     def test_single_site_pump_balance(self):
@@ -392,12 +441,9 @@ class TestSteadyStateOracle:
         rho = steady_state_oracle([[0.0]], jumps)
         assert_allclose(rho.entries, DensityMatrix.vacuum(1).entries, atol=0)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_oracle_matches_direct_solver(self, n):
-        x, y, jumps, h = hn_system(n)
-        rho = steady_state_oracle(h, jumps)
-        direct = solve_lyapunov_direct(x, y)
-        assert np.abs(correlator_of(rho) - direct.entries).max() <= 1e-8
+        assert steady_deviation(*hn_system(n)) <= 1e-8
 
     def test_four_sites_need_no_time_budget(self):
         jumps = JumpSet(
@@ -409,13 +455,13 @@ class TestSteadyStateOracle:
         rho = steady_state_oracle(np.zeros((4, 4)), jumps)
         assert np.abs(correlator_of(rho) - 0.2 * np.eye(4)).max() <= 1e-14
 
-    def test_five_sites_exceed_the_oracle_cap(self):
-        jumps = JumpSet(5, tuple(JumpVector(f"onsite({j})", "loss", np.eye(5)[j - 1])
-                                 for j in range(1, 6)), ())
-        with pytest.raises(ScaleError, match="at most 4"):
-            steady_state_oracle(np.zeros((5, 5)), jumps, t_max=1.0)
-        with pytest.raises(ScaleError, match="at most 4"):
-            evolve_master(DensityMatrix.vacuum(5), np.zeros((5, 5)), jumps,
+    def test_seven_sites_exceed_the_oracle_cap(self):
+        jumps = JumpSet(7, tuple(JumpVector(f"onsite({j})", "loss", np.eye(7)[j - 1])
+                                 for j in range(1, 8)), ())
+        with pytest.raises(ScaleError, match="at most 6"):
+            steady_state_oracle(np.zeros((7, 7)), jumps, t_max=1.0)
+        with pytest.raises(ScaleError, match="at most 6"):
+            evolve_master(DensityMatrix.vacuum(7), np.zeros((7, 7)), jumps,
                           t_final=0.1, dt=0.01)
 
     def test_hamiltonian_only_dynamics_has_no_steady_state(self):

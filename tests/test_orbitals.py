@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gausschain import (HatanoNelsonParams, NormalizationError, ParameterError,
-                        SiteIndexError, SshParams, StabilityError,
+from gausschain import (EnvelopeOverflowError, HatanoNelsonParams, NormalizationError,
+                        ParameterError, SiteIndexError, SshParams, StabilityError,
                         biorthogonal_decompose, build_hatano_nelson,
                         build_local_pump, build_ssh, diagnostics_report,
                         euclidean_normalize, hn_analytic_spectrum,
@@ -129,6 +129,15 @@ def test_loading_requires_valid_site_strength_stability():
     unstable = hn_analytic_spectrum(HatanoNelsonParams(4, 1.0, 0.17, 0.1))
     with pytest.raises(StabilityError):
         loading_factors(unstable, 1, 0.03)
+
+
+def test_overflowing_loadings_raise_instead_of_inf():
+    # t_right < t_left: the left modes grow as r^-j and |L_n(s)|^2 overflows
+    spec = hn_analytic_spectrum(HatanoNelsonParams(500, 0.17, 1.0, 0.91))
+    with pytest.raises(EnvelopeOverflowError, match="site 500"):
+        loading_factors(spec, 500, 0.03)
+    with pytest.raises(EnvelopeOverflowError, match="site 120"):
+        hn_source_scan(HatanoNelsonParams(120, 1e-3, 1.0, 0.91), 0.03, sites=[1, 2, 120])
 
 
 def test_loadings_equal_the_formula_bit_for_bit():

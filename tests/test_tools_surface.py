@@ -1,9 +1,10 @@
 """The program surface the scripts in ``tools/`` rely on.
 
 The golden-regeneration script runs only when a reference value is
-deliberately re-pinned, and the solver-scaling script only when long-chain
-cost is measured, so a renamed or removed import would break either
-unnoticed.  Each is read here with ``ast`` (never imported or run) and
+deliberately re-pinned, the solver-scaling script only when long-chain
+cost is measured, and the oracle-scaling script only when the oracle's
+site cap is re-measured, so a renamed or removed import would break any
+of them unnoticed.  Each is read here with ``ast`` (never imported or run) and
 every ``from gausschain... import name`` is resolved against the package.
 """
 
@@ -37,4 +38,10 @@ def test_make_goldens_imports_resolve():
 def test_solver_scaling_imports_resolve():
     names = gausschain_imports("solver_scaling.py")
     assert len(names) >= 5
+    assert unresolved(names) == []
+
+
+def test_oracle_scaling_imports_resolve():
+    names = gausschain_imports("oracle_scaling.py")
+    assert len(names) >= 10
     assert unresolved(names) == []
