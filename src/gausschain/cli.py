@@ -13,7 +13,6 @@ error, 3 infeasibility.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -34,8 +33,7 @@ from .orbitals import (CROSSOVER_HEADER, PROFILE_HEADER, SOURCE_SCAN_HEADER,
                        hn_source_scan, identify_edge_candidate, identify_slow_mode,
                        natural_orbitals, normalized_density, overlap, profile_rows,
                        ssh_crossover_scan)
-from .spectral import (ModeVector, _gauge_symmetrize, biorthogonal_decompose,
-                       hn_normalized_modes, slow_mode_position)
+from .spectral import _gauge_symmetrize, biorthogonal_decompose, hn_analytic_spectrum
 from .steady import propagate_correlator, solve_lyapunov_direct
 
 OCCUPATION_HEADER = ("alpha", "nu", "nu_norm")
@@ -194,13 +192,6 @@ def _ssh_params(cfg: dict, g: float | None = None) -> SshParams:
                      cfg["g"] if g is None else g, cfg["kappa"])
 
 
-def _hn_condition(params: HatanoNelsonParams) -> float:
-    try:
-        return math.exp((params.n_sites - 1) * abs(math.log(params.asymmetry_ratio())))
-    except OverflowError:
-        return math.inf
-
-
 def _peak_site(sites: np.ndarray, values: np.ndarray) -> int:
     """The lowest site whose value lies within 8 eps (absolute) of the maximum.
 
@@ -223,9 +214,8 @@ def cmd_hn_profiles(cfg: dict) -> None:
     x = build_hatano_nelson(params)
     pump = build_local_pump(params.n_sites, cfg["pump_site"], cfg["pump_strength"])
     corr = solve_lyapunov_direct(x, pump)
-    betas, right_unit, _ = hn_normalized_modes(params)
-    slow = slow_mode_position(betas.astype(complex))
-    slow_vec = ModeVector(right_unit[:, slow], "euclidean")
+    spectrum = hn_analytic_spectrum(params)
+    slow_vec = spectrum.right_mode_unit(identify_slow_mode(spectrum))
     orbs = natural_orbitals(corr)
     top = orbs.top_orbital()
     dens = normalized_density(corr)
@@ -238,14 +228,14 @@ def cmd_hn_profiles(cfg: dict) -> None:
     dominant = orbs.dominant_indices()
     write_json(json_path, _summary(
         cfg,
-        betas=_betas_payload(betas),
+        betas=_betas_payload(spectrum.betas),
         occupations=[float(v) for v in orbs.occupations],
         occupations_normalized=[float(v) for v in orbs.occupations_normalized()],
         overlap_slow=o_slow,
         dominant_indices=list(dominant),
         locked=len(dominant) == 1,
         density_argmax=int(np.argmax(dens)) + 1,
-        condition_estimate=_hn_condition(params),
+        condition_estimate=spectrum.condition_estimate,
         residual=corr.residual,
         method=corr.method,
     ))

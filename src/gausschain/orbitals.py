@@ -22,11 +22,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GausschainError, NormalizationError, ParameterError, SiteIndexError
+from .errors import (EnvelopeOverflowError, GausschainError, NormalizationError,
+                     ParameterError, SiteIndexError)
 from .models import (HatanoNelsonParams, SshParams, build_hatano_nelson,
                      build_local_pump, build_ssh, matrix_entries, ssh_index)
 from .spectral import (BiorthogonalSpectrum, ModeVector, _gauge_columns, _pump_loadings,
-                       biorthogonal_decompose, hn_analytic_spectrum, slow_mode_position)
+                       _unit_columns, biorthogonal_decompose, hn_analytic_spectrum,
+                       slow_mode_position)
 from .steady import EPS, DirectSolver, solve_lyapunov_direct
 
 # Default edge-candidate search: eigenvalues within this fraction of the
@@ -111,6 +113,8 @@ def natural_orbitals(correlator) -> NaturalOrbitalSet:
     correlator is, are diagonalized in real arithmetic.
     """
     c = matrix_entries(correlator)
+    if not np.isfinite(c).all():
+        raise ParameterError("correlator contains non-finite entries; refusing to diagonalize")
     if not c.imag.any():
         c = c.real
     scale = max(1.0, float(np.abs(c).max()))
@@ -202,13 +206,9 @@ def identify_edge_candidate(spectrum: BiorthogonalSpectrum, kappa: float) -> Edg
     fallback = window.size == 0
     pool = window if not fallback else np.array([int(np.argmin(dist))])
     m = min(EDGE_BOUNDARY_SITES, spectrum.dim)
-    best, best_weight = None, -1.0
-    for k in pool:
-        profile = np.abs(np.asarray(spectrum.right_mode_unit(int(k) + 1).amplitudes)) ** 2
-        weight = max(float(profile[:m].sum()), float(profile[-m:].sum()))
-        if weight > best_weight:
-            best, best_weight = int(k), weight
-    return EdgeCandidate(best + 1, int(window.size), fallback)
+    profile = np.abs(_unit_columns(spectrum.u[:, pool], spectrum.log_d)) ** 2
+    weight = np.maximum(profile[:m].sum(axis=0), profile[-m:].sum(axis=0))
+    return EdgeCandidate(int(pool[np.argmax(weight)]) + 1, int(window.size), fallback)
 
 
 @dataclass(frozen=True)
@@ -294,7 +294,8 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
     ``loading_factors(...).values`` of the slow mode, so the two
     normalized columns agree exactly where the slow mode locks the top
     orbital.  A chain without a steady state aborts the scan with the
-    first pump site named in the message.
+    first pump site named in the message, an overflowing correlator with
+    the sites of its stack.
     """
     strength = float(pump_strength)
     if strength <= 0 or not np.isfinite(strength):
@@ -324,7 +325,11 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
         block = sites[first:first + chunk] - 1
         pumps = np.zeros((block.size, n, n))
         pumps[np.arange(block.size), block, block] = strength
-        corr, _ = solver.solve_many(pumps)
+        try:
+            corr, _ = solver.solve_many(pumps)
+        except EnvelopeOverflowError as exc:
+            raise EnvelopeOverflowError(
+                f"pump sites {block[0] + 1}..{block[-1] + 1}: {exc}") from exc
         nu[first:first + block.size] = _top_occupations(corr)
     return SourceScan(sites, nu, a1, nu / nu.max(), a1 / a1.max())
 

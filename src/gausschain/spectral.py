@@ -6,21 +6,14 @@ A diagonalizable relaxation matrix X has right and left eigenvectors
 
 normalized pairwise so that <L_m|R_n> = delta_mn.  For strongly
 nonreciprocal chains the right/left modes carry exponentially opposite
-envelopes, so the closed-form constructors below assemble amplitudes in
-the log domain and refuse configurations whose envelopes cannot be
-represented in double precision.
+envelopes, so every spectrum holds them scale-free, as (U, V, log d)
+with R = D U and L = D^-1 V (see :class:`BiorthogonalSpectrum`).
 
-:func:`biorthogonal_decompose` picks one of three routes from its input:
-
-* Hermitian X: the symmetric eigensolver; left and right modes coincide.
-* Real tridiagonal X with X[j+1, j] X[j, j+1] > 0 for every j (both chain
-  models): the imaginary gauge (Hatano & Nelson, PRL 77, 570, 1996).  The
-  diagonal similarity D with log d_{j+1} - log d_j =
-  1/2 log(X[j+1, j] / X[j, j+1]) makes H = D^-1 X D real symmetric, so
-  the rates come from the symmetric eigensolver exactly, where a
-  nonsymmetric eigensolver returns pseudospectrum on long chains.
-* Any other X: the nonsymmetric eigensolver, with left modes from the
-  inverse of the right-mode matrix.
+:func:`biorthogonal_decompose` picks its route from the input: Hermitian
+X, real tridiagonal X with X[j+1, j] X[j, j+1] > 0 (both chain models),
+which the imaginary gauge of Hatano & Nelson (PRL 77, 570, 1996) makes
+symmetric, so its rates are exact where a nonsymmetric eigensolver returns
+pseudospectrum, or any other X.
 
 Mode indices, like site indices, are 1-based in the public interface.
 Modes are ordered by ascending real part of beta (slowest first), with
@@ -31,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,8 +35,6 @@ from .matio import matrix_payload
 from .models import (HatanoNelsonParams, SshParams, build_hatano_nelson,
                      default_labels, matrix_entries)
 
-# Largest |log amplitude| we allow before exp() would overflow/underflow.
-ENVELOPE_LOG_LIMIT = 700.0
 SIMILARITY_LOG_LIMIT = 600.0
 
 # Mode sums over spectra with a worse right-mode condition than this cancel
@@ -98,34 +90,87 @@ def euclidean_normalize(vector) -> ModeVector:
     return ModeVector(_gauge_columns((v / nrm)[:, None])[:, 0], "euclidean")
 
 
+def _peak_rows(m: np.ndarray, log_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log|m| + log d, row of each column's peak of diag(exp(log d)) m), in the log domain."""
+    a = np.abs(m)
+    with np.errstate(divide="ignore"):
+        np.log(a, out=a)
+    a += log_d[:, None]
+    return a, np.argmax(a, axis=0)
+
+
+def _unit_columns(m: np.ndarray, log_d: np.ndarray) -> np.ndarray:
+    """Unit-norm columns of diag(exp(log d)) m with their peaks real positive.  Only
+    ratios to the peak are exponentiated, so no column overflows at any length."""
+    a, peak = _peak_rows(m, log_d)
+    cols = np.arange(m.shape[1])
+    a -= a[peak, cols]
+    phase = np.sign(m)  # m / |m|, and 0 where m is
+    out = np.exp(a, out=a) * phase
+    out *= phase[peak, cols].conj()
+    out /= np.linalg.norm(out, axis=0)
+    return out
+
+
+def _dense_modes(m: np.ndarray, log_d: np.ndarray, side: str) -> np.ndarray:
+    """diag(exp(log d)) m, read-only complex.  EnvelopeOverflowError unless every
+    d_j, 1/d_j and d_j/d_k is a normal double, for R and L alike."""
+    reach = max(float(log_d.max()), 0.0) - min(float(log_d.min()), 0.0)
+    if reach > -math.log(np.finfo(float).tiny):
+        raise EnvelopeOverflowError(
+            f"dense {side} modes are not representable: their envelope spans "
+            f"e^{reach:.1f}; use right_mode_unit or loading_factors")
+    out = np.asarray(np.exp(log_d)[:, None] * m, dtype=complex)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class BiorthogonalSpectrum:
-    """Sorted eigenvalues with paired right/left mode matrices.
+    """Sorted eigenvalues with right modes R = D U and left modes L = D^-1 V.
 
-    ``right`` and ``left`` hold the modes as columns; columns satisfy
-    left^dag @ right = identity up to the decomposition accuracy.
-    ``condition_estimate`` is the 2-norm condition number of ``right``
-    and is the figure of merit deciding whether numeric spectra can be
-    trusted (see :data:`CONDITION_TRUST_LIMIT`).
+    D = diag(exp(log_d)) and V^dag U = identity, so <L_m|R_n> = delta_mn.
+    The anchor of log d is the route's:
+
+    * :func:`hn_analytic_spectrum`: U = V = the sine basis, log d_j = j log r;
+    * gauge route: U = V = eigenvectors of H = D^-1 X D, centred log d;
+    * Hermitian and ``eig`` routes: log d = 0, U the eigenvectors of X and
+      V = U (Hermitian) or the inverse of U conjugate transposed (``eig``).
+
+    Each column of R has its peak real positive, found in the log domain
+    for the two real routes.  Unit modes, pump loadings and
+    ``condition_estimate``, the 2-norm condition of R, come from (U, V,
+    log d) at any chain length.  The dense ``right`` and ``left`` are
+    built on first request and raise EnvelopeOverflowError where they are
+    not representable (:func:`_dense_modes`).  ``condition_estimate``
+    decides whether mode sums can be trusted (:data:`CONDITION_TRUST_LIMIT`);
+    it is inf where exp(span of log d) overflows.
     """
 
     betas: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    log_d: np.ndarray
     condition_estimate: float
 
     def __post_init__(self):
         b = np.asarray(self.betas, dtype=complex).reshape(-1)
-        r = np.asarray(self.right, dtype=complex)
-        l = np.asarray(self.left, dtype=complex)
-        if r.shape != (b.size, b.size) or l.shape != r.shape:
+        u, v = np.asarray(self.u), np.asarray(self.v)
+        log_d = np.asarray(self.log_d, dtype=float)
+        if u.shape != (b.size, b.size) or v.shape != u.shape or log_d.shape != b.shape:
             raise ParameterError("spectrum arrays have inconsistent shapes")
-        for arr in (b, r, l):
+        for name, arr in (("betas", b), ("u", u), ("v", v), ("log_d", log_d)):
             arr.flags.writeable = False
-        object.__setattr__(self, "betas", b)
-        object.__setattr__(self, "right", r)
-        object.__setattr__(self, "left", l)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "condition_estimate", float(self.condition_estimate))
+
+    @cached_property
+    def right(self) -> np.ndarray:
+        return _dense_modes(self.u, self.log_d, "right")
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        return _dense_modes(self.v, -self.log_d, "left")
 
     @property
     def dim(self) -> int:
@@ -143,7 +188,8 @@ class BiorthogonalSpectrum:
         return ModeVector(self.left[:, self._check_mode(n)], "biorthogonal")
 
     def right_mode_unit(self, n: int) -> ModeVector:
-        return euclidean_normalize(self.right[:, self._check_mode(n)])
+        k = self._check_mode(n)
+        return ModeVector(_unit_columns(self.u[:, k:k + 1], self.log_d)[:, 0], "euclidean")
 
     def reconstruct(self) -> np.ndarray:
         """R diag(beta) L^dag, the matrix this spectrum actually diagonalizes."""
@@ -165,9 +211,9 @@ def _check_beta_stability(betas: np.ndarray) -> None:
 
 def _pump_loadings(spectrum: BiorthogonalSpectrum, pump_site,
                    pump_strength: float) -> np.ndarray:
-    """A_n(s) = strength |L_n(s)|^2 / (2 Re beta_n) of every mode n, one row per
-    1-based site if ``pump_site`` is an array of sites.  Raises
-    EnvelopeOverflowError if any loading is not finite."""
+    """A_n(s) = strength |L_n(s)|^2 / (2 Re beta_n) of every mode n, from the pump
+    rows of L = D^-1 V only; one row per 1-based site if ``pump_site`` is an
+    array of sites.  Raises EnvelopeOverflowError if any loading is not finite."""
     if pump_strength <= 0 or not np.isfinite(pump_strength):
         raise ParameterError(f"pump strength must be positive, got {pump_strength}")
     sites = np.asarray(pump_site)
@@ -175,8 +221,9 @@ def _pump_loadings(spectrum: BiorthogonalSpectrum, pump_site,
         if int(s) != s or not 1 <= s <= spectrum.dim:
             raise SiteIndexError(f"pump site {s} outside 1..{spectrum.dim}")
     _check_beta_stability(spectrum.betas)
-    amps = spectrum.left[sites.astype(int) - 1, :]
+    rows = sites.astype(int) - 1
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        amps = spectrum.v[rows] * np.exp(-spectrum.log_d)[rows, None]
         loadings = pump_strength * np.abs(amps) ** 2 / (2.0 * spectrum.betas.real)
     if not np.isfinite(loadings).all():
         bad = np.broadcast_to(sites[..., None], loadings.shape)[~np.isfinite(loadings)]
@@ -259,17 +306,16 @@ def _gauge_symmetrize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
     """Full biorthogonal eigendecomposition of a relaxation matrix.
 
-    The route is chosen from the input (see the module docstring):
+    The route is chosen from the input:
 
     * Hermitian X: ``eigh``; left and right modes coincide, all beta are
       real, and ``condition_estimate`` is the 2-norm condition of the
       mode matrix.
     * Real tridiagonal X with X[j+1, j] X[j, j+1] > 0 for every j:
-      ``eigh`` of the gauge-symmetrized H = D^-1 X D, then R = D U and
-      L = D^-1 U, so <L_m|R_n> = delta_mn holds to the orthogonality of
-      U.  All beta are real.  ``condition_estimate`` is
-      exp(max log d - min log d), which equals cond_2(D U) exactly
-      because U is orthogonal; no SVD is needed.
+      ``eigh`` of the gauge-symmetrized H = D^-1 X D, so <L_m|R_n> =
+      delta_mn holds to the orthogonality of U at any chain length.  All
+      beta are real.  ``condition_estimate`` is exp(max log d - min log d),
+      which equals cond_2(D U) exactly because U is orthogonal.
     * Any other X: ``eig``; left modes come from the inverse of the
       right-eigenvector matrix, which enforces <L_m|R_n> = delta_mn to
       solver accuracy instead of pairing two independent eigensolves,
@@ -277,10 +323,6 @@ def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
 
     Raises
     ------
-    EnvelopeOverflowError
-        Gauge route only: the gauge exponents span more than
-        :data:`ENVELOPE_LOG_LIMIT`, so D cannot be formed in double
-        precision.
     DegeneracyError
         ``eig`` route only: near-defective input, an eigenvalue pair
         closer than 1e-10 of the spectral diameter while the mode matrix
@@ -294,19 +336,13 @@ def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
     if np.abs(x - x.conj().T).max() <= 1e-13 * scale:
         w, r = np.linalg.eigh(0.5 * (x + x.conj().T))
         r = _gauge_columns(r)
-        return BiorthogonalSpectrum(w.astype(complex), r, r.copy(), float(np.linalg.cond(r)))
+        return BiorthogonalSpectrum(w.astype(complex), r, r, np.zeros(dim),
+                                    float(np.linalg.cond(r)))
 
     gauge = _gauge_symmetrize(x)
     if gauge is not None:
         logd, h = gauge
-        span = float(logd.max() - logd.min())
-        if span > ENVELOPE_LOG_LIMIT:
-            raise EnvelopeOverflowError(
-                f"gauge exponent span {span:.1f} exceeds {ENVELOPE_LOG_LIMIT:.0f}")
-        w, u = np.linalg.eigh(h)
-        d = np.exp(logd)[:, None]
-        right, left = _sign_gauge_pair(d * u, u / d)
-        return BiorthogonalSpectrum(w.astype(complex), right, left, math.exp(span))
+        return _orthogonal_spectrum(*np.linalg.eigh(h), logd)
 
     try:
         betas, r = np.linalg.eig(x)
@@ -328,18 +364,7 @@ def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
         left = np.linalg.inv(r).conj().T
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"right-eigenvector matrix is singular: {exc}") from exc
-    return BiorthogonalSpectrum(betas, r, left, cond)
-
-
-def _hn_sine_basis(params: HatanoNelsonParams) -> tuple[np.ndarray, np.ndarray]:
-    """(betas, phi) of the reciprocal reference chain; phi[j-1, n-1] = phi_n(j)."""
-    n = params.n_sites
-    modes = np.arange(1, n + 1)
-    betas = params.kappa - 2.0 * math.sqrt(params.t_right * params.t_left) * np.cos(
-        modes * np.pi / (n + 1))
-    sites = np.arange(1, n + 1)
-    phi = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(sites, modes) * np.pi / (n + 1))
-    return betas, phi
+    return BiorthogonalSpectrum(betas, r, left, np.zeros(dim), cond)
 
 
 def _require_hn_hoppings(params: HatanoNelsonParams) -> float:
@@ -348,16 +373,16 @@ def _require_hn_hoppings(params: HatanoNelsonParams) -> float:
     return 0.5 * (math.log(params.t_right) - math.log(params.t_left))
 
 
-def _peak_signs(m: np.ndarray) -> np.ndarray:
-    """+-1 per column: the sign of the column's largest-|entry| real part (+1 at 0)."""
-    peaks = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
-    return np.where(peaks.real >= 0, 1.0, -1.0)
-
-
-def _sign_gauge_pair(r: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flip real mode pairs so each right column peaks positive; <L|R> unchanged."""
-    signs = _peak_signs(r)[None, :]
-    return r * signs, l * signs
+def _orthogonal_spectrum(betas: np.ndarray, u: np.ndarray,
+                         log_d: np.ndarray) -> BiorthogonalSpectrum:
+    """Spectrum with U = V = u, real orthogonal, each column of R = D u peaking positive."""
+    _, peak = _peak_rows(u, log_d)
+    u = u * np.where(u[peak, np.arange(u.shape[1])] >= 0, 1.0, -1.0)
+    try:
+        cond = math.exp(float(log_d.max() - log_d.min()))
+    except OverflowError:
+        cond = math.inf
+    return BiorthogonalSpectrum(betas.astype(complex), u, u, log_d, cond)
 
 
 def hn_analytic_spectrum(params: HatanoNelsonParams) -> BiorthogonalSpectrum:
@@ -368,49 +393,23 @@ def hn_analytic_spectrum(params: HatanoNelsonParams) -> BiorthogonalSpectrum:
         beta_n  = kappa - 2 sqrt(t_right t_left) cos(n pi / (N+1)),
         R_n(j)  = r^j  phi_n(j),      L_n(j) = r^-j phi_n(j),
 
-    already biorthonormal.  Amplitudes are assembled in the log domain;
-    configurations with N |log r| > 700 cannot be exponentiated in
-    double precision and raise EnvelopeOverflowError (use
-    :func:`hn_normalized_modes` for profiles in that regime).
+    already biorthonormal, held as U = V = phi and log d_j = j log r, so
+    it builds at any chain length; cond(R) = r^(N-1) exactly.
     """
     logr = _require_hn_hoppings(params)
     n = params.n_sites
-    if n * abs(logr) > ENVELOPE_LOG_LIMIT:
-        raise EnvelopeOverflowError(
-            f"envelope exponent N |log r| = {n * abs(logr):.1f} exceeds "
-            f"{ENVELOPE_LOG_LIMIT:.0f}; request unit-norm profiles via hn_normalized_modes")
-    betas, phi = _hn_sine_basis(params)
-    sites = np.arange(1, n + 1, dtype=float)
-    right = np.exp(sites * logr)[:, None] * phi
-    left = np.exp(-sites * logr)[:, None] * phi
-    right, left = _sign_gauge_pair(right, left)
-    # R = diag(r^j) @ (orthogonal sine basis), so cond(R) = r^(N-1) exactly.
-    cond = math.exp((n - 1) * abs(logr))
-    return BiorthogonalSpectrum(betas.astype(complex), right, left, cond)
+    modes = np.arange(1, n + 1)  # also the sites: phi[j-1, n-1] = phi_n(j)
+    betas = params.kappa - 2.0 * math.sqrt(params.t_right * params.t_left) * np.cos(
+        modes * np.pi / (n + 1))
+    phi = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(modes, modes) * np.pi / (n + 1))
+    return _orthogonal_spectrum(betas, phi, modes * logr)
 
 
 def hn_normalized_modes(params: HatanoNelsonParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(betas, right_unit, left_unit) with unit-norm gauged mode columns.
-
-    Safe at any chain length: each column is scaled by its peak in the
-    log domain before exponentiation, so only ratios <= 1 are ever
-    exponentiated.  The biorthogonal pairing is lost; use
-    :func:`hn_analytic_spectrum` when left/right weights are needed.
-    """
-    logr = _require_hn_hoppings(params)
-    n = params.n_sites
-    betas, phi = _hn_sine_basis(params)
-    env = np.arange(1, n + 1, dtype=float)[:, None] * logr
-    with np.errstate(divide="ignore"):
-        logphi = np.log(np.abs(phi))
-    signs = np.sign(phi)
-    modes = []
-    for a in (logphi + env, logphi - env):
-        m = signs * np.exp(a - a.max(axis=0))
-        m /= np.linalg.norm(m, axis=0)
-        modes.append(m * _peak_signs(m))
-    right, left = modes
-    return betas.copy(), right, left
+    """(betas, right_unit, left_unit) of :func:`hn_analytic_spectrum`, unit-norm gauged columns."""
+    spec = hn_analytic_spectrum(params)
+    return spec.betas.real.copy(), _unit_columns(spec.u, spec.log_d), _unit_columns(
+        spec.v, -spec.log_d)
 
 
 def hn_similarity_residual(params: HatanoNelsonParams) -> float:
@@ -448,17 +447,13 @@ def ssh_edge_envelopes(params: SshParams) -> tuple[ModeVector, ModeVector]:
     if params.t1 >= params.t2:
         raise RegimeError(
             f"edge envelope undefined for t1 >= t2 (got t1={params.t1}, t2={params.t2})")
-    n = params.n_cells
-    cells = np.arange(n, dtype=float)
-    base = math.log(params.t1 / params.t2)
+    cells = np.arange(params.n_cells, dtype=float)
+    signs = np.zeros((2 * params.n_cells, 1))
+    signs[0::2, 0] = (-1.0) ** cells
     out = []
     for sign_g in (+1.0, -1.0):
-        logq = base + 2.0 * sign_g * params.g
-        logamp = cells * logq
-        amp = ((-1.0) ** cells) * np.exp(logamp - logamp.max())
-        full = np.zeros(2 * n)
-        full[0::2] = amp
-        out.append(euclidean_normalize(full))
+        logq = math.log(params.t1 / params.t2) + 2.0 * sign_g * params.g
+        out.append(ModeVector(_unit_columns(signs, np.repeat(cells * logq, 2))[:, 0], "euclidean"))
     return out[0], out[1]
 
 

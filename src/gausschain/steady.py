@@ -307,6 +307,7 @@ class DirectSolver:
         group is doubled as one stack, so mixed stacks keep that bit
         identity.  The stacked products hold a few arrays the size of the
         stack, so callers bound P*N*N.  An empty stack gives empty arrays.
+        EnvelopeOverflowError names the first pump whose C is not finite.
         """
         y = np.asarray(sources)
         if y.ndim != 3 or y.shape[1:] != self.x.shape:
@@ -333,7 +334,12 @@ class DirectSolver:
                 for group in groups:
                     c[group] = self._smith(unit[group], int(widths[group[0]]))
         c, asym = _hermitize_stack(c)
-        c *= scale[:, None, None]
+        with np.errstate(over="ignore"):  # checked below
+            c *= scale[:, None, None]
+        if not np.isfinite(c).all():
+            bad = int(np.argmin(np.isfinite(c).all(axis=(1, 2)))) + 1
+            raise EnvelopeOverflowError(f"steady correlator of pump {bad} of the stack is "
+                                        "not finite: it overflows double precision")
         return c, scale * asym
 
     def _smith(self, unit: np.ndarray, width: int) -> np.ndarray:
@@ -435,6 +441,8 @@ def solve_lyapunov_direct(relaxation, source) -> SteadyCorrelator:
         X is not strictly stable, so no steady state exists.
     SolveError
         The backing linear system could not be solved.
+    EnvelopeOverflowError
+        C has entries beyond double precision.
     """
     return DirectSolver(relaxation).solve(source)
 
@@ -452,12 +460,13 @@ def _mode_sum(spectrum: BiorthogonalSpectrum, source, initial=None,
         raise ParameterError("source or initial state contains non-finite entries")
     if t is not None and not 0 <= t < np.inf:
         raise ParameterError(f"time must be finite and >= 0, got {t}")
-    betas, right, left = spectrum.betas, spectrum.right, spectrum.left
+    betas = spectrum.betas
     _check_beta_stability(betas)
     if spectrum.condition_estimate > CONDITION_TRUST_LIMIT:
         raise SolveError(
             f"spectrum condition estimate {spectrum.condition_estimate:.3e} exceeds the "
             f"trust limit {CONDITION_TRUST_LIMIT:.0e}; use solve_lyapunov_direct")
+    right, left = spectrum.right, spectrum.left
     denom = betas[:, None] + betas[None, :].conj()
     loads = left.conj().T @ y @ left
     if t is None:

@@ -213,6 +213,49 @@ def loading_reference(spectrum, site, strength):
     return strength * np.abs(spectrum.left[site - 1, :]) ** 2 / (2.0 * spectrum.betas.real)
 
 
+# The dense spectrum formulas the library used before it held modes as
+# (U, V, log d): R and L multiplied out at build time and sign-gauged by
+# the largest |R| entry.  Rounding-level references for the scale-free
+# representation; the helpers they import did not change with it.
+
+def _sign_gauge_pair(r, l):
+    peaks = r[np.argmax(np.abs(r), axis=0), np.arange(r.shape[1])]
+    signs = np.where(peaks.real >= 0, 1.0, -1.0)[None, :]
+    return r * signs, l * signs
+
+
+def dense_hn_spectrum_reference(params):
+    """(betas, R, L) of the single-band chain: R = r^j phi, L = r^-j phi."""
+    logr = 0.5 * (math.log(params.t_right) - math.log(params.t_left))
+    n = params.n_sites
+    betas = hn_closed_form_betas(n, params.t_right, params.t_left, params.kappa)
+    sites = np.arange(1, n + 1)
+    phi = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(sites, sites) * np.pi / (n + 1))
+    env = sites.astype(float) * logr
+    right, left = _sign_gauge_pair(np.exp(env)[:, None] * phi, np.exp(-env)[:, None] * phi)
+    return betas.astype(complex), right, left
+
+
+def dense_decompose_reference(x):
+    """(betas, R, L) by the Hermitian, gauge or eig route of the decomposition."""
+    from gausschain.spectral import _gauge_columns, _gauge_symmetrize, _sorted_order
+
+    x = np.asarray(x)
+    if np.abs(x - x.conj().T).max() <= 1e-13 * max(1.0, float(np.abs(x).max())):
+        w, r = np.linalg.eigh(0.5 * (x + x.conj().T))
+        r = _gauge_columns(r)
+        return w.astype(complex), r, r
+    gauge = _gauge_symmetrize(x)
+    if gauge is not None:
+        w, u = np.linalg.eigh(gauge[1])
+        d = np.exp(gauge[0])[:, None]
+        return (w.astype(complex),) + _sign_gauge_pair(d * u, u / d)
+    betas, r = np.linalg.eig(x)
+    order = _sorted_order(betas)
+    r = _gauge_columns(r[:, order])
+    return betas[order], r, np.linalg.inv(r).conj().T
+
+
 @pytest.fixture(scope="session")
 def golden():
     """Frozen reference values; regenerate with tools/make_goldens.py."""

@@ -254,6 +254,16 @@ class TestFailureExitCodes:
                      "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["hn-profiles", "hn-occupations"])
+    def test_overflowing_correlator_exits_2_naming_the_cause(self, tmp_path, capsys,
+                                                             command):
+        # exited 2 from a later stage that named a non-finite mode vector
+        # or an unserializable NaN instead
+        assert main([command, "--pump-strength", "1e304", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "EnvelopeOverflowError: steady correlator of pump 1" in err
+        assert not os.listdir(tmp_path)
+
     def test_pump_site_out_of_range_exits_2(self, tmp_path, capsys):
         assert main(["hn-profiles", "--n-sites", "8", "--pump-site", "99",
                      "--out", str(tmp_path)]) == 2

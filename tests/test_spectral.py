@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,9 +15,11 @@ from gausschain import (DegeneracyError, EnvelopeOverflowError,
                         hn_normalized_modes, hn_similarity_residual,
                         slow_mode_position, spectrum_payload,
                         ssh_edge_envelopes)
-from gausschain.orbitals import identify_edge_candidate
+from gausschain.orbitals import (identify_edge_candidate, identify_slow_mode,
+                                 loading_factors)
 from gausschain.spectral import _gauge_columns
-from tests.conftest import HN_REFERENCE, SSH_REFERENCE, hn_closed_form_betas
+from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, dense_decompose_reference,
+                            dense_hn_spectrum_reference, hn_closed_form_betas)
 
 EPS = np.finfo(float).eps
 
@@ -323,18 +326,147 @@ def test_condition_estimate_is_envelope_power():
 
 
 def test_envelope_overflow_guard_and_normalized_fallback():
+    # The guard sits on the dense modes: every spectrum builds, but R = D U
+    # and L = D^-1 V are formed only while each d_j, 1/d_j and d_j/d_k is a
+    # normal double.  At 800 sites the closed form needs r^-800 = e^-708.8,
+    # below the normal range; the centred gauge spans e^+-354.
     params = hn_params(800)
-    assert 800 * math.log(params.asymmetry_ratio()) > 700
-    with pytest.raises(EnvelopeOverflowError):
-        hn_analytic_spectrum(params)
-    with pytest.raises(EnvelopeOverflowError):
-        biorthogonal_decompose(build_hatano_nelson(params))
+    assert 800 * math.log(params.asymmetry_ratio()) > -math.log(np.finfo(float).tiny)
+    closed = hn_analytic_spectrum(params)
+    for side in ("right", "left"):
+        with pytest.raises(EnvelopeOverflowError, match=side):
+            getattr(closed, side)
+    gauge = biorthogonal_decompose(build_hatano_nelson(params))
+    assert np.abs(gauge.left.conj().T @ gauge.right - np.eye(800)).max() <= 1e-12
+    for spec in (hn_analytic_spectrum(hn_params(1000)),
+                 biorthogonal_decompose(build_hatano_nelson(hn_params(1000)))):
+        for side in ("right", "left"):
+            with pytest.raises(EnvelopeOverflowError, match=side):
+                getattr(spec, side)
     betas, right, left = hn_normalized_modes(params)
     assert np.all(np.isfinite(right)) and np.all(np.isfinite(left))
     assert_allclose(np.linalg.norm(right, axis=0), np.ones(800), atol=1e-12)
     assert_allclose(np.linalg.norm(left, axis=0), np.ones(800), atol=1e-12)
     expected = hn_closed_form_betas(800, params.t_right, params.t_left, params.kappa)
     assert_allclose(betas, expected, rtol=0, atol=0)
+
+
+@pytest.fixture(scope="module")
+def long_spectra():
+    """The chains whose spectra raised EnvelopeOverflowError before the
+    scale-free representation: 1000 reference sites by both single-band
+    routes, and 500 two-band cells at g = 0.75 (gauge span about 749)."""
+    params = hn_params(1000)
+    return {"closed": hn_analytic_spectrum(params),
+            "gauge": biorthogonal_decompose(build_hatano_nelson(params)),
+            "ssh": biorthogonal_decompose(build_ssh(ssh_params(500, 0.75)))}
+
+
+def test_long_chain_spectra_build_without_dense_modes(long_spectra):
+    closed, gauge, ssh = long_spectra["closed"], long_spectra["gauge"], long_spectra["ssh"]
+    assert np.array_equal(closed.betas.real, hn_closed_form_betas(
+        1000, HN_REFERENCE["t_right"], HN_REFERENCE["t_left"], HN_REFERENCE["kappa"]))
+    assert_allclose(gauge.betas.real, np.sort(closed.betas.real), rtol=0, atol=1e-13)
+    assert 745 < ssh.log_d.max() - ssh.log_d.min() < 755
+    for spec in long_spectra.values():
+        assert np.all(spec.betas.imag == 0.0)
+        assert spec.condition_estimate == math.inf
+        for side in ("right", "left"):
+            with pytest.raises(EnvelopeOverflowError, match=side):
+                getattr(spec, side)
+        for n in (identify_slow_mode(spec), spec.dim):
+            unit = spec.right_mode_unit(n).amplitudes
+            assert np.isfinite(unit).all()
+            assert np.linalg.norm(unit) == pytest.approx(1.0, abs=1e-14)
+    edge = identify_edge_candidate(ssh, SSH_REFERENCE["kappa"])
+    assert edge.in_window_count > 0 and not edge.used_fallback
+
+
+def test_long_chain_slow_mode_matches_mpmath(long_spectra):
+    # R_1(j) = r^j sin(pi j / (N+1)), normalized in mpmath at 30 digits
+    n = 1000
+    with mpmath.workdps(30):
+        r = mpmath.sqrt(mpmath.mpf(HN_REFERENCE["t_right"]) / HN_REFERENCE["t_left"])
+        profile = [r ** j * mpmath.sin(mpmath.pi * j / (n + 1)) for j in range(1, n + 1)]
+        norm = mpmath.sqrt(mpmath.fsum(v * v for v in profile))
+        truth = np.array([float(v / norm) for v in profile])
+    for route in ("closed", "gauge"):
+        spec = long_spectra[route]
+        unit = spec.right_mode_unit(identify_slow_mode(spec)).amplitudes
+        assert np.abs(unit - truth).max() <= 1e-12
+
+
+def test_long_chain_loadings_are_finite(long_spectra):
+    closed = long_spectra["closed"]
+    gamma, s = HN_REFERENCE["pump_strength"], HN_REFERENCE["pump_site"]
+    values = loading_factors(closed, s, gamma).values
+    assert np.isfinite(values).all() and values.min() >= 0
+    r = hn_params(1000).asymmetry_ratio()
+    phi = math.sqrt(2.0 / 1001) * math.sin(math.pi * s / 1001)
+    beta1 = closed.betas.real.min()
+    assert values[0] == pytest.approx(gamma * (r ** -s * phi) ** 2 / (2 * beta1), rel=1e-12)
+
+
+def rounding_cases():
+    """(label, spectrum, dense reference) over all four routes, 4 to 40 sites."""
+    shift = 0.05j  # a uniform imaginary rate shift sends a chain to eig
+    for n, cells in ((4, 2), (9, 5), (21, 11), (40, 20)):
+        params = hn_params(n)
+        yield f"closed {n}", hn_analytic_spectrum(params), dense_hn_spectrum_reference(params)
+        chains = {f"hn {n}": build_hatano_nelson(params),
+                  f"hn reciprocal {n}": build_hatano_nelson(HatanoNelsonParams(n, 0.6, 0.6, 2.0))}
+        chains.update({f"ssh {cells} g={g}": build_ssh(ssh_params(cells, g))
+                       for g in (SSH_REFERENCE["g_edge"], 0.0, SSH_REFERENCE["g_bulk"])})
+        for label, x in chains.items():
+            x = np.asarray(x.entries)
+            for tag, m in (("", x), (" shifted", x + shift * np.eye(x.shape[0]))):
+                yield label + tag, biorthogonal_decompose(m), dense_decompose_reference(m)
+
+
+def assert_within_ulps(got, want, ulps=4):
+    """|got - want| <= ulps eps |want| entrywise, per real and imaginary part.
+
+    eps |x| is the largest ulp at the magnitude of x.  The gauge route's L
+    entries differ from the dense formula's by up to two ulps, because it
+    divided by exp(log d), and a loading squares that difference.
+    """
+    for part in (np.real, np.imag):
+        g, w = part(got), part(want)
+        assert np.all(np.abs(g - w) <= ulps * EPS * np.abs(w))
+
+
+def sign_of_tied_peak(got, want):
+    """got with the sign of want where want's peak is tied to rounding.
+
+    Where the two largest |entries| of a mode tie (mirror-symmetric
+    reciprocal chains), which one gauges the sign is decided by rounding,
+    in the dense formulas as in the log domain.
+    """
+    top = np.sort(np.abs(want))[-2:]
+    if top[1] - top[0] <= 4 * EPS * top[1] and np.vdot(want, got).real < 0:
+        return -got
+    return got
+
+
+def test_scale_free_spectra_agree_with_the_dense_formulas():
+    gamma = HN_REFERENCE["pump_strength"]
+    routes = set()
+    for label, spec, (betas, right, left) in rounding_cases():
+        routes.add(("closed" if label.startswith("closed") else
+                    "eig" if "shifted" in label else
+                    "hermitian" if not spec.log_d.any() else "gauge"))
+        assert np.array_equal(spec.betas, betas), label
+        assert_within_ulps(spec.right, right)
+        assert_within_ulps(spec.left, left)
+        rates = 2.0 * betas.real
+        for s in range(1, spec.dim + 1):
+            assert_within_ulps(loading_factors(spec, s, gamma).values,
+                               gamma * np.abs(left[s - 1]) ** 2 / rates)
+        for k in range(spec.dim):
+            want = euclidean_normalize(right[:, k]).amplitudes
+            got = sign_of_tied_peak(spec.right_mode_unit(k + 1).amplitudes, want)
+            assert np.abs(got - want).max() <= 1e-14, label
+    assert routes == {"closed", "gauge", "hermitian", "eig"}
 
 
 def test_normalized_modes_match_analytic_where_both_exist():

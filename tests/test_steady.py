@@ -21,7 +21,8 @@ from gausschain import (DarkSourceError, DensityMatrix, EnvelopeOverflowError,
                         build_hatano_nelson, build_local_pump, build_ssh,
                         closed_form_correlator, correlator_of, euclidean_normalize,
                         evolve_master, hn_analytic_spectrum, hn_jump_decomposition,
-                        inverse_design, propagate_correlator,
+                        hn_source_scan,
+                        inverse_design, natural_orbitals, propagate_correlator,
                         single_mode_approximation, solve_lyapunov_direct,
                         solve_lyapunov_spectral)
 from gausschain.models import matrix_entries
@@ -257,6 +258,22 @@ def test_direct_solver_rejects_non_finite_input():
             DirectSolver(broken)
         with pytest.raises(ParameterError, match="relaxation matrix contains non-finite"):
             solve_lyapunov_direct(broken, np.eye(4))
+
+
+def test_overflowing_correlator_is_an_error_not_a_result():
+    # C = 1e304 times the unit-pump correlator overflows; it once came back
+    # non-finite with residual 0.0 and method "direct"
+    _, x, _ = hn_reference_system(40)
+    with pytest.raises(EnvelopeOverflowError, match="pump 1 of the stack is not finite"):
+        solve_lyapunov_direct(x, build_local_pump(40, 15, 1e304))
+    pumps = np.zeros((3, 40, 40))
+    pumps[:, 14, 14] = [0.03, 1e304, 1e304]
+    with pytest.raises(EnvelopeOverflowError, match="pump 2 of the stack"):
+        DirectSolver(x).solve_many(pumps)
+    with pytest.raises(EnvelopeOverflowError, match="pump sites 3..5: .* pump 1 of"):
+        hn_source_scan(HatanoNelsonParams(40, 1.0, 0.17, 0.91), 1e304, sites=[3, 4, 5])
+    with pytest.raises(ParameterError, match="correlator contains non-finite"):
+        natural_orbitals(np.diag([1.0, np.inf]))
 
 
 @pytest.mark.parametrize("n_sites, pump_site", [(60, 31), (80, 80)])

@@ -12,10 +12,10 @@ import sys
 import numpy as np
 
 from gausschain import (HatanoNelsonParams, SshParams, build_hatano_nelson,
-                        build_local_pump, hn_source_scan, natural_orbitals,
-                        overlap, solve_lyapunov_direct, ssh_crossover_scan)
+                        build_local_pump, hn_analytic_spectrum, hn_source_scan,
+                        identify_slow_mode, natural_orbitals, overlap,
+                        solve_lyapunov_direct, ssh_crossover_scan)
 from gausschain.matio import write_json
-from gausschain.spectral import ModeVector, hn_normalized_modes, slow_mode_position
 
 OUT = os.path.join(os.path.dirname(__file__), os.pardir, "tests", "data",
                    "goldens.json")
@@ -27,9 +27,9 @@ def hn_locking_block() -> dict:
     pump = build_local_pump(40, 15, 0.03)
     corr = solve_lyapunov_direct(x, pump)
     orbs = natural_orbitals(corr)
-    betas, right, _ = hn_normalized_modes(params)
-    slow = slow_mode_position(betas.astype(complex))
-    o_slow = overlap(ModeVector(right[:, slow], "euclidean"), orbs.top_orbital())
+    spectrum = hn_analytic_spectrum(params)
+    o_slow = overlap(spectrum.right_mode_unit(identify_slow_mode(spectrum)),
+                     orbs.top_orbital())
 
     scan = hn_source_scan(params, 0.03)
     deviation = np.abs(scan.nu_max_normalized - scan.loading_normalized)

@@ -3,9 +3,10 @@
 For the single-band reference chain (t_right = 1, t_left = 0.17,
 kappa = 0.91, local pump of strength 0.03 at site 15) at 200, 400 and 700
 sites, prints the number of doublings, how many of them the thin start
-takes and the width its factor reaches, the construction time and the
-median time of one ``solve`` (residual included).  Writes no file.  Run
-from the repository root with BLAS on one thread:
+takes and the width its factor reaches, the construction time, the
+median time of one ``solve`` (residual included) and the median time of
+the closed-form spectrum plus its unit slow mode (``spectrum_s``).
+Writes no file.  Run from the repository root with BLAS on one thread:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/solver_scaling.py
 """
@@ -15,29 +16,41 @@ import time
 
 import numpy as np
 
-from gausschain import HatanoNelsonParams, build_hatano_nelson, build_local_pump
+from gausschain import (HatanoNelsonParams, build_hatano_nelson, build_local_pump,
+                        hn_analytic_spectrum, identify_slow_mode)
 from gausschain.steady import DirectSolver, _thin_doublings
 
 SIZES = (200, 400, 700)
 SOLVES = 5
 
 
+def median_time(run) -> float:
+    times = []
+    for _ in range(SOLVES):
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return round(float(np.median(times)), 4)
+
+
+def slow_unit_mode(params: HatanoNelsonParams):
+    spectrum = hn_analytic_spectrum(params)
+    return spectrum.right_mode_unit(identify_slow_mode(spectrum))
+
+
 def measure(n_sites: int) -> dict:
-    x = build_hatano_nelson(HatanoNelsonParams(n_sites, 1.0, 0.17, 0.91))
+    params = HatanoNelsonParams(n_sites, 1.0, 0.17, 0.91)
+    x = build_hatano_nelson(params)
     start = time.perf_counter()
     solver = DirectSolver(x)
     build = time.perf_counter() - start
     pump = build_local_pump(n_sites, 15, 0.03)
-    solves = []
-    for _ in range(SOLVES):
-        start = time.perf_counter()
-        solver.solve(pump)
-        solves.append(time.perf_counter() - start)
     doublings = len(solver._powers)
     thin = _thin_doublings(1, n_sites, doublings)
     return {"n_sites": n_sites, "doublings": doublings, "thin_doublings": thin,
             "thin_width": 1 << thin, "build_s": round(build, 4),
-            "solve_s": round(float(np.median(solves)), 4)}
+            "solve_s": median_time(lambda: solver.solve(pump)),
+            "spectrum_s": median_time(lambda: slow_unit_mode(params))}
 
 
 if __name__ == "__main__":
