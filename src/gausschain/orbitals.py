@@ -39,8 +39,8 @@ EDGE_BOUNDARY_SITES = 2
 
 UNIT_NORM_TOL = 1e-8
 
-# Occupations closer than this to the top one make the dominant orbital
-# ambiguous; diagnostics then flag the state as unlocked.
+# Occupations within this fraction of the top one (relative, as C is linear in
+# the pump) make the dominant orbital ambiguous; the state is then unlocked.
 DOMINANT_TIE_TOL = 1e-10
 
 # Largest stacked array, in float64 entries, that hn_source_scan solves at
@@ -93,12 +93,13 @@ class NaturalOrbitalSet:
         return self.occupations / top
 
     def dominant_indices(self) -> tuple[int, ...]:
-        """1-based indices tied with the top occupation within DOMINANT_TIE_TOL.
+        """1-based indices a tied with the top occupation: nu_1 - nu_a <= DOMINANT_TIE_TOL |nu_1|.
 
         More than one index means the dominant orbital is ambiguous and
         the state should be flagged as unlocked, not resolved by fiat.
         """
-        ties = np.flatnonzero(self.occupations[0] - self.occupations <= DOMINANT_TIE_TOL)
+        top = self.occupations[0]
+        ties = np.flatnonzero(top - self.occupations <= DOMINANT_TIE_TOL * abs(top))
         return tuple(int(a) + 1 for a in ties)
 
     def reconstruct(self) -> np.ndarray:

@@ -276,25 +276,31 @@ def _min_pairwise_gap(betas: np.ndarray) -> tuple[float, tuple[int, int]]:
     return float(d[i, j]), (min(i, j) + 1, max(i, j) + 1)
 
 
-def _gauge_symmetrize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Imaginary-gauge form (log d, H = D^-1 X D) of X, or None if X does not qualify.
-
-    X qualifies when it is real and tridiagonal with finite bands and
-    X[j+1, j] X[j, j+1] > 0 for every j.  Then H is real symmetric with
-    diagonal X_jj and off-diagonal sign(X[j+1, j]) sqrt(X[j+1, j] X[j, j+1]).
-    The gauge exponents log d are centred so that max + min = 0.
-    """
+def _tridiagonal_bands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(diag, sub, sup) of a real tridiagonal X with finite bands, else None."""
     if np.any(x.imag != 0):
         return None
     xr = x.real
-    diag, sub, sup = np.diagonal(xr), np.diagonal(xr, -1), np.diagonal(xr, 1)
-    if not np.all(np.sign(sub) * np.sign(sup) > 0):
+    bands = np.diagonal(xr), np.diagonal(xr, -1), np.diagonal(xr, 1)
+    flat = np.concatenate(bands)
+    # X is tridiagonal exactly when its nonzeros are those of its bands.
+    if not np.all(np.isfinite(flat)) or np.count_nonzero(xr) != np.count_nonzero(flat):
         return None
-    bands = np.concatenate((diag, sub, sup))
-    # Every sub/superdiagonal entry is nonzero here, so X is tridiagonal
-    # exactly when nothing else is.
-    if not np.all(np.isfinite(bands)) or np.count_nonzero(xr) != np.count_nonzero(bands):
+    return bands
+
+
+def _gauge_symmetrize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Imaginary-gauge form (log d, H = D^-1 X D) of X, or None if X does not qualify.
+
+    X qualifies when _tridiagonal_bands accepts it and X[j+1, j] X[j, j+1] > 0
+    for every j.  Then H is real symmetric with diagonal X_jj and off-diagonal
+    sign(X[j+1, j]) sqrt(X[j+1, j] X[j, j+1]).  The gauge exponents log d are
+    centred so that max + min = 0.
+    """
+    bands = _tridiagonal_bands(x)
+    if bands is None or not np.all(np.sign(bands[1]) * np.sign(bands[2]) > 0):
         return None
+    diag, sub, sup = bands
     abs_sub, abs_sup = np.abs(sub), np.abs(sup)
     logd = np.concatenate(([0.0], np.cumsum(0.5 * (np.log(abs_sub) - np.log(abs_sup)))))
     logd -= 0.5 * (logd.max() + logd.min())

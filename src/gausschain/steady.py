@@ -7,8 +7,8 @@ fixed point of the continuous Lyapunov equation
     X C + C X^dag = Y.
 
 The direct solver (DirectSolver, solve_lyapunov_direct) picks its
-algorithm from X.  Both chain models build a real X with off-diagonal
-entries <= 0 (a Z-matrix), which is stable exactly when it is a
+algorithm from X.  Both chain models build a real tridiagonal X with
+off-diagonal entries <= 0, which is stable exactly when it is a
 nonsingular M-matrix.  That is certified by the positive pivots of its
 unpivoted LU factorization, not by eigenvalues, which on long nonnormal
 chains return pseudospectrum.  Such X is solved by Smith doubling on a
@@ -18,8 +18,8 @@ pump-independent part is built once per X and reused for every pump of
 a scan.  A local pump (real, diagonal, >= 0, on at most half the sites)
 starts the doubling as a thin nonnegative factor Z of C = 2p Z Z^T,
 which costs N^2 per column instead of N^3 per step until Z is N columns
-wide; its terms stay nonnegative too.  Complex or other X falls back to
-an eigenvalue stability screen and the Schur method.
+wide; its terms stay nonnegative too.  Every other X, dense real
+Z-matrices included, takes an eigenvalue screen and the Schur method.
 
 The spectral route sums over biorthogonal mode pairs
 
@@ -44,7 +44,7 @@ from .errors import (DarkSourceError, EnvelopeOverflowError, ParameterError, Sol
                      StabilityError)
 from .models import matrix_entries
 from .spectral import (CONDITION_TRUST_LIMIT, BiorthogonalSpectrum, _check_beta_stability,
-                       _pump_loadings, slow_mode_position)
+                       _pump_loadings, _tridiagonal_bands, slow_mode_position)
 
 EPS = float(np.finfo(float).eps)
 
@@ -112,9 +112,12 @@ def lyapunov_residual(x, c, y) -> float:
 
     Higham, BIT 33, 124 (1993); 0 when the denominator vanishes.  C and Y
     are divided by the larger of their peaks first, so no norm overflows
-    on long chains, and real inputs stay in real arithmetic.
+    on long chains, and real inputs stay in real arithmetic.  Non-finite
+    X, C or Y raises ParameterError.
     """
     x, c, y = (matrix_entries(m) for m in (x, c, y))
+    if not all(np.isfinite(m).all() for m in (x, c, y)):
+        raise ParameterError("residual of non-finite relaxation, correlator or source")
     if not (x.imag.any() or c.imag.any() or y.imag.any()):
         x, c, y = x.real, c.real, y.real
     scale = max(float(np.abs(c).max(initial=0.0)), float(np.abs(y).max(initial=0.0)))
@@ -141,7 +144,7 @@ def _hermitize(c: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def solve_schur(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Schur-factorization route (order N^3) for complex or non-Z X."""
+    """Schur-factorization route (order N^3) for every X but a tridiagonal Z-matrix."""
     import scipy.linalg  # only this fallback needs scipy; keeps it out of import
 
     try:
@@ -150,82 +153,46 @@ def solve_schur(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise SolveError(f"Schur Lyapunov solve failed: {exc}") from exc
 
 
-def _is_z_matrix(x: np.ndarray) -> bool:
-    """Real with every off-diagonal entry <= 0."""
-    if np.any(x.imag):
-        return False
-    off = x.real.copy()
-    np.fill_diagonal(off, 0.0)
-    return not np.any(off > 0)
-
-
-def _certify_m_matrix(x: np.ndarray) -> None:
-    """Raise StabilityError unless the real Z-matrix x is a nonsingular M-matrix.
+def _certify_m_matrix(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray) -> None:
+    """Raise StabilityError unless the Z-matrix with these bands is a nonsingular M-matrix.
 
     For a Z-matrix this is the same as every eigenvalue having positive
     real part, and the same as every pivot of its unpivoted LU
     factorization being positive.  The pivots are used because eigenvalue
     routines return pseudospectrum on long nonnormal chains and report
-    stable chains as unstable.  Tridiagonal x takes the O(N) recurrence
+    stable chains as unstable.  They follow the O(N) recurrence
     u_k = x_kk - x_k,k-1 x_k-1,k / u_k-1.
     """
-    lower, upper = _bandwidths(x)
-    if max(lower, upper) > 1:
-        _eliminate(x.copy(), x.shape[0], lower)
-        return
-    diag = np.diagonal(x).tolist()
-    coupling = [0.0] + (np.diagonal(x, -1) * np.diagonal(x, 1)).tolist()
+    coupling = [0.0] + (sub * sup).tolist()
     pivot = 1.0
-    for k, (d, t) in enumerate(zip(diag, coupling)):
+    for k, (d, t) in enumerate(zip(diag.tolist(), coupling)):
         pivot = d - t / pivot
         if not pivot > 0:
-            _raise_pivot(k, pivot)
+            raise StabilityError(
+                f"relaxation matrix is not strictly stable: pivot {k + 1} of its "
+                f"unpivoted LU factorization is {pivot:.6e} <= 0")
 
 
-def _raise_pivot(k: int, pivot: float):
-    raise StabilityError(
-        f"relaxation matrix is not strictly stable: pivot {k + 1} of its "
-        f"unpivoted LU factorization is {pivot:.6e} <= 0")
+def _m_matrix_inverse(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """Inverse of a tridiagonal nonsingular M-matrix by unpivoted Gauss-Jordan elimination.
 
-
-def _bandwidths(m: np.ndarray) -> tuple[int, int]:
-    """Lower and upper bandwidth; unpivoted elimination creates no fill outside them."""
-    rows, cols = np.nonzero(m)
-    offsets = np.concatenate([[0], rows - cols])
-    return int(offsets.max()), int(-offsets.min())
-
-
-def _eliminate(a: np.ndarray, n: int, lower: int) -> None:
-    """Unpivoted forward elimination of the leading n columns of a, in place.
-
-    ``lower`` is the lower bandwidth of the leading block.  On a Z-matrix
-    the first pivot <= 0 raises StabilityError (see _certify_m_matrix).
-    """
-    for k in range(n):
-        pivot = a[k, k]
-        if not pivot > 0:
-            _raise_pivot(k, pivot)
-        rows = slice(k + 1, min(n, k + 1 + lower))
-        a[rows, k:] -= np.outer(a[rows, k] / pivot, a[k, k:])
-
-
-def _m_matrix_inverse(m: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular M-matrix by unpivoted Gauss-Jordan elimination.
-
+    One multiplier per row going down, sub_k / u_k, and one going up, sup_k.
     Multipliers and off-diagonal entries keep their signs, so every update
-    outside the pivots adds numbers of one sign and each entry of the
+    outside the pivots u_k adds numbers of one sign and each entry of the
     (nonnegative) inverse is accurate to a few ulps times the accuracy of
-    the pivots.  Pivoting would swap rows and bring back cancellation.
+    the pivots.  Pivoting would swap rows and bring back cancellation.  No
+    pivot is checked: those of pI + X are at least p plus those of certified X.
     """
-    n = m.shape[0]
-    lower, upper = _bandwidths(m)
-    a = np.concatenate([m, np.eye(n)], axis=1)
-    _eliminate(a, n, lower)
-    for k in range(n - 1, -1, -1):
-        cols = slice(k + 1, min(n, k + 1 + upper))
-        a[k, n:] -= a[k, cols] @ a[cols, n:]
-        a[k, n:] /= a[k, k]
-    return a[:, n:]
+    n = diag.size
+    inverse, pivots = np.eye(n), diag.tolist()
+    for k in range(n - 1):
+        multiplier = sub[k] / pivots[k]
+        pivots[k + 1] -= multiplier * sup[k]
+        inverse[k + 1, :k + 1] -= multiplier * inverse[k, :k + 1]
+    inverse[n - 1] /= pivots[n - 1]
+    for k in range(n - 2, -1, -1):
+        inverse[k] = (inverse[k] - sup[k] * inverse[k + 1]) / pivots[k]
+    return inverse
 
 
 class DirectSolver:
@@ -238,9 +205,9 @@ class DirectSolver:
     stack of one, so both share one solve path.  The algorithm is chosen
     from X:
 
-    - real X with off-diagonal entries <= 0 (both chain models): the
-      stability certificate of _certify_m_matrix, then Smith doubling on
-      the Cayley transform with shift p = max diag X,
+    - real tridiagonal X with off-diagonal entries <= 0 (both chain
+      models): the stability certificate of _certify_m_matrix, then Smith
+      doubling on the Cayley transform with shift p = max diag X,
 
           A = (pI + X)^-1 (pI - X) >= 0,   C_0 = 2p (pI + X)^-1 Y (pI + X)^-T,
           C <- C + A_k C A_k^T,   A_k+1 = A_k^2,
@@ -257,8 +224,8 @@ class DirectSolver:
       N^2 w 2^k operations per step instead of N^3: a local pump on
       200 sites takes 7 such steps to 128 columns and 2 dense ones.
       Every product broadcasts over a stack of pumps;
-    - anything else: the eigenvalue stability screen and the Schur
-      method, one pump at a time.
+    - anything else, dense real Z-matrices included: the eigenvalue
+      stability screen and the Schur method, one pump at a time.
 
     Raises ParameterError for non-finite X (here) or Y (when solving).
     """
@@ -269,16 +236,16 @@ class DirectSolver:
             raise ParameterError("relaxation matrix contains non-finite entries")
         self.x = x
         self._powers = None
-        if not _is_z_matrix(x):
+        bands = _tridiagonal_bands(x)
+        if bands is None or (bands[1] > 0).any() or (bands[2] > 0).any():
             _check_beta_stability(np.linalg.eigvals(x))
             return
-        x = x.real
-        _certify_m_matrix(x)
-        n = x.shape[0]
-        self._shift = float(np.diagonal(x).max())
-        shifted = self._shift * np.eye(n)
-        self._inverse = _m_matrix_inverse(shifted + x)
-        self._powers = _doubling_powers(self._inverse @ (shifted - x))
+        diag, sub, sup = bands
+        _certify_m_matrix(diag, sub, sup)
+        self._shift = float(diag.max())
+        self._inverse = _m_matrix_inverse(self._shift + diag, sub, sup)
+        self._powers = _doubling_powers(
+            self._inverse @ (self._shift * np.eye(x.shape[0]) - x.real))
 
     def solve(self, source) -> SteadyCorrelator:
         """Steady correlator for pump Y; Y is trusted to be Hermitian.
@@ -320,21 +287,22 @@ class DirectSolver:
         scale = np.abs(y).max(axis=(1, 2), initial=0.0)
         scale[scale == 0] = 1.0
         unit = y / scale[:, None, None]
-        if self._powers is None:
-            c = np.empty(unit.shape, np.result_type(self.x, unit))
-            for k, u in enumerate(unit):
-                c[k] = solve_schur(self.x, u)
-        else:
-            widths = _thin_widths(unit) if real else np.zeros(len(unit), dtype=int)
-            groups = [np.flatnonzero(widths == w) for w in set(widths.tolist())]
-            if len(groups) == 1:  # every scan: no stack-sized copy in or out
-                c = self._smith(unit, int(widths[0]))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            if self._powers is None:
+                x = self.x.real if real and not self.x.imag.any() else self.x
+                c = np.empty(unit.shape, np.result_type(x, unit))
+                for k, u in enumerate(unit):
+                    c[k] = solve_schur(x, u)
             else:
-                c = np.empty_like(unit)
-                for group in groups:
-                    c[group] = self._smith(unit[group], int(widths[group[0]]))
-        c, asym = _hermitize_stack(c)
-        with np.errstate(over="ignore"):  # checked below
+                widths = _thin_widths(unit) if real else np.zeros(len(unit), dtype=int)
+                groups = [np.flatnonzero(widths == w) for w in set(widths.tolist())]
+                if len(groups) == 1:  # every scan: no stack-sized copy in or out
+                    c = self._smith(unit, int(widths[0]))
+                else:
+                    c = np.empty_like(unit)
+                    for group in groups:
+                        c[group] = self._smith(unit[group], int(widths[group[0]]))
+            c, asym = _hermitize_stack(c)
             c *= scale[:, None, None]
         if not np.isfinite(c).all():
             bad = int(np.argmin(np.isfinite(c).all(axis=(1, 2)))) + 1
@@ -423,12 +391,12 @@ def _doubling_powers(a: np.ndarray) -> list[np.ndarray]:
 def solve_lyapunov_direct(relaxation, source) -> SteadyCorrelator:
     """Exact steady correlator by dense linear algebra.
 
-    Both chain models and every other real X with off-diagonal entries
-    <= 0 take the M-matrix path of DirectSolver: stability certified by
-    LU pivots, Smith doubling with entrywise accuracy for Y >= 0.
-    Complex or non-Z X is screened by its eigenvalues and solved by the
-    Schur method.  To solve many pumps for one X, build one DirectSolver
-    and call its ``solve`` per pump.
+    Real tridiagonal X with off-diagonal entries <= 0 (both chain models)
+    takes the M-matrix path of DirectSolver: stability certified by LU
+    pivots, Smith doubling with entrywise accuracy for Y >= 0.  Every
+    other X, dense real Z-matrices included, is screened by its eigenvalues
+    and solved by the Schur method.  To solve many pumps for one X, build
+    one DirectSolver and call its ``solve`` per pump.
 
     Parameters
     ----------

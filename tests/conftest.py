@@ -173,6 +173,29 @@ def smith_steady_mp(x, y, dps=50):
         return np.array(c.tolist(), dtype=float)
 
 
+def banded_m_matrix_inverse(m):
+    """Inverse of a nonsingular M-matrix by unpivoted Gauss-Jordan elimination
+    within its lower and upper bandwidths, for any bandwidth.
+
+    The library eliminates tridiagonal chains only; at bandwidth 1 this is
+    the same arithmetic, so the two must agree bit for bit.
+    """
+    m = np.asarray(m, dtype=float)
+    n = m.shape[0]
+    rows, cols = np.nonzero(m)
+    offsets = np.concatenate([[0], rows - cols])
+    lower, upper = int(offsets.max()), int(-offsets.min())
+    a = np.concatenate([m, np.eye(n)], axis=1)
+    for k in range(n):
+        below = slice(k + 1, min(n, k + 1 + lower))
+        a[below, k:] -= np.outer(a[below, k] / a[k, k], a[k, k:])
+    for k in range(n - 1, -1, -1):
+        above = slice(k + 1, min(n, k + 1 + upper))
+        a[k, n:] -= a[k, above] @ a[above, n:]
+        a[k, n:] /= a[k, k]
+    return a[:, n:]
+
+
 def hn_closed_form_betas(n, t_right, t_left, kappa):
     """Relaxation rates of the single-band chain, straight from the formula."""
     modes = np.arange(1, n + 1)

@@ -391,25 +391,38 @@ def test_crossover_rejects_empty_grid_and_bad_pump():
 
 
 def test_pump_scale_invariance_of_diagnostics():
-    n, s = 10, 3
-    params = hn_reference_params(n)
-    x = build_hatano_nelson(params)
-    spec = hn_analytic_spectrum(params)
+    # C, and with it every occupation, is linear in the pump strength, so
+    # the normalized diagnostics and the lock verdict must not move with it
+    # on either model.  An absolute tie tolerance once called every orbital
+    # dominant, and the state unlocked, at strengths of 1e-11 and below.
+    hn = hn_reference_params(10)
+    ssh = SshParams(5, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"], SSH_REFERENCE["g_edge"],
+                    SSH_REFERENCE["kappa"])
+    x_ssh = build_ssh(ssh)
+    for params, x, spec, s in [(hn, build_hatano_nelson(hn), hn_analytic_spectrum(hn), 3),
+                               (ssh, x_ssh, biorthogonal_decompose(x_ssh), 1)]:
+        n = spec.dim
 
-    def run(strength):
-        c = solve_lyapunov_direct(x, build_local_pump(n, s, strength))
-        return diagnostics_report(spec, c, s, strength, kappa=params.kappa), \
-            natural_orbitals(c).top_orbital()
+        def run(strength):
+            c = solve_lyapunov_direct(x, build_local_pump(n, s, strength))
+            return diagnostics_report(spec, c, s, strength, kappa=params.kappa), \
+                natural_orbitals(c).top_orbital()
 
-    base, top_base = run(0.03)
-    scaled, top_scaled = run(0.03 * 1e3)
-    assert np.abs(base.density_normalized - scaled.density_normalized).max() <= 1e-10
-    assert np.abs(base.occupations_normalized
-                  - scaled.occupations_normalized).max() <= 1e-10
-    for key in ("slow", "edge"):
-        assert abs(base.overlaps[key] - scaled.overlaps[key]) <= 1e-10
-    assert overlap(top_base, top_scaled) == pytest.approx(1.0, abs=1e-10)
-    assert np.abs(base.loadings.normalized - scaled.loadings.normalized).max() <= 1e-10
+        base, top_base = run(0.03)
+        assert base.dominant_indices == (1,) and base.locked
+        for strength in 10.0 ** np.arange(-12, 4):
+            scaled, top_scaled = run(strength)
+            assert scaled.dominant_indices == base.dominant_indices
+            assert scaled.locked == base.locked
+            assert np.abs(base.density_normalized
+                          - scaled.density_normalized).max() <= 1e-10
+            assert np.abs(base.occupations_normalized
+                          - scaled.occupations_normalized).max() <= 1e-10
+            for key in ("slow", "edge"):
+                assert abs(base.overlaps[key] - scaled.overlaps[key]) <= 1e-10
+            assert overlap(top_base, top_scaled) == pytest.approx(1.0, abs=1e-10)
+            assert np.abs(base.loadings.normalized
+                          - scaled.loadings.normalized).max() <= 1e-10
 
 
 def test_diagnostics_report_shapes_and_flags():

@@ -4,12 +4,14 @@ The quadrature oracle and the closed-form chain kernel live in
 conftest.py and never touch the library solvers.
 """
 
+import copy
 import hashlib
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -26,12 +28,14 @@ from gausschain import (DarkSourceError, DensityMatrix, EnvelopeOverflowError,
                         single_mode_approximation, solve_lyapunov_direct,
                         solve_lyapunov_spectral)
 from gausschain.models import matrix_entries
-from gausschain.spectral import CONDITION_TRUST_LIMIT
-from gausschain.steady import EPS, DirectSolver, _thin_widths, solve_schur
-from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, hn_closed_form_steady,
-                            hn_sine_steady_mp, loading_reference, lyapunov_quadrature,
-                            mode_sum_steady_reference, mode_sum_transient_reference,
-                            smith_steady_mp, solve_vectorized, tridiagonal_steady_mp)
+from gausschain.spectral import CONDITION_TRUST_LIMIT, _gauge_symmetrize
+from gausschain.steady import (EPS, DirectSolver, _doubling_powers, _thin_widths,
+                               lyapunov_residual, solve_schur)
+from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, banded_m_matrix_inverse,
+                            hn_closed_form_steady, hn_sine_steady_mp, loading_reference,
+                            lyapunov_quadrature, mode_sum_steady_reference,
+                            mode_sum_transient_reference, smith_steady_mp, solve_vectorized,
+                            tridiagonal_steady_mp)
 
 
 def hn_reference_system(n_sites, pump_site=1):
@@ -115,6 +119,78 @@ def test_dispatch_is_chosen_from_the_matrix():
         assert np.linalg.norm(chain - other) <= 1e-10 * np.linalg.norm(other)
     with pytest.raises(ParameterError):
         solve_lyapunov_direct(x, y[:3, :3])
+
+
+def chain_relaxations():
+    """Reference-parameter chains of both models, from one site up."""
+    for n in (1, 2, 7, 40, 120):
+        yield matrix_entries(build_hatano_nelson(HatanoNelsonParams(
+            n, HN_REFERENCE["t_right"], HN_REFERENCE["t_left"], HN_REFERENCE["kappa"])))
+    for cells in (1, 3, 20, 60):
+        yield matrix_entries(build_ssh(SshParams(
+            cells, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"], SSH_REFERENCE["g_edge"],
+            SSH_REFERENCE["kappa"])))
+
+
+def test_chain_route_equals_the_banded_reference_bit_for_bit():
+    # The tridiagonal elimination is the banded Gauss-Jordan at bandwidth
+    # 1: the inverse, the powers built from it and C of local, uniform and
+    # dense pumps must be the same bits.
+    rng = np.random.default_rng(7)
+    for x in chain_relaxations():
+        n = x.shape[0]
+        solver = DirectSolver(x)
+        shifted = solver._shift * np.eye(n)
+        reference = copy.copy(solver)
+        reference._inverse = banded_m_matrix_inverse(shifted + x.real)
+        reference._powers = _doubling_powers(reference._inverse @ (shifted - x.real))
+        assert solver._inverse.tobytes() == reference._inverse.tobytes()
+        assert len(solver._powers) == len(reference._powers)
+        for a, b in zip(solver._powers, reference._powers):
+            assert a.tobytes() == b.tobytes()
+        b = rng.standard_normal((n, n))
+        pumps = np.stack([build_local_pump(n, 1 + n // 3, 0.03).entries.real,
+                          0.1 * np.eye(n), b @ b.T])
+        for ours, theirs in zip(solver.solve_many(pumps), reference.solve_many(pumps)):
+            assert ours.tobytes() == theirs.tobytes()
+
+
+def test_dense_z_matrix_takes_the_schur_route():
+    # Only tridiagonal Z-matrices take the M-matrix route; a dense real
+    # Z-matrix is screened by its eigenvalues and solved by Schur, in real
+    # arithmetic for a real pump.
+    rng = np.random.default_rng(13)
+    off = rng.uniform(0.0, 1.0, (6, 6))
+    np.fill_diagonal(off, 0.0)
+    x = np.diag(off.sum(axis=1) + 0.5) - off
+    y = build_local_pump(6, 2, 1.0).entries.real
+    solver = DirectSolver(x)
+    assert solver._powers is None
+    schur = solve_schur(x, y)
+    c = solver.solve(y)
+    assert not c.entries.imag.any()
+    assert np.array_equal(c.entries, 0.5 * (schur + schur.T))
+    oracle = solve_vectorized(x, y)
+    assert np.linalg.norm(c.entries - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    with pytest.raises(StabilityError, match="min Re beta"):
+        DirectSolver(x - 2.0 * np.eye(6))
+
+
+def test_one_way_bond_stays_on_the_chain_route():
+    # A bond with X[j+1, j] = 0 has no imaginary gauge, but the chain is
+    # still a tridiagonal Z-matrix: Smith doubling keeps every entry of C
+    # to 12 digits against an mpmath doubling.
+    _, x, _ = hn_reference_system(12)
+    x = matrix_entries(x).real.copy()
+    x[6, 5] = 0.0
+    assert _gauge_symmetrize(x) is None
+    solver = DirectSolver(x)
+    assert solver._powers is not None
+    y = build_local_pump(12, 12, 1.0).entries.real
+    c = solver.solve(y).entries.real
+    truth = smith_steady_mp(x, y)
+    assert truth.min() > 0
+    assert (np.abs(c - truth) / truth).max() <= 1e-12
 
 
 def test_solve_many_matches_per_pump_solve():
@@ -276,6 +352,30 @@ def test_overflowing_correlator_is_an_error_not_a_result():
         natural_orbitals(np.diag([1.0, np.inf]))
 
 
+def test_overflowing_solve_raises_without_numpy_warnings():
+    # At r = 1e-12 the unit-peak doubling itself overflows; it once printed
+    # six RuntimeWarnings before the error.
+    x = build_hatano_nelson(HatanoNelsonParams(60, 1.0, 1e-12, 1e-3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EnvelopeOverflowError, match="pump 1 of the stack is not finite"):
+            solve_lyapunov_direct(x, build_local_pump(60, 1, 1.0))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_residual_of_non_finite_input_is_an_error(bad):
+    # It once returned 0.0, a perfect score, for a C holding inf or nan.
+    _, x, y = hn_reference_system(4)
+    x, y = matrix_entries(x), matrix_entries(y)
+    c = solve_lyapunov_direct(x, y).entries
+    assert lyapunov_residual(x, c, y) <= 1e-15
+    for k in range(3):
+        args = [x.copy(), c.copy(), y.copy()]
+        args[k][1, 2] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            lyapunov_residual(*args)
+
+
 @pytest.mark.parametrize("n_sites, pump_site", [(60, 31), (80, 80)])
 def test_chain_solve_is_entrywise_accurate_against_mpmath(n_sites, pump_site):
     # The smallest entries reach 1e-94 at 80 sites; every one must hold
@@ -400,8 +500,11 @@ def test_unstable_relaxation_is_rejected():
     assert params.kappa < params.stability_threshold()
     x = build_hatano_nelson(params)
     y = build_local_pump(8, 1, 0.03)
-    with pytest.raises(StabilityError):
+    pivot = "pivot {} of its unpivoted LU factorization is {} <= 0"
+    with pytest.raises(StabilityError, match=re.escape(pivot.format(2, "-1.600000e+00"))):
         solve_lyapunov_direct(x, y)
+    with pytest.raises(StabilityError, match=re.escape(pivot.format(2, "-1.050000e+00"))):
+        DirectSolver(build_ssh(SshParams(6, 0.5, 1.0, 0.3, 0.2)))
     with pytest.raises(StabilityError):
         solve_lyapunov_spectral(hn_analytic_spectrum(params), y)
     with pytest.raises(StabilityError):
