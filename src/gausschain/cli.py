@@ -30,10 +30,10 @@ from .models import (HatanoNelsonParams, SourceMatrix, SshParams, build_diagonal
                      build_hatano_nelson, build_local_pump, build_ssh, default_labels,
                      matrix_entries, ssh_index, ssh_labels)
 from .orbitals import (CROSSOVER_HEADER, PROFILE_HEADER, SOURCE_SCAN_HEADER,
-                       hn_source_scan, identify_edge_candidate, identify_slow_mode,
-                       natural_orbitals, normalized_density, overlap, profile_rows,
+                       diagnostics_report, hn_source_scan, natural_orbitals, profile_rows,
                        ssh_crossover_scan)
-from .spectral import _gauge_symmetrize, biorthogonal_decompose, hn_analytic_spectrum
+from .spectral import (_betas_payload, _gauge_symmetrize, biorthogonal_decompose,
+                       hn_analytic_spectrum)
 from .steady import propagate_correlator, solve_lyapunov_direct
 
 OCCUPATION_HEADER = ("alpha", "nu", "nu_norm")
@@ -203,39 +203,29 @@ def _peak_site(sites: np.ndarray, values: np.ndarray) -> int:
     return int(sites[int(np.argmax(near))])
 
 
-def _betas_payload(betas: np.ndarray) -> dict:
-    betas = np.asarray(betas, dtype=complex)
-    return {"re": [float(b) for b in betas.real],
-            "im": [float(b) for b in betas.imag]}
-
-
 def cmd_hn_profiles(cfg: dict) -> None:
     params = _hn_params(cfg)
     x = build_hatano_nelson(params)
     pump = build_local_pump(params.n_sites, cfg["pump_site"], cfg["pump_strength"])
     corr = solve_lyapunov_direct(x, pump)
     spectrum = hn_analytic_spectrum(params)
-    slow_vec = spectrum.right_mode_unit(identify_slow_mode(spectrum))
-    orbs = natural_orbitals(corr)
-    top = orbs.top_orbital()
-    dens = normalized_density(corr)
-    labels = default_labels(params.n_sites)
+    report = diagnostics_report(spectrum, corr)
+    orbs = report.orbitals
 
     csv_path, json_path = _out_paths(cfg)
-    write_csv(csv_path, PROFILE_HEADER, profile_rows(labels, slow_vec, top, dens),
+    write_csv(csv_path, PROFILE_HEADER, profile_rows(default_labels(params.n_sites), report),
               comments=_comments(cfg))
-    o_slow = overlap(slow_vec, top)
-    dominant = orbs.dominant_indices()
+    o_slow = report.overlaps["slow"]
     write_json(json_path, _summary(
         cfg,
         betas=_betas_payload(spectrum.betas),
         occupations=[float(v) for v in orbs.occupations],
         occupations_normalized=[float(v) for v in orbs.occupations_normalized()],
         overlap_slow=o_slow,
-        dominant_indices=list(dominant),
-        locked=len(dominant) == 1,
-        density_argmax=int(np.argmax(dens)) + 1,
-        condition_estimate=spectrum.condition_estimate,
+        dominant_indices=list(orbs.dominant_indices()),
+        locked=orbs.locked,
+        density_argmax=int(np.argmax(report.density_normalized)) + 1,
+        log10_condition=spectrum.log10_condition,
         residual=corr.residual,
         method=corr.method,
     ))
@@ -255,7 +245,6 @@ def cmd_hn_occupations(cfg: dict) -> None:
     rows = [(a + 1, float(orbs.occupations[a]), float(normalized[a]))
             for a in range(orbs.dim)]
     write_csv(csv_path, OCCUPATION_HEADER, rows, comments=_comments(cfg))
-    dominant = orbs.dominant_indices()
     separation = float(normalized[1]) if orbs.dim > 1 else None
     write_json(json_path, _summary(
         cfg,
@@ -264,8 +253,8 @@ def cmd_hn_occupations(cfg: dict) -> None:
         occupations_normalized=[float(v) for v in normalized],
         separation_second=separation,
         trace=float(orbs.occupations.sum()),
-        dominant_indices=list(dominant),
-        locked=len(dominant) == 1,
+        dominant_indices=list(orbs.dominant_indices()),
+        locked=orbs.locked,
         residual=corr.residual,
         method=corr.method,
     ))
@@ -302,32 +291,25 @@ def cmd_ssh_profiles(cfg: dict) -> None:
     pump = build_local_pump(params.n_sites, site, cfg["pump_strength"])
     spectrum = biorthogonal_decompose(matrix_entries(x))
     corr = solve_lyapunov_direct(x, pump)
-    orbs = natural_orbitals(corr)
-    top = orbs.top_orbital()
-    dens = normalized_density(corr)
-    slow = identify_slow_mode(spectrum)
-    edge = identify_edge_candidate(spectrum, params.kappa)
-    slow_vec = spectrum.right_mode_unit(slow)
+    report = diagnostics_report(spectrum, corr, params.kappa)
+    orbs, edge = report.orbitals, report.edge
 
     csv_path, json_path = _out_paths(cfg)
-    write_csv(csv_path, PROFILE_HEADER,
-              profile_rows(ssh_labels(params.n_cells), slow_vec, top, dens),
+    write_csv(csv_path, PROFILE_HEADER, profile_rows(ssh_labels(params.n_cells), report),
               comments=_comments(cfg))
-    o_slow = overlap(slow_vec, top)
-    o_edge = overlap(spectrum.right_mode_unit(edge.index), top)
-    dominant = orbs.dominant_indices()
+    o_slow, o_edge = report.overlaps["slow"], report.overlaps["edge"]
     write_json(json_path, _summary(
         cfg,
         betas=_betas_payload(spectrum.betas),
         overlap_edge=o_edge,
         overlap_slow=o_slow,
         edge_mode_index=edge.index,
-        slow_mode_index=slow,
+        slow_mode_index=report.slow,
         edge_in_window_count=edge.in_window_count,
         edge_used_fallback=edge.used_fallback,
-        dominant_indices=list(dominant),
-        locked=len(dominant) == 1,
-        condition_estimate=float(spectrum.condition_estimate),
+        dominant_indices=list(orbs.dominant_indices()),
+        locked=orbs.locked,
+        log10_condition=spectrum.log10_condition,
         residual=corr.residual,
         method=corr.method,
     ))

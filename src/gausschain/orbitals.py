@@ -7,13 +7,15 @@ that mode dominates the pump loading
 
     A_n(s) = strength |L_n(s)|^2 / (2 Re beta_n),
 
-and the diagnostics here quantify that locking: overlaps of the top
-orbital with candidate modes, normalized occupation spectra, normalized
-density profiles, and the two production scans (pump-position scan for
-the single-band chain, nonreciprocity scan for the two-band chain).  The
-pump-position scan reads only the top occupation of each correlator and
-takes it from a stacked power iteration that stops each pump on a
-Kato-Temple certificate; pumps it cannot certify go to ``eigvalsh``.
+and the diagnostics here quantify that locking.  :func:`diagnostics_report`
+is the one place that reads it: the natural orbitals (with the lock
+verdict :attr:`NaturalOrbitalSet.locked`), the normalized density, the
+slow mode and the edge candidate, and the overlaps of the top orbital with
+both.  The profile commands and the nonreciprocity scan of the two-band
+chain write from that report.  The pump-position scan of the single-band
+chain reads only the top occupation of each correlator and takes it from
+a stacked power iteration that stops each pump on a Kato-Temple
+certificate; pumps it cannot certify go to ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -96,11 +98,16 @@ class NaturalOrbitalSet:
         """1-based indices a tied with the top occupation: nu_1 - nu_a <= DOMINANT_TIE_TOL |nu_1|.
 
         More than one index means the dominant orbital is ambiguous and
-        the state should be flagged as unlocked, not resolved by fiat.
+        the state is unlocked (:attr:`locked`), not resolved by fiat.
         """
         top = self.occupations[0]
         ties = np.flatnonzero(top - self.occupations <= DOMINANT_TIE_TOL * abs(top))
         return tuple(int(a) + 1 for a in ties)
+
+    @property
+    def locked(self) -> bool:
+        """The lock verdict: exactly one orbital is dominant."""
+        return len(self.dominant_indices()) == 1
 
     def reconstruct(self) -> np.ndarray:
         return (self.orbitals * self.occupations[None, :]) @ self.orbitals.conj().T
@@ -214,46 +221,39 @@ def identify_edge_candidate(spectrum: BiorthogonalSpectrum, kappa: float) -> Edg
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """Bundle of locking diagnostics for one steady state.
+    """Locking diagnostics of one steady state, from :func:`diagnostics_report`.
 
-    ``dominant_indices`` lists every orbital tied with the top
-    occupation; ``locked`` is False when that tie is ambiguous.
+    ``orbitals`` are the natural orbitals of the correlator; their
+    ``locked`` is the lock verdict.  ``slow`` is the 1-based index of the
+    slowest mode and ``slow_mode`` its unit right mode; ``edge`` is the
+    edge candidate around kappa, None when no kappa was given.
+    ``overlaps`` maps "slow", and "edge" when kappa was given, to the
+    squared overlap of the top orbital with that mode's unit right mode.
+    Pump loadings are not part of the report: see :func:`loading_factors`.
     """
 
-    density: np.ndarray
+    orbitals: NaturalOrbitalSet
     density_normalized: np.ndarray
-    occupations_normalized: np.ndarray
+    slow: int
+    slow_mode: ModeVector
+    edge: EdgeCandidate | None
     overlaps: dict
-    loadings: LoadingFactors
-    dominant_indices: tuple[int, ...]
-    locked: bool
 
 
-def diagnostics_report(spectrum: BiorthogonalSpectrum, correlator, pump_site: int,
-                       pump_strength: float, kappa: float | None = None) -> DiagnosticsReport:
-    """Standard diagnostics: densities, occupation spectrum, mode overlaps.
-
-    ``overlaps`` always carries "slow" (top orbital vs slowest mode);
-    when ``kappa`` is given it also carries "edge" for the edge
-    candidate around kappa.
-    """
+def diagnostics_report(spectrum: BiorthogonalSpectrum, correlator,
+                       kappa: float | None = None) -> DiagnosticsReport:
+    """The locking diagnostics of one steady state: the only code that reads them."""
     orbitals = natural_orbitals(correlator)
     top = orbitals.top_orbital()
     slow = identify_slow_mode(spectrum)
-    overlaps = {"slow": overlap(spectrum.right_mode_unit(slow), top)}
+    slow_mode = spectrum.right_mode_unit(slow)
+    overlaps = {"slow": overlap(slow_mode, top)}
+    edge = None
     if kappa is not None:
         edge = identify_edge_candidate(spectrum, kappa)
         overlaps["edge"] = overlap(spectrum.right_mode_unit(edge.index), top)
-    dominant = orbitals.dominant_indices()
-    return DiagnosticsReport(
-        density=density(correlator),
-        density_normalized=normalized_density(correlator),
-        occupations_normalized=orbitals.occupations_normalized(),
-        overlaps=overlaps,
-        loadings=loading_factors(spectrum, pump_site, pump_strength),
-        dominant_indices=dominant,
-        locked=len(dominant) == 1,
-    )
+    return DiagnosticsReport(orbitals, normalized_density(correlator), slow, slow_mode,
+                             edge, overlaps)
 
 
 @dataclass(frozen=True)
@@ -316,7 +316,7 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
         # no pump has a steady state; report it at the first one
         raise type(exc)(f"pump site {sites[0]}: {exc}") from exc
     spectrum = hn_analytic_spectrum(params)  # not held while the pumps are solved
-    a1 = _pump_loadings(spectrum, sites, strength)[:, identify_slow_mode(spectrum) - 1]
+    a1 = _pump_loadings(spectrum, sites, strength)[:, slow_mode_position(spectrum.betas)]
     del spectrum
 
     n = params.n_sites
@@ -409,9 +409,8 @@ def ssh_crossover_scan(params: SshParams, pump_cell: int = 1, pump_sublattice: s
     """Edge-versus-bulk locking competition along a nonreciprocity scan.
 
     ``params.g`` is ignored; each scan point replaces it with a grid
-    value and is solved in order by the direct solver, with the edge
-    candidate chosen by :func:`identify_edge_candidate`.  Per-point
-    failures do not abort the scan.
+    value, is solved in order by the direct solver, and reads its row off
+    :func:`diagnostics_report`.  Per-point failures do not abort the scan.
     """
     if g_values is None:
         g_values = default_crossover_grid()
@@ -425,13 +424,9 @@ def ssh_crossover_scan(params: SshParams, pump_cell: int = 1, pump_sublattice: s
         x = build_ssh(p)
         spectrum = biorthogonal_decompose(x)
         pump = build_local_pump(p.n_sites, site, pump_strength)
-        top = natural_orbitals(solve_lyapunov_direct(x, pump)).top_orbital()
-        slow = identify_slow_mode(spectrum)
-        edge = identify_edge_candidate(spectrum, p.kappa)
-        return (float(g),
-                overlap(spectrum.right_mode_unit(edge.index), top),
-                overlap(spectrum.right_mode_unit(slow), top),
-                edge.index, slow)
+        report = diagnostics_report(spectrum, solve_lyapunov_direct(x, pump), p.kappa)
+        return (float(g), report.overlaps["edge"], report.overlaps["slow"],
+                report.edge.index, report.slow)
 
     rows, failures = [], []
     for g in g_values:
@@ -455,10 +450,10 @@ def ssh_crossover_scan(params: SshParams, pump_cell: int = 1, pump_sublattice: s
 PROFILE_HEADER = ("j", "label", "R_slow_sq", "phi_max_sq", "density_norm")
 
 
-def profile_rows(labels, slow_mode_unit: ModeVector, top_orbital_unit: ModeVector,
-                 density_norm: np.ndarray):
-    """Rows of the standard profile table (1-based site, label, three profiles)."""
-    r2 = np.abs(np.asarray(slow_mode_unit.amplitudes)) ** 2
-    p2 = np.abs(np.asarray(top_orbital_unit.amplitudes)) ** 2
+def profile_rows(labels, report: DiagnosticsReport):
+    """Rows of the standard profile table (1-based site, label, three profiles of the report)."""
+    r2 = np.abs(report.slow_mode.amplitudes) ** 2
+    p2 = np.abs(report.orbitals.top_orbital().amplitudes) ** 2
+    density_norm = report.density_normalized
     for j in range(len(labels)):
         yield (j + 1, labels[j], float(r2[j]), float(p2[j]), float(density_norm[j]))

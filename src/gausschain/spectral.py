@@ -139,19 +139,19 @@ class BiorthogonalSpectrum:
 
     Each column of R has its peak real positive, found in the log domain
     for the two real routes.  Unit modes, pump loadings and
-    ``condition_estimate``, the 2-norm condition of R, come from (U, V,
-    log d) at any chain length.  The dense ``right`` and ``left`` are
-    built on first request and raise EnvelopeOverflowError where they are
-    not representable (:func:`_dense_modes`).  ``condition_estimate``
+    ``log10_condition``, the log10 of the 2-norm condition of R, come from
+    (U, V, log d) at any chain length.  The dense ``right`` and ``left``
+    are built on first request and raise EnvelopeOverflowError where they
+    are not representable (:func:`_dense_modes`).  ``condition_estimate``
     decides whether mode sums can be trusted (:data:`CONDITION_TRUST_LIMIT`);
-    it is inf where exp(span of log d) overflows.
+    it is inf where 10^log10_condition overflows.
     """
 
     betas: np.ndarray
     u: np.ndarray
     v: np.ndarray
     log_d: np.ndarray
-    condition_estimate: float
+    log10_condition: float
 
     def __post_init__(self):
         b = np.asarray(self.betas, dtype=complex).reshape(-1)
@@ -162,7 +162,7 @@ class BiorthogonalSpectrum:
         for name, arr in (("betas", b), ("u", u), ("v", v), ("log_d", log_d)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "condition_estimate", float(self.condition_estimate))
+        object.__setattr__(self, "log10_condition", float(self.log10_condition))
 
     @cached_property
     def right(self) -> np.ndarray:
@@ -175,6 +175,13 @@ class BiorthogonalSpectrum:
     @property
     def dim(self) -> int:
         return self.betas.size
+
+    @property
+    def condition_estimate(self) -> float:
+        try:
+            return 10.0 ** self.log10_condition
+        except OverflowError:
+            return math.inf
 
     def _check_mode(self, n: int) -> int:
         if int(n) != n or not 1 <= n <= self.dim:
@@ -315,17 +322,18 @@ def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
     The route is chosen from the input:
 
     * Hermitian X: ``eigh``; left and right modes coincide, all beta are
-      real, and ``condition_estimate`` is the 2-norm condition of the
-      mode matrix.
+      real, and ``log10_condition`` is the log10 of the 2-norm condition
+      of the mode matrix.
     * Real tridiagonal X with X[j+1, j] X[j, j+1] > 0 for every j:
       ``eigh`` of the gauge-symmetrized H = D^-1 X D, so <L_m|R_n> =
       delta_mn holds to the orthogonality of U at any chain length.  All
-      beta are real.  ``condition_estimate`` is exp(max log d - min log d),
-      which equals cond_2(D U) exactly because U is orthogonal.
+      beta are real.  ``log10_condition`` is (max log d - min log d) /
+      ln 10, the log10 of cond_2(D U) exactly because U is orthogonal.
     * Any other X: ``eig``; left modes come from the inverse of the
       right-eigenvector matrix, which enforces <L_m|R_n> = delta_mn to
       solver accuracy instead of pairing two independent eigensolves,
-      and ``condition_estimate`` is the 2-norm condition of ``right``.
+      and ``log10_condition`` is the log10 of the 2-norm condition of
+      ``right``.
 
     Raises
     ------
@@ -343,7 +351,7 @@ def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
         w, r = np.linalg.eigh(0.5 * (x + x.conj().T))
         r = _gauge_columns(r)
         return BiorthogonalSpectrum(w.astype(complex), r, r, np.zeros(dim),
-                                    float(np.linalg.cond(r)))
+                                    math.log10(np.linalg.cond(r)))
 
     gauge = _gauge_symmetrize(x)
     if gauge is not None:
@@ -370,7 +378,7 @@ def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
         left = np.linalg.inv(r).conj().T
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"right-eigenvector matrix is singular: {exc}") from exc
-    return BiorthogonalSpectrum(betas, r, left, np.zeros(dim), cond)
+    return BiorthogonalSpectrum(betas, r, left, np.zeros(dim), math.log10(cond))
 
 
 def _require_hn_hoppings(params: HatanoNelsonParams) -> float:
@@ -384,11 +392,8 @@ def _orthogonal_spectrum(betas: np.ndarray, u: np.ndarray,
     """Spectrum with U = V = u, real orthogonal, each column of R = D u peaking positive."""
     _, peak = _peak_rows(u, log_d)
     u = u * np.where(u[peak, np.arange(u.shape[1])] >= 0, 1.0, -1.0)
-    try:
-        cond = math.exp(float(log_d.max() - log_d.min()))
-    except OverflowError:
-        cond = math.inf
-    return BiorthogonalSpectrum(betas.astype(complex), u, u, log_d, cond)
+    return BiorthogonalSpectrum(betas.astype(complex), u, u, log_d,
+                                (log_d.max() - log_d.min()) / math.log(10.0))
 
 
 def hn_analytic_spectrum(params: HatanoNelsonParams) -> BiorthogonalSpectrum:
@@ -463,15 +468,17 @@ def ssh_edge_envelopes(params: SshParams) -> tuple[ModeVector, ModeVector]:
     return out[0], out[1]
 
 
+def _betas_payload(betas: np.ndarray) -> dict:
+    """JSON payload for complex rates, as their real and imaginary parts."""
+    return {"re": [float(v) for v in betas.real], "im": [float(v) for v in betas.imag]}
+
+
 def spectrum_payload(spectrum: BiorthogonalSpectrum, labels=None) -> dict:
     """JSON payload for a spectrum (betas, mode matrices, condition)."""
     labels = tuple(labels) if labels else default_labels(spectrum.dim)
     return {
         "dim": spectrum.dim,
-        "betas": {
-            "re": [float(v) for v in spectrum.betas.real],
-            "im": [float(v) for v in spectrum.betas.imag],
-        },
+        "betas": _betas_payload(spectrum.betas),
         "right": matrix_payload(spectrum.right, labels),
         "left": matrix_payload(spectrum.left, labels),
         "condition_estimate": float(spectrum.condition_estimate),

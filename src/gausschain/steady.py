@@ -574,6 +574,9 @@ def propagate_correlator(relaxation, source, initial, t_final: float,
     c0 = matrix_entries(initial)
     if y.shape != x.shape or c0.shape != x.shape:
         raise ParameterError("relaxation, source, and initial state dimensions differ")
+    for name, m in (("relaxation X", x), ("source Y", y), ("initial state C0", c0)):
+        if not np.isfinite(m).all():
+            raise ParameterError(f"{name} contains non-finite entries")
     times, intervals = _sample_grid(t_final, dt, stride)
     if not (x.imag.any() or y.imag.any()):
         x, y = x.real, y.real

@@ -31,6 +31,7 @@ from gausschain import (
     hn_similarity_residual,
     hn_source_scan,
     inverse_design,
+    loading_factors,
     natural_orbitals,
     normalized_density,
     propagate_correlator,
@@ -272,35 +273,27 @@ def test_criterion_06_edge_to_bulk_crossover_scan(golden):
 def test_criterion_07_normalized_diagnostics_ignore_pump_scale():
     worst = 0.0
 
-    def compare(reports):
+    def compare(x, site, strength, kappa=None):
         nonlocal worst
-        a, b = reports
-        assert a.dominant_indices == b.dominant_indices
+        spectrum = biorthogonal_decompose(x)
+        a, b = [diagnostics_report(spectrum, solve_lyapunov_direct(
+                    x, build_local_pump(40, site, strength * scale)), kappa=kappa)
+                for scale in (1.0, 1e3)]
+        la, lb = [loading_factors(spectrum, site, strength * scale) for scale in (1.0, 1e3)]
+        assert a.orbitals.dominant_indices() == b.orbitals.dominant_indices()
         deltas = [float(np.abs(a.density_normalized - b.density_normalized).max()),
-                  float(np.abs(a.occupations_normalized
-                               - b.occupations_normalized).max()),
-                  float(np.abs(a.loadings.normalized - b.loadings.normalized).max())]
+                  float(np.abs(a.orbitals.occupations_normalized()
+                               - b.orbitals.occupations_normalized()).max()),
+                  float(np.abs(la.normalized - lb.normalized).max())]
         deltas += [abs(a.overlaps[key] - b.overlaps[key]) for key in a.overlaps]
         worst = max(worst, max(deltas))
 
     x = matrix_entries(build_hatano_nelson(hn_reference_params()))
-    spectrum = biorthogonal_decompose(x)
-    compare([diagnostics_report(
-        spectrum,
-        solve_lyapunov_direct(x, build_local_pump(40, HN_REFERENCE["pump_site"],
-                                                  HN_REFERENCE["pump_strength"] * scale)),
-        HN_REFERENCE["pump_site"], HN_REFERENCE["pump_strength"] * scale)
-        for scale in (1.0, 1e3)])
+    compare(x, HN_REFERENCE["pump_site"], HN_REFERENCE["pump_strength"])
 
     x = matrix_entries(build_ssh(ssh_reference_params(SSH_REFERENCE["g_edge"])))
-    spectrum = biorthogonal_decompose(x)
     site = ssh_index(SSH_REFERENCE["pump_cell"], SSH_REFERENCE["pump_sublattice"], SSH_REFERENCE["n_cells"])
-    compare([diagnostics_report(
-        spectrum,
-        solve_lyapunov_direct(x, build_local_pump(40, site,
-                                                  SSH_REFERENCE["pump_strength"] * scale)),
-        site, SSH_REFERENCE["pump_strength"] * scale, kappa=SSH_REFERENCE["kappa"])
-        for scale in (1.0, 1e3)])
+    compare(x, site, SSH_REFERENCE["pump_strength"], kappa=SSH_REFERENCE["kappa"])
 
     assert worst <= 1e-10
     print(f"criterion 07 PASS: thousandfold pump change moves normalized "

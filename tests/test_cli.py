@@ -11,9 +11,9 @@ import pytest
 
 from gausschain.cli import COMMAND_DEFAULTS, _peak_site, main
 from gausschain.matio import write_matrix
-from gausschain.models import (HatanoNelsonParams, build_hatano_nelson, build_local_pump,
-                               matrix_entries)
-from gausschain.orbitals import hn_source_scan
+from gausschain.models import (HatanoNelsonParams, SshParams, build_hatano_nelson,
+                               build_local_pump, matrix_entries)
+from gausschain.orbitals import hn_source_scan, ssh_crossover_scan
 
 
 def read_summary(path):
@@ -88,6 +88,18 @@ class TestHnCommands:
         out = str(tmp_path / "long")
         assert main(["hn-profiles", "--n-sites", "500", "--out", out]) == 0
         summary = read_summary(out + "/hn-profiles.json")
+        assert 0.0 <= summary["residual"] <= 1e-15
+
+    def test_805_site_summary_has_a_finite_condition(self, tmp_path):
+        # the condition estimate r^804 overflowed to inf here and the JSON
+        # writer refused it; its log10 is written instead
+        out = str(tmp_path / "long")
+        assert main(["hn-profiles", "--n-sites", "805", "--out", out]) == 0
+        summary = read_summary(out + "/hn-profiles.json")
+        assert "condition_estimate" not in summary
+        assert summary["log10_condition"] == pytest.approx(
+            804 * 0.5 * math.log10(1.0 / 0.17), rel=1e-12)
+        assert summary["locked"] is True
         assert 0.0 <= summary["residual"] <= 1e-15
 
     def test_occupations_table_is_sorted(self, tmp_path):
@@ -168,6 +180,22 @@ class TestSshCommands:
         assert summary["edge_used_fallback"] is False
         assert isinstance(summary["edge_mode_index"], int)
         assert isinstance(summary["slow_mode_index"], int)
+
+    @pytest.mark.parametrize("g", [-0.25, -0.2, 0.2])
+    def test_profiles_and_crossover_agree_bit_for_bit(self, tmp_path, g):
+        # both read the overlaps and mode indices off one diagnostics report
+        assert main(["ssh-profiles", f"--g={g!r}", "--out", str(tmp_path)]) == 0
+        summary = read_summary(str(tmp_path / "ssh-profiles.json"))
+        cfg = COMMAND_DEFAULTS["ssh-profiles"]
+        params = SshParams(cfg["n_cells"], cfg["t1"], cfg["t2"], g, cfg["kappa"])
+        scan = ssh_crossover_scan(params, cfg["pump_cell"], cfg["pump_sublattice"],
+                                  cfg["pump_strength"], g_values=[g])
+        assert scan.failures == ()
+        (_, o_edge, o_slow, edge_index, slow_index), = scan.rows()
+        assert summary["overlap_edge"] == o_edge
+        assert summary["overlap_slow"] == o_slow
+        assert summary["edge_mode_index"] == edge_index
+        assert summary["slow_mode_index"] == slow_index
 
     def test_crossover_grid_and_summary(self, tmp_path):
         out = str(tmp_path / "cross")

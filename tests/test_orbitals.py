@@ -405,24 +405,25 @@ def test_pump_scale_invariance_of_diagnostics():
 
         def run(strength):
             c = solve_lyapunov_direct(x, build_local_pump(n, s, strength))
-            return diagnostics_report(spec, c, s, strength, kappa=params.kappa), \
-                natural_orbitals(c).top_orbital()
+            return diagnostics_report(spec, c, kappa=params.kappa), \
+                loading_factors(spec, s, strength)
 
-        base, top_base = run(0.03)
-        assert base.dominant_indices == (1,) and base.locked
+        base, base_loadings = run(0.03)
+        assert base.orbitals.dominant_indices() == (1,) and base.orbitals.locked
         for strength in 10.0 ** np.arange(-12, 4):
-            scaled, top_scaled = run(strength)
-            assert scaled.dominant_indices == base.dominant_indices
-            assert scaled.locked == base.locked
+            scaled, scaled_loadings = run(strength)
+            assert scaled.orbitals.dominant_indices() == base.orbitals.dominant_indices()
+            assert scaled.orbitals.locked == base.orbitals.locked
             assert np.abs(base.density_normalized
                           - scaled.density_normalized).max() <= 1e-10
-            assert np.abs(base.occupations_normalized
-                          - scaled.occupations_normalized).max() <= 1e-10
+            assert np.abs(base.orbitals.occupations_normalized()
+                          - scaled.orbitals.occupations_normalized()).max() <= 1e-10
             for key in ("slow", "edge"):
                 assert abs(base.overlaps[key] - scaled.overlaps[key]) <= 1e-10
-            assert overlap(top_base, top_scaled) == pytest.approx(1.0, abs=1e-10)
-            assert np.abs(base.loadings.normalized
-                          - scaled.loadings.normalized).max() <= 1e-10
+            assert overlap(base.orbitals.top_orbital(),
+                           scaled.orbitals.top_orbital()) == pytest.approx(1.0, abs=1e-10)
+            assert np.abs(base_loadings.normalized
+                          - scaled_loadings.normalized).max() <= 1e-10
 
 
 def test_diagnostics_report_shapes_and_flags():
@@ -431,15 +432,23 @@ def test_diagnostics_report_shapes_and_flags():
     c = solve_lyapunov_direct(build_hatano_nelson(params),
                               build_local_pump(n, s, 0.03))
     spec = hn_analytic_spectrum(params)
-    report = diagnostics_report(spec, c, s, 0.03, kappa=params.kappa)
-    assert report.density.shape == (n,)
+    report = diagnostics_report(spec, c, kappa=params.kappa)
+    assert report.density_normalized.shape == (n,)
     assert report.density_normalized.sum() == pytest.approx(1.0, abs=1e-12)
-    assert report.occupations_normalized[0] == 1.0
+    assert report.orbitals.occupations_normalized()[0] == 1.0
     assert set(report.overlaps) == {"slow", "edge"}
     for value in report.overlaps.values():
         assert 0.0 <= value <= 1.0 + 1e-12
-    assert report.dominant_indices == (1,)
-    assert report.locked
+    assert report.orbitals.dominant_indices() == (1,)
+    assert report.orbitals.locked
+    assert report.slow == identify_slow_mode(spec)
+    assert np.array_equal(report.slow_mode.amplitudes,
+                          spec.right_mode_unit(report.slow).amplitudes)
+    assert report.edge == identify_edge_candidate(spec, params.kappa)
+    assert report.overlaps["slow"] == overlap(report.slow_mode,
+                                              report.orbitals.top_orbital())
+    without_kappa = diagnostics_report(spec, c)
+    assert without_kappa.edge is None and set(without_kappa.overlaps) == {"slow"}
 
 
 def test_dominant_tie_is_flagged_not_resolved():
@@ -447,9 +456,9 @@ def test_dominant_tie_is_flagged_not_resolved():
     orbs = natural_orbitals(c)
     assert orbs.dominant_indices() == (1, 2)
     spec = biorthogonal_decompose(np.diag([0.2, 0.9, 1.1]))
-    report = diagnostics_report(spec, c, 1, 0.1)
-    assert report.dominant_indices == (1, 2)
-    assert not report.locked
+    report = diagnostics_report(spec, c)
+    assert report.orbitals.dominant_indices() == (1, 2)
+    assert not report.orbitals.locked
 
 
 def test_locking_improves_monotonically_with_gap():

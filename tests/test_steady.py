@@ -818,6 +818,18 @@ def test_propagation_input_validation():
         propagate_correlator(x, y, np.zeros((4, 4)), t_final=1.0, dt=0.1)
 
 
+@pytest.mark.parametrize("slot, name", [(0, "relaxation X"), (1, "source Y"),
+                                        (2, "initial state C0")])
+def test_propagation_rejects_non_finite_inputs_by_name(slot, name):
+    # an inf in C0 once reached the symmetrization, warned, and was then
+    # blamed on the residual
+    _, x, y = hn_reference_system(3)
+    args = [np.array(matrix_entries(m)) for m in (x, y, np.zeros((3, 3)))]
+    args[slot][1, 1] = np.inf
+    with pytest.raises(ParameterError, match=f"{name} contains non-finite"):
+        propagate_correlator(*args, t_final=1.0, dt=0.1)
+
+
 def test_correlator_entries_are_frozen():
     c = solve_lyapunov_direct(np.array([[1.0]]), np.array([[0.5]]))
     with pytest.raises(ValueError):

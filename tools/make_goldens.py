@@ -12,9 +12,8 @@ import sys
 import numpy as np
 
 from gausschain import (HatanoNelsonParams, SshParams, build_hatano_nelson,
-                        build_local_pump, hn_analytic_spectrum, hn_source_scan,
-                        identify_slow_mode, natural_orbitals, overlap,
-                        solve_lyapunov_direct, ssh_crossover_scan)
+                        build_local_pump, diagnostics_report, hn_analytic_spectrum,
+                        hn_source_scan, solve_lyapunov_direct, ssh_crossover_scan)
 from gausschain.matio import write_json
 
 OUT = os.path.join(os.path.dirname(__file__), os.pardir, "tests", "data",
@@ -25,16 +24,14 @@ def hn_locking_block() -> dict:
     params = HatanoNelsonParams(40, 1.0, 0.17, 0.91)
     x = build_hatano_nelson(params)
     pump = build_local_pump(40, 15, 0.03)
-    corr = solve_lyapunov_direct(x, pump)
-    orbs = natural_orbitals(corr)
-    spectrum = hn_analytic_spectrum(params)
-    o_slow = overlap(spectrum.right_mode_unit(identify_slow_mode(spectrum)),
-                     orbs.top_orbital())
+    report = diagnostics_report(hn_analytic_spectrum(params),
+                                solve_lyapunov_direct(x, pump))
+    orbs = report.orbitals
 
     scan = hn_source_scan(params, 0.03)
     deviation = np.abs(scan.nu_max_normalized - scan.loading_normalized)
     return {
-        "overlap_slow": float(o_slow),
+        "overlap_slow": float(report.overlaps["slow"]),
         "nu_max": float(orbs.occupations[0]),
         "occupation_second_normalized": float(orbs.occupations_normalized()[1]),
         "scan_max_deviation": float(deviation.max()),
@@ -54,8 +51,8 @@ def ssh_crossover_block() -> dict:
     flips = [k for k in range(margin.size - 1) if margin[k] * margin[k + 1] < 0]
 
     def point(g):
-        p = SshParams(20, 0.5, 1.0, g, 1.5)
-        sub = ssh_crossover_scan(p, pump_cell=1, pump_sublattice="A",
+        # the scan reads each row off diagnostics_report, as ssh-profiles does
+        sub = ssh_crossover_scan(params, pump_cell=1, pump_sublattice="A",
                                  pump_strength=1e-8, g_values=[g])
         return {"o_edge": float(sub.o_edge[0]), "o_slow": float(sub.o_slow[0])}
 
