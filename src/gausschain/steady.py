@@ -15,7 +15,9 @@ chains return pseudospectrum.  Such X is solved by Smith doubling on a
 Cayley transform whose terms are all nonnegative for Y >= 0, so every
 entry of C is accurate, down to the smallest at the far edge.  Its
 pump-independent part is built once per X and reused for every pump of
-a scan.  A local pump (real, diagonal, >= 0, on at most half the sites)
+a scan; apart from the squarings of the doubling it costs O(N^2), with
+the inverse, the Cayley transform and the residual formed from the bands
+of X.  A local pump (real, diagonal, >= 0, on at most half the sites)
 starts the doubling as a thin nonnegative factor Z of C = 2p Z Z^T,
 which costs N^2 per column instead of N^3 per step until Z is N columns
 wide; its terms stay nonnegative too.  Every other X, dense real
@@ -112,20 +114,57 @@ def lyapunov_residual(x, c, y) -> float:
 
     Higham, BIT 33, 124 (1993); 0 when the denominator vanishes.  C and Y
     are divided by the larger of their peaks first, so no norm overflows
-    on long chains, and real inputs stay in real arithmetic.  Non-finite
-    X, C or Y raises ParameterError.
+    on long chains, and real inputs stay in real arithmetic.  A real
+    tridiagonal X (both chain models) is applied from its bands in N^2
+    operations (_backward_error); every other X takes dense products.
+    Non-finite X, C or Y raises ParameterError.
     """
-    x, c, y = (matrix_entries(m) for m in (x, c, y))
-    if not all(np.isfinite(m).all() for m in (x, c, y)):
+    x = matrix_entries(x)
+    return _backward_error(x, _tridiagonal_bands(x), matrix_entries(c), matrix_entries(y))
+
+
+def _backward_error(x: np.ndarray, bands, c: np.ndarray, y: np.ndarray) -> float:
+    """lyapunov_residual of X, C and Y, with X applied from ``bands`` unless they are None.
+
+    The banded defect is P + C X^T - Y with P = X C = (C^T X^T)^T, three
+    scaled rows of C (_times_tridiagonal).  C X^T is P^dag when C is
+    exactly Hermitian, as _hermitize makes every correlator the library
+    returns, and three scaled columns of C otherwise.  An X with bands is
+    real and finite (_tridiagonal_bands), so only C and Y are checked.
+    """
+    inputs = (x, c, y) if bands is None else (c, y)
+    if not all(np.isfinite(m).all() for m in inputs):
         raise ParameterError("residual of non-finite relaxation, correlator or source")
-    if not (x.imag.any() or c.imag.any() or y.imag.any()):
+    if not any(m.imag.any() for m in inputs):
         x, c, y = x.real, c.real, y.real
     scale = max(float(np.abs(c).max(initial=0.0)), float(np.abs(y).max(initial=0.0)))
     if scale > 0:
         c, y = c / scale, y / scale
-    defect = float(np.linalg.norm(x @ c + c @ x.conj().T - y))
-    bound = 2.0 * float(np.linalg.norm(x)) * float(np.linalg.norm(c)) + float(np.linalg.norm(y))
-    return defect / bound if bound > 0 else 0.0
+    if bands is None:
+        defect = x @ c + c @ x.conj().T - y
+        x_norm = float(np.linalg.norm(x))
+    else:
+        diag, sub, sup = bands  # the bands of X^T are (diag, sup, sub)
+        xc = _times_tridiagonal(c.T, diag, sup, sub).T
+        hermitian = np.array_equal(c, c.conj().T)
+        defect = xc + (xc.conj().T if hermitian else _times_tridiagonal(c, diag, sup, sub))
+        defect -= y
+        x_norm = float(np.linalg.norm(np.concatenate(bands)))
+    bound = 2.0 * x_norm * float(np.linalg.norm(c)) + float(np.linalg.norm(y))
+    return float(np.linalg.norm(defect)) / bound if bound > 0 else 0.0
+
+
+def _times_tridiagonal(m: np.ndarray, diag: np.ndarray, sub: np.ndarray,
+                       sup: np.ndarray) -> np.ndarray:
+    """m T for the tridiagonal T with T[k, k] = diag_k, T[k+1, k] = sub_k, T[k, k+1] = sup_k.
+
+    Column j is m_j-1 sup_j-1 + m_j diag_j + m_j+1 sub_j, so the product
+    costs N^2 and each term keeps the sign of m times its band.
+    """
+    out = m * diag
+    out[:, 1:] += m[:, :-1] * sup
+    out[:, :-1] += m[:, 1:] * sub
+    return out
 
 
 def _hermitize_stack(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,22 +215,31 @@ def _certify_m_matrix(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray) -> Non
 def _m_matrix_inverse(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
     """Inverse of a tridiagonal nonsingular M-matrix by unpivoted Gauss-Jordan elimination.
 
-    One multiplier per row going down, sub_k / u_k, and one going up, sup_k.
-    Multipliers and off-diagonal entries keep their signs, so every update
-    outside the pivots u_k adds numbers of one sign and each entry of the
-    (nonnegative) inverse is accurate to a few ulps times the accuracy of
-    the pivots.  Pivoting would swap rows and bring back cancellation.  No
-    pivot is checked: those of pI + X are at least p plus those of certified X.
+    One multiplier per row going down, m_k = sub_k / u_k, and one going up,
+    sup_k.  The down pass leaves L^-1, whose column j below the diagonal
+    is the running product of -m_j, -m_j+1, ..., so it is one cumulative
+    product down the columns.  Multipliers and off-diagonal entries keep
+    their signs, so every update outside the pivots u_k adds numbers of
+    one sign and each entry of the (nonnegative) inverse is accurate to a
+    few ulps times the accuracy of the pivots.  Pivoting would swap rows
+    and bring back cancellation.  No pivot is checked: those of pI + X are
+    at least p plus those of certified X.
     """
-    n = diag.size
-    inverse, pivots = np.eye(n), diag.tolist()
-    for k in range(n - 1):
-        multiplier = sub[k] / pivots[k]
-        pivots[k + 1] -= multiplier * sup[k]
-        inverse[k + 1, :k + 1] -= multiplier * inverse[k, :k + 1]
+    n, sup = diag.size, sup.tolist()
+    pivots, ratios = diag.tolist(), [1.0] * n
+    for k, (low, up) in enumerate(zip(sub.tolist(), sup)):
+        multiplier = low / pivots[k]
+        pivots[k + 1] -= multiplier * up
+        ratios[k + 1] = abs(multiplier)  # -m_k, and +0.0 (not -0.0) for a one-way bond
+    lower = np.tri(n, k=-1, dtype=bool)
+    inverse = np.where(lower, np.array(ratios)[:, None], 1.0)
+    np.cumprod(inverse, axis=0, out=inverse)
+    inverse[lower.T] = 0.0
     inverse[n - 1] /= pivots[n - 1]
     for k in range(n - 2, -1, -1):
-        inverse[k] = (inverse[k] - sup[k] * inverse[k + 1]) / pivots[k]
+        row = inverse[k]
+        row -= sup[k] * inverse[k + 1]
+        row /= pivots[k]
     return inverse
 
 
@@ -212,8 +260,11 @@ class DirectSolver:
           A = (pI + X)^-1 (pI - X) >= 0,   C_0 = 2p (pI + X)^-1 Y (pI + X)^-T,
           C <- C + A_k C A_k^T,   A_k+1 = A_k^2,
 
-      kept here as (pI + X)^-1 and the powers A_k.  The number of powers
-      is fixed here by a bound that holds for every pump (see
+      kept here as (pI + X)^-1 and the powers A_k.  Everything here but
+      the squarings A_k^2 costs O(N^2): the inverse is a cumulative
+      product and a row recurrence (_m_matrix_inverse), and A is three
+      nonnegative scaled columns of it (_times_tridiagonal).  The number
+      of powers is fixed here by a bound that holds for every pump (see
       _doubling_powers).  For Y >= 0 every term is nonnegative, so even
       the smallest entries of C are accurate.  A real diagonal pump
       Y >= 0 on w <= N/2 sites has C_0 = 2p Z_0 Z_0^T with the
@@ -223,7 +274,8 @@ class DirectSolver:
       nonnegative terms as the dense steps, so accuracy is kept, at
       N^2 w 2^k operations per step instead of N^3: a local pump on
       200 sites takes 7 such steps to 128 columns and 2 dense ones.
-      Every product broadcasts over a stack of pumps;
+      Every product broadcasts over a stack of pumps.  The residual of
+      ``solve`` applies X from its bands, in N^2 operations;
     - anything else, dense real Z-matrices included: the eigenvalue
       stability screen and the Schur method, one pump at a time.
 
@@ -236,7 +288,7 @@ class DirectSolver:
             raise ParameterError("relaxation matrix contains non-finite entries")
         self.x = x
         self._powers = None
-        bands = _tridiagonal_bands(x)
+        self._bands = bands = _tridiagonal_bands(x)
         if bands is None or (bands[1] > 0).any() or (bands[2] > 0).any():
             _check_beta_stability(np.linalg.eigvals(x))
             return
@@ -244,8 +296,9 @@ class DirectSolver:
         _certify_m_matrix(diag, sub, sup)
         self._shift = float(diag.max())
         self._inverse = _m_matrix_inverse(self._shift + diag, sub, sup)
+        # A = (pI + X)^-1 (pI - X), every term of the banded product >= 0
         self._powers = _doubling_powers(
-            self._inverse @ (self._shift * np.eye(x.shape[0]) - x.real))
+            _times_tridiagonal(self._inverse, self._shift - diag, -sub, -sup))
 
     def solve(self, source) -> SteadyCorrelator:
         """Steady correlator for pump Y; Y is trusted to be Hermitian.
@@ -254,7 +307,7 @@ class DirectSolver:
         """
         y = matrix_entries(source)
         c, asym = self.solve_many(y[None])
-        return SteadyCorrelator(c[0], "direct", lyapunov_residual(self.x, c[0], y),
+        return SteadyCorrelator(c[0], "direct", _backward_error(self.x, self._bands, c[0], y),
                                 float(asym[0]))
 
     def solve_many(self, sources) -> tuple[np.ndarray, np.ndarray]:
@@ -371,7 +424,8 @@ def _doubling_powers(a: np.ndarray) -> list[np.ndarray]:
     add after A^(2^k) sum to at most d^2 C for every Y >= 0 (for other Y,
     to d^2 times the solution for |C_0|), so the list stops once d^2 is
     below the unit roundoff.  Where A^(2^k) has zeros that its square
-    fills, d is infinite and squaring goes on.
+    fills, d is infinite and squaring goes on.  Only a power with zeros
+    (one-way bonds) needs that guard; both chain models have none.
     """
     powers = []
     while a.any():
@@ -381,7 +435,10 @@ def _doubling_powers(a: np.ndarray) -> list[np.ndarray]:
                 "the relaxation matrix is numerically singular")
         powers.append(a)
         square = a @ a
-        ratio = np.divide(square, a, out=np.where(square > 0, np.inf, 0.0), where=a > 0)
+        if a.all():
+            ratio = np.divide(square, a)
+        else:
+            ratio = np.divide(square, a, out=np.where(square > 0, np.inf, 0.0), where=a > 0)
         if float(ratio.max()) ** 2 <= EPS / 2:
             break
         a = square
@@ -581,7 +638,8 @@ def propagate_correlator(relaxation, source, initial, t_final: float,
     if not (x.imag.any() or y.imag.any()):
         x, y = x.real, y.real
     c, asym = _hermitize(c0)
-    states = [SteadyCorrelator(c, "integrated", lyapunov_residual(x, c, y), asym)]
+    bands = _tridiagonal_bands(x)
+    states = [SteadyCorrelator(c, "integrated", _backward_error(x, bands, c, y), asym)]
     with np.errstate(over="ignore", invalid="ignore"):  # unstable X; checked below
         maps = {h: _affine_step(x, y, h) for h in set(intervals)}
         for t, h in zip(times[1:], intervals):
@@ -590,7 +648,8 @@ def propagate_correlator(relaxation, source, initial, t_final: float,
             if not np.isfinite(c).all():
                 raise SolveError(f"correlator is not finite at t = {t:.6g}; "
                                  "the relaxation matrix is not stable")
-            states.append(SteadyCorrelator(c, "integrated", lyapunov_residual(x, c, y), asym))
+            states.append(SteadyCorrelator(c, "integrated", _backward_error(x, bands, c, y),
+                                           asym))
     return CorrelatorTrajectory(times, tuple(states), float(dt))
 
 

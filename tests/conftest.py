@@ -196,6 +196,58 @@ def banded_m_matrix_inverse(m):
     return a[:, n:]
 
 
+def banded_cayley_reference(inverse, x, shift):
+    """A = (pI + X)^-1 (pI - X) for a tridiagonal X, column by column.
+
+    Column j of A is inverse column j times (pI - X)[j, j], plus column
+    j - 1 times (pI - X)[j - 1, j], plus column j + 1 times
+    (pI - X)[j + 1, j], added in that order as the library adds them.
+    """
+    m = shift * np.eye(x.shape[0]) - np.asarray(x, dtype=float)
+    a = np.empty_like(inverse)
+    for j in range(x.shape[0]):
+        a[:, j] = inverse[:, j] * m[j, j]
+        if j > 0:
+            a[:, j] += inverse[:, j - 1] * m[j - 1, j]
+        if j + 1 < x.shape[0]:
+            a[:, j] += inverse[:, j + 1] * m[j + 1, j]
+    return a
+
+
+def doubling_powers_reference(a, max_doublings=64):
+    """A, A^2, A^4, ... with the stopping test always in its guarded form.
+
+    The ratio d = max A^(2^(k+1)) / A^(2^k) is taken over the nonzero
+    entries of A^(2^k), and is infinite where its square fills a zero;
+    squaring stops once d^2 <= eps / 2.
+    """
+    powers = []
+    while a.any():
+        if len(powers) == max_doublings:
+            raise SolveError("doubling did not converge")
+        powers.append(a)
+        square = a @ a
+        ratio = np.divide(square, a, out=np.where(square > 0, np.inf, 0.0), where=a > 0)
+        if float(ratio.max()) ** 2 <= np.finfo(float).eps / 2:
+            break
+        a = square
+    return powers
+
+
+def dense_residual_reference(x, c, y):
+    """||X C + C X^dag - Y||_F / (2 ||X||_F ||C||_F + ||Y||_F) by dense products,
+    C and Y over the larger of their peaks, real inputs in real arithmetic."""
+    x, c, y = (np.asarray(m, dtype=complex) for m in (x, c, y))
+    if not (x.imag.any() or c.imag.any() or y.imag.any()):
+        x, c, y = x.real, c.real, y.real
+    scale = max(float(np.abs(c).max(initial=0.0)), float(np.abs(y).max(initial=0.0)))
+    if scale > 0:
+        c, y = c / scale, y / scale
+    defect = float(np.linalg.norm(x @ c + c @ x.conj().T - y))
+    bound = 2.0 * float(np.linalg.norm(x)) * float(np.linalg.norm(c)) + float(np.linalg.norm(y))
+    return defect / bound if bound > 0 else 0.0
+
+
 def hn_closed_form_betas(n, t_right, t_left, kappa):
     """Relaxation rates of the single-band chain, straight from the formula."""
     modes = np.arange(1, n + 1)

@@ -31,11 +31,12 @@ from gausschain.models import matrix_entries
 from gausschain.spectral import CONDITION_TRUST_LIMIT, _gauge_symmetrize
 from gausschain.steady import (EPS, DirectSolver, _doubling_powers, _thin_widths,
                                lyapunov_residual, solve_schur)
-from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, banded_m_matrix_inverse,
-                            hn_closed_form_steady, hn_sine_steady_mp, loading_reference,
-                            lyapunov_quadrature, mode_sum_steady_reference,
-                            mode_sum_transient_reference, smith_steady_mp, solve_vectorized,
-                            tridiagonal_steady_mp)
+from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, banded_cayley_reference,
+                            banded_m_matrix_inverse, dense_residual_reference,
+                            doubling_powers_reference, hn_closed_form_steady,
+                            hn_sine_steady_mp, loading_reference, lyapunov_quadrature,
+                            mode_sum_steady_reference, mode_sum_transient_reference,
+                            smith_steady_mp, solve_vectorized, tridiagonal_steady_mp)
 
 
 def hn_reference_system(n_sites, pump_site=1):
@@ -134,8 +135,10 @@ def chain_relaxations():
 
 def test_chain_route_equals_the_banded_reference_bit_for_bit():
     # The tridiagonal elimination is the banded Gauss-Jordan at bandwidth
-    # 1: the inverse, the powers built from it and C of local, uniform and
-    # dense pumps must be the same bits.
+    # 1, and A is three scaled columns of the inverse: the inverse, the
+    # powers built from it and C of local, uniform and dense pumps must be
+    # the same bits.  The banded A rounds as the dense product does to
+    # within 2 ulps.
     rng = np.random.default_rng(7)
     for x in chain_relaxations():
         n = x.shape[0]
@@ -143,8 +146,11 @@ def test_chain_route_equals_the_banded_reference_bit_for_bit():
         shifted = solver._shift * np.eye(n)
         reference = copy.copy(solver)
         reference._inverse = banded_m_matrix_inverse(shifted + x.real)
-        reference._powers = _doubling_powers(reference._inverse @ (shifted - x.real))
+        cayley = banded_cayley_reference(reference._inverse, x.real, solver._shift)
+        reference._powers = doubling_powers_reference(cayley)
         assert solver._inverse.tobytes() == reference._inverse.tobytes()
+        dense = reference._inverse @ (shifted - x.real)
+        assert np.all(np.abs(cayley - dense) <= 2 * np.spacing(dense))
         assert len(solver._powers) == len(reference._powers)
         for a, b in zip(solver._powers, reference._powers):
             assert a.tobytes() == b.tobytes()
@@ -153,6 +159,86 @@ def test_chain_route_equals_the_banded_reference_bit_for_bit():
                           0.1 * np.eye(n), b @ b.T])
         for ours, theirs in zip(solver.solve_many(pumps), reference.solve_many(pumps)):
             assert ours.tobytes() == theirs.tobytes()
+
+
+def one_way_bond_relaxation():
+    # X[j+1, j] = 0 on one bond: X is block upper triangular, so every
+    # power of its Cayley transform keeps a block of zeros.
+    _, x, _ = hn_reference_system(12)
+    x = matrix_entries(x).real.copy()
+    x[6, 5] = 0.0
+    return x
+
+
+def test_stopping_test_keeps_the_guarded_powers_bit_for_bit():
+    # The library drops the guard of the ratio d when A^(2^k) has no zero;
+    # the powers list must stay the bits of the always-guarded test.
+    hn_long = build_hatano_nelson(HatanoNelsonParams(
+        200, HN_REFERENCE["t_right"], HN_REFERENCE["t_left"], HN_REFERENCE["kappa"]))
+    ssh_long = build_ssh(SshParams(100, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"],
+                                   SSH_REFERENCE["g_edge"], SSH_REFERENCE["kappa"]))
+    chains = list(chain_relaxations()) + [matrix_entries(m) for m in (hn_long, ssh_long)]
+    one_way = DirectSolver(one_way_bond_relaxation())._powers[0]
+    # a power whose zeros its square fills: d is infinite and squaring goes on
+    filled = np.array([[0.5, 0.25], [0.25, 0.0]])
+    starts = [DirectSolver(x)._powers[0] for x in chains if x.shape[0] > 1]
+    for a in starts + [one_way, filled]:
+        powers = _doubling_powers(a)
+        reference = doubling_powers_reference(a)
+        assert [p.tobytes() for p in powers] == [p.tobytes() for p in reference]
+    # both chain models take the unguarded test on every power, the others do not
+    assert all(p.all() for a in starts for p in _doubling_powers(a))
+    assert not any(p.all() for p in _doubling_powers(one_way))
+    powers = _doubling_powers(filled)
+    assert not powers[0].all() and powers[1].all()
+
+
+@pytest.mark.parametrize("model, size", [("hn", 1), ("hn", 2), ("hn", 7), ("hn", 40),
+                                         ("hn", 200), ("ssh", 2), ("ssh", 40), ("ssh", 200)])
+def test_banded_residual_matches_the_dense_formula(model, size):
+    # C is perturbed by 1e-8 of its peak, Hermitian and not, so the defect
+    # is far above rounding.  Both residuals are normalized by the same
+    # bound and differ only by the rounding of the defect's terms, which
+    # is below the unit roundoff of that bound, so they must agree to eps
+    # absolute (a relative bound would be 1e-8 at best: two roundings of a
+    # defect 1e-8 of the terms).
+    if model == "hn":
+        x = build_hatano_nelson(HatanoNelsonParams(
+            size, HN_REFERENCE["t_right"], HN_REFERENCE["t_left"], HN_REFERENCE["kappa"]))
+    else:
+        x = build_ssh(SshParams(size // 2, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"],
+                                SSH_REFERENCE["g_edge"], SSH_REFERENCE["kappa"]))
+    x = matrix_entries(x)
+    assert DirectSolver(x)._bands is not None
+    rng = np.random.default_rng(size)
+    b = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    for y in (matrix_entries(build_local_pump(size, 1 + size // 3, 0.03)), 0.01 * b @ b.conj().T):
+        c = solve_lyapunov_direct(x, y).entries
+        assert c.imag.any() == y.imag.any()
+        noise = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        noise = noise if y.imag.any() else noise.real
+        for e in (noise + noise.conj().T, noise):
+            perturbed = c + 1e-8 * np.abs(c).max() * e
+            theirs = dense_residual_reference(x, perturbed, y)
+            assert theirs > 1e-10
+            assert abs(lyapunov_residual(x, perturbed, y) - theirs) <= EPS
+        for k in (1, 2):  # non-finite C or Y is refused on the banded path too
+            args = [x, c.copy(), y.copy()]
+            args[k][0, 0] = np.nan
+            with pytest.raises(ParameterError, match="non-finite"):
+                lyapunov_residual(*args)
+
+
+def test_reference_solves_keep_a_backward_error_below_1e_16():
+    hn = HatanoNelsonParams(HN_REFERENCE["n_sites"], HN_REFERENCE["t_right"],
+                            HN_REFERENCE["t_left"], HN_REFERENCE["kappa"])
+    ssh = SshParams(SSH_REFERENCE["n_cells"], SSH_REFERENCE["t1"], SSH_REFERENCE["t2"],
+                    SSH_REFERENCE["g_edge"], SSH_REFERENCE["kappa"])
+    for x, site, strength in ((build_hatano_nelson(hn), HN_REFERENCE["pump_site"],
+                               HN_REFERENCE["pump_strength"]),
+                              (build_ssh(ssh), 1, SSH_REFERENCE["pump_strength"])):
+        y = build_local_pump(x.dim, site, strength)
+        assert solve_lyapunov_direct(x, y).residual <= 1e-16
 
 
 def test_dense_z_matrix_takes_the_schur_route():
@@ -180,9 +266,7 @@ def test_one_way_bond_stays_on_the_chain_route():
     # A bond with X[j+1, j] = 0 has no imaginary gauge, but the chain is
     # still a tridiagonal Z-matrix: Smith doubling keeps every entry of C
     # to 12 digits against an mpmath doubling.
-    _, x, _ = hn_reference_system(12)
-    x = matrix_entries(x).real.copy()
-    x[6, 5] = 0.0
+    x = one_way_bond_relaxation()
     assert _gauge_symmetrize(x) is None
     solver = DirectSolver(x)
     assert solver._powers is not None

@@ -3,9 +3,10 @@
 For the single-band reference chain (t_right = 1, t_left = 0.17,
 kappa = 0.91, local pump of strength 0.03 at site 15) at 200, 400 and 700
 sites, prints the number of doublings, how many of them the thin start
-takes and the width its factor reaches, the construction time, the
-median time of one ``solve`` (residual included) and the median time of
-the closed-form spectrum plus its unit slow mode (``spectrum_s``).
+takes and the width its factor reaches, and the median over five runs
+of the construction (``build_s``), of one ``solve`` with its residual
+(``solve_s``) and of the closed-form spectrum plus its unit slow mode
+(``spectrum_s``).
 Writes no file.  Run from the repository root with BLAS on one thread:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/solver_scaling.py
@@ -41,14 +42,12 @@ def slow_unit_mode(params: HatanoNelsonParams):
 def measure(n_sites: int) -> dict:
     params = HatanoNelsonParams(n_sites, 1.0, 0.17, 0.91)
     x = build_hatano_nelson(params)
-    start = time.perf_counter()
     solver = DirectSolver(x)
-    build = time.perf_counter() - start
     pump = build_local_pump(n_sites, 15, 0.03)
     doublings = len(solver._powers)
     thin = _thin_doublings(1, n_sites, doublings)
     return {"n_sites": n_sites, "doublings": doublings, "thin_doublings": thin,
-            "thin_width": 1 << thin, "build_s": round(build, 4),
+            "thin_width": 1 << thin, "build_s": median_time(lambda: DirectSolver(x)),
             "solve_s": median_time(lambda: solver.solve(pump)),
             "spectrum_s": median_time(lambda: slow_unit_mode(params))}
 
