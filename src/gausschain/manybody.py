@@ -31,7 +31,6 @@ from .steady import _expm, _sample_grid
 
 # widest charge block C(2N, N) is 924 here (seconds); 3432 at 7 sites (2 min, 1.2 GB)
 MAX_ORACLE_SITES = 6
-CAR_TOL = 1e-14
 
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # Lowering operator |0><1| in the (empty, occupied) = (index 0, index 1) basis.
@@ -59,7 +58,6 @@ class FockOperatorSet:
         self.dim = 2 ** self.n_sites
         self._annihilation = tuple(self._jordan_wigner(j) for j in range(self.n_sites))
         self._pair_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._verify_car()
         self._trace_cols, self._trace_signs = self._trace_tables()
 
     def _jordan_wigner(self, position: int) -> np.ndarray:
@@ -68,22 +66,6 @@ class FockOperatorSet:
         for f in factors[1:]:
             op = np.kron(op, f)
         return op
-
-    def _verify_car(self) -> None:
-        eye = np.eye(self.dim)
-        for i in range(self.n_sites):
-            ci = self._annihilation[i]
-            for j in range(i, self.n_sites):
-                cj = self._annihilation[j]
-                mixed = ci @ cj.conj().T + cj.conj().T @ ci
-                want = eye if i == j else 0.0
-                if np.abs(mixed - want).max() > CAR_TOL:
-                    raise ParameterError(
-                        f"anticommutator {{c_{i + 1}, c_{j + 1}^dag}} violates CAR")
-                same = ci @ cj + cj @ ci
-                if np.abs(same).max() > CAR_TOL:
-                    raise ParameterError(
-                        f"anticommutator {{c_{i + 1}, c_{j + 1}}} violates CAR")
 
     def _trace_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Index and sign tables of shape (n, n, D) for Tr(rho c_j^dag c_i).
@@ -158,7 +140,7 @@ _OPERATOR_CACHE: dict[int, FockOperatorSet] = {}
 
 
 def operator_set(n_sites: int) -> FockOperatorSet:
-    """Shared per-size operator set (construction verifies the CAR)."""
+    """Shared per-size operator set."""
     if n_sites not in _OPERATOR_CACHE:
         _OPERATOR_CACHE[n_sites] = FockOperatorSet(n_sites)
     return _OPERATOR_CACHE[n_sites]

@@ -204,10 +204,18 @@ class BiorthogonalSpectrum:
 
 
 def slow_mode_position(betas: np.ndarray) -> int:
-    """0-based index of the slowest mode: minimal Re beta, ties by Im, then index."""
+    """0-based index of the slowest mode, the one _sorted_order lists first: among
+    the rates within _rate_tolerance of the least, least Im, then Re, then index."""
     b = np.asarray(betas)
-    order = np.lexsort((np.arange(b.size), b.imag, b.real))
-    return int(order[0])
+    ties = np.flatnonzero(b.real <= b.real.min() + _rate_tolerance(b))
+    return int(ties[np.lexsort((b.real[ties], b.imag[ties]))[0]])
+
+
+def _rate_tolerance(betas: np.ndarray) -> float:
+    """Rates closer than 64 eps times the spread of the betas are rounding apart; the
+    spread is their bounding box's diagonal, within sqrt 2 of their diameter."""
+    return 64.0 * np.finfo(float).eps * float(np.hypot(np.ptp(betas.real),
+                                                       np.ptp(betas.imag)))
 
 
 def _check_beta_stability(betas: np.ndarray) -> None:
@@ -254,24 +262,18 @@ def gap_ratio(spectrum: BiorthogonalSpectrum) -> float:
 
 
 def _sorted_order(betas: np.ndarray) -> np.ndarray:
-    """Ascending (Re, Im); real parts equal up to rounding noise count as ties."""
+    """Ascending (Re, Im), with rates that tie counted as one: each group runs from
+    its least rate to _rate_tolerance above it and is ordered by (Im, Re)."""
     order = np.lexsort((betas.imag, betas.real))
-    if betas.size < 2:
-        return order
-    diameter = float(np.abs(betas[:, None] - betas[None, :]).max())
-    tol = 64.0 * np.finfo(float).eps * diameter
-    if tol == 0.0:
-        return order
-    re = betas[order].real
+    re = betas.real[order]
+    ends = np.searchsorted(re, re + _rate_tolerance(betas), side="right").tolist()
     start = 0
-    for k in range(1, betas.size + 1):
-        if k < betas.size and re[k] - re[k - 1] <= tol:
-            continue
-        if k - start > 1:
-            sub = order[start:k]
-            inner = np.lexsort((betas[sub].real, betas[sub].imag))
-            order[start:k] = sub[inner]
-        start = k
+    while start < betas.size:
+        stop = ends[start]
+        if stop - start > 1:
+            sub = order[start:stop]
+            order[start:stop] = sub[np.lexsort((betas[sub].real, betas[sub].imag))]
+        start = stop
     return order
 
 

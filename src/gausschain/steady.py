@@ -7,21 +7,25 @@ fixed point of the continuous Lyapunov equation
     X C + C X^dag = Y.
 
 The direct solver (DirectSolver, solve_lyapunov_direct) picks its
-algorithm from X.  Both chain models build a real tridiagonal X with
-off-diagonal entries <= 0, which is stable exactly when it is a
-nonsingular M-matrix.  That is certified by the positive pivots of its
-unpivoted LU factorization, not by eigenvalues, which on long nonnormal
-chains return pseudospectrum.  Such X is solved by Smith doubling on a
-Cayley transform whose terms are all nonnegative for Y >= 0, so every
-entry of C is accurate, down to the smallest at the far edge.  Its
+algorithm from X.  A real tridiagonal X whose bonds each keep one sign,
+X[k+1,k] X[k,k+1] >= 0 for every k, is one class in any sign convention:
+the exact sign gauge S = diag(+-1), flipping the sign at each bond with a
+positive entry, makes S X S a Z-matrix (S = I for both chain models), and
+C = S C' S with C' the solution for S X S and S Y S.  S X S is stable
+exactly when it is a nonsingular M-matrix.  That is certified by the
+positive pivots of its unpivoted LU factorization, not by eigenvalues,
+which on long nonnormal chains return pseudospectrum.  It is solved by
+Smith doubling on a Cayley transform whose terms are all nonnegative for
+S Y S >= 0, so every entry of C is accurate, down to the smallest at the
+far edge.  Its
 pump-independent part is built once per X and reused for every pump of
 a scan; apart from the squarings of the doubling it costs O(N^2), with
 the inverse, the Cayley transform and the residual formed from the bands
 of X.  A local pump (real, diagonal, >= 0, on at most half the sites)
 starts the doubling as a thin nonnegative factor Z of C = 2p Z Z^T,
 which costs N^2 per column instead of N^3 per step until Z is N columns
-wide; its terms stay nonnegative too.  Every other X, dense real
-Z-matrices included, takes an eigenvalue screen and the Schur method.
+wide; its terms stay nonnegative too.  Every other X, a bond of mixed
+sign included, takes an eigenvalue screen and the Schur method.
 
 The spectral route sums over biorthogonal mode pairs
 
@@ -197,10 +201,11 @@ def _certify_m_matrix(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray) -> Non
 
     For a Z-matrix this is the same as every eigenvalue having positive
     real part, and the same as every pivot of its unpivoted LU
-    factorization being positive.  The pivots are used because eigenvalue
-    routines return pseudospectrum on long nonnormal chains and report
-    stable chains as unstable.  They follow the O(N) recurrence
-    u_k = x_kk - x_k,k-1 x_k-1,k / u_k-1.
+    factorization being positive; the pivots see a bond only through
+    sub_k sup_k, so they are also those of every sign gauge S X S of it.
+    They are used because eigenvalue routines return pseudospectrum on
+    long nonnormal chains and report stable chains as unstable.  They
+    follow the O(N) recurrence u_k = x_kk - x_k,k-1 x_k-1,k / u_k-1.
     """
     coupling = [0.0] + (sub * sup).tolist()
     pivot = 1.0
@@ -253,9 +258,12 @@ class DirectSolver:
     stack of one, so both share one solve path.  The algorithm is chosen
     from X:
 
-    - real tridiagonal X with off-diagonal entries <= 0 (both chain
-      models): the stability certificate of _certify_m_matrix, then Smith
-      doubling on the Cayley transform with shift p = max diag X,
+    - real tridiagonal X with X[k+1,k] X[k,k+1] >= 0 on every bond: X and
+      Y stand below for S X S and S Y S, and C = S C' S exactly, where the
+      sign gauge S = diag(+-1) flips the sign at each bond with a positive
+      entry (S = I for both chain models, at no cost).  The stability
+      certificate of _certify_m_matrix, then Smith doubling on the Cayley
+      transform with shift p = max diag X,
 
           A = (pI + X)^-1 (pI - X) >= 0,   C_0 = 2p (pI + X)^-1 Y (pI + X)^-T,
           C <- C + A_k C A_k^T,   A_k+1 = A_k^2,
@@ -276,8 +284,8 @@ class DirectSolver:
       200 sites takes 7 such steps to 128 columns and 2 dense ones.
       Every product broadcasts over a stack of pumps.  The residual of
       ``solve`` applies X from its bands, in N^2 operations;
-    - anything else, dense real Z-matrices included: the eigenvalue
-      stability screen and the Schur method, one pump at a time.
+    - anything else, dense real Z-matrices and bonds of mixed sign
+      included: the eigenvalue screen and the Schur method, one pump at a time.
 
     Raises ParameterError for non-finite X (here) or Y (when solving).
     """
@@ -287,12 +295,17 @@ class DirectSolver:
         if not np.isfinite(x).all():
             raise ParameterError("relaxation matrix contains non-finite entries")
         self.x = x
-        self._powers = None
+        self._powers = self._signs = None
         self._bands = bands = _tridiagonal_bands(x)
-        if bands is None or (bands[1] > 0).any() or (bands[2] > 0).any():
+        if bands is None or (np.sign(bands[1]) * np.sign(bands[2]) < 0).any():
             _check_beta_stability(np.linalg.eigvals(x))
             return
         diag, sub, sup = bands
+        flips = (sub > 0) | (sup > 0)
+        if flips.any():  # the sign gauge S: solve for S X S and S Y S, and C = S C' S
+            s = np.cumprod(np.concatenate(([1.0], np.where(flips, -1.0, 1.0))))
+            self._signs = np.outer(s, s)  # S M S = M * s s^T, exactly
+            sub, sup = -np.abs(sub), -np.abs(sup)
         _certify_m_matrix(diag, sub, sup)
         self._shift = float(diag.max())
         self._inverse = _m_matrix_inverse(self._shift + diag, sub, sup)
@@ -347,6 +360,8 @@ class DirectSolver:
                 for k, u in enumerate(unit):
                     c[k] = solve_schur(x, u)
             else:
+                if self._signs is not None:
+                    unit = unit * self._signs
                 widths = _thin_widths(unit) if real else np.zeros(len(unit), dtype=int)
                 groups = [np.flatnonzero(widths == w) for w in set(widths.tolist())]
                 if len(groups) == 1:  # every scan: no stack-sized copy in or out
@@ -355,6 +370,8 @@ class DirectSolver:
                     c = np.empty_like(unit)
                     for group in groups:
                         c[group] = self._smith(unit[group], int(widths[group[0]]))
+                if self._signs is not None:
+                    c *= self._signs
             c, asym = _hermitize_stack(c)
             c *= scale[:, None, None]
         if not np.isfinite(c).all():
@@ -448,12 +465,13 @@ def _doubling_powers(a: np.ndarray) -> list[np.ndarray]:
 def solve_lyapunov_direct(relaxation, source) -> SteadyCorrelator:
     """Exact steady correlator by dense linear algebra.
 
-    Real tridiagonal X with off-diagonal entries <= 0 (both chain models)
-    takes the M-matrix path of DirectSolver: stability certified by LU
-    pivots, Smith doubling with entrywise accuracy for Y >= 0.  Every
-    other X, dense real Z-matrices included, is screened by its eigenvalues
-    and solved by the Schur method.  To solve many pumps for one X, build
-    one DirectSolver and call its ``solve`` per pump.
+    Real tridiagonal X whose bonds each keep one sign, X[k+1,k] X[k,k+1]
+    >= 0 in any sign convention, takes the M-matrix path of DirectSolver
+    through the exact sign gauge S X S: stability certified by LU pivots,
+    Smith doubling with entrywise accuracy for S Y S >= 0.  Every other X,
+    dense real Z-matrices and bonds of mixed sign included, is screened
+    by its eigenvalues and solved by the Schur method.  To solve many
+    pumps for one X, build one DirectSolver and call its ``solve`` per pump.
 
     Parameters
     ----------

@@ -384,26 +384,54 @@ class TestValidateCommand:
         by_name = {c["name"]: c for c in summary["checks"]}
         assert by_name["relaxation_stable"]["passed"] is False
 
+    @staticmethod
+    def validate_chain(tmp_path, n_sites, kappa, twin=False):
+        """Checks by name of validate on the reference chain with its pump at
+        site 15; ``twin`` flips every hopping's sign, X -> S X S, s_j = (-1)^j."""
+        x = build_hatano_nelson(HatanoNelsonParams(n_sites, 1.0, 0.17, kappa))
+        entries = matrix_entries(x)
+        if twin:
+            s = (-1.0) ** np.arange(n_sites)
+            entries = s[:, None] * entries * s[None, :]
+        x_file = str(tmp_path / "x.json")
+        y_file = str(tmp_path / "y.json")
+        write_matrix(x_file, entries, x.labels)
+        write_matrix(y_file, matrix_entries(build_local_pump(n_sites, 15, 0.03)), x.labels)
+        out = str(tmp_path / "out")
+        main(["validate", "--x-file", x_file, "--y-file", y_file, "--out", out])
+        return {c["name"]: c for c in read_summary(out + "/validate.json")["checks"]}
+
     @pytest.mark.parametrize("kappa, stable", [(0.91, True), (0.5, False)])
     def test_long_chain_stability_uses_exact_rates(self, tmp_path, kappa, stable):
         # eigvals on this 150-site X returns pseudospectrum (min rate -0.0917
-        # at kappa 0.91); the gauge route gives the closed form.  The pair is
-        # nonphysical, so only this check and the backward error are asserted.
-        params = HatanoNelsonParams(150, 1.0, 0.17, kappa)
-        x = build_hatano_nelson(params)
-        x_file = str(tmp_path / "x.json")
-        y_file = str(tmp_path / "y.json")
-        write_matrix(x_file, matrix_entries(x), x.labels)
-        write_matrix(y_file, matrix_entries(build_local_pump(150, 15, 0.03)), x.labels)
-        out = str(tmp_path / "long")
-        main(["validate", "--x-file", x_file, "--y-file", y_file, "--out", out])
-        by_name = {c["name"]: c for c in read_summary(out + "/validate.json")["checks"]}
+        # at kappa 0.91); the gauge route gives the closed form.
+        by_name = self.validate_chain(tmp_path, 150, kappa)
         check = by_name["relaxation_stable"]
         assert check["passed"] is stable
         exact = kappa - 2.0 * math.sqrt(0.17) * math.cos(math.pi / 151.0)
         assert check["value"] == pytest.approx(exact, rel=0, abs=1e-12)
         if stable:
             assert by_name["steady_residual"]["passed"] is True
+
+    @pytest.mark.parametrize("n_sites, twin, loss_min", [(40, False, "-0.514"),
+                                                         (150, False, "-0.52"),
+                                                         (150, True, "-0.52")])
+    def test_reference_pairs_fail_only_the_physicality_verdict(self, tmp_path, n_sites,
+                                                                twin, loss_min):
+        # nu_max is 7.65e6 at 40 sites and 1.09e48 at 150: asymmetry, density
+        # and trace are read relative to it.  Occupations above 1 are the true
+        # verdict, since 2 kappa < 2 (t_R + t_L) makes the loss Gram indefinite.
+        by_name = self.validate_chain(tmp_path, n_sites, 0.91, twin)
+        failed = [name for name, c in by_name.items() if not c["passed"]]
+        assert failed == ["occupations_in_unit_interval"]
+        assert f"min eigenvalue {loss_min};" in by_name[failed[0]]["detail"]
+        for name in ("correlator_hermitian", "density_reconstruction", "occupation_trace"):
+            assert by_name[name]["value"] <= 1e-14
+        assert by_name["source_hermitian_psd"]["limit"] == -1e-12 * 0.03
+
+    def test_physical_long_pair_passes_every_check(self, tmp_path):
+        by_name = self.validate_chain(tmp_path, 150, 1.5)
+        assert len(by_name) == 7 and all(c["passed"] for c in by_name.values())
 
     def test_indefinite_source_exits_1(self, tmp_path, capsys):
         params = HatanoNelsonParams(2, 1.0, 0.17, 1.5)

@@ -24,7 +24,8 @@ from gausschain import (
     ssh_jump_decomposition,
     steady_state_oracle,
 )
-from gausschain.manybody import CAR_TOL, FockOperatorSet, _checked_states, operator_set
+from gausschain.manybody import (MAX_ORACLE_SITES, FockOperatorSet, _checked_states,
+                                 operator_set)
 from gausschain.models import matrix_entries
 from gausschain.steady import _sample_grid
 
@@ -115,17 +116,18 @@ class TestFockOperators:
         assert operator_set(2) is operator_set(2)
         assert operator_set(2) is not operator_set(3)
 
-    def test_anticommutation_relations_at_three_sites(self):
-        ops = FockOperatorSet(3)
+    @pytest.mark.parametrize("n_sites", range(1, MAX_ORACLE_SITES + 1))
+    def test_anticommutation_relations(self, n_sites):
+        # Jordan-Wigner operators hold only 0 and +-1, so CAR hold exactly
+        ops = FockOperatorSet(n_sites)
         eye = np.eye(ops.dim)
-        for i in range(1, 4):
+        for i in range(1, n_sites + 1):
             ci = ops.annihilation(i)
-            for j in range(1, 4):
+            for j in range(1, n_sites + 1):
                 cj = ops.annihilation(j)
                 mixed = ci @ cj.conj().T + cj.conj().T @ ci
-                want = eye if i == j else np.zeros_like(eye)
-                assert np.abs(mixed - want).max() <= CAR_TOL
-                assert np.abs(ci @ cj + cj @ ci).max() <= CAR_TOL
+                assert np.array_equal(mixed, eye if i == j else np.zeros_like(eye))
+                assert not (ci @ cj + cj @ ci).any()
 
     def test_number_operator_diagonals_at_two_sites(self):
         # site 1 is the leftmost tensor factor, so n_1 toggles the slow index

@@ -555,6 +555,16 @@ def test_slow_mode_position_breaks_ties_deterministically():
     assert slow_mode_position(np.array([3.0, 1.0, 2.0])) == 1
     betas = np.array([0.5 + 1j, 0.5 - 1j, 0.5 - 1j, 2.0])
     assert slow_mode_position(betas) == 1
+    # eig can round Re of 0.1 - 0.316j above its conjugate's (by 7e-17 with
+    # OpenBLAS); the spectrum lists it first, and so does the slow-mode rule
+    spec = biorthogonal_decompose(np.array([[0.1, 0.1], [-1.0, 0.1]]))
+    assert spec.betas[0].imag < 0 < spec.betas[1].imag
+    assert slow_mode_position(spec.betas) == 0
+    assert identify_slow_mode(spec) == 1
+    rng = np.random.default_rng(1)
+    for dim in rng.integers(2, 7, size=300):
+        betas = biorthogonal_decompose(rng.standard_normal((dim, dim))).betas
+        assert slow_mode_position(betas) == 0
 
 
 def test_mode_accessors_and_index_errors():

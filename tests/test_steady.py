@@ -277,6 +277,59 @@ def test_one_way_bond_stays_on_the_chain_route():
     assert (np.abs(c - truth) / truth).max() <= 1e-12
 
 
+def staggered_twin(n_sites, kappa):
+    """(X, S X S, S S^T) of the reference single-band chain with s_j = (-1)^j: the
+    same physics under c_j -> (-1)^j c_j, with every hopping of the twin > 0."""
+    x = matrix_entries(build_hatano_nelson(HatanoNelsonParams(
+        n_sites, HN_REFERENCE["t_right"], HN_REFERENCE["t_left"], kappa))).real
+    s = (-1.0) ** np.arange(n_sites)
+    return x, s[:, None] * x * s[None, :], np.outer(s, s)
+
+
+@pytest.mark.parametrize("n_sites, kappa", [(150, 0.91), (300, 1.3)])
+def test_staggered_twin_is_the_sign_flipped_chain_bit_for_bit(n_sites, kappa):
+    # The twin's Z-matrix form S (S X S) S is the chain itself, so C is S C S
+    # of the chain's.  On the twin, eigvals once reported min Re beta -0.0918
+    # (150 sites) and Schur returned 58 negative densities (300 sites).
+    x, twin, signs = staggered_twin(n_sites, kappa)
+    y = build_local_pump(n_sites, HN_REFERENCE["pump_site"], HN_REFERENCE["pump_strength"])
+    assert DirectSolver(twin)._powers is not None
+    plain, twisted = solve_lyapunov_direct(x, y), solve_lyapunov_direct(twin, y)
+    assert np.array_equal(twisted.entries, signs * plain.entries)
+    assert twisted.residual == plain.residual and twisted.residual <= 1e-16
+
+
+def test_random_bond_signs_keep_the_two_band_magnitudes_bit_for_bit():
+    x = matrix_entries(build_ssh(SshParams(100, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"],
+                                           SSH_REFERENCE["g_edge"], SSH_REFERENCE["kappa"])))
+    x = x.real
+    y = build_local_pump(200, 1, SSH_REFERENCE["pump_strength"])
+    flips = np.random.default_rng(5).choice([-1.0, 1.0], size=199)
+    twisted, bond = x.copy(), np.arange(199)
+    twisted[bond + 1, bond] *= flips
+    twisted[bond, bond + 1] *= flips
+    assert (twisted > 0).any() and DirectSolver(twisted)._powers is not None
+    plain, ours = solve_lyapunov_direct(x, y), solve_lyapunov_direct(twisted, y)
+    assert np.array_equal(np.abs(ours.entries), np.abs(plain.entries))
+    assert ours.residual <= 1e-16
+
+
+def test_sign_gauge_keeps_the_pivot_certificate_and_the_schur_split():
+    # An unstable twin fails the pivots of its Z-matrix form, and a bond
+    # whose two entries differ in sign has no such form: eigvals and Schur.
+    with pytest.raises(StabilityError, match="pivot 3"):
+        DirectSolver(staggered_twin(150, 0.5)[1])
+    _, x, _ = hn_reference_system(12)
+    x, y = matrix_entries(x).real.copy(), build_local_pump(12, 4, 1.0).entries.real
+    x[6, 5] = -x[6, 5]
+    solver = DirectSolver(x)
+    assert solver._powers is None
+    schur = solve_schur(x, y)
+    assert np.array_equal(solver.solve(y).entries, 0.5 * (schur + schur.T))
+    with pytest.raises(StabilityError, match="min Re beta"):
+        DirectSolver(x - 0.2 * np.eye(12))
+
+
 def test_solve_many_matches_per_pump_solve():
     # Local pumps of mixed strengths, a dense pump, an all-zero pump and a
     # two-site pump, stacked: starting widths 1 and 2 (thin) and 0 (dense)
