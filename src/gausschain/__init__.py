@@ -11,6 +11,10 @@ The package is organized bottom-up:
 - :mod:`gausschain.manybody` — brute-force master-equation oracle
 - :mod:`gausschain.matio` — deterministic JSON/CSV serialization
 - :mod:`gausschain.cli` — batch command-line interface
+
+On glibc, importing the package keeps freed arrays of up to 32 MiB on the
+heap and up to 64 MiB of freed heap mapped (_keep_freed_arrays_mapped),
+unless GLIBC_TUNABLES or a MALLOC_*_ variable already tunes malloc.
 """
 
 __version__ = "0.1.0"
@@ -42,5 +46,36 @@ from .steady import (CorrelatorTrajectory, SteadyCorrelator, closed_form_correla
                      lyapunov_residual, propagate_correlator,
                      single_mode_approximation, solve_lyapunov_direct,
                      solve_lyapunov_spectral)
+
+
+def _keep_freed_arrays_mapped() -> bool:
+    """Stop glibc from unmapping freed N^2 arrays; True if the policy was set.
+
+    By default glibc serves arrays from 128 KiB up by mmap and trims freed
+    heap above 128 KiB, so each solve page-faults its arrays back in as
+    zero-filled pages.  mallopt(M_MMAP_THRESHOLD, 32 MiB) serves every
+    smaller array from the heap, and mallopt(M_TOP_PAD, 64 MiB) keeps up to
+    64 MiB of freed heap mapped for the next one.  Only where glibc is the
+    C library, and only when the environment does not tune malloc itself.
+    Changes no arithmetic.
+    """
+    import os
+
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return False
+    tuned = ("GLIBC_TUNABLES", "MALLOC_TOP_PAD_", "MALLOC_TRIM_THRESHOLD_",
+             "MALLOC_MMAP_THRESHOLD_")
+    if not libc.startswith("glibc") or any(name in os.environ for name in tuned):
+        return False
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(-3, 32 << 20) and mallopt(-2, 64 << 20))  # M_MMAP_THRESHOLD, M_TOP_PAD
+
+
+_keep_freed_arrays_mapped()
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -32,9 +32,8 @@ from .models import (PSD_TOL, HatanoNelsonParams, SourceMatrix, SshParams, build
 from .orbitals import (CROSSOVER_HEADER, PROFILE_HEADER, SOURCE_SCAN_HEADER,
                        diagnostics_report, hn_source_scan, natural_orbitals, profile_rows,
                        ssh_crossover_scan)
-from .spectral import (_betas_payload, _gauge_symmetrize, biorthogonal_decompose,
-                       hn_analytic_spectrum)
-from .steady import propagate_correlator, solve_lyapunov_direct
+from .spectral import _betas_payload, biorthogonal_decompose, hn_analytic_spectrum
+from .steady import DirectSolver, propagate_correlator, solve_lyapunov_direct
 
 OCCUPATION_HEADER = ("alpha", "nu", "nu_norm")
 
@@ -425,18 +424,20 @@ def cmd_validate(cfg: dict) -> None:
         source = None
         add("source_hermitian_psd", None, -PSD_TOL * float(w[-1]), False, str(exc))
 
-    # Tridiagonal chains get their exact rates from the imaginary gauge;
-    # eigvals on X itself returns pseudospectrum on long nonnormal chains.
-    gauge = _gauge_symmetrize(matrix_entries(x))
-    betas = np.linalg.eigvals(x) if gauge is None else np.linalg.eigvalsh(gauge[1])
-    min_rate = float(betas.real.min())
-    stable = min_rate > 0
-    add("relaxation_stable", min_rate, 0.0, stable,
-        "" if stable else "slowest mode does not decay")
+    # the certificate of the solver the steady checks use: LU pivots for
+    # chains, since eigvals on long nonnormal chains returns pseudospectrum
+    try:
+        solver = DirectSolver(x)
+    except GausschainError as exc:
+        solver = None
+        add("relaxation_stable", None, 0.0, False, str(exc))
+    else:
+        certificate, margin = solver._certificate
+        add("relaxation_stable", margin, 0.0, True, f"certified by the {certificate}")
 
-    if source is not None and stable:
+    if source is not None and solver is not None:
         try:
-            corr = solve_lyapunov_direct(x, source)
+            corr = solver.solve(source)
             c, orbs = np.asarray(corr.entries), natural_orbitals(corr)
             occ = orbs.occupations
             # rounding in C scales with C: asymmetry, density and trace are read per nu_max

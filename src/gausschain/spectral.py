@@ -218,10 +218,12 @@ def _rate_tolerance(betas: np.ndarray) -> float:
                                                        np.ptp(betas.imag)))
 
 
-def _check_beta_stability(betas: np.ndarray) -> None:
+def _check_beta_stability(betas: np.ndarray) -> float:
+    """min Re beta; StabilityError unless it is > 0."""
     worst = float(np.asarray(betas).real.min())
     if worst <= 0:
         raise StabilityError(f"spectrum is not strictly stable: min Re beta = {worst:.6e}")
+    return worst
 
 
 def _pump_loadings(spectrum: BiorthogonalSpectrum, pump_site,

@@ -128,46 +128,64 @@ def lyapunov_residual(x, c, y) -> float:
 
 
 def _backward_error(x: np.ndarray, bands, c: np.ndarray, y: np.ndarray) -> float:
-    """lyapunov_residual of X, C and Y, with X applied from ``bands`` unless they are None.
+    """lyapunov_residual of X, C and Y, with X applied from ``bands`` unless they are None."""
+    return float(_backward_errors(x, bands, c[None], y)[0])
+
+
+def _backward_errors(x: np.ndarray, bands, c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """_backward_error of X and Y for each C of a (K, N, N) stack, in one pass.
 
     The banded defect is P + C X^T - Y with P = X C = (C^T X^T)^T, three
-    scaled rows of C (_times_tridiagonal).  C X^T is P^dag when C is
-    exactly Hermitian, as _hermitize makes every correlator the library
+    scaled rows of C (_times_tridiagonal).  C X^T is P^dag when every C
+    is exactly Hermitian, as _hermitize makes every correlator the library
     returns, and three scaled columns of C otherwise.  An X with bands is
     real and finite (_tridiagonal_bands), so only C and Y are checked.
+    Each entry is the residual of its C alone, bit for bit (_frobenius).
     """
     inputs = (x, c, y) if bands is None else (c, y)
     if not all(np.isfinite(m).all() for m in inputs):
         raise ParameterError("residual of non-finite relaxation, correlator or source")
     if not any(m.imag.any() for m in inputs):
         x, c, y = x.real, c.real, y.real
-    scale = max(float(np.abs(c).max(initial=0.0)), float(np.abs(y).max(initial=0.0)))
-    if scale > 0:
-        c, y = c / scale, y / scale
+    scale = np.maximum(np.abs(c).max(axis=(1, 2), initial=0.0),
+                       float(np.abs(y).max(initial=0.0)))
+    scale[scale == 0] = 1.0
+    c, y = c / scale[:, None, None], y / scale[:, None, None]
     if bands is None:
         defect = x @ c + c @ x.conj().T - y
         x_norm = float(np.linalg.norm(x))
     else:
         diag, sub, sup = bands  # the bands of X^T are (diag, sup, sub)
-        xc = _times_tridiagonal(c.T, diag, sup, sub).T
-        hermitian = np.array_equal(c, c.conj().T)
-        defect = xc + (xc.conj().T if hermitian else _times_tridiagonal(c, diag, sup, sub))
+        xc = _times_tridiagonal(c.transpose(0, 2, 1), diag, sup, sub).transpose(0, 2, 1)
+        hermitian = np.array_equal(c, c.transpose(0, 2, 1).conj())
+        defect = xc + (xc.transpose(0, 2, 1).conj() if hermitian
+                       else _times_tridiagonal(c, diag, sup, sub))
         defect -= y
         x_norm = float(np.linalg.norm(np.concatenate(bands)))
-    bound = 2.0 * x_norm * float(np.linalg.norm(c)) + float(np.linalg.norm(y))
-    return float(np.linalg.norm(defect)) / bound if bound > 0 else 0.0
+    bound = 2.0 * x_norm * _frobenius(c) + _frobenius(y)
+    with np.errstate(divide="ignore", invalid="ignore"):  # where the bound vanishes
+        return np.where(bound > 0, _frobenius(defect) / bound, 0.0)
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a C-ordered (K, N, N) stack, each bit for
+    bit np.linalg.norm of that matrix: the same BLAS dot over the same order."""
+    flat = m.reshape(len(m), -1)
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    return np.sqrt(sum(np.vecdot(p, p) for p in parts))
 
 
 def _times_tridiagonal(m: np.ndarray, diag: np.ndarray, sub: np.ndarray,
                        sup: np.ndarray) -> np.ndarray:
-    """m T for the tridiagonal T with T[k, k] = diag_k, T[k+1, k] = sub_k, T[k, k+1] = sup_k.
+    """m T for the tridiagonal T with T[k, k] = diag_k, T[k+1, k] = sub_k, T[k, k+1] = sup_k;
+    m may be a stack of matrices.
 
     Column j is m_j-1 sup_j-1 + m_j diag_j + m_j+1 sub_j, so the product
     costs N^2 and each term keeps the sign of m times its band.
     """
     out = m * diag
-    out[:, 1:] += m[:, :-1] * sup
-    out[:, :-1] += m[:, 1:] * sub
+    out[..., 1:] += m[..., :-1] * sup
+    out[..., :-1] += m[..., 1:] * sub
     return out
 
 
@@ -196,8 +214,9 @@ def solve_schur(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise SolveError(f"Schur Lyapunov solve failed: {exc}") from exc
 
 
-def _certify_m_matrix(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray) -> None:
-    """Raise StabilityError unless the Z-matrix with these bands is a nonsingular M-matrix.
+def _certify_m_matrix(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray) -> float:
+    """Smallest LU pivot of the Z-matrix with these bands; StabilityError unless
+    it is a nonsingular M-matrix.
 
     For a Z-matrix this is the same as every eigenvalue having positive
     real part, and the same as every pivot of its unpivoted LU
@@ -208,13 +227,15 @@ def _certify_m_matrix(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray) -> Non
     follow the O(N) recurrence u_k = x_kk - x_k,k-1 x_k-1,k / u_k-1.
     """
     coupling = [0.0] + (sub * sup).tolist()
-    pivot = 1.0
+    pivot, smallest = 1.0, np.inf
     for k, (d, t) in enumerate(zip(diag.tolist(), coupling)):
         pivot = d - t / pivot
         if not pivot > 0:
             raise StabilityError(
                 f"relaxation matrix is not strictly stable: pivot {k + 1} of its "
                 f"unpivoted LU factorization is {pivot:.6e} <= 0")
+        smallest = min(smallest, pivot)
+    return smallest
 
 
 def _m_matrix_inverse(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
@@ -288,6 +309,8 @@ class DirectSolver:
       included: the eigenvalue screen and the Schur method, one pump at a time.
 
     Raises ParameterError for non-finite X (here) or Y (when solving).
+    ``_certificate`` names what certified X stable and its margin: the
+    smallest LU pivot, or min Re beta of the eigenvalue screen.
     """
 
     def __init__(self, relaxation):
@@ -298,7 +321,8 @@ class DirectSolver:
         self._powers = self._signs = None
         self._bands = bands = _tridiagonal_bands(x)
         if bands is None or (np.sign(bands[1]) * np.sign(bands[2]) < 0).any():
-            _check_beta_stability(np.linalg.eigvals(x))
+            self._certificate = ("min Re beta of the eigenvalue screen",
+                                 _check_beta_stability(np.linalg.eigvals(x)))
             return
         diag, sub, sup = bands
         flips = (sub > 0) | (sup > 0)
@@ -306,7 +330,7 @@ class DirectSolver:
             s = np.cumprod(np.concatenate(([1.0], np.where(flips, -1.0, 1.0))))
             self._signs = np.outer(s, s)  # S M S = M * s s^T, exactly
             sub, sup = -np.abs(sub), -np.abs(sup)
-        _certify_m_matrix(diag, sub, sup)
+        self._certificate = ("smallest LU pivot", _certify_m_matrix(diag, sub, sup))
         self._shift = float(diag.max())
         self._inverse = _m_matrix_inverse(self._shift + diag, sub, sup)
         # A = (pI + X)^-1 (pI - X), every term of the banded product >= 0
@@ -656,8 +680,7 @@ def propagate_correlator(relaxation, source, initial, t_final: float,
     if not (x.imag.any() or y.imag.any()):
         x, y = x.real, y.real
     c, asym = _hermitize(c0)
-    bands = _tridiagonal_bands(x)
-    states = [SteadyCorrelator(c, "integrated", _backward_error(x, bands, c, y), asym)]
+    samples, asyms = [c], [asym]
     with np.errstate(over="ignore", invalid="ignore"):  # unstable X; checked below
         maps = {h: _affine_step(x, y, h) for h in set(intervals)}
         for t, h in zip(times[1:], intervals):
@@ -666,9 +689,12 @@ def propagate_correlator(relaxation, source, initial, t_final: float,
             if not np.isfinite(c).all():
                 raise SolveError(f"correlator is not finite at t = {t:.6g}; "
                                  "the relaxation matrix is not stable")
-            states.append(SteadyCorrelator(c, "integrated", _backward_error(x, bands, c, y),
-                                           asym))
-    return CorrelatorTrajectory(times, tuple(states), float(dt))
+            samples.append(c)
+            asyms.append(asym)
+    residuals = _backward_errors(x, _tridiagonal_bands(x), np.array(samples), y)
+    states = tuple(SteadyCorrelator(c, "integrated", r, a)
+                   for c, r, a in zip(samples, residuals.tolist(), asyms))
+    return CorrelatorTrajectory(times, states, float(dt))
 
 
 def closed_form_correlator(spectrum: BiorthogonalSpectrum, source, initial,

@@ -383,16 +383,20 @@ class TestValidateCommand:
         assert summary["passed"] is False
         by_name = {c["name"]: c for c in summary["checks"]}
         assert by_name["relaxation_stable"]["passed"] is False
+        assert "unpivoted LU factorization" in by_name["relaxation_stable"]["detail"]
 
     @staticmethod
-    def validate_chain(tmp_path, n_sites, kappa, twin=False):
+    def validate_chain(tmp_path, n_sites, kappa, twin=False, one_way_bond=None):
         """Checks by name of validate on the reference chain with its pump at
-        site 15; ``twin`` flips every hopping's sign, X -> S X S, s_j = (-1)^j."""
+        site 15; ``twin`` flips every hopping's sign, X -> S X S, s_j = (-1)^j,
+        and ``one_way_bond`` = j zeroes the 1-based entry X[j+1, j]."""
         x = build_hatano_nelson(HatanoNelsonParams(n_sites, 1.0, 0.17, kappa))
-        entries = matrix_entries(x)
+        entries = matrix_entries(x).copy()
         if twin:
             s = (-1.0) ** np.arange(n_sites)
             entries = s[:, None] * entries * s[None, :]
+        if one_way_bond is not None:
+            entries[one_way_bond, one_way_bond - 1] = 0.0
         x_file = str(tmp_path / "x.json")
         y_file = str(tmp_path / "y.json")
         write_matrix(x_file, entries, x.labels)
@@ -401,17 +405,62 @@ class TestValidateCommand:
         main(["validate", "--x-file", x_file, "--y-file", y_file, "--out", out])
         return {c["name"]: c for c in read_summary(out + "/validate.json")["checks"]}
 
-    @pytest.mark.parametrize("kappa, stable", [(0.91, True), (0.5, False)])
-    def test_long_chain_stability_uses_exact_rates(self, tmp_path, kappa, stable):
+    @pytest.mark.parametrize("kappa, twin", [(0.91, False), (0.91, True), (0.5, False),
+                                             (0.5, True)])
+    def test_long_chain_stability_takes_the_solver_certificate(self, tmp_path, kappa, twin):
         # eigvals on this 150-site X returns pseudospectrum (min rate -0.0917
-        # at kappa 0.91); the gauge route gives the closed form.
-        by_name = self.validate_chain(tmp_path, 150, kappa)
+        # at kappa 0.91).  The LU pivots kappa - 0.17 / u_k-1 fall to the
+        # larger root of u^2 - kappa u + 0.17 when kappa^2 > 0.68, and turn
+        # negative at the third when kappa is 0.5.
+        by_name = self.validate_chain(tmp_path, 150, kappa, twin)
         check = by_name["relaxation_stable"]
-        assert check["passed"] is stable
-        exact = kappa - 2.0 * math.sqrt(0.17) * math.cos(math.pi / 151.0)
-        assert check["value"] == pytest.approx(exact, rel=0, abs=1e-12)
-        if stable:
+        if kappa > 0.9:
+            assert check["passed"] is True
+            assert check["detail"] == "certified by the smallest LU pivot"
+            root = (kappa + math.sqrt(kappa ** 2 - 0.68)) / 2.0
+            assert check["value"] == pytest.approx(root, rel=0, abs=1e-12)
             assert by_name["steady_residual"]["passed"] is True
+        else:
+            assert check["passed"] is False and check["value"] is None
+            assert "pivot 3 of its unpivoted LU factorization is -5.625000e-01" in (
+                check["detail"])
+            assert by_name["steady_state"]["detail"].startswith("skipped")
+
+    def test_one_way_bond_is_certified_by_its_pivots(self, tmp_path):
+        # The bond X[151, 150] = 0 splits X into two 150-site chains, each
+        # stable (slowest rate +0.0856); eigvals of the whole 300-site X
+        # reads -0.0987.  Only the physicality verdict fails (2 kappa < 2.34).
+        by_name = self.validate_chain(tmp_path, 300, 0.91, one_way_bond=150)
+        assert [name for name, c in by_name.items() if not c["passed"]] == [
+            "occupations_in_unit_interval"]
+        root = (0.91 + math.sqrt(0.91 ** 2 - 0.68)) / 2.0
+        assert by_name["relaxation_stable"]["value"] == pytest.approx(root, rel=0, abs=1e-12)
+        assert by_name["steady_residual"]["value"] <= 1e-15
+
+    def test_dense_unstable_relaxation_fails_the_eigenvalue_screen(self, tmp_path):
+        # not tridiagonal, so the solver screens eigvals: 0.1 - 1.5 = -1.4 < 0
+        x_file, y_file = str(tmp_path / "x.json"), str(tmp_path / "y.json")
+        labels = ("1", "2", "3")
+        write_matrix(x_file, 0.1 * np.eye(3) - 0.5 * np.ones((3, 3)), labels)
+        write_matrix(y_file, 0.1 * np.eye(3), labels)
+        out = str(tmp_path / "out")
+        assert main(["validate", "--x-file", x_file, "--y-file", y_file, "--out", out]) == 1
+        check = {c["name"]: c for c in read_summary(out + "/validate.json")["checks"]}[
+            "relaxation_stable"]
+        assert check["passed"] is False
+        assert check["detail"].startswith("spectrum is not strictly stable: min Re beta = -1.4")
+
+    def test_dense_stable_relaxation_is_certified_by_the_eigenvalue_screen(self, tmp_path):
+        x_file, y_file = str(tmp_path / "x.json"), str(tmp_path / "y.json")
+        labels = ("1", "2", "3")
+        write_matrix(x_file, 2.0 * np.eye(3) + 0.5 * np.ones((3, 3)), labels)
+        write_matrix(y_file, 0.1 * np.eye(3), labels)
+        out = str(tmp_path / "out")
+        main(["validate", "--x-file", x_file, "--y-file", y_file, "--out", out])
+        check = read_summary(out + "/validate.json")["checks"][1]
+        assert check["passed"] is True
+        assert check["detail"] == "certified by the min Re beta of the eigenvalue screen"
+        assert check["value"] == pytest.approx(2.0, rel=1e-14)
 
     @pytest.mark.parametrize("n_sites, twin, loss_min", [(40, False, "-0.514"),
                                                          (150, False, "-0.52"),

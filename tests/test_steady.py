@@ -819,6 +819,20 @@ def test_propagation_samples_like_the_master_equation():
         assert np.abs(correlator_of(state) - sample.entries).max() <= 1e-12
 
 
+@pytest.mark.parametrize("dense", [False, True])
+def test_trajectory_residuals_are_each_samples_own(dense):
+    # one stacked pass over oracle-check's grid, bit for bit the residual
+    # of each sample alone (banded X, and a dense X that takes products)
+    x = matrix_entries(build_hatano_nelson(HatanoNelsonParams(4, 1.0, 0.17, 1.5)))
+    if dense:
+        x = x + 0.01
+    y = build_diagonal_pump([0.1] * 4)
+    traj = propagate_correlator(x, y, np.zeros((4, 4)), t_final=10.0, dt=0.002, stride=50)
+    assert len(traj.states) == 101
+    assert ([s.residual for s in traj.states]
+            == [lyapunov_residual(x, s.entries, y) for s in traj.states])
+
+
 def test_unstable_relaxation_overflow_raises_solve_error():
     with pytest.raises(SolveError, match="t = 355"):
         propagate_correlator(np.array([[-1.0]]), np.array([[0.0]]),

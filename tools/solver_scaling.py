@@ -6,13 +6,17 @@ sites, prints the number of doublings, how many of them the thin start
 takes and the width its factor reaches, and the median over five runs
 of the construction (``build_s``), of one ``solve`` with its residual
 (``solve_s``) and of the closed-form spectrum plus its unit slow mode
-(``spectrum_s``).
+(``spectrum_s``).  ``minflt_build`` and ``minflt_solve`` are the minor
+page faults (``getrusage``) per construction and per solve over the same
+timed runs, so a change that moves faults can be told from one that
+moves flops.
 Writes no file.  Run from the repository root with BLAS on one thread:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/solver_scaling.py
 """
 
 import json
+import resource
 import time
 
 import numpy as np
@@ -25,13 +29,18 @@ SIZES = (200, 400, 700)
 SOLVES = 5
 
 
-def median_time(run) -> float:
-    times = []
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def timed(run) -> tuple[float, float]:
+    """Median seconds of SOLVES runs and their minor page faults per run."""
+    times, faults = [], minor_faults()
     for _ in range(SOLVES):
         start = time.perf_counter()
         run()
         times.append(time.perf_counter() - start)
-    return round(float(np.median(times)), 4)
+    return round(float(np.median(times)), 4), (minor_faults() - faults) / SOLVES
 
 
 def slow_unit_mode(params: HatanoNelsonParams):
@@ -46,10 +55,12 @@ def measure(n_sites: int) -> dict:
     pump = build_local_pump(n_sites, 15, 0.03)
     doublings = len(solver._powers)
     thin = _thin_doublings(1, n_sites, doublings)
+    build_s, build_faults = timed(lambda: DirectSolver(x))
+    solve_s, solve_faults = timed(lambda: solver.solve(pump))
     return {"n_sites": n_sites, "doublings": doublings, "thin_doublings": thin,
-            "thin_width": 1 << thin, "build_s": median_time(lambda: DirectSolver(x)),
-            "solve_s": median_time(lambda: solver.solve(pump)),
-            "spectrum_s": median_time(lambda: slow_unit_mode(params))}
+            "thin_width": 1 << thin, "build_s": build_s, "solve_s": solve_s,
+            "spectrum_s": timed(lambda: slow_unit_mode(params))[0],
+            "minflt_build": build_faults, "minflt_solve": solve_faults}
 
 
 if __name__ == "__main__":
