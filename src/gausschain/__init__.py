@@ -39,9 +39,8 @@ from .orbitals import (DiagnosticsReport, EdgeCandidate, LoadingFactors,
                        loading_factors, natural_orbitals, normalized_density,
                        overlap, ssh_crossover_scan)
 from .spectral import (BiorthogonalSpectrum, ModeVector, biorthogonal_decompose,
-                       euclidean_normalize, gap_ratio, hn_analytic_spectrum,
-                       hn_normalized_modes, hn_similarity_residual,
-                       slow_mode_position, spectrum_payload, ssh_edge_envelopes)
+                       hn_analytic_spectrum, hn_normalized_modes, hn_similarity_residual,
+                       slow_mode_position, ssh_edge_envelopes)
 from .steady import (CorrelatorTrajectory, SteadyCorrelator, closed_form_correlator,
                      lyapunov_residual, propagate_correlator,
                      single_mode_approximation, solve_lyapunov_direct,

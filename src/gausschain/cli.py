@@ -490,8 +490,8 @@ def cmd_oracle_check(cfg: dict) -> None:
                                jumps, cfg["t_final"], cfg["dt"], stride=cfg["stride"])
     reference = propagate_correlator(x, y, np.zeros((n, n)), cfg["t_final"],
                                      cfg["dt"], stride=cfg["stride"])
-    max_dev = max(float(np.abs(correlator_of(state) - snapshot.entries).max())
-                  for state, snapshot in zip(trajectory.states, reference.states))
+    max_dev = max(float(np.abs(correlator_of(state) - sample).max())
+                  for state, sample in zip(trajectory.states, reference.states))
 
     steady_rho = steady_state_oracle(realization.hamiltonian, jumps)
     direct = solve_lyapunov_direct(x, y)

@@ -113,10 +113,6 @@ class MicroscopicRealization:
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
 
-    def rebuild_relaxation(self) -> np.ndarray:
-        """i h + (loss gram + gain gram) / 2, which must reproduce X."""
-        return 1j * self.hamiltonian + 0.5 * (self.loss_gram + self.gain_gram)
-
 
 def inverse_design(relaxation, source) -> MicroscopicRealization:
     """Split a target (X, Y) into Hamiltonian and gain/loss Grams.

@@ -104,9 +104,6 @@ class FockOperatorSet:
             self._pair_cache[key] = self.creation(i) @ self.annihilation(j)
         return self._pair_cache[key]
 
-    def number(self, site: int) -> np.ndarray:
-        return self.pair_product(site, site)
-
     def one_body_operator(self, coefficients) -> np.ndarray:
         """sum_ij M_ij c_i^dag c_j as a full Fock-space matrix."""
         m = np.asarray(coefficients, dtype=complex)
@@ -208,15 +205,6 @@ class DensityMatrix:
         rho[0, 0] = 1.0
         return cls(rho)
 
-    @classmethod
-    def from_pure(cls, amplitudes) -> "DensityMatrix":
-        v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(v)
-        if norm == 0 or not np.isfinite(norm):
-            raise ParameterError("pure state amplitudes must be normalizable")
-        v = v / norm
-        return cls(np.outer(v, v.conj()))
-
 
 @dataclass(frozen=True)
 class MasterTrajectory:
@@ -227,9 +215,6 @@ class MasterTrajectory:
     states: tuple[DensityMatrix, ...]
     dt: float
     max_trace_drift: float
-
-    def final(self) -> DensityMatrix:
-        return self.states[-1]
 
 
 def _liouvillian_parts(ops: FockOperatorSet, h, jumps: JumpSet):

@@ -16,7 +16,7 @@ Site indices are 1-based in every public interface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,7 +125,7 @@ class HatanoNelsonParams:
     Zero hoppings are representable (degenerate decoupled limit) but are
     rejected by the builders and closed-form routines, which need strict
     nonreciprocal hopping.  Guaranteed relaxation requires
-    kappa > 2 sqrt(t_right t_left); see :meth:`stability_threshold`.
+    kappa > 2 sqrt(t_right t_left).
     """
 
     n_sites: int
@@ -141,16 +141,6 @@ class HatanoNelsonParams:
             object.__setattr__(self, name, _check_finite_scalar(name, getattr(self, name)))
         if self.t_right < 0 or self.t_left < 0:
             raise ParameterError("hopping amplitudes must be nonnegative")
-
-    def stability_threshold(self) -> float:
-        """Damping below which decay of every mode is no longer guaranteed."""
-        return 2.0 * math.sqrt(self.t_right * self.t_left)
-
-    def asymmetry_ratio(self) -> float:
-        """r = sqrt(t_right / t_left), the per-site envelope growth factor."""
-        if self.t_right <= 0 or self.t_left <= 0:
-            raise ParameterError("asymmetry ratio requires strictly positive hoppings")
-        return math.sqrt(self.t_right / self.t_left)
 
 
 @dataclass(frozen=True)
@@ -255,8 +245,7 @@ def build_ssh(params: SshParams) -> RelaxationMatrix:
     return RelaxationMatrix(x, ssh_labels(n))
 
 
-def build_local_pump(dim: int, site: int, strength: float,
-                     labels: tuple[str, ...] = ()) -> SourceMatrix:
+def build_local_pump(dim: int, site: int, strength: float) -> SourceMatrix:
     """Pump acting on a single site: Y = strength |site><site| (1-based)."""
     if int(dim) != dim or dim < 1:
         raise ParameterError(f"dim must be a positive integer, got {dim!r}")
@@ -267,10 +256,10 @@ def build_local_pump(dim: int, site: int, strength: float,
         raise SiteIndexError(f"pump site {site} outside 1..{dim}")
     y = np.zeros((int(dim), int(dim)), dtype=complex)
     y[int(site) - 1, int(site) - 1] = strength
-    return SourceMatrix(y, labels or default_labels(int(dim)))
+    return SourceMatrix(y)
 
 
-def build_diagonal_pump(values, labels: tuple[str, ...] = ()) -> SourceMatrix:
+def build_diagonal_pump(values) -> SourceMatrix:
     """Pump with site-resolved strengths: Y = diag(values), all >= 0."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 1:
@@ -280,4 +269,4 @@ def build_diagonal_pump(values, labels: tuple[str, ...] = ()) -> SourceMatrix:
     if np.any(v < 0):
         j = int(np.argmin(v))
         raise ParameterError(f"diagonal pump entry {j + 1} is negative ({v[j]})")
-    return SourceMatrix(np.diag(v.astype(complex)), labels or default_labels(v.size))
+    return SourceMatrix(np.diag(v.astype(complex)))

@@ -302,14 +302,13 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
     if strength <= 0 or not np.isfinite(strength):
         raise ParameterError(f"pump strength must be positive, got {pump_strength}")
     x = build_hatano_nelson(params)
-    if sites is None:
-        sites = np.arange(1, params.n_sites + 1)
-    sites = np.asarray([int(s) for s in sites])
-    if sites.size == 0:
+    sites = range(1, params.n_sites + 1) if sites is None else list(sites)
+    if len(sites) == 0:
         raise ParameterError("source scan needs at least one pump site")
     for s in sites:
-        if not 1 <= s <= params.n_sites:
+        if int(s) != s or not 1 <= s <= params.n_sites:
             raise SiteIndexError(f"pump site {s} outside 1..{params.n_sites}")
+    sites = np.asarray([int(s) for s in sites])
     try:
         solver = DirectSolver(x)
     except GausschainError as exc:
@@ -396,24 +395,16 @@ class CrossoverScan:
 
 CROSSOVER_HEADER = ("g", "O_edge", "O_slow", "edge_mode_index", "slow_mode_index")
 
-CROSSOVER_G_RANGE = (-0.55, 0.60)
-CROSSOVER_G_POINTS = 24
 
-
-def default_crossover_grid() -> np.ndarray:
-    return np.linspace(CROSSOVER_G_RANGE[0], CROSSOVER_G_RANGE[1], CROSSOVER_G_POINTS)
-
-
-def ssh_crossover_scan(params: SshParams, pump_cell: int = 1, pump_sublattice: str = "A",
-                       pump_strength: float = 1e-8, g_values=None) -> CrossoverScan:
+def ssh_crossover_scan(params: SshParams, pump_cell: int, pump_sublattice: str,
+                       pump_strength: float, g_values) -> CrossoverScan:
     """Edge-versus-bulk locking competition along a nonreciprocity scan.
 
     ``params.g`` is ignored; each scan point replaces it with a grid
     value, is solved in order by the direct solver, and reads its row off
     :func:`diagnostics_report`.  Per-point failures do not abort the scan.
+    The ``ssh-crossover`` command's defaults are the reference grid and pump.
     """
-    if g_values is None:
-        g_values = default_crossover_grid()
     g_values = np.asarray([float(g) for g in g_values])
     if g_values.size == 0:
         raise ParameterError("crossover scan needs at least one g value")

@@ -9,11 +9,12 @@ nonreciprocal chains the right/left modes carry exponentially opposite
 envelopes, so every spectrum holds them scale-free, as (U, V, log d)
 with R = D U and L = D^-1 V (see :class:`BiorthogonalSpectrum`).
 
-:func:`biorthogonal_decompose` picks its route from the input: Hermitian
-X, real tridiagonal X with X[j+1, j] X[j, j+1] > 0 (both chain models),
-which the imaginary gauge of Hatano & Nelson (PRL 77, 570, 1996) makes
-symmetric, so its rates are exact where a nonsymmetric eigensolver returns
-pseudospectrum, or any other X.
+:func:`biorthogonal_decompose` picks its route from the input, in this
+order: real tridiagonal X with X[j+1, j] X[j, j+1] > 0 (both chain
+models, reciprocal ones included), which the imaginary gauge of Hatano &
+Nelson (PRL 77, 570, 1996) makes symmetric, so its rates are exact where
+a nonsymmetric eigensolver returns pseudospectrum; any other Hermitian X;
+or any other X.
 
 Mode indices, like site indices, are 1-based in the public interface.
 Modes are ordered by ascending real part of beta (slowest first), with
@@ -29,11 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (DecompositionError, DegeneracyError, EnvelopeOverflowError,
-                     NormalizationError, ParameterError, RegimeError, SiteIndexError,
-                     StabilityError)
-from .matio import matrix_payload
-from .models import (HatanoNelsonParams, SshParams, build_hatano_nelson,
-                     default_labels, matrix_entries)
+                     ParameterError, RegimeError, SiteIndexError, StabilityError)
+from .models import HatanoNelsonParams, SshParams, build_hatano_nelson, matrix_entries
 
 SIMILARITY_LOG_LIMIT = 600.0
 
@@ -77,17 +75,6 @@ def _gauge_columns(m: np.ndarray) -> np.ndarray:
     # hypot, not np.abs: it rounds like the scalar abs() the gauge has
     # always used, so gauged columns keep their last bits
     return m * (peaks.conjugate() / np.hypot(peaks.real, peaks.imag))[None, :]
-
-
-def euclidean_normalize(vector) -> ModeVector:
-    """Unit-norm copy with the largest-|entry| gauged real positive."""
-    v = np.asarray(getattr(vector, "amplitudes", vector), dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-        raise NormalizationError("cannot normalize a non-finite vector")
-    nrm = float(np.linalg.norm(v))
-    if nrm == 0.0:
-        raise NormalizationError("cannot normalize the zero vector")
-    return ModeVector(_gauge_columns((v / nrm)[:, None])[:, 0], "euclidean")
 
 
 def _peak_rows(m: np.ndarray, log_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,12 +175,6 @@ class BiorthogonalSpectrum:
             raise SiteIndexError(f"mode index {n} outside 1..{self.dim}")
         return int(n) - 1
 
-    def right_mode(self, n: int) -> ModeVector:
-        return ModeVector(self.right[:, self._check_mode(n)], "biorthogonal")
-
-    def left_mode(self, n: int) -> ModeVector:
-        return ModeVector(self.left[:, self._check_mode(n)], "biorthogonal")
-
     def right_mode_unit(self, n: int) -> ModeVector:
         k = self._check_mode(n)
         return ModeVector(_unit_columns(self.u[:, k:k + 1], self.log_d)[:, 0], "euclidean")
@@ -247,20 +228,6 @@ def _pump_loadings(spectrum: BiorthogonalSpectrum, pump_site,
         raise EnvelopeOverflowError(f"pump loading at site {int(bad[0])} is not "
                                     "representable: |L_n(s)|^2 overflows")
     return loadings
-
-
-def gap_ratio(spectrum: BiorthogonalSpectrum) -> float:
-    """Relative spectral gap (rate_second - rate_slow) / rate_slow.
-
-    Only the number is reported; whether a given ratio makes the
-    single-slow-mode picture valid is for the caller to decide.
-    """
-    rates = np.sort(spectrum.betas.real)
-    if rates.size < 2:
-        return math.inf
-    if rates[0] == 0:
-        return math.inf
-    return float((rates[1] - rates[0]) / rates[0])
 
 
 def _sorted_order(betas: np.ndarray) -> np.ndarray:
@@ -323,16 +290,17 @@ def _gauge_symmetrize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
     """Full biorthogonal eigendecomposition of a relaxation matrix.
 
-    The route is chosen from the input:
+    The route is chosen from the input, first match wins:
 
-    * Hermitian X: ``eigh``; left and right modes coincide, all beta are
-      real, and ``log10_condition`` is the log10 of the 2-norm condition
-      of the mode matrix.
-    * Real tridiagonal X with X[j+1, j] X[j, j+1] > 0 for every j:
-      ``eigh`` of the gauge-symmetrized H = D^-1 X D, so <L_m|R_n> =
-      delta_mn holds to the orthogonality of U at any chain length.  All
-      beta are real.  ``log10_condition`` is (max log d - min log d) /
-      ln 10, the log10 of cond_2(D U) exactly because U is orthogonal.
+    * Real tridiagonal X with X[j+1, j] X[j, j+1] > 0 for every j,
+      Hermitian or not: ``eigh`` of the gauge-symmetrized H = D^-1 X D,
+      so <L_m|R_n> = delta_mn holds to the orthogonality of U at any
+      chain length.  All beta are real.  ``log10_condition`` is
+      (max log d - min log d) / ln 10, the log10 of cond_2(D U) exactly
+      because U is orthogonal.
+    * Any other Hermitian X: ``eigh``; left and right modes coincide, all
+      beta are real, and ``log10_condition`` is the log10 of the 2-norm
+      condition of the mode matrix.
     * Any other X: ``eig``; left modes come from the inverse of the
       right-eigenvector matrix, which enforces <L_m|R_n> = delta_mn to
       solver accuracy instead of pairing two independent eigensolves,
@@ -350,17 +318,17 @@ def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
     """
     x = matrix_entries(matrix)
     dim = x.shape[0]
+    gauge = _gauge_symmetrize(x)
+    if gauge is not None:
+        logd, h = gauge
+        return _orthogonal_spectrum(*np.linalg.eigh(h), logd)
+
     scale = max(1.0, float(np.abs(x).max()))
     if np.abs(x - x.conj().T).max() <= 1e-13 * scale:
         w, r = np.linalg.eigh(0.5 * (x + x.conj().T))
         r = _gauge_columns(r)
         return BiorthogonalSpectrum(w.astype(complex), r, r, np.zeros(dim),
                                     math.log10(np.linalg.cond(r)))
-
-    gauge = _gauge_symmetrize(x)
-    if gauge is not None:
-        logd, h = gauge
-        return _orthogonal_spectrum(*np.linalg.eigh(h), logd)
 
     try:
         betas, r = np.linalg.eig(x)
@@ -476,14 +444,3 @@ def _betas_payload(betas: np.ndarray) -> dict:
     """JSON payload for complex rates, as their real and imaginary parts."""
     return {"re": [float(v) for v in betas.real], "im": [float(v) for v in betas.imag]}
 
-
-def spectrum_payload(spectrum: BiorthogonalSpectrum, labels=None) -> dict:
-    """JSON payload for a spectrum (betas, mode matrices, condition)."""
-    labels = tuple(labels) if labels else default_labels(spectrum.dim)
-    return {
-        "dim": spectrum.dim,
-        "betas": _betas_payload(spectrum.betas),
-        "right": matrix_payload(spectrum.right, labels),
-        "left": matrix_payload(spectrum.left, labels),
-        "condition_estimate": float(spectrum.condition_estimate),
-    }

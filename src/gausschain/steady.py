@@ -63,11 +63,10 @@ MAX_DOUBLINGS = 64
 class SteadyCorrelator:
     """Hermitian one-body correlator with solver provenance.
 
-    ``method`` is "direct", "spectral", or "integrated"; ``residual`` is
-    the normwise backward error of C as a solution of X C + C X^dag = Y
-    (see lyapunov_residual), which for transient samples measures their
-    distance from stationarity; ``asymmetry`` records max |C - C^dag|
-    before the Hermitian symmetrization that every producer applies.
+    ``method`` is "direct" or "spectral"; ``residual`` is the normwise
+    backward error of C as a solution of X C + C X^dag = Y (see
+    lyapunov_residual); ``asymmetry`` records max |C - C^dag| before the
+    Hermitian symmetrization that every producer applies.
     """
 
     entries: np.ndarray
@@ -79,7 +78,7 @@ class SteadyCorrelator:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ParameterError(f"correlator must be square, got shape {m.shape}")
-        if self.method not in ("direct", "spectral", "integrated"):
+        if self.method not in ("direct", "spectral"):
             raise ParameterError(f"unknown solver method {self.method!r}")
         m = m.copy()
         m.flags.writeable = False
@@ -95,8 +94,9 @@ class SingleModeResult:
     """Rank-one slow-mode approximation of a steady correlator.
 
     ``loading`` is A_0 = strength |L_0(s)|^2 / (2 Re beta_0) and
-    ``predicted_occupation`` its estimate A_0 <R_0|R_0> of the top
-    natural-orbital occupation.
+    ``predicted_occupation`` is A_0 <R_0|R_0>, which estimates the top
+    natural-orbital occupation nu_1 only where one slow mode dominates a
+    near-normal chain; on nonnormal chains it can exceed nu_1 manyfold.
     """
 
     rank_one: SteadyCorrelator
@@ -106,10 +106,14 @@ class SingleModeResult:
 
 @dataclass(frozen=True)
 class CorrelatorTrajectory:
-    """Exact correlator samples on the grid of _sample_grid; states[k] is at times[k]."""
+    """Exact correlator samples on the grid of _sample_grid.
+
+    ``states`` is one read-only (S, N, N) array of Hermitian samples, and
+    states[k] is the sample at times[k].
+    """
 
     times: np.ndarray
-    states: tuple[SteadyCorrelator, ...]
+    states: np.ndarray
     dt: float
 
 
@@ -128,57 +132,39 @@ def lyapunov_residual(x, c, y) -> float:
 
 
 def _backward_error(x: np.ndarray, bands, c: np.ndarray, y: np.ndarray) -> float:
-    """lyapunov_residual of X, C and Y, with X applied from ``bands`` unless they are None."""
-    return float(_backward_errors(x, bands, c[None], y)[0])
-
-
-def _backward_errors(x: np.ndarray, bands, c: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """_backward_error of X and Y for each C of a (K, N, N) stack, in one pass.
+    """lyapunov_residual of X, C and Y, with X applied from ``bands`` unless they are None.
 
     The banded defect is P + C X^T - Y with P = X C = (C^T X^T)^T, three
-    scaled rows of C (_times_tridiagonal).  C X^T is P^dag when every C
-    is exactly Hermitian, as _hermitize makes every correlator the library
+    scaled rows of C (_times_tridiagonal).  C X^T is P^dag when C is
+    exactly Hermitian, as _hermitize makes every correlator the library
     returns, and three scaled columns of C otherwise.  An X with bands is
     real and finite (_tridiagonal_bands), so only C and Y are checked.
-    Each entry is the residual of its C alone, bit for bit (_frobenius).
     """
     inputs = (x, c, y) if bands is None else (c, y)
     if not all(np.isfinite(m).all() for m in inputs):
         raise ParameterError("residual of non-finite relaxation, correlator or source")
     if not any(m.imag.any() for m in inputs):
         x, c, y = x.real, c.real, y.real
-    scale = np.maximum(np.abs(c).max(axis=(1, 2), initial=0.0),
-                       float(np.abs(y).max(initial=0.0)))
-    scale[scale == 0] = 1.0
-    c, y = c / scale[:, None, None], y / scale[:, None, None]
+    scale = max(float(np.abs(c).max(initial=0.0)), float(np.abs(y).max(initial=0.0)))
+    if scale > 0:
+        c, y = c / scale, y / scale
     if bands is None:
         defect = x @ c + c @ x.conj().T - y
         x_norm = float(np.linalg.norm(x))
     else:
         diag, sub, sup = bands  # the bands of X^T are (diag, sup, sub)
-        xc = _times_tridiagonal(c.transpose(0, 2, 1), diag, sup, sub).transpose(0, 2, 1)
-        hermitian = np.array_equal(c, c.transpose(0, 2, 1).conj())
-        defect = xc + (xc.transpose(0, 2, 1).conj() if hermitian
-                       else _times_tridiagonal(c, diag, sup, sub))
+        xc = _times_tridiagonal(c.T, diag, sup, sub).T
+        hermitian = np.array_equal(c, c.conj().T)
+        defect = xc + (xc.conj().T if hermitian else _times_tridiagonal(c, diag, sup, sub))
         defect -= y
         x_norm = float(np.linalg.norm(np.concatenate(bands)))
-    bound = 2.0 * x_norm * _frobenius(c) + _frobenius(y)
-    with np.errstate(divide="ignore", invalid="ignore"):  # where the bound vanishes
-        return np.where(bound > 0, _frobenius(defect) / bound, 0.0)
-
-
-def _frobenius(m: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a C-ordered (K, N, N) stack, each bit for
-    bit np.linalg.norm of that matrix: the same BLAS dot over the same order."""
-    flat = m.reshape(len(m), -1)
-    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
-    return np.sqrt(sum(np.vecdot(p, p) for p in parts))
+    bound = 2.0 * x_norm * float(np.linalg.norm(c)) + float(np.linalg.norm(y))
+    return float(np.linalg.norm(defect)) / bound if bound > 0 else 0.0
 
 
 def _times_tridiagonal(m: np.ndarray, diag: np.ndarray, sub: np.ndarray,
                        sup: np.ndarray) -> np.ndarray:
-    """m T for the tridiagonal T with T[k, k] = diag_k, T[k+1, k] = sub_k, T[k, k+1] = sup_k;
-    m may be a stack of matrices.
+    """m T for the tridiagonal T with T[k, k] = diag_k, T[k+1, k] = sub_k, T[k, k+1] = sup_k.
 
     Column j is m_j-1 sup_j-1 + m_j diag_j + m_j+1 sub_j, so the product
     costs N^2 and each term keeps the sign of m times its band.
@@ -561,9 +547,12 @@ def single_mode_approximation(spectrum: BiorthogonalSpectrum, pump_site: int,
                               pump_strength: float) -> SingleModeResult:
     """Rank-one steady state kept by the slowest mode alone.
 
-    For a single-site pump of the given strength at ``pump_site``,
-    C ~= A_0 |R_0><R_0| with A_0 = strength |L_0(s)|^2 / (2 Re beta_0).
-    One term cancels nothing, so CONDITION_TRUST_LIMIT does not apply.
+    For a single-site pump of the given strength at ``pump_site``, the
+    slow-mode term of the mode sum is A_0 |R_0><R_0| with A_0 = strength
+    |L_0(s)|^2 / (2 Re beta_0).  One term cancels nothing, so
+    CONDITION_TRUST_LIMIT does not apply; but where the chain is
+    nonnormal the full sum cancels, so A_0 <R_0|R_0> estimates nu_1 only
+    where one slow mode dominates a near-normal chain.
 
     Raises DarkSourceError on a node of the slow mode: the site's share
     |L_0(s) R_0(s)| of <L_0|R_0> = 1, unchanged by how the pair is
@@ -664,9 +653,9 @@ def propagate_correlator(relaxation, source, initial, t_final: float,
     """Sample dC/dt = -X C - C X^dag + Y exactly, as evolve_master samples.
 
     Each sample is the last under C <- F C F^dag + Q (_affine_step), so
-    ``dt`` only spaces the samples.  Samples are symmetrized and carry
-    their distance from stationarity as ``residual``.  SolveError names
-    the first sample that is not finite, which only an unstable X gives.
+    ``dt`` only spaces the samples.  Samples are symmetrized and returned
+    as one read-only (S, N, N) array.  SolveError names the first sample
+    that is not finite, which only an unstable X gives.
     """
     x = matrix_entries(relaxation)
     y = matrix_entries(source)
@@ -679,21 +668,20 @@ def propagate_correlator(relaxation, source, initial, t_final: float,
     times, intervals = _sample_grid(t_final, dt, stride)
     if not (x.imag.any() or y.imag.any()):
         x, y = x.real, y.real
-    c, asym = _hermitize(c0)
-    samples, asyms = [c], [asym]
+    c = 0.5 * (c0 + c0.conj().T)
+    samples = [c]
     with np.errstate(over="ignore", invalid="ignore"):  # unstable X; checked below
         maps = {h: _affine_step(x, y, h) for h in set(intervals)}
         for t, h in zip(times[1:], intervals):
             f, q = maps[h]
-            c, asym = _hermitize(f @ c @ f.conj().T + q)
+            c = f @ c @ f.conj().T + q
+            c = 0.5 * (c + c.conj().T)
             if not np.isfinite(c).all():
                 raise SolveError(f"correlator is not finite at t = {t:.6g}; "
                                  "the relaxation matrix is not stable")
             samples.append(c)
-            asyms.append(asym)
-    residuals = _backward_errors(x, _tridiagonal_bands(x), np.array(samples), y)
-    states = tuple(SteadyCorrelator(c, "integrated", r, a)
-                   for c, r, a in zip(samples, residuals.tolist(), asyms))
+    states = np.array(samples)
+    states.flags.writeable = False
     return CorrelatorTrajectory(times, states, float(dt))
 
 

@@ -18,6 +18,7 @@ import pytest
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
+from gausschain import DensityMatrix
 from gausschain.errors import SolveError
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "goldens.json")
@@ -312,23 +313,47 @@ def dense_hn_spectrum_reference(params):
 
 
 def dense_decompose_reference(x):
-    """(betas, R, L) by the Hermitian, gauge or eig route of the decomposition."""
+    """(betas, R, L) by the gauge, Hermitian or eig route of the decomposition."""
     from gausschain.spectral import _gauge_columns, _gauge_symmetrize, _sorted_order
 
     x = np.asarray(x)
-    if np.abs(x - x.conj().T).max() <= 1e-13 * max(1.0, float(np.abs(x).max())):
-        w, r = np.linalg.eigh(0.5 * (x + x.conj().T))
-        r = _gauge_columns(r)
-        return w.astype(complex), r, r
     gauge = _gauge_symmetrize(x)
     if gauge is not None:
         w, u = np.linalg.eigh(gauge[1])
         d = np.exp(gauge[0])[:, None]
         return (w.astype(complex),) + _sign_gauge_pair(d * u, u / d)
+    if np.abs(x - x.conj().T).max() <= 1e-13 * max(1.0, float(np.abs(x).max())):
+        w, r = np.linalg.eigh(0.5 * (x + x.conj().T))
+        r = _gauge_columns(r)
+        return w.astype(complex), r, r
     betas, r = np.linalg.eig(x)
     order = _sorted_order(betas)
     r = _gauge_columns(r[:, order])
     return betas[order], r, np.linalg.inv(r).conj().T
+
+
+def crossover_grid():
+    """The g grid of the ssh-crossover command at its defaults."""
+    from gausschain.cli import COMMAND_DEFAULTS
+
+    cfg = COMMAND_DEFAULTS["ssh-crossover"]
+    return np.linspace(cfg["g_min"], cfg["g_max"], cfg["g_points"])
+
+
+def unit_gauge(v):
+    """v / ||v|| times the conjugate phase of its largest-|entry|, one vector at a
+    time: the unit, phase-gauged form of every unit mode and orbital."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    v = v / float(np.linalg.norm(v))
+    pivot = v[int(np.argmax(np.abs(v)))]
+    return v * (pivot / abs(pivot)).conjugate()
+
+
+def pure_state(amplitudes):
+    """The density matrix |psi><psi| of the normalized amplitudes."""
+    v = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    v = v / np.linalg.norm(v)
+    return DensityMatrix(np.outer(v, v.conj()))
 
 
 @pytest.fixture(scope="session")

@@ -44,8 +44,7 @@ from gausschain import (
 )
 from gausschain.matio import ensure_dir, write_csv
 from gausschain.models import matrix_entries, ssh_index
-from gausschain.orbitals import default_crossover_grid
-from tests.conftest import HN_REFERENCE, SSH_REFERENCE
+from tests.conftest import HN_REFERENCE, SSH_REFERENCE, crossover_grid
 
 ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
 
@@ -155,9 +154,8 @@ def test_criterion_03_many_body_oracle_equivalence():
         reference = propagate_correlator(x, y, np.zeros((n, n)),
                                          t_final=10.0, dt=0.002, stride=50)
         assert trajectory.times[-1] == 10.0
-        for state, snapshot in zip(trajectory.states, reference.states):
-            worst_traj = max(worst_traj,
-                             float(np.abs(correlator_of(state) - snapshot.entries).max()))
+        for state, sample in zip(trajectory.states, reference.states):
+            worst_traj = max(worst_traj, float(np.abs(correlator_of(state) - sample).max()))
         rho = steady_state_oracle(realization.hamiltonian, jumps)
         direct = solve_lyapunov_direct(x, y).entries
         worst_steady = max(worst_steady, float(np.abs(correlator_of(rho) - direct).max()))
@@ -245,7 +243,7 @@ def test_criterion_05_boundary_locking_profiles(golden):
 
 def test_criterion_06_edge_to_bulk_crossover_scan(golden):
     gold = golden["ssh_crossover"]
-    grid = default_crossover_grid()
+    grid = crossover_grid()
     assert grid.size == 24
     scan = ssh_crossover_scan(ssh_reference_params(0.0), SSH_REFERENCE["pump_cell"],
                               SSH_REFERENCE["pump_sublattice"], SSH_REFERENCE["pump_strength"],
@@ -393,17 +391,15 @@ def test_criterion_10_transients_and_fixed_point():
     zero = np.zeros((n, n))
     trajectory = propagate_correlator(x, y, zero, t_final=10.0, dt=0.002, stride=500)
     worst_transient = 0.0
-    for time, snapshot in zip(trajectory.times, trajectory.states):
+    for time, sample in zip(trajectory.times, trajectory.states):
         closed = closed_form_correlator(spectrum, y, zero, float(time))
-        worst_transient = max(worst_transient,
-                              float(np.abs(snapshot.entries - closed).max()))
+        worst_transient = max(worst_transient, float(np.abs(sample - closed).max()))
     assert worst_transient <= 1e-8
 
     steady = solve_lyapunov_direct(x, y)
     held = propagate_correlator(x, y, steady.entries, t_final=5.0, dt=0.002,
                                 stride=500)
-    worst_drift = max(float(np.abs(s.entries - steady.entries).max())
-                      for s in held.states)
+    worst_drift = float(np.abs(held.states - steady.entries).max())
     assert worst_drift <= 1e-10
     print(f"criterion 10 PASS: transients within {worst_transient:.3e} <= 1e-8 "
           f"of the closed form, fixed point stationary to {worst_drift:.3e} "

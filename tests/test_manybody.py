@@ -28,6 +28,7 @@ from gausschain.manybody import (MAX_ORACLE_SITES, FockOperatorSet, _checked_sta
                                  operator_set)
 from gausschain.models import matrix_entries
 from gausschain.steady import _sample_grid
+from tests.conftest import pure_state
 
 # (matrix, error match) pairs that DensityMatrix must reject
 BAD_MATRICES = [
@@ -106,8 +107,8 @@ def trajectory_deviation(x, y, jumps, h):
     traj = evolve_master(DensityMatrix.vacuum(n), h, jumps, t_final=10.0, dt=0.002, stride=50)
     ref = propagate_correlator(x, y, np.zeros((n, n)), t_final=10.0, dt=0.002, stride=50)
     assert np.array_equal(traj.times, ref.times) and traj.times.size == 101
-    return max(float(np.abs(correlator_of(state) - snapshot.entries).max())
-               for state, snapshot in zip(traj.states, ref.states))
+    return max(float(np.abs(correlator_of(state) - sample).max())
+               for state, sample in zip(traj.states, ref.states))
 
 
 class TestFockOperators:
@@ -132,8 +133,8 @@ class TestFockOperators:
     def test_number_operator_diagonals_at_two_sites(self):
         # site 1 is the leftmost tensor factor, so n_1 toggles the slow index
         ops = operator_set(2)
-        assert_allclose(ops.number(1), np.diag([0.0, 0.0, 1.0, 1.0]), atol=0)
-        assert_allclose(ops.number(2), np.diag([0.0, 1.0, 0.0, 1.0]), atol=0)
+        assert_allclose(ops.pair_product(1, 1), np.diag([0.0, 0.0, 1.0, 1.0]), atol=0)
+        assert_allclose(ops.pair_product(2, 2), np.diag([0.0, 1.0, 0.0, 1.0]), atol=0)
 
     def test_pair_products_are_cached(self):
         ops = operator_set(3)
@@ -178,15 +179,9 @@ class TestDensityMatrix:
         want[0, 0] = 1.0
         assert_allclose(vac.entries, want, atol=0)
 
-        rho = DensityMatrix.from_pure([3.0, 4.0])
+        rho = pure_state([3.0, 4.0])
         assert rho.n_sites == 1
         assert_allclose(np.diag(rho.entries).real, [9 / 25, 16 / 25], atol=1e-15)
-
-    def test_from_pure_rejects_degenerate_amplitudes(self):
-        with pytest.raises(ParameterError, match="normalizable"):
-            DensityMatrix.from_pure([0.0, 0.0])
-        with pytest.raises(ParameterError, match="normalizable"):
-            DensityMatrix.from_pure([np.inf, 1.0])
 
     @pytest.mark.parametrize("bad, match", BAD_MATRICES)
     def test_validation_rejects_bad_matrices(self, bad, match):
@@ -201,7 +196,7 @@ class TestDensityMatrix:
             with pytest.raises(ParameterError, match=match):
                 _checked_states(np.array([bad] * 3))
             return
-        good = DensityMatrix.from_pure([0.6, 0.8]).entries
+        good = pure_state([0.6, 0.8]).entries
         for k in range(3):
             stack = np.array([good] * 3)
             stack[k] = bad
@@ -252,18 +247,18 @@ class TestCorrelatorOf:
 
         filled = np.zeros(4)
         filled[3] = 1.0
-        assert_allclose(correlator_of(DensityMatrix.from_pure(filled)),
+        assert_allclose(correlator_of(pure_state(filled)),
                         np.eye(2), atol=1e-15)
 
         one_left = np.zeros(4)
         one_left[2] = 1.0
-        assert_allclose(correlator_of(DensityMatrix.from_pure(one_left)),
+        assert_allclose(correlator_of(pure_state(one_left)),
                         np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_hopping_superposition_has_coherence(self):
         psi = np.zeros(4)
         psi[2] = psi[1] = 1.0
-        c = correlator_of(DensityMatrix.from_pure(psi))
+        c = correlator_of(pure_state(psi))
         assert_allclose(c, 0.5 * np.ones((2, 2)), atol=1e-15)
         assert_allclose(c, c.conj().T, atol=0)
 
@@ -271,10 +266,10 @@ class TestCorrelatorOf:
 class TestEvolveMaster:
 
     def test_free_evolution_is_constant(self):
-        rho0 = DensityMatrix.from_pure([1.0, 1.0])
+        rho0 = pure_state([1.0, 1.0])
         traj = evolve_master(rho0, [[0.0]], JumpSet(1, (), ()),
                              t_final=1.0, dt=0.01)
-        assert_allclose(traj.final().entries, rho0.entries, atol=1e-14)
+        assert_allclose(traj.states[-1].entries, rho0.entries, atol=1e-14)
         assert traj.max_trace_drift <= 1e-14
 
     def test_single_excitation_hops_coherently(self):
@@ -282,7 +277,7 @@ class TestEvolveMaster:
         psi = np.zeros(4)
         psi[2] = 1.0
         h = np.array([[0.0, 1.0], [1.0, 0.0]])
-        traj = evolve_master(DensityMatrix.from_pure(psi), h, JumpSet(2, (), ()),
+        traj = evolve_master(pure_state(psi), h, JumpSet(2, (), ()),
                              t_final=np.pi / 2, dt=np.pi / 2 / 2000, stride=1000)
         for t, state in zip(traj.times, traj.states):
             c = correlator_of(state)
@@ -295,7 +290,7 @@ class TestEvolveMaster:
         jumps = JumpSet(1, (JumpVector("onsite(1)", "loss", [np.sqrt(lam)]),), ())
         # 2.03 and 1.9995 end on a shorter last interval with a propagator of its own
         for t_final in (2.0, 2.03, 1.9995):
-            traj = evolve_master(DensityMatrix.from_pure([0.0, 1.0]), [[0.0]], jumps,
+            traj = evolve_master(pure_state([0.0, 1.0]), [[0.0]], jumps,
                                  t_final=t_final, dt=1e-3, stride=500)
             assert traj.times[-1] == t_final
             for t, state in zip(traj.times, traj.states):
@@ -308,7 +303,6 @@ class TestEvolveMaster:
                              t_final=1.0, dt=0.1, stride=3)
         assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], atol=1e-12)
         assert len(traj.states) == len(traj.times)
-        assert traj.final() is traj.states[-1]
 
     def test_samples_match_one_interval_at_a_time(self):
         # each sample is the previous validated state propagated on its own
@@ -319,7 +313,7 @@ class TestEvolveMaster:
         assert len(intervals) == len(traj.states) - 1
         for before, after, interval in zip(traj.states, traj.states[1:], intervals):
             step = evolve_master(before, h, jumps, t_final=interval, dt=interval)
-            assert np.array_equal(step.final().entries, after.entries)
+            assert np.array_equal(step.states[-1].entries, after.entries)
             assert np.array_equal(DensityMatrix(after.entries).entries, after.entries)
             assert not after.entries.flags.writeable
         assert traj.max_trace_drift == max(abs(float(np.trace(s.entries).real) - 1.0)
@@ -330,7 +324,7 @@ class TestEvolveMaster:
         traj = evolve_master(rho0, np.zeros((2, 2)), JumpSet(2, (), ()),
                              t_final=0.0, dt=0.1)
         assert traj.times.tolist() == [0.0]
-        assert traj.final() is rho0
+        assert traj.states[-1] is rho0
 
     def test_rejects_bad_arguments(self):
         rho0 = DensityMatrix.vacuum(2)
@@ -356,7 +350,7 @@ class TestEvolveMaster:
 
     def test_stiff_loss_follows_the_exponential(self):
         # rate 100 at dt = 0.1: far outside any explicit step's stability region
-        filled = DensityMatrix.from_pure([0.0, 1.0])
+        filled = pure_state([0.0, 1.0])
         jumps = JumpSet(1, (JumpVector("onsite(1)", "loss", [10.0]),), ())
         for stride in (1, 50):
             traj = evolve_master(filled, [[0.0]], jumps,
@@ -378,8 +372,7 @@ class TestCorrelatorReduction:
         x = 1j * h + 0.5 * (jumps.loss_gram() + jumps.gain_gram())
         y = jumps.gain_gram()
 
-        rho0 = DensityMatrix.from_pure(
-            rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n))
+        rho0 = pure_state(rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n))
         dt = 2e-5
         traj = evolve_master(rho0, h, jumps, t_final=0.002, dt=dt, stride=1)
         for k in (20, 50, 80):
@@ -399,8 +392,8 @@ class TestCorrelatorReduction:
         ctraj = propagate_correlator(x, y, np.zeros((2, 2)),
                                      t_final=2.0, dt=1e-3, stride=500)
         assert_allclose(traj.times, ctraj.times, atol=0)
-        for state, snapshot in zip(traj.states, ctraj.states):
-            assert np.abs(correlator_of(state) - snapshot.entries).max() <= 1e-10
+        for state, sample in zip(traj.states, ctraj.states):
+            assert np.abs(correlator_of(state) - sample).max() <= 1e-10
 
 
 class TestBothChainModels:

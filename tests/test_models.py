@@ -60,12 +60,6 @@ def test_hn_params_reject_bad_sizes():
         HatanoNelsonParams(3, 1.0, float("nan"), 1.0)
 
 
-def test_hn_stability_threshold_and_ratio():
-    p = HatanoNelsonParams(5, 1.0, 0.25, 2.0)
-    assert p.stability_threshold() == pytest.approx(1.0)
-    assert p.asymmetry_ratio() == pytest.approx(2.0)
-
-
 def test_ssh_single_cell_reciprocal():
     x = build_ssh(SshParams(1, 0.5, 1.0, 0.0, 1.5))
     assert_array_equal(np.asarray(x.entries), np.array([[1.5, -0.5], [-0.5, 1.5]]))

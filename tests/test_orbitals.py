@@ -12,7 +12,7 @@ from gausschain import (EnvelopeOverflowError, HatanoNelsonParams, Normalization
                         ParameterError, SiteIndexError, SshParams, StabilityError,
                         biorthogonal_decompose, build_hatano_nelson,
                         build_local_pump, build_ssh, diagnostics_report,
-                        euclidean_normalize, hn_analytic_spectrum,
+                        hn_analytic_spectrum,
                         hn_source_scan, identify_edge_candidate,
                         identify_slow_mode, loading_factors, natural_orbitals,
                         normalized_density, overlap, single_mode_approximation,
@@ -20,7 +20,11 @@ from gausschain import (EnvelopeOverflowError, HatanoNelsonParams, Normalization
 from gausschain import orbitals
 from gausschain.orbitals import SCAN_CHUNK_ENTRIES, _top_occupations, density
 from gausschain.steady import DirectSolver
-from tests.conftest import HN_REFERENCE, SSH_REFERENCE, loading_reference
+from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, crossover_grid, loading_reference,
+                            unit_gauge)
+
+SSH_PUMP = (SSH_REFERENCE["pump_cell"], SSH_REFERENCE["pump_sublattice"],
+            SSH_REFERENCE["pump_strength"])
 
 
 def sine_basis(n):
@@ -39,7 +43,7 @@ def random_correlator(rng, dim):
 
 
 def test_rank_one_correlator_has_single_occupation():
-    v = euclidean_normalize([1.0, 2.0, -1.0, 0.5]).amplitudes
+    v = unit_gauge([1.0, 2.0, -1.0, 0.5])
     orbs = natural_orbitals(4.2 * np.outer(v, v.conj()))
     assert_allclose(orbs.occupations, [4.2, 0.0, 0.0, 0.0], atol=1e-12)
     assert overlap(orbs.top_orbital(), v) == pytest.approx(1.0, abs=1e-12)
@@ -82,7 +86,7 @@ def test_density_reconstruction_identity():
 
 
 def test_rank_one_density_and_normalization():
-    v = euclidean_normalize([3.0, 0.0, 4.0]).amplitudes
+    v = unit_gauge([3.0, 0.0, 4.0])
     c = 0.7 * np.outer(v, v.conj())
     assert_allclose(density(c), 0.7 * np.abs(v) ** 2, atol=1e-15)
     norm = normalized_density(c)
@@ -103,7 +107,7 @@ def test_slow_loading_matches_closed_form():
     n, gamma = 12, 0.03
     params = hn_reference_params(n)
     spec = hn_analytic_spectrum(params)
-    r = params.asymmetry_ratio()
+    r = math.sqrt(params.t_right / params.t_left)
     beta1 = spec.betas.real.min()
     for s in range(1, n + 1):
         a1 = loading_factors(spec, s, gamma).values[0]
@@ -157,7 +161,7 @@ def test_loadings_equal_the_formula_bit_for_bit():
 
 
 def test_overlap_trivials_and_gauge_invariance():
-    v = euclidean_normalize([1.0, 1.0j, -2.0]).amplitudes
+    v = unit_gauge([1.0, 1.0j, -2.0])
     assert overlap(v, v) == pytest.approx(1.0, abs=1e-14)
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
@@ -336,10 +340,21 @@ def test_source_scan_validates_sites_and_reports_failures():
         hn_source_scan(unstable, 0.03)
 
 
+def test_source_scan_rejects_non_integer_sites():
+    # int() would truncate 2.5 to 2 and solve a pump nobody asked for
+    params = HatanoNelsonParams(10, 1.0, 0.17, 0.91)
+    with pytest.raises(SiteIndexError, match="pump site 2.5 outside 1..10"):
+        build_local_pump(10, 2.5, 0.03)
+    with pytest.raises(SiteIndexError, match="pump site 2.5 outside 1..10"):
+        hn_source_scan(params, 0.03, sites=[2.5, 3.0])
+    scan = hn_source_scan(params, 0.03, sites=[2.0, 3])
+    assert scan.sites.tolist() == [2, 3]
+
+
 def test_crossover_representative_points_order():
     params = SshParams(SSH_REFERENCE["n_cells"], SSH_REFERENCE["t1"], SSH_REFERENCE["t2"], 0.0,
                        SSH_REFERENCE["kappa"])
-    scan = ssh_crossover_scan(params, pump_strength=SSH_REFERENCE["pump_strength"],
+    scan = ssh_crossover_scan(params, *SSH_PUMP,
                               g_values=[SSH_REFERENCE["g_edge"], 0.0, SSH_REFERENCE["g_bulk"]])
     assert scan.failures == ()
     o_edge, o_slow = scan.o_edge, scan.o_slow
@@ -355,12 +370,10 @@ def test_crossover_scan_on_long_chains(n_cells):
     # Every point of the default grid decomposes; the eig route failed on
     # 10 (50 cells) and 14 (100 cells) of the 24.  The edge-to-bulk crossing
     # sits one grid step lower than at 20 cells, in [0.00, 0.05].
-    from gausschain.orbitals import default_crossover_grid
-    grid = default_crossover_grid()
+    grid = crossover_grid()
     params = SshParams(n_cells, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"], 0.0,
                        SSH_REFERENCE["kappa"])
-    scan = ssh_crossover_scan(params, pump_strength=SSH_REFERENCE["pump_strength"],
-                              g_values=grid)
+    scan = ssh_crossover_scan(params, *SSH_PUMP, g_values=grid)
     assert scan.failures == ()
     margin = scan.o_edge - scan.o_slow
     flips = [k for k in range(margin.size - 1) if margin[k] * margin[k + 1] < 0]
@@ -370,14 +383,13 @@ def test_crossover_scan_on_long_chains(n_cells):
 
 def test_crossover_single_point_scan():
     params = SshParams(4, 0.5, 1.0, 0.0, 1.5)
-    scan = ssh_crossover_scan(params, pump_strength=1e-8, g_values=[0.1])
+    scan = ssh_crossover_scan(params, 1, "A", 1e-8, g_values=[0.1])
     assert scan.g_values.tolist() == [0.1]
     assert scan.o_edge.size == 1 and scan.o_slow.size == 1
 
 
 def test_crossover_grid_matches_documented_default():
-    from gausschain.orbitals import default_crossover_grid
-    grid = default_crossover_grid()
+    grid = crossover_grid()
     assert grid.size == 24
     assert grid[0] == pytest.approx(-0.55) and grid[-1] == pytest.approx(0.60)
 
@@ -385,9 +397,9 @@ def test_crossover_grid_matches_documented_default():
 def test_crossover_rejects_empty_grid_and_bad_pump():
     params = SshParams(4, 0.5, 1.0, 0.0, 1.5)
     with pytest.raises(ParameterError):
-        ssh_crossover_scan(params, g_values=[])
+        ssh_crossover_scan(params, 1, "A", 1e-8, g_values=[])
     with pytest.raises(SiteIndexError):
-        ssh_crossover_scan(params, pump_cell=9, g_values=[0.0])
+        ssh_crossover_scan(params, 9, "A", 1e-8, g_values=[0.0])
 
 
 def test_pump_scale_invariance_of_diagnostics():

@@ -8,18 +8,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gausschain import (DegeneracyError, EnvelopeOverflowError,
-                        HatanoNelsonParams, NormalizationError, ParameterError,
-                        RegimeError, SiteIndexError, SshParams,
+                        HatanoNelsonParams, ParameterError, RegimeError,
+                        RelaxationMatrix, SiteIndexError, SshParams,
                         biorthogonal_decompose, build_hatano_nelson, build_ssh,
-                        euclidean_normalize, gap_ratio, hn_analytic_spectrum,
-                        hn_normalized_modes, hn_similarity_residual,
-                        slow_mode_position, spectrum_payload,
-                        ssh_edge_envelopes)
+                        hn_analytic_spectrum, hn_normalized_modes, hn_similarity_residual,
+                        slow_mode_position, ssh_edge_envelopes)
 from gausschain.orbitals import (identify_edge_candidate, identify_slow_mode,
                                  loading_factors)
-from gausschain.spectral import _gauge_columns
-from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, dense_decompose_reference,
-                            dense_hn_spectrum_reference, hn_closed_form_betas)
+from gausschain.spectral import _gauge_columns, _gauge_symmetrize
+from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, crossover_grid,
+                            dense_decompose_reference, dense_hn_spectrum_reference,
+                            hn_closed_form_betas, unit_gauge)
 
 EPS = np.finfo(float).eps
 
@@ -157,6 +156,36 @@ def test_long_two_band_chain_takes_the_gauge_route(g):
     assert resid[edge.index - 1] <= 1e-8
 
 
+def test_every_same_sign_chain_takes_the_gauge_route():
+    # linspace leaves g = -1.1e-16 on the default crossover grid, where X is
+    # Hermitian to rounding; it and the exactly reciprocal g = 0 chain take
+    # the gauge route like their neighbours, not complex eigh and an SVD
+    grid = crossover_grid()
+    assert 0 < abs(grid[11]) < 1e-15
+    for g in list(grid) + [0.0]:
+        x = np.asarray(build_ssh(ssh_params(SSH_REFERENCE["n_cells"], g)).entries)
+        log_d, h = _gauge_symmetrize(x)
+        spec = biorthogonal_decompose(x)
+        assert np.array_equal(spec.betas, np.linalg.eigh(h)[0].astype(complex)), g
+        assert np.array_equal(spec.log_d, log_d)
+        assert spec.log10_condition == (log_d.max() - log_d.min()) / math.log(10.0)
+        if g == 0.0:
+            assert spec.log10_condition == 0.0  # U is orthogonal and D = I
+    # the rates hold to a few ulps of the largest against 40-digit mpmath
+    for g in (grid[11], 0.0):
+        x = np.asarray(build_ssh(ssh_params(SSH_REFERENCE["n_cells"], g)).entries).real
+        with mpmath.workdps(40):
+            h = mpmath.matrix(x.shape[0])
+            for j in range(x.shape[0]):
+                h[j, j] = x[j, j]
+                if j + 1 < x.shape[0]:
+                    h[j, j + 1] = h[j + 1, j] = -mpmath.sqrt(
+                        mpmath.mpf(x[j + 1, j]) * x[j, j + 1])
+            truth = np.array(sorted(float(b) for b in mpmath.eigsy(h, eigvals_only=True)))
+        rates = biorthogonal_decompose(x).betas.real
+        assert np.abs(rates - truth).max() <= 8 * EPS * np.abs(truth).max()
+
+
 @pytest.mark.parametrize("n_sites", [2, 6, 12])
 def test_analytic_and_numeric_modes_span_same_directions(n_sites):
     params = hn_params(n_sites)
@@ -164,8 +193,8 @@ def test_analytic_and_numeric_modes_span_same_directions(n_sites):
     numeric = biorthogonal_decompose(build_hatano_nelson(params))
     assert_allclose(numeric.betas.real, analytic.betas.real, atol=1e-10)
     for k in range(n_sites):
-        a = euclidean_normalize(analytic.right[:, k]).amplitudes
-        b = euclidean_normalize(numeric.right[:, k]).amplitudes
+        a = unit_gauge(analytic.right[:, k])
+        b = unit_gauge(numeric.right[:, k])
         overlap = abs(np.vdot(a, b)) ** 2
         assert overlap >= 1.0 - 1e-8
 
@@ -248,44 +277,6 @@ def test_column_gauge_matches_the_per_column_loop(n):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_euclidean_normalize_matches_the_scalar_gauge():
-    # the per-vector rule euclidean_normalize once ran: v / ||v|| times the
-    # conjugate of its largest-|entry| phase
-    def scalar_gauge(v):
-        v = v / float(np.linalg.norm(v))
-        pivot = v[int(np.argmax(np.abs(v)))]
-        return v * (pivot / abs(pivot)).conjugate()
-
-    rng = np.random.default_rng(5)
-    for n in (1, 7, 40, 200):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        got, want = euclidean_normalize(v).amplitudes, scalar_gauge(v)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    # On chain modes every bit agrees except, where the pivot is negative
-    # real, the sign of zero imaginary parts: the old rule conjugated the
-    # phase after dividing by |pivot|, _gauge_columns conjugates before.
-    _, right_unit, _ = hn_normalized_modes(hn_params(40))
-    spec = biorthogonal_decompose(build_ssh(ssh_params(20, 0.3)))
-    for m in (right_unit.astype(complex), spec.right, spec.left):
-        for v in m.T:
-            got, want = euclidean_normalize(v).amplitudes, scalar_gauge(v)
-            assert np.array_equal((got + 0.0).view(np.uint64), (want + 0.0).view(np.uint64))
-
-
-def test_euclidean_normalize_examples():
-    v = euclidean_normalize([3.0, 4.0])
-    assert_allclose(v.amplitudes, [0.6, 0.8], atol=1e-15)
-    assert v.normalization == "euclidean"
-    w = euclidean_normalize(np.array([0.0, -2.0j]))
-    assert_allclose(w.amplitudes, [0.0, 1.0], atol=1e-15)
-    again = euclidean_normalize(w)
-    assert_allclose(again.amplitudes, w.amplitudes, rtol=0, atol=0)
-    with pytest.raises(NormalizationError):
-        euclidean_normalize([0.0, 0.0])
-    with pytest.raises(NormalizationError):
-        euclidean_normalize([np.inf, 1.0])
-
-
 def test_near_defective_matrix_raises_degeneracy_error():
     x = np.array([[1.0, 1e6, 0.0],
                   [0.0, 1.0 + 1e-12, 0.0],
@@ -331,7 +322,7 @@ def test_envelope_overflow_guard_and_normalized_fallback():
     # normal double.  At 800 sites the closed form needs r^-800 = e^-708.8,
     # below the normal range; the centred gauge spans e^+-354.
     params = hn_params(800)
-    assert 800 * math.log(params.asymmetry_ratio()) > -math.log(np.finfo(float).tiny)
+    assert 400 * math.log(params.t_right / params.t_left) > -math.log(np.finfo(float).tiny)
     closed = hn_analytic_spectrum(params)
     for side in ("right", "left"):
         with pytest.raises(EnvelopeOverflowError, match=side):
@@ -401,7 +392,7 @@ def test_long_chain_loadings_are_finite(long_spectra):
     gamma, s = HN_REFERENCE["pump_strength"], HN_REFERENCE["pump_site"]
     values = loading_factors(closed, s, gamma).values
     assert np.isfinite(values).all() and values.min() >= 0
-    r = hn_params(1000).asymmetry_ratio()
+    r = math.sqrt(HN_REFERENCE["t_right"] / HN_REFERENCE["t_left"])
     phi = math.sqrt(2.0 / 1001) * math.sin(math.pi * s / 1001)
     beta1 = closed.betas.real.min()
     assert values[0] == pytest.approx(gamma * (r ** -s * phi) ** 2 / (2 * beta1), rel=1e-12)
@@ -413,8 +404,13 @@ def rounding_cases():
     for n, cells in ((4, 2), (9, 5), (21, 11), (40, 20)):
         params = hn_params(n)
         yield f"closed {n}", hn_analytic_spectrum(params), dense_hn_spectrum_reference(params)
+        # complex Hermitian hoppings have no imaginary gauge, so they take the
+        # Hermitian route; a graded diagonal keeps the mode peaks from tying
+        hop = 0.6 * np.exp(0.3j) * np.eye(n, k=-1)
+        graded = np.diag(2.0 + 0.05 * np.arange(n))
         chains = {f"hn {n}": build_hatano_nelson(params),
-                  f"hn reciprocal {n}": build_hatano_nelson(HatanoNelsonParams(n, 0.6, 0.6, 2.0))}
+                  f"hn reciprocal {n}": build_hatano_nelson(HatanoNelsonParams(n, 0.6, 0.6, 2.0)),
+                  f"hermitian {n}": RelaxationMatrix(graded - hop - hop.conj().T)}
         chains.update({f"ssh {cells} g={g}": build_ssh(ssh_params(cells, g))
                        for g in (SSH_REFERENCE["g_edge"], 0.0, SSH_REFERENCE["g_bulk"])})
         for label, x in chains.items():
@@ -435,17 +431,17 @@ def assert_within_ulps(got, want, ulps=4):
         assert np.all(np.abs(g - w) <= ulps * EPS * np.abs(w))
 
 
-def sign_of_tied_peak(got, want):
-    """got with the sign of want where want's peak is tied to rounding.
+def tied_peak_flips(got, want):
+    """-1 for each column of got (or the one vector) that points against want
+    where want's peak is tied to rounding, else +1.
 
     Where the two largest |entries| of a mode tie (mirror-symmetric
     reciprocal chains), which one gauges the sign is decided by rounding,
     in the dense formulas as in the log domain.
     """
-    top = np.sort(np.abs(want))[-2:]
-    if top[1] - top[0] <= 4 * EPS * top[1] and np.vdot(want, got).real < 0:
-        return -got
-    return got
+    top = np.sort(np.abs(want), axis=0)[-2:]
+    tied = top[1] - top[0] <= 4 * EPS * top[1]
+    return np.where(tied & (np.sum(want.conj() * got, axis=0).real < 0), -1.0, 1.0)
 
 
 def test_scale_free_spectra_agree_with_the_dense_formulas():
@@ -454,18 +450,19 @@ def test_scale_free_spectra_agree_with_the_dense_formulas():
     for label, spec, (betas, right, left) in rounding_cases():
         routes.add(("closed" if label.startswith("closed") else
                     "eig" if "shifted" in label else
-                    "hermitian" if not spec.log_d.any() else "gauge"))
+                    "hermitian" if label.startswith("hermitian") else "gauge"))
         assert np.array_equal(spec.betas, betas), label
-        assert_within_ulps(spec.right, right)
-        assert_within_ulps(spec.left, left)
+        flips = tied_peak_flips(spec.right, right)  # each L column flips with its R partner
+        assert_within_ulps(spec.right * flips, right)
+        assert_within_ulps(spec.left * flips, left)
         rates = 2.0 * betas.real
         for s in range(1, spec.dim + 1):
             assert_within_ulps(loading_factors(spec, s, gamma).values,
                                gamma * np.abs(left[s - 1]) ** 2 / rates)
         for k in range(spec.dim):
-            want = euclidean_normalize(right[:, k]).amplitudes
-            got = sign_of_tied_peak(spec.right_mode_unit(k + 1).amplitudes, want)
-            assert np.abs(got - want).max() <= 1e-14, label
+            want = unit_gauge(right[:, k])
+            got = spec.right_mode_unit(k + 1).amplitudes
+            assert np.abs(got * tied_peak_flips(got, want) - want).max() <= 1e-14, label
     assert routes == {"closed", "gauge", "hermitian", "eig"}
 
 
@@ -476,10 +473,10 @@ def test_normalized_modes_match_analytic_where_both_exist():
     assert_allclose(betas, spec.betas.real, atol=1e-14)
     for k in range(10):
         assert_allclose(right[:, k],
-                        euclidean_normalize(spec.right[:, k]).amplitudes.real,
+                        unit_gauge(spec.right[:, k]).real,
                         atol=1e-13)
         assert_allclose(left[:, k],
-                        euclidean_normalize(spec.left[:, k]).amplitudes.real,
+                        unit_gauge(spec.left[:, k]).real,
                         atol=1e-13)
 
 
@@ -491,7 +488,7 @@ def test_similarity_residual_small_in_range():
 
 def test_similarity_residual_envelope_guard():
     params = hn_params(680)
-    assert 680 * math.log(params.asymmetry_ratio()) > 600
+    assert 340 * math.log(params.t_right / params.t_left) > 600
     with pytest.raises(EnvelopeOverflowError):
         hn_similarity_residual(params)
 
@@ -544,13 +541,6 @@ def test_ssh_edge_envelope_regime_and_parameter_errors():
         ssh_edge_envelopes(SshParams(4, 0.0, 1.0, 0.0, 1.5))
 
 
-def test_gap_ratio_definition_and_edge_cases():
-    spec = biorthogonal_decompose(np.diag([0.1, 0.3, 5.0]))
-    assert gap_ratio(spec) == pytest.approx(2.0, rel=1e-12)
-    assert gap_ratio(biorthogonal_decompose(np.array([[4.0]]))) == math.inf
-    assert gap_ratio(biorthogonal_decompose(np.diag([0.0, 1.0]))) == math.inf
-
-
 def test_slow_mode_position_breaks_ties_deterministically():
     assert slow_mode_position(np.array([3.0, 1.0, 2.0])) == 1
     betas = np.array([0.5 + 1j, 0.5 - 1j, 0.5 - 1j, 2.0])
@@ -570,24 +560,14 @@ def test_slow_mode_position_breaks_ties_deterministically():
 def test_mode_accessors_and_index_errors():
     spec = hn_analytic_spectrum(hn_params(4))
     for n in range(1, 5):
-        pair = np.vdot(spec.left_mode(n).amplitudes, spec.right_mode(n).amplitudes)
+        pair = np.vdot(spec.left[:, n - 1], spec.right[:, n - 1])
         assert pair == pytest.approx(1.0, abs=1e-12)
         unit = spec.right_mode_unit(n)
         assert np.linalg.norm(unit.amplitudes) == pytest.approx(1.0, abs=1e-14)
         assert unit.normalization == "euclidean"
-    for bad in (0, 5, -1):
+    for bad in (0, 5, -1, 2.5):
         with pytest.raises(SiteIndexError):
-            spec.right_mode(bad)
-
-
-def test_spectrum_payload_structure():
-    spec = hn_analytic_spectrum(hn_params(3))
-    payload = spectrum_payload(spec)
-    assert payload["dim"] == 3
-    assert payload["betas"]["re"] == [float(v) for v in spec.betas.real]
-    assert payload["betas"]["im"] == [0.0, 0.0, 0.0]
-    assert payload["right"]["labels"] == ["1", "2", "3"]
-    assert payload["condition_estimate"] == spec.condition_estimate
+            spec.right_mode_unit(bad)
 
 
 def test_decompose_rejects_nonsquare_input():

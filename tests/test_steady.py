@@ -21,7 +21,7 @@ from gausschain import (DarkSourceError, DensityMatrix, EnvelopeOverflowError,
                         HatanoNelsonParams, ParameterError, SiteIndexError, SolveError,
                         SshParams, StabilityError, biorthogonal_decompose, build_diagonal_pump,
                         build_hatano_nelson, build_local_pump, build_ssh,
-                        closed_form_correlator, correlator_of, euclidean_normalize,
+                        closed_form_correlator, correlator_of,
                         evolve_master, hn_analytic_spectrum, hn_jump_decomposition,
                         hn_source_scan,
                         inverse_design, natural_orbitals, propagate_correlator,
@@ -36,7 +36,8 @@ from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, banded_cayley_reference
                             doubling_powers_reference, hn_closed_form_steady,
                             hn_sine_steady_mp, loading_reference, lyapunov_quadrature,
                             mode_sum_steady_reference, mode_sum_transient_reference,
-                            smith_steady_mp, solve_vectorized, tridiagonal_steady_mp)
+                            smith_steady_mp, solve_vectorized, tridiagonal_steady_mp,
+                            unit_gauge)
 
 
 def hn_reference_system(n_sites, pump_site=1):
@@ -559,7 +560,7 @@ def test_long_stable_chains_solve(n_sites):
     # saw min Re beta = -0.09; the true value is +0.0855).  Each entry of
     # the defect must sit at rounding level of the terms that form it.
     params, x, _ = hn_reference_system(n_sites)
-    assert params.kappa > params.stability_threshold()
+    assert params.kappa > 2.0 * math.sqrt(params.t_right * params.t_left)
     x = matrix_entries(x)
     y = matrix_entries(build_local_pump(n_sites, 15, 1.0))
     corr = solve_lyapunov_direct(x, y)
@@ -634,7 +635,7 @@ def test_direct_solve_matches_exact_chain_kernel():
 
 def test_unstable_relaxation_is_rejected():
     params = HatanoNelsonParams(8, 1.0, 0.17, 0.1)
-    assert params.kappa < params.stability_threshold()
+    assert params.kappa < 2.0 * math.sqrt(params.t_right * params.t_left)
     x = build_hatano_nelson(params)
     y = build_local_pump(8, 1, 0.03)
     pivot = "pivot {} of its unpivoted LU factorization is {} <= 0"
@@ -679,7 +680,7 @@ def test_single_mode_tracks_dominant_orbital_at_reference_point():
     full = solve_lyapunov_direct(x, y)
     occ, vecs = np.linalg.eigh(full.entries)
     phi_max = vecs[:, -1]
-    r0 = euclidean_normalize(result.rank_one.entries[:, 0]).amplitudes
+    r0 = unit_gauge(result.rank_one.entries[:, 0])
     overlap = abs(np.vdot(r0, phi_max)) ** 2
     assert overlap >= 0.95
     assert occ[-1] > 0
@@ -705,6 +706,30 @@ def test_single_mode_occupation_is_accurate_when_gapped():
     full = solve_lyapunov_direct(x, y)
     nu_max = float(np.linalg.eigvalsh(full.entries)[-1])
     assert result.predicted_occupation == pytest.approx(nu_max, rel=1e-2)
+
+
+def single_mode_against_nu1(params, site):
+    """(predicted_occupation, nu_1) at a pump of strength 0.03 on ``site``."""
+    result = single_mode_approximation(hn_analytic_spectrum(params), site, 0.03)
+    full = solve_lyapunov_direct(build_hatano_nelson(params),
+                                 build_local_pump(params.n_sites, site, 0.03))
+    return result.predicted_occupation, natural_orbitals(full).occupations[0]
+
+
+def test_single_mode_occupation_estimates_nu1_on_a_near_normal_chain():
+    # reciprocal chain just above its stability edge: one slow mode dominates
+    # and the modes are orthogonal, so A_0 <R_0|R_0> is within 1.8e-4 of nu_1
+    params = HatanoNelsonParams(21, 1.0, 1.0, 2.0 * math.cos(math.pi / 22) + 1e-3)
+    predicted, nu_1 = single_mode_against_nu1(params, 11)
+    assert predicted == pytest.approx(nu_1, rel=1e-3)
+
+
+def test_single_mode_occupation_is_no_estimate_on_a_nonnormal_chain():
+    # the same margin above the edge at t_left / t_right = 0.17: the mode sum
+    # cancels in C, and A_0 <R_0|R_0> is about 70 times nu_1
+    params = HatanoNelsonParams(40, 1.0, 0.17, 2.0 * math.sqrt(0.17) + 0.01)
+    predicted, nu_1 = single_mode_against_nu1(params, 15)
+    assert predicted > 10.0 * nu_1
 
 
 def test_single_mode_is_exact_for_one_site():
@@ -741,10 +766,9 @@ def test_steady_state_is_a_fixed_point_of_propagation():
     _, x, y = hn_reference_system(6)
     steady = solve_lyapunov_direct(x, y)
     traj = propagate_correlator(x, y, steady.entries, t_final=5.0, dt=0.1)
-    for snap in traj.states:
-        assert np.abs(snap.entries - steady.entries).max() <= 1e-10
-        assert snap.residual <= 1e-10
-        assert snap.method == "integrated"
+    for sample in traj.states:
+        assert np.abs(sample - steady.entries).max() <= 1e-10
+        assert lyapunov_residual(x, sample, y) <= 1e-10
 
 
 def test_transient_from_empty_state_matches_closed_form():
@@ -755,7 +779,7 @@ def test_transient_from_empty_state_matches_closed_form():
     assert_allclose(traj.times, np.arange(11.0), rtol=0, atol=1e-12)
     for t in (1, 5, 10):
         exact = closed_form_correlator(spec, y, np.zeros((8, 8)), float(t))
-        assert np.abs(traj.states[t].entries - exact).max() <= 1e-8
+        assert np.abs(traj.states[t] - exact).max() <= 1e-8
 
 
 def test_unpumped_state_decays_at_the_spectral_rate():
@@ -780,7 +804,7 @@ def test_unpumped_trace_decreases_with_strong_damping():
     a = rng.standard_normal((5, 5))
     traj = propagate_correlator(x, np.zeros((5, 5)), a @ a.T,
                                 t_final=2.0, dt=0.01, stride=10)
-    traces = [float(np.trace(s.entries).real) for s in traj.states]
+    traces = np.trace(traj.states, axis1=1, axis2=2).real
     assert all(b < a for a, b in zip(traces, traces[1:]))
     assert traces[-1] < 1e-3 * traces[0]
 
@@ -791,7 +815,7 @@ def test_stiff_step_decays_exactly():
     # any evaluation of e^(-200 t) uncertain by about 200 t ulps.
     traj = propagate_correlator(np.array([[100.0]]), np.array([[0.0]]),
                                 np.array([[1.0]]), t_final=3.0, dt=0.1)
-    c = np.array([s.entries[0, 0] for s in traj.states])
+    c = traj.states[:, 0, 0]
     assert traj.times.size == 31 and np.all(c.imag == 0)
     assert_allclose(c.real[1:] / c.real[:-1], math.exp(-20.0), rtol=1e-14, atol=0)
 
@@ -800,8 +824,8 @@ def test_one_long_interval_matches_ten_short_ones():
     # unscaled, the block exponential over h = 20 is off by 0.43 relative here
     _, x, y = hn_reference_system(100, pump_site=15)
     zero = np.zeros((100, 100))
-    one = propagate_correlator(x, y, zero, t_final=20.0, dt=20.0).states[-1].entries
-    ten = propagate_correlator(x, y, zero, t_final=20.0, dt=2.0).states[-1].entries
+    one = propagate_correlator(x, y, zero, t_final=20.0, dt=20.0).states[-1]
+    ten = propagate_correlator(x, y, zero, t_final=20.0, dt=2.0).states[-1]
     assert np.linalg.norm(one - ten) <= 1e-13 * np.linalg.norm(ten)
 
 
@@ -816,21 +840,17 @@ def test_propagation_samples_like_the_master_equation():
     assert traj.times.tobytes() == master.times.tobytes()
     assert traj.times[-1] == 1.0005 and traj.times.size == 12
     for state, sample in zip(master.states, traj.states):
-        assert np.abs(correlator_of(state) - sample.entries).max() <= 1e-12
+        assert np.abs(correlator_of(state) - sample).max() <= 1e-12
 
 
-@pytest.mark.parametrize("dense", [False, True])
-def test_trajectory_residuals_are_each_samples_own(dense):
-    # one stacked pass over oracle-check's grid, bit for bit the residual
-    # of each sample alone (banded X, and a dense X that takes products)
-    x = matrix_entries(build_hatano_nelson(HatanoNelsonParams(4, 1.0, 0.17, 1.5)))
-    if dense:
-        x = x + 0.01
-    y = build_diagonal_pump([0.1] * 4)
-    traj = propagate_correlator(x, y, np.zeros((4, 4)), t_final=10.0, dt=0.002, stride=50)
-    assert len(traj.states) == 101
-    assert ([s.residual for s in traj.states]
-            == [lyapunov_residual(x, s.entries, y) for s in traj.states])
+def test_trajectory_states_are_one_read_only_hermitian_array():
+    _, x, y = hn_reference_system(4)
+    c0 = np.diag([0.1, 0.2, 0.3, 0.4]) + 1e-3j * np.eye(4, k=1)
+    traj = propagate_correlator(x, y, c0, t_final=2.0, dt=0.1, stride=5)
+    assert isinstance(traj.states, np.ndarray) and traj.states.shape == (5, 4, 4)
+    assert not traj.states.flags.writeable
+    assert np.array_equal(traj.states, traj.states.conj().transpose(0, 2, 1))
+    assert np.array_equal(traj.states[0], 0.5 * (c0 + c0.conj().T))
 
 
 def test_unstable_relaxation_overflow_raises_solve_error():

@@ -14,6 +14,7 @@ import numpy as np
 from gausschain import (HatanoNelsonParams, SshParams, build_hatano_nelson,
                         build_local_pump, diagnostics_report, hn_analytic_spectrum,
                         hn_source_scan, solve_lyapunov_direct, ssh_crossover_scan)
+from gausschain.cli import COMMAND_DEFAULTS
 from gausschain.matio import write_json
 
 OUT = os.path.join(os.path.dirname(__file__), os.pardir, "tests", "data",
@@ -42,9 +43,11 @@ def hn_locking_block() -> dict:
 
 
 def ssh_crossover_block() -> dict:
-    params = SshParams(20, 0.5, 1.0, 0.0, 1.5)
-    scan = ssh_crossover_scan(params, pump_cell=1, pump_sublattice="A",
-                              pump_strength=1e-8)
+    cfg = COMMAND_DEFAULTS["ssh-crossover"]
+    params = SshParams(cfg["n_cells"], cfg["t1"], cfg["t2"], 0.0, cfg["kappa"])
+    pump = cfg["pump_cell"], cfg["pump_sublattice"], cfg["pump_strength"]
+    grid = np.linspace(cfg["g_min"], cfg["g_max"], cfg["g_points"])
+    scan = ssh_crossover_scan(params, *pump, g_values=grid)
     if scan.failures:
         raise SystemExit(f"crossover scan had failures: {scan.failures}")
     margin = scan.o_edge - scan.o_slow
@@ -52,8 +55,7 @@ def ssh_crossover_block() -> dict:
 
     def point(g):
         # the scan reads each row off diagnostics_report, as ssh-profiles does
-        sub = ssh_crossover_scan(params, pump_cell=1, pump_sublattice="A",
-                                 pump_strength=1e-8, g_values=[g])
+        sub = ssh_crossover_scan(params, *pump, g_values=[g])
         return {"o_edge": float(sub.o_edge[0]), "o_slow": float(sub.o_slow[0])}
 
     return {

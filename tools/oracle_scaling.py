@@ -51,8 +51,8 @@ def measure(n_sites: int) -> dict:
 
     reference = propagate_correlator(x, y, np.zeros((n_sites, n_sites)), *grid,
                                      stride=CHAIN["stride"])
-    trajectory_dev = max(float(np.abs(c - snapshot.entries).max())
-                         for c, snapshot in zip(reduced, reference.states))
+    trajectory_dev = max(float(np.abs(c - sample).max())
+                         for c, sample in zip(reduced, reference.states))
     steady_dev = float(np.abs(correlator_of(rho) - solve_lyapunov_direct(x, y).entries).max())
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
     return {"n_sites": n_sites, "widest_block": widest, "samples": len(reduced),
