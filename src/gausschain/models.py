@@ -26,17 +26,25 @@ HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-12
 
 
+def _narrowed(m) -> np.ndarray:
+    """m as float64 when no entry has a nonzero imaginary part, else as complex128:
+    the one place that decides a matrix's number type, so real chains stay real."""
+    m = np.asarray(m)
+    if np.iscomplexobj(m) and m.imag.any():
+        return np.asarray(m, dtype=complex)
+    return np.asarray(m.real, dtype=float)
+
+
 def matrix_entries(obj) -> np.ndarray:
-    """Dense complex array from a matrix wrapper or anything array-like."""
-    m = getattr(obj, "entries", obj)
-    m = np.asarray(m, dtype=complex)
+    """Dense square array, float64 if real (_narrowed), from a wrapper or array-like."""
+    m = _narrowed(getattr(obj, "entries", obj))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
-def _frozen_array(m: np.ndarray) -> np.ndarray:
-    out = np.array(m, dtype=complex)
+def _frozen_array(m) -> np.ndarray:
+    out = np.array(_narrowed(m))
     out.flags.writeable = False
     return out
 
@@ -47,21 +55,21 @@ def default_labels(dim: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class RelaxationMatrix:
-    """Square complex matrix generating the one-body relaxation dynamics."""
+    """Square matrix generating the one-body relaxation dynamics; real X is float64."""
 
     entries: np.ndarray
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        m = _frozen_array(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ParameterError(f"relaxation matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        if not np.isfinite(m).all():
             raise ParameterError("relaxation matrix contains non-finite entries")
         labels = tuple(self.labels) if self.labels else default_labels(m.shape[0])
         if len(labels) != m.shape[0]:
             raise ParameterError("label count does not match matrix dimension")
-        object.__setattr__(self, "entries", _frozen_array(m))
+        object.__setattr__(self, "entries", m)
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -71,19 +79,19 @@ class RelaxationMatrix:
 
 @dataclass(frozen=True)
 class SourceMatrix:
-    """Hermitian positive semidefinite pump matrix Y."""
+    """Hermitian positive semidefinite pump matrix Y; real Y is float64."""
 
     entries: np.ndarray
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        m = _narrowed(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ParameterError(f"source matrix must be square, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ParameterError("source matrix contains non-finite entries")
         # Every builder's pump is exactly Hermitian: one comparison, no
-        # defect or symmetrization sweep over N^2 complex temporaries.
+        # defect or symmetrization sweep over N^2 temporaries.
         exact = np.array_equal(m, m.conj().T)
         herm = 0.0 if exact else np.abs(m - m.conj().T).max()
         if herm > HERMITICITY_TOL:
@@ -198,7 +206,7 @@ def build_hatano_nelson(params: HatanoNelsonParams) -> RelaxationMatrix:
     if params.t_right <= 0 or params.t_left <= 0:
         raise ParameterError("build_hatano_nelson requires strictly positive hoppings")
     n = params.n_sites
-    x = params.kappa * np.eye(n, dtype=complex)
+    x = params.kappa * np.eye(n)
     idx = np.arange(n - 1)
     x[idx + 1, idx] -= params.t_right
     x[idx, idx + 1] -= params.t_left
@@ -233,7 +241,7 @@ def build_ssh(params: SshParams) -> RelaxationMatrix:
         raise ParameterError("build_ssh requires strictly positive hoppings")
     n = params.n_cells
     dim = 2 * n
-    x = params.kappa * np.eye(dim, dtype=complex)
+    x = params.kappa * np.eye(dim)
     for cell in range(n):
         a, b = 2 * cell, 2 * cell + 1
         x[b, a] -= params.t1_right
@@ -254,7 +262,7 @@ def build_local_pump(dim: int, site: int, strength: float) -> SourceMatrix:
         raise ParameterError(f"pump strength must be positive, got {strength}")
     if int(site) != site or not 1 <= site <= dim:
         raise SiteIndexError(f"pump site {site} outside 1..{dim}")
-    y = np.zeros((int(dim), int(dim)), dtype=complex)
+    y = np.zeros((int(dim), int(dim)))
     y[int(site) - 1, int(site) - 1] = strength
     return SourceMatrix(y)
 
@@ -269,4 +277,4 @@ def build_diagonal_pump(values) -> SourceMatrix:
     if np.any(v < 0):
         j = int(np.argmin(v))
         raise ParameterError(f"diagonal pump entry {j + 1} is negative ({v[j]})")
-    return SourceMatrix(np.diag(v.astype(complex)))
+    return SourceMatrix(np.diag(v))

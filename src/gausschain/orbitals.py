@@ -79,14 +79,8 @@ class NaturalOrbitalSet:
     def dim(self) -> int:
         return self.occupations.size
 
-    def orbital(self, alpha: int) -> ModeVector:
-        """alpha-th most occupied orbital, 1-based."""
-        if int(alpha) != alpha or not 1 <= alpha <= self.dim:
-            raise SiteIndexError(f"orbital index {alpha} outside 1..{self.dim}")
-        return ModeVector(self.orbitals[:, int(alpha) - 1], "euclidean")
-
     def top_orbital(self) -> ModeVector:
-        return self.orbital(1)
+        return ModeVector(self.orbitals[:, 0], "euclidean")
 
     def occupations_normalized(self) -> np.ndarray:
         top = self.occupations[0]
@@ -109,9 +103,6 @@ class NaturalOrbitalSet:
         """The lock verdict: exactly one orbital is dominant."""
         return len(self.dominant_indices()) == 1
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.orbitals * self.occupations[None, :]) @ self.orbitals.conj().T
-
 
 def natural_orbitals(correlator) -> NaturalOrbitalSet:
     """Eigendecomposition of a Hermitian correlator, most occupied first.
@@ -123,8 +114,6 @@ def natural_orbitals(correlator) -> NaturalOrbitalSet:
     c = matrix_entries(correlator)
     if not np.isfinite(c).all():
         raise ParameterError("correlator contains non-finite entries; refusing to diagonalize")
-    if not c.imag.any():
-        c = c.real
     scale = max(1.0, float(np.abs(c).max()))
     if np.abs(c - c.conj().T).max() > 1e-10 * scale:
         raise ParameterError("correlator is not Hermitian; refusing to diagonalize")

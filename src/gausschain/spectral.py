@@ -255,14 +255,14 @@ def _min_pairwise_gap(betas: np.ndarray) -> tuple[float, tuple[int, int]]:
 
 
 def _tridiagonal_bands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(diag, sub, sup) of a real tridiagonal X with finite bands, else None."""
-    if np.any(x.imag != 0):
+    """(diag, sub, sup) of a real (float64, see matrix_entries) tridiagonal X with
+    finite bands, else None."""
+    if np.iscomplexobj(x):
         return None
-    xr = x.real
-    bands = np.diagonal(xr), np.diagonal(xr, -1), np.diagonal(xr, 1)
+    bands = np.diagonal(x), np.diagonal(x, -1), np.diagonal(x, 1)
     flat = np.concatenate(bands)
     # X is tridiagonal exactly when its nonzeros are those of its bands.
-    if not np.all(np.isfinite(flat)) or np.count_nonzero(xr) != np.count_nonzero(flat):
+    if not np.all(np.isfinite(flat)) or np.count_nonzero(x) != np.count_nonzero(flat):
         return None
     return bands
 
@@ -327,7 +327,7 @@ def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
     if np.abs(x - x.conj().T).max() <= 1e-13 * scale:
         w, r = np.linalg.eigh(0.5 * (x + x.conj().T))
         r = _gauge_columns(r)
-        return BiorthogonalSpectrum(w.astype(complex), r, r, np.zeros(dim),
+        return BiorthogonalSpectrum(w, r, r, np.zeros(dim),
                                     math.log10(np.linalg.cond(r)))
 
     try:
@@ -364,7 +364,7 @@ def _orthogonal_spectrum(betas: np.ndarray, u: np.ndarray,
     """Spectrum with U = V = u, real orthogonal, each column of R = D u peaking positive."""
     _, peak = _peak_rows(u, log_d)
     u = u * np.where(u[peak, np.arange(u.shape[1])] >= 0, 1.0, -1.0)
-    return BiorthogonalSpectrum(betas.astype(complex), u, u, log_d,
+    return BiorthogonalSpectrum(betas, u, u, log_d,
                                 (log_d.max() - log_d.min()) / math.log(10.0))
 
 

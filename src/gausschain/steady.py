@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import (DarkSourceError, EnvelopeOverflowError, ParameterError, SolveError,
                      StabilityError)
-from .models import matrix_entries
+from .models import _frozen_array, _narrowed, matrix_entries
 from .spectral import (CONDITION_TRUST_LIMIT, BiorthogonalSpectrum, _check_beta_stability,
                        _pump_loadings, _tridiagonal_bands, slow_mode_position)
 
@@ -61,7 +61,7 @@ MAX_DOUBLINGS = 64
 
 @dataclass(frozen=True)
 class SteadyCorrelator:
-    """Hermitian one-body correlator with solver provenance.
+    """Hermitian one-body correlator with solver provenance; real C is float64.
 
     ``method`` is "direct" or "spectral"; ``residual`` is the normwise
     backward error of C as a solution of X C + C X^dag = Y (see
@@ -75,13 +75,11 @@ class SteadyCorrelator:
     asymmetry: float
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        m = _frozen_array(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ParameterError(f"correlator must be square, got shape {m.shape}")
         if self.method not in ("direct", "spectral"):
             raise ParameterError(f"unknown solver method {self.method!r}")
-        m = m.copy()
-        m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
     @property
@@ -143,8 +141,6 @@ def _backward_error(x: np.ndarray, bands, c: np.ndarray, y: np.ndarray) -> float
     inputs = (x, c, y) if bands is None else (c, y)
     if not all(np.isfinite(m).all() for m in inputs):
         raise ParameterError("residual of non-finite relaxation, correlator or source")
-    if not any(m.imag.any() for m in inputs):
-        x, c, y = x.real, c.real, y.real
     scale = max(float(np.abs(c).max(initial=0.0)), float(np.abs(y).max(initial=0.0)))
     if scale > 0:
         c, y = c / scale, y / scale
@@ -194,6 +190,9 @@ def solve_schur(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Schur-factorization route (order N^3) for every X but a tridiagonal Z-matrix."""
     import scipy.linalg  # only this fallback needs scipy; keeps it out of import
 
+    # scipy pairs a real X's quasi-triangular Schur form with the complex
+    # triangular solver of a complex Y, so such an X goes complex first
+    x = x.astype(np.result_type(x, y), copy=False)
     try:
         return scipy.linalg.solve_sylvester(x, x.conj().T, y)
     except (np.linalg.LinAlgError, ValueError) as exc:
@@ -340,11 +339,11 @@ class DirectSolver:
         before symmetrization; every Y is trusted to be Hermitian.  Each
         Y is scaled to unit largest entry for the solve and its scale is
         restored after, so C(2^k X, s Y) = s 2^-k C(X, Y) holds bit for
-        bit for real Y with largest entry 1.  A stack with no imaginary
-        part is solved in real arithmetic and gives real correlators,
-        each bit for bit the one ``solve`` gives for that pump; one
-        complex pump makes the whole stack complex.  On the M-matrix
-        route the pumps of a real stack are grouped by starting width
+        bit for real Y with largest entry 1.  A stack with no nonzero
+        imaginary part is float64 (models._narrowed), and with a real X it
+        gives float64 correlators, each bit for bit the one ``solve`` gives
+        for that pump; one complex pump makes the stack complex.  On the
+        M-matrix route the pumps of a real stack are grouped by starting width
         (_thin_widths: w for a diagonal pump >= 0 on w <= N/2 sites, which
         starts thin, 0 for every other pump, which starts dense) and each
         group is doubled as one stack, so mixed stacks keep that bit
@@ -352,23 +351,21 @@ class DirectSolver:
         stack, so callers bound P*N*N.  An empty stack gives empty arrays.
         EnvelopeOverflowError names the first pump whose C is not finite.
         """
-        y = np.asarray(sources)
+        y = _narrowed(sources)
         if y.ndim != 3 or y.shape[1:] != self.x.shape:
             raise ParameterError(
                 f"source stack shape {y.shape} does not match relaxation {self.x.shape}")
         if not np.isfinite(y).all():
             raise ParameterError("source matrix contains non-finite entries")
-        real = not np.iscomplexobj(y) or not y.imag.any()
-        y = np.asarray(y.real if real else y, dtype=float if real else complex)
+        real = not np.iscomplexobj(y)
         scale = np.abs(y).max(axis=(1, 2), initial=0.0)
         scale[scale == 0] = 1.0
         unit = y / scale[:, None, None]
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             if self._powers is None:
-                x = self.x.real if real and not self.x.imag.any() else self.x
-                c = np.empty(unit.shape, np.result_type(x, unit))
+                c = np.empty(unit.shape, np.result_type(self.x, unit))
                 for k, u in enumerate(unit):
-                    c[k] = solve_schur(x, u)
+                    c[k] = solve_schur(self.x, u)
             else:
                 if self._signs is not None:
                     unit = unit * self._signs
@@ -574,7 +571,7 @@ def single_mode_approximation(spectrum: BiorthogonalSpectrum, pump_site: int,
     if not (0 < loading and np.isfinite(predicted) and np.isfinite(c).all()):
         raise EnvelopeOverflowError(f"slow-mode loading {loading:.3e} or occupation "
                                     f"{predicted:.3e} is not representable")
-    y = np.zeros((spectrum.dim, spectrum.dim), dtype=complex)
+    y = np.zeros((spectrum.dim, spectrum.dim))
     y[site, site] = pump_strength
     residual = lyapunov_residual(spectrum.reconstruct(), c, y)
     return SingleModeResult(SteadyCorrelator(c, "spectral", residual, asym), loading, predicted)
@@ -666,8 +663,6 @@ def propagate_correlator(relaxation, source, initial, t_final: float,
         if not np.isfinite(m).all():
             raise ParameterError(f"{name} contains non-finite entries")
     times, intervals = _sample_grid(t_final, dt, stride)
-    if not (x.imag.any() or y.imag.any()):
-        x, y = x.real, y.real
     c = 0.5 * (c0 + c0.conj().T)
     samples = [c]
     with np.errstate(over="ignore", invalid="ignore"):  # unstable X; checked below

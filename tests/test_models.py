@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from gausschain import (HatanoNelsonParams, ParameterError, SiteIndexError,
-                        SourceMatrix, SshParams, build_diagonal_pump,
+from gausschain import (HatanoNelsonParams, ParameterError, RelaxationMatrix,
+                        SiteIndexError, SourceMatrix, SshParams, build_diagonal_pump,
                         build_hatano_nelson, build_local_pump, build_ssh,
                         ssh_index, ssh_labels)
-from gausschain.models import PSD_TOL
+from gausschain.models import PSD_TOL, matrix_entries
 
 
 def test_hn_two_sites_reference_values():
@@ -174,3 +174,28 @@ def test_source_matrix_psd_rule_on_diagonal_and_dense_pumps():
         SourceMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
     edge = SourceMatrix(np.diag([2.0, -PSD_TOL * 2.0, 0.0]))
     assert edge.entries[1, 1] == -PSD_TOL * 2.0
+
+
+def test_chain_and_pump_builders_are_float64():
+    built = (build_hatano_nelson(HatanoNelsonParams(6, 1.0, 0.17, 0.91)),
+             build_ssh(SshParams(3, 0.5, 1.0, -0.25, 1.5)),
+             build_local_pump(6, 2, 0.03), build_diagonal_pump([0.1, 0.0, 0.2]))
+    for m in built:
+        assert m.entries.dtype == np.float64
+
+
+def test_matrix_entries_is_float64_unless_an_imaginary_part_is_nonzero():
+    # -0.0 imaginary parts count as zero; one tiny nonzero one keeps complex.
+    zero = np.array([[1.0 + 0.0j, complex(-2.0, -0.0)], [3.0, 4.0]])
+    for out in (matrix_entries(zero), RelaxationMatrix(zero).entries):
+        assert out.dtype == np.float64
+        assert_array_equal(out, zero.real)
+    assert matrix_entries([[1, 2], [3, 4]]).dtype == np.float64
+    one = zero.copy()
+    one[0, 1] += 1e-300j
+    for out in (matrix_entries(one), RelaxationMatrix(one).entries):
+        assert out.dtype == np.complex128
+        assert_array_equal(out, one)
+    hermitian = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
+    assert SourceMatrix(hermitian).entries.dtype == np.complex128
+    assert SourceMatrix(hermitian.real.astype(complex)).entries.dtype == np.float64

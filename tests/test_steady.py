@@ -1005,3 +1005,62 @@ def test_correlator_entries_are_frozen():
     c = solve_lyapunov_direct(np.array([[1.0]]), np.array([[0.5]]))
     with pytest.raises(ValueError):
         c.entries[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("model", ["hn", "ssh"])
+def test_real_data_gives_the_same_float64_bits_as_zero_imaginary_complex(model):
+    # matrix_entries narrows a complex array with no nonzero imaginary part
+    # to float64, so each entry point sees the same array either way.
+    if model == "hn":
+        x = build_hatano_nelson(HatanoNelsonParams(12, 1.0, 0.17, 0.91)).entries
+    else:
+        x = build_ssh(SshParams(6, 0.5, 1.0, -0.25, 1.5)).entries
+    y = build_local_pump(12, 4, 0.03).entries
+    xc, yc = x.astype(complex), y.astype(complex)
+    c, cc = solve_lyapunov_direct(x, y), solve_lyapunov_direct(xc, yc)
+    assert c.entries.dtype == cc.entries.dtype == np.float64
+    assert np.array_equal(c.entries, cc.entries) and c.residual == cc.residual
+    stack = np.stack([y, 2.0 * y, np.eye(12)])
+    solver = DirectSolver(xc)
+    (many, asym), (many_c, asym_c) = solver.solve_many(stack), solver.solve_many(
+        stack.astype(complex))
+    assert many.dtype == many_c.dtype == np.float64
+    assert np.array_equal(many, many_c) and np.array_equal(asym, asym_c)
+    assert lyapunov_residual(x, c.entries, y) == lyapunov_residual(
+        xc, c.entries.astype(complex), yc)
+    start = np.zeros((12, 12))
+    states = propagate_correlator(x, y, start, 2.0, 0.5).states
+    states_c = propagate_correlator(xc, yc, start.astype(complex), 2.0, 0.5).states
+    assert states.dtype == states_c.dtype == np.float64
+    assert np.array_equal(states, states_c)
+    orbs, orbs_c = natural_orbitals(c.entries), natural_orbitals(cc.entries.astype(complex))
+    assert np.array_equal(orbs.occupations, orbs_c.occupations)
+    assert np.array_equal(orbs.orbitals, orbs_c.orbitals)
+
+
+def test_one_imaginary_entry_keeps_x_complex_and_on_the_schur_route():
+    _, x, y = hn_reference_system(12, pump_site=4)
+    x = x.entries.astype(complex)
+    x[3, 4] += 0.05j
+    solver = DirectSolver(x)
+    assert solver.x.dtype == np.complex128 and solver._powers is None
+    c = solver.solve(y)
+    assert c.entries.dtype == np.complex128 and c.entries.imag.any()
+    oracle = solve_vectorized(x, y.entries)
+    assert np.linalg.norm(c.entries - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+def test_real_x_with_a_complex_pump_takes_complex_schur_arithmetic():
+    # scipy's Bartels-Stewart would pair the quasi-triangular real Schur
+    # form of X with the triangular complex solver of Y; X with complex
+    # eigenvalues then gets a wrong C unless it goes complex first.
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((6, 6))
+    x += (float(np.abs(np.linalg.eigvals(x).real).max()) + 1.0) * np.eye(6)
+    assert np.iscomplex(np.linalg.eigvals(x)).any()
+    _, y = random_stable_pair(rng, 6)
+    solver = DirectSolver(x)
+    assert solver.x.dtype == np.float64 and solver._powers is None
+    oracle = solve_vectorized(x, y)
+    for c in (solver.solve(y).entries, solve_schur(x, y)):
+        assert np.linalg.norm(c - oracle) <= 1e-12 * np.linalg.norm(oracle)
