@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InfeasibilityError, ParameterError, ValidationError
 from .models import (HatanoNelsonParams, RelaxationMatrix, SourceMatrix, SshParams,
-                     default_labels, matrix_entries, ssh_labels)
+                     default_labels, ssh_labels)
 
 # Loss grams with min eigenvalue above this are reported as physical.
 PHYSICALITY_TOL = 1e-10
@@ -123,8 +123,8 @@ def inverse_design(relaxation, source) -> MicroscopicRealization:
     minimum eigenvalue and the resulting physicality flag are reported,
     not enforced.
     """
-    x = RelaxationMatrix(matrix_entries(relaxation)).entries
-    y = SourceMatrix(matrix_entries(source)).entries
+    x = RelaxationMatrix(relaxation).entries
+    y = SourceMatrix(source).entries
     if y.shape != x.shape:
         raise ParameterError(f"source shape {y.shape} does not match target {x.shape}")
     h = (x - x.conj().T) / 2j

@@ -27,6 +27,7 @@ import numpy as np
 
 from .design import JumpSet
 from .errors import ParameterError, ScaleError, StabilityError
+from .models import matrix_entries
 from .steady import _expm, _sample_grid
 
 # widest charge block C(2N, N) is 924 here (seconds); 3432 at 7 sites (2 min, 1.2 GB)
@@ -72,7 +73,8 @@ class FockOperatorSet:
 
         Entry [i, j, a] names the one nonzero of column a of c_j^dag c_i
         (0-based i, j): Tr(rho P) = sum_a rho[a, cols[a]] * signs[a], with
-        sign 0 where the column is empty.
+        sign 0 where the column is empty.  The Jordan-Wigner construction
+        puts at most one +-1 in each column; a test asserts it.
         """
         n, dim = self.n_sites, self.dim
         cols = np.zeros((n, n, dim), dtype=np.intp)
@@ -80,11 +82,7 @@ class FockOperatorSet:
         for i in range(n):
             for j in range(n):
                 p = self.pair_product(j + 1, i + 1)
-                nonzero = p != 0
-                if nonzero.sum(axis=0).max() > 1 or not np.isin(p[nonzero], (-1, 1)).all():
-                    raise ParameterError(
-                        f"c_{j + 1}^dag c_{i + 1} has a column that is not one +-1 entry")
-                cols[i, j] = nonzero.argmax(axis=0)
+                cols[i, j] = (p != 0).argmax(axis=0)
                 signs[i, j] = p[cols[i, j], np.arange(dim)].real
         cols.flags.writeable = signs.flags.writeable = False
         return cols, signs
@@ -218,12 +216,12 @@ class MasterTrajectory:
 
 
 def _liouvillian_parts(ops: FockOperatorSet, h, jumps: JumpSet):
-    """Return (K, jump operators) with K = -iH - (1/2) sum L^dag L."""
-    hmat = np.asarray(h, dtype=complex)
+    """(K, jump operators) with K = -iH - (1/2) sum L^dag L; h passes models.matrix_entries."""
+    hmat = matrix_entries(h, "one-body Hamiltonian")
     if hmat.shape != (ops.n_sites, ops.n_sites):
         raise ParameterError(
             f"one-body Hamiltonian must be {ops.n_sites}x{ops.n_sites}, got {hmat.shape}")
-    herm = float(np.abs(hmat - hmat.conj().T).max()) if hmat.size else 0.0
+    herm = float(np.abs(hmat - hmat.conj().T).max())
     if herm > 1e-12:
         raise ParameterError(f"Hamiltonian must be Hermitian: max deviation {herm:.3e}")
     if jumps.dim != ops.n_sites:
@@ -313,8 +311,12 @@ def steady_state_oracle(h, jumps: JumpSet, t_max: float | None = None) -> Densit
 
     L preserves the trace, so its diagonal rows are dependent: in the
     charge-0 block the vacuum row is replaced by Tr rho = 1 and the block
-    is solved.  ``t_max`` is ignored.
+    is solved.  ``h`` is checked against the jump set (_liouvillian_parts)
+    before the oracle's own eigvals screen, which keeps it independent of
+    the solver it checks.  ``t_max`` is ignored.
     """
+    ops = operator_set(jumps.dim)
+    k, ls = _liouvillian_parts(ops, h, jumps)
     hmat = np.asarray(h, dtype=complex)
     x = 1j * hmat + 0.5 * (np.asarray(jumps.loss_gram()) + np.asarray(jumps.gain_gram()))
     min_rate = float(np.linalg.eigvals(x).real.min())
@@ -323,8 +325,6 @@ def steady_state_oracle(h, jumps: JumpSet, t_max: float | None = None) -> Densit
             f"relaxation spectrum has min real part {min_rate:.6g} <= 0; "
             "no steady state to converge to")
 
-    ops = operator_set(jumps.dim)
-    k, ls = _liouvillian_parts(ops, hmat, jumps)
     rows, cols = _charge_blocks(ops)[0]
     system = _block_generator(k, ls, rows, cols)
     system[0] = rows == cols

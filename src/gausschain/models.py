@@ -35,16 +35,22 @@ def _narrowed(m) -> np.ndarray:
     return np.asarray(m.real, dtype=float)
 
 
-def matrix_entries(obj) -> np.ndarray:
-    """Dense square array, float64 if real (_narrowed), from a wrapper or array-like."""
+def matrix_entries(obj, name: str = "matrix") -> np.ndarray:
+    """Dense square finite array, float64 if real (_narrowed), from a wrapper or array-like.
+
+    The one gate for every matrix the library takes (X, Y, C, C0, h): one
+    that is not square or not finite raises ParameterError naming ``name``.
+    """
     m = _narrowed(getattr(obj, "entries", obj))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ParameterError(f"expected a square matrix, got shape {m.shape}")
+        raise ParameterError(f"{name} must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ParameterError(f"{name} contains non-finite entries")
     return m
 
 
-def _frozen_array(m) -> np.ndarray:
-    out = np.array(_narrowed(m))
+def _frozen_array(m: np.ndarray) -> np.ndarray:
+    out = np.array(m)
     out.flags.writeable = False
     return out
 
@@ -61,11 +67,7 @@ class RelaxationMatrix:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        m = _frozen_array(self.entries)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ParameterError(f"relaxation matrix must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ParameterError("relaxation matrix contains non-finite entries")
+        m = _frozen_array(matrix_entries(self.entries, "relaxation matrix"))
         labels = tuple(self.labels) if self.labels else default_labels(m.shape[0])
         if len(labels) != m.shape[0]:
             raise ParameterError("label count does not match matrix dimension")
@@ -85,11 +87,7 @@ class SourceMatrix:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        m = _narrowed(self.entries)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ParameterError(f"source matrix must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ParameterError("source matrix contains non-finite entries")
+        m = matrix_entries(self.entries, "source matrix")
         # Every builder's pump is exactly Hermitian: one comparison, no
         # defect or symmetrization sweep over N^2 temporaries.
         exact = np.array_equal(m, m.conj().T)

@@ -111,9 +111,7 @@ def natural_orbitals(correlator) -> NaturalOrbitalSet:
     exported profiles are reproducible.  Real correlators, as every chain
     correlator is, are diagonalized in real arithmetic.
     """
-    c = matrix_entries(correlator)
-    if not np.isfinite(c).all():
-        raise ParameterError("correlator contains non-finite entries; refusing to diagonalize")
+    c = matrix_entries(correlator, "correlator")
     scale = max(1.0, float(np.abs(c).max()))
     if np.abs(c - c.conj().T).max() > 1e-10 * scale:
         raise ParameterError("correlator is not Hermitian; refusing to diagonalize")
@@ -123,7 +121,7 @@ def natural_orbitals(correlator) -> NaturalOrbitalSet:
 
 def density(correlator) -> np.ndarray:
     """Site-resolved density, the real diagonal of the correlator."""
-    return np.real(np.diag(matrix_entries(correlator))).copy()
+    return np.real(np.diag(matrix_entries(correlator, "correlator"))).copy()
 
 
 def normalized_density(correlator) -> np.ndarray:
@@ -158,7 +156,7 @@ def overlap(first, second) -> float:
     for v in (first, second):
         a = np.asarray(getattr(v, "amplitudes", v), dtype=complex).reshape(-1)
         nrm = float(np.linalg.norm(a))
-        if abs(nrm - 1.0) > UNIT_NORM_TOL:
+        if not abs(nrm - 1.0) <= UNIT_NORM_TOL:  # a NaN norm fails too
             raise NormalizationError(
                 f"overlap requires unit-normalized inputs (got norm {nrm:.6e})")
         out.append(a)

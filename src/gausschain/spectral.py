@@ -9,12 +9,12 @@ nonreciprocal chains the right/left modes carry exponentially opposite
 envelopes, so every spectrum holds them scale-free, as (U, V, log d)
 with R = D U and L = D^-1 V (see :class:`BiorthogonalSpectrum`).
 
-:func:`biorthogonal_decompose` picks its route from the input, in this
-order: real tridiagonal X with X[j+1, j] X[j, j+1] > 0 (both chain
-models, reciprocal ones included), which the imaginary gauge of Hatano &
-Nelson (PRL 77, 570, 1996) makes symmetric, so its rates are exact where
-a nonsymmetric eigensolver returns pseudospectrum; any other Hermitian X;
-or any other X.
+:func:`biorthogonal_decompose` takes one of two routes: real tridiagonal
+X with X[j+1, j] X[j, j+1] > 0 (both chain models, reciprocal ones
+included), which the imaginary gauge of Hatano & Nelson (PRL 77, 570,
+1996) makes symmetric, so its rates are exact where a nonsymmetric
+eigensolver returns pseudospectrum; or ``eig`` for any other X, Hermitian
+ones included.
 
 Mode indices, like site indices, are 1-based in the public interface.
 Modes are ordered by ascending real part of beta (slowest first), with
@@ -121,8 +121,8 @@ class BiorthogonalSpectrum:
 
     * :func:`hn_analytic_spectrum`: U = V = the sine basis, log d_j = j log r;
     * gauge route: U = V = eigenvectors of H = D^-1 X D, centred log d;
-    * Hermitian and ``eig`` routes: log d = 0, U the eigenvectors of X and
-      V = U (Hermitian) or the inverse of U conjugate transposed (``eig``).
+    * ``eig`` route: log d = 0, U the eigenvectors of X and V the inverse
+      of U conjugate transposed.
 
     Each column of R has its peak real positive, found in the log domain
     for the two real routes.  Unit modes, pump loadings and
@@ -255,14 +255,12 @@ def _min_pairwise_gap(betas: np.ndarray) -> tuple[float, tuple[int, int]]:
 
 
 def _tridiagonal_bands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(diag, sub, sup) of a real (float64, see matrix_entries) tridiagonal X with
-    finite bands, else None."""
+    """(diag, sub, sup) of a real (float64, see matrix_entries) tridiagonal X, else None."""
     if np.iscomplexobj(x):
         return None
     bands = np.diagonal(x), np.diagonal(x, -1), np.diagonal(x, 1)
-    flat = np.concatenate(bands)
     # X is tridiagonal exactly when its nonzeros are those of its bands.
-    if not np.all(np.isfinite(flat)) or np.count_nonzero(x) != np.count_nonzero(flat):
+    if np.count_nonzero(x) != np.count_nonzero(np.concatenate(bands)):
         return None
     return bands
 
@@ -290,7 +288,8 @@ def _gauge_symmetrize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
     """Full biorthogonal eigendecomposition of a relaxation matrix.
 
-    The route is chosen from the input, first match wins:
+    X that is not square or not finite is refused here, by
+    models.matrix_entries (ParameterError).  The route is chosen from X:
 
     * Real tridiagonal X with X[j+1, j] X[j, j+1] > 0 for every j,
       Hermitian or not: ``eigh`` of the gauge-symmetrized H = D^-1 X D,
@@ -298,14 +297,12 @@ def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
       chain length.  All beta are real.  ``log10_condition`` is
       (max log d - min log d) / ln 10, the log10 of cond_2(D U) exactly
       because U is orthogonal.
-    * Any other Hermitian X: ``eigh``; left and right modes coincide, all
-      beta are real, and ``log10_condition`` is the log10 of the 2-norm
-      condition of the mode matrix.
-    * Any other X: ``eig``; left modes come from the inverse of the
-      right-eigenvector matrix, which enforces <L_m|R_n> = delta_mn to
-      solver accuracy instead of pairing two independent eigensolves,
-      and ``log10_condition`` is the log10 of the 2-norm condition of
-      ``right``.
+    * Any other X, Hermitian X included: ``eig``; left modes come from
+      the inverse of the right-eigenvector matrix, which enforces
+      <L_m|R_n> = delta_mn to solver accuracy instead of pairing two
+      independent eigensolves, and ``log10_condition`` is the log10 of
+      the 2-norm condition of ``right``.  A degenerate Hermitian X gets
+      a basis with L = R^-dag that is not orthonormal.
 
     Raises
     ------
@@ -316,19 +313,12 @@ def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
     DecompositionError
         The eigensolver failed or the mode matrix is singular.
     """
-    x = matrix_entries(matrix)
+    x = matrix_entries(matrix, "relaxation matrix")
     dim = x.shape[0]
     gauge = _gauge_symmetrize(x)
     if gauge is not None:
         logd, h = gauge
         return _orthogonal_spectrum(*np.linalg.eigh(h), logd)
-
-    scale = max(1.0, float(np.abs(x).max()))
-    if np.abs(x - x.conj().T).max() <= 1e-13 * scale:
-        w, r = np.linalg.eigh(0.5 * (x + x.conj().T))
-        r = _gauge_columns(r)
-        return BiorthogonalSpectrum(w, r, r, np.zeros(dim),
-                                    math.log10(np.linalg.cond(r)))
 
     try:
         betas, r = np.linalg.eig(x)

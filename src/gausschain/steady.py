@@ -75,9 +75,7 @@ class SteadyCorrelator:
     asymmetry: float
 
     def __post_init__(self):
-        m = _frozen_array(self.entries)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ParameterError(f"correlator must be square, got shape {m.shape}")
+        m = _frozen_array(matrix_entries(self.entries, "correlator"))
         if self.method not in ("direct", "spectral"):
             raise ParameterError(f"unknown solver method {self.method!r}")
         object.__setattr__(self, "entries", m)
@@ -123,10 +121,11 @@ def lyapunov_residual(x, c, y) -> float:
     on long chains, and real inputs stay in real arithmetic.  A real
     tridiagonal X (both chain models) is applied from its bands in N^2
     operations (_backward_error); every other X takes dense products.
-    Non-finite X, C or Y raises ParameterError.
+    Non-finite X, C or Y raises ParameterError (models.matrix_entries).
     """
-    x = matrix_entries(x)
-    return _backward_error(x, _tridiagonal_bands(x), matrix_entries(c), matrix_entries(y))
+    x = matrix_entries(x, "relaxation matrix")
+    return _backward_error(x, _tridiagonal_bands(x), matrix_entries(c, "correlator"),
+                           matrix_entries(y, "source matrix"))
 
 
 def _backward_error(x: np.ndarray, bands, c: np.ndarray, y: np.ndarray) -> float:
@@ -135,12 +134,9 @@ def _backward_error(x: np.ndarray, bands, c: np.ndarray, y: np.ndarray) -> float
     The banded defect is P + C X^T - Y with P = X C = (C^T X^T)^T, three
     scaled rows of C (_times_tridiagonal).  C X^T is P^dag when C is
     exactly Hermitian, as _hermitize makes every correlator the library
-    returns, and three scaled columns of C otherwise.  An X with bands is
-    real and finite (_tridiagonal_bands), so only C and Y are checked.
+    returns, and three scaled columns of C otherwise.  X, C and Y are
+    finite (models.matrix_entries, and solve_many's output check).
     """
-    inputs = (x, c, y) if bands is None else (c, y)
-    if not all(np.isfinite(m).all() for m in inputs):
-        raise ParameterError("residual of non-finite relaxation, correlator or source")
     scale = max(float(np.abs(c).max(initial=0.0)), float(np.abs(y).max(initial=0.0)))
     if scale > 0:
         c, y = c / scale, y / scale
@@ -299,9 +295,7 @@ class DirectSolver:
     """
 
     def __init__(self, relaxation):
-        x = matrix_entries(relaxation)
-        if not np.isfinite(x).all():
-            raise ParameterError("relaxation matrix contains non-finite entries")
+        x = matrix_entries(relaxation, "relaxation matrix")
         self.x = x
         self._powers = self._signs = None
         self._bands = bands = _tridiagonal_bands(x)
@@ -327,7 +321,7 @@ class DirectSolver:
 
         The solve of ``solve_many`` on a stack of one, plus the residual.
         """
-        y = matrix_entries(source)
+        y = matrix_entries(source, "source matrix")
         c, asym = self.solve_many(y[None])
         return SteadyCorrelator(c[0], "direct", _backward_error(self.x, self._bands, c[0], y),
                                 float(asym[0]))
@@ -502,12 +496,10 @@ def _mode_sum(spectrum: BiorthogonalSpectrum, source, initial=None,
     """_hermitize of the biorthogonal mode sum: the steady state for t = None,
     else C(t) from C0 = initial.  The one place mode sums check their input,
     and the one that enforces CONDITION_TRUST_LIMIT (SolveError)."""
-    y = matrix_entries(source)
-    c0 = y if t is None else matrix_entries(initial)
+    y = matrix_entries(source, "source matrix")
+    c0 = y if t is None else matrix_entries(initial, "initial state C0")
     if y.shape[0] != spectrum.dim or c0.shape[0] != spectrum.dim:
         raise ParameterError("source or initial state dimension does not match spectrum")
-    if not (np.isfinite(y).all() and np.isfinite(c0).all()):
-        raise ParameterError("source or initial state contains non-finite entries")
     if t is not None and not 0 <= t < np.inf:
         raise ParameterError(f"time must be finite and >= 0, got {t}")
     betas = spectrum.betas
@@ -654,14 +646,11 @@ def propagate_correlator(relaxation, source, initial, t_final: float,
     as one read-only (S, N, N) array.  SolveError names the first sample
     that is not finite, which only an unstable X gives.
     """
-    x = matrix_entries(relaxation)
-    y = matrix_entries(source)
-    c0 = matrix_entries(initial)
+    x = matrix_entries(relaxation, "relaxation X")
+    y = matrix_entries(source, "source Y")
+    c0 = matrix_entries(initial, "initial state C0")
     if y.shape != x.shape or c0.shape != x.shape:
         raise ParameterError("relaxation, source, and initial state dimensions differ")
-    for name, m in (("relaxation X", x), ("source Y", y), ("initial state C0", c0)):
-        if not np.isfinite(m).all():
-            raise ParameterError(f"{name} contains non-finite entries")
     times, intervals = _sample_grid(t_final, dt, stride)
     c = 0.5 * (c0 + c0.conj().T)
     samples = [c]

@@ -313,7 +313,7 @@ def dense_hn_spectrum_reference(params):
 
 
 def dense_decompose_reference(x):
-    """(betas, R, L) by the gauge, Hermitian or eig route of the decomposition."""
+    """(betas, R, L) by the gauge or eig route of the decomposition."""
     from gausschain.spectral import _gauge_columns, _gauge_symmetrize, _sorted_order
 
     x = np.asarray(x)
@@ -322,10 +322,6 @@ def dense_decompose_reference(x):
         w, u = np.linalg.eigh(gauge[1])
         d = np.exp(gauge[0])[:, None]
         return (w.astype(complex),) + _sign_gauge_pair(d * u, u / d)
-    if np.abs(x - x.conj().T).max() <= 1e-13 * max(1.0, float(np.abs(x).max())):
-        w, r = np.linalg.eigh(0.5 * (x + x.conj().T))
-        r = _gauge_columns(r)
-        return w.astype(complex), r, r
     betas, r = np.linalg.eig(x)
     order = _sorted_order(betas)
     r = _gauge_columns(r[:, order])
@@ -347,6 +343,12 @@ def unit_gauge(v):
     v = v / float(np.linalg.norm(v))
     pivot = v[int(np.argmax(np.abs(v)))]
     return v * (pivot / abs(pivot)).conjugate()
+
+
+def read_bytes(path):
+    """The bytes of a file, closed before they are returned."""
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def pure_state(amplitudes):

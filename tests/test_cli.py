@@ -14,6 +14,7 @@ from gausschain.matio import write_matrix
 from gausschain.models import (HatanoNelsonParams, SshParams, build_hatano_nelson,
                                build_local_pump, matrix_entries)
 from gausschain.orbitals import hn_source_scan, ssh_crossover_scan
+from tests.conftest import read_bytes
 
 
 def read_summary(path):
@@ -262,11 +263,10 @@ class TestConfigResolution:
         out = str(tmp_path / "twice")
         argv = ["hn-profiles", "--n-sites", "6", "--pump-site", "2", "--out", out]
         assert main(argv) == 0
-        first = {name: open(f"{out}/hn-profiles.{name}", "rb").read()
-                 for name in ("csv", "json")}
+        first = {name: read_bytes(f"{out}/hn-profiles.{name}") for name in ("csv", "json")}
         assert main(argv) == 0
         for name, blob in first.items():
-            assert open(f"{out}/hn-profiles.{name}", "rb").read() == blob
+            assert read_bytes(f"{out}/hn-profiles.{name}") == blob
 
     def test_output_directory_is_created(self, tmp_path):
         out = str(tmp_path / "a" / "b" / "c")

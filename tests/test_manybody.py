@@ -235,11 +235,20 @@ class TestCorrelatorOf:
         for state in states:
             assert np.array_equal(correlator_of(state), trace_loop_correlator(state))
 
-    def test_trace_tables_reject_a_column_with_two_entries(self):
-        ops = FockOperatorSet(2)
-        ops._pair_cache[(1, 2)] = np.ones((4, 4), dtype=complex)
-        with pytest.raises(ParameterError, match="not one"):
-            ops._trace_tables()
+    @pytest.mark.parametrize("n", range(1, MAX_ORACLE_SITES + 1))
+    def test_every_pair_product_column_is_at_most_one_signed_unit(self, n):
+        # the signed gather of correlator_of reads one entry per column, so
+        # the Jordan-Wigner construction must leave no second one to drop
+        ops = FockOperatorSet(n)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                p = ops.pair_product(i, j)
+                nonzero = p != 0
+                assert nonzero.sum(axis=0).max() <= 1
+                assert np.isin(p[nonzero], (-1, 1)).all()
+                cols = ops._trace_cols[j - 1, i - 1]
+                signs = ops._trace_signs[j - 1, i - 1]
+                assert np.array_equal(signs, p[cols, np.arange(ops.dim)].real)
 
     def test_trivial_states(self):
         assert_allclose(correlator_of(DensityMatrix.vacuum(2)),
@@ -458,6 +467,12 @@ class TestSteadyStateOracle:
         with pytest.raises(ScaleError, match="at most 6"):
             evolve_master(DensityMatrix.vacuum(7), np.zeros((7, 7)), jumps,
                           t_final=0.1, dt=0.01)
+
+    def test_hamiltonian_is_checked_against_the_jump_set_first(self):
+        # a 2x2 h for three sites once reached eigvals as a raw numpy ValueError
+        _, _, jumps, _ = hn_system(3)
+        with pytest.raises(ParameterError, match="must be 3x3, got \\(2, 2\\)"):
+            steady_state_oracle(np.zeros((2, 2)), jumps)
 
     def test_hamiltonian_only_dynamics_has_no_steady_state(self):
         with pytest.raises(StabilityError, match="no steady state"):

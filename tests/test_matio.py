@@ -9,6 +9,7 @@ from gausschain.matio import (dumps_json, format_csv_float, format_json_float,
                               matrix_from_payload, matrix_payload, read_csv,
                               read_json, read_matrix, write_csv, write_json,
                               write_matrix)
+from tests.conftest import read_bytes
 
 
 def test_json_float_formatting():
@@ -93,9 +94,9 @@ def test_writers_are_byte_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     write_matrix(p1, m, ("1", "2", "3"))
     write_matrix(p2, m, ("1", "2", "3"))
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert read_bytes(p1) == read_bytes(p2)
     c1, c2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     rows = [(k, float(v)) for k, v in enumerate(rng.normal(size=20))]
     write_csv(c1, ("k", "v"), rows)
     write_csv(c2, ("k", "v"), rows)
-    assert open(c1, "rb").read() == open(c2, "rb").read()
+    assert read_bytes(c1) == read_bytes(c2)

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from gausschain import (HatanoNelsonParams, ParameterError, RelaxationMatrix,
-                        SiteIndexError, SourceMatrix, SshParams, build_diagonal_pump,
-                        build_hatano_nelson, build_local_pump, build_ssh,
-                        ssh_index, ssh_labels)
+from gausschain import (DensityMatrix, HatanoNelsonParams, ParameterError, RelaxationMatrix,
+                        SiteIndexError, SourceMatrix, SshParams, SteadyCorrelator,
+                        biorthogonal_decompose, build_diagonal_pump, build_hatano_nelson,
+                        build_local_pump, build_ssh, density, evolve_master,
+                        hn_jump_decomposition, inverse_design, lyapunov_residual,
+                        natural_orbitals, normalized_density, propagate_correlator,
+                        solve_lyapunov_direct, ssh_index, ssh_labels, steady_state_oracle)
 from gausschain.models import PSD_TOL, matrix_entries
+from gausschain.steady import DirectSolver
 
 
 def test_hn_two_sites_reference_values():
@@ -199,3 +203,59 @@ def test_matrix_entries_is_float64_unless_an_imaginary_part_is_nonzero():
     hermitian = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
     assert SourceMatrix(hermitian).entries.dtype == np.complex128
     assert SourceMatrix(hermitian.real.astype(complex)).entries.dtype == np.float64
+
+
+def gated_calls():
+    """Entry point -> (role its error names, valid matrix, call on one matrix).
+
+    Every matrix a call takes passes models.matrix_entries, which refuses
+    one that is not finite and names it by its role in that call.
+    """
+    params = HatanoNelsonParams(3, 1.0, 0.17, 1.5)
+    x = matrix_entries(build_hatano_nelson(params))
+    y = 0.1 * np.eye(3)
+    c = solve_lyapunov_direct(x, y).entries
+    h = inverse_design(x, y).hamiltonian
+    jumps = hn_jump_decomposition(params, 0.1)
+    zero = np.zeros((3, 3))
+    return {
+        "RelaxationMatrix": ("relaxation matrix", x, RelaxationMatrix),
+        "SourceMatrix": ("source matrix", y, SourceMatrix),
+        "SteadyCorrelator": ("correlator", c, lambda m: SteadyCorrelator(m, "direct", 0.0, 0.0)),
+        "DirectSolver": ("relaxation matrix", x, DirectSolver),
+        "DirectSolver.solve": ("source matrix", y, lambda m: DirectSolver(x).solve(m)),
+        "solve_lyapunov_direct": ("source matrix", y, lambda m: solve_lyapunov_direct(x, m)),
+        "lyapunov_residual X": ("relaxation matrix", x, lambda m: lyapunov_residual(m, c, y)),
+        "lyapunov_residual C": ("correlator", c, lambda m: lyapunov_residual(x, m, y)),
+        "lyapunov_residual Y": ("source matrix", y, lambda m: lyapunov_residual(x, c, m)),
+        "propagate_correlator X": ("relaxation X", x,
+                                   lambda m: propagate_correlator(m, y, zero, 1.0, 0.1)),
+        "propagate_correlator Y": ("source Y", y,
+                                   lambda m: propagate_correlator(x, m, zero, 1.0, 0.1)),
+        "propagate_correlator C0": ("initial state C0", zero,
+                                    lambda m: propagate_correlator(x, y, m, 1.0, 0.1)),
+        "natural_orbitals": ("correlator", c, natural_orbitals),
+        "density": ("correlator", c, density),
+        "normalized_density": ("correlator", c, normalized_density),
+        "biorthogonal_decompose": ("relaxation matrix", x, biorthogonal_decompose),
+        "inverse_design X": ("relaxation matrix", x, lambda m: inverse_design(m, y)),
+        "inverse_design Y": ("source matrix", y, lambda m: inverse_design(x, m)),
+        "evolve_master": ("one-body Hamiltonian", h,
+                          lambda m: evolve_master(DensityMatrix.vacuum(3), m, jumps, 1.0, 0.1)),
+        "steady_state_oracle": ("one-body Hamiltonian", h,
+                                lambda m: steady_state_oracle(m, jumps)),
+    }
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", list(gated_calls()))
+def test_every_matrix_entry_point_refuses_non_finite_entries_by_role(entry, bad):
+    # density once returned NaN, normalized_density [nan, 0] with a warning,
+    # evolve_master blamed density matrix sample 1, and the oracle raised a
+    # raw LinAlgError
+    role, good, call = gated_calls()[entry]
+    call(good)
+    broken = np.array(good)
+    broken[1, 1] = bad
+    with pytest.raises(ParameterError, match=f"^{role} contains non-finite entries$"):
+        call(broken)

@@ -175,6 +175,9 @@ def test_overlap_trivials_and_gauge_invariance():
     assert overlap(np.exp(1j * theta) * v, v) == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(NormalizationError):
         overlap([1.0, 1.0], e1)
+    for bad in (np.nan, np.inf):  # a NaN norm once passed and returned nan
+        with pytest.raises(NormalizationError, match="unit-normalized"):
+            overlap([bad, 0.0], e1)
     with pytest.raises(ParameterError):
         overlap(e1, np.array([1.0, 0.0, 0.0]))
 

@@ -399,13 +399,13 @@ def test_long_chain_loadings_are_finite(long_spectra):
 
 
 def rounding_cases():
-    """(label, spectrum, dense reference) over all four routes, 4 to 40 sites."""
+    """(label, spectrum, dense reference) over the closed form and both routes, 4 to 40 sites."""
     shift = 0.05j  # a uniform imaginary rate shift sends a chain to eig
     for n, cells in ((4, 2), (9, 5), (21, 11), (40, 20)):
         params = hn_params(n)
         yield f"closed {n}", hn_analytic_spectrum(params), dense_hn_spectrum_reference(params)
-        # complex Hermitian hoppings have no imaginary gauge, so they take the
-        # Hermitian route; a graded diagonal keeps the mode peaks from tying
+        # complex Hermitian hoppings have no imaginary gauge, so they take
+        # eig; a graded diagonal keeps the mode peaks from tying
         hop = 0.6 * np.exp(0.3j) * np.eye(n, k=-1)
         graded = np.diag(2.0 + 0.05 * np.arange(n))
         chains = {f"hn {n}": build_hatano_nelson(params),
@@ -449,8 +449,8 @@ def test_scale_free_spectra_agree_with_the_dense_formulas():
     routes = set()
     for label, spec, (betas, right, left) in rounding_cases():
         routes.add(("closed" if label.startswith("closed") else
-                    "eig" if "shifted" in label else
-                    "hermitian" if label.startswith("hermitian") else "gauge"))
+                    "eig" if "shifted" in label or label.startswith("hermitian") else
+                    "gauge"))
         assert np.array_equal(spec.betas, betas), label
         flips = tied_peak_flips(spec.right, right)  # each L column flips with its R partner
         assert_within_ulps(spec.right * flips, right)
@@ -463,7 +463,7 @@ def test_scale_free_spectra_agree_with_the_dense_formulas():
             want = unit_gauge(right[:, k])
             got = spec.right_mode_unit(k + 1).amplitudes
             assert np.abs(got * tied_peak_flips(got, want) - want).max() <= 1e-14, label
-    assert routes == {"closed", "gauge", "hermitian", "eig"}
+    assert routes == {"closed", "gauge", "eig"}
 
 
 def test_normalized_modes_match_analytic_where_both_exist():
