@@ -8,32 +8,28 @@ produce byte-identical files.
 
 Exit codes: 0 success, 1 validation failure, 2 numeric or parameter
 error, 3 infeasibility.
+
+Each command imports the solver, spectrum, orbital, design and many-body
+modules it calls inside its own body, so start-up loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .design import (hn_jump_decomposition, inverse_design, jump_set_payload,
-                     realization_payload, ssh_jump_decomposition, validate_jump_set)
 from .errors import (GausschainError, InfeasibilityError, ParameterError,
                      ValidationError)
-from .manybody import DensityMatrix, correlator_of, evolve_master, steady_state_oracle
 from .matio import (dumps_json, ensure_dir, read_json, read_matrix, write_csv,
                     write_json)
 from .models import (PSD_TOL, HatanoNelsonParams, SourceMatrix, SshParams, build_diagonal_pump,
                      build_hatano_nelson, build_local_pump, build_ssh, default_labels,
                      matrix_entries, ssh_index, ssh_labels)
-from .orbitals import (CROSSOVER_HEADER, PROFILE_HEADER, SOURCE_SCAN_HEADER,
-                       diagnostics_report, hn_source_scan, natural_orbitals, profile_rows,
-                       ssh_crossover_scan)
-from .spectral import _betas_payload, biorthogonal_decompose, hn_analytic_spectrum
-from .steady import DirectSolver, propagate_correlator, solve_lyapunov_direct
 
 OCCUPATION_HEADER = ("alpha", "nu", "nu_norm")
 
@@ -130,7 +126,7 @@ def _coerce(key: str, value, target: type):
         return float(value)
     if target is int and isinstance(value, int) and not isinstance(value, bool):
         return value
-    if target is int and isinstance(value, float) and value == int(value):
+    if target is int and isinstance(value, float) and value.is_integer():
         return int(value)
     if target is str and isinstance(value, str):
         return value
@@ -162,6 +158,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
             given.add(key)
     if command == "inverse-design" and specific["model"] == "ssh" and "kappa" not in given:
         specific["kappa"] = _SSH_DESIGN_KAPPA
+    for key, value in specific.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"{key} must be finite, got {value}")
     for key in common:
         value = getattr(args, key, None)
         if value is not None:
@@ -204,6 +203,10 @@ def _peak_site(sites: np.ndarray, values: np.ndarray) -> int:
 
 
 def cmd_hn_profiles(cfg: dict) -> None:
+    from .orbitals import PROFILE_HEADER, diagnostics_report, profile_rows
+    from .spectral import _betas_payload, hn_analytic_spectrum
+    from .steady import solve_lyapunov_direct
+
     params = _hn_params(cfg)
     x = build_hatano_nelson(params)
     pump = build_local_pump(params.n_sites, cfg["pump_site"], cfg["pump_strength"])
@@ -234,6 +237,9 @@ def cmd_hn_profiles(cfg: dict) -> None:
 
 
 def cmd_hn_occupations(cfg: dict) -> None:
+    from .orbitals import natural_orbitals
+    from .steady import solve_lyapunov_direct
+
     params = _hn_params(cfg)
     x = build_hatano_nelson(params)
     pump = build_local_pump(params.n_sites, cfg["pump_site"], cfg["pump_strength"])
@@ -264,6 +270,8 @@ def cmd_hn_occupations(cfg: dict) -> None:
 
 
 def cmd_hn_source_scan(cfg: dict) -> None:
+    from .orbitals import SOURCE_SCAN_HEADER, hn_source_scan
+
     params = _hn_params(cfg)
     s_max = cfg["s_max"] if cfg["s_max"] > 0 else params.n_sites
     sites = range(cfg["s_min"], s_max + 1)
@@ -285,6 +293,10 @@ def cmd_hn_source_scan(cfg: dict) -> None:
 
 
 def cmd_ssh_profiles(cfg: dict) -> None:
+    from .orbitals import PROFILE_HEADER, diagnostics_report, profile_rows
+    from .spectral import _betas_payload, biorthogonal_decompose
+    from .steady import solve_lyapunov_direct
+
     params = _ssh_params(cfg)
     x = build_ssh(params)
     site = ssh_index(cfg["pump_cell"], cfg["pump_sublattice"], params.n_cells)
@@ -318,6 +330,8 @@ def cmd_ssh_profiles(cfg: dict) -> None:
 
 
 def cmd_ssh_crossover(cfg: dict) -> None:
+    from .orbitals import CROSSOVER_HEADER, ssh_crossover_scan
+
     if cfg["g_points"] < 1:
         raise ParameterError(f"g_points must be >= 1, got {cfg['g_points']}")
     params = _ssh_params(cfg, g=0.0)
@@ -341,8 +355,21 @@ def cmd_ssh_crossover(cfg: dict) -> None:
           f"wrote {csv_path} and {json_path}")
 
 
+def _read_pair(cfg: dict, who: str) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """X entries, X labels and Y entries from the x_file and y_file of ``cfg``."""
+    if not cfg["x_file"] or not cfg["y_file"]:
+        raise ParameterError(f"{who} requires x_file and y_file")
+    x, labels = read_matrix(cfg["x_file"])
+    y, _ = read_matrix(cfg["y_file"])
+    if y.shape != x.shape:
+        raise ParameterError(f"y_file shape {y.shape} does not match x_file shape {x.shape}")
+    return x, labels, y
+
+
 def _design_inputs(cfg: dict):
     """Target (X, labels, Y) and the model's jump set (None for custom-file)."""
+    from .design import hn_jump_decomposition, ssh_jump_decomposition
+
     model = cfg["model"]
     if model == "hn":
         params = _hn_params(cfg)
@@ -353,10 +380,7 @@ def _design_inputs(cfg: dict):
         x = build_ssh(params)
         decompose = ssh_jump_decomposition
     elif model == "custom-file":
-        if not cfg["x_file"] or not cfg["y_file"]:
-            raise ParameterError("model custom-file requires x_file and y_file")
-        entries, labels = read_matrix(cfg["x_file"])
-        y_entries, _ = read_matrix(cfg["y_file"])
+        entries, labels, y_entries = _read_pair(cfg, "model custom-file")
         return entries, labels, SourceMatrix(y_entries, labels=labels), None
     else:
         raise ParameterError(f"model must be hn, ssh, or custom-file, got {model!r}")
@@ -375,6 +399,8 @@ def _design_inputs(cfg: dict):
 
 
 def cmd_inverse_design(cfg: dict) -> None:
+    from .design import inverse_design, jump_set_payload, realization_payload, validate_jump_set
+
     x_entries, labels, y, jumps = _design_inputs(cfg)
     realization = inverse_design(x_entries, y)
     validation = None
@@ -403,10 +429,10 @@ def cmd_inverse_design(cfg: dict) -> None:
 
 
 def cmd_validate(cfg: dict) -> None:
-    if not cfg["x_file"] or not cfg["y_file"]:
-        raise ParameterError("validate requires x_file and y_file")
-    x, labels = read_matrix(cfg["x_file"])
-    y_entries, _ = read_matrix(cfg["y_file"])
+    from .orbitals import natural_orbitals
+    from .steady import DirectSolver
+
+    x, labels, y_entries = _read_pair(cfg, "validate")
 
     checks: list[dict] = []
 
@@ -448,9 +474,15 @@ def cmd_validate(cfg: dict) -> None:
             bounds = {"min": float(occ.min()), "max": float(occ.max())}
             in_unit = (bounds["min"] >= -VALIDATE_OCCUPATION_SLACK
                        and bounds["max"] <= 1.0 + VALIDATE_OCCUPATION_SLACK)
+            detail = ""
+            if not in_unit:
+                from .design import inverse_design
+
+                detail = ("loss Gram X + X^dag - Y has min eigenvalue "
+                          f"{inverse_design(x, source).loss_min_eigenvalue:.3g}; "
+                          "a physical pair has >= 0")
             add("occupations_in_unit_interval", bounds, VALIDATE_OCCUPATION_SLACK, in_unit,
-                "" if in_unit else "loss Gram X + X^dag - Y has min eigenvalue "
-                f"{inverse_design(x, source).loss_min_eigenvalue:.3g}; a physical pair has >= 0")
+                detail)
             defect = (np.abs(orbs.orbitals) ** 2 @ occ).real - c.diagonal().real
             add("density_reconstruction", per_nu * float(np.abs(defect).max()),
                 VALIDATE_DENSITY_LIMIT)
@@ -477,6 +509,10 @@ def cmd_validate(cfg: dict) -> None:
 
 
 def cmd_oracle_check(cfg: dict) -> None:
+    from .design import hn_jump_decomposition, inverse_design
+    from .manybody import DensityMatrix, correlator_of, evolve_master, steady_state_oracle
+    from .steady import propagate_correlator, solve_lyapunov_direct
+
     params = _hn_params(cfg)
     n = params.n_sites
     gamma = float(cfg["gamma"])

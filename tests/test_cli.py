@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,15 @@ def csv_lines(path):
 
 def data_lines(path):
     return [line for line in csv_lines(path) if not line.startswith("#")]
+
+
+def write_mismatched_pair(tmp_path):
+    """Matrix files of a 12-site X and a 3x3 positive definite Y."""
+    x = build_hatano_nelson(HatanoNelsonParams(12, 1.0, 0.17, 1.5))
+    x_file, y_file = str(tmp_path / "x.json"), str(tmp_path / "y.json")
+    write_matrix(x_file, matrix_entries(x), x.labels)
+    write_matrix(y_file, 0.1 * np.eye(3), x.labels[:3])
+    return x_file, y_file
 
 
 class TestParserBasics:
@@ -259,6 +269,41 @@ class TestConfigResolution:
                      "--out", str(tmp_path)]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    FLOAT_KEYS = [(command, key) for command, defaults in COMMAND_DEFAULTS.items()
+                  for key, value in defaults.items() if isinstance(value, float)]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("command, key", FLOAT_KEYS,
+                             ids=[f"{c}-{k}" for c, k in FLOAT_KEYS])
+    def test_non_finite_values_are_refused_before_any_work(self, tmp_path, capsys, command,
+                                                           key, value, source):
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out)]
+        if source == "flag":
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({key: value}))  # NaN / Infinity tokens
+            argv += ["--config", str(config)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ParameterError: {key} must be finite, got {value}\n"
+        assert not out.exists()
+
+    def test_non_finite_integer_config_values_are_type_errors(self, tmp_path, capsys):
+        for token in ("NaN", "Infinity", "1e999"):
+            config = tmp_path / "cfg.json"
+            config.write_text(f'{{"n_sites": {token}}}')
+            assert main(["hn-occupations", "--config", str(config),
+                         "--out", str(tmp_path / "out")]) == 2
+            assert "'n_sites' must be of type int" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         out = str(tmp_path / "twice")
         argv = ["hn-profiles", "--n-sites", "6", "--pump-site", "2", "--out", out]
@@ -342,6 +387,15 @@ class TestInverseDesignCommand:
         assert main(["inverse-design", "--model", "custom-file",
                      "--out", str(tmp_path)]) == 2
         assert "x_file" in capsys.readouterr().err
+
+    def test_custom_file_size_mismatch_names_both_shapes(self, tmp_path, capsys):
+        x_file, y_file = write_mismatched_pair(tmp_path)
+        out = tmp_path / "out"
+        assert main(["inverse-design", "--model", "custom-file", "--x-file", x_file,
+                     "--y-file", y_file, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: ParameterError: y_file shape (3, 3) does not match x_file shape (12, 12)\n")
+        assert not out.exists()
 
 
 class TestValidateCommand:
@@ -495,6 +549,16 @@ class TestValidateCommand:
 
     def test_missing_files_exit_2(self, tmp_path):
         assert main(["validate", "--out", str(tmp_path)]) == 2
+
+    def test_size_mismatch_names_both_shapes(self, tmp_path, capsys):
+        # a PSD 3x3 Y beside a 12-site X is a size error, not a source failure
+        x_file, y_file = write_mismatched_pair(tmp_path)
+        out = tmp_path / "out"
+        assert main(["validate", "--x-file", x_file, "--y-file", y_file,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: ParameterError: y_file shape (3, 3) does not match x_file shape (12, 12)\n")
+        assert not out.exists()
 
 
 class TestOracleCheckCommand:
