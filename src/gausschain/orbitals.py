@@ -53,9 +53,11 @@ DOMINANT_TIE_TOL = 1e-10
 SCAN_CHUNK_ENTRIES = 2 ** 17
 
 # Power-iteration steps _top_occupations takes before it hands the
-# uncertified pumps of a stack to eigvalsh; lattice chains of 40 to 200
-# sites certify every pump within 20.
-_POWER_STEPS = 64
+# uncertified pumps of a stack to eigvalsh, and the steps between two of
+# its Kato-Temple tests; lattice chains of 40 to 200 sites certify every
+# pump within 21.
+_POWER_STEPS = 63
+_CHECK_EVERY = 3
 
 
 @dataclass(frozen=True)
@@ -277,7 +279,9 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
     :func:`_top_occupations`: a power iteration over the whole chunk that
     certifies each pump's top occupation to about one rounding unit, with a
     stacked eigvalsh for any pump it cannot certify.  Each correlator is
-    bit for bit the one ``DirectSolver.solve`` gives for that pump.  The
+    bit for bit the one ``DirectSolver.solve`` gives for that pump; nu_max
+    may differ by rounding from versions that tested the certificate after
+    every power step.  The
     loading column comes from the closed-form spectrum and equals
     ``loading_factors(...).values`` of the slow mode, so the two
     normalized columns agree exactly where the slow mode locks the top
@@ -328,12 +332,16 @@ def _top_occupations(stack: np.ndarray) -> np.ndarray:
     that no square overflows.  For unit v with rho = v'Cv and residual
     r = |Cv - rho v|, every other occupation is at most tr C - rho, so by
     Kato-Temple nu_max lies in [rho, rho + r^2 / (2 rho - tr C)] once
-    2 rho > tr C.  A pump is accepted at the first step where that interval
-    is narrower than one rounding unit of rho, r^2 <= EPS rho (2 rho - tr C).
+    2 rho > tr C.  A pump is accepted at the first tested step where that
+    interval is narrower than one rounding unit of rho,
+    r^2 <= EPS rho (2 rho - tr C).
     tr C is first raised by 2 N^2 EPS tr C, which covers the rounding-level
     negative occupations (each at least -N EPS nu_max, by Weyl) that the
-    bound on the other occupations must absorb.  Pumps not certified within
-    _POWER_STEPS steps, or not finite, get eigvalsh instead.
+    bound on the other occupations must absorb.  The test runs after every
+    _CHECK_EVERY-th step only: on a 40-pump stack it costs more than a
+    step, and a pump certified late by a step or two moves nu_max by
+    rounding only.  Pumps not certified within _POWER_STEPS steps, or not
+    finite, get eigvalsh instead.
     """
     n = stack.shape[1]
     trace = np.trace(stack, axis1=1, axis2=2)[:, None]
@@ -342,9 +350,11 @@ def _top_occupations(stack: np.ndarray) -> np.ndarray:
     pending = np.ones(stack.shape[0], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = stack @ np.ones(n) / trace
-        for _ in range(_POWER_STEPS):
+        for step in range(1, _POWER_STEPS + 1):
             v = w / np.linalg.norm(w, axis=1, keepdims=True)
             w = (stack @ v[..., None])[..., 0] / trace
+            if step % _CHECK_EVERY:
+                continue
             rho = np.einsum("pi,pi->p", v, w)
             r = w - rho[:, None] * v
             gap = 2.0 * rho - raised

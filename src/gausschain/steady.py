@@ -58,6 +58,15 @@ EPS = float(np.finfo(float).eps)
 # spectral radius equal to 1 in double precision: X is numerically singular.
 MAX_DOUBLINGS = 64
 
+# Up to this many sites (N^3 <= 10^6 multiply-adds) OpenBLAS multiplies
+# by small-matrix kernels, and its kernel for a transposed right operand
+# ran 1.2-2.4x slower there than the one for a C-order copy on stacks of
+# pumps (2-core Xeon, OpenBLAS 0.3.31); on one pump the two took alike.
+# Above it both ran alike, syrk ran Z Z^T in 0.6x gemm's time, and a copy
+# only cost.  The kernels can round differently, so DirectSolver._smith
+# picks the operand by N alone, and a stack keeps the bits of its pumps.
+_SMALL_PRODUCT_SITES = 100
+
 
 @dataclass(frozen=True)
 class SteadyCorrelator:
@@ -284,7 +293,11 @@ class DirectSolver:
       nonnegative terms as the dense steps, so accuracy is kept, at
       N^2 w 2^k operations per step instead of N^3: a local pump on
       200 sites takes 7 such steps to 128 columns and 2 dense ones.
-      Every product broadcasts over a stack of pumps.  The residual of
+      Every product broadcasts over a stack of pumps; up to
+      _SMALL_PRODUCT_SITES sites its transposed right operands are copied
+      to C order first, as BLAS's small-matrix kernel for a transposed
+      operand is slower, and the choice depends on N alone, so a stack
+      gives each pump the bits of its own solve.  The residual of
       ``solve`` applies X from its bands, in N^2 operations;
     - anything else, dense real Z-matrices and bonds of mixed sign
       included: the eigenvalue screen and the Schur method, one pump at a time.
@@ -311,10 +324,12 @@ class DirectSolver:
             sub, sup = -np.abs(sub), -np.abs(sup)
         self._certificate = ("smallest LU pivot", _certify_m_matrix(diag, sub, sup))
         self._shift = float(diag.max())
-        self._inverse = _m_matrix_inverse(self._shift + diag, sub, sup)
-        # A = (pI + X)^-1 (pI - X), every term of the banded product >= 0
-        self._powers = _doubling_powers(
-            _times_tridiagonal(self._inverse, self._shift - diag, -sub, -sup))
+        # entries past the double range are named by _doubling_powers
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._inverse = _m_matrix_inverse(self._shift + diag, sub, sup)
+            # A = (pI + X)^-1 (pI - X), every term of the banded product >= 0
+            self._powers = _doubling_powers(
+                _times_tridiagonal(self._inverse, self._shift - diag, -sub, -sup))
 
     def solve(self, source) -> SteadyCorrelator:
         """Steady correlator for pump Y; Y is trusted to be Hermitian.
@@ -389,22 +404,30 @@ class DirectSolver:
         diag(sqrt y) of C_0 = 2p Z_0 Z_0^T and doubles it as [Z, A_k Z]
         while it stays at most N columns wide; C = 2p Z Z^T then takes the
         dense steps of the powers that are left.
+
+        On chains of at most _SMALL_PRODUCT_SITES sites the transposed right
+        operands, Z^T and the A_k^T of each dense step, are first copied to
+        C order (a copy that lives for one product), for one pump as for a
+        stack; longer chains multiply by the transposed views.
         """
         powers = self._powers
+        n = unit.shape[1]
+        ordered = n <= _SMALL_PRODUCT_SITES
         if width == 0:
             c = self._inverse @ unit @ self._inverse.T
         else:
-            steps = _thin_doublings(width, unit.shape[1], len(powers))
+            steps = _thin_doublings(width, n, len(powers))
             diag = np.diagonal(unit, axis1=1, axis2=2)
             sites = np.nonzero(diag)[1].reshape(-1, width)
-            z = np.empty((len(unit), unit.shape[1], width << steps))
+            z = np.empty((len(unit), n, width << steps))
             z[:, :, :width] = self._inverse.T[sites].transpose(0, 2, 1)
             z[:, :, :width] *= np.sqrt(np.take_along_axis(diag, sites, axis=1))[:, None, :]
             for k, a in enumerate(powers[:steps]):
                 cols = width << k
                 np.matmul(a, z[:, :, :cols], out=z[:, :, cols:2 * cols])
-            c = z @ z.transpose(0, 2, 1)
-            del z  # freed before the dense steps, so peak memory stays the dense start's
+            zt = z.transpose(0, 2, 1)
+            c = z @ (zt.copy() if ordered else zt)
+            del z, zt  # freed before the dense steps, so peak memory stays the dense start's
             powers = powers[steps:]
         c *= 2.0 * self._shift
         # two buffers serve every step: fresh stack-sized temporaries page-fault
@@ -412,7 +435,7 @@ class DirectSolver:
         work, term = np.empty_like(c), np.empty_like(c)
         for a in powers:
             np.matmul(a, c, out=work)
-            np.matmul(work, a.T, out=term)
+            np.matmul(work, a.T.copy() if ordered else a.T, out=term)
             c += term
         return c
 
@@ -444,6 +467,13 @@ def _doubling_powers(a: np.ndarray) -> list[np.ndarray]:
     below the unit roundoff.  Where A^(2^k) has zeros that its square
     fills, d is infinite and squaring goes on.  Only a power with zeros
     (one-way bonds) needs that guard; both chain models have none.
+
+    Powers of a strongly nonreciprocal chain can overflow, so DirectSolver
+    squares under np.errstate.  A power with an infinite entry gives a NaN
+    ratio (inf / inf, or 0 * inf in its square), so the ratio already
+    computed finds the first power that is not finite, and
+    EnvelopeOverflowError names it.  SolveError is kept for powers whose
+    ratio never falls, which needs a numerically singular X.
     """
     powers = []
     while a.any():
@@ -457,7 +487,12 @@ def _doubling_powers(a: np.ndarray) -> list[np.ndarray]:
             ratio = np.divide(square, a)
         else:
             ratio = np.divide(square, a, out=np.where(square > 0, np.inf, 0.0), where=a > 0)
-        if float(ratio.max()) ** 2 <= EPS / 2:
+        bound = float(ratio.max())
+        if np.isnan(bound):
+            raise EnvelopeOverflowError(
+                f"Smith doubling power A^(2^{len(powers) - 1}) is not finite: the "
+                "Cayley transform's powers overflow double precision")
+        if bound ** 2 <= EPS / 2:
             break
         a = square
     return powers

@@ -32,6 +32,11 @@ def data_lines(path):
     return [line for line in csv_lines(path) if not line.startswith("#")]
 
 
+# hn-profiles flags of a 231-site chain whose doubling powers overflow
+OVERFLOWING_CHAIN = ["--n-sites", "231", "--t-right", "2.1139725255515978",
+                     "--t-left", "0.0017818522520433315", "--kappa", "0.12934881571526421"]
+
+
 def write_mismatched_pair(tmp_path):
     """Matrix files of a 12-site X and a 3x3 positive definite Y."""
     x = build_hatano_nelson(HatanoNelsonParams(12, 1.0, 0.17, 1.5))
@@ -342,6 +347,24 @@ class TestFailureExitCodes:
                      "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_overflowing_doubling_exits_2_naming_the_power_without_warnings(self, tmp_path):
+        # 231 sites 5% above the stability edge: A^(2^8) overflows.  The
+        # command printed three numpy RuntimeWarnings and blamed a
+        # numerically singular X; run as a subprocess, so stderr is the
+        # command's own.
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-m", "gausschain.cli", "hn-profiles"] + OVERFLOWING_CHAIN
+            + ["--pump-site", "231", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), timeout=120, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr == ("error: EnvelopeOverflowError: Smith doubling power A^(2^8) is "
+                               "not finite: the Cayley transform's powers overflow double "
+                               "precision\n")
+        assert not out.exists()
+
 
 class TestInverseDesignCommand:
 
@@ -546,6 +569,21 @@ class TestValidateCommand:
         assert main(["validate", "--x-file", x_file, "--y-file", y_file,
                      "--out", str(tmp_path / "out")]) == 1
         assert "validation failure" in capsys.readouterr().err
+
+    def test_overflowing_doubling_is_reported_in_the_stability_check(self, tmp_path):
+        params = HatanoNelsonParams(231, *(float(v) for v in OVERFLOWING_CHAIN[3::2]))
+        x = build_hatano_nelson(params)
+        x_file, y_file = str(tmp_path / "x.json"), str(tmp_path / "y.json")
+        write_matrix(x_file, matrix_entries(x), x.labels)
+        write_matrix(y_file, matrix_entries(build_local_pump(231, 231, 0.03)), x.labels)
+        out = str(tmp_path / "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--x-file", x_file, "--y-file", y_file,
+                         "--out", out]) == 1
+        check = read_summary(out + "/validate.json")["checks"][1]
+        assert check["name"] == "relaxation_stable" and check["passed"] is False
+        assert check["detail"].startswith("Smith doubling power A^(2^8) is not finite")
 
     def test_missing_files_exit_2(self, tmp_path):
         assert main(["validate", "--out", str(tmp_path)]) == 2

@@ -369,6 +369,34 @@ def test_solve_many_matches_per_pump_solve():
         solver.solve_many(pumps[0])
 
 
+def test_scan_sized_stacks_match_per_pump_solves_bit_for_bit():
+    # The stack shapes whose products _smith runs on C-order copies of the
+    # transposed operands up to _SMALL_PRODUCT_SITES: full 40-pump thin
+    # stacks of the 40-site and 20-cell chains, a 40-pump dense-start
+    # stack, a full 60-site thin stack (60 is no multiple of 8, where BLAS
+    # rounds the copy and the view differently), and a 3-pump chunk of the
+    # 200-site chain, which multiplies by the views.
+    rng = np.random.default_rng(11)
+    ssh = SshParams(20, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"], SSH_REFERENCE["g_edge"],
+                    SSH_REFERENCE["kappa"])
+    hn40, hn60, hn200 = (hn_reference_system(n)[1] for n in (40, 60, 200))
+    for x, sites, dense in [(hn40, range(40), False), (build_ssh(ssh), range(40), False),
+                            (hn40, range(40), True), (hn60, range(60), False),
+                            (hn200, [0, 99, 199], False)]:
+        solver = DirectSolver(x)
+        n = solver.x.shape[0]
+        pumps = np.zeros((len(sites), n, n))
+        if dense:
+            b = rng.uniform(0.0, 1.0, (len(sites), n, n))
+            pumps += b @ b.transpose(0, 2, 1)
+        else:
+            pumps[np.arange(len(sites)), sites, sites] = rng.uniform(0.01, 0.1, len(sites))
+        assert (_thin_widths(pumps) == (0 if dense else 1)).all()
+        stack, _ = solver.solve_many(pumps)
+        for c, y in zip(stack, pumps):
+            assert np.array_equal(c, solver.solve(y).entries)
+
+
 def test_solve_many_of_an_empty_stack_is_empty_on_both_routes():
     # The Schur route once raised a bare ValueError from np.stack.
     _, chain, _ = hn_reference_system(6)
@@ -498,6 +526,28 @@ def test_overflowing_solve_raises_without_numpy_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EnvelopeOverflowError, match="pump 1 of the stack is not finite"):
             solve_lyapunov_direct(x, build_local_pump(60, 1, 1.0))
+
+
+def test_overflowing_powers_are_named_without_numpy_warnings():
+    # 231 sites 5% above the stability edge: A^(2^7) peaks at 2.4e302 and
+    # A^(2^8) overflows.  The build once printed three RuntimeWarnings and
+    # then blamed a numerically singular X.  At t_L = 1e-12 the inverse
+    # (pI + X)^-1 itself overflows, so A = A^(2^0) is named.
+    long_chain = HatanoNelsonParams(231, 2.1139725255515978, 0.0017818522520433315,
+                                    0.12934881571526421)
+    edge = 2.0 * math.sqrt(1e-12) * math.cos(math.pi / 61) * (1 + 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EnvelopeOverflowError, match=r"power A\^\(2\^8\) is not finite"):
+            DirectSolver(build_hatano_nelson(long_chain))
+        with pytest.raises(EnvelopeOverflowError, match=r"power A\^\(2\^0\) is not finite"):
+            DirectSolver(build_hatano_nelson(HatanoNelsonParams(60, 1.0, 1e-12, edge)))
+
+
+def test_numerically_singular_relaxation_still_exhausts_the_doublings():
+    # 1 - 1e-20 rounds to 1, so A = diag(1, 0) and its powers never decay
+    with pytest.raises(SolveError, match="did not converge in 64 steps"):
+        DirectSolver(np.diag([1e-20, 1.0]))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

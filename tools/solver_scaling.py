@@ -10,6 +10,13 @@ of the construction (``build_s``), of one ``solve`` with its residual
 page faults (``getrusage``) per construction and per solve over the same
 timed runs, so a change that moves faults can be told from one that
 moves flops.
+
+Then, for ``hn_source_scan`` on the same chain with the same pump
+strength at 40 and 200 sites, one line with the median over five runs of
+the whole scan (``scan_s``), of the DirectSolver construction
+(``build_s``), of the stacked solve of the first chunk of pumps
+(``chunk_solve_s``, ``pumps`` of them: all 40 at 40 sites, 3 at 200) and
+of the certified top occupations of that chunk (``chunk_top_s``).
 Writes no file.  Run from the repository root with BLAS on one thread:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/solver_scaling.py
@@ -22,11 +29,14 @@ import time
 import numpy as np
 
 from gausschain import (HatanoNelsonParams, build_hatano_nelson, build_local_pump,
-                        hn_analytic_spectrum, identify_slow_mode)
+                        hn_analytic_spectrum, hn_source_scan, identify_slow_mode)
+from gausschain.orbitals import SCAN_CHUNK_ENTRIES, _top_occupations
 from gausschain.steady import DirectSolver, _thin_doublings
 
 SIZES = (200, 400, 700)
+SCAN_SIZES = (40, 200)
 SOLVES = 5
+STRENGTH = 0.03
 
 
 def minor_faults() -> int:
@@ -40,7 +50,7 @@ def timed(run) -> tuple[float, float]:
         start = time.perf_counter()
         run()
         times.append(time.perf_counter() - start)
-    return round(float(np.median(times)), 4), (minor_faults() - faults) / SOLVES
+    return round(float(np.median(times)), 6), (minor_faults() - faults) / SOLVES
 
 
 def slow_unit_mode(params: HatanoNelsonParams):
@@ -52,7 +62,7 @@ def measure(n_sites: int) -> dict:
     params = HatanoNelsonParams(n_sites, 1.0, 0.17, 0.91)
     x = build_hatano_nelson(params)
     solver = DirectSolver(x)
-    pump = build_local_pump(n_sites, 15, 0.03)
+    pump = build_local_pump(n_sites, 15, STRENGTH)
     doublings = len(solver._powers)
     thin = _thin_doublings(1, n_sites, doublings)
     build_s, build_faults = timed(lambda: DirectSolver(x))
@@ -63,6 +73,23 @@ def measure(n_sites: int) -> dict:
             "minflt_build": build_faults, "minflt_solve": solve_faults}
 
 
+def measure_scan(n_sites: int) -> dict:
+    params = HatanoNelsonParams(n_sites, 1.0, 0.17, 0.91)
+    x = build_hatano_nelson(params)
+    solver = DirectSolver(x)
+    sites = np.arange(min(n_sites, max(1, SCAN_CHUNK_ENTRIES // n_sites ** 2)))
+    pumps = np.zeros((sites.size, n_sites, n_sites))
+    pumps[sites, sites, sites] = STRENGTH
+    corr, _ = solver.solve_many(pumps)
+    return {"scan": "hn_source_scan", "n_sites": n_sites, "pumps": int(sites.size),
+            "scan_s": timed(lambda: hn_source_scan(params, STRENGTH))[0],
+            "build_s": timed(lambda: DirectSolver(x))[0],
+            "chunk_solve_s": timed(lambda: solver.solve_many(pumps))[0],
+            "chunk_top_s": timed(lambda: _top_occupations(corr))[0]}
+
+
 if __name__ == "__main__":
     for n in SIZES:
         print(json.dumps(measure(n)), flush=True)
+    for n in SCAN_SIZES:
+        print(json.dumps(measure_scan(n)), flush=True)
