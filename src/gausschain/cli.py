@@ -34,12 +34,11 @@ from .models import (PSD_TOL, HatanoNelsonParams, SourceMatrix, SshParams, build
 OCCUPATION_HEADER = ("alpha", "nu", "nu_norm")
 
 # Thresholds applied by the validate and oracle-check commands; validate reads
-# asymmetry, density and trace relative to the top occupation nu_max.
+# asymmetry, density and trace relative to the top occupation nu_max, and
+# takes its occupation, density and trace limits from the natural orbitals'
+# own certificate (occupation_floor and tail_bound).
 VALIDATE_RESIDUAL_LIMIT = 1e-8
 VALIDATE_ASYMMETRY_LIMIT = 1e-10
-VALIDATE_OCCUPATION_SLACK = 1e-10
-VALIDATE_DENSITY_LIMIT = 1e-12
-VALIDATE_TRACE_LIMIT = 1e-10
 ORACLE_TRAJECTORY_LIMIT = 1e-7
 ORACLE_STEADY_LIMIT = 1e-8
 
@@ -224,6 +223,8 @@ def cmd_hn_profiles(cfg: dict) -> None:
         betas=_betas_payload(spectrum.betas),
         occupations=[float(v) for v in orbs.occupations],
         occupations_normalized=[float(v) for v in orbs.occupations_normalized()],
+        occupation_floor=orbs.occupation_floor,
+        resolved_count=orbs.resolved_count,
         overlap_slow=o_slow,
         dominant_indices=list(orbs.dominant_indices()),
         locked=orbs.locked,
@@ -237,7 +238,7 @@ def cmd_hn_profiles(cfg: dict) -> None:
 
 
 def cmd_hn_occupations(cfg: dict) -> None:
-    from .orbitals import natural_orbitals
+    from .orbitals import density, natural_orbitals
     from .steady import solve_lyapunov_direct
 
     params = _hn_params(cfg)
@@ -249,16 +250,18 @@ def cmd_hn_occupations(cfg: dict) -> None:
 
     csv_path, json_path = _out_paths(cfg)
     rows = [(a + 1, float(orbs.occupations[a]), float(normalized[a]))
-            for a in range(orbs.dim)]
+            for a in range(orbs.resolved_count)]
     write_csv(csv_path, OCCUPATION_HEADER, rows, comments=_comments(cfg))
-    separation = float(normalized[1]) if orbs.dim > 1 else None
+    separation = float(normalized[1]) if orbs.resolved_count > 1 else None
     write_json(json_path, _summary(
         cfg,
         nu_max=float(orbs.occupations[0]),
         occupations=[float(v) for v in orbs.occupations],
         occupations_normalized=[float(v) for v in normalized],
+        occupation_floor=orbs.occupation_floor,
+        resolved_count=orbs.resolved_count,
         separation_second=separation,
-        trace=float(orbs.occupations.sum()),
+        trace=float(density(corr).sum()),
         dominant_indices=list(orbs.dominant_indices()),
         locked=orbs.locked,
         residual=corr.residual,
@@ -319,6 +322,8 @@ def cmd_ssh_profiles(cfg: dict) -> None:
         slow_mode_index=report.slow,
         edge_in_window_count=edge.in_window_count,
         edge_used_fallback=edge.used_fallback,
+        occupation_floor=orbs.occupation_floor,
+        resolved_count=orbs.resolved_count,
         dominant_indices=list(orbs.dominant_indices()),
         locked=orbs.locked,
         log10_condition=spectrum.log10_condition,
@@ -471,9 +476,11 @@ def cmd_validate(cfg: dict) -> None:
             per_nu = 1.0 / nu_max if nu_max > 0 else 0.0
             add("steady_residual", corr.residual, VALIDATE_RESIDUAL_LIMIT)
             add("correlator_hermitian", corr.asymmetry * per_nu, VALIDATE_ASYMMETRY_LIMIT)
+            # every omitted occupation lies within the floor, and their
+            # total within tail_bound: the limits are what the certificate proves
+            floor = orbs.occupation_floor
             bounds = {"min": float(occ.min()), "max": float(occ.max())}
-            in_unit = (bounds["min"] >= -VALIDATE_OCCUPATION_SLACK
-                       and bounds["max"] <= 1.0 + VALIDATE_OCCUPATION_SLACK)
+            in_unit = bounds["min"] >= -floor and bounds["max"] <= 1.0 + floor
             detail = ""
             if not in_unit:
                 from .design import inverse_design
@@ -481,13 +488,12 @@ def cmd_validate(cfg: dict) -> None:
                 detail = ("loss Gram X + X^dag - Y has min eigenvalue "
                           f"{inverse_design(x, source).loss_min_eigenvalue:.3g}; "
                           "a physical pair has >= 0")
-            add("occupations_in_unit_interval", bounds, VALIDATE_OCCUPATION_SLACK, in_unit,
-                detail)
+            add("occupations_in_unit_interval", bounds, floor, in_unit, detail)
             defect = (np.abs(orbs.orbitals) ** 2 @ occ).real - c.diagonal().real
             add("density_reconstruction", per_nu * float(np.abs(defect).max()),
-                VALIDATE_DENSITY_LIMIT)
+                per_nu * orbs.tail_bound)
             add("occupation_trace", per_nu * abs(float(occ.sum()) - float(np.trace(c).real)),
-                VALIDATE_TRACE_LIMIT)
+                per_nu * orbs.tail_bound)
         except GausschainError as exc:
             add("steady_state", None, None, False, str(exc))
     else:

@@ -35,12 +35,24 @@ def _narrowed(m) -> np.ndarray:
     return np.asarray(m.real, dtype=float)
 
 
+class _GatedMatrix:
+    """Base of the wrappers (X, Y, C) whose entries passed matrix_entries when built.
+
+    Their entries are frozen, so matrix_entries hands them back as they are.
+    """
+
+    __slots__ = ()
+
+
 def matrix_entries(obj, name: str = "matrix") -> np.ndarray:
     """Dense square finite array, float64 if real (_narrowed), from a wrapper or array-like.
 
     The one gate for every matrix the library takes (X, Y, C, C0, h): one
     that is not square or not finite raises ParameterError naming ``name``.
+    A _GatedMatrix passed it when it was built and is not checked again.
     """
+    if isinstance(obj, _GatedMatrix):
+        return obj.entries
     m = _narrowed(getattr(obj, "entries", obj))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"{name} must be square, got shape {m.shape}")
@@ -60,7 +72,7 @@ def default_labels(dim: int) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class RelaxationMatrix:
+class RelaxationMatrix(_GatedMatrix):
     """Square matrix generating the one-body relaxation dynamics; real X is float64."""
 
     entries: np.ndarray
@@ -80,7 +92,7 @@ class RelaxationMatrix:
 
 
 @dataclass(frozen=True)
-class SourceMatrix:
+class SourceMatrix(_GatedMatrix):
     """Hermitian positive semidefinite pump matrix Y; real Y is float64."""
 
     entries: np.ndarray

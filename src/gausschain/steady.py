@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import (DarkSourceError, EnvelopeOverflowError, ParameterError, SolveError,
                      StabilityError)
-from .models import _frozen_array, _narrowed, matrix_entries
+from .models import _GatedMatrix, _frozen_array, _narrowed, matrix_entries
 from .spectral import (CONDITION_TRUST_LIMIT, BiorthogonalSpectrum, _check_beta_stability,
                        _pump_loadings, _tridiagonal_bands, slow_mode_position)
 
@@ -69,7 +69,7 @@ _SMALL_PRODUCT_SITES = 100
 
 
 @dataclass(frozen=True)
-class SteadyCorrelator:
+class SteadyCorrelator(_GatedMatrix):
     """Hermitian one-body correlator with solver provenance; real C is float64.
 
     ``method`` is "direct" or "spectral"; ``residual`` is the normwise

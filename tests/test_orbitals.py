@@ -1,6 +1,8 @@
 """Natural orbitals, locking diagnostics, and the two production scans."""
 
+import json
 import math
+import os
 import tracemalloc
 
 import mpmath
@@ -19,7 +21,7 @@ from gausschain import (EnvelopeOverflowError, HatanoNelsonParams, Normalization
                         solve_lyapunov_direct, ssh_crossover_scan)
 from gausschain import orbitals
 from gausschain.orbitals import SCAN_CHUNK_ENTRIES, _top_occupations, density
-from gausschain.steady import DirectSolver
+from gausschain.steady import EPS, DirectSolver
 from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, crossover_grid, loading_reference,
                             unit_gauge)
 
@@ -48,17 +50,24 @@ def orbital_reconstruction(orbs):
 
 
 def test_rank_one_correlator_has_single_occupation():
+    # the three zero occupations come out as rounding noise below the floor,
+    # so the set holds the one resolved occupation
     v = unit_gauge([1.0, 2.0, -1.0, 0.5])
     orbs = natural_orbitals(4.2 * np.outer(v, v.conj()))
-    assert_allclose(orbs.occupations, [4.2, 0.0, 0.0, 0.0], atol=1e-12)
+    assert_allclose(orbs.occupations, [4.2], atol=1e-12)
+    assert orbs.resolved_count == 1 and orbs.orbitals.shape == (4, 1) and orbs.dim == 4
+    assert orbs.occupation_floor == pytest.approx(4 * 4 * EPS * 4.2, rel=1e-12, abs=0)
     assert overlap(orbs.top_orbital(), v) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_correlator_has_zero_occupations():
-    orbs = natural_orbitals(np.zeros((3, 3)))
-    assert_allclose(orbs.occupations, np.zeros(3), rtol=0, atol=0)
-    with pytest.raises(NormalizationError):
-        orbs.occupations_normalized()
+    # nothing exceeds the zero floor; the top pair is kept for its orbital
+    for n in (3, 70):
+        orbs = natural_orbitals(np.zeros((n, n)))
+        assert_allclose(orbs.occupations, [0.0], rtol=0, atol=0)
+        assert orbs.occupation_floor == 0.0 and orbs.orbitals.shape == (n, 1)
+        with pytest.raises(NormalizationError):
+            orbs.occupations_normalized()
 
 
 def test_orbitals_orthonormal_and_trace_preserving():
@@ -436,8 +445,13 @@ def test_pump_scale_invariance_of_diagnostics():
             assert scaled.orbitals.locked == base.orbitals.locked
             assert np.abs(base.density_normalized
                           - scaled.density_normalized).max() <= 1e-10
-            assert np.abs(base.orbitals.occupations_normalized()
-                          - scaled.orbitals.occupations_normalized()).max() <= 1e-10
+            # an occupation at the floor (2.255e-15 nu_max on the 5-cell
+            # chain, floor 2.265e-15) may fall on either side of it
+            k = min(base.orbitals.resolved_count, scaled.orbitals.resolved_count)
+            for orbs in (base.orbitals, scaled.orbitals):
+                assert np.all(np.abs(orbs.occupations[k:]) <= 2 * orbs.occupation_floor)
+            assert np.abs(base.orbitals.occupations_normalized()[:k]
+                          - scaled.orbitals.occupations_normalized()[:k]).max() <= 1e-10
             for key in ("slow", "edge"):
                 assert abs(base.overlaps[key] - scaled.overlaps[key]) <= 1e-10
             assert overlap(base.orbitals.top_orbital(),
@@ -539,3 +553,113 @@ def test_occupation_separation_at_reference_point(golden):
         golden["hn_locking"]["occupation_second_normalized"], abs=1e-9)
     # Right-edge accumulation of the normalized density.
     assert int(np.argmax(normalized_density(c.entries))) + 1 >= 35
+
+
+# The long-chain benchmark lattice (perfbench/workloads.py long_lattice),
+# rounded to six digits: single-band (t_left, kappa, pump site at 200
+# sites) and two-band (g, kappa), pumped at the first site.
+LONG_HN = [(0.120247, 0.950819, 39), (0.220350, 1.06711, 156), (0.252701, 1.33857, 114),
+           (0.310082, 1.37478, 54), (0.439506, 1.51161, 196), (0.424805, 1.52612, 83),
+           (0.568899, 1.74580, 169), (0.587642, 1.84113, 115)]
+LONG_SSH = [(0.0117012, 1.71652), (-0.546136, 1.62572), (0.201020, 1.75202),
+            (0.185591, 1.86419)]
+
+
+def long_lattice_correlators(n_sites):
+    for t_left, kappa, pump in LONG_HN:
+        x = build_hatano_nelson(HatanoNelsonParams(n_sites, 1.0, t_left, kappa))
+        yield solve_lyapunov_direct(x, build_local_pump(n_sites, pump * n_sites // 200, 1.0))
+    for g, kappa in LONG_SSH:
+        x = build_ssh(SshParams(n_sites // 2, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"], g, kappa))
+        yield solve_lyapunov_direct(x, build_local_pump(n_sites, 1, 1.0))
+
+
+def assert_matches_full_eigh(orbs, c):
+    """Resolved pairs of ``orbs`` against eigh of all of ``c``, within the floor."""
+    w, v = np.linalg.eigh(c)
+    w, v = w[::-1], v[:, ::-1]
+    floor, k = orbs.occupation_floor, orbs.resolved_count
+    # eigh resolves the same occupations: the ones above the floor, and the top
+    assert k == max(1, int(np.count_nonzero(np.abs(w) > floor)))
+    assert np.abs(orbs.occupations - w[:k]).max() <= floor
+    assert abs(np.vdot(orbs.orbitals[:, 0], v[:, 0])) ** 2 >= 1.0 - 1e-14
+    gram = orbs.orbitals.conj().T @ orbs.orbitals
+    assert np.abs(gram - np.eye(k)).max() <= 1e-13
+
+
+def test_resolved_occupations_match_the_mpmath_truth_at_40_sites():
+    # tools/make_occupation_truth.py: eigsy at 50 digits of the mpmath C
+    with open(os.path.join(os.path.dirname(__file__), "data", "occupations_40.json"),
+              encoding="utf-8") as fh:
+        truth = json.load(fh)
+    c = solve_lyapunov_direct(
+        build_hatano_nelson(hn_reference_params(40)),
+        build_local_pump(40, HN_REFERENCE["pump_site"], HN_REFERENCE["pump_strength"]))
+    orbs = natural_orbitals(c)
+    assert truth["pump_site"] == HN_REFERENCE["pump_site"]
+    assert truth["abs_accuracy"] <= 0.05 * orbs.occupation_floor
+    assert orbs.occupation_floor == pytest.approx(
+        (c.residual + 4 * 40 * EPS) * orbs.occupations[0], rel=1e-15, abs=0)
+    expected = np.asarray(truth["occupations"])
+    k = orbs.resolved_count
+    # nu_15 = 4.7e-7 is resolved, nu_16 = 4.3e-8 lies below the floor 2.7e-7
+    assert k == 15 and orbs.block_width == 32
+    assert np.abs(orbs.occupations - expected[:k]).max() <= orbs.occupation_floor
+    assert np.all(np.abs(expected[k:]) <= orbs.occupation_floor)
+
+
+@pytest.mark.parametrize("n_sites", [200, 400])
+def test_long_lattice_resolved_pairs_match_full_eigh(n_sites):
+    widths = set()
+    for corr in long_lattice_correlators(n_sites):
+        orbs = natural_orbitals(corr)
+        assert orbs.dim == n_sites and 7 <= orbs.resolved_count <= 40
+        assert np.all(orbs.occupations > orbs.occupation_floor)
+        assert_matches_full_eigh(orbs, np.asarray(corr.entries))
+        widths.add(orbs.block_width)
+    assert widths == {32, 64}  # the lattice takes the partial solve at both widths
+
+
+def test_full_rank_correlator_grows_the_block_to_every_pair():
+    # the 12-site validate pair, Y = 0.1 I: every occupation is data
+    x = build_hatano_nelson(HatanoNelsonParams(12, 1.0, 0.17, 1.5))
+    c = solve_lyapunov_direct(x, 0.1 * np.eye(12))
+    orbs = natural_orbitals(c)
+    assert orbs.resolved_count == orbs.block_width == 12
+    assert_matches_full_eigh(orbs, np.asarray(c.entries))
+    # a dense random PSD matrix: 32 -> 64 -> 128 columns, so all of C
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((100, 100))
+    orbs = natural_orbitals(a @ a.T)
+    assert orbs.resolved_count == orbs.block_width == 100
+    assert_matches_full_eigh(orbs, a @ a.T)
+
+
+def test_block_grows_until_the_trace_is_accounted_for():
+    # The 32 start columns of this diagonal C are exact eigenvectors with
+    # zero residual; only the trace test sees the 8 occupations outside them.
+    c = np.diag(np.concatenate([np.linspace(1.0, 0.5, 40), np.zeros(60)]))
+    orbs = natural_orbitals(c)
+    assert orbs.block_width == 64 and orbs.resolved_count == 40
+    assert_allclose(orbs.occupations, np.linspace(1.0, 0.5, 40), rtol=0, atol=1e-15)
+
+
+def test_complex_hermitian_correlator_takes_the_partial_solve():
+    rng = np.random.default_rng(9)
+    z = rng.standard_normal((90, 6)) + 1j * rng.standard_normal((90, 6))
+    c = (z * np.logspace(0, -5, 6)) @ z.conj().T
+    orbs = natural_orbitals(c)
+    assert orbs.block_width == 32 and orbs.resolved_count == 6
+    assert orbs.orbitals.dtype == np.complex128 and np.iscomplexobj(c)
+    assert_matches_full_eigh(orbs, c)
+    top = orbs.orbitals[:, 0]
+    peak = top[np.argmax(np.abs(top))]
+    assert abs(peak.imag) <= 1e-15 * peak.real  # phase-gauged
+
+
+def test_natural_orbitals_are_bit_reproducible():
+    corr = next(long_lattice_correlators(200))
+    first, second = natural_orbitals(corr), natural_orbitals(corr)
+    assert first.occupations.tobytes() == second.occupations.tobytes()
+    assert first.orbitals.tobytes() == second.orbitals.tobytes()
+    assert first.occupation_floor == second.occupation_floor

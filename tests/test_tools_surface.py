@@ -1,7 +1,7 @@
 """The program surface the scripts in ``tools/`` rely on.
 
-The golden-regeneration script runs only when a reference value is
-deliberately re-pinned, the solver-scaling script only when long-chain
+The golden- and occupation-truth scripts run only when a reference value
+is deliberately re-pinned, the solver-scaling script only when long-chain
 cost is measured, and the oracle-scaling script only when the oracle's
 site cap is re-measured, so a renamed or removed import would break any
 of them unnoticed.  Each is read here with ``ast`` (never imported or run) and
@@ -44,4 +44,10 @@ def test_solver_scaling_imports_resolve():
 def test_oracle_scaling_imports_resolve():
     names = gausschain_imports("oracle_scaling.py")
     assert len(names) >= 10
+    assert unresolved(names) == []
+
+
+def test_make_occupation_truth_imports_resolve():
+    names = gausschain_imports("make_occupation_truth.py")
+    assert len(names) >= 2
     assert unresolved(names) == []

@@ -11,7 +11,13 @@ page faults (``getrusage``) per construction and per solve over the same
 timed runs, so a change that moves faults can be told from one that
 moves flops.
 
-Then, for ``hn_source_scan`` on the same chain with the same pump
+Then, for each size, one ``natural_orbitals`` line on the correlator of
+that solve: the median over five calls (``orbitals_s``), how many
+occupations it resolves above the floor (``resolved_count``) and the width
+of the Rayleigh-Ritz block that certified them (``block_width``; N means
+the whole of C was diagonalized).
+
+Last, for ``hn_source_scan`` on the same chain with the same pump
 strength at 40 and 200 sites, one line with the median over five runs of
 the whole scan (``scan_s``), of the DirectSolver construction
 (``build_s``), of the stacked solve of the first chunk of pumps
@@ -29,7 +35,8 @@ import time
 import numpy as np
 
 from gausschain import (HatanoNelsonParams, build_hatano_nelson, build_local_pump,
-                        hn_analytic_spectrum, hn_source_scan, identify_slow_mode)
+                        hn_analytic_spectrum, hn_source_scan, identify_slow_mode,
+                        natural_orbitals)
 from gausschain.orbitals import SCAN_CHUNK_ENTRIES, _top_occupations
 from gausschain.steady import DirectSolver, _thin_doublings
 
@@ -73,6 +80,15 @@ def measure(n_sites: int) -> dict:
             "minflt_build": build_faults, "minflt_solve": solve_faults}
 
 
+def measure_orbitals(n_sites: int) -> dict:
+    x = build_hatano_nelson(HatanoNelsonParams(n_sites, 1.0, 0.17, 0.91))
+    corr = DirectSolver(x).solve(build_local_pump(n_sites, 15, STRENGTH))
+    orbs = natural_orbitals(corr)
+    return {"orbitals": "natural_orbitals", "n_sites": n_sites,
+            "orbitals_s": timed(lambda: natural_orbitals(corr))[0],
+            "resolved_count": orbs.resolved_count, "block_width": orbs.block_width}
+
+
 def measure_scan(n_sites: int) -> dict:
     params = HatanoNelsonParams(n_sites, 1.0, 0.17, 0.91)
     x = build_hatano_nelson(params)
@@ -91,5 +107,7 @@ def measure_scan(n_sites: int) -> dict:
 if __name__ == "__main__":
     for n in SIZES:
         print(json.dumps(measure(n)), flush=True)
+    for n in SIZES:
+        print(json.dumps(measure_orbitals(n)), flush=True)
     for n in SCAN_SIZES:
         print(json.dumps(measure_scan(n)), flush=True)
