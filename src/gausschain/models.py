@@ -47,8 +47,8 @@ class _GatedMatrix:
 def matrix_entries(obj, name: str = "matrix") -> np.ndarray:
     """Dense square finite array, float64 if real (_narrowed), from a wrapper or array-like.
 
-    The one gate for every matrix the library takes (X, Y, C, C0, h): one
-    that is not square or not finite raises ParameterError naming ``name``.
+    The one gate for every matrix the library takes (X, Y, C, C0, h): an
+    empty, non-square or non-finite one raises ParameterError naming ``name``.
     A _GatedMatrix passed it when it was built and is not checked again.
     """
     if isinstance(obj, _GatedMatrix):
@@ -56,6 +56,8 @@ def matrix_entries(obj, name: str = "matrix") -> np.ndarray:
     m = _narrowed(getattr(obj, "entries", obj))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"{name} must be square, got shape {m.shape}")
+    if not m.size:
+        raise ParameterError(f"{name} must not be empty")
     if not np.isfinite(m).all():
         raise ParameterError(f"{name} contains non-finite entries")
     return m
@@ -108,15 +110,14 @@ class SourceMatrix(_GatedMatrix):
             raise ParameterError(f"source matrix not Hermitian: max |Y - Y^dag| = {herm:.3e}")
         if not exact:
             m = 0.5 * (m + m.conj().T)
-        if m.size:
-            diag = np.diagonal(m).real
-            # A diagonal Y (every chain pump) has its entries as eigenvalues.
-            w = diag if np.count_nonzero(m) == np.count_nonzero(diag) else np.linalg.eigvalsh(m)
-            wmin, wmax = float(w.min()), float(w.max())
-            # PSD up to rounding, relative to the largest eigenvalue.
-            if wmin < -PSD_TOL * wmax:
-                raise ParameterError(
-                    f"source matrix not positive semidefinite: min eigenvalue {wmin:.3e}")
+        diag = np.diagonal(m).real
+        # A diagonal Y (every chain pump) has its entries as eigenvalues.
+        w = diag if np.count_nonzero(m) == np.count_nonzero(diag) else np.linalg.eigvalsh(m)
+        wmin, wmax = float(w.min()), float(w.max())
+        # PSD up to rounding, relative to the largest eigenvalue.
+        if wmin < -PSD_TOL * wmax:
+            raise ParameterError(
+                f"source matrix not positive semidefinite: min eigenvalue {wmin:.3e}")
         labels = tuple(self.labels) if self.labels else default_labels(m.shape[0])
         if len(labels) != m.shape[0]:
             raise ParameterError("label count does not match matrix dimension")
@@ -282,8 +283,6 @@ def build_diagonal_pump(values) -> SourceMatrix:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ParameterError("diagonal pump requires a 1d vector of strengths")
-    if not np.all(np.isfinite(v)):
-        raise ParameterError("diagonal pump entries must be finite")
     if np.any(v < 0):
         j = int(np.argmin(v))
         raise ParameterError(f"diagonal pump entry {j + 1} is negative ({v[j]})")

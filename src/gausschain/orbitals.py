@@ -51,11 +51,11 @@ UNIT_NORM_TOL = 1e-8
 # the pump) make the dominant orbital ambiguous; the state is then unlocked.
 DOMINANT_TIE_TOL = 1e-10
 
-# Largest stacked array, in float64 entries, that hn_source_scan solves at
-# once; the stacked solve keeps a few such arrays alive (the thin start of
-# a local pump adds one factor of at most the same size).  All 40 pumps of
-# a 40-site scan fit in one stack, a 200-site scan takes 3 pumps per stack,
-# and from 257 sites each stack holds one pump.
+# Largest stack of correlators, in float64 entries, that hn_source_scan
+# solves at once; the doubling keeps a few such arrays alive, the thin start
+# one factor of at most the same size, and no pump matrix is built.  All 40
+# pumps of a 40-site scan fit in one stack, a 200-site scan takes 3 pumps
+# per stack, and from 257 sites each stack holds one pump.
 SCAN_CHUNK_ENTRIES = 2 ** 17
 
 # Power-iteration steps _top_occupations takes before it hands the
@@ -376,8 +376,8 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
                    sites=None) -> SourceScan:
     """Exact nu_max(s) against the closed-form slow-mode loading A_1(s).
 
-    The pumps are solved as stacks by one DirectSolver (stability
-    certificate and pump-independent factors built once per scan), in
+    The pumps are solved by site in stacks by one DirectSolver's
+    ``solve_local`` (certificate and factors built once per scan), in
     chunks of at most SCAN_CHUNK_ENTRIES entries per stacked array, so
     memory stays bounded on long chains.  nu_max comes from
     :func:`_top_occupations`: a power iteration over the whole chunk that
@@ -418,10 +418,8 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
     chunk = max(1, SCAN_CHUNK_ENTRIES // (n * n))
     for first in range(0, sites.size, chunk):
         block = sites[first:first + chunk] - 1
-        pumps = np.zeros((block.size, n, n))
-        pumps[np.arange(block.size), block, block] = strength
         try:
-            corr, _ = solver.solve_many(pumps)
+            corr, _ = solver.solve_local(block, strength)
         except EnvelopeOverflowError as exc:
             raise EnvelopeOverflowError(
                 f"pump sites {block[0] + 1}..{block[-1] + 1}: {exc}") from exc

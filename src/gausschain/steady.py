@@ -17,15 +17,16 @@ positive pivots of its unpivoted LU factorization, not by eigenvalues,
 which on long nonnormal chains return pseudospectrum.  It is solved by
 Smith doubling on a Cayley transform whose terms are all nonnegative for
 S Y S >= 0, so every entry of C is accurate, down to the smallest at the
-far edge.  Its
-pump-independent part is built once per X and reused for every pump of
-a scan; apart from the squarings of the doubling it costs O(N^2), with
-the inverse, the Cayley transform and the residual formed from the bands
-of X.  A local pump (real, diagonal, >= 0, on at most half the sites)
-starts the doubling as a thin nonnegative factor Z of C = 2p Z Z^T,
-which costs N^2 per column instead of N^3 per step until Z is N columns
-wide; its terms stay nonnegative too.  Every other X, a bond of mixed
-sign included, takes an eigenvalue screen and the Schur method.
+far edge.  Its pump-independent part is built once per X and reused for
+every pump of a scan; apart from the squarings of the doubling it costs
+O(N^2), with the inverse, the Cayley transform and the residual formed
+from the bands of X.  A local pump (real, diagonal, >= 0, on at most half
+the sites) starts the doubling as a thin nonnegative factor Z of
+C = 2p Z Z^T, which costs N^2 per column instead of N^3 per step until Z
+is N columns wide; its terms stay nonnegative too.  A scan names its
+one-site pumps by their sites alone (DirectSolver.solve_local).  Every
+other X, a bond of mixed sign included, takes an eigenvalue screen and
+the Schur method.
 
 The spectral route sums over biorthogonal mode pairs
 
@@ -46,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DarkSourceError, EnvelopeOverflowError, ParameterError, SolveError,
-                     StabilityError)
+from .errors import (DarkSourceError, EnvelopeOverflowError, ParameterError, SiteIndexError,
+                     SolveError, StabilityError)
 from .models import _GatedMatrix, _frozen_array, _narrowed, matrix_entries
 from .spectral import (CONDITION_TRUST_LIMIT, BiorthogonalSpectrum, _check_beta_stability,
                        _pump_loadings, _tridiagonal_bands, slow_mode_position)
@@ -144,7 +145,7 @@ def _backward_error(x: np.ndarray, bands, c: np.ndarray, y: np.ndarray) -> float
     scaled rows of C (_times_tridiagonal).  C X^T is P^dag when C is
     exactly Hermitian, as _hermitize makes every correlator the library
     returns, and three scaled columns of C otherwise.  X, C and Y are
-    finite (models.matrix_entries, and solve_many's output check).
+    finite (models.matrix_entries, and DirectSolver._settle's output check).
     """
     scale = max(float(np.abs(c).max(initial=0.0)), float(np.abs(y).max(initial=0.0)))
     if scale > 0:
@@ -264,9 +265,10 @@ class DirectSolver:
 
     Construction checks X and its stability and does every
     pump-independent step; ``solve(source)`` then costs a few matrix
-    products per pump, and ``solve_many(sources)`` does the same products
-    on a whole stack of pumps at once.  ``solve`` is ``solve_many`` on a
-    stack of one, so both share one solve path.  The algorithm is chosen
+    products per pump, and ``solve_local(sites, strength)`` does the same
+    products on a whole stack of one-site pumps at once, named by their
+    sites.  Both share one doubling (_smith) and one epilogue (_settle),
+    so each pump gets the same bits either way.  The algorithm is chosen
     from X:
 
     - real tridiagonal X with X[k+1,k] X[k,k+1] >= 0 on every bond: X and
@@ -334,94 +336,68 @@ class DirectSolver:
     def solve(self, source) -> SteadyCorrelator:
         """Steady correlator for pump Y; Y is trusted to be Hermitian.
 
-        The solve of ``solve_many`` on a stack of one, plus the residual.
+        Y is solved at unit largest entry and its scale restored after, so
+        C(2^k X, s Y) = s 2^-k C(X, Y) holds bit for bit for real Y with
+        largest entry 1.  Real X and Y give a float64 C.
         """
         y = matrix_entries(source, "source matrix")
-        c, asym = self.solve_many(y[None])
-        return SteadyCorrelator(c[0], "direct", _backward_error(self.x, self._bands, c[0], y),
-                                float(asym[0]))
-
-    def solve_many(self, sources) -> tuple[np.ndarray, np.ndarray]:
-        """Hermitized steady correlators of a (P, N, N) stack of pumps.
-
-        Returns the stack of correlators and the max |C - C^dag| of each
-        before symmetrization; every Y is trusted to be Hermitian.  Each
-        Y is scaled to unit largest entry for the solve and its scale is
-        restored after, so C(2^k X, s Y) = s 2^-k C(X, Y) holds bit for
-        bit for real Y with largest entry 1.  A stack with no nonzero
-        imaginary part is float64 (models._narrowed), and with a real X it
-        gives float64 correlators, each bit for bit the one ``solve`` gives
-        for that pump; one complex pump makes the stack complex.  On the
-        M-matrix route the pumps of a real stack are grouped by starting width
-        (_thin_widths: w for a diagonal pump >= 0 on w <= N/2 sites, which
-        starts thin, 0 for every other pump, which starts dense) and each
-        group is doubled as one stack, so mixed stacks keep that bit
-        identity.  The stacked products hold a few arrays the size of the
-        stack, so callers bound P*N*N.  An empty stack gives empty arrays.
-        EnvelopeOverflowError names the first pump whose C is not finite.
-        """
-        y = _narrowed(sources)
-        if y.ndim != 3 or y.shape[1:] != self.x.shape:
-            raise ParameterError(
-                f"source stack shape {y.shape} does not match relaxation {self.x.shape}")
-        if not np.isfinite(y).all():
-            raise ParameterError("source matrix contains non-finite entries")
-        real = not np.iscomplexobj(y)
-        scale = np.abs(y).max(axis=(1, 2), initial=0.0)
-        scale[scale == 0] = 1.0
-        unit = y / scale[:, None, None]
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if y.shape != self.x.shape:
+            raise ParameterError(f"source shape {y.shape} does not match X {self.x.shape}")
+        scale = float(np.abs(y).max()) or 1.0
+        unit = y / scale
+        with np.errstate(over="ignore", invalid="ignore"):  # checked in _settle
             if self._powers is None:
-                c = np.empty(unit.shape, np.result_type(self.x, unit))
-                for k, u in enumerate(unit):
-                    c[k] = solve_schur(self.x, u)
+                c = solve_schur(self.x, unit)[None]
             else:
                 if self._signs is not None:
                     unit = unit * self._signs
-                widths = _thin_widths(unit) if real else np.zeros(len(unit), dtype=int)
-                groups = [np.flatnonzero(widths == w) for w in set(widths.tolist())]
-                if len(groups) == 1:  # every scan: no stack-sized copy in or out
-                    c = self._smith(unit, int(widths[0]))
-                else:
-                    c = np.empty_like(unit)
-                    for group in groups:
-                        c[group] = self._smith(unit[group], int(widths[group[0]]))
-                if self._signs is not None:
-                    c *= self._signs
-            c, asym = _hermitize_stack(c)
-            c *= scale[:, None, None]
-        if not np.isfinite(c).all():
-            bad = int(np.argmin(np.isfinite(c).all(axis=(1, 2)))) + 1
-            raise EnvelopeOverflowError(f"steady correlator of pump {bad} of the stack is "
-                                        "not finite: it overflows double precision")
-        return c, scale * asym
+                sites = _thin_sites(unit)
+                c = (self._smith(unit[None]) if sites is None
+                     else self._smith(sites[None], np.sqrt(unit[sites, sites])[None]))
+            c, asym = self._settle(c, scale)
+        return SteadyCorrelator(c[0], "direct", _backward_error(self.x, self._bands, c[0], y),
+                                float(asym[0]))
 
-    def _smith(self, unit: np.ndarray, width: int) -> np.ndarray:
-        """Smith doubling of a stack of unit-peak pumps that share a starting width.
+    def solve_local(self, sites, strength: float) -> tuple[np.ndarray, np.ndarray]:
+        """Hermitized steady correlators of the pumps strength |s><s|, one per 0-based site s.
 
-        Width 0 starts dense from C_0.  Width w > 0 (real diagonal pumps
-        >= 0 on w sites) starts from the factor Z_0 = (pI + X)^-1[:, sites]
-        diag(sqrt y) of C_0 = 2p Z_0 Z_0^T and doubles it as [Z, A_k Z]
-        while it stays at most N columns wide; C = 2p Z Z^T then takes the
-        dense steps of the powers that are left.
+        Returns the (P, N, N) stack, each C bit for bit what ``solve`` gives,
+        and each max |C - C^dag| before symmetrization.  No pump matrix is
+        built, but the doubling holds a few P N^2 arrays: callers bound P.
+        """
+        n, sites = self.x.shape[0], np.asarray(sites)
+        if not ((0 <= sites) & (sites < n)).all():
+            raise SiteIndexError(f"pump sites must lie in 0..{n - 1}, got {sites.tolist()}")
+        with np.errstate(over="ignore", invalid="ignore"):  # checked in _settle
+            if self._powers is None:
+                c = np.stack([solve_schur(self.x, np.diag(np.eye(n)[s])) for s in sites])
+            else:
+                c = self._smith(sites[:, None], np.ones((sites.size, 1)))
+            return self._settle(c, strength)
 
-        On chains of at most _SMALL_PRODUCT_SITES sites the transposed right
-        operands, Z^T and the A_k^T of each dense step, are first copied to
-        C order (a copy that lives for one product), for one pump as for a
-        stack; longer chains multiply by the transposed views.
+    def _smith(self, start: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        """Smith doubling of a stack of unit-peak pumps in the sign gauge.
+
+        ``start`` is a (P, N, N) stack of pumps Y, which start dense from
+        C_0 = 2p (pI + X)^-1 Y (pI + X)^-T, or with ``weights`` a (P, w)
+        stack of the sites of diagonal pumps >= 0, which start from the
+        factor Z_0 = (pI + X)^-1[:, sites] diag(weights) of C_0 = 2p Z_0
+        Z_0^T (weights = sqrt Y there).  Z doubles as [Z, A_k Z] while it
+        stays at most N columns wide, then C = 2p Z Z^T takes the dense
+        steps left.  Up to _SMALL_PRODUCT_SITES sites the transposed right
+        operands (Z^T, A_k^T) are C-order copies.
         """
         powers = self._powers
-        n = unit.shape[1]
+        n = self.x.shape[0]
         ordered = n <= _SMALL_PRODUCT_SITES
-        if width == 0:
-            c = self._inverse @ unit @ self._inverse.T
+        if weights is None:
+            c = self._inverse @ start @ self._inverse.T
         else:
+            width = start.shape[1]
             steps = _thin_doublings(width, n, len(powers))
-            diag = np.diagonal(unit, axis1=1, axis2=2)
-            sites = np.nonzero(diag)[1].reshape(-1, width)
-            z = np.empty((len(unit), n, width << steps))
-            z[:, :, :width] = self._inverse.T[sites].transpose(0, 2, 1)
-            z[:, :, :width] *= np.sqrt(np.take_along_axis(diag, sites, axis=1))[:, None, :]
+            z = np.empty((len(start), n, width << steps))
+            z[:, :, :width] = self._inverse.T[start].transpose(0, 2, 1)
+            z[:, :, :width] *= weights[:, None, :]
             for k, a in enumerate(powers[:steps]):
                 cols = width << k
                 np.matmul(a, z[:, :, :cols], out=z[:, :, cols:2 * cols])
@@ -439,18 +415,30 @@ class DirectSolver:
             c += term
         return c
 
+    def _settle(self, c: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+        """Unit-peak correlators out of the sign gauge, hermitized, times ``scale``,
+        with each max |C - C^dag|; EnvelopeOverflowError names the first
+        pump whose C is not finite."""
+        if self._signs is not None:
+            c *= self._signs
+        c, asym = _hermitize_stack(c)
+        c *= scale
+        if not np.isfinite(c).all():
+            bad = int(np.argmin(np.isfinite(c).all(axis=(1, 2)))) + 1
+            raise EnvelopeOverflowError(f"steady correlator of pump {bad} of the stack is "
+                                        "not finite: it overflows double precision")
+        return c, scale * asym
 
-def _thin_widths(unit: np.ndarray) -> np.ndarray:
-    """Starting width of each pump of a real (P, N, N) stack for DirectSolver._smith.
 
-    The number of sites of a diagonal pump >= 0 on at most N/2 sites,
-    and 0 (dense start) for every other pump, the all-zero one included.
-    """
-    diag = np.diagonal(unit, axis1=1, axis2=2)
-    width = np.count_nonzero(diag, axis=1)
-    thin = ((diag >= 0).all(axis=1) & (2 * width <= unit.shape[1])
-            & (np.count_nonzero(unit, axis=(1, 2)) == width))
-    return np.where(thin, width, 0)
+def _thin_sites(unit: np.ndarray) -> np.ndarray | None:
+    """Sites of a real diagonal pump >= 0 on 1 to N/2 sites, which starts thin; else None."""
+    if np.iscomplexobj(unit):
+        return None
+    diag = np.diagonal(unit)
+    sites = np.flatnonzero(diag)
+    thin = (1 <= sites.size <= unit.shape[0] // 2 and (diag >= 0).all()
+            and np.count_nonzero(unit) == sites.size)
+    return sites if thin else None
 
 
 def _thin_doublings(width: int, n: int, available: int) -> int:

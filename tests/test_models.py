@@ -136,6 +136,9 @@ def test_diagonal_pump_consistency_with_local():
                        np.diag([1.0, 2.0, 3.0]).astype(complex))
     with pytest.raises(ParameterError):
         build_diagonal_pump([0.1, -0.2, 0.3])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError):
+            build_diagonal_pump([0.1, bad, 0.3])
 
 
 def test_source_matrix_validation():
@@ -259,3 +262,13 @@ def test_every_matrix_entry_point_refuses_non_finite_entries_by_role(entry, bad)
     broken[1, 1] = bad
     with pytest.raises(ParameterError, match=f"^{role} contains non-finite entries$"):
         call(broken)
+
+
+@pytest.mark.parametrize("entry", list(gated_calls()))
+def test_every_matrix_entry_point_refuses_an_empty_matrix_by_role(entry):
+    # A 0x0 matrix once made DirectSolver, solve_lyapunov_direct,
+    # natural_orbitals, biorthogonal_decompose and inverse_design raise a
+    # raw numpy ValueError, and lyapunov_residual return a float.
+    role, _, call = gated_calls()[entry]
+    with pytest.raises(ParameterError, match=f"^{role} must not be empty$"):
+        call(np.zeros((0, 0)))

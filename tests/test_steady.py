@@ -29,7 +29,7 @@ from gausschain import (DarkSourceError, DensityMatrix, EnvelopeOverflowError,
                         solve_lyapunov_spectral)
 from gausschain.models import matrix_entries
 from gausschain.spectral import CONDITION_TRUST_LIMIT, _gauge_symmetrize
-from gausschain.steady import (EPS, DirectSolver, _doubling_powers, _thin_widths,
+from gausschain.steady import (EPS, DirectSolver, _doubling_powers, _thin_sites,
                                lyapunov_residual, solve_schur)
 from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, banded_cayley_reference,
                             banded_m_matrix_inverse, dense_residual_reference,
@@ -137,9 +137,9 @@ def chain_relaxations():
 def test_chain_route_equals_the_banded_reference_bit_for_bit():
     # The tridiagonal elimination is the banded Gauss-Jordan at bandwidth
     # 1, and A is three scaled columns of the inverse: the inverse, the
-    # powers built from it and C of local, uniform and dense pumps must be
-    # the same bits.  The banded A rounds as the dense product does to
-    # within 2 ulps.
+    # powers built from it and C of local, uniform and dense pumps and of a
+    # stack of local pumps by site must be the same bits.  The banded A
+    # rounds as the dense product does to within 2 ulps.
     rng = np.random.default_rng(7)
     for x in chain_relaxations():
         n = x.shape[0]
@@ -156,9 +156,13 @@ def test_chain_route_equals_the_banded_reference_bit_for_bit():
         for a, b in zip(solver._powers, reference._powers):
             assert a.tobytes() == b.tobytes()
         b = rng.standard_normal((n, n))
-        pumps = np.stack([build_local_pump(n, 1 + n // 3, 0.03).entries.real,
-                          0.1 * np.eye(n), b @ b.T])
-        for ours, theirs in zip(solver.solve_many(pumps), reference.solve_many(pumps)):
+        for y in (build_local_pump(n, 1 + n // 3, 0.03), 0.1 * np.eye(n), b @ b.T):
+            ours, theirs = solver.solve(y), reference.solve(y)
+            assert ours.entries.tobytes() == theirs.entries.tobytes()
+            assert ours.asymmetry == theirs.asymmetry
+        sites = sorted({0, n // 3, n - 1})
+        for ours, theirs in zip(solver.solve_local(sites, 0.03),
+                                reference.solve_local(sites, 0.03)):
             assert ours.tobytes() == theirs.tobytes()
 
 
@@ -331,78 +335,64 @@ def test_sign_gauge_keeps_the_pivot_certificate_and_the_schur_split():
         DirectSolver(x - 0.2 * np.eye(12))
 
 
-def test_solve_many_matches_per_pump_solve():
-    # Local pumps of mixed strengths, a dense pump, an all-zero pump and a
-    # two-site pump, stacked: starting widths 1 and 2 (thin) and 0 (dense)
-    # in one stack, bit for bit the per-pump solve on the M-matrix route,
-    # to rounding on the Schur route (complex X; one complex pump makes
-    # the whole stack complex).
+def test_solve_local_matches_per_pump_solve():
+    # Local pumps stacked by site, a site repeated, are bit for bit the
+    # per-pump solve on the M-matrix route and on the Schur route (complex
+    # X).  solve starts one- and two-site pumps thin and a dense or
+    # all-zero pump dense; the zero pump gives zero C and zero asymmetry
+    # on both routes, and a complex pump is solved by Schur to rounding.
     rng = np.random.default_rng(5)
     _, x, _ = hn_reference_system(30)
-    pumps = np.zeros((6, 30, 30))
-    for k, (site, strength) in enumerate([(1, 0.03), (30, 7.5), (12, 1e-9)]):
-        pumps[k, site - 1, site - 1] = strength
-    b = rng.standard_normal((30, 30))
-    pumps[3] = b @ b.T
-    pumps[5, 4, 4], pumps[5, 21, 21] = 0.3, 0.011
-    assert _thin_widths(pumps).tolist() == [1, 1, 1, 0, 0, 2]
     solver = DirectSolver(x)
-    c, asym = solver.solve_many(pumps)
-    assert c.shape == pumps.shape and asym.shape == (6,)
-    for k, y in enumerate(pumps):
-        one = solver.solve(y)
+    sites = [0, 29, 11, 11]
+    c, asym = solver.solve_local(sites, 7.5)
+    assert c.shape == (4, 30, 30) and asym.shape == (4,)
+    for k, site in enumerate(sites):
+        one = solver.solve(build_local_pump(30, site + 1, 7.5))
         assert np.array_equal(c[k], one.entries) and asym[k] == one.asymmetry
-    assert not c[4].any() and asym[4] == 0.0
+    two_site = np.zeros((30, 30))
+    two_site[4, 4], two_site[21, 21] = 0.3, 0.011
+    b = rng.standard_normal((30, 30))
+    assert _thin_sites(two_site).tolist() == [4, 21]
+    assert _thin_sites(b @ b.T) is None and _thin_sites(np.zeros((30, 30))) is None
+    with pytest.raises(ParameterError, match="does not match"):
+        solver.solve(np.eye(29))
+    with pytest.raises(SiteIndexError):
+        solver.solve_local([3, 30], 0.03)
 
     xc, yc = random_stable_pair(rng, 8)
-    pumps = np.zeros((4, 8, 8), dtype=complex)
-    pumps[0, 2, 2] = 0.03
-    pumps[1, 5, 5] = 40.0
-    pumps[2] = yc
     solver = DirectSolver(xc)
-    c, asym = solver.solve_many(pumps)
-    for k, y in enumerate(pumps):
-        one = solver.solve(y).entries
-        assert np.abs(c[k] - one).max() <= 1e-13 * np.abs(one).max()
-    assert not c[3].any() and asym[3] == 0.0
-    with pytest.raises(ParameterError):
-        solver.solve_many(pumps[0])
+    assert solver._powers is None
+    c, asym = solver.solve_local([2, 5], 40.0)
+    for k, site in enumerate([2, 5]):
+        one = solver.solve(build_local_pump(8, site + 1, 40.0))
+        assert np.array_equal(c[k], one.entries) and asym[k] == one.asymmetry
+    one = solver.solve(yc).entries
+    oracle = solve_vectorized(xc, yc)
+    assert np.abs(one - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    for solver in (DirectSolver(x), DirectSolver(xc)):
+        zero = solver.solve(np.zeros(solver.x.shape))
+        assert not zero.entries.any() and zero.asymmetry == 0.0
 
 
 def test_scan_sized_stacks_match_per_pump_solves_bit_for_bit():
     # The stack shapes whose products _smith runs on C-order copies of the
-    # transposed operands up to _SMALL_PRODUCT_SITES: full 40-pump thin
-    # stacks of the 40-site and 20-cell chains, a 40-pump dense-start
-    # stack, a full 60-site thin stack (60 is no multiple of 8, where BLAS
-    # rounds the copy and the view differently), and a 3-pump chunk of the
-    # 200-site chain, which multiplies by the views.
-    rng = np.random.default_rng(11)
+    # transposed operands up to _SMALL_PRODUCT_SITES: full 40-pump stacks
+    # of the 40-site and 20-cell chains, a full 60-site stack (60 is no
+    # multiple of 8, where BLAS rounds the copy and the view differently),
+    # and a 3-pump chunk of the 200-site chain, which multiplies by the
+    # views.
     ssh = SshParams(20, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"], SSH_REFERENCE["g_edge"],
                     SSH_REFERENCE["kappa"])
     hn40, hn60, hn200 = (hn_reference_system(n)[1] for n in (40, 60, 200))
-    for x, sites, dense in [(hn40, range(40), False), (build_ssh(ssh), range(40), False),
-                            (hn40, range(40), True), (hn60, range(60), False),
-                            (hn200, [0, 99, 199], False)]:
+    for x, sites in [(hn40, range(40)), (build_ssh(ssh), range(40)), (hn60, range(60)),
+                     (hn200, [0, 99, 199])]:
         solver = DirectSolver(x)
         n = solver.x.shape[0]
-        pumps = np.zeros((len(sites), n, n))
-        if dense:
-            b = rng.uniform(0.0, 1.0, (len(sites), n, n))
-            pumps += b @ b.transpose(0, 2, 1)
-        else:
-            pumps[np.arange(len(sites)), sites, sites] = rng.uniform(0.01, 0.1, len(sites))
-        assert (_thin_widths(pumps) == (0 if dense else 1)).all()
-        stack, _ = solver.solve_many(pumps)
-        for c, y in zip(stack, pumps):
-            assert np.array_equal(c, solver.solve(y).entries)
-
-
-def test_solve_many_of_an_empty_stack_is_empty_on_both_routes():
-    # The Schur route once raised a bare ValueError from np.stack.
-    _, chain, _ = hn_reference_system(6)
-    for x in (matrix_entries(chain), random_stable_pair(np.random.default_rng(2), 6)[0]):
-        c, asym = DirectSolver(x).solve_many(np.zeros((0, 6, 6)))
-        assert c.shape == (0, 6, 6) and asym.shape == (0,)
+        stack, asym = solver.solve_local(np.asarray(sites), 0.037)
+        for c, a, site in zip(stack, asym, sites):
+            one = solver.solve(build_local_pump(n, site + 1, 0.037))
+            assert np.array_equal(c, one.entries) and a == one.asymmetry
 
 
 def dense_start_smith(solver, y):
@@ -438,11 +428,11 @@ def test_thin_start_agrees_with_the_dense_start_entrywise():
     for x, sites in cases:
         solver = DirectSolver(x)
         n = solver.x.shape[0]
-        pumps = np.zeros((len(sites), n, n))
-        pumps[np.arange(len(sites)), sites, sites] = 1.0
-        assert (_thin_widths(pumps) == 1).all()
-        stack, _ = solver.solve_many(pumps)
-        for c, y in zip(stack, pumps):
+        stack, _ = solver.solve_local(np.asarray(sites), 1.0)
+        for c, site in zip(stack, sites):
+            y = np.zeros((n, n))
+            y[site, site] = 1.0
+            assert _thin_sites(y).tolist() == [site]
             reference = dense_start_smith(solver, y)
             assert (np.abs(c - reference) / reference).max() <= 16 * EPS
 
@@ -455,8 +445,9 @@ def test_thin_start_is_entrywise_accurate_against_mpmath_smith():
     pumps = np.zeros((4, 12, 12))
     pumps[[0, 1, 2], [0, 5, 11], [0, 5, 11]] = 1.0
     pumps[3, 2, 2], pumps[3, 8, 8] = 1.0, 0.37
-    assert _thin_widths(pumps).tolist() == [1, 1, 1, 2]
-    stack, _ = DirectSolver(x).solve_many(pumps)
+    assert _thin_sites(pumps[3]).tolist() == [2, 8]
+    solver = DirectSolver(x)
+    stack = list(solver.solve_local([0, 5, 11], 1.0)[0]) + [solver.solve(pumps[3]).entries]
     for c, y in zip(stack, pumps):
         truth = smith_steady_mp(x, y)
         assert (np.abs(c - truth) / truth).max() <= 16 * EPS
@@ -476,9 +467,9 @@ def test_pumps_on_more_than_half_the_sites_keep_the_dense_start():
     coupled[3, 3] = coupled[30, 30] = 1.0
     coupled[3, 30] = coupled[30, 3] = 0.5
     full = np.diag(np.linspace(0.2, 1.0, 40))
-    stack = np.stack([half, past_half, signed, coupled, full])
-    assert _thin_widths(stack).tolist() == [20, 0, 0, 0, 0]
-    for y in stack[1:]:
+    assert _thin_sites(half).tolist() == list(range(20))
+    for y in (past_half, signed, coupled, full):
+        assert _thin_sites(y) is None
         assert np.array_equal(solver.solve(y).entries, dense_start_smith(solver, y))
 
 
@@ -489,10 +480,10 @@ def test_direct_solver_rejects_non_finite_input():
     x = matrix_entries(x)
     with pytest.raises(ParameterError, match="source matrix contains non-finite"):
         solve_lyapunov_direct(x, np.diag([np.nan, 0.1, 0.1, 0.1]))
-    stack = np.zeros((2, 4, 4), dtype=complex)
-    stack[1, 2, 3] = complex(0.0, np.inf)
+    y = np.zeros((4, 4), dtype=complex)
+    y[2, 3] = complex(0.0, np.inf)
     with pytest.raises(ParameterError, match="source matrix contains non-finite"):
-        DirectSolver(x).solve_many(stack)
+        DirectSolver(x).solve(y)
     for row, col, bad in [(1, 1, np.nan), (0, 1, np.inf)]:
         broken = x.copy()
         broken[row, col] = bad
@@ -508,10 +499,9 @@ def test_overflowing_correlator_is_an_error_not_a_result():
     _, x, _ = hn_reference_system(40)
     with pytest.raises(EnvelopeOverflowError, match="pump 1 of the stack is not finite"):
         solve_lyapunov_direct(x, build_local_pump(40, 15, 1e304))
-    pumps = np.zeros((3, 40, 40))
-    pumps[:, 14, 14] = [0.03, 1e304, 1e304]
+    # a pump at site 40 peaks at 0.63 per unit strength, at site 15 at 9.8e7
     with pytest.raises(EnvelopeOverflowError, match="pump 2 of the stack"):
-        DirectSolver(x).solve_many(pumps)
+        DirectSolver(x).solve_local([39, 14, 39], 1e304)
     with pytest.raises(EnvelopeOverflowError, match="pump sites 3..5: .* pump 1 of"):
         hn_source_scan(HatanoNelsonParams(40, 1.0, 0.17, 0.91), 1e304, sites=[3, 4, 5])
     with pytest.raises(ParameterError, match="correlator contains non-finite"):
@@ -596,7 +586,7 @@ def test_power_of_two_relaxation_scaling_is_exact(model):
                                 SSH_REFERENCE["g_bulk"], SSH_REFERENCE["kappa"]))
     x = matrix_entries(x)
     y = matrix_entries(build_local_pump(x.shape[0], 7, 1.0))
-    assert _thin_widths(y.real[None]).tolist() == [1]
+    assert _thin_sites(y).tolist() == [6]
     base = solve_lyapunov_direct(x, y).entries
     for k in (-3, -2, -1, 2, 5):
         for s in (0.037, 0.5, 1e-9):
@@ -1070,10 +1060,13 @@ def test_real_data_gives_the_same_float64_bits_as_zero_imaginary_complex(model):
     c, cc = solve_lyapunov_direct(x, y), solve_lyapunov_direct(xc, yc)
     assert c.entries.dtype == cc.entries.dtype == np.float64
     assert np.array_equal(c.entries, cc.entries) and c.residual == cc.residual
-    stack = np.stack([y, 2.0 * y, np.eye(12)])
     solver = DirectSolver(xc)
-    (many, asym), (many_c, asym_c) = solver.solve_many(stack), solver.solve_many(
-        stack.astype(complex))
+    for pump in (2.0 * y, np.eye(12)):
+        one, one_c = solver.solve(pump), solver.solve(pump.astype(complex))
+        assert one.entries.dtype == one_c.entries.dtype == np.float64
+        assert np.array_equal(one.entries, one_c.entries) and one.residual == one_c.residual
+    (many, asym), (many_c, asym_c) = (DirectSolver(x).solve_local([3, 7], 0.03),
+                                      solver.solve_local([3, 7], 0.03))
     assert many.dtype == many_c.dtype == np.float64
     assert np.array_equal(many, many_c) and np.array_equal(asym, asym_c)
     assert lyapunov_residual(x, c.entries, y) == lyapunov_residual(

@@ -20,9 +20,10 @@ the whole of C was diagonalized).
 Last, for ``hn_source_scan`` on the same chain with the same pump
 strength at 40 and 200 sites, one line with the median over five runs of
 the whole scan (``scan_s``), of the DirectSolver construction
-(``build_s``), of the stacked solve of the first chunk of pumps
-(``chunk_solve_s``, ``pumps`` of them: all 40 at 40 sites, 3 at 200) and
-of the certified top occupations of that chunk (``chunk_top_s``).
+(``build_s``), of the stacked solve of the first chunk of pumps, named by
+their sites (``chunk_solve_s``, ``pumps`` of them: all 40 at 40 sites, 3
+at 200), and of the certified top occupations of that chunk
+(``chunk_top_s``).
 Writes no file.  Run from the repository root with BLAS on one thread:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/solver_scaling.py
@@ -94,13 +95,11 @@ def measure_scan(n_sites: int) -> dict:
     x = build_hatano_nelson(params)
     solver = DirectSolver(x)
     sites = np.arange(min(n_sites, max(1, SCAN_CHUNK_ENTRIES // n_sites ** 2)))
-    pumps = np.zeros((sites.size, n_sites, n_sites))
-    pumps[sites, sites, sites] = STRENGTH
-    corr, _ = solver.solve_many(pumps)
+    corr, _ = solver.solve_local(sites, STRENGTH)
     return {"scan": "hn_source_scan", "n_sites": n_sites, "pumps": int(sites.size),
             "scan_s": timed(lambda: hn_source_scan(params, STRENGTH))[0],
             "build_s": timed(lambda: DirectSolver(x))[0],
-            "chunk_solve_s": timed(lambda: solver.solve_many(pumps))[0],
+            "chunk_solve_s": timed(lambda: solver.solve_local(sites, STRENGTH))[0],
             "chunk_top_s": timed(lambda: _top_occupations(corr))[0]}
 
 
