@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibilityError, ParameterError, ValidationError
-from .models import (HatanoNelsonParams, RelaxationMatrix, SourceMatrix, SshParams,
+from .models import (HatanoNelsonParams, RelaxationMatrix, SourceMatrix, SshParams, _strength,
                      default_labels, ssh_labels)
 
 # Loss grams with min eigenvalue above this are reported as physical.
@@ -145,9 +145,7 @@ def _pump_profile(dim: int, pump, context: str) -> np.ndarray:
     """Site-resolved pump strengths from a scalar (uniform) or vector."""
     y = np.asarray(pump, dtype=float)
     if y.ndim == 0:
-        if y <= 0 or not np.isfinite(y):
-            raise ParameterError(f"{context}: uniform pump strength must be positive")
-        return np.full(dim, float(y))
+        return np.full(dim, _strength(f"{context}: uniform pump strength", y))
     if y.shape != (dim,):
         raise ParameterError(f"{context}: pump profile must have length {dim}")
     if not np.all(np.isfinite(y)) or np.any(y < 0):

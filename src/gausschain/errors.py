@@ -17,7 +17,7 @@ class ParameterError(GausschainError, ValueError):
 
 
 class SiteIndexError(GausschainError, IndexError):
-    """Site, cell, or mode index outside the valid 1-based range."""
+    """Site, cell, or mode index that is not a whole number in its 1-based range."""
 
 
 class StabilityError(GausschainError):

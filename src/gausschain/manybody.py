@@ -27,7 +27,7 @@ import numpy as np
 
 from .design import JumpSet
 from .errors import ParameterError, ScaleError, StabilityError
-from .models import matrix_entries
+from .models import _count, _positions, matrix_entries
 from .steady import _expm, _sample_grid
 
 # widest charge block C(2N, N) is 924 here (seconds); 3432 at 7 sites (2 min, 1.2 GB)
@@ -49,13 +49,11 @@ class FockOperatorSet:
     """
 
     def __init__(self, n_sites: int):
-        if n_sites < 1:
-            raise ParameterError(f"n_sites must be >= 1, got {n_sites}")
-        if n_sites > MAX_ORACLE_SITES:
+        self.n_sites = _count("n_sites", n_sites)
+        if self.n_sites > MAX_ORACLE_SITES:
             raise ScaleError(
                 f"oracle supports at most {MAX_ORACLE_SITES} sites, got {n_sites}; "
                 "use the correlator stack for larger systems")
-        self.n_sites = int(n_sites)
         self.dim = 2 ** self.n_sites
         self._annihilation = tuple(self._jordan_wigner(j) for j in range(self.n_sites))
         self._pair_cache: dict[tuple[int, int], np.ndarray] = {}
@@ -89,17 +87,18 @@ class FockOperatorSet:
 
     def annihilation(self, site: int) -> np.ndarray:
         """c_site, 1-based."""
-        return self._annihilation[site - 1]
+        return self._annihilation[_positions("site", site, self.n_sites)]
 
     def creation(self, site: int) -> np.ndarray:
         """c_site^dag, 1-based."""
-        return self._annihilation[site - 1].conj().T
+        return self.annihilation(site).conj().T
 
     def pair_product(self, i: int, j: int) -> np.ndarray:
         """c_i^dag c_j, 1-based, cached."""
-        key = (i, j)
+        key = (_positions("site i", i, self.n_sites), _positions("site j", j, self.n_sites))
         if key not in self._pair_cache:
-            self._pair_cache[key] = self.creation(i) @ self.annihilation(j)
+            left, right = (self._annihilation[k] for k in key)
+            self._pair_cache[key] = left.conj().T @ right
         return self._pair_cache[key]
 
     def one_body_operator(self, coefficients) -> np.ndarray:
@@ -198,7 +197,7 @@ class DensityMatrix:
 
     @classmethod
     def vacuum(cls, n_sites: int) -> "DensityMatrix":
-        dim = 2 ** n_sites
+        dim = 2 ** _count("n_sites", n_sites)
         rho = np.zeros((dim, dim), dtype=complex)
         rho[0, 0] = 1.0
         return cls(rho)

@@ -10,7 +10,9 @@ provided: the nonreciprocal single-band chain with asymmetric hoppings
 (t_right, t_left) and uniform damping kappa, and a two-band chain with
 alternating intra/intercell hoppings carrying a nonreciprocity exponent g.
 
-Site indices are 1-based in every public interface.
+Site indices are 1-based in every public interface.  Every matrix the
+library takes passes matrix_entries, and every index, count and strength
+the scalar gate beside it (_positions, _count, _strength).
 """
 
 from __future__ import annotations
@@ -63,6 +65,41 @@ def matrix_entries(obj, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _whole(a: np.ndarray, upper) -> np.ndarray:
+    """Mask of the whole numbers in 1..upper in ``a``; a bool, string, nan or inf is none."""
+    if a.dtype.kind not in "iuf":
+        return np.zeros(a.shape, dtype=bool)
+    return (1 <= a) & (a <= upper) & (np.floor(a) == a)
+
+
+def _positions(role: str, index, upper: int):
+    """0-based positions of the 1-based site, cell or mode ``index``, an int or an intp
+    array checked in one pass; SiteIndexError names ``role`` and the first bad value."""
+    if type(index) is int and 1 <= index <= upper:  # the common case, at Python speed
+        return index - 1
+    a = np.asarray(index)
+    ok = _whole(a, upper)
+    if not ok.all():
+        raise SiteIndexError(f"{role} {a[~ok][0] if a.ndim else index} outside 1..{upper}")
+    return a.astype(np.intp) - 1 if a.ndim else int(a) - 1
+
+
+def _count(role: str, value) -> int:
+    """``value`` as an int; ParameterError naming ``role`` unless it is a whole number >= 1."""
+    a = np.asarray(value)
+    if a.ndim or not _whole(a, np.iinfo(np.intp).max):
+        raise ParameterError(f"{role} must be a positive integer, got {value!r}")
+    return int(a)
+
+
+def _strength(role: str, value) -> float:
+    """``value`` as a float; ParameterError naming ``role`` unless it is a number in (0, inf)."""
+    a = np.asarray(value)
+    if a.ndim or a.dtype.kind not in "iuf" or not 0.0 < a < math.inf:
+        raise ParameterError(f"{role} must be finite and positive, got {value}")
+    return float(a)
+
+
 def _frozen_array(m: np.ndarray) -> np.ndarray:
     out = np.array(m)
     out.flags.writeable = False
@@ -70,7 +107,7 @@ def _frozen_array(m: np.ndarray) -> np.ndarray:
 
 
 def default_labels(dim: int) -> tuple[str, ...]:
-    return tuple(str(j) for j in range(1, dim + 1))
+    return tuple(str(j) for j in range(1, _count("dim", dim) + 1))
 
 
 @dataclass(frozen=True)
@@ -153,9 +190,7 @@ class HatanoNelsonParams:
     kappa: float
 
     def __post_init__(self):
-        if int(self.n_sites) != self.n_sites or self.n_sites < 1:
-            raise ParameterError(f"n_sites must be a positive integer, got {self.n_sites!r}")
-        object.__setattr__(self, "n_sites", int(self.n_sites))
+        object.__setattr__(self, "n_sites", _count("n_sites", self.n_sites))
         for name in ("t_right", "t_left", "kappa"):
             object.__setattr__(self, name, _check_finite_scalar(name, getattr(self, name)))
         if self.t_right < 0 or self.t_left < 0:
@@ -178,9 +213,7 @@ class SshParams:
     kappa: float
 
     def __post_init__(self):
-        if int(self.n_cells) != self.n_cells or self.n_cells < 1:
-            raise ParameterError(f"n_cells must be a positive integer, got {self.n_cells!r}")
-        object.__setattr__(self, "n_cells", int(self.n_cells))
+        object.__setattr__(self, "n_cells", _count("n_cells", self.n_cells))
         for name in ("t1", "t2", "g", "kappa"):
             object.__setattr__(self, name, _check_finite_scalar(name, getattr(self, name)))
         if self.t1 < 0 or self.t2 < 0:
@@ -225,20 +258,15 @@ def build_hatano_nelson(params: HatanoNelsonParams) -> RelaxationMatrix:
 
 
 def ssh_labels(n_cells: int) -> tuple[str, ...]:
-    out = []
-    for cell in range(1, n_cells + 1):
-        out.append(f"{cell}A")
-        out.append(f"{cell}B")
-    return tuple(out)
+    return tuple(f"{cell}{s}" for cell in range(1, _count("n_cells", n_cells) + 1) for s in "AB")
 
 
 def ssh_index(cell: int, sublattice: str, n_cells: int) -> int:
     """1-based linear site index of (cell, sublattice) in the (1A, 1B, 2A, ...) order."""
     if sublattice not in ("A", "B"):
         raise ParameterError(f"sublattice must be 'A' or 'B', got {sublattice!r}")
-    if int(cell) != cell or not 1 <= cell <= n_cells:
-        raise SiteIndexError(f"cell {cell} outside 1..{n_cells}")
-    return 2 * (int(cell) - 1) + (1 if sublattice == "A" else 2)
+    cell = _positions("cell", cell, _count("n_cells", n_cells))
+    return 2 * cell + (1 if sublattice == "A" else 2)
 
 
 def build_ssh(params: SshParams) -> RelaxationMatrix:
@@ -266,15 +294,11 @@ def build_ssh(params: SshParams) -> RelaxationMatrix:
 
 def build_local_pump(dim: int, site: int, strength: float) -> SourceMatrix:
     """Pump acting on a single site: Y = strength |site><site| (1-based)."""
-    if int(dim) != dim or dim < 1:
-        raise ParameterError(f"dim must be a positive integer, got {dim!r}")
-    strength = _check_finite_scalar("strength", strength)
-    if strength <= 0:
-        raise ParameterError(f"pump strength must be positive, got {strength}")
-    if int(site) != site or not 1 <= site <= dim:
-        raise SiteIndexError(f"pump site {site} outside 1..{dim}")
-    y = np.zeros((int(dim), int(dim)))
-    y[int(site) - 1, int(site) - 1] = strength
+    dim = _count("dim", dim)
+    strength = _strength("pump strength", strength)
+    site = _positions("pump site", site, dim)
+    y = np.zeros((dim, dim))
+    y[site, site] = strength
     return SourceMatrix(y)
 
 

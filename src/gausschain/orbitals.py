@@ -30,10 +30,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (EnvelopeOverflowError, GausschainError, NormalizationError,
-                     ParameterError, SiteIndexError)
-from .models import (HatanoNelsonParams, SshParams, build_hatano_nelson,
-                     build_local_pump, build_ssh, matrix_entries, ssh_index)
+from .errors import GausschainError, NormalizationError, ParameterError
+from .models import (HatanoNelsonParams, SshParams, _check_finite_scalar, _positions, _strength,
+                     build_hatano_nelson, build_local_pump, build_ssh, matrix_entries,
+                     ssh_index)
 from .spectral import (BiorthogonalSpectrum, ModeVector, _gauge_columns, _pump_loadings,
                        _unit_columns, biorthogonal_decompose, hn_analytic_spectrum,
                        slow_mode_position)
@@ -250,7 +250,8 @@ class LoadingFactors:
 def loading_factors(spectrum: BiorthogonalSpectrum, pump_site: int,
                     pump_strength: float) -> LoadingFactors:
     """A_n(s) = strength |L_n(s)|^2 / (2 Re beta_n) for every mode, at any condition."""
-    values = _pump_loadings(spectrum, pump_site, pump_strength)
+    values = _pump_loadings(spectrum, _positions("pump site", pump_site, spectrum.dim),
+                            _strength("pump strength", pump_strength))
     peak = values.max()
     normalized = values / peak if peak > 0 else values.copy()
     return LoadingFactors(values, normalized)
@@ -299,6 +300,7 @@ def identify_edge_candidate(spectrum: BiorthogonalSpectrum, kappa: float) -> Edg
     :data:`EDGE_BOUNDARY_SITES` sites.  Always returns a candidate; an
     empty window falls back to the globally closest eigenvalue.
     """
+    kappa = _check_finite_scalar("kappa", kappa)
     if spectrum.dim == 1:
         return EdgeCandidate(1, 1, False)
     dist = np.abs(spectrum.betas - kappa)
@@ -391,40 +393,29 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
     normalized columns agree exactly where the slow mode locks the top
     orbital.  A chain without a steady state aborts the scan with the
     first pump site named in the message, an overflowing correlator with
-    the sites of its stack.
+    its own pump site (DirectSolver.solve_local).
     """
-    strength = float(pump_strength)
-    if strength <= 0 or not np.isfinite(strength):
-        raise ParameterError(f"pump strength must be positive, got {pump_strength}")
-    x = build_hatano_nelson(params)
-    sites = range(1, params.n_sites + 1) if sites is None else list(sites)
-    if len(sites) == 0:
+    n, strength = params.n_sites, _strength("pump strength", pump_strength)
+    sites = np.arange(1, n + 1) if sites is None else np.ravel(sites)
+    positions = _positions("pump site", sites, n)
+    if positions.size == 0:
         raise ParameterError("source scan needs at least one pump site")
-    for s in sites:
-        if int(s) != s or not 1 <= s <= params.n_sites:
-            raise SiteIndexError(f"pump site {s} outside 1..{params.n_sites}")
-    sites = np.asarray([int(s) for s in sites])
+    x = build_hatano_nelson(params)
     try:
         solver = DirectSolver(x)
     except GausschainError as exc:
         # no pump has a steady state; report it at the first one
-        raise type(exc)(f"pump site {sites[0]}: {exc}") from exc
+        raise type(exc)(f"pump site {positions[0] + 1}: {exc}") from exc
     spectrum = hn_analytic_spectrum(params)  # not held while the pumps are solved
-    a1 = _pump_loadings(spectrum, sites, strength)[:, slow_mode_position(spectrum.betas)]
+    a1 = _pump_loadings(spectrum, positions, strength)[:, slow_mode_position(spectrum.betas)]
     del spectrum
 
-    n = params.n_sites
-    nu = np.empty(sites.size)
+    nu = np.empty(positions.size)
     chunk = max(1, SCAN_CHUNK_ENTRIES // (n * n))
-    for first in range(0, sites.size, chunk):
-        block = sites[first:first + chunk] - 1
-        try:
-            corr, _ = solver.solve_local(block, strength)
-        except EnvelopeOverflowError as exc:
-            raise EnvelopeOverflowError(
-                f"pump sites {block[0] + 1}..{block[-1] + 1}: {exc}") from exc
-        nu[first:first + block.size] = _top_occupations(corr)
-    return SourceScan(sites, nu, a1, nu / nu.max(), a1 / a1.max())
+    for first in range(0, positions.size, chunk):
+        corr, _ = solver.solve_local(sites[first:first + chunk], strength)
+        nu[first:first + chunk] = _top_occupations(corr)
+    return SourceScan(positions + 1, nu, a1, nu / nu.max(), a1 / a1.max())
 
 
 def _top_occupations(stack: np.ndarray) -> np.ndarray:

@@ -30,8 +30,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (DecompositionError, DegeneracyError, EnvelopeOverflowError,
-                     ParameterError, RegimeError, SiteIndexError, StabilityError)
-from .models import HatanoNelsonParams, SshParams, build_hatano_nelson, matrix_entries
+                     ParameterError, RegimeError, StabilityError)
+from .models import (HatanoNelsonParams, SshParams, _positions, build_hatano_nelson,
+                     matrix_entries)
 
 SIMILARITY_LOG_LIMIT = 600.0
 
@@ -170,13 +171,8 @@ class BiorthogonalSpectrum:
         except OverflowError:
             return math.inf
 
-    def _check_mode(self, n: int) -> int:
-        if int(n) != n or not 1 <= n <= self.dim:
-            raise SiteIndexError(f"mode index {n} outside 1..{self.dim}")
-        return int(n) - 1
-
     def right_mode_unit(self, n: int) -> ModeVector:
-        k = self._check_mode(n)
+        k = _positions("mode index", n, self.dim)
         return ModeVector(_unit_columns(self.u[:, k:k + 1], self.log_d)[:, 0], "euclidean")
 
     def reconstruct(self) -> np.ndarray:
@@ -207,26 +203,18 @@ def _check_beta_stability(betas: np.ndarray) -> float:
     return worst
 
 
-def _pump_loadings(spectrum: BiorthogonalSpectrum, pump_site,
-                   pump_strength: float) -> np.ndarray:
+def _pump_loadings(spectrum: BiorthogonalSpectrum, positions, strength: float) -> np.ndarray:
     """A_n(s) = strength |L_n(s)|^2 / (2 Re beta_n) of every mode n, from the pump
-    rows of L = D^-1 V only; one row per 1-based site if ``pump_site`` is an
-    array of sites.  Raises EnvelopeOverflowError if any loading is not finite."""
-    if pump_strength <= 0 or not np.isfinite(pump_strength):
-        raise ParameterError(f"pump strength must be positive, got {pump_strength}")
-    sites = np.asarray(pump_site)
-    for s in sites.reshape(-1).tolist():
-        if int(s) != s or not 1 <= s <= spectrum.dim:
-            raise SiteIndexError(f"pump site {s} outside 1..{spectrum.dim}")
+    rows of L = D^-1 V only; one row per 0-based position if ``positions``, gated by
+    the caller, is an array.  Raises EnvelopeOverflowError if any loading is not finite."""
     _check_beta_stability(spectrum.betas)
-    rows = sites.astype(int) - 1
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        amps = spectrum.v[rows] * np.exp(-spectrum.log_d)[rows, None]
-        loadings = pump_strength * np.abs(amps) ** 2 / (2.0 * spectrum.betas.real)
+        amps = spectrum.v[positions] * np.exp(-spectrum.log_d)[positions, None]
+        loadings = strength * np.abs(amps) ** 2 / (2.0 * spectrum.betas.real)
     if not np.isfinite(loadings).all():
-        bad = np.broadcast_to(sites[..., None], loadings.shape)[~np.isfinite(loadings)]
-        raise EnvelopeOverflowError(f"pump loading at site {int(bad[0])} is not "
-                                    "representable: |L_n(s)|^2 overflows")
+        rows = np.broadcast_to(np.asarray(positions)[..., None], loadings.shape)
+        raise EnvelopeOverflowError(f"pump loading at site {rows[~np.isfinite(loadings)][0] + 1} "
+                                    "is not representable: |L_n(s)|^2 overflows")
     return loadings
 
 

@@ -24,9 +24,9 @@ from the bands of X.  A local pump (real, diagonal, >= 0, on at most half
 the sites) starts the doubling as a thin nonnegative factor Z of
 C = 2p Z Z^T, which costs N^2 per column instead of N^3 per step until Z
 is N columns wide; its terms stay nonnegative too.  A scan names its
-one-site pumps by their sites alone (DirectSolver.solve_local).  Every
-other X, a bond of mixed sign included, takes an eigenvalue screen and
-the Schur method.
+one-site pumps by their 1-based sites alone (DirectSolver.solve_local).
+Every other X, a bond of mixed sign included, takes an eigenvalue screen
+and the Schur method.
 
 The spectral route sums over biorthogonal mode pairs
 
@@ -47,9 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DarkSourceError, EnvelopeOverflowError, ParameterError, SiteIndexError,
-                     SolveError, StabilityError)
-from .models import _GatedMatrix, _frozen_array, _narrowed, matrix_entries
+from .errors import (DarkSourceError, EnvelopeOverflowError, ParameterError, SolveError,
+                     StabilityError)
+from .models import _GatedMatrix, _count, _frozen_array, _positions, _strength, matrix_entries
 from .spectral import (CONDITION_TRUST_LIMIT, BiorthogonalSpectrum, _check_beta_stability,
                        _pump_loadings, _tridiagonal_bands, slow_mode_position)
 
@@ -267,7 +267,7 @@ class DirectSolver:
     pump-independent step; ``solve(source)`` then costs a few matrix
     products per pump, and ``solve_local(sites, strength)`` does the same
     products on a whole stack of one-site pumps at once, named by their
-    sites.  Both share one doubling (_smith) and one epilogue (_settle),
+    1-based sites.  Both share one doubling (_smith) and one epilogue (_settle),
     so each pump gets the same bits either way.  The algorithm is chosen
     from X:
 
@@ -359,21 +359,21 @@ class DirectSolver:
                                 float(asym[0]))
 
     def solve_local(self, sites, strength: float) -> tuple[np.ndarray, np.ndarray]:
-        """Hermitized steady correlators of the pumps strength |s><s|, one per 0-based site s.
+        """Hermitized steady correlators of the pumps strength |s><s|, one per 1-based site s.
 
         Returns the (P, N, N) stack, each C bit for bit what ``solve`` gives,
         and each max |C - C^dag| before symmetrization.  No pump matrix is
         built, but the doubling holds a few P N^2 arrays: callers bound P.
+        EnvelopeOverflowError names the first pump site whose C is not finite.
         """
-        n, sites = self.x.shape[0], np.asarray(sites)
-        if not ((0 <= sites) & (sites < n)).all():
-            raise SiteIndexError(f"pump sites must lie in 0..{n - 1}, got {sites.tolist()}")
+        n, strength = self.x.shape[0], _strength("pump strength", strength)
+        positions = _positions("pump site", np.ravel(sites), n)
         with np.errstate(over="ignore", invalid="ignore"):  # checked in _settle
             if self._powers is None:
-                c = np.stack([solve_schur(self.x, np.diag(np.eye(n)[s])) for s in sites])
+                c = np.stack([solve_schur(self.x, np.diag(np.eye(n)[s])) for s in positions])
             else:
-                c = self._smith(sites[:, None], np.ones((sites.size, 1)))
-            return self._settle(c, strength)
+                c = self._smith(positions[:, None], np.ones((positions.size, 1)))
+            return self._settle(c, strength, positions)
 
     def _smith(self, start: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """Smith doubling of a stack of unit-peak pumps in the sign gauge.
@@ -415,18 +415,19 @@ class DirectSolver:
             c += term
         return c
 
-    def _settle(self, c: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    def _settle(self, c: np.ndarray, scale: float, positions=()) -> tuple[np.ndarray, np.ndarray]:
         """Unit-peak correlators out of the sign gauge, hermitized, times ``scale``,
-        with each max |C - C^dag|; EnvelopeOverflowError names the first
-        pump whose C is not finite."""
+        with each max |C - C^dag|; EnvelopeOverflowError names the pump site of
+        the first C that is not finite, given the pumps' 0-based ``positions``."""
         if self._signs is not None:
             c *= self._signs
         c, asym = _hermitize_stack(c)
         c *= scale
-        if not np.isfinite(c).all():
-            bad = int(np.argmin(np.isfinite(c).all(axis=(1, 2)))) + 1
-            raise EnvelopeOverflowError(f"steady correlator of pump {bad} of the stack is "
-                                        "not finite: it overflows double precision")
+        finite = np.isfinite(c).all(axis=(1, 2))
+        if not finite.all():
+            site = f" of pump site {positions[np.argmin(finite)] + 1}" if len(positions) else ""
+            raise EnvelopeOverflowError(f"steady correlator{site} is not finite: it overflows "
+                                        "double precision")
         return c, scale * asym
 
 
@@ -571,23 +572,24 @@ def single_mode_approximation(spectrum: BiorthogonalSpectrum, pump_site: int,
     normalized, is at most N eps.  Raises EnvelopeOverflowError when the
     loading, the predicted occupation or the correlator is not representable.
     """
+    site = _positions("pump site", pump_site, spectrum.dim)
+    strength = _strength("pump strength", pump_strength)
     pos = slow_mode_position(spectrum.betas)
     r0 = spectrum.right[:, pos]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        loading = float(_pump_loadings(spectrum, pump_site, pump_strength)[pos])
+        loading = float(_pump_loadings(spectrum, site, strength)[pos])
         predicted = loading * float(np.vdot(r0, r0).real)
         c, asym = _hermitize(loading * np.outer(r0, r0.conj()))
-    site = int(pump_site) - 1
     weight = abs(spectrum.left[site, pos] * r0[site])
     if weight <= spectrum.dim * EPS:
-        raise DarkSourceError(f"pump site {pump_site} is a node of the slow mode "
+        raise DarkSourceError(f"pump site {site + 1} is a node of the slow mode "
                               f"(|L_0(s) R_0(s)| = {weight:.2e})")
     # off a node the true loading is > 0, so 0 means it underflowed
     if not (0 < loading and np.isfinite(predicted) and np.isfinite(c).all()):
         raise EnvelopeOverflowError(f"slow-mode loading {loading:.3e} or occupation "
                                     f"{predicted:.3e} is not representable")
     y = np.zeros((spectrum.dim, spectrum.dim))
-    y[site, site] = pump_strength
+    y[site, site] = strength
     residual = lyapunov_residual(spectrum.reconstruct(), c, y)
     return SingleModeResult(SteadyCorrelator(c, "spectral", residual, asym), loading, predicted)
 
@@ -619,12 +621,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
 def _sample_grid(t_final: float, dt: float, stride: int) -> tuple[np.ndarray, list[float]]:
     """Sample times ``dt * stride`` apart from 0 and the last at ``t_final``,
     with the interval that ends at each sample after the first."""
-    if dt <= 0 or not np.isfinite(dt):
-        raise ParameterError(f"dt must be positive, got {dt}")
+    dt, stride = _strength("dt", dt), _count("stride", stride)
     if t_final < 0 or not np.isfinite(t_final):
         raise ParameterError(f"t_final must be >= 0, got {t_final}")
-    if stride < 1 or int(stride) != stride:
-        raise ParameterError(f"stride must be a positive integer, got {stride!r}")
     n_steps = int(np.ceil(t_final / dt - 1e-12)) if t_final > 0 else 0
     steps = list(range(stride, n_steps + 1, stride)) + ([n_steps] if n_steps % stride else [])
     times = [0.0] + [min(step * dt, t_final) for step in steps]

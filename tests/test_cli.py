@@ -373,7 +373,7 @@ class TestFailureExitCodes:
         # or an unserializable NaN instead
         assert main([command, "--pump-strength", "1e304", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "EnvelopeOverflowError: steady correlator of pump 1" in err
+        assert "EnvelopeOverflowError: steady correlator is not finite" in err
         assert not os.listdir(tmp_path)
 
     def test_pump_site_out_of_range_exits_2(self, tmp_path, capsys):

@@ -1,16 +1,25 @@
 """Builders for the chain matrices and pump terms."""
 
+import ast
+import math
+import os
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from gausschain import (DensityMatrix, HatanoNelsonParams, ParameterError, RelaxationMatrix,
-                        SiteIndexError, SourceMatrix, SshParams, SteadyCorrelator,
-                        biorthogonal_decompose, build_diagonal_pump, build_hatano_nelson,
-                        build_local_pump, build_ssh, density, evolve_master,
-                        hn_jump_decomposition, inverse_design, lyapunov_residual,
-                        natural_orbitals, normalized_density, propagate_correlator,
-                        solve_lyapunov_direct, ssh_index, ssh_labels, steady_state_oracle)
+import gausschain
+from gausschain import (DensityMatrix, FockOperatorSet, HatanoNelsonParams, ParameterError,
+                        RelaxationMatrix, SiteIndexError, SourceMatrix, SshParams,
+                        SteadyCorrelator, biorthogonal_decompose, build_diagonal_pump,
+                        build_hatano_nelson, build_local_pump, build_ssh, default_labels,
+                        density, evolve_master, hn_jump_decomposition, hn_source_scan,
+                        identify_edge_candidate, inverse_design, loading_factors,
+                        lyapunov_residual, natural_orbitals, normalized_density,
+                        propagate_correlator, single_mode_approximation, solve_lyapunov_direct,
+                        ssh_crossover_scan, ssh_index, ssh_jump_decomposition, ssh_labels,
+                        steady_state_oracle)
 from gausschain.models import PSD_TOL, matrix_entries
 from gausschain.steady import DirectSolver
 
@@ -272,3 +281,144 @@ def test_every_matrix_entry_point_refuses_an_empty_matrix_by_role(entry):
     role, _, call = gated_calls()[entry]
     with pytest.raises(ParameterError, match=f"^{role} must not be empty$"):
         call(np.zeros((0, 0)))
+
+
+def gated_scalars():
+    """Entry point -> (kind, role its error names, valid value, call on one value).
+
+    Every index, count and strength a call takes passes the scalar gate of
+    models (_positions, _count, _strength).  An "index" lies in 1..3 here:
+    every chain below has three sites, cells or modes.
+    """
+    params = HatanoNelsonParams(3, 1.0, 0.17, 1.5)
+    ssh = SshParams(3, 0.5, 1.0, 0.0, 1.5)
+    wide_gap = SshParams(3, 0.5, 1.0, 0.0, 2.0)  # local jumps need 2 kappa - gamma >= 3
+    x = matrix_entries(build_hatano_nelson(params))
+    y = 0.1 * np.eye(3)
+    zero = np.zeros((3, 3))
+    spectrum = biorthogonal_decompose(x)
+    h = inverse_design(x, y).hamiltonian
+    jumps = hn_jump_decomposition(params, 0.1)
+    ops = FockOperatorSet(3)
+    return {
+        # 1-based indices -> SiteIndexError
+        "build_local_pump site": ("index", "pump site", 2, lambda s: build_local_pump(3, s, 0.1)),
+        "ssh_index cell": ("index", "cell", 2, lambda c: ssh_index(c, "A", 3)),
+        "right_mode_unit": ("index", "mode index", 2, spectrum.right_mode_unit),
+        "loading_factors site": ("index", "pump site", 2,
+                                 lambda s: loading_factors(spectrum, s, 0.1)),
+        "single_mode_approximation site": ("index", "pump site", 2,
+                                           lambda s: single_mode_approximation(spectrum, s, 0.1)),
+        "hn_source_scan sites": ("index", "pump site", 2,
+                                 lambda s: hn_source_scan(params, 0.1, sites=[s])),
+        "DirectSolver.solve_local sites": ("index", "pump site", 2,
+                                           lambda s: DirectSolver(x).solve_local([s], 0.1)),
+        "ssh_crossover_scan cell": ("index", "cell", 2,
+                                    lambda c: ssh_crossover_scan(ssh, c, "A", 0.1, [0.0])),
+        "annihilation": ("index", "site", 2, ops.annihilation),
+        "creation": ("index", "site", 2, ops.creation),
+        "pair_product i": ("index", "site i", 2, lambda i: ops.pair_product(i, 1)),
+        "pair_product j": ("index", "site j", 2, lambda j: ops.pair_product(1, j)),
+        # counts -> ParameterError
+        "HatanoNelsonParams": ("count", "n_sites", 3,
+                               lambda n: HatanoNelsonParams(n, 1.0, 0.17, 1.5)),
+        "SshParams": ("count", "n_cells", 3, lambda n: SshParams(n, 0.5, 1.0, 0.0, 1.5)),
+        "build_local_pump dim": ("count", "dim", 3, lambda d: build_local_pump(d, 1, 0.1)),
+        "default_labels": ("count", "dim", 3, default_labels),
+        "ssh_labels": ("count", "n_cells", 3, ssh_labels),
+        "ssh_index n_cells": ("count", "n_cells", 3, lambda n: ssh_index(1, "A", n)),
+        "FockOperatorSet": ("count", "n_sites", 3, FockOperatorSet),
+        "DensityMatrix.vacuum": ("count", "n_sites", 3, DensityMatrix.vacuum),
+        "propagate_correlator stride": ("count", "stride", 2,
+                                        lambda k: propagate_correlator(x, y, zero, 0.2, 0.1, k)),
+        "evolve_master stride": ("count", "stride", 2,
+                                 lambda k: evolve_master(DensityMatrix.vacuum(3), h, jumps,
+                                                         0.2, 0.1, k)),
+        # strengths -> ParameterError
+        "build_local_pump strength": ("strength", "pump strength", 0.1,
+                                      lambda g: build_local_pump(3, 1, g)),
+        "loading_factors strength": ("strength", "pump strength", 0.1,
+                                     lambda g: loading_factors(spectrum, 1, g)),
+        "single_mode_approximation strength": (
+            "strength", "pump strength", 0.1, lambda g: single_mode_approximation(spectrum, 1, g)),
+        "hn_source_scan strength": ("strength", "pump strength", 0.1,
+                                    lambda g: hn_source_scan(params, g)),
+        "DirectSolver.solve_local strength": ("strength", "pump strength", 0.1,
+                                              lambda g: DirectSolver(x).solve_local([1], g)),
+        "ssh_crossover_scan strength": ("strength", "pump strength", 0.1,
+                                        lambda g: ssh_crossover_scan(ssh, 1, "A", g, [0.0])),
+        "propagate_correlator dt": ("strength", "dt", 0.1,
+                                    lambda dt: propagate_correlator(x, y, zero, 0.2, dt)),
+        "evolve_master dt": ("strength", "dt", 0.1,
+                             lambda dt: evolve_master(DensityMatrix.vacuum(3), h, jumps, 0.2, dt)),
+        "hn_jump_decomposition gamma": ("strength",
+                                        "single-band decomposition: uniform pump strength", 0.1,
+                                        lambda g: hn_jump_decomposition(params, g)),
+        "ssh_jump_decomposition gamma": ("strength",
+                                         "two-band decomposition: uniform pump strength", 0.1,
+                                         lambda g: ssh_jump_decomposition(wide_gap, g)),
+    }
+
+
+BAD_SCALARS = {
+    "index": [0, 4, 2.5, math.nan, math.inf, -math.inf, True],
+    "count": [0, 2.5, math.nan, math.inf, True],
+    "strength": [0.0, -1.0, math.nan, math.inf],
+}
+
+
+def scalar_cases():
+    for entry, (kind, *_) in gated_scalars().items():
+        for bad in BAD_SCALARS[kind]:
+            yield pytest.param(entry, bad, id=f"{entry}-{bad}")
+
+
+@pytest.mark.parametrize("entry, bad", list(scalar_cases()))
+def test_every_scalar_entry_point_refuses_a_bad_value_by_role(entry, bad):
+    # At the parent of the scalar gate 2.5, nan, inf or True leaked a raw
+    # ValueError, OverflowError or TypeError from many of these, and some
+    # returned a wrong answer: FockOperatorSet(2.5) built a 2-site set,
+    # annihilation(0) gave site 3's operator, and build_local_pump(3, True,
+    # 0.1) pumped site 1.
+    kind, role, good, call = gated_scalars()[entry]
+    call(good)
+    if kind == "index":
+        error, message = SiteIndexError, f"{role} {bad} outside 1..3"
+    elif kind == "count":
+        error, message = ParameterError, f"{role} must be a positive integer, got {bad!r}"
+    else:
+        error, message = ParameterError, f"{role} must be finite and positive, got {bad}"
+    with pytest.raises(error, match=re.escape(message) + "$"):
+        call(bad)
+
+
+def test_array_indices_are_checked_in_one_pass_naming_the_first_bad_one():
+    params = HatanoNelsonParams(10, 1.0, 0.17, 0.91)
+    for sites, bad in [([1, 2.5, 11], "2.5"), ([3, 11, 0], "11"), (np.array([True]), "True"),
+                       (np.array([4.0, np.nan]), "nan")]:
+        with pytest.raises(SiteIndexError, match=f"^pump site {bad} outside 1..10$"):
+            hn_source_scan(params, 0.03, sites=sites)
+    scan = hn_source_scan(params, 0.03, sites=np.array([2.0, 10.0]))
+    assert scan.sites.tolist() == [2, 10] and scan.sites.dtype.kind == "i"
+
+
+def test_edge_candidate_refuses_a_non_finite_kappa():
+    # a NaN kappa once returned mode 1 with used_fallback
+    spectrum = biorthogonal_decompose(build_hatano_nelson(HatanoNelsonParams(3, 1.0, 0.17, 1.5)))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match=f"^kappa must be finite, got {bad}$"):
+            identify_edge_candidate(spectrum, bad)
+
+
+def test_site_index_error_is_raised_only_by_the_models_gate():
+    # hand-written index checks elsewhere once disagreed on what a site is
+    package = os.path.dirname(gausschain.__file__)
+    raisers = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "SiteIndexError" for node in ast.walk(tree)):
+                raisers.add(name)
+    assert raisers == {"models.py"}

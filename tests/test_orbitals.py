@@ -287,7 +287,7 @@ def test_top_occupations_agree_with_mpmath_on_every_pump():
     # rounds by at most (3 N + 10) eps nu more.
     n = 12
     x = build_hatano_nelson(HatanoNelsonParams(n, 1.0, 0.6, 1.6))
-    stack, _ = DirectSolver(x).solve_local(np.arange(n), 0.03)
+    stack, _ = DirectSolver(x).solve_local(np.arange(1, n + 1), 0.03)
     nu = _top_occupations(stack)
     bound = (1 + 3 * n + 10) * np.finfo(float).eps * nu
     with mpmath.workdps(30):

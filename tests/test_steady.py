@@ -160,7 +160,7 @@ def test_chain_route_equals_the_banded_reference_bit_for_bit():
             ours, theirs = solver.solve(y), reference.solve(y)
             assert ours.entries.tobytes() == theirs.entries.tobytes()
             assert ours.asymmetry == theirs.asymmetry
-        sites = sorted({0, n // 3, n - 1})
+        sites = sorted({1, 1 + n // 3, n})
         for ours, theirs in zip(solver.solve_local(sites, 0.03),
                                 reference.solve_local(sites, 0.03)):
             assert ours.tobytes() == theirs.tobytes()
@@ -344,11 +344,11 @@ def test_solve_local_matches_per_pump_solve():
     rng = np.random.default_rng(5)
     _, x, _ = hn_reference_system(30)
     solver = DirectSolver(x)
-    sites = [0, 29, 11, 11]
+    sites = [1, 30, 12, 12]
     c, asym = solver.solve_local(sites, 7.5)
     assert c.shape == (4, 30, 30) and asym.shape == (4,)
     for k, site in enumerate(sites):
-        one = solver.solve(build_local_pump(30, site + 1, 7.5))
+        one = solver.solve(build_local_pump(30, site, 7.5))
         assert np.array_equal(c[k], one.entries) and asym[k] == one.asymmetry
     two_site = np.zeros((30, 30))
     two_site[4, 4], two_site[21, 21] = 0.3, 0.011
@@ -357,15 +357,17 @@ def test_solve_local_matches_per_pump_solve():
     assert _thin_sites(b @ b.T) is None and _thin_sites(np.zeros((30, 30))) is None
     with pytest.raises(ParameterError, match="does not match"):
         solver.solve(np.eye(29))
-    with pytest.raises(SiteIndexError):
-        solver.solve_local([3, 30], 0.03)
+    with pytest.raises(SiteIndexError, match="pump site 31 outside 1..30"):
+        solver.solve_local([3, 31], 0.03)
+    with pytest.raises(SiteIndexError, match="pump site 0 outside 1..30"):
+        solver.solve_local([0, 3], 0.03)
 
     xc, yc = random_stable_pair(rng, 8)
     solver = DirectSolver(xc)
     assert solver._powers is None
-    c, asym = solver.solve_local([2, 5], 40.0)
-    for k, site in enumerate([2, 5]):
-        one = solver.solve(build_local_pump(8, site + 1, 40.0))
+    c, asym = solver.solve_local([3, 6], 40.0)
+    for k, site in enumerate([3, 6]):
+        one = solver.solve(build_local_pump(8, site, 40.0))
         assert np.array_equal(c[k], one.entries) and asym[k] == one.asymmetry
     one = solver.solve(yc).entries
     oracle = solve_vectorized(xc, yc)
@@ -385,13 +387,13 @@ def test_scan_sized_stacks_match_per_pump_solves_bit_for_bit():
     ssh = SshParams(20, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"], SSH_REFERENCE["g_edge"],
                     SSH_REFERENCE["kappa"])
     hn40, hn60, hn200 = (hn_reference_system(n)[1] for n in (40, 60, 200))
-    for x, sites in [(hn40, range(40)), (build_ssh(ssh), range(40)), (hn60, range(60)),
-                     (hn200, [0, 99, 199])]:
+    for x, sites in [(hn40, range(1, 41)), (build_ssh(ssh), range(1, 41)), (hn60, range(1, 61)),
+                     (hn200, [1, 100, 200])]:
         solver = DirectSolver(x)
         n = solver.x.shape[0]
         stack, asym = solver.solve_local(np.asarray(sites), 0.037)
         for c, a, site in zip(stack, asym, sites):
-            one = solver.solve(build_local_pump(n, site + 1, 0.037))
+            one = solver.solve(build_local_pump(n, site, 0.037))
             assert np.array_equal(c, one.entries) and a == one.asymmetry
 
 
@@ -420,19 +422,19 @@ def test_thin_start_agrees_with_the_dense_start_entrywise():
     # inside a 200-site single-band and a 100-cell two-band chain.  Both
     # starts sum the same nonnegative terms in another order, so every
     # entry, the smallest included, agrees to a few ulps.
-    cases = [(build_hatano_nelson(params), range(40)) for params in scan_lattice_chains()]
-    cases.append((build_hatano_nelson(HatanoNelsonParams(200, 1.0, 0.17, 0.91)), [0, 76, 199]))
+    cases = [(build_hatano_nelson(params), range(1, 41)) for params in scan_lattice_chains()]
+    cases.append((build_hatano_nelson(HatanoNelsonParams(200, 1.0, 0.17, 0.91)), [1, 77, 200]))
     cases.append((build_ssh(SshParams(100, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"],
                                       SSH_REFERENCE["g_edge"], SSH_REFERENCE["kappa"])),
-                  [0, 101, 199]))
+                  [1, 102, 200]))
     for x, sites in cases:
         solver = DirectSolver(x)
         n = solver.x.shape[0]
         stack, _ = solver.solve_local(np.asarray(sites), 1.0)
         for c, site in zip(stack, sites):
             y = np.zeros((n, n))
-            y[site, site] = 1.0
-            assert _thin_sites(y).tolist() == [site]
+            y[site - 1, site - 1] = 1.0
+            assert _thin_sites(y).tolist() == [site - 1]
             reference = dense_start_smith(solver, y)
             assert (np.abs(c - reference) / reference).max() <= 16 * EPS
 
@@ -447,7 +449,7 @@ def test_thin_start_is_entrywise_accurate_against_mpmath_smith():
     pumps[3, 2, 2], pumps[3, 8, 8] = 1.0, 0.37
     assert _thin_sites(pumps[3]).tolist() == [2, 8]
     solver = DirectSolver(x)
-    stack = list(solver.solve_local([0, 5, 11], 1.0)[0]) + [solver.solve(pumps[3]).entries]
+    stack = list(solver.solve_local([1, 6, 12], 1.0)[0]) + [solver.solve(pumps[3]).entries]
     for c, y in zip(stack, pumps):
         truth = smith_steady_mp(x, y)
         assert (np.abs(c - truth) / truth).max() <= 16 * EPS
@@ -497,12 +499,15 @@ def test_overflowing_correlator_is_an_error_not_a_result():
     # C = 1e304 times the unit-pump correlator overflows; it once came back
     # non-finite with residual 0.0 and method "direct"
     _, x, _ = hn_reference_system(40)
-    with pytest.raises(EnvelopeOverflowError, match="pump 1 of the stack is not finite"):
+    # one pump is named by nothing but the solve itself, a stack by its sites
+    with pytest.raises(EnvelopeOverflowError, match="^steady correlator is not finite"):
         solve_lyapunov_direct(x, build_local_pump(40, 15, 1e304))
     # a pump at site 40 peaks at 0.63 per unit strength, at site 15 at 9.8e7
-    with pytest.raises(EnvelopeOverflowError, match="pump 2 of the stack"):
-        DirectSolver(x).solve_local([39, 14, 39], 1e304)
-    with pytest.raises(EnvelopeOverflowError, match="pump sites 3..5: .* pump 1 of"):
+    with pytest.raises(EnvelopeOverflowError,
+                       match="^steady correlator of pump site 15 is not finite"):
+        DirectSolver(x).solve_local([40, 15, 40], 1e304)
+    with pytest.raises(EnvelopeOverflowError,
+                       match="^steady correlator of pump site 3 is not finite"):
         hn_source_scan(HatanoNelsonParams(40, 1.0, 0.17, 0.91), 1e304, sites=[3, 4, 5])
     with pytest.raises(ParameterError, match="correlator contains non-finite"):
         natural_orbitals(np.diag([1.0, np.inf]))
@@ -514,7 +519,7 @@ def test_overflowing_solve_raises_without_numpy_warnings():
     x = build_hatano_nelson(HatanoNelsonParams(60, 1.0, 1e-12, 1e-3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(EnvelopeOverflowError, match="pump 1 of the stack is not finite"):
+        with pytest.raises(EnvelopeOverflowError, match="^steady correlator is not finite"):
             solve_lyapunov_direct(x, build_local_pump(60, 1, 1.0))
 
 
@@ -1065,8 +1070,8 @@ def test_real_data_gives_the_same_float64_bits_as_zero_imaginary_complex(model):
         one, one_c = solver.solve(pump), solver.solve(pump.astype(complex))
         assert one.entries.dtype == one_c.entries.dtype == np.float64
         assert np.array_equal(one.entries, one_c.entries) and one.residual == one_c.residual
-    (many, asym), (many_c, asym_c) = (DirectSolver(x).solve_local([3, 7], 0.03),
-                                      solver.solve_local([3, 7], 0.03))
+    (many, asym), (many_c, asym_c) = (DirectSolver(x).solve_local([4, 8], 0.03),
+                                      solver.solve_local([4, 8], 0.03))
     assert many.dtype == many_c.dtype == np.float64
     assert np.array_equal(many, many_c) and np.array_equal(asym, asym_c)
     assert lyapunov_residual(x, c.entries, y) == lyapunov_residual(

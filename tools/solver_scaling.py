@@ -94,7 +94,7 @@ def measure_scan(n_sites: int) -> dict:
     params = HatanoNelsonParams(n_sites, 1.0, 0.17, 0.91)
     x = build_hatano_nelson(params)
     solver = DirectSolver(x)
-    sites = np.arange(min(n_sites, max(1, SCAN_CHUNK_ENTRIES // n_sites ** 2)))
+    sites = np.arange(1, min(n_sites, max(1, SCAN_CHUNK_ENTRIES // n_sites ** 2)) + 1)
     corr, _ = solver.solve_local(sites, STRENGTH)
     return {"scan": "hn_source_scan", "n_sites": n_sites, "pumps": int(sites.size),
             "scan_s": timed(lambda: hn_source_scan(params, STRENGTH))[0],
