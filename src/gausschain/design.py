@@ -143,9 +143,9 @@ def inverse_design(relaxation, source) -> MicroscopicRealization:
 
 def _pump_profile(dim: int, pump, context: str) -> np.ndarray:
     """Site-resolved pump strengths from a scalar (uniform) or vector."""
+    if np.ndim(pump) == 0:
+        return np.full(dim, _strength(f"{context}: uniform pump strength", pump))
     y = np.asarray(pump, dtype=float)
-    if y.ndim == 0:
-        return np.full(dim, _strength(f"{context}: uniform pump strength", y))
     if y.shape != (dim,):
         raise ParameterError(f"{context}: pump profile must have length {dim}")
     if not np.all(np.isfinite(y)) or np.any(y < 0):

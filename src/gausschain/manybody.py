@@ -39,6 +39,16 @@ _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 _EYE2 = np.eye(2, dtype=complex)
 
 
+def _oracle_sites(n_sites) -> int:
+    """``n_sites`` through the count gate; ScaleError above MAX_ORACLE_SITES, whose
+    2^N x 2^N operators the oracle could not hold."""
+    n = _count("n_sites", n_sites)
+    if n > MAX_ORACLE_SITES:
+        raise ScaleError(f"oracle supports at most {MAX_ORACLE_SITES} sites, got {n}; "
+                         "use the correlator stack for larger systems")
+    return n
+
+
 class FockOperatorSet:
     """Dense Jordan-Wigner fermion operators for up to MAX_ORACLE_SITES sites.
 
@@ -49,11 +59,7 @@ class FockOperatorSet:
     """
 
     def __init__(self, n_sites: int):
-        self.n_sites = _count("n_sites", n_sites)
-        if self.n_sites > MAX_ORACLE_SITES:
-            raise ScaleError(
-                f"oracle supports at most {MAX_ORACLE_SITES} sites, got {n_sites}; "
-                "use the correlator stack for larger systems")
+        self.n_sites = _oracle_sites(n_sites)
         self.dim = 2 ** self.n_sites
         self._annihilation = tuple(self._jordan_wigner(j) for j in range(self.n_sites))
         self._pair_cache: dict[tuple[int, int], np.ndarray] = {}
@@ -197,7 +203,7 @@ class DensityMatrix:
 
     @classmethod
     def vacuum(cls, n_sites: int) -> "DensityMatrix":
-        dim = 2 ** _count("n_sites", n_sites)
+        dim = 2 ** _oracle_sites(n_sites)
         rho = np.zeros((dim, dim), dtype=complex)
         rho[0, 0] = 1.0
         return cls(rho)

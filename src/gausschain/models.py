@@ -11,8 +11,8 @@ provided: the nonreciprocal single-band chain with asymmetric hoppings
 alternating intra/intercell hoppings carrying a nonreciprocity exponent g.
 
 Site indices are 1-based in every public interface.  Every matrix the
-library takes passes matrix_entries, and every index, count and strength
-the scalar gate beside it (_positions, _count, _strength).
+library takes passes matrix_entries, and every index, count and scalar the
+gate beside it (_positions, _count, _check_finite_scalar, _strength).
 """
 
 from __future__ import annotations
@@ -75,10 +75,12 @@ def _whole(a: np.ndarray, upper) -> np.ndarray:
 def _positions(role: str, index, upper: int):
     """0-based positions of the 1-based site, cell or mode ``index``, an int or an intp
     array checked in one pass; SiteIndexError names ``role`` and the first bad value."""
-    if type(index) is int and 1 <= index <= upper:  # the common case, at Python speed
-        return index - 1
     a = np.asarray(index)
     ok = _whole(a, upper)
+    if a.ndim and not isinstance(index, np.ndarray):  # np.asarray([1, True]) is [1, 1]
+        a = np.asarray(index, dtype=object)
+        bools = [isinstance(v, (bool, np.bool_)) for v in a.flat]
+        ok &= ~np.array(bools, dtype=bool).reshape(a.shape)
     if not ok.all():
         raise SiteIndexError(f"{role} {a[~ok][0] if a.ndim else index} outside 1..{upper}")
     return a.astype(np.intp) - 1 if a.ndim else int(a) - 1
@@ -92,12 +94,21 @@ def _count(role: str, value) -> int:
     return int(a)
 
 
-def _strength(role: str, value) -> float:
-    """``value`` as a float; ParameterError naming ``role`` unless it is a number in (0, inf)."""
+def _check_finite_scalar(name: str, value) -> float:
+    """``value`` as a float; ParameterError naming ``name`` unless it is a finite real
+    number (a bool, string or array is none)."""
     a = np.asarray(value)
-    if a.ndim or a.dtype.kind not in "iuf" or not 0.0 < a < math.inf:
-        raise ParameterError(f"{role} must be finite and positive, got {value}")
+    if a.ndim or a.dtype.kind not in "iuf" or not np.isfinite(a):
+        raise ParameterError(f"{name} must be finite, got {value!r}")
     return float(a)
+
+
+def _strength(role: str, value) -> float:
+    """``value`` as a float; ParameterError naming ``role`` unless it is finite and > 0."""
+    v = _check_finite_scalar(role, value)
+    if v <= 0:
+        raise ParameterError(f"{role} must be positive, got {v}")
+    return v
 
 
 def _frozen_array(m: np.ndarray) -> np.ndarray:
@@ -164,13 +175,6 @@ class SourceMatrix(_GatedMatrix):
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-
-def _check_finite_scalar(name: str, v: float) -> float:
-    v = float(v)
-    if not math.isfinite(v):
-        raise ParameterError(f"{name} must be finite, got {v!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -258,7 +262,11 @@ def build_hatano_nelson(params: HatanoNelsonParams) -> RelaxationMatrix:
 
 
 def ssh_labels(n_cells: int) -> tuple[str, ...]:
-    return tuple(f"{cell}{s}" for cell in range(1, _count("n_cells", n_cells) + 1) for s in "AB")
+    out = []
+    for cell in range(1, _count("n_cells", n_cells) + 1):
+        out.append(f"{cell}A")
+        out.append(f"{cell}B")
+    return tuple(out)
 
 
 def ssh_index(cell: int, sublattice: str, n_cells: int) -> int:

@@ -395,9 +395,11 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
     first pump site named in the message, an overflowing correlator with
     its own pump site (DirectSolver.solve_local).
     """
-    n, strength = params.n_sites, _strength("pump strength", pump_strength)
-    sites = np.arange(1, n + 1) if sites is None else np.ravel(sites)
-    positions = _positions("pump site", sites, n)
+    n = params.n_sites
+    strength = _strength("pump strength", pump_strength)
+    sites = np.arange(1, n + 1) if sites is None else sites
+    positions = np.ravel(_positions("pump site", sites, n))
+    sites = positions + 1
     if positions.size == 0:
         raise ParameterError("source scan needs at least one pump site")
     x = build_hatano_nelson(params)
@@ -415,7 +417,7 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
     for first in range(0, positions.size, chunk):
         corr, _ = solver.solve_local(sites[first:first + chunk], strength)
         nu[first:first + chunk] = _top_occupations(corr)
-    return SourceScan(positions + 1, nu, a1, nu / nu.max(), a1 / a1.max())
+    return SourceScan(sites, nu, a1, nu / nu.max(), a1 / a1.max())
 
 
 def _top_occupations(stack: np.ndarray) -> np.ndarray:

@@ -366,8 +366,9 @@ class DirectSolver:
         built, but the doubling holds a few P N^2 arrays: callers bound P.
         EnvelopeOverflowError names the first pump site whose C is not finite.
         """
-        n, strength = self.x.shape[0], _strength("pump strength", strength)
-        positions = _positions("pump site", np.ravel(sites), n)
+        n = self.x.shape[0]
+        strength = _strength("pump strength", strength)
+        positions = np.ravel(_positions("pump site", sites, n))
         with np.errstate(over="ignore", invalid="ignore"):  # checked in _settle
             if self._powers is None:
                 c = np.stack([solve_schur(self.x, np.diag(np.eye(n)[s])) for s in positions])
@@ -621,7 +622,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
 def _sample_grid(t_final: float, dt: float, stride: int) -> tuple[np.ndarray, list[float]]:
     """Sample times ``dt * stride`` apart from 0 and the last at ``t_final``,
     with the interval that ends at each sample after the first."""
-    dt, stride = _strength("dt", dt), _count("stride", stride)
+    dt = _strength("dt", dt)
+    stride = _count("stride", stride)
     if t_final < 0 or not np.isfinite(t_final):
         raise ParameterError(f"t_final must be >= 0, got {t_final}")
     n_steps = int(np.ceil(t_final / dt - 1e-12)) if t_final > 0 else 0

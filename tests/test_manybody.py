@@ -468,6 +468,12 @@ class TestSteadyStateOracle:
             evolve_master(DensityMatrix.vacuum(7), np.zeros((7, 7)), jumps,
                           t_final=0.1, dt=0.01)
 
+    def test_vacuum_above_the_oracle_cap_is_a_scale_error(self):
+        # vacuum(40) once leaked numpy's raw ValueError after trying a 2^40 x 2^40 matrix
+        for n in (MAX_ORACLE_SITES + 1, 40):
+            with pytest.raises(ScaleError, match=f"at most 6 sites, got {n};"):
+                DensityMatrix.vacuum(n)
+
     def test_hamiltonian_is_checked_against_the_jump_set_first(self):
         # a 2x2 h for three sites once reached eigvals as a raw numpy ValueError
         _, _, jumps, _ = hn_system(3)

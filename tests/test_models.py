@@ -286,9 +286,10 @@ def test_every_matrix_entry_point_refuses_an_empty_matrix_by_role(entry):
 def gated_scalars():
     """Entry point -> (kind, role its error names, valid value, call on one value).
 
-    Every index, count and strength a call takes passes the scalar gate of
-    models (_positions, _count, _strength).  An "index" lies in 1..3 here:
-    every chain below has three sites, cells or modes.
+    Every index, count, strength and other real parameter a call takes passes
+    the scalar gate of models (_positions, _count, _strength,
+    _check_finite_scalar).  An "index" lies in 1..3 here: every chain below
+    has three sites, cells or modes.
     """
     params = HatanoNelsonParams(3, 1.0, 0.17, 1.5)
     ssh = SshParams(3, 0.5, 1.0, 0.0, 1.5)
@@ -357,13 +358,20 @@ def gated_scalars():
         "ssh_jump_decomposition gamma": ("strength",
                                          "two-band decomposition: uniform pump strength", 0.1,
                                          lambda g: ssh_jump_decomposition(wide_gap, g)),
+        # other real parameters -> ParameterError
+        "HatanoNelsonParams t_left": ("finite", "t_left", 0.17,
+                                      lambda t: HatanoNelsonParams(3, 1.0, t, 1.5)),
+        "SshParams g": ("finite", "g", 0.0, lambda g: SshParams(3, 0.5, 1.0, g, 1.5)),
+        "identify_edge_candidate kappa": ("finite", "kappa", 1.5,
+                                          lambda k: identify_edge_candidate(spectrum, k)),
     }
 
 
 BAD_SCALARS = {
     "index": [0, 4, 2.5, math.nan, math.inf, -math.inf, True],
     "count": [0, 2.5, math.nan, math.inf, True],
-    "strength": [0.0, -1.0, math.nan, math.inf],
+    "strength": [0.0, -1.0, math.nan, math.inf, True, "abc"],
+    "finite": [math.nan, math.inf, -math.inf, True, "abc"],
 }
 
 
@@ -379,35 +387,35 @@ def test_every_scalar_entry_point_refuses_a_bad_value_by_role(entry, bad):
     # ValueError, OverflowError or TypeError from many of these, and some
     # returned a wrong answer: FockOperatorSet(2.5) built a 2-site set,
     # annihilation(0) gave site 3's operator, and build_local_pump(3, True,
-    # 0.1) pumped site 1.
+    # 0.1) pumped site 1.  float() took True as 1.0 and leaked a raw
+    # ValueError for "abc", and a NaN kappa gave mode 1 with used_fallback.
     kind, role, good, call = gated_scalars()[entry]
     call(good)
     if kind == "index":
         error, message = SiteIndexError, f"{role} {bad} outside 1..3"
     elif kind == "count":
         error, message = ParameterError, f"{role} must be a positive integer, got {bad!r}"
+    elif kind == "strength" and isinstance(bad, float) and math.isfinite(bad):
+        error, message = ParameterError, f"{role} must be positive, got {bad}"
     else:
-        error, message = ParameterError, f"{role} must be finite and positive, got {bad}"
+        error, message = ParameterError, f"{role} must be finite, got {bad!r}"
     with pytest.raises(error, match=re.escape(message) + "$"):
         call(bad)
 
 
 def test_array_indices_are_checked_in_one_pass_naming_the_first_bad_one():
     params = HatanoNelsonParams(10, 1.0, 0.17, 0.91)
+    solver = DirectSolver(build_hatano_nelson(params))
+    # np.asarray([1, True]) is [1, 1]: a bool in a list once pumped site 1 twice
     for sites, bad in [([1, 2.5, 11], "2.5"), ([3, 11, 0], "11"), (np.array([True]), "True"),
-                       (np.array([4.0, np.nan]), "nan")]:
+                       (np.array([4.0, np.nan]), "nan"), ([1, True], "True"),
+                       ((2, np.True_), "True")]:
         with pytest.raises(SiteIndexError, match=f"^pump site {bad} outside 1..10$"):
             hn_source_scan(params, 0.03, sites=sites)
+        with pytest.raises(SiteIndexError, match=f"^pump site {bad} outside 1..10$"):
+            solver.solve_local(sites, 0.03)
     scan = hn_source_scan(params, 0.03, sites=np.array([2.0, 10.0]))
     assert scan.sites.tolist() == [2, 10] and scan.sites.dtype.kind == "i"
-
-
-def test_edge_candidate_refuses_a_non_finite_kappa():
-    # a NaN kappa once returned mode 1 with used_fallback
-    spectrum = biorthogonal_decompose(build_hatano_nelson(HatanoNelsonParams(3, 1.0, 0.17, 1.5)))
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ParameterError, match=f"^kappa must be finite, got {bad}$"):
-            identify_edge_candidate(spectrum, bad)
 
 
 def test_site_index_error_is_raised_only_by_the_models_gate():
