@@ -19,11 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibilityError, ParameterError, ValidationError
-from .models import (HatanoNelsonParams, RelaxationMatrix, SourceMatrix, SshParams, _strength,
-                     default_labels, ssh_labels)
-
-# Loss grams with min eigenvalue above this are reported as physical.
-PHYSICALITY_TOL = 1e-10
+from .models import (HatanoNelsonParams, RelaxationMatrix, SourceMatrix, SshParams, _psd,
+                     _strength, default_labels, ssh_labels)
 
 # Relative slack on the feasibility conditions, so exact boundary cases
 # (vanishing interior weights) are accepted and tiny negative squared
@@ -97,9 +94,9 @@ class JumpSet:
 class MicroscopicRealization:
     """Formal (h, gain gram, loss gram) split of a target (X, Y) pair.
 
-    ``physical`` records whether the loss gram is positive semidefinite
-    within tolerance; an unphysical split is still a valid formal
-    solution and is returned rather than rejected.
+    ``physical`` records whether the loss gram passes the PSD rule of
+    models (_psd, PSD_TOL of its largest |eigenvalue|); an unphysical split
+    is still a valid formal solution and is returned rather than rejected.
     """
 
     hamiltonian: np.ndarray
@@ -119,9 +116,8 @@ def inverse_design(relaxation, source) -> MicroscopicRealization:
 
     X and Y are checked as a RelaxationMatrix and a SourceMatrix: both
     finite, Y Hermitian positive semidefinite (it becomes the gain gram
-    verbatim).  The loss gram inherits whatever X + X^dag - Y is; its
-    minimum eigenvalue and the resulting physicality flag are reported,
-    not enforced.
+    verbatim).  The loss gram X + X^dag - Y, exactly Hermitian since Y is, has
+    its minimum eigenvalue and PSD verdict (_psd, PSD_TOL) reported, not enforced.
     """
     x = RelaxationMatrix(relaxation).entries
     y = SourceMatrix(source).entries
@@ -129,15 +125,14 @@ def inverse_design(relaxation, source) -> MicroscopicRealization:
         raise ParameterError(f"source shape {y.shape} does not match target {x.shape}")
     h = (x - x.conj().T) / 2j
     loss = x + x.conj().T - y
-    loss = 0.5 * (loss + loss.conj().T)
-    wmin = float(np.linalg.eigvalsh(loss).min())
+    wmin, limit = _psd(loss)
     return MicroscopicRealization(
         hamiltonian=h,
         gain_gram=y,
         loss_gram=loss,
         target_relaxation=x,
         loss_min_eigenvalue=wmin,
-        physical=wmin >= -PHYSICALITY_TOL,
+        physical=wmin >= limit,
     )
 
 
@@ -266,11 +261,12 @@ def validate_jump_set(jumps: JumpSet, realization: MicroscopicRealization,
         raise ParameterError("jump set and realization dimensions differ")
     checks = {}
     worst = ("", 0, 0, -1.0)
+    loss, gain = jumps.loss_gram(), jumps.gain_gram()
     for name, got, want in (
-        ("loss_gram", jumps.loss_gram(), realization.loss_gram),
-        ("gain_gram", jumps.gain_gram(), realization.gain_gram),
-        ("relaxation", 1j * realization.hamiltonian
-         + 0.5 * (jumps.loss_gram() + jumps.gain_gram()), realization.target_relaxation),
+        ("loss_gram", loss, realization.loss_gram),
+        ("gain_gram", gain, realization.gain_gram),
+        ("relaxation", 1j * realization.hamiltonian + 0.5 * (loss + gain),
+         realization.target_relaxation),
     ):
         dev = np.abs(got - want)
         err = float(dev.max())

@@ -27,7 +27,7 @@ import numpy as np
 
 from .design import JumpSet
 from .errors import ParameterError, ScaleError, StabilityError
-from .models import _count, _positions, matrix_entries
+from .models import _count, _hermitian, _positions, matrix_entries
 from .steady import _expm, _sample_grid
 
 # widest charge block C(2N, N) is 924 here (seconds); 3432 at 7 sites (2 min, 1.2 GB)
@@ -62,7 +62,9 @@ class FockOperatorSet:
         self.n_sites = _oracle_sites(n_sites)
         self.dim = 2 ** self.n_sites
         self._annihilation = tuple(self._jordan_wigner(j) for j in range(self.n_sites))
-        self._pair_cache: dict[tuple[int, int], np.ndarray] = {}
+        # [i][j] is c_i^dag c_j (0-based), built at once since the trace tables read each
+        self._pairs = tuple(tuple(a.conj().T @ b for b in self._annihilation)
+                            for a in self._annihilation)
         self._trace_cols, self._trace_signs = self._trace_tables()
 
     def _jordan_wigner(self, position: int) -> np.ndarray:
@@ -85,7 +87,7 @@ class FockOperatorSet:
         signs = np.zeros((n, n, dim))
         for i in range(n):
             for j in range(n):
-                p = self.pair_product(j + 1, i + 1)
+                p = self._pairs[j][i]
                 cols[i, j] = (p != 0).argmax(axis=0)
                 signs[i, j] = p[cols[i, j], np.arange(dim)].real
         cols.flags.writeable = signs.flags.writeable = False
@@ -101,11 +103,8 @@ class FockOperatorSet:
 
     def pair_product(self, i: int, j: int) -> np.ndarray:
         """c_i^dag c_j, 1-based, cached."""
-        key = (_positions("site i", i, self.n_sites), _positions("site j", j, self.n_sites))
-        if key not in self._pair_cache:
-            left, right = (self._annihilation[k] for k in key)
-            self._pair_cache[key] = left.conj().T @ right
-        return self._pair_cache[key]
+        i, j = _positions("site i", i, self.n_sites), _positions("site j", j, self.n_sites)
+        return self._pairs[i][j]
 
     def one_body_operator(self, coefficients) -> np.ndarray:
         """sum_ij M_ij c_i^dag c_j as a full Fock-space matrix."""
@@ -114,10 +113,10 @@ class FockOperatorSet:
             raise ParameterError(
                 f"coefficient matrix must be {self.n_sites}x{self.n_sites}, got {m.shape}")
         op = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(1, self.n_sites + 1):
-            for j in range(1, self.n_sites + 1):
-                if m[i - 1, j - 1] != 0:
-                    op += m[i - 1, j - 1] * self.pair_product(i, j)
+        for i in range(self.n_sites):
+            for j in range(self.n_sites):
+                if m[i, j] != 0:
+                    op += m[i, j] * self._pairs[i][j]
         return op
 
     def loss_operator(self, vector) -> np.ndarray:
@@ -221,14 +220,12 @@ class MasterTrajectory:
 
 
 def _liouvillian_parts(ops: FockOperatorSet, h, jumps: JumpSet):
-    """(K, jump operators) with K = -iH - (1/2) sum L^dag L; h passes models.matrix_entries."""
+    """(K, jump operators, h), K = -iH - (1/2) sum L^dag L; h passes _hermitian (HERMITIAN_RTOL)."""
     hmat = matrix_entries(h, "one-body Hamiltonian")
     if hmat.shape != (ops.n_sites, ops.n_sites):
         raise ParameterError(
             f"one-body Hamiltonian must be {ops.n_sites}x{ops.n_sites}, got {hmat.shape}")
-    herm = float(np.abs(hmat - hmat.conj().T).max())
-    if herm > 1e-12:
-        raise ParameterError(f"Hamiltonian must be Hermitian: max deviation {herm:.3e}")
+    hmat = _hermitian(hmat, "one-body Hamiltonian")
     if jumps.dim != ops.n_sites:
         raise ParameterError(f"jump set dim {jumps.dim} != n_sites {ops.n_sites}")
     big_h = ops.one_body_operator(hmat)
@@ -237,7 +234,7 @@ def _liouvillian_parts(ops: FockOperatorSet, h, jumps: JumpSet):
     k = -1j * big_h
     for op in ls:
         k -= 0.5 * (op.conj().T @ op)
-    return k, ls
+    return k, ls, hmat
 
 
 def _charge_blocks(ops: FockOperatorSet) -> dict:
@@ -280,7 +277,7 @@ def evolve_master(rho0: DensityMatrix, h, jumps: JumpSet, t_final: float,
     """
     times, intervals = _sample_grid(t_final, dt, stride)
     ops = operator_set(rho0.n_sites)
-    k, ls = _liouvillian_parts(ops, h, jumps)
+    k, ls, _ = _liouvillian_parts(ops, h, jumps)
 
     # blocks that rho0 leaves empty stay empty
     blocks = [b for b in _charge_blocks(ops).values() if rho0.entries[b].any()]
@@ -321,8 +318,7 @@ def steady_state_oracle(h, jumps: JumpSet, t_max: float | None = None) -> Densit
     the solver it checks.  ``t_max`` is ignored.
     """
     ops = operator_set(jumps.dim)
-    k, ls = _liouvillian_parts(ops, h, jumps)
-    hmat = np.asarray(h, dtype=complex)
+    k, ls, hmat = _liouvillian_parts(ops, h, jumps)
     x = 1j * hmat + 0.5 * (np.asarray(jumps.loss_gram()) + np.asarray(jumps.gain_gram()))
     min_rate = float(np.linalg.eigvals(x).real.min())
     if min_rate <= 0:

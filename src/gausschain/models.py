@@ -12,19 +12,21 @@ alternating intra/intercell hoppings carrying a nonreciprocity exponent g.
 
 Site indices are 1-based in every public interface.  Every matrix the
 library takes passes matrix_entries, and every index, count and scalar the
-gate beside it (_positions, _count, _check_finite_scalar, _strength).
+gate beside it (_positions, _count, _check_finite_scalar, _strength).  One
+rule judges a matrix Hermitian (_hermitian, HERMITIAN_RTOL) and one PSD
+(_psd, PSD_TOL), each relative to the matrix's own scale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError, SiteIndexError
 
-HERMITICITY_TOL = 1e-12
+HERMITIAN_RTOL = 1e-12
 PSD_TOL = 1e-12
 
 
@@ -63,6 +65,29 @@ def matrix_entries(obj, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise ParameterError(f"{name} contains non-finite entries")
     return m
+
+
+def _hermitian(m: np.ndarray, role: str) -> np.ndarray:
+    """``m`` itself when exactly Hermitian, (M + M^dag) / 2 when its defect
+    max |M - M^dag| is at most HERMITIAN_RTOL max |M|; else ParameterError
+    naming ``role``, the defect and the peak."""
+    adjoint = m.conj().T
+    if np.array_equal(m, adjoint):  # every builder's Y and solver's C: no N^2 temporaries
+        return m
+    defect, peak = float(np.abs(m - adjoint).max()), float(np.abs(m).max())
+    if defect > HERMITIAN_RTOL * peak:
+        raise ParameterError(
+            f"{role} not Hermitian: max |M - M^dag| = {defect:.3e} at peak {peak:.3e}")
+    return 0.5 * (m + adjoint)
+
+
+def _psd(m: np.ndarray) -> tuple[float, float]:
+    """(least eigenvalue, limit) of the Hermitian ``m``: it is positive semidefinite
+    when the least eigenvalue is at least the limit -PSD_TOL max |eigenvalue|."""
+    diag = np.diagonal(m).real
+    # A diagonal matrix (every chain pump) has its entries as eigenvalues.
+    w = diag if np.count_nonzero(m) == np.count_nonzero(diag) else np.linalg.eigvalsh(m)
+    return float(w.min()), -PSD_TOL * float(np.abs(w).max())
 
 
 def _whole(a: np.ndarray, upper) -> np.ndarray:
@@ -143,29 +168,20 @@ class RelaxationMatrix(_GatedMatrix):
 
 @dataclass(frozen=True)
 class SourceMatrix(_GatedMatrix):
-    """Hermitian positive semidefinite pump matrix Y; real Y is float64."""
+    """Hermitian (_hermitian, HERMITIAN_RTOL) positive semidefinite (_psd, PSD_TOL) pump
+    matrix Y; real Y is float64.  ``_psd`` keeps the least eigenvalue and its limit."""
 
     entries: np.ndarray
     labels: tuple[str, ...] = ()
+    _psd: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = matrix_entries(self.entries, "source matrix")
-        # Every builder's pump is exactly Hermitian: one comparison, no
-        # defect or symmetrization sweep over N^2 temporaries.
-        exact = np.array_equal(m, m.conj().T)
-        herm = 0.0 if exact else np.abs(m - m.conj().T).max()
-        if herm > HERMITICITY_TOL:
-            raise ParameterError(f"source matrix not Hermitian: max |Y - Y^dag| = {herm:.3e}")
-        if not exact:
-            m = 0.5 * (m + m.conj().T)
-        diag = np.diagonal(m).real
-        # A diagonal Y (every chain pump) has its entries as eigenvalues.
-        w = diag if np.count_nonzero(m) == np.count_nonzero(diag) else np.linalg.eigvalsh(m)
-        wmin, wmax = float(w.min()), float(w.max())
-        # PSD up to rounding, relative to the largest eigenvalue.
-        if wmin < -PSD_TOL * wmax:
+        m = _hermitian(matrix_entries(self.entries, "source matrix"), "source matrix")
+        wmin, limit = _psd(m)
+        if wmin < limit:
             raise ParameterError(
                 f"source matrix not positive semidefinite: min eigenvalue {wmin:.3e}")
+        object.__setattr__(self, "_psd", (wmin, limit))
         labels = tuple(self.labels) if self.labels else default_labels(m.shape[0])
         if len(labels) != m.shape[0]:
             raise ParameterError("label count does not match matrix dimension")
@@ -315,7 +331,4 @@ def build_diagonal_pump(values) -> SourceMatrix:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ParameterError("diagonal pump requires a 1d vector of strengths")
-    if np.any(v < 0):
-        j = int(np.argmin(v))
-        raise ParameterError(f"diagonal pump entry {j + 1} is negative ({v[j]})")
     return SourceMatrix(np.diag(v))

@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GausschainError, NormalizationError, ParameterError
-from .models import (HatanoNelsonParams, SshParams, _check_finite_scalar, _positions, _strength,
-                     build_hatano_nelson, build_local_pump, build_ssh, matrix_entries,
+from .models import (HatanoNelsonParams, SshParams, _check_finite_scalar, _hermitian, _positions,
+                     _strength, build_hatano_nelson, build_local_pump, build_ssh, matrix_entries,
                      ssh_index)
 from .spectral import (BiorthogonalSpectrum, ModeVector, _gauge_columns, _pump_loadings,
                        _unit_columns, biorthogonal_decompose, hn_analytic_spectrum,
@@ -152,6 +152,7 @@ class NaturalOrbitalSet:
 def natural_orbitals(correlator) -> NaturalOrbitalSet:
     """The resolved natural orbitals of a Hermitian PSD correlator, most occupied first.
 
+    C passes the Hermitian rule of models (_hermitian, HERMITIAN_RTOL).
     C is scaled by a power of two to unit peak (exact, and no norm or
     square overflows).  The start block is the _START_BLOCK columns of C
     with the largest diagonal entries; it is orthonormalized (QR) and
@@ -177,12 +178,7 @@ def natural_orbitals(correlator) -> NaturalOrbitalSet:
     exported profiles are reproducible; real correlators, as every chain
     correlator is, are diagonalized in real arithmetic.
     """
-    c = matrix_entries(correlator, "correlator")
-    if not np.array_equal(c, c.conj().T):
-        scale = max(1.0, float(np.abs(c).max()))
-        if np.abs(c - c.conj().T).max() > 1e-10 * scale:
-            raise ParameterError("correlator is not Hermitian; refusing to diagonalize")
-        c = 0.5 * (c + c.conj().T)
+    c = _hermitian(matrix_entries(correlator, "correlator"), "correlator")
     n = c.shape[0]
     # the exponent is capped so that a subnormal peak gets a finite factor
     unit = 2.0 ** -max(int(np.frexp(np.abs(c).max())[1]), -1000)

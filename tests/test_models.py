@@ -1,6 +1,7 @@
 """Builders for the chain matrices and pump terms."""
 
 import ast
+import json
 import math
 import os
 import re
@@ -162,7 +163,7 @@ def test_source_matrix_validation():
 
 def test_source_matrix_symmetrizes_only_inexact_input():
     # An exactly Hermitian Y is stored as given, in a frozen copy; one
-    # within HERMITICITY_TOL is stored as (Y + Y^dag) / 2.
+    # within HERMITIAN_RTOL of its peak is stored as (Y + Y^dag) / 2.
     y = np.array([[1.0, 0.25 - 0.5j], [0.25 + 0.5j, 2.0]])
     src = SourceMatrix(y)
     assert np.array_equal(src.entries, y) and not src.entries.flags.writeable
@@ -171,7 +172,7 @@ def test_source_matrix_symmetrizes_only_inexact_input():
     noisy = y.copy()
     noisy[0, 1] += 4e-13
     assert np.array_equal(SourceMatrix(noisy).entries, 0.5 * (noisy + noisy.conj().T))
-    noisy[0, 1] += 2e-12
+    noisy[0, 1] += 6e-12  # 6.4e-12 of defect at peak 5.0 is above 5e-12
     with pytest.raises(ParameterError, match="not Hermitian"):
         SourceMatrix(noisy)
     for bad in (np.nan, complex(0.0, np.inf)):
@@ -430,3 +431,157 @@ def test_site_index_error_is_raised_only_by_the_models_gate():
                    and node.func.id == "SiteIndexError" for node in ast.walk(tree)):
                 raisers.add(name)
     assert raisers == {"models.py"}
+
+
+HERMITIAN_SCALES = (1e-12, 1.0, 1e8)
+HERMITIAN_ENTRIES = ("SourceMatrix", "natural_orbitals", "evolve_master", "steady_state_oracle",
+                     "inverse_design", "validate")
+
+
+def motivation_pair():
+    """(X, Y) of the 6-site chain (t_left 0.17, kappa 1.3) with a dense positive definite
+    pump Y of peak 1.2e5, 0.4 ulp of its peak away from Hermitian."""
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((6, 6))
+    d = np.diag(rng.uniform(1, 2, 6))
+    x = build_hatano_nelson(HatanoNelsonParams(6, 1.0, 0.17, 1.3))
+    return matrix_entries(x), (1e4 * m @ d) @ m.T
+
+
+def validate_source_check(tmp_path, x, y):
+    """(value, limit) of validate's source_hermitian_psd entry for (X, Y), or a
+    ParameterError carrying its detail when the entry fails."""
+    from gausschain.cli import main
+    from gausschain.matio import write_matrix
+
+    labels = default_labels(x.shape[0])
+    write_matrix(str(tmp_path / "x.json"), x, labels)
+    write_matrix(str(tmp_path / "y.json"), y, labels)
+    main(["validate", "--x-file", str(tmp_path / "x.json"), "--y-file",
+          str(tmp_path / "y.json"), "--out", str(tmp_path)])
+    with open(tmp_path / "validate.json", encoding="utf-8") as fh:
+        check = json.load(fh)["checks"][0]
+    assert check["name"] == "source_hermitian_psd"
+    if not check["passed"]:
+        raise ParameterError(check["detail"])
+    return check["value"], check["limit"]
+
+
+def hermitian_entries(tmp_path, scale):
+    """Entry point -> (role the Hermitian rule names, exactly Hermitian matrix at
+    ``scale``, call on one matrix returning a tuple of what it computed from it).
+
+    The jump rates are scaled with the one-body Hamiltonian and the times by
+    1/scale, so the oracle runs the same dynamics at every scale.
+    """
+    from gausschain.design import JumpSet, JumpVector
+
+    params = HatanoNelsonParams(3, 1.0, 0.17, 1.5)
+    x = scale * matrix_entries(build_hatano_nelson(params))
+    y = scale * np.array([[0.1, 0.05, 0.02], [0.05, 0.1, 0.05], [0.02, 0.05, 0.1]])
+    c = solve_lyapunov_direct(x, y).entries
+    h = inverse_design(x, y).hamiltonian
+    unit = hn_jump_decomposition(params, 0.1)
+
+    def scaled(vectors):
+        return tuple(JumpVector(v.label, v.kind, math.sqrt(scale) * v.vector) for v in vectors)
+
+    jumps = JumpSet(3, scaled(unit.loss_vectors), scaled(unit.gain_vectors))
+
+    def orbitals(m):
+        orbs = natural_orbitals(m)
+        return orbs.occupations, orbs.orbitals, orbs.occupation_floor
+
+    def design(m):
+        r = inverse_design(x, m)
+        return r.gain_gram, r.loss_gram, r.loss_min_eigenvalue, r.physical
+
+    def evolve(m):
+        return (evolve_master(DensityMatrix.vacuum(3), m, jumps, 1.0 / scale,
+                              0.5 / scale).states[-1].entries,)
+
+    return {
+        "SourceMatrix": ("source matrix", y, lambda m: (SourceMatrix(m).entries,)),
+        "natural_orbitals": ("correlator", c, orbitals),
+        "evolve_master": ("one-body Hamiltonian", h, evolve),
+        "steady_state_oracle": ("one-body Hamiltonian", h,
+                                lambda m: (steady_state_oracle(m, jumps).entries,)),
+        "inverse_design": ("source matrix", y, design),
+        "validate": ("source matrix", y, lambda m: validate_source_check(tmp_path, x, m)),
+    }
+
+
+def hermitian_rule_rows():
+    rows = [(entry, scale, case) for entry in HERMITIAN_ENTRIES for scale in HERMITIAN_SCALES
+            for case in ("exact", "few ulps", "1e-6 of peak")]
+    rows += [("inverse_design", scale, "loss Gram -0.6 %") for scale in HERMITIAN_SCALES]
+    rows += [("SourceMatrix", 2e-12, "45 % asymmetric"),
+             ("natural_orbitals", 1e-8, "0.9 % asymmetric"),
+             ("validate", 1.2e5, "0.4 ulp asymmetric"),
+             ("inverse_design", 1.2e5, "0.4 ulp asymmetric")]
+    return rows
+
+
+@pytest.mark.parametrize("entry, scale, case", hermitian_rule_rows())
+def test_one_hermitian_and_psd_rule_relative_to_each_matrix_scale(monkeypatch, tmp_path,
+                                                                   entry, scale, case):
+    # Four hand-written rules, three of them absolute, once judged Y, C, h and
+    # the loss Gram: a 1e-6 defect at peak 1e-12 passed, a few ulps at 1e8
+    # (and 0.4 ulp of the 6-site pump, peak 1.2e5) were refused, and the
+    # -0.6 % loss Gram scaled by 1e-12 was reported physical.
+    import gausschain.manybody
+    import gausschain.models
+    import gausschain.orbitals
+
+    if case == "loss Gram -0.6 %":
+        # 3 sites, t_left 0.17, gamma 0.1, kappa 0.01 below the physical edge
+        edge = (0.1 + 2 * 1.17 * math.cos(math.pi / 4)) / 2
+        x = build_hatano_nelson(HatanoNelsonParams(3, 1.0, 0.17, edge - 0.01)).entries
+        r = inverse_design(scale * x, scale * 0.1 * np.eye(3))
+        w = np.linalg.eigvalsh(r.loss_gram)
+        assert w[0] / w[-1] == pytest.approx(-0.00608, rel=1e-3)
+        assert r.physical is False and r.loss_min_eigenvalue == w[0]
+        return
+    role, m, call = hermitian_entries(tmp_path, scale if scale in HERMITIAN_SCALES else 1.0)[entry]
+    if case == "45 % asymmetric":
+        m = np.array([[2e-12, 9e-13], [0.0, 2e-12]])
+    elif case == "0.9 % asymmetric":
+        m = np.array([[1e-8, 9e-11], [0.0, 1e-8]])
+    elif case == "0.4 ulp asymmetric":
+        x, m = motivation_pair()
+        call = {"validate": lambda y: validate_source_check(tmp_path, x, y),
+                "inverse_design": lambda y: (inverse_design(x, y).gain_gram,)}[entry]
+    else:
+        m = np.array(m)
+        peak = np.abs(m).max()
+        m[0, 1] += {"exact": 0.0, "few ulps": 3 * np.spacing(peak),
+                    "1e-6 of peak": 1e-6 * peak}[case]
+    defect = np.abs(m - m.conj().T).max()
+    if case in ("1e-6 of peak", "45 % asymmetric", "0.9 % asymmetric"):
+        message = f"{role} not Hermitian: max |M - M^dag| = {defect:.3e} at peak"
+        with pytest.raises(ParameterError, match="^" + re.escape(message)):
+            call(m)
+        return
+
+    # the rule's first call is on the input; validate may judge the stored Y again
+    rule, seen = gausschain.models._hermitian, []
+
+    def spy(matrix, name):
+        out = rule(matrix, name)
+        if name == role:
+            seen.append((matrix, out))
+        return out
+
+    for module in (gausschain.models, gausschain.orbitals, gausschain.manybody):
+        monkeypatch.setattr(module, "_hermitian", spy)
+    got = call(m)
+    arg, out = seen[0]
+    if case == "exact":
+        assert out is arg
+        assert entry != "SourceMatrix" or np.array_equal(got[0], m)
+        assert entry != "inverse_design" or got[3] is True
+    else:
+        # accepted and symmetrized: the same bits as the symmetrized input gives
+        symmetric = 0.5 * (m + m.conj().T)
+        assert out is not arg and np.array_equal(out, symmetric)
+        assert all(np.array_equal(a, b) for a, b in zip(got, call(symmetric), strict=True))
