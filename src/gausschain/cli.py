@@ -27,7 +27,7 @@ from .errors import (GausschainError, InfeasibilityError, ParameterError,
                      ValidationError)
 from .matio import (dumps_json, ensure_dir, read_json, read_matrix, write_csv,
                     write_json)
-from .models import (HatanoNelsonParams, SourceMatrix, SshParams, build_diagonal_pump,
+from .models import (HatanoNelsonParams, SourceMatrix, SshParams, _count, build_diagonal_pump,
                      build_hatano_nelson, build_local_pump, build_ssh, default_labels,
                      matrix_entries, ssh_index, ssh_labels)
 
@@ -337,10 +337,8 @@ def cmd_ssh_profiles(cfg: dict) -> None:
 def cmd_ssh_crossover(cfg: dict) -> None:
     from .orbitals import CROSSOVER_HEADER, ssh_crossover_scan
 
-    if cfg["g_points"] < 1:
-        raise ParameterError(f"g_points must be >= 1, got {cfg['g_points']}")
+    grid = np.linspace(cfg["g_min"], cfg["g_max"], _count("g_points", cfg["g_points"]))
     params = _ssh_params(cfg, g=0.0)
-    grid = np.linspace(cfg["g_min"], cfg["g_max"], cfg["g_points"])
     scan = ssh_crossover_scan(params, cfg["pump_cell"], cfg["pump_sublattice"],
                               cfg["pump_strength"], g_values=grid)
     csv_path, json_path = _out_paths(cfg)

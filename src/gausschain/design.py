@@ -8,8 +8,8 @@ splits into a Hamiltonian and two jump Gram matrices,
 and the pair is physical precisely when the loss gram is positive
 semidefinite.  For the two chain families this module also produces
 explicit local jump operators (nearest-neighbor loss bonds, onsite
-losses, onsite pumps) whose Grams rebuild the target exactly, gated by
-the closed-form feasibility conditions on the residual onsite weights.
+losses, onsite pumps) whose Grams rebuild the target exactly, gated by one
+rule: each onsite squared weight is at least -PSD_TOL times the target's peak.
 """
 
 from __future__ import annotations
@@ -19,13 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibilityError, ParameterError, ValidationError
-from .models import (HatanoNelsonParams, RelaxationMatrix, SourceMatrix, SshParams, _psd,
-                     _strength, default_labels, ssh_labels)
-
-# Relative slack on the feasibility conditions, so exact boundary cases
-# (vanishing interior weights) are accepted and tiny negative squared
-# weights are clamped to zero.
-FEASIBILITY_RTOL = 1e-8
+from .models import (PSD_TOL, HatanoNelsonParams, SourceMatrix, SshParams, _psd, _strength,
+                     default_labels, matrix_entries, ssh_labels)
 
 
 @dataclass(frozen=True)
@@ -114,13 +109,14 @@ class MicroscopicRealization:
 def inverse_design(relaxation, source) -> MicroscopicRealization:
     """Split a target (X, Y) into Hamiltonian and gain/loss Grams.
 
-    X and Y are checked as a RelaxationMatrix and a SourceMatrix: both
-    finite, Y Hermitian positive semidefinite (it becomes the gain gram
-    verbatim).  The loss gram X + X^dag - Y, exactly Hermitian since Y is, has
-    its minimum eigenvalue and PSD verdict (_psd, PSD_TOL) reported, not enforced.
+    X passes matrix_entries and Y is judged once as a SourceMatrix (a
+    SourceMatrix handed in already was): both finite, Y Hermitian positive
+    semidefinite (it becomes the gain gram verbatim).  The loss gram
+    X + X^dag - Y, exactly Hermitian since Y is, has its minimum eigenvalue
+    and PSD verdict (_psd, PSD_TOL) reported, not enforced.
     """
-    x = RelaxationMatrix(relaxation).entries
-    y = SourceMatrix(source).entries
+    x = matrix_entries(relaxation, "relaxation matrix")
+    y = (source if isinstance(source, SourceMatrix) else SourceMatrix(source)).entries
     if y.shape != x.shape:
         raise ParameterError(f"source shape {y.shape} does not match target {x.shape}")
     h = (x - x.conj().T) / 2j
@@ -155,23 +151,32 @@ def _chain_jumps(labels: tuple[str, ...], kappa: float, bonds, gamma,
     ``bonds`` lists ``(left site, beta)`` pairs (1-based); each bond with
     beta > 0 becomes the loss jump sqrt(beta) (c_left - c_{left+1}).
     Site j keeps the onsite squared weight 2 kappa - gamma_j - b_j, where
-    b_j sums beta over the bonds touching j, and a uniform gamma is gated
-    by 2 kappa - gamma >= max_j b_j.
+    b_j sums beta over the bonds touching j.  A weight below -PSD_TOL times
+    the target's peak (largest |entry| of its loss gram and pump: |2 kappa -
+    gamma_j|, beta, gamma_j) is a deficit; a negative one above it clamps to 0.
     """
     dim = len(labels)
     y = _pump_profile(dim, gamma, context)
     bond_sum = np.zeros(dim)
     for left, beta in bonds:
         bond_sum[left - 1:left + 1] += beta
-    if np.all(y == y[0]):
-        delta, required = 2.0 * kappa - y[0], float(bond_sum.max())
-        scale = max(1.0, abs(delta), abs(required))
-        deficit = delta - required
-        if deficit < -FEASIBILITY_RTOL * scale:
+    delta = 2.0 * kappa - y
+    args = delta - bond_sum
+    peak = max(np.abs(delta).max(), y.max(), *(beta for _, beta in bonds))
+    short = args < -PSD_TOL * peak
+    if short.any():
+        if np.all(y == y[0]):
+            required, deficit = float(bond_sum.max()), float(args.min())
             raise InfeasibilityError(
                 f"{context}: feasibility condition fails by {-deficit:.6g} "
-                f"(need 2 kappa - gamma >= {required:.6g}, have {delta:.6g})",
-                ((context, float(deficit)),))
+                f"(need 2 kappa - gamma >= {required:.6g}, have {delta[0]:.6g})",
+                ((context, deficit),))
+        deficits = [(labels[j], float(args[j])) for j in np.flatnonzero(short)]
+        worst = min(deficits, key=lambda d: d[1])
+        raise InfeasibilityError(
+            f"{context}: onsite loss weight squared is negative at {worst[0]} "
+            f"({worst[1]:.6g}); {len(deficits)} site(s) infeasible",
+            tuple(deficits))
 
     loss = []
     for left, beta in bonds:
@@ -179,17 +184,6 @@ def _chain_jumps(labels: tuple[str, ...], kappa: float, bonds, gamma,
             v = np.zeros(dim, dtype=complex)
             v[left - 1], v[left] = np.sqrt(beta), -np.sqrt(beta)
             loss.append(JumpVector(f"bond({labels[left - 1]})", "loss", v))
-    # Clamp tiny negative squared weights; report every genuine deficit.
-    args = 2.0 * kappa - y - bond_sum
-    scale = max(1.0, float(np.abs(args).max()))
-    deficits = [(labels[j], float(a)) for j, a in enumerate(args)
-                if a < -FEASIBILITY_RTOL * scale]
-    if deficits:
-        worst = min(deficits, key=lambda d: d[1])
-        raise InfeasibilityError(
-            f"{context}: onsite loss weight squared is negative at {worst[0]} "
-            f"({worst[1]:.6g}); {len(deficits)} site(s) infeasible",
-            tuple(deficits))
     eye = np.eye(dim, dtype=complex)
     loss += [JumpVector(f"onsite({labels[j]})", "loss", np.sqrt(max(a, 0.0)) * eye[j])
              for j, a in enumerate(args)]
@@ -211,7 +205,8 @@ def hn_jump_decomposition(params: HatanoNelsonParams, gamma) -> JumpSet:
     bond sum: 0 for a single site (gamma <= 2 kappa), beta for two
     sites, and 2 beta from three sites on.  A site-resolved profile
     replaces gamma by y_j in the onsite weights and is gated per site
-    on the actual squared weights, reporting every deficit.
+    on the actual squared weights, reporting every deficit.  Both hold
+    down to -PSD_TOL times the target's peak, the one rule of _chain_jumps.
     """
     n = params.n_sites
     beta = params.t_right + params.t_left
@@ -228,7 +223,8 @@ def ssh_jump_decomposition(params: SshParams, gamma) -> JumpSet:
     Onsite squared weights are delta - beta_1 on the two outer sites
     (1A and NB) and delta - beta_1 - beta_2 elsewhere, with
     delta = 2 kappa - gamma_j.  A uniform gamma is gated by
-    2 kappa - gamma >= beta_1 + beta_2 (single cell: >= beta_1).
+    2 kappa - gamma >= beta_1 + beta_2 (single cell: >= beta_1), down to
+    -PSD_TOL times the target's peak, the one rule of _chain_jumps.
     """
     n = params.n_cells
     beta1 = params.t1_right + params.t1_left
@@ -241,7 +237,8 @@ def ssh_jump_decomposition(params: SshParams, gamma) -> JumpSet:
 
 @dataclass(frozen=True)
 class JumpValidationReport:
-    """Per-check maximum deviations of a jump set against its targets."""
+    """Per-check maximum deviations of a jump set against its targets, and the
+    ``tolerance`` they are held to: 2 PSD_TOL times the target's peak."""
 
     loss_gram_error: float
     gain_gram_error: float
@@ -250,15 +247,18 @@ class JumpValidationReport:
     passed: bool
 
 
-def validate_jump_set(jumps: JumpSet, realization: MicroscopicRealization,
-                      tolerance: float = 1e-12) -> JumpValidationReport:
+def validate_jump_set(jumps: JumpSet, realization: MicroscopicRealization) -> JumpValidationReport:
     """Check that the jump Grams rebuild the realization and its target X.
 
-    Raises ValidationError (with the report attached and the worst
-    entry named) when any maximum deviation exceeds ``tolerance``.
+    Raises ValidationError (with the report attached and the worst entry
+    named) when any maximum deviation exceeds 2 PSD_TOL times the target's
+    peak (largest |entry| of its loss and gain grams): room for the clamp of
+    _chain_jumps plus rounding, so every set that gate accepts validates.
     """
     if jumps.dim != realization.dim:
         raise ParameterError("jump set and realization dimensions differ")
+    tolerance = 2.0 * PSD_TOL * max(float(np.abs(realization.loss_gram).max()),
+                                    float(np.abs(realization.gain_gram).max()))
     checks = {}
     worst = ("", 0, 0, -1.0)
     loss, gain = jumps.loss_gram(), jumps.gain_gram()
@@ -278,7 +278,7 @@ def validate_jump_set(jumps: JumpSet, realization: MicroscopicRealization,
         loss_gram_error=checks["loss_gram"],
         gain_gram_error=checks["gain_gram"],
         relaxation_error=checks["relaxation"],
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         passed=max(checks.values()) <= tolerance,
     )
     if not report.passed:

@@ -49,7 +49,8 @@ import numpy as np
 
 from .errors import (DarkSourceError, EnvelopeOverflowError, ParameterError, SolveError,
                      StabilityError)
-from .models import _GatedMatrix, _count, _frozen_array, _positions, _strength, matrix_entries
+from .models import (_GatedMatrix, _count, _frozen_array, _hermitian, _positions, _strength,
+                     matrix_entries)
 from .spectral import (CONDITION_TRUST_LIMIT, BiorthogonalSpectrum, _check_beta_stability,
                        _pump_loadings, _tridiagonal_bands, slow_mode_position)
 
@@ -334,13 +335,13 @@ class DirectSolver:
                 _times_tridiagonal(self._inverse, self._shift - diag, -sub, -sup))
 
     def solve(self, source) -> SteadyCorrelator:
-        """Steady correlator for pump Y; Y is trusted to be Hermitian.
+        """Steady correlator for pump Y, which passes the Hermitian rule (_hermitian).
 
         Y is solved at unit largest entry and its scale restored after, so
         C(2^k X, s Y) = s 2^-k C(X, Y) holds bit for bit for real Y with
         largest entry 1.  Real X and Y give a float64 C.
         """
-        y = matrix_entries(source, "source matrix")
+        y = _hermitian(matrix_entries(source, "source matrix"), "source matrix")
         if y.shape != self.x.shape:
             raise ParameterError(f"source shape {y.shape} does not match X {self.x.shape}")
         scale = float(np.abs(y).max()) or 1.0
@@ -502,7 +503,7 @@ def solve_lyapunov_direct(relaxation, source) -> SteadyCorrelator:
     Parameters
     ----------
     relaxation, source : matrix wrappers or arrays
-        X and Y of the Lyapunov equation; Y is trusted to be Hermitian.
+        X and Y of the Lyapunov equation; Y passes the Hermitian rule (_hermitian).
 
     Raises
     ------
@@ -666,17 +667,17 @@ def propagate_correlator(relaxation, source, initial, t_final: float,
     """Sample dC/dt = -X C - C X^dag + Y exactly, as evolve_master samples.
 
     Each sample is the last under C <- F C F^dag + Q (_affine_step), so
-    ``dt`` only spaces the samples.  Samples are symmetrized and returned
-    as one read-only (S, N, N) array.  SolveError names the first sample
-    that is not finite, which only an unstable X gives.
+    ``dt`` only spaces the samples.  Y and C0 pass the Hermitian rule
+    (_hermitian); samples are symmetrized and returned as one read-only
+    (S, N, N) array.  SolveError names the first sample that is not
+    finite, which only an unstable X gives.
     """
     x = matrix_entries(relaxation, "relaxation X")
-    y = matrix_entries(source, "source Y")
-    c0 = matrix_entries(initial, "initial state C0")
-    if y.shape != x.shape or c0.shape != x.shape:
+    y = _hermitian(matrix_entries(source, "source Y"), "source Y")
+    c = _hermitian(matrix_entries(initial, "initial state C0"), "initial state C0")
+    if y.shape != x.shape or c.shape != x.shape:
         raise ParameterError("relaxation, source, and initial state dimensions differ")
     times, intervals = _sample_grid(t_final, dt, stride)
-    c = 0.5 * (c0 + c0.conj().T)
     samples = [c]
     with np.errstate(over="ignore", invalid="ignore"):  # unstable X; checked below
         maps = {h: _affine_step(x, y, h) for h in set(intervals)}

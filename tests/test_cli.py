@@ -440,6 +440,32 @@ class TestInverseDesignCommand:
         assert "deficit at" in err
         assert "0.55" in err
 
+    # The default chain x1e5 and the two-band chain x1e4 are feasible and
+    # validate at 2 PSD_TOL of their peaks; 2 kappa - gamma 3e-9 relative short
+    # of 2 (t_right + t_left), and the default chain x1e-6 0.3 % short, are
+    # deficits at any scale: none of them may exit 1.
+    @pytest.mark.parametrize("flags, code, detail", [
+        (["--t-right", "100000", "--t-left", "17000", "--kappa", "150000",
+          "--gamma", "10000"], 0, 5.8e-7),
+        (["--model", "ssh", "--t1", "5000", "--t2", "10000", "--g", "0.1",
+          "--kappa", "20000", "--gamma", "1000"], 0, 7.8e-8),
+        (["--t-left", "0.17", "--gamma", "0.1", "--kappa", "1.21999999649"], 3,
+         "deficit at single-band decomposition: -7.02e-09"),
+        (["--t-right", "1e-06", "--t-left", "1.7e-07", "--gamma", "1e-07",
+          "--kappa", "1.21649e-06"], 3, "deficit at single-band decomposition: -7.02e-09"),
+    ])
+    def test_one_realizability_rule_at_every_scale(self, tmp_path, capsys, flags, code,
+                                                   detail):
+        out = tmp_path / "out"
+        assert main(["inverse-design", *flags, "--out", str(out)]) == code
+        if code == 0:
+            validation = read_summary(str(out / "inverse-design.json"))["validation"]
+            assert validation["passed"] is True
+            assert validation["tolerance"] == pytest.approx(detail, rel=1e-12)
+        else:
+            assert detail in capsys.readouterr().err
+            assert not out.exists()
+
     def test_custom_file_model_requires_matrix_files(self, tmp_path, capsys):
         assert main(["inverse-design", "--model", "custom-file",
                      "--out", str(tmp_path)]) == 2

@@ -1,5 +1,6 @@
 """Inverse design: formal splits, local jump sets, feasibility gates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -168,7 +169,8 @@ def test_hn_single_site_boundary_occupation():
 
 
 def test_ssh_decomposition_boundary_case_at_reciprocal_point():
-    params = SshParams(4, 0.5, 1.0, 0.0, 1.5)
+    # 2 kappa - gamma = 3 = beta1 + beta2 up to rounding: the exact boundary
+    params = SshParams(4, 0.5, 1.0, 0.0, 1.5 + 5e-9)
     jumps = ssh_jump_decomposition(params, 1e-8)
     vecs = by_label(jumps)
     # Outer sites keep weight sqrt(delta - beta1) ~ sqrt(2); every
@@ -178,12 +180,16 @@ def test_ssh_decomposition_boundary_case_at_reciprocal_point():
     for label, v in vecs.items():
         if label.startswith("onsite") and label not in ("onsite(1A)", "onsite(4B)"):
             assert np.abs(v.vector).max() <= 1e-4
-    # The clamped interior weights shift the Gram by the 1e-8 slack, so
-    # validation passes at that scale, not at 1e-12.
+    # The clamp stays within PSD_TOL of the peak 3, so the default rule validates.
     real = inverse_design(build_ssh(params), 1e-8 * np.eye(8))
-    report = validate_jump_set(jumps, real, tolerance=1e-7)
+    report = validate_jump_set(jumps, real)
     assert report.passed
-    assert report.loss_gram_error <= 2e-8
+    assert report.tolerance == pytest.approx(6e-12, rel=1e-12)
+    # 1e-8 short of the boundary is a deficit, not rounding.
+    with pytest.raises(InfeasibilityError) as err:
+        ssh_jump_decomposition(SshParams(4, 0.5, 1.0, 0.0, 1.5), 1e-8)
+    (_, deficit), = err.value.deficits
+    assert deficit == pytest.approx(-1e-8, rel=1e-6)
 
 
 def test_ssh_decomposition_infeasible_off_reciprocal():
@@ -295,3 +301,55 @@ def test_payload_structures():
     assert rp["physical"] is True
     assert set(rp) == {"dim", "hamiltonian", "gain_gram", "loss_gram",
                        "loss_min_eigenvalue", "physical"}
+
+
+def chain_targets(rng, count):
+    """Seeded chain targets: both models, uniform or site-resolved gamma, scales
+    1e-6 to 1e6, and 2 kappa - gamma_j - b_j at its least a margin from -1e-3
+    to +0.1 of the largest gamma_j + b_j, through the rounding band at 0."""
+    margins = np.concatenate([-np.logspace(-3, -14, 12), [0.0], np.logspace(-14, -1, 14)])
+    for _ in range(count):
+        scale = 10.0 ** rng.uniform(-6, 6)
+        n = int(rng.integers(1, 7))
+        hoppings = scale * rng.uniform(0.1, 1.0, 2)
+        if rng.random() < 0.5:
+            params = HatanoNelsonParams(n, *hoppings, 1.0)
+            bonds = [(j, params.t_right + params.t_left) for j in range(1, n)]
+        else:
+            n = 2 * ((n + 1) // 2)
+            params = SshParams(n // 2, *hoppings, rng.uniform(-0.5, 0.5), 1.0)
+            beta1, beta2 = params.t1_right + params.t1_left, params.t2_right + params.t2_left
+            bonds = [(j, beta1 if j % 2 else beta2) for j in range(1, n)]
+        bond_sum = np.zeros(n)
+        for left, beta in bonds:
+            bond_sum[left - 1:left + 1] += beta
+        gamma = scale * (rng.uniform(0.01, 1.0, n) if rng.random() < 0.5 else rng.uniform(0.01, 1.0))
+        kappa = 0.5 * float(np.max(gamma + bond_sum)) * (1.0 + rng.choice(margins))
+        yield dataclasses.replace(params, kappa=kappa), gamma
+
+
+def test_every_gated_jump_set_validates():
+    # The gate clamps up to PSD_TOL of the target's peak and validation allows
+    # twice that, so a target is either refused or its jump set validates,
+    # at every scale and on both sides of the feasibility edge.
+    outcomes = {"refused": 0, "validated": 0, "gated, then failed": 0, "tolerance off": 0}
+    for params, gamma in chain_targets(np.random.default_rng(32), 1000):
+        hn = isinstance(params, HatanoNelsonParams)
+        try:
+            jumps = (hn_jump_decomposition if hn else ssh_jump_decomposition)(params, gamma)
+        except InfeasibilityError:
+            outcomes["refused"] += 1
+            continue
+        x = build_hatano_nelson(params) if hn else build_ssh(params)
+        y = np.diag(np.broadcast_to(gamma, (x.dim,)))
+        realization = inverse_design(x, y)
+        try:
+            report = validate_jump_set(jumps, realization)
+        except ValidationError:
+            outcomes["gated, then failed"] += 1
+            continue
+        outcomes["validated"] += 1
+        peak = max(np.abs(realization.loss_gram).max(), np.abs(y).max())
+        outcomes["tolerance off"] += report.tolerance != 2e-12 * peak
+    assert outcomes["gated, then failed"] == outcomes["tolerance off"] == 0, outcomes
+    assert outcomes["refused"] > 300 and outcomes["validated"] > 300, outcomes

@@ -890,12 +890,85 @@ def test_propagation_samples_like_the_master_equation():
 
 def test_trajectory_states_are_one_read_only_hermitian_array():
     _, x, y = hn_reference_system(4)
-    c0 = np.diag([0.1, 0.2, 0.3, 0.4]) + 1e-3j * np.eye(4, k=1)
+    c0 = np.diag([0.1, 0.2, 0.3, 0.4]) + 5e-4j * (np.eye(4, k=1) - np.eye(4, k=-1))
     traj = propagate_correlator(x, y, c0, t_final=2.0, dt=0.1, stride=5)
     assert isinstance(traj.states, np.ndarray) and traj.states.shape == (5, 4, 4)
     assert not traj.states.flags.writeable
     assert np.array_equal(traj.states, traj.states.conj().transpose(0, 2, 1))
-    assert np.array_equal(traj.states[0], 0.5 * (c0 + c0.conj().T))
+    assert np.array_equal(traj.states[0], c0)
+
+
+def hermitian_rule_calls(scale):
+    """Entry -> (role, exactly Hermitian matrix at ``scale``, call returning what it computed)
+    for the pump of DirectSolver.solve and the pump and initial state of
+    propagate_correlator, on the 3-site chain (t_left 0.17, kappa 1.5)."""
+    x = build_hatano_nelson(HatanoNelsonParams(3, 1.0, 0.17, 1.5))
+    y = scale * np.array([[0.1, 0.05, 0.02], [0.05, 0.1, 0.05], [0.02, 0.05, 0.1]])
+    c0 = scale * np.array([[0.3, 0.1j, 0.0], [-0.1j, 0.2, 0.05], [0.0, 0.05, 0.1]])
+
+    def solve(m):
+        return (DirectSolver(x).solve(m).entries,)
+
+    def propagate(source, initial):
+        return (propagate_correlator(x, source, initial, t_final=1.0, dt=0.1, stride=5).states,)
+
+    return {
+        "DirectSolver.solve": ("source matrix", y, solve),
+        "solve_lyapunov_direct": ("source matrix", y,
+                                  lambda m: (solve_lyapunov_direct(x, m).entries,)),
+        "propagate Y": ("source Y", y, lambda m: propagate(m, c0)),
+        "propagate C0": ("initial state C0", c0, lambda m: propagate(y, m)),
+    }
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8])
+@pytest.mark.parametrize("case", ["exact", "few ulps", "1e-6 of peak"])
+@pytest.mark.parametrize("entry", ["DirectSolver.solve", "solve_lyapunov_direct",
+                                   "propagate Y", "propagate C0"])
+def test_pump_and_initial_state_pass_the_hermitian_rule(monkeypatch, entry, case, scale):
+    # a pump or C0 more than rounding of its peak from Hermitian is no physical
+    # source or correlator: it is refused, not solved or silently symmetrized
+    import gausschain.steady
+
+    role, m, call = hermitian_rule_calls(scale)[entry]
+    m = np.array(m)
+    peak = np.abs(m).max()
+    m[0, 1] += {"exact": 0.0, "few ulps": 3 * np.spacing(peak), "1e-6 of peak": 1e-6 * peak}[case]
+    if case == "1e-6 of peak":
+        defect = np.abs(m - m.conj().T).max()
+        message = f"{role} not Hermitian: max |M - M^dag| = {defect:.3e} at peak"
+        with pytest.raises(ParameterError, match="^" + re.escape(message)):
+            call(m)
+        return
+    rule, seen = gausschain.steady._hermitian, []
+
+    def spy(matrix, name):
+        out = rule(matrix, name)
+        if name == role:
+            seen.append((matrix, out))
+        return out
+
+    monkeypatch.setattr(gausschain.steady, "_hermitian", spy)
+    got = call(m)
+    (arg, out), = seen
+    if case == "exact":
+        assert out is arg  # the input itself is solved, so no bit moves
+    else:
+        symmetric = 0.5 * (m + m.conj().T)
+        assert np.array_equal(out, symmetric)
+        assert all(np.array_equal(a, b) for a, b in zip(got, call(symmetric), strict=True))
+
+
+def test_non_hermitian_pump_and_initial_state_are_refused():
+    x = build_hatano_nelson(HatanoNelsonParams(3, 1.0, 0.17, 1.5))
+    y = 0.1 * np.eye(3)
+    y[0, 1] = 0.5
+    with pytest.raises(ParameterError, match="^source matrix not Hermitian"):
+        DirectSolver(x).solve(y)
+    with pytest.raises(ParameterError, match="^source Y not Hermitian"):
+        propagate_correlator(x, y, np.zeros((3, 3)), t_final=1.0, dt=0.1)
+    with pytest.raises(ParameterError, match="^initial state C0 not Hermitian"):
+        propagate_correlator(x, 0.1 * np.eye(3), np.eye(3, k=1), t_final=1.0, dt=0.1)
 
 
 def test_unstable_relaxation_overflow_raises_solve_error():
