@@ -16,7 +16,6 @@ modules it calls inside its own body, so start-up loads only those.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -27,9 +26,9 @@ from .errors import (GausschainError, InfeasibilityError, ParameterError,
                      ValidationError)
 from .matio import (dumps_json, ensure_dir, read_json, read_matrix, write_csv,
                     write_json)
-from .models import (HatanoNelsonParams, SourceMatrix, SshParams, _count, build_diagonal_pump,
-                     build_hatano_nelson, build_local_pump, build_ssh, default_labels,
-                     matrix_entries, ssh_index, ssh_labels)
+from .models import (HatanoNelsonParams, SourceMatrix, SshParams, _check_finite_scalar, _count,
+                     _vector, build_diagonal_pump, build_hatano_nelson, build_local_pump,
+                     build_ssh, default_labels, matrix_entries, ssh_index, ssh_labels)
 
 OCCUPATION_HEADER = ("alpha", "nu", "nu_norm")
 
@@ -121,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _coerce(key: str, value, target: type):
-    if target is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+    if target is float:
+        return _check_finite_scalar(key, value)
     if target is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if target is int and isinstance(value, float) and value.is_integer():
@@ -158,8 +157,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if command == "inverse-design" and specific["model"] == "ssh" and "kappa" not in given:
         specific["kappa"] = _SSH_DESIGN_KAPPA
     for key, value in specific.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ParameterError(f"{key} must be finite, got {value}")
+        if isinstance(value, float):
+            _check_finite_scalar(key, value)
     for key in common:
         value = getattr(args, key, None)
         if value is not None:
@@ -387,17 +386,10 @@ def _design_inputs(cfg: dict):
         return entries, labels, SourceMatrix(y_entries, labels=labels), None
     else:
         raise ParameterError(f"model must be hn, ssh, or custom-file, got {model!r}")
-    dim = params.n_sites
-    if cfg["pump_file"]:
-        profile = read_json(cfg["pump_file"])
-        if not isinstance(profile, list) or len(profile) != dim:
-            raise ParameterError(
-                f"pump_file must hold a JSON list of {dim} site strengths")
-        gamma = np.asarray([float(v) for v in profile])
-        y = build_diagonal_pump(gamma)
-    else:
-        gamma = float(cfg["gamma"])
-        y = build_diagonal_pump([gamma] * dim)
+    gamma = cfg["gamma"]
+    if cfg["pump_file"]:  # its length is checked by the decomposition
+        gamma = _vector(f"pump_file {cfg['pump_file']}", read_json(cfg["pump_file"]))
+    y = build_diagonal_pump(gamma if np.ndim(gamma) else [gamma] * params.n_sites)
     return matrix_entries(x), x.labels, y, decompose(params, gamma)
 
 
@@ -517,11 +509,10 @@ def cmd_oracle_check(cfg: dict) -> None:
 
     params = _hn_params(cfg)
     n = params.n_sites
-    gamma = float(cfg["gamma"])
     x = build_hatano_nelson(params)
-    y = build_diagonal_pump([gamma] * n)
+    y = build_diagonal_pump([cfg["gamma"]] * n)
     realization = inverse_design(x, y)
-    jumps = hn_jump_decomposition(params, gamma)
+    jumps = hn_jump_decomposition(params, cfg["gamma"])
 
     # both sample on steady._sample_grid, so the times agree by construction
     trajectory = evolve_master(DensityMatrix.vacuum(n), realization.hamiltonian,

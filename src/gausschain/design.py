@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibilityError, ParameterError, ValidationError
-from .models import (PSD_TOL, HatanoNelsonParams, SourceMatrix, SshParams, _psd, _strength,
-                     default_labels, matrix_entries, ssh_labels)
+from .models import (PSD_TOL, HatanoNelsonParams, SourceMatrix, SshParams, _frozen_array, _psd,
+                     _strength, _vector, build_diagonal_pump, default_labels, matrix_entries,
+                     ssh_labels)
 
 
 @dataclass(frozen=True)
@@ -39,12 +40,8 @@ class JumpVector:
     def __post_init__(self):
         if self.kind not in ("loss", "gain"):
             raise ParameterError(f"jump kind must be 'loss' or 'gain', got {self.kind!r}")
-        v = np.asarray(self.vector, dtype=complex).reshape(-1)
-        if v.size == 0 or not np.all(np.isfinite(v.real) & np.isfinite(v.imag)):
-            raise ParameterError(f"jump vector {self.label!r} must be finite and non-empty")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "vector", v)
+        v = _vector(f"jump vector {self.label!r}", self.vector, "iufc")
+        object.__setattr__(self, "vector", _frozen_array(v))
 
     @property
     def dim(self) -> int:
@@ -132,31 +129,26 @@ def inverse_design(relaxation, source) -> MicroscopicRealization:
     )
 
 
-def _pump_profile(dim: int, pump, context: str) -> np.ndarray:
-    """Site-resolved pump strengths from a scalar (uniform) or vector."""
-    if np.ndim(pump) == 0:
-        return np.full(dim, _strength(f"{context}: uniform pump strength", pump))
-    y = np.asarray(pump, dtype=float)
-    if y.shape != (dim,):
-        raise ParameterError(f"{context}: pump profile must have length {dim}")
-    if not np.all(np.isfinite(y)) or np.any(y < 0):
-        raise ParameterError(f"{context}: pump profile entries must be finite and >= 0")
-    return y
-
-
 def _chain_jumps(labels: tuple[str, ...], kappa: float, bonds, gamma,
                  context: str) -> JumpSet:
     """Bond, onsite and pump jumps of a nearest-neighbor chain.
 
     ``bonds`` lists ``(left site, beta)`` pairs (1-based); each bond with
-    beta > 0 becomes the loss jump sqrt(beta) (c_left - c_{left+1}).
+    beta > 0 becomes the loss jump sqrt(beta) (c_left - c_{left+1}).  A
+    scalar ``gamma`` passes _strength, and a profile build_diagonal_pump, the
+    PSD rule inverse_design applies to the same Y.
     Site j keeps the onsite squared weight 2 kappa - gamma_j - b_j, where
     b_j sums beta over the bonds touching j.  A weight below -PSD_TOL times
     the target's peak (largest |entry| of its loss gram and pump: |2 kappa -
     gamma_j|, beta, gamma_j) is a deficit; a negative one above it clamps to 0.
     """
     dim = len(labels)
-    y = _pump_profile(dim, gamma, context)
+    if isinstance(gamma, (list, tuple)) or np.ndim(gamma):
+        y = np.diagonal(build_diagonal_pump(gamma).entries)
+        if y.size != dim:
+            raise ParameterError(f"{context}: pump profile must have length {dim}")
+    else:
+        y = np.full(dim, _strength(f"{context}: uniform pump strength", gamma))
     bond_sum = np.zeros(dim)
     for left, beta in bonds:
         bond_sum[left - 1:left + 1] += beta
@@ -167,9 +159,10 @@ def _chain_jumps(labels: tuple[str, ...], kappa: float, bonds, gamma,
     if short.any():
         if np.all(y == y[0]):
             required, deficit = float(bond_sum.max()), float(args.min())
+            k = next(k for k in range(6, 18) if f"{required:.{k}g}" != f"{delta[0]:.{k}g}")
             raise InfeasibilityError(
                 f"{context}: feasibility condition fails by {-deficit:.6g} "
-                f"(need 2 kappa - gamma >= {required:.6g}, have {delta[0]:.6g})",
+                f"(need 2 kappa - gamma >= {required:.{k}g}, have {delta[0]:.{k}g})",
                 ((context, deficit),))
         deficits = [(labels[j], float(args[j])) for j in np.flatnonzero(short)]
         worst = min(deficits, key=lambda d: d[1])

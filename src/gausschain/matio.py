@@ -14,6 +14,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterError
+from .models import _check_finite_scalar, _count, _numbers
 
 JSON_SIG_DIGITS = 17
 CSV_SIG_DIGITS = 12
@@ -21,9 +22,7 @@ CSV_SIG_DIGITS = 12
 
 def format_json_float(x: float) -> str:
     """Render a float with 17 significant digits (exact decimal round trip)."""
-    x = float(x)
-    if not np.isfinite(x):
-        raise ParameterError(f"cannot serialize non-finite value {x!r}")
+    x = _check_finite_scalar("serialized value", x)
     if x == int(x) and abs(x) < 1e16:
         # keep a trailing ".0" so the value parses back as a float
         return f"{x:.1f}"
@@ -31,10 +30,7 @@ def format_json_float(x: float) -> str:
 
 
 def format_csv_float(x: float) -> str:
-    x = float(x)
-    if not np.isfinite(x):
-        raise ParameterError(f"cannot serialize non-finite value {x!r}")
-    return f"{x:.{CSV_SIG_DIGITS}g}"
+    return f"{_check_finite_scalar('serialized value', x):.{CSV_SIG_DIGITS}g}"
 
 
 def dumps_json(obj: Any) -> str:
@@ -90,26 +86,22 @@ def matrix_payload(entries: np.ndarray, labels: Sequence[str]) -> dict:
     }
 
 
-def matrix_from_payload(payload: dict) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Inverse of :func:`matrix_payload`; validates shape and finiteness."""
-    if not isinstance(payload, dict):
-        raise ParameterError("matrix payload must be a JSON object")
-    try:
-        dim = int(payload["dim"])
+def matrix_from_payload(payload: dict,
+                        source: str = "matrix payload") -> tuple[np.ndarray, tuple[str, ...]]:
+    """Inverse of :func:`matrix_payload`; ``dim`` and the ``re`` and ``im`` entries
+    pass the gates of models (_count, _numbers), and every error names ``source``."""
+    try:  # a payload that is no JSON object raises TypeError here too
+        dim = _count(f"{source} dim", payload["dim"])
         labels = tuple(str(s) for s in payload["labels"])
-        re = np.asarray(payload["re"], dtype=float)
-        im = np.asarray(payload["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParameterError(f"malformed matrix payload: {exc}") from exc
+        re, im = _numbers(f"{source} re", payload["re"]), _numbers(f"{source} im", payload["im"])
+    except (KeyError, TypeError) as exc:
+        raise ParameterError(f"{source}: malformed matrix payload: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ParameterError(
-            f"matrix payload shape mismatch: dim={dim}, re{re.shape}, im{im.shape}")
+            f"{source} shape mismatch: dim={dim}, re{re.shape}, im{im.shape}")
     if len(labels) != dim:
-        raise ParameterError("matrix payload labels do not match dim")
-    entries = re + 1j * im
-    if not np.all(np.isfinite(re)) or not np.all(np.isfinite(im)):
-        raise ParameterError("matrix payload contains non-finite entries")
-    return entries, labels
+        raise ParameterError(f"{source} labels do not match dim")
+    return re + 1j * im, labels
 
 
 def write_matrix(path: str, entries: np.ndarray, labels: Sequence[str]) -> None:
@@ -117,7 +109,7 @@ def write_matrix(path: str, entries: np.ndarray, labels: Sequence[str]) -> None:
 
 
 def read_matrix(path: str) -> tuple[np.ndarray, tuple[str, ...]]:
-    return matrix_from_payload(read_json(path))
+    return matrix_from_payload(read_json(path), path)
 
 
 def _format_cell(v: Any) -> str:

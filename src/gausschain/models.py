@@ -10,11 +10,11 @@ provided: the nonreciprocal single-band chain with asymmetric hoppings
 (t_right, t_left) and uniform damping kappa, and a two-band chain with
 alternating intra/intercell hoppings carrying a nonreciprocity exponent g.
 
-Site indices are 1-based in every public interface.  Every matrix the
-library takes passes matrix_entries, and every index, count and scalar the
-gate beside it (_positions, _count, _check_finite_scalar, _strength).  One
-rule judges a matrix Hermitian (_hermitian, HERMITIAN_RTOL) and one PSD
-(_psd, PSD_TOL), each relative to the matrix's own scale.
+Site indices are 1-based in every public interface.  Every gate reads one
+number rule (_number_mask): matrix_entries for matrices, _vector for
+vectors, _positions, _count, _check_finite_scalar and _strength for indices,
+counts and scalars.  One rule judges a matrix Hermitian (_hermitian,
+HERMITIAN_RTOL) and one PSD (_psd, PSD_TOL), each relative to its own scale.
 """
 
 from __future__ import annotations
@@ -30,15 +30,6 @@ HERMITIAN_RTOL = 1e-12
 PSD_TOL = 1e-12
 
 
-def _narrowed(m) -> np.ndarray:
-    """m as float64 when no entry has a nonzero imaginary part, else as complex128:
-    the one place that decides a matrix's number type, so real chains stay real."""
-    m = np.asarray(m)
-    if np.iscomplexobj(m) and m.imag.any():
-        return np.asarray(m, dtype=complex)
-    return np.asarray(m.real, dtype=float)
-
-
 class _GatedMatrix:
     """Base of the wrappers (X, Y, C) whose entries passed matrix_entries when built.
 
@@ -48,8 +39,47 @@ class _GatedMatrix:
     __slots__ = ()
 
 
+def _number_mask(value, kinds: str = "iuf") -> tuple[np.ndarray, np.ndarray]:
+    """(a, ok): ``value`` as an array and where its entries are input numbers: finite ints
+    or floats (complex if ``kinds`` holds "c"), never bools, strings or None.  An ndarray's
+    dtype decides in O(1); only a Python sequence is walked, entry by entry."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged nested sequence
+        a = np.asarray(value, dtype=object)
+    if a.ndim and not isinstance(value, np.ndarray):
+        entries = np.asarray(value, dtype=object).flat
+        if a.dtype.kind in kinds:  # only a bool hides there: np.asarray([1.0, True]) is [1., 1.]
+            bools = np.array([isinstance(v, (bool, np.bool_)) for v in entries], dtype=bool)
+            return a, np.isfinite(a) & ~bools.reshape(a.shape)
+        masks = [_number_mask(v, kinds)[1] for v in entries]  # an entry that is a list is none
+        return a, np.array([m.ndim == 0 and m for m in masks], dtype=bool).reshape(a.shape)
+    return a, np.isfinite(a) if a.dtype.kind in kinds else np.zeros(a.shape, dtype=bool)
+
+
+def _numbers(role: str, value, kinds: str = "iuf") -> np.ndarray:
+    """``value`` as an array (_number_mask); ParameterError naming ``role`` and the
+    first entry (1-based) of a sequence or array that is no input number."""
+    a, ok = _number_mask(value, kinds)
+    if a.ndim and not ok.all():
+        first = np.argwhere(~ok)[0]
+        where = int(first[0]) + 1 if a.ndim == 1 else tuple(int(i) + 1 for i in first)
+        bad = np.asarray(value, dtype=object)[tuple(first)]
+        raise ParameterError(f"{role} contains non-finite entries: entry {where} is {bad!r}")
+    return a
+
+
+def _vector(role: str, values, kinds: str = "iuf") -> np.ndarray:
+    """Non-empty 1-d float64 (complex128 if ``kinds`` holds "c") array of input numbers."""
+    a = _numbers(role, values, kinds)
+    if a.ndim != 1 or not a.size:
+        raise ParameterError(f"{role} must be a non-empty list of numbers, got shape {a.shape}")
+    return np.asarray(a, dtype=complex if "c" in kinds else float)
+
+
 def matrix_entries(obj, name: str = "matrix") -> np.ndarray:
-    """Dense square finite array, float64 if real (_narrowed), from a wrapper or array-like.
+    """Dense square array of input numbers (_numbers) from a wrapper or array-like,
+    float64 unless an entry has a nonzero imaginary part, so real chains stay real.
 
     The one gate for every matrix the library takes (X, Y, C, C0, h): an
     empty, non-square or non-finite one raises ParameterError naming ``name``.
@@ -57,14 +87,14 @@ def matrix_entries(obj, name: str = "matrix") -> np.ndarray:
     """
     if isinstance(obj, _GatedMatrix):
         return obj.entries
-    m = _narrowed(getattr(obj, "entries", obj))
+    m = _numbers(name, getattr(obj, "entries", obj), "iufc")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"{name} must be square, got shape {m.shape}")
     if not m.size:
         raise ParameterError(f"{name} must not be empty")
-    if not np.isfinite(m).all():
-        raise ParameterError(f"{name} contains non-finite entries")
-    return m
+    if np.iscomplexobj(m) and m.imag.any():
+        return np.asarray(m, dtype=complex)
+    return np.asarray(m.real, dtype=float)
 
 
 def _hermitian(m: np.ndarray, role: str) -> np.ndarray:
@@ -90,40 +120,36 @@ def _psd(m: np.ndarray) -> tuple[float, float]:
     return float(w.min()), -PSD_TOL * float(np.abs(w).max())
 
 
-def _whole(a: np.ndarray, upper) -> np.ndarray:
-    """Mask of the whole numbers in 1..upper in ``a``; a bool, string, nan or inf is none."""
-    if a.dtype.kind not in "iuf":
-        return np.zeros(a.shape, dtype=bool)
-    return (1 <= a) & (a <= upper) & (np.floor(a) == a)
+def _whole(value, upper) -> tuple[np.ndarray, np.ndarray]:
+    """(a, ok) of _number_mask, ``ok`` only where an entry is a whole number in 1..upper."""
+    a, ok = _number_mask(value)
+    if a.dtype.kind in "iuf":
+        ok &= (1 <= a) & (a <= upper) & (np.floor(a) == a)
+    return a, ok
 
 
 def _positions(role: str, index, upper: int):
     """0-based positions of the 1-based site, cell or mode ``index``, an int or an intp
     array checked in one pass; SiteIndexError names ``role`` and the first bad value."""
-    a = np.asarray(index)
-    ok = _whole(a, upper)
-    if a.ndim and not isinstance(index, np.ndarray):  # np.asarray([1, True]) is [1, 1]
-        a = np.asarray(index, dtype=object)
-        bools = [isinstance(v, (bool, np.bool_)) for v in a.flat]
-        ok &= ~np.array(bools, dtype=bool).reshape(a.shape)
+    a, ok = _whole(index, upper)
     if not ok.all():
-        raise SiteIndexError(f"{role} {a[~ok][0] if a.ndim else index} outside 1..{upper}")
+        bad = np.asarray(index, dtype=object)[~ok][0] if a.ndim else index
+        raise SiteIndexError(f"{role} {bad} outside 1..{upper}")
     return a.astype(np.intp) - 1 if a.ndim else int(a) - 1
 
 
 def _count(role: str, value) -> int:
     """``value`` as an int; ParameterError naming ``role`` unless it is a whole number >= 1."""
-    a = np.asarray(value)
-    if a.ndim or not _whole(a, np.iinfo(np.intp).max):
+    a, ok = _whole(value, np.iinfo(np.intp).max)
+    if a.ndim or not ok:
         raise ParameterError(f"{role} must be a positive integer, got {value!r}")
     return int(a)
 
 
 def _check_finite_scalar(name: str, value) -> float:
-    """``value`` as a float; ParameterError naming ``name`` unless it is a finite real
-    number (a bool, string or array is none)."""
-    a = np.asarray(value)
-    if a.ndim or a.dtype.kind not in "iuf" or not np.isfinite(a):
+    """``value`` as a float; ParameterError naming ``name`` unless one real input number."""
+    a, ok = _number_mask(value)
+    if a.ndim or not ok:
         raise ParameterError(f"{name} must be finite, got {value!r}")
     return float(a)
 
@@ -327,8 +353,6 @@ def build_local_pump(dim: int, site: int, strength: float) -> SourceMatrix:
 
 
 def build_diagonal_pump(values) -> SourceMatrix:
-    """Pump with site-resolved strengths: Y = diag(values), all >= 0."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ParameterError("diagonal pump requires a 1d vector of strengths")
-    return SourceMatrix(np.diag(v))
+    """Pump with site-resolved strengths: Y = diag(values), a vector (_vector) that
+    is a SourceMatrix, so each value is >= 0 up to PSD_TOL of the largest."""
+    return SourceMatrix(np.diag(_vector("pump profile", values)))

@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import GausschainError, NormalizationError, ParameterError
 from .models import (HatanoNelsonParams, SshParams, _check_finite_scalar, _hermitian, _positions,
-                     _strength, build_hatano_nelson, build_local_pump, build_ssh, matrix_entries,
-                     ssh_index)
+                     _strength, _vector, build_hatano_nelson, build_local_pump, build_ssh,
+                     matrix_entries, ssh_index)
 from .spectral import (BiorthogonalSpectrum, ModeVector, _gauge_columns, _pump_loadings,
                        _unit_columns, biorthogonal_decompose, hn_analytic_spectrum,
                        slow_mode_position)
@@ -257,7 +257,7 @@ def overlap(first, second) -> float:
     """Squared overlap |<u|v>|^2 of two unit-normalized vectors."""
     out = []
     for v in (first, second):
-        a = np.asarray(getattr(v, "amplitudes", v), dtype=complex).reshape(-1)
+        a = _vector("overlap input", getattr(v, "amplitudes", v), "iufc")
         nrm = float(np.linalg.norm(a))
         if not abs(nrm - 1.0) <= UNIT_NORM_TOL:  # a NaN norm fails too
             raise NormalizationError(
@@ -432,12 +432,14 @@ def _top_occupations(stack: np.ndarray) -> np.ndarray:
     _CHECK_EVERY-th step only: on a 40-pump stack it costs more than a
     step, and a pump certified late by a step or two moves nu_max by
     rounding only.  Pumps not certified within _POWER_STEPS steps, or not
-    finite, get eigvalsh instead.
+    finite, get eigvalsh instead, and so at once does a pump whose
+    Collatz-Wielandt bound max_i (C v)_i / v_i >= nu_max (C >= 0 entrywise,
+    v > 0; a zero in v gives none) shows that 2 rho > tr C can never hold.
     """
     n = stack.shape[1]
     trace = np.trace(stack, axis1=1, axis2=2)[:, None]
     raised = 1.0 + 2.0 * n * n * EPS
-    top = np.empty(stack.shape[0])
+    top = np.full(stack.shape[0], np.nan)
     pending = np.ones(stack.shape[0], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = stack @ np.ones(n) / trace
@@ -452,9 +454,13 @@ def _top_occupations(stack: np.ndarray) -> np.ndarray:
             done = pending & (gap > 0) & (np.einsum("pi,pi->p", r, r) <= EPS * rho * gap)
             top[done] = rho[done] * trace[done, 0]
             pending &= ~done
+            if not gap.min() > 0:  # no bound needed while every gap is open
+                pending &= ~(2.0 * (w / v).max(axis=1) <= raised)
             if not pending.any():
-                return top
-    top[pending] = np.linalg.eigvalsh(stack[pending])[:, -1]
+                break
+    late = np.isnan(top)
+    if late.any():
+        top[late] = np.linalg.eigvalsh(stack[late])[:, -1]
     return top
 
 
@@ -493,18 +499,16 @@ def ssh_crossover_scan(params: SshParams, pump_cell: int, pump_sublattice: str,
     :func:`diagnostics_report`.  Per-point failures do not abort the scan.
     The ``ssh-crossover`` command's defaults are the reference grid and pump.
     """
-    g_values = np.asarray([float(g) for g in g_values])
-    if g_values.size == 0:
-        raise ParameterError("crossover scan needs at least one g value")
+    g_values = _vector("g_values", g_values).tolist()
     site = ssh_index(pump_cell, pump_sublattice, params.n_cells)
 
     def job(g):
-        p = replace(params, g=float(g))
+        p = replace(params, g=g)
         x = build_ssh(p)
         spectrum = biorthogonal_decompose(x)
         pump = build_local_pump(p.n_sites, site, pump_strength)
         report = diagnostics_report(spectrum, solve_lyapunov_direct(x, pump), p.kappa)
-        return (float(g), report.overlaps["edge"], report.overlaps["slow"],
+        return (g, report.overlaps["edge"], report.overlaps["slow"],
                 report.edge.index, report.slow)
 
     rows, failures = [], []
@@ -512,7 +516,7 @@ def ssh_crossover_scan(params: SshParams, pump_cell: int, pump_sublattice: str,
         try:
             rows.append(job(g))
         except GausschainError as exc:
-            failures.append((float(g), f"{type(exc).__name__}: {exc}"))
+            failures.append((g, f"{type(exc).__name__}: {exc}"))
     if not rows:
         raise ParameterError("every crossover scan point failed; first: "
                              + failures[0][1])

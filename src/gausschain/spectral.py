@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import (DecompositionError, DegeneracyError, EnvelopeOverflowError,
                      ParameterError, RegimeError, StabilityError)
-from .models import (HatanoNelsonParams, SshParams, _positions, build_hatano_nelson,
-                     matrix_entries)
+from .models import (HatanoNelsonParams, SshParams, _frozen_array, _positions, _vector,
+                     build_hatano_nelson, matrix_entries)
 
 # Mode sums over spectra with a worse right-mode condition than this cancel
 # to noise, so steady._mode_sum refuses them; single products (loadings,
@@ -52,16 +52,10 @@ class ModeVector:
     normalization: str = "biorthogonal"
 
     def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if v.size == 0:
-            raise ParameterError("mode vector must not be empty")
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-            raise ParameterError("mode vector contains non-finite amplitudes")
+        v = _vector("mode vector", self.amplitudes, "iufc")
         if self.normalization not in ("biorthogonal", "euclidean"):
             raise ParameterError(f"unknown normalization {self.normalization!r}")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "amplitudes", v)
+        object.__setattr__(self, "amplitudes", _frozen_array(v))
 
     @property
     def dim(self) -> int:

@@ -49,8 +49,8 @@ import numpy as np
 
 from .errors import (DarkSourceError, EnvelopeOverflowError, ParameterError, SolveError,
                      StabilityError)
-from .models import (_GatedMatrix, _count, _frozen_array, _hermitian, _positions, _strength,
-                     matrix_entries)
+from .models import (_GatedMatrix, _check_finite_scalar, _count, _frozen_array, _hermitian,
+                     _positions, _strength, matrix_entries)
 from .spectral import (CONDITION_TRUST_LIMIT, BiorthogonalSpectrum, _check_beta_stability,
                        _pump_loadings, _tridiagonal_bands, slow_mode_position)
 
@@ -526,8 +526,8 @@ def _mode_sum(spectrum: BiorthogonalSpectrum, source, initial=None,
     c0 = y if t is None else matrix_entries(initial, "initial state C0")
     if y.shape[0] != spectrum.dim or c0.shape[0] != spectrum.dim:
         raise ParameterError("source or initial state dimension does not match spectrum")
-    if t is not None and not 0 <= t < np.inf:
-        raise ParameterError(f"time must be finite and >= 0, got {t}")
+    if t is not None and _check_finite_scalar("time", t) < 0:
+        raise ParameterError(f"time must be >= 0, got {t}")
     betas = spectrum.betas
     _check_beta_stability(betas)
     if spectrum.condition_estimate > CONDITION_TRUST_LIMIT:
@@ -625,7 +625,8 @@ def _sample_grid(t_final: float, dt: float, stride: int) -> tuple[np.ndarray, li
     with the interval that ends at each sample after the first."""
     dt = _strength("dt", dt)
     stride = _count("stride", stride)
-    if t_final < 0 or not np.isfinite(t_final):
+    t_final = _check_finite_scalar("t_final", t_final)
+    if t_final < 0:
         raise ParameterError(f"t_final must be >= 0, got {t_final}")
     n_steps = int(np.ceil(t_final / dt - 1e-12)) if t_final > 0 else 0
     steps = list(range(stride, n_steps + 1, stride)) + ([n_steps] if n_steps % stride else [])

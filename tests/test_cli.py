@@ -466,6 +466,40 @@ class TestInverseDesignCommand:
             assert detail in capsys.readouterr().err
             assert not out.exists()
 
+    # At the parent of the number rule true pumped site 2 at 1.0 with exit 0,
+    # null leaked a TypeError traceback and "0.1" was read as 0.1.
+    @pytest.mark.parametrize("entry, shown", [("true", "True"), ("null", "None"),
+                                              ('"0.1"', "'0.1'")])
+    def test_malformed_pump_file_entry_exits_2_naming_file_and_entry(self, tmp_path, capsys,
+                                                                     entry, shown):
+        pump_file = tmp_path / "pump.json"
+        pump_file.write_text(f"[0.1, {entry}, 0.1]")
+        out = tmp_path / "out"
+        assert main(["inverse-design", "--kappa", "5", "--pump-file", str(pump_file),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: ParameterError: pump_file {pump_file} contains non-finite entries: "
+            f"entry 2 is {shown}\n")
+        assert not out.exists()
+
+    def test_pump_profile_is_held_to_the_source_matrix_psd_rule(self, tmp_path):
+        # -1e-15 is within PSD_TOL of the peak 0.1: SourceMatrix took it and
+        # the decomposition's own rule refused it in the same run
+        pump_file = tmp_path / "pump.json"
+        pump_file.write_text("[0.1, -1e-15, 0.1]")
+        out = str(tmp_path / "out")
+        assert main(["inverse-design", "--kappa", "5", "--pump-file", str(pump_file),
+                     "--out", out]) == 0
+        summary = read_summary(out + "/inverse-design.json")
+        assert summary["validation"]["passed"] is True
+        assert [j["label"] for j in summary["jumps"]["gain"]] == ["pump(1)", "pump(3)"]
+
+    def test_infeasibility_message_prints_sides_that_differ(self, tmp_path, capsys):
+        # at 6 digits both sides read 2.34
+        assert main(["inverse-design", "--t-left", "0.17", "--gamma", "0.1",
+                     "--kappa", "1.21999999649", "--out", str(tmp_path)]) == 3
+        assert "(need 2 kappa - gamma >= 2.34, have 2.33999999)" in capsys.readouterr().err
+
     def test_custom_file_model_requires_matrix_files(self, tmp_path, capsys):
         assert main(["inverse-design", "--model", "custom-file",
                      "--out", str(tmp_path)]) == 2
@@ -649,6 +683,26 @@ class TestValidateCommand:
         check = read_summary(out + "/validate.json")["checks"][1]
         assert check["name"] == "relaxation_stable" and check["passed"] is False
         assert check["detail"].startswith("Smith doubling power A^(2^8) is not finite")
+
+    # At the parent of the number rule true was read as 1.0 and "0.1" as 0.1,
+    # both with exit 0, and null leaked a TypeError.
+    @pytest.mark.parametrize("name", ["x_file", "y_file"])
+    @pytest.mark.parametrize("entry, shown", [(True, "True"), (None, "None"),
+                                              ("0.1", "'0.1'")])
+    def test_malformed_matrix_file_entry_exits_2_naming_file_and_entry(self, tmp_path, capsys,
+                                                                       name, entry, shown):
+        files = dict(zip(("x_file", "y_file"), self.write_pair(tmp_path, kappa=1.5)))
+        payload = read_summary(files[name])
+        payload["re"][1][2] = entry
+        with open(files[name], "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        out = tmp_path / "out"
+        assert main(["validate", "--x-file", files["x_file"], "--y-file", files["y_file"],
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: ParameterError: {files[name]} re contains non-finite entries: "
+            f"entry (2, 3) is {shown}\n")
+        assert not out.exists()
 
     def test_missing_files_exit_2(self, tmp_path):
         assert main(["validate", "--out", str(tmp_path)]) == 2

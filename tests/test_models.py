@@ -8,20 +8,24 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import gausschain
-from gausschain import (DensityMatrix, FockOperatorSet, HatanoNelsonParams, ParameterError,
-                        RelaxationMatrix, SiteIndexError, SourceMatrix, SshParams,
-                        SteadyCorrelator, biorthogonal_decompose, build_diagonal_pump,
-                        build_hatano_nelson, build_local_pump, build_ssh, default_labels,
-                        density, evolve_master, hn_jump_decomposition, hn_source_scan,
-                        identify_edge_candidate, inverse_design, loading_factors,
-                        lyapunov_residual, natural_orbitals, normalized_density,
-                        propagate_correlator, single_mode_approximation, solve_lyapunov_direct,
-                        ssh_crossover_scan, ssh_index, ssh_jump_decomposition, ssh_labels,
-                        steady_state_oracle)
-from gausschain.models import PSD_TOL, matrix_entries
+from gausschain import (DensityMatrix, FockOperatorSet, GausschainError, HatanoNelsonParams,
+                        JumpVector, ModeVector, ParameterError, RelaxationMatrix, SiteIndexError,
+                        SourceMatrix, SshParams, SteadyCorrelator, biorthogonal_decompose,
+                        build_diagonal_pump, build_hatano_nelson, build_local_pump, build_ssh,
+                        closed_form_correlator, default_labels, density, evolve_master,
+                        hn_jump_decomposition, hn_source_scan, identify_edge_candidate,
+                        inverse_design, loading_factors, lyapunov_residual, natural_orbitals,
+                        normalized_density, overlap, propagate_correlator,
+                        single_mode_approximation, solve_lyapunov_direct, ssh_crossover_scan,
+                        ssh_index, ssh_jump_decomposition, ssh_labels, steady_state_oracle)
+from gausschain.matio import matrix_from_payload, matrix_payload
+from gausschain.models import (PSD_TOL, _check_finite_scalar, _count, _number_mask, _positions,
+                               _strength, _vector, matrix_entries)
 from gausschain.steady import DirectSolver
 
 
@@ -270,7 +274,8 @@ def test_every_matrix_entry_point_refuses_non_finite_entries_by_role(entry, bad)
     call(good)
     broken = np.array(good)
     broken[1, 1] = bad
-    with pytest.raises(ParameterError, match=f"^{role} contains non-finite entries$"):
+    message = f"{role} contains non-finite entries: entry (2, 2) is {broken[1, 1].item()!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         call(broken)
 
 
@@ -365,6 +370,13 @@ def gated_scalars():
         "SshParams g": ("finite", "g", 0.0, lambda g: SshParams(3, 0.5, 1.0, g, 1.5)),
         "identify_edge_candidate kappa": ("finite", "kappa", 1.5,
                                           lambda k: identify_edge_candidate(spectrum, k)),
+        "propagate_correlator t_final": ("finite", "t_final", 0.2,
+                                         lambda t: propagate_correlator(x, y, zero, t, 0.1)),
+        "evolve_master t_final": ("finite", "t_final", 0.2,
+                                  lambda t: evolve_master(DensityMatrix.vacuum(3), h, jumps,
+                                                          t, 0.1)),
+        "closed_form_correlator t": ("finite", "time", 0.2,
+                                     lambda t: closed_form_correlator(spectrum, y, zero, t)),
     }
 
 
@@ -390,6 +402,7 @@ def test_every_scalar_entry_point_refuses_a_bad_value_by_role(entry, bad):
     # annihilation(0) gave site 3's operator, and build_local_pump(3, True,
     # 0.1) pumped site 1.  float() took True as 1.0 and leaked a raw
     # ValueError for "abc", and a NaN kappa gave mode 1 with used_fallback.
+    # t_final=True sampled to t = 1 and closed_form_correlator took t=True.
     kind, role, good, call = gated_scalars()[entry]
     call(good)
     if kind == "index":
@@ -402,6 +415,120 @@ def test_every_scalar_entry_point_refuses_a_bad_value_by_role(entry, bad):
         error, message = ParameterError, f"{role} must be finite, got {bad!r}"
     with pytest.raises(error, match=re.escape(message) + "$"):
         call(bad)
+
+
+def gated_vectors():
+    """Entry point -> (kind, role its error names, valid value, call on one value).
+
+    Every vector a call takes passes models._vector, every matrix
+    matrix_entries and a matrix file's re and im models._numbers; all read
+    models._number_mask.  NaN, inf and empty matrices are refused by role in
+    the two tests above; a non-square one names its shape.
+    """
+    params = HatanoNelsonParams(3, 1.0, 0.17, 1.5)
+    wide_gap = SshParams(3, 0.5, 1.0, 0.0, 2.0)
+    unit = [1.0, 0.0, 0.0]
+    payload = matrix_payload(np.eye(3), ("1", "2", "3"))
+    table = {
+        "build_diagonal_pump": ("vector", "pump profile", [0.1, 0.2, 0.3], build_diagonal_pump),
+        "hn_jump_decomposition profile": ("vector", "pump profile", [0.1, 0.2, 0.3],
+                                          lambda g: hn_jump_decomposition(params, g)),
+        "ssh_jump_decomposition profile": ("vector", "pump profile", [0.1] * 6,
+                                           lambda g: ssh_jump_decomposition(wide_gap, g)),
+        "ssh_crossover_scan g_values": ("vector", "g_values", [0.0, 0.1, 0.2],
+                                        lambda g: ssh_crossover_scan(wide_gap, 1, "A", 0.1, g)),
+        "ModeVector": ("vector", "mode vector", unit, ModeVector),
+        "JumpVector": ("vector", "jump vector 'x'", unit, lambda v: JumpVector("x", "loss", v)),
+        "overlap first": ("vector", "overlap input", unit, lambda v: overlap(v, unit)),
+        "overlap second": ("vector", "overlap input", unit, lambda v: overlap(unit, v)),
+        "matrix_from_payload re": ("file", "matrix payload re", payload["re"],
+                                   lambda m: matrix_from_payload({**payload, "re": m})),
+        "matrix_from_payload im": ("file", "matrix payload im", payload["im"],
+                                   lambda m: matrix_from_payload({**payload, "im": m})),
+    }
+    for entry, (role, good, call) in gated_calls().items():
+        table[entry] = ("matrix", role, np.array(good).tolist(), call)
+    return table
+
+
+NESTED, EMPTY = "nested", "empty"
+BAD_ENTRIES = {
+    "vector": [True, None, "0.1", math.nan, math.inf, -math.inf, NESTED, EMPTY],
+    "file": [True, None, "0.1", math.nan, math.inf, -math.inf],
+    "matrix": [True, None, "0.1"],
+}
+
+
+def vector_cases():
+    for entry, (kind, *_) in gated_vectors().items():
+        for bad in BAD_ENTRIES[kind]:
+            yield pytest.param(entry, bad, id=f"{entry}-{bad}")
+
+
+@pytest.mark.parametrize("entry, bad", list(vector_cases()))
+def test_every_vector_and_matrix_entry_point_refuses_a_bad_entry_by_role(entry, bad):
+    # At the parent of the number rule np.asarray and float() took True as
+    # 1.0 and leaked a raw TypeError for None or ValueError for "0.1" where
+    # they did not take it too (ModeVector, matrix_entries, matrix files);
+    # a nested list passed reshape(-1), NaN in a g list failed every scan
+    # point instead of the call, and each vector named its own message.
+    kind, role, good, call = gated_vectors()[entry]
+    call(good)
+    if bad is NESTED or bad is EMPTY:
+        value = [good] if bad is NESTED else []
+        message = f"{role} must be a non-empty list of numbers, got shape {np.shape(value)}"
+    else:
+        value = [list(row) if isinstance(row, list) else row for row in good]
+        if kind == "vector":
+            value[1], where = bad, 2
+        else:
+            value[1][1], where = bad, (2, 2)
+        message = f"{role} contains non-finite entries: entry {where} is {bad!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+def test_the_number_rule_reads_an_ndarray_by_its_dtype_and_a_list_entry_by_entry():
+    # np.asarray([0.1, True]) is [0.1, 1.0]: only the walk of the list sees the bool
+    for value, ok in [([0.1, True], [True, False]), ([[1, None], [2.0, "x"]], [[1, 0], [1, 0]]),
+                      ([1, [2, 3]], [True, False]), ([2 ** 70, 1.0], [False, True]),
+                      (np.array([0.1, np.nan]), [True, False]), (np.array([True]), [False]),
+                      (np.array(["1"]), [False]), ((np.float64(1.0), np.True_), [True, False])]:
+        assert_array_equal(_number_mask(value)[1], np.array(ok, dtype=bool))
+    assert_array_equal(_number_mask([1j, np.inf])[1], [False, False])
+    assert_array_equal(_number_mask([1j, np.inf], "iufc")[1], [True, False])
+    assert _number_mask(0.5)[1] and not _number_mask(False)[1] and not _number_mask(None)[1]
+
+
+# strings are sampled: st.text builds a Unicode table on first use, which alone
+# takes longer than the whole test
+GARBAGE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.complex_numbers()
+    | st.sampled_from(["", "0.1", "nan", "x"]),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner), max_leaves=12)
+
+
+def number_gates():
+    """One call per gate of models and per vector or matrix file reader."""
+    params = HatanoNelsonParams(3, 1.0, 0.17, 1.5)
+    return [
+        lambda v: _positions("site", v, 3), lambda v: _count("count", v),
+        lambda v: _check_finite_scalar("scalar", v), lambda v: _strength("strength", v),
+        lambda v: _vector("vector", v), lambda v: _vector("vector", v, "iufc"),
+        matrix_entries, build_diagonal_pump, ModeVector, lambda v: JumpVector("x", "gain", v),
+        lambda v: hn_jump_decomposition(params, v), matrix_from_payload,
+        lambda v: matrix_from_payload({"dim": 1, "labels": ["1"], "re": v, "im": [[0.0]]}),
+    ]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(value=GARBAGE)
+def test_garbage_at_any_gate_raises_nothing_but_a_gausschain_error(value):
+    for gate in number_gates():
+        try:
+            gate(value)
+        except GausschainError:
+            pass
 
 
 def test_array_indices_are_checked_in_one_pass_naming_the_first_bad_one():
