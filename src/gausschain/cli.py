@@ -152,13 +152,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
     for key in specific:
         value = getattr(args, key, None)
         if value is not None:
-            specific[key] = value
+            specific[key] = _coerce(key, value, type(COMMAND_DEFAULTS[command][key]))
             given.add(key)
     if command == "inverse-design" and specific["model"] == "ssh" and "kappa" not in given:
         specific["kappa"] = _SSH_DESIGN_KAPPA
-    for key, value in specific.items():
-        if isinstance(value, float):
-            _check_finite_scalar(key, value)
     for key in common:
         value = getattr(args, key, None)
         if value is not None:
@@ -386,10 +383,12 @@ def _design_inputs(cfg: dict):
         return entries, labels, SourceMatrix(y_entries, labels=labels), None
     else:
         raise ParameterError(f"model must be hn, ssh, or custom-file, got {model!r}")
-    gamma = cfg["gamma"]
-    if cfg["pump_file"]:  # its length is checked by the decomposition
-        gamma = _vector(f"pump_file {cfg['pump_file']}", read_json(cfg["pump_file"]))
-    y = build_diagonal_pump(gamma if np.ndim(gamma) else [gamma] * params.n_sites)
+    if cfg["pump_file"]:  # one Y for both; its length is checked by the decomposition
+        y = gamma = build_diagonal_pump(_vector(f"pump_file {cfg['pump_file']}",
+                                                read_json(cfg["pump_file"])))
+    else:
+        gamma = cfg["gamma"]
+        y = build_diagonal_pump([gamma] * params.n_sites)
     return matrix_entries(x), x.labels, y, decompose(params, gamma)
 
 

@@ -136,7 +136,8 @@ def _chain_jumps(labels: tuple[str, ...], kappa: float, bonds, gamma,
     ``bonds`` lists ``(left site, beta)`` pairs (1-based); each bond with
     beta > 0 becomes the loss jump sqrt(beta) (c_left - c_{left+1}).  A
     scalar ``gamma`` passes _strength, and a profile build_diagonal_pump, the
-    PSD rule inverse_design applies to the same Y.
+    PSD rule inverse_design applies to the same Y; a diagonal SourceMatrix
+    is that Y, judged already.
     Site j keeps the onsite squared weight 2 kappa - gamma_j - b_j, where
     b_j sums beta over the bonds touching j.  A weight below -PSD_TOL times
     the target's peak (largest |entry| of its loss gram and pump: |2 kappa -
@@ -144,9 +145,11 @@ def _chain_jumps(labels: tuple[str, ...], kappa: float, bonds, gamma,
     """
     dim = len(labels)
     if isinstance(gamma, (list, tuple)) or np.ndim(gamma):
-        y = np.diagonal(build_diagonal_pump(gamma).entries)
-        if y.size != dim:
-            raise ParameterError(f"{context}: pump profile must have length {dim}")
+        gamma = build_diagonal_pump(gamma)
+    if isinstance(gamma, SourceMatrix):
+        y = np.diagonal(gamma.entries)
+        if y.size != dim or not np.array_equal(np.diag(y), gamma.entries):
+            raise ParameterError(f"{context}: pump must be {dim} site strengths (a diagonal Y)")
     else:
         y = np.full(dim, _strength(f"{context}: uniform pump strength", gamma))
     bond_sum = np.zeros(dim)
@@ -192,7 +195,8 @@ def hn_jump_decomposition(params: HatanoNelsonParams, gamma) -> JumpSet:
     every nearest-neighbor pair, plus one onsite loss per site whose
     squared weight is delta - beta at the two boundary sites and
     delta - 2 beta in the bulk, with delta = 2 kappa - gamma_j and
-    beta = t_right + t_left.  Gain channels: sqrt(gamma_j) c_j^dag.
+    beta = t_right + t_left.  Gain channels: sqrt(gamma_j) c_j^dag, where
+    gamma is uniform, a site profile or its Y from build_diagonal_pump.
 
     A uniform gamma is gated by 2 kappa - gamma >= the largest per-site
     bond sum: 0 for a single site (gamma <= 2 kappa), beta for two

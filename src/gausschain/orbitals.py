@@ -432,14 +432,12 @@ def _top_occupations(stack: np.ndarray) -> np.ndarray:
     _CHECK_EVERY-th step only: on a 40-pump stack it costs more than a
     step, and a pump certified late by a step or two moves nu_max by
     rounding only.  Pumps not certified within _POWER_STEPS steps, or not
-    finite, get eigvalsh instead, and so at once does a pump whose
-    Collatz-Wielandt bound max_i (C v)_i / v_i >= nu_max (C >= 0 entrywise,
-    v > 0; a zero in v gives none) shows that 2 rho > tr C can never hold.
+    finite, get eigvalsh instead.
     """
     n = stack.shape[1]
     trace = np.trace(stack, axis1=1, axis2=2)[:, None]
     raised = 1.0 + 2.0 * n * n * EPS
-    top = np.full(stack.shape[0], np.nan)
+    top = np.empty(stack.shape[0])
     pending = np.ones(stack.shape[0], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = stack @ np.ones(n) / trace
@@ -454,13 +452,9 @@ def _top_occupations(stack: np.ndarray) -> np.ndarray:
             done = pending & (gap > 0) & (np.einsum("pi,pi->p", r, r) <= EPS * rho * gap)
             top[done] = rho[done] * trace[done, 0]
             pending &= ~done
-            if not gap.min() > 0:  # no bound needed while every gap is open
-                pending &= ~(2.0 * (w / v).max(axis=1) <= raised)
             if not pending.any():
-                break
-    late = np.isnan(top)
-    if late.any():
-        top[late] = np.linalg.eigvalsh(stack[late])[:, -1]
+                return top
+    top[pending] = np.linalg.eigvalsh(stack[pending])[:, -1]
     return top
 
 

@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import (DecompositionError, DegeneracyError, EnvelopeOverflowError,
                      ParameterError, RegimeError, StabilityError)
-from .models import (HatanoNelsonParams, SshParams, _frozen_array, _positions, _vector,
-                     build_hatano_nelson, matrix_entries)
+from .models import (HatanoNelsonParams, SshParams, _check_finite_scalar, _frozen_array,
+                     _positions, _vector, build_hatano_nelson, matrix_entries)
 
 # Mode sums over spectra with a worse right-mode condition than this cancel
 # to noise, so steady._mode_sum refuses them; single products (loadings,
@@ -134,15 +134,18 @@ class BiorthogonalSpectrum:
     log10_condition: float
 
     def __post_init__(self):
-        b = np.asarray(self.betas, dtype=complex).reshape(-1)
+        b = _vector("spectrum betas", self.betas, "iufc")
         u, v = np.asarray(self.u), np.asarray(self.v)
-        log_d = np.asarray(self.log_d, dtype=float)
+        log_d = _vector("spectrum log_d", self.log_d)
         if u.shape != (b.size, b.size) or v.shape != u.shape or log_d.shape != b.shape:
             raise ParameterError("spectrum arrays have inconsistent shapes")
         for name, arr in (("betas", b), ("u", u), ("v", v), ("log_d", log_d)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "log10_condition", float(self.log10_condition))
+        cond = self.log10_condition  # inf where the condition of R overflows
+        object.__setattr__(self, "log10_condition",
+                           math.inf if isinstance(cond, float) and cond == math.inf
+                           else _check_finite_scalar("spectrum log10_condition", cond))
 
     @cached_property
     def right(self) -> np.ndarray:

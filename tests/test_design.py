@@ -2,14 +2,15 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from gausschain import (HatanoNelsonParams, InfeasibilityError, JumpSet,
-                        JumpVector, ParameterError, SshParams, ValidationError,
-                        build_hatano_nelson, build_ssh, hn_jump_decomposition,
+                        JumpVector, ParameterError, SourceMatrix, SshParams, ValidationError,
+                        build_diagonal_pump, build_hatano_nelson, build_ssh, hn_jump_decomposition,
                         inverse_design, jump_set_payload, realization_payload,
                         solve_lyapunov_direct, ssh_jump_decomposition,
                         validate_jump_set)
@@ -218,6 +219,9 @@ def test_site_profile_feasible_and_gated_per_site():
     x = build_hatano_nelson(params)
     real = inverse_design(x, np.diag(profile))
     assert validate_jump_set(jumps, real).passed
+    # the pump Y of the profile, judged once, gives the same jumps
+    judged = hn_jump_decomposition(params, build_diagonal_pump(profile))
+    assert jump_set_payload(judged) == jump_set_payload(jumps)
 
     ssh = SshParams(2, 0.5, 1.0, 0.0, 2.0)
     bad = np.array([0.1, 5.0, 0.1, 0.1])
@@ -238,6 +242,11 @@ def test_pump_profile_validation():
         hn_jump_decomposition(params, np.array([0.1, 0.1]))
     with pytest.raises(ParameterError):
         hn_jump_decomposition(params, np.array([0.1, -0.1, 0.1]))
+    off_diagonal = SourceMatrix([[0.1, 0.05, 0.0], [0.05, 0.1, 0.0], [0.0, 0.0, 0.1]])
+    for pump in ([0.1, 0.1], build_diagonal_pump([0.1, 0.1]), off_diagonal):
+        with pytest.raises(ParameterError, match=re.escape(
+                "single-band decomposition: pump must be 3 site strengths (a diagonal Y)") + "$"):
+            hn_jump_decomposition(params, pump)
 
 
 def test_validation_pinpoints_a_corrupted_bond():

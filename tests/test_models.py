@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import gausschain
-from gausschain import (DensityMatrix, FockOperatorSet, GausschainError, HatanoNelsonParams,
-                        JumpVector, ModeVector, ParameterError, RelaxationMatrix, SiteIndexError,
-                        SourceMatrix, SshParams, SteadyCorrelator, biorthogonal_decompose,
+from gausschain import (BiorthogonalSpectrum, DensityMatrix, FockOperatorSet, GausschainError,
+                        HatanoNelsonParams, JumpVector, ModeVector, ParameterError,
+                        RelaxationMatrix, SiteIndexError, SourceMatrix, SshParams,
+                        SteadyCorrelator, biorthogonal_decompose,
                         build_diagonal_pump, build_hatano_nelson, build_local_pump, build_ssh,
                         closed_form_correlator, default_labels, density, evolve_master,
                         hn_jump_decomposition, hn_source_scan, identify_edge_candidate,
@@ -427,8 +428,8 @@ def gated_vectors():
     """
     params = HatanoNelsonParams(3, 1.0, 0.17, 1.5)
     wide_gap = SshParams(3, 0.5, 1.0, 0.0, 2.0)
-    unit = [1.0, 0.0, 0.0]
-    payload = matrix_payload(np.eye(3), ("1", "2", "3"))
+    unit, eye = [1.0, 0.0, 0.0], np.eye(3)
+    payload = matrix_payload(eye, ("1", "2", "3"))
     table = {
         "build_diagonal_pump": ("vector", "pump profile", [0.1, 0.2, 0.3], build_diagonal_pump),
         "hn_jump_decomposition profile": ("vector", "pump profile", [0.1, 0.2, 0.3],
@@ -441,6 +442,10 @@ def gated_vectors():
         "JumpVector": ("vector", "jump vector 'x'", unit, lambda v: JumpVector("x", "loss", v)),
         "overlap first": ("vector", "overlap input", unit, lambda v: overlap(v, unit)),
         "overlap second": ("vector", "overlap input", unit, lambda v: overlap(unit, v)),
+        "BiorthogonalSpectrum betas": ("vector", "spectrum betas", [1.0, 2.0, 3.0],
+                                       lambda b: BiorthogonalSpectrum(b, eye, eye, unit, 0.0)),
+        "BiorthogonalSpectrum log_d": ("vector", "spectrum log_d", unit,
+                                       lambda d: BiorthogonalSpectrum(unit, eye, eye, d, 0.0)),
         "matrix_from_payload re": ("file", "matrix payload re", payload["re"],
                                    lambda m: matrix_from_payload({**payload, "re": m})),
         "matrix_from_payload im": ("file", "matrix payload im", payload["im"],
@@ -488,6 +493,18 @@ def test_every_vector_and_matrix_entry_point_refuses_a_bad_entry_by_role(entry, 
         call(value)
 
 
+def test_spectrum_condition_is_a_real_number_or_inf():
+    # float() once took True as 1.0 and "1" as 1.0; inf stays, as
+    # biorthogonal_decompose passes it where cond_2 R overflows
+    eye = np.eye(2)
+    spectrum = BiorthogonalSpectrum([1.0, 2.0], eye, eye, [0.0, 0.0], math.inf)
+    assert spectrum.log10_condition == math.inf and spectrum.condition_estimate == math.inf
+    for bad in (True, None, "1", math.nan, -math.inf, np.array([math.inf, math.inf])):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"spectrum log10_condition must be finite, got {bad!r}") + "$"):
+            BiorthogonalSpectrum([1.0, 2.0], eye, eye, [0.0, 0.0], bad)
+
+
 def test_the_number_rule_reads_an_ndarray_by_its_dtype_and_a_list_entry_by_entry():
     # np.asarray([0.1, True]) is [0.1, 1.0]: only the walk of the list sees the bool
     for value, ok in [([0.1, True], [True, False]), ([[1, None], [2.0, "x"]], [[1, 0], [1, 0]]),
@@ -517,6 +534,7 @@ def number_gates():
         lambda v: _vector("vector", v), lambda v: _vector("vector", v, "iufc"),
         matrix_entries, build_diagonal_pump, ModeVector, lambda v: JumpVector("x", "gain", v),
         lambda v: hn_jump_decomposition(params, v), matrix_from_payload,
+        lambda v: BiorthogonalSpectrum(v, np.eye(1), np.eye(1), [0.0], v),
         lambda v: matrix_from_payload({"dim": 1, "labels": ["1"], "re": v, "im": [[0.0]]}),
     ]
 

@@ -321,28 +321,6 @@ def test_top_occupations_fall_back_to_eigvalsh_without_a_certificate(monkeypatch
         _top_occupations(np.stack([chain, np.full((3, 3), np.nan)]))
 
 
-def test_pumps_that_cannot_certify_leave_the_power_iteration_early(monkeypatch):
-    # 23 of this chain's 40 pumps have 2 nu_max <= tr C, so no Kato-Temple
-    # bound ever exists for them; they once took all _POWER_STEPS steps.  The
-    # Collatz-Wielandt bound sends them to eigvalsh by step 9, whose nu_max
-    # they got before.
-    n = 40
-    x = build_hatano_nelson(HatanoNelsonParams(n, 1.0, 0.3, 1.3))
-    stack, _ = DirectSolver(x).solve_local(np.arange(1, n + 1), 0.03)
-    top = _top_occupations(stack)
-    dense = np.linalg.eigvalsh(stack)[:, -1]
-    hopeless = 2.0 * dense <= np.trace(stack, axis1=1, axis2=2)
-    assert hopeless.sum() == 23
-    assert np.array_equal(top[hopeless], dense[hopeless])
-    assert np.abs(top - dense).max() <= n * EPS * dense.max()
-    steps = []  # one norm per power step
-    norm = np.linalg.norm
-    monkeypatch.setattr(orbitals.np.linalg, "norm",
-                        lambda *args, **kwargs: steps.append(1) or norm(*args, **kwargs))
-    assert np.array_equal(_top_occupations(stack[hopeless]), top[hopeless])
-    assert len(steps) <= 9
-
-
 def test_reference_scan_certifies_every_pump(monkeypatch):
     def refuse(a):
         raise AssertionError("eigvalsh fallback taken")
