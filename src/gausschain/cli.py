@@ -573,7 +573,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
-    except (GausschainError, ValueError, OSError) as exc:
+    except (GausschainError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -133,8 +133,8 @@ def _chain_jumps(labels: tuple[str, ...], kappa: float, bonds, gamma,
                  context: str) -> JumpSet:
     """Bond, onsite and pump jumps of a nearest-neighbor chain.
 
-    ``bonds`` lists ``(left site, beta)`` pairs (1-based); each bond with
-    beta > 0 becomes the loss jump sqrt(beta) (c_left - c_{left+1}).  A
+    ``bonds`` lists ``(left site, beta)`` pairs (1-based), beta > 0 as the
+    hoppings are; each becomes the loss jump sqrt(beta) (c_left - c_{left+1}).  A
     scalar ``gamma`` passes _strength, and a profile build_diagonal_pump, the
     PSD rule inverse_design applies to the same Y; a diagonal SourceMatrix
     is that Y, judged already.
@@ -176,10 +176,9 @@ def _chain_jumps(labels: tuple[str, ...], kappa: float, bonds, gamma,
 
     loss = []
     for left, beta in bonds:
-        if beta > 0:
-            v = np.zeros(dim, dtype=complex)
-            v[left - 1], v[left] = np.sqrt(beta), -np.sqrt(beta)
-            loss.append(JumpVector(f"bond({labels[left - 1]})", "loss", v))
+        v = np.zeros(dim, dtype=complex)
+        v[left - 1], v[left] = np.sqrt(beta), -np.sqrt(beta)
+        loss.append(JumpVector(f"bond({labels[left - 1]})", "loss", v))
     eye = np.eye(dim, dtype=complex)
     loss += [JumpVector(f"onsite({labels[j]})", "loss", np.sqrt(max(a, 0.0)) * eye[j])
              for j, a in enumerate(args)]

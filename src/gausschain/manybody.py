@@ -27,7 +27,7 @@ import numpy as np
 
 from .design import JumpSet
 from .errors import ParameterError, ScaleError, StabilityError
-from .models import _count, _hermitian, _positions, matrix_entries
+from .models import _count, _hermitian, _positions, _vector, matrix_entries
 from .steady import _expm, _sample_grid
 
 # widest charge block C(2N, N) is 924 here (seconds); 3432 at 7 sites (2 min, 1.2 GB)
@@ -108,7 +108,7 @@ class FockOperatorSet:
 
     def one_body_operator(self, coefficients) -> np.ndarray:
         """sum_ij M_ij c_i^dag c_j as a full Fock-space matrix."""
-        m = np.asarray(coefficients, dtype=complex)
+        m = matrix_entries(coefficients, "coefficient matrix")
         if m.shape != (self.n_sites, self.n_sites):
             raise ParameterError(
                 f"coefficient matrix must be {self.n_sites}x{self.n_sites}, got {m.shape}")
@@ -121,7 +121,7 @@ class FockOperatorSet:
 
     def loss_operator(self, vector) -> np.ndarray:
         """sum_j u_j c_j."""
-        v = np.asarray(vector, dtype=complex).reshape(-1)
+        v = _vector("loss vector", vector, "iufc")
         if v.size != self.n_sites:
             raise ParameterError(f"jump vector length {v.size} != n_sites {self.n_sites}")
         op = np.zeros((self.dim, self.dim), dtype=complex)
@@ -132,7 +132,7 @@ class FockOperatorSet:
 
     def gain_operator(self, vector) -> np.ndarray:
         """sum_j v_j c_j^dag, the adjoint of loss_operator(conj v)."""
-        return self.loss_operator(np.conj(vector)).conj().T
+        return self.loss_operator(np.conj(_vector("gain vector", vector, "iufc"))).conj().T
 
 
 _OPERATOR_CACHE: dict[int, FockOperatorSet] = {}
@@ -146,15 +146,13 @@ def operator_set(n_sites: int) -> FockOperatorSet:
 
 
 def _checked_states(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a (S, D, D) stack of density matrices.
+    """Validate a (S, D, D) stack of density matrices, each square already.
 
     Each sample must be finite, Hermitian to 1e-12 and, once symmetrized,
     of unit trace to 1e-10 with no eigenvalue below -1e-8.  Returns the
     symmetrized samples, read-only, and each one's |Tr rho - 1|.  A stack
     of one is a single state; in a longer stack errors name the sample.
     """
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ParameterError(f"density matrix must be square, got {stack.shape[1:]}")
     dim = stack.shape[1]
     n = dim.bit_length() - 1
     if 2 ** n != dim:
@@ -181,12 +179,12 @@ def _checked_states(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated many-body state: Hermitian, unit trace, nonnegative."""
+    """Validated many-body state (matrix_entries, _checked_states): Hermitian, unit trace, PSD."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        rho = np.asarray(self.entries, dtype=complex)
+        rho = np.asarray(matrix_entries(self.entries, "density matrix"), dtype=complex)
         object.__setattr__(self, "entries", _checked_states(rho[None])[0][0])
 
     @classmethod

@@ -38,6 +38,20 @@ class _GatedMatrix:
 
     __slots__ = ()
 
+    def _hold(self, m: np.ndarray, labels=None) -> None:
+        """Set ``entries`` to a frozen copy of the gated ``m`` and, unless ``labels`` is
+        None, ``labels`` to them (1..dim if empty); ParameterError unless one per row."""
+        object.__setattr__(self, "entries", _frozen_array(m))
+        if labels is not None:
+            labels = tuple(labels) or default_labels(m.shape[0])
+            if len(labels) != m.shape[0]:
+                raise ParameterError("label count does not match matrix dimension")
+            object.__setattr__(self, "labels", labels)
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
+
 
 def _number_mask(value, kinds: str = "iuf") -> tuple[np.ndarray, np.ndarray]:
     """(a, ok): ``value`` as an array and where its entries are input numbers: finite ints
@@ -162,8 +176,8 @@ def _strength(role: str, value) -> float:
     return v
 
 
-def _frozen_array(m: np.ndarray) -> np.ndarray:
-    out = np.array(m)
+def _frozen_array(m: np.ndarray, dtype=None) -> np.ndarray:
+    out = np.array(m, dtype=dtype)
     out.flags.writeable = False
     return out
 
@@ -180,16 +194,7 @@ class RelaxationMatrix(_GatedMatrix):
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        m = _frozen_array(matrix_entries(self.entries, "relaxation matrix"))
-        labels = tuple(self.labels) if self.labels else default_labels(m.shape[0])
-        if len(labels) != m.shape[0]:
-            raise ParameterError("label count does not match matrix dimension")
-        object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+        self._hold(matrix_entries(self.entries, "relaxation matrix"), self.labels)
 
 
 @dataclass(frozen=True)
@@ -208,26 +213,14 @@ class SourceMatrix(_GatedMatrix):
             raise ParameterError(
                 f"source matrix not positive semidefinite: min eigenvalue {wmin:.3e}")
         object.__setattr__(self, "_psd", (wmin, limit))
-        labels = tuple(self.labels) if self.labels else default_labels(m.shape[0])
-        if len(labels) != m.shape[0]:
-            raise ParameterError("label count does not match matrix dimension")
-        object.__setattr__(self, "entries", _frozen_array(m))
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+        self._hold(m, self.labels)
 
 
 @dataclass(frozen=True)
 class HatanoNelsonParams:
     """Single-band chain: hoppings t_right (to the right neighbor) and
-    t_left, uniform damping kappa on the diagonal.
-
-    Zero hoppings are representable (degenerate decoupled limit) but are
-    rejected by the builders and closed-form routines, which need strict
-    nonreciprocal hopping.  Guaranteed relaxation requires
-    kappa > 2 sqrt(t_right t_left).
+    t_left, each finite and > 0 (_strength), uniform damping kappa on the
+    diagonal.  Guaranteed relaxation requires kappa > 2 sqrt(t_right t_left).
     """
 
     n_sites: int
@@ -237,19 +230,18 @@ class HatanoNelsonParams:
 
     def __post_init__(self):
         object.__setattr__(self, "n_sites", _count("n_sites", self.n_sites))
-        for name in ("t_right", "t_left", "kappa"):
-            object.__setattr__(self, name, _check_finite_scalar(name, getattr(self, name)))
-        if self.t_right < 0 or self.t_left < 0:
-            raise ParameterError("hopping amplitudes must be nonnegative")
+        for name, gate in (("t_right", _strength), ("t_left", _strength),
+                           ("kappa", _check_finite_scalar)):
+            object.__setattr__(self, name, gate(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
 class SshParams:
     """Two-band chain of n_cells unit cells with sublattices A, B.
 
-    Intracell hopping t1 and intercell hopping t2 acquire opposite
-    nonreciprocal weights exp(+-g): rightward amplitudes carry exp(g),
-    leftward ones exp(-g).  kappa is the uniform damping.
+    Intracell hopping t1 and intercell hopping t2 (each > 0, _strength) acquire
+    opposite nonreciprocal weights exp(+-g): rightward amplitudes carry exp(g),
+    leftward ones exp(-g), each a finite positive double.  kappa is the damping.
     """
 
     n_cells: int
@@ -260,10 +252,16 @@ class SshParams:
 
     def __post_init__(self):
         object.__setattr__(self, "n_cells", _count("n_cells", self.n_cells))
-        for name in ("t1", "t2", "g", "kappa"):
-            object.__setattr__(self, name, _check_finite_scalar(name, getattr(self, name)))
-        if self.t1 < 0 or self.t2 < 0:
-            raise ParameterError("hopping amplitudes must be nonnegative")
+        for name, gate in (("t1", _strength), ("t2", _strength),
+                           ("g", _check_finite_scalar), ("kappa", _check_finite_scalar)):
+            object.__setattr__(self, name, gate(name, getattr(self, name)))
+        try:
+            bonds = (self.t1_right, self.t1_left, self.t2_right, self.t2_left)
+        except OverflowError:  # math.exp(g) past the double range
+            bonds = (math.inf,)
+        if not all(0.0 < t < math.inf for t in bonds):
+            raise ParameterError(f"g must keep t1 e^+-g and t2 e^+-g finite and positive, "
+                                 f"got {self.g}")
 
     @property
     def n_sites(self) -> int:
@@ -293,8 +291,6 @@ def build_hatano_nelson(params: HatanoNelsonParams) -> RelaxationMatrix:
     i.e. -t_right on the first subdiagonal and -t_left on the first
     superdiagonal.
     """
-    if params.t_right <= 0 or params.t_left <= 0:
-        raise ParameterError("build_hatano_nelson requires strictly positive hoppings")
     n = params.n_sites
     x = params.kappa * np.eye(n)
     idx = np.arange(n - 1)
@@ -326,8 +322,6 @@ def build_ssh(params: SshParams) -> RelaxationMatrix:
     reversed hops carry exp(-g).  Entry (row, col) = amplitude for
     col -> row, so e.g. X[nB, nA] = -t1 exp(g).
     """
-    if params.t1 <= 0 or params.t2 <= 0:
-        raise ParameterError("build_ssh requires strictly positive hoppings")
     n = params.n_cells
     dim = 2 * n
     x = params.kappa * np.eye(dim)

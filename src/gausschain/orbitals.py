@@ -31,9 +31,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GausschainError, NormalizationError, ParameterError
-from .models import (HatanoNelsonParams, SshParams, _check_finite_scalar, _hermitian, _positions,
-                     _strength, _vector, build_hatano_nelson, build_local_pump, build_ssh,
-                     matrix_entries, ssh_index)
+from .models import (HatanoNelsonParams, SshParams, _check_finite_scalar, _frozen_array,
+                     _hermitian, _numbers, _positions, _strength, _vector, build_hatano_nelson,
+                     build_local_pump, build_ssh, matrix_entries, ssh_index)
 from .spectral import (BiorthogonalSpectrum, ModeVector, _gauge_columns, _pump_loadings,
                        _unit_columns, biorthogonal_decompose, hn_analytic_spectrum,
                        slow_mode_position)
@@ -95,14 +95,12 @@ class NaturalOrbitalSet:
     block_width: int
 
     def __post_init__(self):
-        w = np.asarray(self.occupations, dtype=float).reshape(-1)
-        v = np.asarray(self.orbitals, dtype=complex)
+        w = _vector("orbital occupations", self.occupations)
+        v = _numbers("orbital matrix", self.orbitals, "iufc")
         if v.ndim != 2 or v.shape[1] != w.size:
             raise ParameterError("orbital matrix shape does not match occupations")
-        w.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "occupations", w)
-        object.__setattr__(self, "orbitals", v)
+        object.__setattr__(self, "occupations", _frozen_array(w))
+        object.__setattr__(self, "orbitals", _frozen_array(v, complex))
 
     @property
     def dim(self) -> int:

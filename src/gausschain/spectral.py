@@ -134,13 +134,13 @@ class BiorthogonalSpectrum:
     log10_condition: float
 
     def __post_init__(self):
-        b = _vector("spectrum betas", self.betas, "iufc")
-        u, v = np.asarray(self.u), np.asarray(self.v)
-        log_d = _vector("spectrum log_d", self.log_d)
+        b = _frozen_array(_vector("spectrum betas", self.betas, "iufc"))
+        u = _frozen_array(matrix_entries(self.u, "spectrum u"))
+        v = u if self.v is self.u else _frozen_array(matrix_entries(self.v, "spectrum v"))
+        log_d = _frozen_array(_vector("spectrum log_d", self.log_d))
         if u.shape != (b.size, b.size) or v.shape != u.shape or log_d.shape != b.shape:
             raise ParameterError("spectrum arrays have inconsistent shapes")
         for name, arr in (("betas", b), ("u", u), ("v", v), ("log_d", log_d)):
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         cond = self.log10_condition  # inf where the condition of R overflows
         object.__setattr__(self, "log10_condition",
@@ -326,10 +326,15 @@ def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
     return BiorthogonalSpectrum(betas, r, left, np.zeros(dim), math.log10(cond))
 
 
-def _require_hn_hoppings(params: HatanoNelsonParams) -> float:
-    if params.t_right <= 0 or params.t_left <= 0:
-        raise ParameterError("closed-form chain spectra require strictly positive hoppings")
+def _hn_log_ratio(params: HatanoNelsonParams) -> float:
+    """log r = (log t_right - log t_left) / 2 of the single-band chain."""
     return 0.5 * (math.log(params.t_right) - math.log(params.t_left))
+
+
+def _geometric_mean(a: float, b: float) -> float:
+    """sqrt(a b) from the mantissas, so a b cannot overflow; math.sqrt(a * b) if a b is normal."""
+    (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
+    return math.ldexp(math.sqrt(ma * mb * 2 ** ((ea + eb) % 2)), (ea + eb) // 2)
 
 
 def _orthogonal_spectrum(betas: np.ndarray, u: np.ndarray,
@@ -352,13 +357,12 @@ def hn_analytic_spectrum(params: HatanoNelsonParams) -> BiorthogonalSpectrum:
     already biorthonormal, held as U = V = phi and log d_j = j log r, so
     it builds at any chain length; cond(R) = r^(N-1) exactly.
     """
-    logr = _require_hn_hoppings(params)
     n = params.n_sites
     modes = np.arange(1, n + 1)  # also the sites: phi[j-1, n-1] = phi_n(j)
-    betas = params.kappa - 2.0 * math.sqrt(params.t_right * params.t_left) * np.cos(
+    betas = params.kappa - 2.0 * _geometric_mean(params.t_right, params.t_left) * np.cos(
         modes * np.pi / (n + 1))
     phi = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(modes, modes) * np.pi / (n + 1))
-    return _orthogonal_spectrum(betas, phi, modes * logr)
+    return _orthogonal_spectrum(betas, phi, modes * _hn_log_ratio(params))
 
 
 def hn_normalized_modes(params: HatanoNelsonParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -376,7 +380,7 @@ def hn_similarity_residual(params: HatanoNelsonParams) -> float:
     has X's diagonal and the bands X[k+1,k] / r and X[k,k+1] r, so the
     defect is read off the bands at any chain length.
     """
-    r = math.exp(_require_hn_hoppings(params))
+    r = math.exp(_hn_log_ratio(params))
     x = build_hatano_nelson(params).entries
     return float(np.abs(np.diagonal(x, -1) / r - np.diagonal(x, 1) * r).max(initial=0.0))
 
@@ -392,8 +396,6 @@ def ssh_edge_envelopes(params: SshParams) -> tuple[ModeVector, ModeVector]:
     for the right and left eigenvector respectively.  Both are returned
     unit-normalized (assembled in the log domain, so any g is safe).
     """
-    if params.t1 <= 0 or params.t2 <= 0:
-        raise ParameterError("edge envelopes require strictly positive hoppings")
     if params.t1 >= params.t2:
         raise RegimeError(
             f"edge envelope undefined for t1 >= t2 (got t1={params.t1}, t2={params.t2})")

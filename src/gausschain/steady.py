@@ -43,6 +43,7 @@ exponential and the sampling rule (_expm, _sample_grid).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,14 +87,9 @@ class SteadyCorrelator(_GatedMatrix):
     asymmetry: float
 
     def __post_init__(self):
-        m = _frozen_array(matrix_entries(self.entries, "correlator"))
+        self._hold(matrix_entries(self.entries, "correlator"))
         if self.method not in ("direct", "spectral"):
             raise ParameterError(f"unknown solver method {self.method!r}")
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -139,28 +135,37 @@ def lyapunov_residual(x, c, y) -> float:
                            matrix_entries(y, "source matrix"))
 
 
+def _unit_scale(peak: float) -> float:
+    """The power of two u with u peak in [1, 2), 1 for both reference chains; at most 2^1001."""
+    return math.ldexp(1.0, 1 - max(math.frexp(peak)[1], -1000))
+
+
 def _backward_error(x: np.ndarray, bands, c: np.ndarray, y: np.ndarray) -> float:
     """lyapunov_residual of X, C and Y, with X applied from ``bands`` unless they are None.
 
-    The banded defect is P + C X^T - Y with P = X C = (C^T X^T)^T, three
-    scaled rows of C (_times_tridiagonal).  C X^T is P^dag when C is
-    exactly Hermitian, as _hermitize makes every correlator the library
-    returns, and three scaled columns of C otherwise.  X, C and Y are
-    finite (models.matrix_entries, and DirectSolver._settle's output check).
+    It is that of (uX, C, uY) with u of _unit_scale, so no norm overflows at
+    any scale of X.  The banded defect is P + C X^T - Y with P = X C =
+    (C^T X^T)^T, three scaled rows of C (_times_tridiagonal).  C X^T is
+    P^dag when C is exactly Hermitian, as _hermitize makes every correlator
+    the library returns, and three scaled columns of C otherwise.  X, C and
+    Y are finite (models.matrix_entries, and DirectSolver._settle's output check).
     """
+    parts = x if bands is None else np.concatenate(bands)
+    unit = _unit_scale(float(np.abs(parts).max()))
+    y = y * unit
     scale = max(float(np.abs(c).max(initial=0.0)), float(np.abs(y).max(initial=0.0)))
     if scale > 0:
         c, y = c / scale, y / scale
     if bands is None:
+        x = x * unit
         defect = x @ c + c @ x.conj().T - y
-        x_norm = float(np.linalg.norm(x))
     else:
-        diag, sub, sup = bands  # the bands of X^T are (diag, sup, sub)
+        diag, sub, sup = (b * unit for b in bands)  # the bands of X^T are (diag, sup, sub)
         xc = _times_tridiagonal(c.T, diag, sup, sub).T
         hermitian = np.array_equal(c, c.conj().T)
         defect = xc + (xc.conj().T if hermitian else _times_tridiagonal(c, diag, sup, sub))
         defect -= y
-        x_norm = float(np.linalg.norm(np.concatenate(bands)))
+    x_norm = float(np.linalg.norm(parts * unit))
     bound = 2.0 * x_norm * float(np.linalg.norm(c)) + float(np.linalg.norm(y))
     return float(np.linalg.norm(defect)) / bound if bound > 0 else 0.0
 
@@ -207,8 +212,8 @@ def solve_schur(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _certify_m_matrix(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray) -> float:
-    """Smallest LU pivot of the Z-matrix with these bands; StabilityError unless
-    it is a nonsingular M-matrix.
+    """Smallest LU pivot of the Z-matrix with these bands (of X at unit scale, so
+    sub * sup cannot overflow); StabilityError unless it is a nonsingular M-matrix.
 
     For a Z-matrix this is the same as every eigenvalue having positive
     real part, and the same as every pivot of its unpivoted LU
@@ -325,7 +330,10 @@ class DirectSolver:
             s = np.cumprod(np.concatenate(([1.0], np.where(flips, -1.0, 1.0))))
             self._signs = np.outer(s, s)  # S M S = M * s s^T, exactly
             sub, sup = -np.abs(sub), -np.abs(sup)
-        self._certificate = ("smallest LU pivot", _certify_m_matrix(diag, sub, sup))
+        # X is solved at unit scale (_unit_scale), and C scaled back exactly in _smith
+        u = self._unit = _unit_scale(float(np.abs(np.concatenate(bands)).max()))
+        diag, sub, sup = diag * u, sub * u, sup * u
+        self._certificate = ("smallest LU pivot", _certify_m_matrix(diag, sub, sup) / u)
         self._shift = float(diag.max())
         # entries past the double range are named by _doubling_powers
         with np.errstate(over="ignore", invalid="ignore"):
@@ -407,7 +415,7 @@ class DirectSolver:
             c = z @ (zt.copy() if ordered else zt)
             del z, zt  # freed before the dense steps, so peak memory stays the dense start's
             powers = powers[steps:]
-        c *= 2.0 * self._shift
+        c *= 2.0 * self._shift * self._unit  # C(X, Y) = u C(uX, Y)
         # two buffers serve every step: fresh stack-sized temporaries page-fault
         # on every step and cost more than the products of a 40-site stack
         work, term = np.empty_like(c), np.empty_like(c)

@@ -121,6 +121,36 @@ class TestHnCommands:
         assert summary["locked"] is True
         assert 0.0 <= summary["residual"] <= 1e-15
 
+    def test_profiles_of_the_reference_chain_times_2_to_520_are_its_own(self, tmp_path):
+        # sub * sup overflowed in the pivot recurrence here, which called the
+        # chain unstable (exit 2), and the closed-form betas read -inf.  C and
+        # what is read off it keep their bits; R_slow's log r = (log t_right -
+        # log t_left) / 2 rounds the two logs of 2^520 apart.
+        scale = 2.0 ** 520
+        outs = []
+        for k, factor in enumerate((1.0, scale)):
+            outs.append(str(tmp_path / str(k)))
+            assert main(["hn-profiles", f"--t-right={factor!r}", f"--t-left={0.17 * factor!r}",
+                         f"--kappa={0.91 * factor!r}", "--out", outs[-1]]) == 0
+        base, scaled = (read_summary(out + "/hn-profiles.json") for out in outs)
+        assert scaled["betas"]["re"] == [scale * b for b in base["betas"]["re"]]
+        for key in ("residual", "occupations_normalized", "density_argmax"):
+            assert scaled[key] == base[key]
+        base, scaled = (np.array([row.split(",")[2:] for row in data_lines(
+            out + "/hn-profiles.csv")[1:]], dtype=float) for out in outs)
+        assert np.array_equal(scaled[:, 1:], base[:, 1:])
+        np.testing.assert_allclose(scaled[:, 0], base[:, 0], rtol=1e-10)
+
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        # at 10^7 sites numpy's MemoryError once escaped as a traceback with
+        # exit 1, the validation-failure code; the builder stands in for it
+        def exhausted(params):
+            raise MemoryError("Unable to allocate 745. TiB for an array")
+        monkeypatch.setattr("gausschain.cli.build_hatano_nelson", exhausted)
+        assert main(["hn-profiles", "--n-sites", "10000000", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: MemoryError: Unable to allocate 745. TiB for an array\n"
+
     def test_occupations_table_is_sorted(self, tmp_path):
         out = str(tmp_path / "occ")
         assert main(["hn-occupations", "--n-sites", "8", "--pump-site", "3",
@@ -266,6 +296,11 @@ class TestSshCommands:
     def test_empty_grid_is_rejected(self, tmp_path):
         assert main(["ssh-crossover", "--g-points", "0",
                      "--out", str(tmp_path)]) == 2
+
+    def test_a_g_past_the_double_range_exits_2_naming_g(self, tmp_path, capsys):
+        # math.exp(1000) once leaked OverflowError, a traceback and exit 1
+        assert main(["ssh-profiles", "--g", "1000", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ParameterError: g must keep ")
 
 
 class TestConfigResolution:

@@ -145,19 +145,16 @@ def test_two_site_chain_is_gated_by_one_bond():
         hn_jump_decomposition(params, (2.0 * 1.5 - 1.17) * (1.0 + 1e-6))
 
 
-def test_hn_zero_hopping_is_pure_onsite():
-    params = HatanoNelsonParams(3, 0.0, 0.0, 1.5)
-    jumps = hn_jump_decomposition(params, 0.1)
-    assert all(not v.label.startswith("bond") for v in jumps.loss_vectors)
-    assert len(jumps.loss_vectors) == 3
-    assert_allclose(jumps.loss_gram(), 2.9 * np.eye(3), atol=1e-14)
-    real = inverse_design(1.5 * np.eye(3), 0.1 * np.eye(3))
-    assert validate_jump_set(jumps, real).passed
+def test_hn_zero_hopping_is_refused_before_the_decomposition():
+    # a zero-hopping chain once decomposed into pure onsite losses, although
+    # every builder and closed form refused it; the parameter set now does
+    with pytest.raises(ParameterError, match="^t_right must be positive, got 0.0$"):
+        hn_jump_decomposition(HatanoNelsonParams(3, 0.0, 0.0, 1.5), 0.1)
 
 
 def test_hn_single_site_boundary_occupation():
     kappa = 1.5
-    params = HatanoNelsonParams(1, 0.0, 0.0, kappa)
+    params = HatanoNelsonParams(1, 1.0, 0.17, kappa)  # one site has no bond
     jumps = hn_jump_decomposition(params, 2.0 * kappa)
     # At the feasibility boundary the onsite loss weight vanishes and the
     # steady occupation saturates at one.

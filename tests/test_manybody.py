@@ -192,9 +192,13 @@ class TestDensityMatrix:
     @pytest.mark.parametrize("bad, match", BAD_MATRICES)
     def test_stacked_validation_names_the_bad_sample(self, bad, match):
         if bad.shape != (2, 2):
-            # a shape fault is the whole stack's, so no sample is named
+            # a shape fault is the whole stack's, so no sample is named; a
+            # non-square one never reaches a stack, as DensityMatrix refuses it
             with pytest.raises(ParameterError, match=match):
-                _checked_states(np.array([bad] * 3))
+                if bad.shape[0] == bad.shape[1]:
+                    _checked_states(np.array([bad] * 3))
+                else:
+                    DensityMatrix(bad)
             return
         good = pure_state([0.6, 0.8]).entries
         for k in range(3):

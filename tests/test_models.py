@@ -14,7 +14,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import gausschain
 from gausschain import (BiorthogonalSpectrum, DensityMatrix, FockOperatorSet, GausschainError,
-                        HatanoNelsonParams, JumpVector, ModeVector, ParameterError,
+                        HatanoNelsonParams, JumpVector, ModeVector, NaturalOrbitalSet,
+                        ParameterError,
                         RelaxationMatrix, SiteIndexError, SourceMatrix, SshParams,
                         SteadyCorrelator, biorthogonal_decompose,
                         build_diagonal_pump, build_hatano_nelson, build_local_pump, build_ssh,
@@ -66,10 +67,12 @@ def test_hn_structure_random_parameters():
 
 
 def test_hn_rejects_nonpositive_hoppings():
-    with pytest.raises(ParameterError):
-        build_hatano_nelson(HatanoNelsonParams(3, 0.0, 0.17, 1.0))
-    with pytest.raises(ParameterError):
-        build_hatano_nelson(HatanoNelsonParams(3, 1.0, -0.1, 1.0))
+    # the parameter set is the one home of the hopping rule: a zero hopping
+    # once passed it and was refused by each builder and closed form instead
+    with pytest.raises(ParameterError, match="^t_right must be positive, got 0.0$"):
+        HatanoNelsonParams(3, 0.0, 0.17, 1.0)
+    with pytest.raises(ParameterError, match="^t_left must be positive, got -0.1$"):
+        HatanoNelsonParams(3, 1.0, -0.1, 1.0)
 
 
 def test_hn_params_reject_bad_sizes():
@@ -104,12 +107,23 @@ def test_ssh_reciprocal_point_is_real_symmetric():
 
 
 def test_ssh_rejects_nonpositive_hoppings():
-    # zero hoppings are a valid parameter point (pure onsite dynamics),
-    # but the tight-binding builder insists on actual bonds
-    with pytest.raises(ParameterError):
-        build_ssh(SshParams(2, 0.0, 1.0, 0.1, 1.0))
-    with pytest.raises(ParameterError):
+    # a chain has bonds: SshParams refuses a zero hopping, as HatanoNelsonParams
+    # does, so build_ssh, the edge envelopes and the scans never see one
+    with pytest.raises(ParameterError, match="^t1 must be positive, got 0.0$"):
+        SshParams(2, 0.0, 1.0, 0.1, 1.0)
+    with pytest.raises(ParameterError, match="^t2 must be positive, got -1.0$"):
         SshParams(2, 0.5, -1.0, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("t1, g", [(0.5, 1000.0), (0.5, -1000.0), (0.5, 709.9),
+                                   (1e-300, -100.0)])
+def test_ssh_refuses_a_g_whose_bonds_leave_the_double_range(t1, g):
+    # math.exp(1000) once leaked OverflowError from the bond properties, and
+    # t1 e^-100 = 0.0 at t1 = 1e-300 made a bond the builder took
+    with pytest.raises(ParameterError, match=f"^g must keep .* got {re.escape(repr(g))}$"):
+        SshParams(3, t1, 1.0, g, 1.5)
+    edge = SshParams(3, 0.5, 1.0, 700.0, 1.5)  # t2 e^700 is 1e304, t1 e^-700 1e-304
+    assert 0.0 < edge.t1_left < edge.t2_right < math.inf
 
 
 def test_ssh_index_and_labels():
@@ -235,7 +249,8 @@ def gated_calls():
     c = solve_lyapunov_direct(x, y).entries
     h = inverse_design(x, y).hamiltonian
     jumps = hn_jump_decomposition(params, 0.1)
-    zero = np.zeros((3, 3))
+    zero, eye, unit = np.zeros((3, 3)), np.eye(3), [1.0, 0.0, 0.0]
+    vacuum = np.diag([1.0, 0.0, 0.0, 0.0])  # 2 sites
     return {
         "RelaxationMatrix": ("relaxation matrix", x, RelaxationMatrix),
         "SourceMatrix": ("source matrix", y, SourceMatrix),
@@ -262,6 +277,12 @@ def gated_calls():
                           lambda m: evolve_master(DensityMatrix.vacuum(3), m, jumps, 1.0, 0.1)),
         "steady_state_oracle": ("one-body Hamiltonian", h,
                                 lambda m: steady_state_oracle(m, jumps)),
+        "DensityMatrix": ("density matrix", vacuum, DensityMatrix),
+        "one_body_operator": ("coefficient matrix", h, FockOperatorSet(3).one_body_operator),
+        "BiorthogonalSpectrum u": ("spectrum u", eye,
+                                   lambda m: BiorthogonalSpectrum(unit, m, eye, unit, 0.0)),
+        "BiorthogonalSpectrum v": ("spectrum v", eye,
+                                   lambda m: BiorthogonalSpectrum(unit, eye, m, unit, 0.0)),
     }
 
 
@@ -365,9 +386,10 @@ def gated_scalars():
         "ssh_jump_decomposition gamma": ("strength",
                                          "two-band decomposition: uniform pump strength", 0.1,
                                          lambda g: ssh_jump_decomposition(wide_gap, g)),
-        # other real parameters -> ParameterError
-        "HatanoNelsonParams t_left": ("finite", "t_left", 0.17,
+        "HatanoNelsonParams t_left": ("strength", "t_left", 0.17,
                                       lambda t: HatanoNelsonParams(3, 1.0, t, 1.5)),
+        "SshParams t1": ("strength", "t1", 0.5, lambda t: SshParams(3, t, 1.0, 0.0, 1.5)),
+        # other real parameters -> ParameterError
         "SshParams g": ("finite", "g", 0.0, lambda g: SshParams(3, 0.5, 1.0, g, 1.5)),
         "identify_edge_candidate kappa": ("finite", "kappa", 1.5,
                                           lambda k: identify_edge_candidate(spectrum, k)),
@@ -422,14 +444,17 @@ def gated_vectors():
     """Entry point -> (kind, role its error names, valid value, call on one value).
 
     Every vector a call takes passes models._vector, every matrix
-    matrix_entries and a matrix file's re and im models._numbers; all read
-    models._number_mask.  NaN, inf and empty matrices are refused by role in
-    the two tests above; a non-square one names its shape.
+    matrix_entries, and a matrix file's re and im and an orbital matrix
+    (N x k, not square) models._numbers; all read models._number_mask.  NaN,
+    inf and empty matrices are refused by role in the two tests above; a
+    non-square one names its shape.
     """
     params = HatanoNelsonParams(3, 1.0, 0.17, 1.5)
     wide_gap = SshParams(3, 0.5, 1.0, 0.0, 2.0)
     unit, eye = [1.0, 0.0, 0.0], np.eye(3)
     payload = matrix_payload(eye, ("1", "2", "3"))
+    ops = FockOperatorSet(3)
+    occupations = [3.0, 2.0, 1.0]
     table = {
         "build_diagonal_pump": ("vector", "pump profile", [0.1, 0.2, 0.3], build_diagonal_pump),
         "hn_jump_decomposition profile": ("vector", "pump profile", [0.1, 0.2, 0.3],
@@ -446,6 +471,12 @@ def gated_vectors():
                                        lambda b: BiorthogonalSpectrum(b, eye, eye, unit, 0.0)),
         "BiorthogonalSpectrum log_d": ("vector", "spectrum log_d", unit,
                                        lambda d: BiorthogonalSpectrum(unit, eye, eye, d, 0.0)),
+        "loss_operator": ("vector", "loss vector", unit, ops.loss_operator),
+        "gain_operator": ("vector", "gain vector", unit, ops.gain_operator),
+        "NaturalOrbitalSet occupations": ("vector", "orbital occupations", occupations,
+                                          lambda w: NaturalOrbitalSet(w, eye, 0.0, 3)),
+        "NaturalOrbitalSet orbitals": ("array", "orbital matrix", eye[:, :2].tolist(),
+                                       lambda v: NaturalOrbitalSet([3.0, 2.0], v, 0.0, 3)),
         "matrix_from_payload re": ("file", "matrix payload re", payload["re"],
                                    lambda m: matrix_from_payload({**payload, "re": m})),
         "matrix_from_payload im": ("file", "matrix payload im", payload["im"],
@@ -460,6 +491,7 @@ NESTED, EMPTY = "nested", "empty"
 BAD_ENTRIES = {
     "vector": [True, None, "0.1", math.nan, math.inf, -math.inf, NESTED, EMPTY],
     "file": [True, None, "0.1", math.nan, math.inf, -math.inf],
+    "array": [True, None, "0.1", math.nan, math.inf, -math.inf],
     "matrix": [True, None, "0.1"],
 }
 
@@ -491,6 +523,45 @@ def test_every_vector_and_matrix_entry_point_refuses_a_bad_entry_by_role(entry, 
         message = f"{role} contains non-finite entries: entry {where} is {bad!r}"
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+def held_arrays():
+    """Wrapper -> (build from caller arrays, the caller arrays, the held fields)."""
+    eye, cplx = np.eye(2), np.array([[1.0, 0.5j], [-0.5j, 1.0]])
+    betas, log_d, unit = np.array([1.0, 2.0], dtype=complex), np.zeros(2), np.array([1.0, 0.0])
+    other = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    return {
+        "RelaxationMatrix": (RelaxationMatrix, (eye,), ("entries",)),
+        "SourceMatrix": (SourceMatrix, (cplx,), ("entries",)),
+        "SteadyCorrelator": (lambda c: SteadyCorrelator(c, "direct", 0.0, 0.0), (eye,),
+                             ("entries",)),
+        "ModeVector": (ModeVector, (unit,), ("amplitudes",)),
+        "JumpVector": (lambda v: JumpVector("x", "loss", v), (unit,), ("vector",)),
+        "DensityMatrix": (DensityMatrix, (np.diag([1.0, 0.0]).astype(complex),), ("entries",)),
+        "BiorthogonalSpectrum": (lambda b, u, v, d: BiorthogonalSpectrum(b, u, v, d, 0.0),
+                                 (betas, other, other.copy(), log_d),
+                                 ("betas", "u", "v", "log_d")),
+        "NaturalOrbitalSet": (lambda w, v: NaturalOrbitalSet(w, v, 0.0, 2),
+                              (np.array([2.0, 1.0]), other), ("occupations", "orbitals")),
+    }
+
+
+@pytest.mark.parametrize("wrapper", list(held_arrays()))
+def test_every_array_holding_wrapper_leaves_the_caller_array_writable_and_unaliased(wrapper):
+    # BiorthogonalSpectrum and NaturalOrbitalSet once set writeable = False on
+    # a caller's complex u, v or orbital matrix, which np.asarray passed through
+    build, arrays, fields = held_arrays()[wrapper]
+    held = build(*arrays)
+    for array, name in zip(arrays, fields):
+        mine = getattr(held, name)
+        assert array.flags.writeable and not mine.flags.writeable
+        assert not np.shares_memory(array, mine)
+
+
+def test_spectrum_holds_one_copy_when_u_is_v():
+    u = np.eye(2)
+    spectrum = BiorthogonalSpectrum([1.0, 2.0], u, u, [0.0, 0.0], 0.0)
+    assert spectrum.u is spectrum.v and not np.shares_memory(u, spectrum.u)
 
 
 def test_spectrum_condition_is_a_real_number_or_inf():

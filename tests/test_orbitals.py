@@ -403,6 +403,16 @@ def test_crossover_single_point_scan():
     assert scan.o_edge.size == 1 and scan.o_slow.size == 1
 
 
+def test_crossover_records_a_g_past_the_double_range_as_a_failure():
+    # math.exp(1000) once leaked OverflowError out of the scan, which catches
+    # only GausschainError; SshParams now refuses that g by name
+    params = SshParams(4, 0.5, 1.0, 0.0, 1.5)
+    scan = ssh_crossover_scan(params, 1, "A", 1e-8, g_values=[0.1, 1000.0])
+    assert scan.g_values.tolist() == [0.1]
+    (g, reason), = scan.failures
+    assert g == 1000.0 and reason.startswith("ParameterError: g must keep ")
+
+
 def test_crossover_grid_matches_documented_default():
     grid = crossover_grid()
     assert grid.size == 24

@@ -494,10 +494,9 @@ def test_similarity_residual_at_any_chain_length():
 
 
 def test_closed_forms_require_strict_hoppings():
-    degenerate = HatanoNelsonParams(3, 0.0, 1.0, 2.0)
-    for fn in (hn_analytic_spectrum, hn_normalized_modes, hn_similarity_residual):
-        with pytest.raises(ParameterError):
-            fn(degenerate)
+    # the parameter set refuses a zero hopping, so no closed form sees one
+    with pytest.raises(ParameterError, match="^t_right must be positive, got 0.0$"):
+        HatanoNelsonParams(3, 0.0, 1.0, 2.0)
 
 
 def test_ssh_edge_envelope_ratios_reciprocal_point():

@@ -145,12 +145,13 @@ def test_chain_route_equals_the_banded_reference_bit_for_bit():
         n = x.shape[0]
         solver = DirectSolver(x)
         shifted = solver._shift * np.eye(n)
+        unit = solver._unit * x.real  # the solver works on X at unit scale
         reference = copy.copy(solver)
-        reference._inverse = banded_m_matrix_inverse(shifted + x.real)
-        cayley = banded_cayley_reference(reference._inverse, x.real, solver._shift)
+        reference._inverse = banded_m_matrix_inverse(shifted + unit)
+        cayley = banded_cayley_reference(reference._inverse, unit, solver._shift)
         reference._powers = doubling_powers_reference(cayley)
         assert solver._inverse.tobytes() == reference._inverse.tobytes()
-        dense = reference._inverse @ (shifted - x.real)
+        dense = reference._inverse @ (shifted - unit)
         assert np.all(np.abs(cayley - dense) <= 2 * np.spacing(dense))
         assert len(solver._powers) == len(reference._powers)
         for a, b in zip(solver._powers, reference._powers):
@@ -583,9 +584,13 @@ def test_two_band_solve_is_entrywise_accurate_against_mpmath():
 @pytest.mark.parametrize("model", ["hn", "ssh"])
 def test_power_of_two_relaxation_scaling_is_exact(model):
     # C(2^k X, s Y) = s 2^-k C(X, Y) bit for bit for a unit-peak pump, here
-    # a local one on the thin start.
+    # a local one on the thin start, and the residual does not see 2^k.  At
+    # k = 520 the pivot recurrence once formed sub * sup = inf and called the
+    # chain unstable, and at -520 C_0 = (pI + X)^-1 Y (pI + X)^-T overflowed;
+    # X is now solved at unit scale.  The closed-form betas scale with it.
     if model == "hn":
-        x = build_hatano_nelson(HatanoNelsonParams(40, 1.0, 0.17, 0.91))
+        params = HatanoNelsonParams(40, 1.0, 0.17, 0.91)
+        x = build_hatano_nelson(params)
     else:
         x = build_ssh(SshParams(20, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"],
                                 SSH_REFERENCE["g_bulk"], SSH_REFERENCE["kappa"]))
@@ -593,10 +598,19 @@ def test_power_of_two_relaxation_scaling_is_exact(model):
     y = matrix_entries(build_local_pump(x.shape[0], 7, 1.0))
     assert _thin_sites(y).tolist() == [6]
     base = solve_lyapunov_direct(x, y).entries
-    for k in (-3, -2, -1, 2, 5):
-        for s in (0.037, 0.5, 1e-9):
-            scaled = solve_lyapunov_direct(2.0 ** k * x, s * y).entries
-            assert np.array_equal(scaled, s * 2.0 ** -k * base)
+    for s in (0.037, 0.5, 1e-9):
+        residual = solve_lyapunov_direct(x, s * y).residual
+        for k in (-520, -3, -2, -1, 2, 5, 520):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scaled = solve_lyapunov_direct(2.0 ** k * x, s * y)
+            assert np.array_equal(scaled.entries, s * 2.0 ** -k * base)
+            assert scaled.residual == residual
+    if model == "hn":
+        betas = hn_analytic_spectrum(params).betas
+        for k in (-520, 520):
+            scaled = HatanoNelsonParams(40, 2.0 ** k, 2.0 ** k * 0.17, 2.0 ** k * 0.91)
+            assert np.array_equal(hn_analytic_spectrum(scaled).betas, 2.0 ** k * betas)
 
 
 @pytest.mark.parametrize("n_sites", [150, 400])
