@@ -16,6 +16,7 @@ modules it calls inside its own body, so start-up loads only those.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -24,7 +25,7 @@ import numpy as np
 from . import __version__
 from .errors import (GausschainError, InfeasibilityError, ParameterError,
                      ValidationError)
-from .matio import (dumps_json, ensure_dir, read_json, read_matrix, write_csv,
+from .matio import (_complex_parts, dumps_json, ensure_dir, read_json, read_matrix, write_csv,
                     write_json)
 from .models import (HatanoNelsonParams, SourceMatrix, SshParams, _check_finite_scalar, _count,
                      _vector, build_diagonal_pump, build_hatano_nelson, build_local_pump,
@@ -199,7 +200,7 @@ def _peak_site(sites: np.ndarray, values: np.ndarray) -> int:
 
 def cmd_hn_profiles(cfg: dict) -> None:
     from .orbitals import PROFILE_HEADER, diagnostics_report, profile_rows
-    from .spectral import _betas_payload, hn_analytic_spectrum
+    from .spectral import hn_analytic_spectrum
     from .steady import solve_lyapunov_direct
 
     params = _hn_params(cfg)
@@ -216,15 +217,15 @@ def cmd_hn_profiles(cfg: dict) -> None:
     o_slow = report.overlaps["slow"]
     write_json(json_path, _summary(
         cfg,
-        betas=_betas_payload(spectrum.betas),
-        occupations=[float(v) for v in orbs.occupations],
-        occupations_normalized=[float(v) for v in orbs.occupations_normalized()],
+        betas=_complex_parts(spectrum.betas),
+        occupations=orbs.occupations,
+        occupations_normalized=orbs.occupations_normalized(),
         occupation_floor=orbs.occupation_floor,
         resolved_count=orbs.resolved_count,
         overlap_slow=o_slow,
-        dominant_indices=list(orbs.dominant_indices()),
+        dominant_indices=orbs.dominant_indices(),
         locked=orbs.locked,
-        density_argmax=int(np.argmax(report.density_normalized)) + 1,
+        density_argmax=np.argmax(report.density_normalized) + 1,
         log10_condition=spectrum.log10_condition,
         residual=corr.residual,
         method=corr.method,
@@ -245,20 +246,19 @@ def cmd_hn_occupations(cfg: dict) -> None:
     normalized = orbs.occupations_normalized()
 
     csv_path, json_path = _out_paths(cfg)
-    rows = [(a + 1, float(orbs.occupations[a]), float(normalized[a]))
-            for a in range(orbs.resolved_count)]
+    rows = zip(range(1, orbs.resolved_count + 1), orbs.occupations, normalized)
     write_csv(csv_path, OCCUPATION_HEADER, rows, comments=_comments(cfg))
-    separation = float(normalized[1]) if orbs.resolved_count > 1 else None
+    separation = normalized[1] if orbs.resolved_count > 1 else None
     write_json(json_path, _summary(
         cfg,
-        nu_max=float(orbs.occupations[0]),
-        occupations=[float(v) for v in orbs.occupations],
-        occupations_normalized=[float(v) for v in normalized],
+        nu_max=orbs.occupations[0],
+        occupations=orbs.occupations,
+        occupations_normalized=normalized,
         occupation_floor=orbs.occupation_floor,
         resolved_count=orbs.resolved_count,
         separation_second=separation,
-        trace=float(density(corr).sum()),
-        dominant_indices=list(orbs.dominant_indices()),
+        trace=density(corr).sum(),
+        dominant_indices=orbs.dominant_indices(),
         locked=orbs.locked,
         residual=corr.residual,
         method=corr.method,
@@ -280,8 +280,8 @@ def cmd_hn_source_scan(cfg: dict) -> None:
     deviation = np.abs(scan.nu_max_normalized - scan.loading_normalized)
     write_json(json_path, _summary(
         cfg,
-        n_points=int(scan.sites.size),
-        max_abs_deviation=float(deviation.max()),
+        n_points=scan.sites.size,
+        max_abs_deviation=deviation.max(),
         deviation_argmax_site=_peak_site(scan.sites, deviation),
         occupation_argmax_site=_peak_site(scan.sites, scan.nu_max_normalized),
         loading_argmax_site=_peak_site(scan.sites, scan.loading_normalized),
@@ -293,7 +293,7 @@ def cmd_hn_source_scan(cfg: dict) -> None:
 
 def cmd_ssh_profiles(cfg: dict) -> None:
     from .orbitals import PROFILE_HEADER, diagnostics_report, profile_rows
-    from .spectral import _betas_payload, biorthogonal_decompose
+    from .spectral import biorthogonal_decompose
     from .steady import solve_lyapunov_direct
 
     params = _ssh_params(cfg)
@@ -311,7 +311,7 @@ def cmd_ssh_profiles(cfg: dict) -> None:
     o_slow, o_edge = report.overlaps["slow"], report.overlaps["edge"]
     write_json(json_path, _summary(
         cfg,
-        betas=_betas_payload(spectrum.betas),
+        betas=_complex_parts(spectrum.betas),
         overlap_edge=o_edge,
         overlap_slow=o_slow,
         edge_mode_index=edge.index,
@@ -320,7 +320,7 @@ def cmd_ssh_profiles(cfg: dict) -> None:
         edge_used_fallback=edge.used_fallback,
         occupation_floor=orbs.occupation_floor,
         resolved_count=orbs.resolved_count,
-        dominant_indices=list(orbs.dominant_indices()),
+        dominant_indices=orbs.dominant_indices(),
         locked=orbs.locked,
         log10_condition=spectrum.log10_condition,
         residual=corr.residual,
@@ -340,14 +340,13 @@ def cmd_ssh_crossover(cfg: dict) -> None:
     csv_path, json_path = _out_paths(cfg)
     write_csv(csv_path, CROSSOVER_HEADER, scan.rows(), comments=_comments(cfg))
     margin = scan.o_edge - scan.o_slow
-    crossings = [[float(scan.g_values[k]), float(scan.g_values[k + 1])]
-                 for k in range(margin.size - 1)
+    crossings = [scan.g_values[k:k + 2] for k in range(margin.size - 1)
                  if margin[k] != 0 and margin[k] * margin[k + 1] < 0]
     write_json(json_path, _summary(
         cfg,
-        n_points=int(scan.g_values.size),
+        n_points=scan.g_values.size,
         crossings=crossings,
-        failures=[[g, message] for g, message in scan.failures],
+        failures=scan.failures,
     ))
     print(f"ssh-crossover: {scan.g_values.size} points, "
           f"{len(crossings)} sign change(s) of O_edge - O_slow, "
@@ -399,14 +398,7 @@ def cmd_inverse_design(cfg: dict) -> None:
     realization = inverse_design(x_entries, y)
     validation = None
     if jumps is not None:
-        report = validate_jump_set(jumps, realization)
-        validation = {
-            "loss_gram_error": report.loss_gram_error,
-            "gain_gram_error": report.gain_gram_error,
-            "relaxation_error": report.relaxation_error,
-            "tolerance": report.tolerance,
-            "passed": report.passed,
-        }
+        validation = dataclasses.asdict(validate_jump_set(jumps, realization))
     _, json_path = _out_paths(cfg)
     write_json(json_path, _summary(
         cfg,
@@ -432,7 +424,7 @@ def cmd_validate(cfg: dict) -> None:
 
     def add(name: str, value, limit, passed=None, detail: str = "") -> None:
         """One check; unless ``passed`` is given, it passes at value <= limit."""
-        checks.append({"name": name, "passed": bool(value <= limit if passed is None else passed),
+        checks.append({"name": name, "passed": value <= limit if passed is None else passed,
                        "value": value, "limit": limit, "detail": detail})
 
     try:
@@ -466,7 +458,7 @@ def cmd_validate(cfg: dict) -> None:
             # every omitted occupation lies within the floor, and their
             # total within tail_bound: the limits are what the certificate proves
             floor = orbs.occupation_floor
-            bounds = {"min": float(occ.min()), "max": float(occ.max())}
+            bounds = {"min": occ.min(), "max": occ.max()}
             in_unit = bounds["min"] >= -floor and bounds["max"] <= 1.0 + floor
             detail = ""
             if not in_unit:
@@ -477,9 +469,8 @@ def cmd_validate(cfg: dict) -> None:
                           "a physical pair has >= 0")
             add("occupations_in_unit_interval", bounds, floor, in_unit, detail)
             defect = (np.abs(orbs.orbitals) ** 2 @ occ).real - c.diagonal().real
-            add("density_reconstruction", per_nu * float(np.abs(defect).max()),
-                per_nu * orbs.tail_bound)
-            add("occupation_trace", per_nu * abs(float(occ.sum()) - float(np.trace(c).real)),
+            add("density_reconstruction", per_nu * np.abs(defect).max(), per_nu * orbs.tail_bound)
+            add("occupation_trace", per_nu * abs(occ.sum() - np.trace(c).real),
                 per_nu * orbs.tail_bound)
         except GausschainError as exc:
             add("steady_state", None, None, False, str(exc))
@@ -518,19 +509,18 @@ def cmd_oracle_check(cfg: dict) -> None:
                                jumps, cfg["t_final"], cfg["dt"], stride=cfg["stride"])
     reference = propagate_correlator(x, y, np.zeros((n, n)), cfg["t_final"],
                                      cfg["dt"], stride=cfg["stride"])
-    max_dev = max(float(np.abs(correlator_of(state) - sample).max())
+    max_dev = max(np.abs(correlator_of(state) - sample).max()
                   for state, sample in zip(trajectory.states, reference.states))
 
     steady_rho = steady_state_oracle(realization.hamiltonian, jumps)
     direct = solve_lyapunov_direct(x, y)
-    steady_dev = float(np.abs(correlator_of(steady_rho)
-                              - np.asarray(direct.entries)).max())
+    steady_dev = np.abs(correlator_of(steady_rho) - np.asarray(direct.entries)).max()
 
     passed = max_dev <= ORACLE_TRAJECTORY_LIMIT and steady_dev <= ORACLE_STEADY_LIMIT
     _, json_path = _out_paths(cfg)
     write_json(json_path, _summary(
         cfg,
-        n_samples=int(trajectory.times.size),
+        n_samples=trajectory.times.size,
         max_trajectory_deviation=max_dev,
         trajectory_limit=ORACLE_TRAJECTORY_LIMIT,
         steady_state_deviation=steady_dev,

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibilityError, ParameterError, ValidationError
-from .models import (PSD_TOL, HatanoNelsonParams, SourceMatrix, SshParams, _frozen_array, _psd,
-                     _strength, _vector, build_diagonal_pump, default_labels, matrix_entries,
-                     ssh_labels)
+from .matio import _complex_parts, matrix_payload
+from .models import (PSD_TOL, HatanoNelsonParams, SourceMatrix, SshParams, _frozen_array,
+                     _labels, _psd, _strength, _vector, build_diagonal_pump, default_labels,
+                     matrix_entries, ssh_labels)
 
 
 @dataclass(frozen=True)
@@ -288,12 +289,7 @@ def validate_jump_set(jumps: JumpSet, realization: MicroscopicRealization) -> Ju
 def jump_set_payload(jumps: JumpSet) -> dict:
     """JSON payload listing every jump vector with its label and kind."""
     def vec(v: JumpVector) -> dict:
-        return {
-            "label": v.label,
-            "kind": v.kind,
-            "re": [float(a) for a in v.vector.real],
-            "im": [float(a) for a in v.vector.imag],
-        }
+        return {"label": v.label, "kind": v.kind, **_complex_parts(v.vector)}
 
     return {
         "dim": jumps.dim,
@@ -303,10 +299,9 @@ def jump_set_payload(jumps: JumpSet) -> dict:
 
 
 def realization_payload(realization: MicroscopicRealization, labels=None) -> dict:
-    """JSON payload of the formal split (matrices plus physicality report)."""
-    from .matio import matrix_payload
-
-    labels = tuple(labels) if labels else default_labels(realization.dim)
+    """JSON payload of the formal split (matrices plus physicality report); the labels
+    pass the label rule of models (_labels), 1..dim if none are given."""
+    labels = _labels("realization payload", labels or None, realization.dim)
     return {
         "dim": realization.dim,
         "hamiltonian": matrix_payload(realization.hamiltonian, labels),

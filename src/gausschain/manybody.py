@@ -27,7 +27,7 @@ import numpy as np
 
 from .design import JumpSet
 from .errors import ParameterError, ScaleError, StabilityError
-from .models import _count, _hermitian, _positions, _vector, matrix_entries
+from .models import _count, _hermitian, _vector, matrix_entries
 from .steady import _expm, _sample_grid
 
 # widest charge block C(2N, N) is 924 here (seconds); 3432 at 7 sites (2 min, 1.2 GB)
@@ -92,19 +92,6 @@ class FockOperatorSet:
                 signs[i, j] = p[cols[i, j], np.arange(dim)].real
         cols.flags.writeable = signs.flags.writeable = False
         return cols, signs
-
-    def annihilation(self, site: int) -> np.ndarray:
-        """c_site, 1-based."""
-        return self._annihilation[_positions("site", site, self.n_sites)]
-
-    def creation(self, site: int) -> np.ndarray:
-        """c_site^dag, 1-based."""
-        return self.annihilation(site).conj().T
-
-    def pair_product(self, i: int, j: int) -> np.ndarray:
-        """c_i^dag c_j, 1-based, cached."""
-        i, j = _positions("site i", i, self.n_sites), _positions("site j", j, self.n_sites)
-        return self._pairs[i][j]
 
     def one_body_operator(self, coefficients) -> np.ndarray:
         """sum_ij M_ij c_i^dag c_j as a full Fock-space matrix."""
@@ -213,7 +200,6 @@ class MasterTrajectory:
 
     times: np.ndarray
     states: tuple[DensityMatrix, ...]
-    dt: float
     max_trace_drift: float
 
 
@@ -294,7 +280,6 @@ def evolve_master(rho0: DensityMatrix, h, jumps: JumpSet, t_final: float,
     return MasterTrajectory(
         times=times,
         states=(rho0,) + tuple(DensityMatrix._trusted(rho) for rho in checked[1:]),
-        dt=float(dt),
         max_trace_drift=float(trace_err.max()),
     )
 

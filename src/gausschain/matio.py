@@ -1,8 +1,14 @@
 """Deterministic JSON/CSV serialization for matrices and scan tables.
 
-All floats are written with a fixed number of significant digits (17 in
-JSON, 12 in CSV) so identical inputs always produce byte-identical files
-and JSON matrices round-trip exactly through text.
+The output rule: every float is written with a fixed number of significant
+digits (17 in JSON, 12 in CSV), so identical inputs always produce
+byte-identical files and JSON matrices round-trip exactly through text.
+JSON and CSV take the same values: Python or numpy scalars and bools,
+strings, and (in JSON) None, dicts, lists, tuples and arrays, so builders
+hand numpy values over as they are.  Complex arrays (matrices, jump vectors,
+rates) are written by one helper as their ``re`` and ``im`` parts
+(_complex_parts), and a matrix passes the number rule of models
+(matrix_entries) and lists one label per row (_labels).
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .models import _check_finite_scalar, _count, _numbers
+from .models import _check_finite_scalar, _count, _labels, _numbers, matrix_entries
 
 JSON_SIG_DIGITS = 17
 CSV_SIG_DIGITS = 12
@@ -37,19 +43,18 @@ def dumps_json(obj: Any) -> str:
     """Serialize dicts/lists/scalars with fixed float formatting.
 
     Dict key order is preserved, so callers control the output layout.
+    Python and numpy scalars, bools, tuples and arrays are taken as they are.
     """
     if obj is None:
         return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+    if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format_json_float(float(obj))
+        return format_json_float(obj)
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {dumps_json(v)}" for k, v in obj.items())
         return "{" + items + "}"
@@ -71,40 +76,39 @@ def read_json(path: str) -> Any:
         return json.load(fh)
 
 
-def matrix_payload(entries: np.ndarray, labels: Sequence[str]) -> dict:
-    """Dense complex matrix as {dim, labels, re, im} with row-major entries."""
-    m = np.asarray(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ParameterError(f"matrix payload requires a square matrix, got shape {m.shape}")
-    if len(labels) != m.shape[0]:
-        raise ParameterError("label count does not match matrix dimension")
-    return {
-        "dim": int(m.shape[0]),
-        "labels": [str(s) for s in labels],
-        "re": [[float(v) for v in row] for row in m.real],
-        "im": [[float(v) for v in row] for row in m.imag],
-    }
+def _complex_parts(values) -> dict:
+    """{"re": ..., "im": ...} of an array: the one way complex values are written."""
+    return {"re": np.real(values), "im": np.imag(values)}
+
+
+def matrix_payload(entries, labels: Sequence[str]) -> dict:
+    """Square matrix as {dim, labels, re, im} with row-major entries; the entries pass
+    matrix_entries and the labels _labels, each ParameterError naming ``matrix payload``."""
+    m = matrix_entries(entries, "matrix payload")
+    return {"dim": m.shape[0], "labels": _labels("matrix payload", labels, m.shape[0]),
+            **_complex_parts(m)}
 
 
 def matrix_from_payload(payload: dict,
                         source: str = "matrix payload") -> tuple[np.ndarray, tuple[str, ...]]:
-    """Inverse of :func:`matrix_payload`; ``dim`` and the ``re`` and ``im`` entries
-    pass the gates of models (_count, _numbers), and every error names ``source``."""
+    """Inverse of :func:`matrix_payload`, bit for bit (signed zeros included); ``dim``, the
+    ``re`` and ``im`` entries and the labels pass the gates of models (_count, _numbers,
+    _labels), and every error names ``source``."""
     try:  # a payload that is no JSON object raises TypeError here too
         dim = _count(f"{source} dim", payload["dim"])
-        labels = tuple(str(s) for s in payload["labels"])
+        labels = _labels(source, tuple(payload["labels"]), dim)
         re, im = _numbers(f"{source} re", payload["re"]), _numbers(f"{source} im", payload["im"])
     except (KeyError, TypeError) as exc:
         raise ParameterError(f"{source}: malformed matrix payload: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ParameterError(
             f"{source} shape mismatch: dim={dim}, re{re.shape}, im{im.shape}")
-    if len(labels) != dim:
-        raise ParameterError(f"{source} labels do not match dim")
-    return re + 1j * im, labels
+    m = np.empty((dim, dim), dtype=complex)
+    m.real, m.imag = re, im  # re + 1j * im would drop the sign of a -0.0
+    return m, labels
 
 
-def write_matrix(path: str, entries: np.ndarray, labels: Sequence[str]) -> None:
+def write_matrix(path: str, entries, labels: Sequence[str]) -> None:
     write_json(path, matrix_payload(entries, labels))
 
 

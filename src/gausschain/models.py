@@ -13,8 +13,9 @@ alternating intra/intercell hoppings carrying a nonreciprocity exponent g.
 Site indices are 1-based in every public interface.  Every gate reads one
 number rule (_number_mask): matrix_entries for matrices, _vector for
 vectors, _positions, _count, _check_finite_scalar and _strength for indices,
-counts and scalars.  One rule judges a matrix Hermitian (_hermitian,
-HERMITIAN_RTOL) and one PSD (_psd, PSD_TOL), each relative to its own scale.
+counts and scalars, and one label rule (_labels) asks for one label per
+matrix row.  One rule judges a matrix Hermitian (_hermitian, HERMITIAN_RTOL)
+and one PSD (_psd, PSD_TOL), each relative to its own scale.
 """
 
 from __future__ import annotations
@@ -40,13 +41,11 @@ class _GatedMatrix:
 
     def _hold(self, m: np.ndarray, labels=None) -> None:
         """Set ``entries`` to a frozen copy of the gated ``m`` and, unless ``labels`` is
-        None, ``labels`` to them (1..dim if empty); ParameterError unless one per row."""
+        None, ``labels`` to them by the label rule (_labels; 1..dim if empty)."""
         object.__setattr__(self, "entries", _frozen_array(m))
         if labels is not None:
-            labels = tuple(labels) or default_labels(m.shape[0])
-            if len(labels) != m.shape[0]:
-                raise ParameterError("label count does not match matrix dimension")
-            object.__setattr__(self, "labels", labels)
+            object.__setattr__(self, "labels", _labels(type(self).__name__, tuple(labels) or None,
+                                                       m.shape[0]))
 
     @property
     def dim(self) -> int:
@@ -184,6 +183,18 @@ def _frozen_array(m: np.ndarray, dtype=None) -> np.ndarray:
 
 def default_labels(dim: int) -> tuple[str, ...]:
     return tuple(str(j) for j in range(1, _count("dim", dim) + 1))
+
+
+def _labels(role: str, labels, dim: int) -> tuple[str, ...]:
+    """The label rule: ``labels`` as strings, one per row of a dim x dim matrix
+    (1..dim if None); ParameterError naming ``role`` for any other count."""
+    if labels is None:
+        return default_labels(dim)
+    out = tuple(str(s) for s in labels)
+    if len(out) != dim:
+        raise ParameterError(f"{role} label count {len(out)} does not match matrix "
+                             f"dimension {dim}: list one label per row")
+    return out
 
 
 @dataclass(frozen=True)

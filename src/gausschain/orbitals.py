@@ -360,9 +360,8 @@ class SourceScan:
     loading_normalized: np.ndarray
 
     def rows(self):
-        for k in range(self.sites.size):
-            yield (int(self.sites[k]), float(self.nu_max[k]), float(self.loading[k]),
-                   float(self.nu_max_normalized[k]), float(self.loading_normalized[k]))
+        return zip(self.sites, self.nu_max, self.loading, self.nu_max_normalized,
+                   self.loading_normalized)
 
 
 SOURCE_SCAN_HEADER = ("s", "nu_max", "A1", "nu_max_norm", "A1_norm")
@@ -474,9 +473,7 @@ class CrossoverScan:
     failures: tuple[tuple[float, str], ...]
 
     def rows(self):
-        for k in range(self.g_values.size):
-            yield (float(self.g_values[k]), float(self.o_edge[k]), float(self.o_slow[k]),
-                   int(self.edge_index[k]), int(self.slow_index[k]))
+        return zip(self.g_values, self.o_edge, self.o_slow, self.edge_index, self.slow_index)
 
 
 CROSSOVER_HEADER = ("g", "O_edge", "O_slow", "edge_mode_index", "slow_mode_index")
@@ -529,6 +526,4 @@ def profile_rows(labels, report: DiagnosticsReport):
     """Rows of the standard profile table (1-based site, label, three profiles of the report)."""
     r2 = np.abs(report.slow_mode.amplitudes) ** 2
     p2 = np.abs(report.orbitals.top_orbital().amplitudes) ** 2
-    density_norm = report.density_normalized
-    for j in range(len(labels)):
-        yield (j + 1, labels[j], float(r2[j]), float(p2[j]), float(density_norm[j]))
+    return zip(range(1, len(labels) + 1), labels, r2, p2, report.density_normalized)

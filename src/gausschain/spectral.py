@@ -327,8 +327,15 @@ def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
 
 
 def _hn_log_ratio(params: HatanoNelsonParams) -> float:
-    """log r = (log t_right - log t_left) / 2 of the single-band chain."""
-    return 0.5 * (math.log(params.t_right) - math.log(params.t_left))
+    """log r = log(t_right / t_left) / 2 of the single-band chain, from the mantissas and
+    exponents: both hoppings are scaled by the power of two that takes t_right into [1, 2),
+    so nothing overflows, the chain times any power of two has the bits of the chain
+    itself, and a t_right in [1, 2) keeps log t_right - log t_left.  An exponent gap past
+    +-1000 is carried as a multiple of log 2."""
+    (mr, er), (ml, el) = math.frexp(params.t_right), math.frexp(params.t_left)
+    gap = min(max(el - er, -1000), 1000)
+    return 0.5 * (math.log(2.0 * mr) - math.log(math.ldexp(ml, gap + 1))
+                  - (el - er - gap) * math.log(2.0))
 
 
 def _geometric_mean(a: float, b: float) -> float:
@@ -407,9 +414,4 @@ def ssh_edge_envelopes(params: SshParams) -> tuple[ModeVector, ModeVector]:
         logq = math.log(params.t1 / params.t2) + 2.0 * sign_g * params.g
         out.append(ModeVector(_unit_columns(signs, np.repeat(cells * logq, 2))[:, 0], "euclidean"))
     return out[0], out[1]
-
-
-def _betas_payload(betas: np.ndarray) -> dict:
-    """JSON payload for complex rates, as their real and imaginary parts."""
-    return {"re": [float(v) for v in betas.real], "im": [float(v) for v in betas.imag]}
 

@@ -117,7 +117,6 @@ class CorrelatorTrajectory:
 
     times: np.ndarray
     states: np.ndarray
-    dt: float
 
 
 def lyapunov_residual(x, c, y) -> float:
@@ -700,7 +699,7 @@ def propagate_correlator(relaxation, source, initial, t_final: float,
             samples.append(c)
     states = np.array(samples)
     states.flags.writeable = False
-    return CorrelatorTrajectory(times, states, float(dt))
+    return CorrelatorTrajectory(times, states)
 
 
 def closed_form_correlator(spectrum: BiorthogonalSpectrum, source, initial,

@@ -38,6 +38,17 @@ OVERFLOWING_CHAIN = ["--n-sites", "231", "--t-right", "2.1139725255515978",
                      "--t-left", "0.0017818522520433315", "--kappa", "0.12934881571526421"]
 
 
+# small runs of each command; validate also gets a 6-site matrix pair
+RERUN_FLAGS = {
+    "hn-profiles": ["--n-sites", "6", "--pump-site", "2"],
+    "hn-source-scan": ["--n-sites", "6"],
+    "hn-occupations": ["--n-sites", "6", "--pump-site", "2"],
+    "ssh-profiles": ["--n-cells", "3"],
+    "ssh-crossover": ["--n-cells", "3", "--g-points", "4"],
+    "oracle-check": ["--n-sites", "2", "--t-final", "1.0"],
+}
+
+
 def write_mismatched_pair(tmp_path):
     """Matrix files of a 12-site X and a 3x3 positive definite Y."""
     x = build_hatano_nelson(HatanoNelsonParams(12, 1.0, 0.17, 1.5))
@@ -124,8 +135,9 @@ class TestHnCommands:
     def test_profiles_of_the_reference_chain_times_2_to_520_are_its_own(self, tmp_path):
         # sub * sup overflowed in the pivot recurrence here, which called the
         # chain unstable (exit 2), and the closed-form betas read -inf.  C and
-        # what is read off it keep their bits; R_slow's log r = (log t_right -
-        # log t_left) / 2 rounds the two logs of 2^520 apart.
+        # what is read off it keep their bits, and so does R_slow: log r was
+        # (log t_right - log t_left) / 2, which rounds the two logs of 2^520
+        # apart (R_slow_sq off by 8.3e-13 relative), and is now scale-free.
         scale = 2.0 ** 520
         outs = []
         for k, factor in enumerate((1.0, scale)):
@@ -134,12 +146,12 @@ class TestHnCommands:
                          f"--kappa={0.91 * factor!r}", "--out", outs[-1]]) == 0
         base, scaled = (read_summary(out + "/hn-profiles.json") for out in outs)
         assert scaled["betas"]["re"] == [scale * b for b in base["betas"]["re"]]
-        for key in ("residual", "occupations_normalized", "density_argmax"):
+        for key in ("residual", "occupations_normalized", "density_argmax", "overlap_slow",
+                    "log10_condition"):
             assert scaled[key] == base[key]
         base, scaled = (np.array([row.split(",")[2:] for row in data_lines(
             out + "/hn-profiles.csv")[1:]], dtype=float) for out in outs)
-        assert np.array_equal(scaled[:, 1:], base[:, 1:])
-        np.testing.assert_allclose(scaled[:, 0], base[:, 0], rtol=1e-10)
+        assert np.array_equal(scaled, base)
 
     def test_out_of_memory_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
         # at 10^7 sites numpy's MemoryError once escaped as a traceback with
@@ -378,14 +390,20 @@ class TestConfigResolution:
             assert "'n_sites' must be of type int" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_reruns_are_byte_identical(self, tmp_path):
-        out = str(tmp_path / "twice")
-        argv = ["hn-profiles", "--n-sites", "6", "--pump-site", "2", "--out", out]
+    @pytest.mark.parametrize("command", list(COMMAND_DEFAULTS))
+    def test_reruns_are_byte_identical(self, tmp_path, command):
+        out = tmp_path / "twice"
+        argv = [command, *RERUN_FLAGS.get(command, []), "--out", str(out)]
+        if command == "validate":
+            x = build_hatano_nelson(HatanoNelsonParams(6, 1.0, 0.17, 1.3))
+            write_matrix(str(tmp_path / "x.json"), x.entries, x.labels)
+            write_matrix(str(tmp_path / "y.json"), 0.1 * np.eye(6), x.labels)
+            argv += ["--x-file", str(tmp_path / "x.json"), "--y-file", str(tmp_path / "y.json")]
         assert main(argv) == 0
-        first = {name: read_bytes(f"{out}/hn-profiles.{name}") for name in ("csv", "json")}
+        first = {path.name: read_bytes(path) for path in out.iterdir()}
+        assert f"{command}.json" in first
         assert main(argv) == 0
-        for name, blob in first.items():
-            assert read_bytes(f"{out}/hn-profiles.{name}") == blob
+        assert {path.name: read_bytes(path) for path in out.iterdir()} == first
 
     def test_output_directory_is_created(self, tmp_path):
         out = str(tmp_path / "a" / "b" / "c")

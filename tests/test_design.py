@@ -14,6 +14,7 @@ from gausschain import (HatanoNelsonParams, InfeasibilityError, JumpSet,
                         inverse_design, jump_set_payload, realization_payload,
                         solve_lyapunov_direct, ssh_jump_decomposition,
                         validate_jump_set)
+from gausschain.matio import dumps_json
 
 
 def hn_target(n, t_right=1.0, t_left=0.17, kappa=1.5, gamma=0.1):
@@ -218,7 +219,7 @@ def test_site_profile_feasible_and_gated_per_site():
     assert validate_jump_set(jumps, real).passed
     # the pump Y of the profile, judged once, gives the same jumps
     judged = hn_jump_decomposition(params, build_diagonal_pump(profile))
-    assert jump_set_payload(judged) == jump_set_payload(jumps)
+    assert dumps_json(jump_set_payload(judged)) == dumps_json(jump_set_payload(jumps))
 
     ssh = SshParams(2, 0.5, 1.0, 0.0, 2.0)
     bad = np.array([0.1, 5.0, 0.1, 0.1])

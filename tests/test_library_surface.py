@@ -5,11 +5,14 @@ than the tests: the command-line interface, the benchmark (a ``gc.<name>``
 call in ``perfbench/ops.py`` or a name its tracer patches, the ``LAYERS``
 table of ``perfbench/spans.py``), a script in ``tools/``, or another
 exported function.  Anything else serves only the tests and belongs in
-``tests/``.  Classes are exempt.  Every file is read with ``ast``, never
-imported or run.
+``tests/``.  The public methods and properties of every exported class
+must likewise be read somewhere other than the tests and the class's own
+body: the package, the benchmark or a script in ``tools/``.  Every file is
+read with ``ast``, never imported or run.
 """
 
 import ast
+import functools
 import glob
 import inspect
 import os
@@ -64,3 +67,36 @@ def test_every_exported_function_is_used_outside_the_tests():
         body = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         used |= names_in(body) - {name}
     assert sorted(set(functions) - used) == []
+
+
+def exported_members():
+    """(class, member) for each public method and property of an exported class."""
+    kinds = (property, functools.cached_property, classmethod, staticmethod)
+    for name in gausschain.__all__:
+        cls = getattr(gausschain, name)
+        if inspect.isclass(cls):
+            for member, attr in vars(cls).items():
+                if not member.startswith("_") and (inspect.isfunction(attr)
+                                                   or isinstance(attr, kinds)):
+                    yield cls, member
+
+
+def test_every_public_method_of_an_exported_class_is_used_outside_the_tests():
+    members = list(exported_members())
+    assert len(members) >= 20
+    trees = [parse(path) for path in glob.glob(os.path.join(ROOT, "src", "gausschain", "*.py"))]
+    outside = set()
+    for path in (glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+                 + glob.glob(os.path.join(ROOT, "tools", "*.py"))):
+        outside |= names_in(parse(path))
+    unused = []
+    for cls, member in members:
+        used = set(outside)
+        for tree in trees:
+            used |= names_in(ast.Module(body=[
+                node for node in tree.body
+                if not (isinstance(node, ast.ClassDef) and node.name == cls.__name__)],
+                type_ignores=[]))
+        if member not in used:
+            unused.append(f"{cls.__name__}.{member}")
+    assert unused == []

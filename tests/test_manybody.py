@@ -64,7 +64,7 @@ def trace_loop_correlator(rho):
     c = np.empty((n, n), dtype=complex)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            c[i - 1, j - 1] = np.trace(rho.entries @ ops.pair_product(j, i))
+            c[i - 1, j - 1] = np.trace(rho.entries @ ops._pairs[j - 1][i - 1])
     return 0.5 * (c + c.conj().T)
 
 
@@ -123,9 +123,9 @@ class TestFockOperators:
         ops = FockOperatorSet(n_sites)
         eye = np.eye(ops.dim)
         for i in range(1, n_sites + 1):
-            ci = ops.annihilation(i)
+            ci = ops._annihilation[i - 1]
             for j in range(1, n_sites + 1):
-                cj = ops.annihilation(j)
+                cj = ops._annihilation[j - 1]
                 mixed = ci @ cj.conj().T + cj.conj().T @ ci
                 assert np.array_equal(mixed, eye if i == j else np.zeros_like(eye))
                 assert not (ci @ cj + cj @ ci).any()
@@ -133,21 +133,19 @@ class TestFockOperators:
     def test_number_operator_diagonals_at_two_sites(self):
         # site 1 is the leftmost tensor factor, so n_1 toggles the slow index
         ops = operator_set(2)
-        assert_allclose(ops.pair_product(1, 1), np.diag([0.0, 0.0, 1.0, 1.0]), atol=0)
-        assert_allclose(ops.pair_product(2, 2), np.diag([0.0, 1.0, 0.0, 1.0]), atol=0)
+        assert_allclose(ops._pairs[0][0], np.diag([0.0, 0.0, 1.0, 1.0]), atol=0)
+        assert_allclose(ops._pairs[1][1], np.diag([0.0, 1.0, 0.0, 1.0]), atol=0)
 
-    def test_pair_products_are_cached(self):
+    def test_pair_products_are_creation_times_annihilation(self):
         ops = operator_set(3)
-        assert ops.pair_product(1, 2) is ops.pair_product(1, 2)
-        assert_allclose(ops.pair_product(2, 3),
-                        ops.creation(2) @ ops.annihilation(3), atol=0)
+        assert_allclose(ops._pairs[1][2],
+                        ops._annihilation[1].conj().T @ ops._annihilation[2], atol=0)
 
     def test_one_body_operator_matches_explicit_sum(self):
         ops = operator_set(3)
         rng = np.random.default_rng(5)
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        explicit = sum(m[i - 1, j - 1] * ops.pair_product(i, j)
-                       for i in range(1, 4) for j in range(1, 4))
+        explicit = sum(m[i, j] * ops._pairs[i][j] for i in range(3) for j in range(3))
         assert_allclose(ops.one_body_operator(m), explicit, atol=1e-15)
         with pytest.raises(ParameterError, match="3x3"):
             ops.one_body_operator(np.eye(2))
@@ -246,7 +244,7 @@ class TestCorrelatorOf:
         ops = FockOperatorSet(n)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                p = ops.pair_product(i, j)
+                p = ops._pairs[i - 1][j - 1]
                 nonzero = p != 0
                 assert nonzero.sum(axis=0).max() <= 1
                 assert np.isin(p[nonzero], (-1, 1)).all()

@@ -1,5 +1,8 @@
 """Deterministic serialization: exact float round trips, stable bytes."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -56,6 +59,11 @@ def test_matrix_payload_round_trip_exact():
     back, labels = matrix_from_payload(payload)
     assert_array_equal(back, m)
     assert labels == ("1", "2", "3", "4", "5")
+    # signed zeros too: re + 1j * im once turned each -0.0 imaginary part into 0.0
+    zeros = np.array([[complex(-0.0, -0.0), complex(1.5, -0.0)],
+                      [complex(-0.0, 2.5), complex(0.0, 0.0)]])
+    back, _ = matrix_from_payload(json.loads(dumps_json(matrix_payload(zeros, ("a", "b")))))
+    assert back.view(np.uint64).tolist() == zeros.view(np.uint64).tolist()
 
 
 def test_matrix_file_round_trip_exact(tmp_path):
@@ -74,6 +82,41 @@ def test_matrix_payload_validation():
     with pytest.raises(ParameterError):
         matrix_from_payload({"dim": 2, "labels": ["1", "2"], "re": [[0, 0]],
                              "im": [[0, 0], [0, 0]]})
+
+
+BAD_MATRICES = {
+    "bool": ([[True]], ["1"]),
+    "string": ([["1"]], ["1"]),
+    "null": ([[None]], ["1"]),
+    "nan": ([[1.0, math.nan], [0.0, 1.0]], ["1", "2"]),
+    "inf": ([[1.0, 0.0], [math.inf, 1.0]], ["1", "2"]),
+    "-inf": ([[-math.inf]], ["1"]),
+    "ragged": ([[1.0, 0.0], [1.0]], ["1", "2"]),
+    "non-square": ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], ["1", "2"]),
+    "labels off by one": ([[1.0, 0.0], [0.0, 1.0]], ["1", "2", "3"]),
+}
+
+
+@pytest.mark.parametrize("writer", ["matrix_payload", "write_matrix"])
+@pytest.mark.parametrize("case", list(BAD_MATRICES))
+def test_matrix_writers_refuse_what_the_number_and_label_rules_refuse(tmp_path, writer, case):
+    # the bool, string, null and NaN rows once wrote re 1.0, 1.0, and
+    # failed on nan as "serialized value must be finite"
+    entries, labels = BAD_MATRICES[case]
+    path = tmp_path / "m.json"
+    with pytest.raises(ParameterError, match="^matrix payload "):
+        if writer == "matrix_payload":
+            matrix_payload(entries, labels)
+        else:
+            write_matrix(str(path), entries, labels)
+    assert not path.exists()
+
+
+def test_dumps_json_takes_numpy_values_as_they_are():
+    values = {"f": np.float64(0.1), "i": np.intp(3), "b": np.bool_(True), "t": (1, 2.5),
+              "a": np.array([[0.5, -0.0]]), "c": np.arange(2)}
+    assert dumps_json(values) == ('{"f": 0.10000000000000001, "i": 3, "b": true, '
+                                  '"t": [1, 2.5], "a": [[0.5, -0.0]], "c": [0, 1]}')
 
 
 def test_csv_round_trip_and_comments(tmp_path):

@@ -25,7 +25,7 @@ from gausschain import (BiorthogonalSpectrum, DensityMatrix, FockOperatorSet, Ga
                         normalized_density, overlap, propagate_correlator,
                         single_mode_approximation, solve_lyapunov_direct, ssh_crossover_scan,
                         ssh_index, ssh_jump_decomposition, ssh_labels, steady_state_oracle)
-from gausschain.matio import matrix_from_payload, matrix_payload
+from gausschain.matio import dumps_json, matrix_from_payload, matrix_payload
 from gausschain.models import (PSD_TOL, _check_finite_scalar, _count, _number_mask, _positions,
                                _strength, _vector, matrix_entries)
 from gausschain.steady import DirectSolver
@@ -328,7 +328,6 @@ def gated_scalars():
     spectrum = biorthogonal_decompose(x)
     h = inverse_design(x, y).hamiltonian
     jumps = hn_jump_decomposition(params, 0.1)
-    ops = FockOperatorSet(3)
     return {
         # 1-based indices -> SiteIndexError
         "build_local_pump site": ("index", "pump site", 2, lambda s: build_local_pump(3, s, 0.1)),
@@ -344,10 +343,6 @@ def gated_scalars():
                                            lambda s: DirectSolver(x).solve_local([s], 0.1)),
         "ssh_crossover_scan cell": ("index", "cell", 2,
                                     lambda c: ssh_crossover_scan(ssh, c, "A", 0.1, [0.0])),
-        "annihilation": ("index", "site", 2, ops.annihilation),
-        "creation": ("index", "site", 2, ops.creation),
-        "pair_product i": ("index", "site i", 2, lambda i: ops.pair_product(i, 1)),
-        "pair_product j": ("index", "site j", 2, lambda j: ops.pair_product(1, j)),
         # counts -> ParameterError
         "HatanoNelsonParams": ("count", "n_sites", 3,
                                lambda n: HatanoNelsonParams(n, 1.0, 0.17, 1.5)),
@@ -452,7 +447,7 @@ def gated_vectors():
     params = HatanoNelsonParams(3, 1.0, 0.17, 1.5)
     wide_gap = SshParams(3, 0.5, 1.0, 0.0, 2.0)
     unit, eye = [1.0, 0.0, 0.0], np.eye(3)
-    payload = matrix_payload(eye, ("1", "2", "3"))
+    payload = json.loads(dumps_json(matrix_payload(eye, ("1", "2", "3"))))  # as a file holds it
     ops = FockOperatorSet(3)
     occupations = [3.0, 2.0, 1.0]
     table = {

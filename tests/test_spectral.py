@@ -493,6 +493,28 @@ def test_similarity_residual_at_any_chain_length():
         assert hn_similarity_residual(hn_params(n)) <= 2.3e-16
 
 
+@pytest.mark.parametrize("power", [-1000, -520, -2, 2, 520, 1000])
+def test_closed_form_of_a_chain_times_a_power_of_two_is_its_own(power):
+    # log r was log t_right - log t_left, which rounds the two logs of a
+    # scaled chain apart: at 2^520 it read ...267 against ...376 unscaled
+    base = hn_params(12)
+    factor = 2.0 ** power
+    scaled = HatanoNelsonParams(12, base.t_right * factor, base.t_left * factor,
+                                base.kappa * factor)
+    assert np.array_equal(hn_analytic_spectrum(scaled).log_d, hn_analytic_spectrum(base).log_d)
+    # t_right in [1, 2) keeps log t_right - log t_left, the correctly rounded log r here
+    assert hn_analytic_spectrum(base).log_d[0] == 0.5 * (math.log(base.t_right)
+                                                        - math.log(base.t_left))
+
+
+def test_log_ratio_of_hoppings_at_the_ends_of_the_double_range():
+    # t_right / t_left overflows or underflows here; log r is read off the exponents
+    for t_right, t_left in ((1e300, 1e-300), (1e-300, 1e300), (1.7e308, 5e-324)):
+        log_d = hn_analytic_spectrum(HatanoNelsonParams(2, t_right, t_left, 1.0)).log_d
+        want = float(mpmath.log(mpmath.mpf(t_right) / mpmath.mpf(t_left)) / 2)
+        assert log_d[0] == pytest.approx(want, rel=4 * np.finfo(float).eps)
+
+
 def test_closed_forms_require_strict_hoppings():
     # the parameter set refuses a zero hopping, so no closed form sees one
     with pytest.raises(ParameterError, match="^t_right must be positive, got 0.0$"):

@@ -11,10 +11,10 @@ import sys
 
 import numpy as np
 
-from gausschain import (HatanoNelsonParams, SshParams, build_hatano_nelson,
-                        build_local_pump, diagnostics_report, hn_analytic_spectrum,
-                        hn_source_scan, solve_lyapunov_direct, ssh_crossover_scan)
-from gausschain.cli import COMMAND_DEFAULTS
+from gausschain import (SshParams, build_hatano_nelson, build_local_pump, diagnostics_report,
+                        hn_analytic_spectrum, hn_source_scan, solve_lyapunov_direct,
+                        ssh_crossover_scan)
+from gausschain.cli import COMMAND_DEFAULTS, _hn_params, _peak_site
 from gausschain.matio import write_json
 
 OUT = os.path.join(os.path.dirname(__file__), os.pardir, "tests", "data",
@@ -22,23 +22,26 @@ OUT = os.path.join(os.path.dirname(__file__), os.pardir, "tests", "data",
 
 
 def hn_locking_block() -> dict:
-    params = HatanoNelsonParams(40, 1.0, 0.17, 0.91)
+    cfg = COMMAND_DEFAULTS["hn-profiles"]
+    params = _hn_params(cfg)
     x = build_hatano_nelson(params)
-    pump = build_local_pump(40, 15, 0.03)
+    pump = build_local_pump(params.n_sites, cfg["pump_site"], cfg["pump_strength"])
     report = diagnostics_report(hn_analytic_spectrum(params),
                                 solve_lyapunov_direct(x, pump))
     orbs = report.orbitals
 
-    scan = hn_source_scan(params, 0.03)
+    # every pump site, as hn-source-scan runs by default, and its argmax rule
+    cfg = COMMAND_DEFAULTS["hn-source-scan"]
+    scan = hn_source_scan(_hn_params(cfg), cfg["pump_strength"])
     deviation = np.abs(scan.nu_max_normalized - scan.loading_normalized)
     return {
-        "overlap_slow": float(report.overlaps["slow"]),
-        "nu_max": float(orbs.occupations[0]),
-        "occupation_second_normalized": float(orbs.occupations_normalized()[1]),
-        "scan_max_deviation": float(deviation.max()),
-        "scan_deviation_argmax_site": int(scan.sites[int(np.argmax(deviation))]),
-        "scan_occupation_argmax_site": int(scan.sites[int(np.argmax(scan.nu_max_normalized))]),
-        "scan_loading_argmax_site": int(scan.sites[int(np.argmax(scan.loading_normalized))]),
+        "overlap_slow": report.overlaps["slow"],
+        "nu_max": orbs.occupations[0],
+        "occupation_second_normalized": orbs.occupations_normalized()[1],
+        "scan_max_deviation": deviation.max(),
+        "scan_deviation_argmax_site": _peak_site(scan.sites, deviation),
+        "scan_occupation_argmax_site": _peak_site(scan.sites, scan.nu_max_normalized),
+        "scan_loading_argmax_site": _peak_site(scan.sites, scan.loading_normalized),
     }
 
 
@@ -56,12 +59,11 @@ def ssh_crossover_block() -> dict:
     def point(g):
         # the scan reads each row off diagnostics_report, as ssh-profiles does
         sub = ssh_crossover_scan(params, *pump, g_values=[g])
-        return {"o_edge": float(sub.o_edge[0]), "o_slow": float(sub.o_slow[0])}
+        return {"o_edge": sub.o_edge[0], "o_slow": sub.o_slow[0]}
 
     return {
         "sign_changes": len(flips),
-        "crossing_bracket": [float(scan.g_values[flips[0]]),
-                             float(scan.g_values[flips[0] + 1])] if flips else None,
+        "crossing_bracket": scan.g_values[flips[0]:flips[0] + 2] if flips else None,
         "edge_point": point(-0.25),
         "bulk_point": point(0.20),
     }
