@@ -9,7 +9,16 @@ stack for anything larger.
 Nothing is time-stepped: the Liouvillian conserves the charge
 N_ket - N_bra of |i><j| (Prosen, NJP 10, 043026 (2008)), so it is built
 per charge block, the widest C(2N, N).  Trajectories apply exact
-propagators exp(L t); the steady state is one linear solve.  Numpy only.
+propagators exp(L t) to the vector of a sample's entries in the blocks
+it occupies; the steady state is one linear solve.  Numpy only.
+
+The Liouvillian is real whenever -iH and every jump operator are, as
+for every chain the commands build (H imaginary, jump vectors real);
+it is then built, exponentiated and validated in float64, otherwise in
+complex128.  States are complex128 either way, and the steady state
+solves the charge-0 block cast to complex, so its bits do not depend
+on the path.  An oracle check builds its Liouvillian once: the last
+build is kept for the same jump set and h (_liouvillian_parts).
 
 Per-sample work is vectorized.  Every column of a Jordan-Wigner pair
 product c_j^dag c_i holds at most one nonzero, and it is +-1, so
@@ -30,7 +39,7 @@ from .errors import ParameterError, ScaleError, StabilityError
 from .models import _count, _hermitian, _vector, matrix_entries
 from .steady import _expm, _sample_grid
 
-# widest charge block C(2N, N) is 924 here (seconds); 3432 at 7 sites (2 min, 1.2 GB)
+# widest charge block C(2N, N) is 924 here (under a second); 3432 at 7 sites (2 min, 1.2 GB)
 MAX_ORACLE_SITES = 6
 
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -137,7 +146,8 @@ def _checked_states(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Each sample must be finite, Hermitian to 1e-12 and, once symmetrized,
     of unit trace to 1e-10 with no eigenvalue below -1e-8.  Returns the
-    symmetrized samples, read-only, and each one's |Tr rho - 1|.  A stack
+    symmetrized samples, read-only complex128, and each one's |Tr rho - 1|,
+    read off those.  A real stack is checked in real arithmetic.  A stack
     of one is a single state; in a longer stack errors name the sample.
     """
     dim = stack.shape[1]
@@ -156,12 +166,13 @@ def _checked_states(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     herm = np.abs(stack - adjoint).max(axis=(1, 2))
     reject(herm > 1e-12, lambda k: f"not Hermitian: max deviation {herm[k]:.3e}")
     rho = 0.5 * (stack + adjoint)
-    trace_err = np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0)
+    states = rho.astype(complex, copy=False)
+    trace_err = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
     reject(trace_err > 1e-10, lambda k: f"trace off by {trace_err[k]:.3e}")
     wmin = np.linalg.eigvalsh(rho).min(axis=1)
     reject(wmin < -1e-8, lambda k: f"has eigenvalue {wmin[k]:.3e} < -1e-8")
-    rho.flags.writeable = False
-    return rho, trace_err
+    states.flags.writeable = False
+    return states, trace_err
 
 
 @dataclass(frozen=True)
@@ -203,8 +214,22 @@ class MasterTrajectory:
     max_trace_drift: float
 
 
+# The last Liouvillian built: (id of the jump set, h's dtype, h's bytes) ->
+# (jump set, K, jump operators, charge-0 generator).  Holding the jump set
+# keeps its id from being reused while the entry lives.
+_LIOUVILLIAN_CACHE: dict[tuple, tuple] = {}
+
+
 def _liouvillian_parts(ops: FockOperatorSet, h, jumps: JumpSet):
-    """(K, jump operators, h), K = -iH - (1/2) sum L^dag L; h passes _hermitian (HERMITIAN_RTOL)."""
+    """(K, jump operators, charge-0 block generator, h), K = -iH - (1/2) sum L^dag L.
+
+    h passes _hermitian (HERMITIAN_RTOL) and is checked against the jump
+    set on every call.  K and the operators are float64 when -iH and every
+    L are real, as for every chain the commands build (H imaginary, jump
+    vectors real), and complex128 otherwise.  The last build is kept for
+    the same frozen jump set and the same bytes of h, read-only, so one
+    oracle check builds its Liouvillian once.
+    """
     hmat = matrix_entries(h, "one-body Hamiltonian")
     if hmat.shape != (ops.n_sites, ops.n_sites):
         raise ParameterError(
@@ -212,13 +237,24 @@ def _liouvillian_parts(ops: FockOperatorSet, h, jumps: JumpSet):
     hmat = _hermitian(hmat, "one-body Hamiltonian")
     if jumps.dim != ops.n_sites:
         raise ParameterError(f"jump set dim {jumps.dim} != n_sites {ops.n_sites}")
-    big_h = ops.one_body_operator(hmat)
-    ls = [ops.loss_operator(v.vector) for v in jumps.loss_vectors]
-    ls += [ops.gain_operator(v.vector) for v in jumps.gain_vectors]
-    k = -1j * big_h
-    for op in ls:
-        k -= 0.5 * (op.conj().T @ op)
-    return k, ls, hmat
+    key = (id(jumps), hmat.dtype.str, hmat.tobytes())
+    entry = _LIOUVILLIAN_CACHE.get(key)
+    if entry is None:
+        k = -1j * ops.one_body_operator(hmat)
+        ls = [ops.loss_operator(v.vector) for v in jumps.loss_vectors]
+        ls += [ops.gain_operator(v.vector) for v in jumps.gain_vectors]
+        if not k.imag.any() and not any(op.imag.any() for op in ls):
+            k, ls = k.real.copy(), [op.real.copy() for op in ls]
+        for op in ls:
+            k -= 0.5 * (op.conj().T @ op)
+        generator = _block_generator(k, ls, *_charge_blocks(ops)[0])
+        for a in (k, generator, *ls):
+            a.flags.writeable = False
+        entry = (jumps, k, tuple(ls), generator)
+        _LIOUVILLIAN_CACHE.clear()
+        _LIOUVILLIAN_CACHE[key] = entry
+    _, k, ls, generator = entry
+    return k, ls, generator, hmat
 
 
 def _charge_blocks(ops: FockOperatorSet) -> dict:
@@ -238,7 +274,7 @@ def _block_generator(k: np.ndarray, ls, rows: np.ndarray, cols: np.ndarray) -> n
     Every term of K rho + rho K^dag + sum_L L rho L^dag conserves
     N_ket - N_bra, so the image of |i><j| stays inside its block; its
     |r><c| entry is K_ri d_cj + d_ri conj(K_cj) + sum_L L_ri conj(L_cj).
-    Only block-sized arrays are formed.
+    Only block-sized arrays are formed, in the dtype of K and the L.
     """
     ket, bra = np.ix_(rows, rows), np.ix_(cols, cols)
     out = k[ket] * (cols[:, None] == cols) + (rows[:, None] == rows) * k[bra].conj()
@@ -258,25 +294,47 @@ def evolve_master(rho0: DensityMatrix, h, jumps: JumpSet, t_final: float,
     last interval (_sample_grid).  Each step propagates the symmetrized
     previous sample; all samples are then validated as one stack.  Trace
     drift is logged, never corrected.
+
+    A sample is held as the vector of its entries in the charge blocks
+    that rho0 occupies, in the dtype of the Liouvillian and rho0 (float64
+    for a real pair), and propagated block by block.  A Hermitian rho0
+    occupies blocks q and -q together, so a sample is symmetrized through
+    the index map |r><c| <-> |c><r| of the vector.
     """
     times, intervals = _sample_grid(t_final, dt, stride)
     ops = operator_set(rho0.n_sites)
-    k, ls, _ = _liouvillian_parts(ops, h, jumps)
+    k, ls, generator, _ = _liouvillian_parts(ops, h, jumps)
 
     # blocks that rho0 leaves empty stay empty
-    blocks = [b for b in _charge_blocks(ops).values() if rho0.entries[b].any()]
-    generators = [_block_generator(k, ls, *b) for b in blocks]
-    propagators = {h: [_expm(g * h) for g in generators] for h in set(intervals)}
+    blocks = {q: b for q, b in _charge_blocks(ops).items() if rho0.entries[b].any()}
+    generators = [generator if q == 0 else _block_generator(k, ls, *b) for q, b in blocks.items()]
+    rows = np.concatenate([r for r, _ in blocks.values()])
+    cols = np.concatenate([c for _, c in blocks.values()])
+    bounds = np.cumsum([0] + [r.size for r, _ in blocks.values()])
+    spans = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    # adjoint[i] is where the vector holds the adjoint partner of entry i
+    where = np.zeros(ops.dim * ops.dim, dtype=np.intp)
+    where[rows * ops.dim + cols] = np.arange(rows.size)
+    adjoint = where[cols * ops.dim + rows]
 
-    samples = np.zeros((times.size, ops.dim, ops.dim), dtype=complex)
-    samples[0] = previous = rho0.entries
-    for rho, h in zip(samples[1:], intervals):
-        for b, p in zip(blocks, propagators[h]):
-            rho[b] = p @ previous[b]
-        previous = 0.5 * (rho + rho.conj().T)
+    start = rho0.entries[rows, cols]
+    if not start.imag.any():
+        start = np.ascontiguousarray(start.real)
+    dtype = np.result_type(generator, start)
+    propagators = {t: [_expm(g * t).astype(dtype, copy=False) for g in generators]
+                   for t in set(intervals)}
+
+    samples = np.empty((times.size, rows.size), dtype=dtype)
+    samples[0] = previous = start
+    for vector, t in zip(samples[1:], intervals):
+        for span, p in zip(spans, propagators[t]):
+            vector[span] = p @ previous[span]
+        previous = 0.5 * (vector + vector[adjoint].conj())
+    stack = np.zeros((times.size, ops.dim, ops.dim), dtype=dtype)
+    stack[:, rows, cols] = samples
     # rho0 rides along so that its drift comes from the same stacked trace;
     # it is symmetrized already, so its entries pass through bit for bit
-    checked, trace_err = _checked_states(samples)
+    checked, trace_err = _checked_states(stack)
     return MasterTrajectory(
         times=times,
         states=(rho0,) + tuple(DensityMatrix._trusted(rho) for rho in checked[1:]),
@@ -301,7 +359,7 @@ def steady_state_oracle(h, jumps: JumpSet, t_max: float | None = None) -> Densit
     the solver it checks.  ``t_max`` is ignored.
     """
     ops = operator_set(jumps.dim)
-    k, ls, hmat = _liouvillian_parts(ops, h, jumps)
+    _, _, generator, hmat = _liouvillian_parts(ops, h, jumps)
     x = 1j * hmat + 0.5 * (np.asarray(jumps.loss_gram()) + np.asarray(jumps.gain_gram()))
     min_rate = float(np.linalg.eigvals(x).real.min())
     if min_rate <= 0:
@@ -310,7 +368,7 @@ def steady_state_oracle(h, jumps: JumpSet, t_max: float | None = None) -> Densit
             "no steady state to converge to")
 
     rows, cols = _charge_blocks(ops)[0]
-    system = _block_generator(k, ls, rows, cols)
+    system = generator.astype(complex)
     system[0] = rows == cols
     rho = np.zeros((ops.dim, ops.dim), dtype=complex)
     rho[rows, cols] = np.linalg.solve(system, np.eye(rows.size)[0])

@@ -72,8 +72,13 @@ def _number_mask(value, kinds: str = "iuf") -> tuple[np.ndarray, np.ndarray]:
 
 def _numbers(role: str, value, kinds: str = "iuf") -> np.ndarray:
     """``value`` as an array (_number_mask); ParameterError naming ``role`` and the
-    first entry (1-based) of a sequence or array that is no input number."""
+    first entry (1-based) of a sequence or array that is no input number, or the
+    row lengths of a nested sequence whose rows differ in length."""
     a, ok = _number_mask(value, kinds)
+    if a.dtype == object and a.ndim == 1:  # a ragged nesting keeps its rows as entries
+        lengths = [len(v) for v in a if isinstance(v, (list, tuple, np.ndarray))]
+        if len(lengths) == a.size and len(set(lengths)) > 1:
+            raise ParameterError(f"{role} has rows of unequal lengths {lengths}")
     if a.ndim and not ok.all():
         first = np.argwhere(~ok)[0]
         where = int(first[0]) + 1 if a.ndim == 1 else tuple(int(i) + 1 for i in first)

@@ -20,6 +20,8 @@ from scipy.linalg import expm
 
 from gausschain import DensityMatrix
 from gausschain.errors import SolveError
+from gausschain.manybody import _charge_blocks, operator_set
+from gausschain.models import _hermitian, matrix_entries
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "goldens.json")
 
@@ -349,6 +351,27 @@ def read_bytes(path):
     """The bytes of a file, closed before they are returned."""
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def complex_steady_state_reference(h, jumps):
+    """The many-body steady state from the charge-0 Liouvillian block built in
+    complex arithmetic, entry by entry as K_ri d_cj + d_ri conj(K_cj) +
+    sum_L L_ri conj(L_cj), with the vacuum row replaced by Tr rho = 1."""
+    ops = operator_set(jumps.dim)
+    ls = [ops.loss_operator(v.vector) for v in jumps.loss_vectors]
+    ls += [ops.gain_operator(v.vector) for v in jumps.gain_vectors]
+    k = -1j * ops.one_body_operator(_hermitian(matrix_entries(h), "h"))
+    for op in ls:
+        k -= 0.5 * (op.conj().T @ op)
+    rows, cols = _charge_blocks(ops)[0]
+    ket, bra = np.ix_(rows, rows), np.ix_(cols, cols)
+    system = k[ket] * (cols[:, None] == cols) + (rows[:, None] == rows) * k[bra].conj()
+    for op in ls:
+        system += op[ket] * op[bra].conj()
+    system[0] = rows == cols
+    rho = np.zeros((ops.dim, ops.dim), dtype=complex)
+    rho[rows, cols] = np.linalg.solve(system, np.eye(rows.size)[0])
+    return DensityMatrix(rho)
 
 
 def pure_state(amplitudes):

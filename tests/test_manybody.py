@@ -24,11 +24,12 @@ from gausschain import (
     ssh_jump_decomposition,
     steady_state_oracle,
 )
+from gausschain import manybody
 from gausschain.manybody import (MAX_ORACLE_SITES, FockOperatorSet, _checked_states,
-                                 operator_set)
+                                 _liouvillian_parts, operator_set)
 from gausschain.models import matrix_entries
 from gausschain.steady import _sample_grid
-from tests.conftest import pure_state
+from tests.conftest import complex_steady_state_reference, pure_state
 
 # (matrix, error match) pairs that DensityMatrix must reject
 BAD_MATRICES = [
@@ -92,6 +93,21 @@ def ssh_system(n_cells, g, gamma=0.1, kappa=2.0):
     jumps = ssh_jump_decomposition(params, gamma)
     h = inverse_design(x, y).hamiltonian
     return x, y, jumps, h
+
+
+def phased(jumps, phase=np.exp(0.7j)):
+    """``jumps`` with every vector times ``phase``: the same Lindbladian, complex operators."""
+    def turn(vectors):
+        return tuple(JumpVector(v.label, v.kind, phase * v.vector) for v in vectors)
+    return JumpSet(jumps.dim, turn(jumps.loss_vectors), turn(jumps.gain_vectors))
+
+
+# (model, size) of the chains the oracle commands build: 2 to 4 sites
+SMALL_CHAINS = [("hn", 2), ("hn", 3), ("hn", 4), ("ssh", 1), ("ssh", 2)]
+
+
+def small_chain(model, size):
+    return hn_system(size) if model == "hn" else ssh_system(size, -0.25)
 
 
 def steady_deviation(x, y, jumps, h):
@@ -410,8 +426,8 @@ class TestCorrelatorReduction:
 class TestBothChainModels:
     """The oracle against the correlator stack at the criterion 03 bounds:
     1e-7 on trajectories, 1e-8 on steady states.  A 6-site trajectory
-    needs one 924-wide block exponential (about 2 s), so only the
-    single-band chain runs one."""
+    needs one 924-wide block exponential (about 0.5 s in float64), so
+    only the single-band chain runs one."""
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_single_band_trajectory_at_five_and_six_sites(self, n):
@@ -423,6 +439,62 @@ class TestBothChainModels:
         assert trajectory_deviation(*two_cells) <= 1e-7
         assert steady_deviation(*two_cells) <= 1e-8
         assert steady_deviation(*ssh_system(3, g)) <= 1e-8
+
+
+class TestRealArithmeticAndSharedBuild:
+    """Real chains run the oracle in float64, and one check builds one Liouvillian."""
+
+    @pytest.mark.parametrize("model, size", SMALL_CHAINS)
+    def test_complex_phases_reproduce_the_real_path(self, model, size):
+        _, _, jumps, h = small_chain(model, size)
+        turned = phased(jumps)
+        ops = operator_set(jumps.dim)
+        assert _liouvillian_parts(ops, h, jumps)[0].dtype == np.float64
+        assert _liouvillian_parts(ops, h, turned)[0].dtype == np.complex128
+        vacuum = DensityMatrix.vacuum(jumps.dim)
+        real, cplx = (evolve_master(vacuum, h, j, t_final=10.0, dt=0.002, stride=50)
+                      for j in (jumps, turned))
+        for a, b in zip(real.states, cplx.states):
+            assert np.abs(a.entries - b.entries).max() <= 1e-14
+            assert a.entries.dtype == b.entries.dtype == np.complex128
+        assert abs(real.max_trace_drift - cplx.max_trace_drift) <= 1e-14
+        difference = steady_state_oracle(h, jumps).entries - steady_state_oracle(h, turned).entries
+        assert np.abs(difference).max() <= 1e-14
+
+    @pytest.mark.parametrize("model, size", SMALL_CHAINS + [("hn", 5), ("hn", 6), ("ssh", 3)])
+    def test_steady_state_keeps_the_bits_of_the_complex_build(self, model, size):
+        _, _, jumps, h = small_chain(model, size)
+        for j in (jumps, phased(jumps)):
+            assert np.array_equal(steady_state_oracle(h, j).entries,
+                                  complex_steady_state_reference(h, j).entries)
+
+    def test_one_check_builds_one_liouvillian_and_a_new_h_another(self, monkeypatch):
+        builds, block_generator = [], manybody._block_generator
+
+        def counted(*args):
+            builds.append(args[2].size)
+            return block_generator(*args)
+
+        monkeypatch.setattr(manybody, "_block_generator", counted)
+        monkeypatch.setattr(manybody, "_LIOUVILLIAN_CACHE", {})
+        _, _, jumps, h = hn_system(3)
+        h = np.array(h)
+        evolve_master(DensityMatrix.vacuum(3), h, jumps, t_final=10.0, dt=0.002, stride=50)
+        rho = steady_state_oracle(h, jumps)
+        assert builds == [20]
+        assert np.array_equal(rho.entries, complex_steady_state_reference(h, jumps).entries)
+        # the solve changes no cached array: a second solve has the same bits
+        assert np.array_equal(steady_state_oracle(h, jumps).entries, rho.entries)
+        assert builds == [20]
+
+        h[0, 1] += 0.1j
+        h[1, 0] -= 0.1j
+        rho = steady_state_oracle(h, jumps)
+        assert builds == [20, 20]
+        assert np.array_equal(rho.entries, complex_steady_state_reference(h, jumps).entries)
+        # an equal jump set is another object, so it builds its own
+        steady_state_oracle(h, phased(jumps, 1.0))
+        assert builds == [20, 20, 20]
 
 
 class TestSteadyStateOracle:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,9 +93,13 @@ BAD_MATRICES = {
     "inf": ([[1.0, 0.0], [math.inf, 1.0]], ["1", "2"]),
     "-inf": ([[-math.inf]], ["1"]),
     "ragged": ([[1.0, 0.0], [1.0]], ["1", "2"]),
+    "ragged, short row first": ([[1.0], [1.0, 0.0]], ["1", "2"]),
     "non-square": ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], ["1", "2"]),
     "labels off by one": ([[1.0, 0.0], [0.0, 1.0]], ["1", "2", "3"]),
 }
+# what the error names past "matrix payload ", where a case pins it
+MESSAGES = {"ragged": "has rows of unequal lengths [2, 1]",
+            "ragged, short row first": "has rows of unequal lengths [1, 2]"}
 
 
 @pytest.mark.parametrize("writer", ["matrix_payload", "write_matrix"])
@@ -104,7 +109,8 @@ def test_matrix_writers_refuse_what_the_number_and_label_rules_refuse(tmp_path, 
     # failed on nan as "serialized value must be finite"
     entries, labels = BAD_MATRICES[case]
     path = tmp_path / "m.json"
-    with pytest.raises(ParameterError, match="^matrix payload "):
+    message = "^matrix payload " + re.escape(MESSAGES.get(case, ""))
+    with pytest.raises(ParameterError, match=message):
         if writer == "matrix_payload":
             matrix_payload(entries, labels)
         else:

@@ -311,6 +311,18 @@ def test_every_matrix_entry_point_refuses_an_empty_matrix_by_role(entry):
         call(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize("short", [0, -1], ids=["first-row-short", "last-row-short"])
+@pytest.mark.parametrize("entry", list(gated_calls()))
+def test_every_matrix_entry_point_names_ragged_rows_by_role(entry, short):
+    # ragged rows were once called non-finite, naming the good first row
+    role, good, call = gated_calls()[entry]
+    rows = np.array(good).tolist()
+    rows[short] = rows[short][:-1]
+    message = f"{role} has rows of unequal lengths {[len(row) for row in rows]}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call(rows)
+
+
 def gated_scalars():
     """Entry point -> (kind, role its error names, valid value, call on one value).
 
