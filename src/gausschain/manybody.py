@@ -23,9 +23,11 @@ build is kept for the same jump set and h (_liouvillian_parts).
 Per-sample work is vectorized.  Every column of a Jordan-Wigner pair
 product c_j^dag c_i holds at most one nonzero, and it is +-1, so
 Tr(rho c_j^dag c_i) is a signed sum of D = 2^N entries of rho:
-correlator_of is one signed gather over index and sign tables that each
-FockOperatorSet builds once.  A trajectory's samples are validated as
-one (S, D, D) stack by the same check a single DensityMatrix runs.
+correlator_of is one 1-d take over flat index and sign tables that
+each FockOperatorSet builds once, with its charge blocks.  A
+trajectory's samples are validated as one (S, D, D) stack by the same
+check a single DensityMatrix runs; a stacked Cholesky factorization
+certifies them positive, and an eigensolve runs only when it fails.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from .errors import ParameterError, ScaleError, StabilityError
 from .models import _count, _hermitian, _vector, matrix_entries
 from .steady import _expm, _sample_grid
 
-# widest charge block C(2N, N) is 924 here (under a second); 3432 at 7 sites (2 min, 1.2 GB)
+# widest charge block C(2N, N) is 924 here: tools/oracle_scaling.py, 2-core Xeon, BLAS on one
+# thread, times its trajectory at 0.39 s and steady solve at 0.09 s in 81 MB; 3432 at 7, untimed
 MAX_ORACLE_SITES = 6
 
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -74,7 +77,8 @@ class FockOperatorSet:
         # [i][j] is c_i^dag c_j (0-based), built at once since the trace tables read each
         self._pairs = tuple(tuple(a.conj().T @ b for b in self._annihilation)
                             for a in self._annihilation)
-        self._trace_cols, self._trace_signs = self._trace_tables()
+        self._trace_index, self._trace_signs = self._trace_tables()
+        self._blocks = self._block_tables()
 
     def _jordan_wigner(self, position: int) -> np.ndarray:
         factors = [_PAULI_Z] * position + [_LOWER] + [_EYE2] * (self.n_sites - position - 1)
@@ -84,23 +88,39 @@ class FockOperatorSet:
         return op
 
     def _trace_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index and sign tables of shape (n, n, D) for Tr(rho c_j^dag c_i).
+        """Flat index and sign tables of shape (n, n, D) for Tr(rho c_j^dag c_i).
 
-        Entry [i, j, a] names the one nonzero of column a of c_j^dag c_i
-        (0-based i, j): Tr(rho P) = sum_a rho[a, cols[a]] * signs[a], with
-        sign 0 where the column is empty.  The Jordan-Wigner construction
-        puts at most one +-1 in each column; a test asserts it.
+        Entry [i, j, a] is a D + col, where col names the one nonzero of
+        column a of c_j^dag c_i (0-based i, j): Tr(rho P) = sum_a
+        rho.flat[index[a]] * signs[a], with sign 0 where the column is
+        empty.  The Jordan-Wigner construction puts at most one +-1 in
+        each column; a test asserts it.
         """
         n, dim = self.n_sites, self.dim
-        cols = np.zeros((n, n, dim), dtype=np.intp)
+        index = np.zeros((n, n, dim), dtype=np.intp)
         signs = np.zeros((n, n, dim))
         for i in range(n):
             for j in range(n):
                 p = self._pairs[j][i]
-                cols[i, j] = (p != 0).argmax(axis=0)
-                signs[i, j] = p[cols[i, j], np.arange(dim)].real
-        cols.flags.writeable = signs.flags.writeable = False
-        return cols, signs
+                cols = (p != 0).argmax(axis=0)
+                index[i, j] = np.arange(dim) * dim + cols
+                signs[i, j] = p[cols, np.arange(dim)].real
+        index.flags.writeable = signs.flags.writeable = False
+        return index, signs
+
+    def _block_tables(self) -> dict:
+        """Basis matrices |i><j| grouped by their charge N_i - N_j.
+
+        Each value is the read-only (rows, cols) index pair of one block,
+        in row-major order, so the q = 0 block starts with the vacuum
+        projector |0><0|.
+        """
+        filled = np.array([bin(i).count("1") for i in range(self.dim)])
+        charge = filled[:, None] - filled[None, :]
+        blocks = {q: np.nonzero(charge == q) for q in range(-self.n_sites, self.n_sites + 1)}
+        for rows, cols in blocks.values():
+            rows.flags.writeable = cols.flags.writeable = False
+        return blocks
 
     def one_body_operator(self, coefficients) -> np.ndarray:
         """sum_ij M_ij c_i^dag c_j as a full Fock-space matrix."""
@@ -149,6 +169,11 @@ def _checked_states(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     symmetrized samples, read-only complex128, and each one's |Tr rho - 1|,
     read off those.  A real stack is checked in real arithmetic.  A stack
     of one is a single state; in a longer stack errors name the sample.
+
+    One stacked Cholesky factorization of rho + 1e-8 I certifies the
+    eigenvalue bound at a fraction of an eigensolve's cost; only when it
+    fails does eigvalsh decide, so every rejection and its least
+    eigenvalue come from eigvalsh.
     """
     dim = stack.shape[1]
     n = dim.bit_length() - 1
@@ -169,8 +194,11 @@ def _checked_states(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     states = rho.astype(complex, copy=False)
     trace_err = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
     reject(trace_err > 1e-10, lambda k: f"trace off by {trace_err[k]:.3e}")
-    wmin = np.linalg.eigvalsh(rho).min(axis=1)
-    reject(wmin < -1e-8, lambda k: f"has eigenvalue {wmin[k]:.3e} < -1e-8")
+    try:
+        np.linalg.cholesky(rho + 1e-8 * np.eye(dim))
+    except np.linalg.LinAlgError:
+        wmin = np.linalg.eigvalsh(rho).min(axis=1)
+        reject(wmin < -1e-8, lambda k: f"has eigenvalue {wmin[k]:.3e} < -1e-8")
     states.flags.writeable = False
     return states, trace_err
 
@@ -258,14 +286,9 @@ def _liouvillian_parts(ops: FockOperatorSet, h, jumps: JumpSet):
 
 
 def _charge_blocks(ops: FockOperatorSet) -> dict:
-    """Basis matrices |i><j| grouped by their charge N_i - N_j.
-
-    Each value is the (rows, cols) index pair of one block, in row-major
-    order, so the q = 0 block starts with the vacuum projector |0><0|.
-    """
-    filled = np.array([bin(i).count("1") for i in range(ops.dim)])
-    charge = filled[:, None] - filled[None, :]
-    return {q: np.nonzero(charge == q) for q in range(-ops.n_sites, ops.n_sites + 1)}
+    """Basis matrices |i><j| grouped by their charge N_i - N_j: the (rows,
+    cols) index pair of each block, built once per size (_block_tables)."""
+    return ops._blocks
 
 
 def _block_generator(k: np.ndarray, ls, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -274,12 +297,16 @@ def _block_generator(k: np.ndarray, ls, rows: np.ndarray, cols: np.ndarray) -> n
     Every term of K rho + rho K^dag + sum_L L rho L^dag conserves
     N_ket - N_bra, so the image of |i><j| stays inside its block; its
     |r><c| entry is K_ri d_cj + d_ri conj(K_cj) + sum_L L_ri conj(L_cj).
-    Only block-sized arrays are formed, in the dtype of K and the L.
+    Only block-sized arrays are formed, in the dtype of K and the L; each
+    block of an operator is gathered by two 1-d takes, rows then columns.
     """
-    ket, bra = np.ix_(rows, rows), np.ix_(cols, cols)
-    out = k[ket] * (cols[:, None] == cols) + (rows[:, None] == rows) * k[bra].conj()
+    def block(op, index):
+        return op.take(index, axis=0).take(index, axis=1)
+
+    out = block(k, rows) * (cols[:, None] == cols)
+    out += (rows[:, None] == rows) * block(k, cols).conj()
     for op in ls:
-        out += op[ket] * op[bra].conj()
+        out += block(op, rows) * block(op, cols).conj()
     return out
 
 
@@ -328,7 +355,7 @@ def evolve_master(rho0: DensityMatrix, h, jumps: JumpSet, t_final: float,
     samples[0] = previous = start
     for vector, t in zip(samples[1:], intervals):
         for span, p in zip(spans, propagators[t]):
-            vector[span] = p @ previous[span]
+            np.matmul(p, previous[span], out=vector[span])
         previous = 0.5 * (vector + vector[adjoint].conj())
     stack = np.zeros((times.size, ops.dim, ops.dim), dtype=dtype)
     stack[:, rows, cols] = samples
@@ -345,7 +372,7 @@ def evolve_master(rho0: DensityMatrix, h, jumps: JumpSet, t_final: float,
 def correlator_of(rho: DensityMatrix) -> np.ndarray:
     """One-body correlator C_ij = Tr(rho c_j^dag c_i), symmetrized."""
     ops = operator_set(rho.n_sites)
-    c = (rho.entries[np.arange(ops.dim), ops._trace_cols] * ops._trace_signs).sum(-1)
+    c = (rho.entries.take(ops._trace_index) * ops._trace_signs).sum(-1)
     return 0.5 * (c + c.conj().T)
 
 
@@ -370,6 +397,8 @@ def steady_state_oracle(h, jumps: JumpSet, t_max: float | None = None) -> Densit
     rows, cols = _charge_blocks(ops)[0]
     system = generator.astype(complex)
     system[0] = rows == cols
+    unit = np.zeros(rows.size)
+    unit[0] = 1.0
     rho = np.zeros((ops.dim, ops.dim), dtype=complex)
-    rho[rows, cols] = np.linalg.solve(system, np.eye(rows.size)[0])
+    rho[rows, cols] = np.linalg.solve(system, unit)
     return DensityMatrix(rho)

@@ -368,7 +368,13 @@ def hn_analytic_spectrum(params: HatanoNelsonParams) -> BiorthogonalSpectrum:
     modes = np.arange(1, n + 1)  # also the sites: phi[j-1, n-1] = phi_n(j)
     betas = params.kappa - 2.0 * _geometric_mean(params.t_right, params.t_left) * np.cos(
         modes * np.pi / (n + 1))
-    phi = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(modes, modes) * np.pi / (n + 1))
+    # phi_n(j) = sqrt(2/(N+1)) sin(pi k/(N+1)) at k = j n mod 2(N+1): by the
+    # sine's exact period every argument stays below 2 pi, where j n pi/(N+1)
+    # would reach about N pi and lose about N ulps.  Folding k into the first
+    # quadrant would also move the bits of the slow column, k = j.
+    period = 2 * (n + 1)
+    sines = math.sqrt(2.0 / (n + 1)) * np.sin(np.arange(period) * np.pi / (n + 1))
+    phi = sines[np.outer(modes, modes) % period]
     return _orthogonal_spectrum(betas, phi, modes * _hn_log_ratio(params))
 
 

@@ -19,7 +19,7 @@ from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
 from gausschain import DensityMatrix
-from gausschain.errors import SolveError
+from gausschain.errors import ParameterError, SolveError
 from gausschain.manybody import _charge_blocks, operator_set
 from gausschain.models import _hermitian, matrix_entries
 
@@ -308,7 +308,11 @@ def dense_hn_spectrum_reference(params):
     n = params.n_sites
     betas = hn_closed_form_betas(n, params.t_right, params.t_left, params.kappa)
     sites = np.arange(1, n + 1)
-    phi = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(sites, sites) * np.pi / (n + 1))
+    # the library's sine basis, indexed by the sine's exact period; its
+    # accuracy is tested against mpmath on its own
+    period = 2 * (n + 1)
+    sines = math.sqrt(2.0 / (n + 1)) * np.sin(np.arange(period) * np.pi / (n + 1))
+    phi = sines[np.outer(sites, sites) % period]
     env = sites.astype(float) * logr
     right, left = _sign_gauge_pair(np.exp(env)[:, None] * phi, np.exp(-env)[:, None] * phi)
     return betas.astype(complex), right, left
@@ -353,10 +357,53 @@ def read_bytes(path):
         return fh.read()
 
 
+# The many-body oracle's kernels in their np.ix_, 2-d fancy-index and
+# eigvalsh forms: the library's 1-d takes and Cholesky certificate must
+# reproduce their bits and verdicts.
+
+def block_generator_reference(k, ls, rows, cols):
+    """The Liouvillian on the charge block (rows, cols), gathered by np.ix_:
+    entry |r><c| of the image of |i><j| is K_ri d_cj + d_ri conj(K_cj) +
+    sum_L L_ri conj(L_cj)."""
+    ket, bra = np.ix_(rows, rows), np.ix_(cols, cols)
+    out = k[ket] * (cols[:, None] == cols) + (rows[:, None] == rows) * k[bra].conj()
+    for op in ls:
+        out += op[ket] * op[bra].conj()
+    return out
+
+
+def correlator_reference(rho):
+    """C_ij = Tr(rho c_j^dag c_i), symmetrized, by a 2-d fancy-index gather of
+    the one nonzero row of each column of c_j^dag c_i."""
+    ops = operator_set(rho.n_sites)
+    n, dim = ops.n_sites, ops.dim
+    cols = np.zeros((n, n, dim), dtype=np.intp)
+    signs = np.zeros((n, n, dim))
+    for i in range(n):
+        for j in range(n):
+            p = ops._pairs[j][i]
+            cols[i, j] = (p != 0).argmax(axis=0)
+            signs[i, j] = p[cols[i, j], np.arange(dim)].real
+    c = (rho.entries[np.arange(dim), cols] * signs).sum(-1)
+    return 0.5 * (c + c.conj().T)
+
+
+def least_eigenvalue_reference(stack):
+    """The least eigenvalue of each Hermitian sample of a (S, D, D) stack by
+    eigvalsh; raises ParameterError worded as the oracle's positivity check
+    when one is below -1e-8."""
+    wmin = np.linalg.eigvalsh(stack).min(axis=1)
+    if (wmin < -1e-8).any():
+        k = int(np.argmax(wmin < -1e-8))
+        name = "density matrix" if len(stack) == 1 else f"density matrix sample {k}"
+        raise ParameterError(f"{name} has eigenvalue {wmin[k]:.3e} < -1e-8")
+    return wmin
+
+
 def complex_steady_state_reference(h, jumps):
     """The many-body steady state from the charge-0 Liouvillian block built in
-    complex arithmetic, entry by entry as K_ri d_cj + d_ri conj(K_cj) +
-    sum_L L_ri conj(L_cj), with the vacuum row replaced by Tr rho = 1."""
+    complex arithmetic (block_generator_reference), with the vacuum row
+    replaced by Tr rho = 1."""
     ops = operator_set(jumps.dim)
     ls = [ops.loss_operator(v.vector) for v in jumps.loss_vectors]
     ls += [ops.gain_operator(v.vector) for v in jumps.gain_vectors]
@@ -364,10 +411,7 @@ def complex_steady_state_reference(h, jumps):
     for op in ls:
         k -= 0.5 * (op.conj().T @ op)
     rows, cols = _charge_blocks(ops)[0]
-    ket, bra = np.ix_(rows, rows), np.ix_(cols, cols)
-    system = k[ket] * (cols[:, None] == cols) + (rows[:, None] == rows) * k[bra].conj()
-    for op in ls:
-        system += op[ket] * op[bra].conj()
+    system = block_generator_reference(k, ls, rows, cols)
     system[0] = rows == cols
     rho = np.zeros((ops.dim, ops.dim), dtype=complex)
     rho[rows, cols] = np.linalg.solve(system, np.eye(rows.size)[0])

@@ -25,11 +25,13 @@ from gausschain import (
     steady_state_oracle,
 )
 from gausschain import manybody
-from gausschain.manybody import (MAX_ORACLE_SITES, FockOperatorSet, _checked_states,
-                                 _liouvillian_parts, operator_set)
+from gausschain.manybody import (MAX_ORACLE_SITES, FockOperatorSet, _block_generator,
+                                 _charge_blocks, _checked_states, _liouvillian_parts,
+                                 operator_set)
 from gausschain.models import matrix_entries
 from gausschain.steady import _sample_grid
-from tests.conftest import complex_steady_state_reference, pure_state
+from tests.conftest import (block_generator_reference, complex_steady_state_reference,
+                            correlator_reference, least_eigenvalue_reference, pure_state)
 
 # (matrix, error match) pairs that DensityMatrix must reject
 BAD_MATRICES = [
@@ -264,9 +266,12 @@ class TestCorrelatorOf:
                 nonzero = p != 0
                 assert nonzero.sum(axis=0).max() <= 1
                 assert np.isin(p[nonzero], (-1, 1)).all()
-                cols = ops._trace_cols[j - 1, i - 1]
+                # rho.flat[index[a]] pairs with column a's nonzero, p.T.flat[index[a]]
+                index = ops._trace_index[j - 1, i - 1]
                 signs = ops._trace_signs[j - 1, i - 1]
-                assert np.array_equal(signs, p[cols, np.arange(ops.dim)].real)
+                assert np.array_equal(index // ops.dim, np.arange(ops.dim))
+                assert np.array_equal(signs, p.T.take(index).real)
+                assert np.array_equal(signs != 0, nonzero.any(axis=0))
 
     def test_trivial_states(self):
         assert_allclose(correlator_of(DensityMatrix.vacuum(2)),
@@ -495,6 +500,72 @@ class TestRealArithmeticAndSharedBuild:
         # an equal jump set is another object, so it builds its own
         steady_state_oracle(h, phased(jumps, 1.0))
         assert builds == [20, 20, 20]
+
+
+class TestTablesAndCholeskyKeepTheBits:
+    """The row-then-column block gathers, the flat trace index and the
+    Cholesky positivity certificate against the np.ix_ block build, the
+    fancy-index correlator gather and the eigvalsh check they replaced
+    (tests/conftest.py), at 2 to 6 sites on the real path and on the
+    complex one (jump vectors times e^0.7i)."""
+
+    @pytest.mark.parametrize("n", range(2, MAX_ORACLE_SITES + 1))
+    @pytest.mark.parametrize("path", ["real", "complex", "dense"])
+    def test_every_charge_block_has_the_bits_of_the_ix_gather(self, n, path):
+        _, _, jumps, h = hn_system(n)
+        ops = operator_set(n)
+        if path == "complex":
+            jumps = phased(jumps)
+        if path == "dense":
+            # K has no entry where a jump term has one, and a + b = b + a, so
+            # only three or more dense jumps of one kind show a reordered sum
+            rng = np.random.default_rng(n)
+            h, jumps = random_hermitian(rng, n), random_jump_set(rng, n, n_loss=3, n_gain=3)
+        k, ls, generator, _ = _liouvillian_parts(ops, h, jumps)
+        assert k.dtype == (np.float64 if path == "real" else np.complex128)
+        for q, (rows, cols) in _charge_blocks(ops).items():
+            want = block_generator_reference(k, ls, rows, cols)
+            got = generator if q == 0 else _block_generator(k, ls, rows, cols)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", range(2, MAX_ORACLE_SITES + 1))
+    @pytest.mark.parametrize("path", ["real", "complex"])
+    def test_correlators_and_positivity_verdicts_of_the_oracle_states(self, n, path):
+        _, _, jumps, h = hn_system(n)
+        if path == "complex":
+            jumps = phased(jumps)
+        traj = evolve_master(DensityMatrix.vacuum(n), h, jumps, t_final=1.0, dt=0.5)
+        states = list(traj.states) + [steady_state_oracle(h, jumps)]
+        rng = np.random.default_rng(n)
+        states += [random_mixed_state(rng, n, rank) for rank in (1, 2, 2 ** n)]
+        for state in states:
+            assert np.array_equal(correlator_of(state), correlator_reference(state))
+        # every state the Cholesky certificate passed, eigvalsh passes too
+        least = least_eigenvalue_reference(np.array([s.entries for s in states]))
+        assert least.min() >= -1e-8
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("least", [-2e-8, -5e-9])
+    def test_the_threshold_verdict_and_message_are_eigvalsh_s(self, dtype, least):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(4, 4)) + (1j * rng.normal(size=(4, 4)) if dtype is complex else 0)
+        u = np.linalg.qr(a)[0]
+        bad = (u * np.array([0.5, 0.3, 0.2 - least, least])) @ u.conj().T
+        bad = 0.5 * (bad + bad.conj().T)
+        good = np.outer([0.6, 0.0, 0.0, 0.8], [0.6, 0.0, 0.0, 0.8]).astype(dtype)
+        for stack in (np.array([good, bad, good]), bad[None]):
+            if least > -1e-8:
+                least_eigenvalue_reference(stack)
+                checked, _ = _checked_states(stack)
+                assert np.array_equal(checked, 0.5 * (stack + stack.conj().swapaxes(1, 2)))
+                continue
+            with pytest.raises(ParameterError) as want:
+                least_eigenvalue_reference(stack)
+            with pytest.raises(ParameterError) as got:
+                _checked_states(stack)
+            assert str(got.value) == str(want.value)
+            name = "density matrix sample 1" if len(stack) == 3 else "density matrix"
+            assert str(got.value) == f"{name} has eigenvalue -2.000e-08 < -1e-8"
 
 
 class TestSteadyStateOracle:

@@ -387,6 +387,25 @@ def test_long_chain_slow_mode_matches_mpmath(long_spectra):
         assert np.abs(unit - truth).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", [200, 1000])
+def test_sine_basis_is_within_a_few_ulps_of_mpmath(n):
+    # sin(pi j m / (N+1)) at arguments up to N pi was off by about N ulps
+    # (440 units at 200 sites, 2254 at 1000); 1000 sampled entries and the
+    # far 10 x 10 corner, where j m is largest, against 40-digit mpmath
+    u = hn_analytic_spectrum(hn_params(n)).u
+    rng = np.random.default_rng(n)
+    corner = np.arange(n - 10, n)
+    rows = np.concatenate([rng.integers(0, n, 1000), np.repeat(corner, 10)])
+    cols = np.concatenate([rng.integers(0, n, 1000), np.tile(corner, 10)])
+    with mpmath.workdps(40):
+        norm = mpmath.sqrt(mpmath.mpf(2) / (n + 1))
+        truth = np.array([float(norm * mpmath.sin(mpmath.pi * int(j + 1) * int(m + 1) / (n + 1)))
+                          for j, m in zip(rows, cols)])
+    # phi_m(1) > 0 for every mode, so row 1 carries each column's sign gauge
+    got = u[rows, cols] * np.sign(u[0, cols])
+    assert np.abs(got - truth).max() <= 8 * EPS * math.sqrt(2.0 / (n + 1))
+
+
 def test_long_chain_loadings_are_finite(long_spectra):
     closed = long_spectra["closed"]
     gamma, s = HN_REFERENCE["pump_strength"], HN_REFERENCE["pump_site"]
