@@ -28,8 +28,8 @@ from .errors import (GausschainError, InfeasibilityError, ParameterError,
 from .matio import (_complex_parts, dumps_json, ensure_dir, read_json, read_matrix, write_csv,
                     write_json)
 from .models import (HatanoNelsonParams, SourceMatrix, SshParams, _check_finite_scalar, _count,
-                     _vector, build_diagonal_pump, build_hatano_nelson, build_local_pump,
-                     build_ssh, default_labels, matrix_entries, ssh_index, ssh_labels)
+                     _vector, build_diagonal_pump, build_hatano_nelson, build_ssh,
+                     default_labels, matrix_entries, ssh_index, ssh_labels)
 
 OCCUPATION_HEADER = ("alpha", "nu", "nu_norm")
 
@@ -42,38 +42,36 @@ VALIDATE_ASYMMETRY_LIMIT = 1e-10
 ORACLE_TRAJECTORY_LIMIT = 1e-7
 ORACLE_STEADY_LIMIT = 1e-8
 
-COMMON_DEFAULTS = {"out": "."}
-
 COMMAND_DEFAULTS = {
     "hn-profiles": {
-        "n_sites": 40, "t_right": 1.0, "t_left": 0.17, "kappa": 0.91,
+        "out": ".", "n_sites": 40, "t_right": 1.0, "t_left": 0.17, "kappa": 0.91,
         "pump_site": 15, "pump_strength": 0.03,
     },
     "hn-source-scan": {
-        "n_sites": 40, "t_right": 1.0, "t_left": 0.17, "kappa": 0.91,
+        "out": ".", "n_sites": 40, "t_right": 1.0, "t_left": 0.17, "kappa": 0.91,
         "pump_strength": 0.03, "s_min": 1, "s_max": 0,
     },
     "hn-occupations": {
-        "n_sites": 40, "t_right": 1.0, "t_left": 0.17, "kappa": 0.91,
+        "out": ".", "n_sites": 40, "t_right": 1.0, "t_left": 0.17, "kappa": 0.91,
         "pump_site": 15, "pump_strength": 0.03,
     },
     "ssh-profiles": {
-        "n_cells": 20, "t1": 0.5, "t2": 1.0, "g": -0.25, "kappa": 1.5,
+        "out": ".", "n_cells": 20, "t1": 0.5, "t2": 1.0, "g": -0.25, "kappa": 1.5,
         "pump_cell": 1, "pump_sublattice": "A", "pump_strength": 1e-8,
     },
     "ssh-crossover": {
-        "n_cells": 20, "t1": 0.5, "t2": 1.0, "kappa": 1.5,
+        "out": ".", "n_cells": 20, "t1": 0.5, "t2": 1.0, "kappa": 1.5,
         "pump_cell": 1, "pump_sublattice": "A", "pump_strength": 1e-8,
         "g_min": -0.55, "g_max": 0.60, "g_points": 24,
     },
     "inverse-design": {
-        "model": "hn", "n_sites": 3, "t_right": 1.0, "t_left": 0.17,
+        "out": ".", "model": "hn", "n_sites": 3, "t_right": 1.0, "t_left": 0.17,
         "n_cells": 3, "t1": 0.5, "t2": 1.0, "g": 0.0, "kappa": 1.5,
         "gamma": 0.1, "pump_file": "", "x_file": "", "y_file": "",
     },
-    "validate": {"x_file": "", "y_file": ""},
+    "validate": {"out": ".", "x_file": "", "y_file": ""},
     "oracle-check": {
-        "n_sites": 3, "t_right": 1.0, "t_left": 0.17, "kappa": 1.5,
+        "out": ".", "n_sites": 3, "t_right": 1.0, "t_left": 0.17, "kappa": 1.5,
         "gamma": 0.1, "t_final": 10.0, "dt": 0.002, "stride": 50,
     },
 }
@@ -108,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                            description=COMMAND_HELP[command])
         p.add_argument("--config", default=None, metavar="PATH",
                        help="JSON file of parameter overrides (flags win)")
-        p.add_argument("--out", default=None, metavar="DIR",
-                       help="output directory (default current directory)")
         for key, value in defaults.items():
             flag = "--" + key.replace("_", "-")
             note = f"default {value!r}"
@@ -135,33 +131,26 @@ def _coerce(key: str, value, target: type):
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, and flags into one echoable dict."""
     command = args.command
-    specific = dict(COMMAND_DEFAULTS[command])
-    common = dict(COMMON_DEFAULTS)
+    defaults = COMMAND_DEFAULTS[command]
+    cfg = dict(defaults)
     given = set()
     if args.config:
         overrides = read_json(args.config)
         if not isinstance(overrides, dict):
             raise ParameterError(f"config file {args.config} must hold a JSON object")
         for key, value in overrides.items():
-            if key in specific:
-                specific[key] = _coerce(key, value, type(COMMAND_DEFAULTS[command][key]))
-                given.add(key)
-            elif key in common:
-                common[key] = _coerce(key, value, type(COMMON_DEFAULTS[key]))
-            else:
+            if key not in defaults:
                 raise ParameterError(f"unknown config key {key!r} for command {command}")
-    for key in specific:
-        value = getattr(args, key, None)
-        if value is not None:
-            specific[key] = _coerce(key, value, type(COMMAND_DEFAULTS[command][key]))
+            cfg[key] = _coerce(key, value, type(defaults[key]))
             given.add(key)
-    if command == "inverse-design" and specific["model"] == "ssh" and "kappa" not in given:
-        specific["kappa"] = _SSH_DESIGN_KAPPA
-    for key in common:
+    for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
-            common[key] = value
-    return {"command": command, **common, **specific}
+            cfg[key] = _coerce(key, value, type(defaults[key]))
+            given.add(key)
+    if command == "inverse-design" and cfg["model"] == "ssh" and "kappa" not in given:
+        cfg["kappa"] = _SSH_DESIGN_KAPPA
+    return {"command": command, **cfg}
 
 
 def _comments(cfg: dict) -> tuple[str, str]:
@@ -199,16 +188,10 @@ def _peak_site(sites: np.ndarray, values: np.ndarray) -> int:
 
 
 def cmd_hn_profiles(cfg: dict) -> None:
-    from .orbitals import PROFILE_HEADER, diagnostics_report, profile_rows
-    from .spectral import hn_analytic_spectrum
-    from .steady import solve_lyapunov_direct
+    from .orbitals import PROFILE_HEADER, _pumped_chain, profile_rows
 
     params = _hn_params(cfg)
-    x = build_hatano_nelson(params)
-    pump = build_local_pump(params.n_sites, cfg["pump_site"], cfg["pump_strength"])
-    corr = solve_lyapunov_direct(x, pump)
-    spectrum = hn_analytic_spectrum(params)
-    report = diagnostics_report(spectrum, corr)
+    spectrum, corr, report = _pumped_chain(params, cfg["pump_site"], cfg["pump_strength"])
     orbs = report.orbitals
 
     csv_path, json_path = _out_paths(cfg)
@@ -235,14 +218,10 @@ def cmd_hn_profiles(cfg: dict) -> None:
 
 
 def cmd_hn_occupations(cfg: dict) -> None:
-    from .orbitals import density, natural_orbitals
-    from .steady import solve_lyapunov_direct
+    from .orbitals import _pumped_chain, density
 
-    params = _hn_params(cfg)
-    x = build_hatano_nelson(params)
-    pump = build_local_pump(params.n_sites, cfg["pump_site"], cfg["pump_strength"])
-    corr = solve_lyapunov_direct(x, pump)
-    orbs = natural_orbitals(corr)
+    _, corr, report = _pumped_chain(_hn_params(cfg), cfg["pump_site"], cfg["pump_strength"])
+    orbs = report.orbitals
     normalized = orbs.occupations_normalized()
 
     csv_path, json_path = _out_paths(cfg)
@@ -272,7 +251,9 @@ def cmd_hn_source_scan(cfg: dict) -> None:
     from .orbitals import SOURCE_SCAN_HEADER, hn_source_scan
 
     params = _hn_params(cfg)
-    s_max = cfg["s_max"] if cfg["s_max"] > 0 else params.n_sites
+    if cfg["s_max"] < 0:
+        raise ParameterError(f"s_max must be >= 0 (0 scans to the last site), got {cfg['s_max']}")
+    s_max = cfg["s_max"] or params.n_sites
     sites = range(cfg["s_min"], s_max + 1)
     scan = hn_source_scan(params, cfg["pump_strength"], sites=sites)
     csv_path, json_path = _out_paths(cfg)
@@ -292,17 +273,11 @@ def cmd_hn_source_scan(cfg: dict) -> None:
 
 
 def cmd_ssh_profiles(cfg: dict) -> None:
-    from .orbitals import PROFILE_HEADER, diagnostics_report, profile_rows
-    from .spectral import biorthogonal_decompose
-    from .steady import solve_lyapunov_direct
+    from .orbitals import PROFILE_HEADER, _pumped_chain, profile_rows
 
     params = _ssh_params(cfg)
-    x = build_ssh(params)
     site = ssh_index(cfg["pump_cell"], cfg["pump_sublattice"], params.n_cells)
-    pump = build_local_pump(params.n_sites, site, cfg["pump_strength"])
-    spectrum = biorthogonal_decompose(matrix_entries(x))
-    corr = solve_lyapunov_direct(x, pump)
-    report = diagnostics_report(spectrum, corr, params.kappa)
+    spectrum, corr, report = _pumped_chain(params, site, cfg["pump_strength"])
     orbs, edge = report.orbitals, report.edge
 
     csv_path, json_path = _out_paths(cfg)

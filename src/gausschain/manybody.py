@@ -275,7 +275,7 @@ def _liouvillian_parts(ops: FockOperatorSet, h, jumps: JumpSet):
             k, ls = k.real.copy(), [op.real.copy() for op in ls]
         for op in ls:
             k -= 0.5 * (op.conj().T @ op)
-        generator = _block_generator(k, ls, *_charge_blocks(ops)[0])
+        generator = _block_generator(k, ls, *ops._blocks[0])
         for a in (k, generator, *ls):
             a.flags.writeable = False
         entry = (jumps, k, tuple(ls), generator)
@@ -283,12 +283,6 @@ def _liouvillian_parts(ops: FockOperatorSet, h, jumps: JumpSet):
         _LIOUVILLIAN_CACHE[key] = entry
     _, k, ls, generator = entry
     return k, ls, generator, hmat
-
-
-def _charge_blocks(ops: FockOperatorSet) -> dict:
-    """Basis matrices |i><j| grouped by their charge N_i - N_j: the (rows,
-    cols) index pair of each block, built once per size (_block_tables)."""
-    return ops._blocks
 
 
 def _block_generator(k: np.ndarray, ls, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -333,7 +327,7 @@ def evolve_master(rho0: DensityMatrix, h, jumps: JumpSet, t_final: float,
     k, ls, generator, _ = _liouvillian_parts(ops, h, jumps)
 
     # blocks that rho0 leaves empty stay empty
-    blocks = {q: b for q, b in _charge_blocks(ops).items() if rho0.entries[b].any()}
+    blocks = {q: b for q, b in ops._blocks.items() if rho0.entries[b].any()}
     generators = [generator if q == 0 else _block_generator(k, ls, *b) for q, b in blocks.items()]
     rows = np.concatenate([r for r, _ in blocks.values()])
     cols = np.concatenate([c for _, c in blocks.values()])
@@ -394,7 +388,7 @@ def steady_state_oracle(h, jumps: JumpSet, t_max: float | None = None) -> Densit
             f"relaxation spectrum has min real part {min_rate:.6g} <= 0; "
             "no steady state to converge to")
 
-    rows, cols = _charge_blocks(ops)[0]
+    rows, cols = ops._blocks[0]
     system = generator.astype(complex)
     system[0] = rows == cols
     unit = np.zeros(rows.size)

@@ -17,11 +17,12 @@ and the diagnostics here quantify that locking.  :func:`diagnostics_report`
 is the one place that reads it: the natural orbitals (with the lock
 verdict :attr:`NaturalOrbitalSet.locked`), the normalized density, the
 slow mode and the edge candidate, and the overlaps of the top orbital with
-both.  The profile commands and the nonreciprocity scan of the two-band
-chain write from that report.  The pump-position scan of the single-band
-chain reads only the top occupation of each correlator and takes it from
-a stacked power iteration that stops each pump on a Kato-Temple
-certificate; pumps it cannot certify go to ``eigvalsh``.
+both.  The profile and occupation commands and the nonreciprocity scan of
+the two-band chain write from the report of :func:`_pumped_chain`.  The
+pump-position scan of the single-band chain reads only the top occupation
+of each correlator and takes it from a stacked power iteration that stops
+each pump on a Kato-Temple certificate; pumps it cannot certify go to
+``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ EDGE_WINDOW_FRACTION = 0.1
 EDGE_BOUNDARY_SITES = 2
 
 UNIT_NORM_TOL = 1e-8
-
-# Occupations within this fraction of the top one (relative, as C is linear in
-# the pump) make the dominant orbital ambiguous; the state is then unlocked.
-DOMINANT_TIE_TOL = 1e-10
 
 # Largest stack of correlators, in float64 entries, that hn_source_scan
 # solves at once; the doubling keeps a few such arrays alive, the thin start
@@ -132,14 +129,15 @@ class NaturalOrbitalSet:
         return self.occupations / top
 
     def dominant_indices(self) -> tuple[int, ...]:
-        """1-based indices a tied with the top occupation: nu_1 - nu_a <= DOMINANT_TIE_TOL |nu_1|.
+        """1-based indices a tied with the top occupation: nu_1 - nu_a <= 2 occupation_floor.
 
-        More than one index means the dominant orbital is ambiguous and
-        the state is unlocked (:attr:`locked`), not resolved by fiat.
+        Each occupation is certified to within the floor, so two that differ
+        by at most twice the floor may be one eigenvalue.  More than one index
+        means the dominant orbital is ambiguous and the state is unlocked
+        (:attr:`locked`), not resolved by fiat.
         """
-        top = self.occupations[0]
-        ties = np.flatnonzero(top - self.occupations <= DOMINANT_TIE_TOL * abs(top))
-        return tuple(int(a) + 1 for a in ties)
+        gap = self.occupations[0] - self.occupations
+        return tuple(int(a) + 1 for a in np.flatnonzero(gap <= 2 * self.occupation_floor))
 
     @property
     def locked(self) -> bool:
@@ -345,6 +343,25 @@ def diagnostics_report(spectrum: BiorthogonalSpectrum, correlator,
                              edge, overlaps)
 
 
+def _pumped_chain(params: HatanoNelsonParams | SshParams, pump_site: int,
+                  pump_strength: float):
+    """(spectrum, correlator, report) of a chain pumped at one 1-based site.
+
+    The one pipeline of the profile, occupation and crossover commands:
+    X, the local pump, the direct solve and the spectrum by the model's
+    route, which is picked here only: the closed form for the single-band
+    chain (:func:`hn_analytic_spectrum`) and the decomposition of X for the
+    two-band chain, which alone gets an edge candidate at kappa.
+    """
+    two_band = isinstance(params, SshParams)
+    x = build_ssh(params) if two_band else build_hatano_nelson(params)
+    pump = build_local_pump(params.n_sites, pump_site, pump_strength)
+    spectrum = biorthogonal_decompose(x) if two_band else hn_analytic_spectrum(params)
+    correlator = solve_lyapunov_direct(x, pump)
+    kappa = params.kappa if two_band else None
+    return spectrum, correlator, diagnostics_report(spectrum, correlator, kappa)
+
+
 @dataclass(frozen=True)
 class SourceScan:
     """Pump-position scan of the single-band chain.
@@ -484,28 +501,22 @@ def ssh_crossover_scan(params: SshParams, pump_cell: int, pump_sublattice: str,
     """Edge-versus-bulk locking competition along a nonreciprocity scan.
 
     ``params.g`` is ignored; each scan point replaces it with a grid
-    value, is solved in order by the direct solver, and reads its row off
-    :func:`diagnostics_report`.  Per-point failures do not abort the scan.
+    value, is solved in order by :func:`_pumped_chain`, and reads its row
+    off the report.  Per-point failures do not abort the scan.
     The ``ssh-crossover`` command's defaults are the reference grid and pump.
     """
     g_values = _vector("g_values", g_values).tolist()
     site = ssh_index(pump_cell, pump_sublattice, params.n_cells)
 
-    def job(g):
-        p = replace(params, g=g)
-        x = build_ssh(p)
-        spectrum = biorthogonal_decompose(x)
-        pump = build_local_pump(p.n_sites, site, pump_strength)
-        report = diagnostics_report(spectrum, solve_lyapunov_direct(x, pump), p.kappa)
-        return (g, report.overlaps["edge"], report.overlaps["slow"],
-                report.edge.index, report.slow)
-
     rows, failures = [], []
     for g in g_values:
         try:
-            rows.append(job(g))
+            _, _, report = _pumped_chain(replace(params, g=g), site, pump_strength)
         except GausschainError as exc:
             failures.append((g, f"{type(exc).__name__}: {exc}"))
+        else:
+            rows.append((g, report.overlaps["edge"], report.overlaps["slow"],
+                         report.edge.index, report.slow))
     if not rows:
         raise ParameterError("every crossover scan point failed; first: "
                              + failures[0][1])

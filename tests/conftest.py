@@ -20,7 +20,7 @@ from scipy.linalg import expm
 
 from gausschain import DensityMatrix
 from gausschain.errors import ParameterError, SolveError
-from gausschain.manybody import _charge_blocks, operator_set
+from gausschain.manybody import operator_set
 from gausschain.models import _hermitian, matrix_entries
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "goldens.json")
@@ -410,7 +410,7 @@ def complex_steady_state_reference(h, jumps):
     k = -1j * ops.one_body_operator(_hermitian(matrix_entries(h), "h"))
     for op in ls:
         k -= 0.5 * (op.conj().T @ op)
-    rows, cols = _charge_blocks(ops)[0]
+    rows, cols = ops._blocks[0]
     system = block_generator_reference(k, ls, rows, cols)
     system[0] = rows == cols
     rho = np.zeros((ops.dim, ops.dim), dtype=complex)

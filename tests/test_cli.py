@@ -158,7 +158,7 @@ class TestHnCommands:
         # exit 1, the validation-failure code; the builder stands in for it
         def exhausted(params):
             raise MemoryError("Unable to allocate 745. TiB for an array")
-        monkeypatch.setattr("gausschain.cli.build_hatano_nelson", exhausted)
+        monkeypatch.setattr("gausschain.orbitals.build_hatano_nelson", exhausted)
         assert main(["hn-profiles", "--n-sites", "10000000", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err == "error: MemoryError: Unable to allocate 745. TiB for an array\n"
@@ -251,6 +251,22 @@ class TestHnCommands:
                      "--s-max", "6", "--out", out]) == 0
         rows = data_lines(out + "/hn-source-scan.csv")
         assert [int(r.split(",")[0]) for r in rows[1:]] == [3, 4, 5, 6]
+
+    def test_negative_scan_end_exits_2_naming_s_max(self, tmp_path, capsys):
+        out = tmp_path / "negative"
+        assert main(["hn-source-scan", "--s-max", "-3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ParameterError: s_max must be >= 0")
+        assert not out.exists()
+
+    def test_profiles_and_occupations_agree_bit_for_bit(self, tmp_path):
+        # both read the natural orbitals off one pumped-chain report
+        for command in ("hn-profiles", "hn-occupations"):
+            assert main([command, "--out", str(tmp_path)]) == 0
+        profiles = read_summary(str(tmp_path / "hn-profiles.json"))
+        occupations = read_summary(str(tmp_path / "hn-occupations.json"))
+        for key in ("occupations", "occupations_normalized", "occupation_floor",
+                    "resolved_count", "dominant_indices", "locked"):
+            assert profiles[key] == occupations[key], key
 
 
 class TestSshCommands:

@@ -26,8 +26,7 @@ from gausschain import (
 )
 from gausschain import manybody
 from gausschain.manybody import (MAX_ORACLE_SITES, FockOperatorSet, _block_generator,
-                                 _charge_blocks, _checked_states, _liouvillian_parts,
-                                 operator_set)
+                                 _checked_states, _liouvillian_parts, operator_set)
 from gausschain.models import matrix_entries
 from gausschain.steady import _sample_grid
 from tests.conftest import (block_generator_reference, complex_steady_state_reference,
@@ -523,7 +522,7 @@ class TestTablesAndCholeskyKeepTheBits:
             h, jumps = random_hermitian(rng, n), random_jump_set(rng, n, n_loss=3, n_gain=3)
         k, ls, generator, _ = _liouvillian_parts(ops, h, jumps)
         assert k.dtype == (np.float64 if path == "real" else np.complex128)
-        for q, (rows, cols) in _charge_blocks(ops).items():
+        for q, (rows, cols) in ops._blocks.items():
             want = block_generator_reference(k, ls, rows, cols)
             got = generator if q == 0 else _block_generator(k, ls, rows, cols)
             assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -503,6 +503,14 @@ def test_dominant_tie_is_flagged_not_resolved():
     assert not report.orbitals.locked
 
 
+def test_a_gap_above_the_certified_floor_is_locked():
+    # two occupations 1e-11 apart lie far outside each other's floor
+    orbs = natural_orbitals(np.diag([1.0, 1.0 - 1e-11, 0.1]))
+    assert 2 * orbs.occupation_floor < 1e-11
+    assert orbs.dominant_indices() == (1,)
+    assert orbs.locked
+
+
 def test_locking_improves_monotonically_with_gap():
     phi = sine_basis(4)
     pump = build_local_pump(4, 2, 0.01)

@@ -24,7 +24,7 @@ from gausschain import (DensityMatrix, HatanoNelsonParams, build_diagonal_pump,
                         hn_jump_decomposition, inverse_design, propagate_correlator,
                         solve_lyapunov_direct, steady_state_oracle)
 from gausschain.cli import COMMAND_DEFAULTS
-from gausschain.manybody import MAX_ORACLE_SITES, _charge_blocks, operator_set
+from gausschain.manybody import MAX_ORACLE_SITES, operator_set
 
 CHAIN = COMMAND_DEFAULTS["oracle-check"]
 
@@ -35,7 +35,7 @@ def measure(n_sites: int) -> dict:
     y = build_diagonal_pump([CHAIN["gamma"]] * n_sites)
     h = inverse_design(x, y).hamiltonian
     jumps = hn_jump_decomposition(params, CHAIN["gamma"])
-    widest = max(rows.size for rows, _ in _charge_blocks(operator_set(n_sites)).values())
+    widest = max(rows.size for rows, _ in operator_set(n_sites)._blocks.values())
     grid = (CHAIN["t_final"], CHAIN["dt"])
 
     start = time.perf_counter()
