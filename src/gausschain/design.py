@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import InfeasibilityError, ParameterError, ValidationError
 from .matio import _complex_parts, matrix_payload
-from .models import (PSD_TOL, HatanoNelsonParams, SourceMatrix, SshParams, _frozen_array,
-                     _labels, _psd, _strength, _vector, build_diagonal_pump, default_labels,
+from .models import (PSD_TOL, HatanoNelsonParams, SourceMatrix, SshParams, _bonds,
+                     _frozen_array, _labels, _psd, _strength, _vector, default_labels,
                      matrix_entries, ssh_labels)
 
 
@@ -130,35 +130,32 @@ def inverse_design(relaxation, source) -> MicroscopicRealization:
     )
 
 
-def _chain_jumps(labels: tuple[str, ...], kappa: float, bonds, gamma,
+def _chain_jumps(params: HatanoNelsonParams | SshParams, labels: tuple[str, ...], gamma,
                  context: str) -> JumpSet:
     """Bond, onsite and pump jumps of a nearest-neighbor chain.
 
-    ``bonds`` lists ``(left site, beta)`` pairs (1-based), beta > 0 as the
-    hoppings are; each becomes the loss jump sqrt(beta) (c_left - c_{left+1}).  A
-    scalar ``gamma`` passes _strength, and a profile build_diagonal_pump, the
-    PSD rule inverse_design applies to the same Y; a diagonal SourceMatrix
-    is that Y, judged already.
+    Each bond of the chain (models._bonds), with beta the sum of its two
+    hoppings, becomes the loss jump sqrt(beta) (c_left - c_{left+1}).  A
+    scalar ``gamma`` passes _strength; a diagonal SourceMatrix (a profile's
+    build_diagonal_pump) is the Y inverse_design takes, judged already.
     Site j keeps the onsite squared weight 2 kappa - gamma_j - b_j, where
     b_j sums beta over the bonds touching j.  A weight below -PSD_TOL times
     the target's peak (largest |entry| of its loss gram and pump: |2 kappa -
     gamma_j|, beta, gamma_j) is a deficit; a negative one above it clamps to 0.
     """
     dim = len(labels)
-    if isinstance(gamma, (list, tuple)) or np.ndim(gamma):
-        gamma = build_diagonal_pump(gamma)
     if isinstance(gamma, SourceMatrix):
         y = np.diagonal(gamma.entries)
         if y.size != dim or not np.array_equal(np.diag(y), gamma.entries):
             raise ParameterError(f"{context}: pump must be {dim} site strengths (a diagonal Y)")
     else:
         y = np.full(dim, _strength(f"{context}: uniform pump strength", gamma))
-    bond_sum = np.zeros(dim)
-    for left, beta in bonds:
-        bond_sum[left - 1:left + 1] += beta
-    delta = 2.0 * kappa - y
+    left, rightward, leftward = _bonds(params)
+    beta = rightward + leftward
+    bond_sum = np.bincount(left, beta, dim) + np.bincount(left + 1, beta, dim)
+    delta = 2.0 * params.kappa - y
     args = delta - bond_sum
-    peak = max(np.abs(delta).max(), y.max(), *(beta for _, beta in bonds))
+    peak = max(np.abs(delta).max(), y.max(), beta.max(initial=0.0))
     short = args < -PSD_TOL * peak
     if short.any():
         if np.all(y == y[0]):
@@ -176,10 +173,10 @@ def _chain_jumps(labels: tuple[str, ...], kappa: float, bonds, gamma,
             tuple(deficits))
 
     loss = []
-    for left, beta in bonds:
+    for j, root in zip(left, np.sqrt(beta)):
         v = np.zeros(dim, dtype=complex)
-        v[left - 1], v[left] = np.sqrt(beta), -np.sqrt(beta)
-        loss.append(JumpVector(f"bond({labels[left - 1]})", "loss", v))
+        v[j], v[j + 1] = root, -root
+        loss.append(JumpVector(f"bond({labels[j]})", "loss", v))
     eye = np.eye(dim, dtype=complex)
     loss += [JumpVector(f"onsite({labels[j]})", "loss", np.sqrt(max(a, 0.0)) * eye[j])
              for j, a in enumerate(args)]
@@ -196,7 +193,7 @@ def hn_jump_decomposition(params: HatanoNelsonParams, gamma) -> JumpSet:
     squared weight is delta - beta at the two boundary sites and
     delta - 2 beta in the bulk, with delta = 2 kappa - gamma_j and
     beta = t_right + t_left.  Gain channels: sqrt(gamma_j) c_j^dag, where
-    gamma is uniform, a site profile or its Y from build_diagonal_pump.
+    gamma is a uniform strength or the Y of a profile (build_diagonal_pump).
 
     A uniform gamma is gated by 2 kappa - gamma >= the largest per-site
     bond sum: 0 for a single site (gamma <= 2 kappa), beta for two
@@ -205,31 +202,23 @@ def hn_jump_decomposition(params: HatanoNelsonParams, gamma) -> JumpSet:
     on the actual squared weights, reporting every deficit.  Both hold
     down to -PSD_TOL times the target's peak, the one rule of _chain_jumps.
     """
-    n = params.n_sites
-    beta = params.t_right + params.t_left
-    return _chain_jumps(default_labels(n), params.kappa,
-                        [(j, beta) for j in range(1, n)], gamma,
+    return _chain_jumps(params, default_labels(params.n_sites), gamma,
                         "single-band decomposition")
 
 
 def ssh_jump_decomposition(params: SshParams, gamma) -> JumpSet:
     """Local jump operators realizing the two-band chain with pumping.
 
-    Bond losses carry sqrt(beta_1) = sqrt(t1_right + t1_left) within
-    cells and sqrt(beta_2) = sqrt(t2_right + t2_left) between cells.
+    Bond losses carry sqrt(beta_1) = sqrt(t1 e^g + t1 e^-g) within cells
+    and sqrt(beta_2) = sqrt(t2 e^g + t2 e^-g) between cells.
     Onsite squared weights are delta - beta_1 on the two outer sites
     (1A and NB) and delta - beta_1 - beta_2 elsewhere, with
-    delta = 2 kappa - gamma_j.  A uniform gamma is gated by
+    delta = 2 kappa - gamma_j, gamma a uniform strength or the Y of a
+    profile (build_diagonal_pump).  A uniform gamma is gated by
     2 kappa - gamma >= beta_1 + beta_2 (single cell: >= beta_1), down to
     -PSD_TOL times the target's peak, the one rule of _chain_jumps.
     """
-    n = params.n_cells
-    beta1 = params.t1_right + params.t1_left
-    beta2 = params.t2_right + params.t2_left
-    bonds = ([(2 * cell - 1, beta1) for cell in range(1, n + 1)]
-             + [(2 * cell, beta2) for cell in range(1, n)])
-    return _chain_jumps(ssh_labels(n), params.kappa, bonds, gamma,
-                        "two-band decomposition")
+    return _chain_jumps(params, ssh_labels(params.n_cells), gamma, "two-band decomposition")
 
 
 @dataclass(frozen=True)

@@ -272,9 +272,9 @@ class SshParams:
                            ("g", _check_finite_scalar), ("kappa", _check_finite_scalar)):
             object.__setattr__(self, name, gate(name, getattr(self, name)))
         try:
-            bonds = (self.t1_right, self.t1_left, self.t2_right, self.t2_left)
+            bonds = [t * math.exp(s * self.g) for t in (self.t1, self.t2) for s in (1, -1)]
         except OverflowError:  # math.exp(g) past the double range
-            bonds = (math.inf,)
+            bonds = [math.inf]
         if not all(0.0 < t < math.inf for t in bonds):
             raise ParameterError(f"g must keep t1 e^+-g and t2 e^+-g finite and positive, "
                                  f"got {self.g}")
@@ -283,21 +283,28 @@ class SshParams:
     def n_sites(self) -> int:
         return 2 * self.n_cells
 
-    @property
-    def t1_right(self) -> float:
-        return self.t1 * math.exp(self.g)
 
-    @property
-    def t1_left(self) -> float:
-        return self.t1 * math.exp(-self.g)
+def _bonds(params: HatanoNelsonParams | SshParams) -> tuple[np.ndarray, ...]:
+    """(left, rightward, leftward): every nearest-neighbor bond of either chain as its
+    0-based left site j and the hoppings j -> j+1 and j+1 -> j, the one place that says
+    which hopping sits on which bond.  The single-band chain lists its bonds in chain
+    order, the two-band chain its intracell (t1) bonds, then its intercell (t2) ones."""
+    if isinstance(params, SshParams):
+        n = params.n_cells
+        left = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n - 1, 2)])
+        t = np.repeat([params.t1, params.t2], [n, n - 1])
+        return left, t * math.exp(params.g), t * math.exp(-params.g)
+    left = np.arange(params.n_sites - 1)
+    return left, np.full(left.size, params.t_right), np.full(left.size, params.t_left)
 
-    @property
-    def t2_right(self) -> float:
-        return self.t2 * math.exp(self.g)
 
-    @property
-    def t2_left(self) -> float:
-        return self.t2 * math.exp(-self.g)
+def _chain_matrix(params: HatanoNelsonParams | SshParams, labels) -> RelaxationMatrix:
+    """X = kappa I minus each bond's hoppings: -rightward at (j+1, j), -leftward at (j, j+1)."""
+    left, rightward, leftward = _bonds(params)
+    x = params.kappa * np.eye(len(labels))
+    x[left + 1, left] -= rightward
+    x[left, left + 1] -= leftward
+    return RelaxationMatrix(x, labels)
 
 
 def build_hatano_nelson(params: HatanoNelsonParams) -> RelaxationMatrix:
@@ -307,12 +314,7 @@ def build_hatano_nelson(params: HatanoNelsonParams) -> RelaxationMatrix:
     i.e. -t_right on the first subdiagonal and -t_left on the first
     superdiagonal.
     """
-    n = params.n_sites
-    x = params.kappa * np.eye(n)
-    idx = np.arange(n - 1)
-    x[idx + 1, idx] -= params.t_right
-    x[idx, idx + 1] -= params.t_left
-    return RelaxationMatrix(x, default_labels(n))
+    return _chain_matrix(params, default_labels(params.n_sites))
 
 
 def ssh_labels(n_cells: int) -> tuple[str, ...]:
@@ -338,18 +340,7 @@ def build_ssh(params: SshParams) -> RelaxationMatrix:
     reversed hops carry exp(-g).  Entry (row, col) = amplitude for
     col -> row, so e.g. X[nB, nA] = -t1 exp(g).
     """
-    n = params.n_cells
-    dim = 2 * n
-    x = params.kappa * np.eye(dim)
-    for cell in range(n):
-        a, b = 2 * cell, 2 * cell + 1
-        x[b, a] -= params.t1_right
-        x[a, b] -= params.t1_left
-    for cell in range(n - 1):
-        b, a2 = 2 * cell + 1, 2 * cell + 2
-        x[a2, b] -= params.t2_right
-        x[b, a2] -= params.t2_left
-    return RelaxationMatrix(x, ssh_labels(n))
+    return _chain_matrix(params, ssh_labels(params.n_cells))
 
 
 def build_local_pump(dim: int, site: int, strength: float) -> SourceMatrix:

@@ -38,7 +38,7 @@ from .models import (HatanoNelsonParams, SshParams, _check_finite_scalar, _froze
 from .spectral import (BiorthogonalSpectrum, ModeVector, _gauge_columns, _pump_loadings,
                        _unit_columns, biorthogonal_decompose, hn_analytic_spectrum,
                        slow_mode_position)
-from .steady import EPS, DirectSolver, solve_lyapunov_direct
+from .steady import EPS, DirectSolver, _unit_scale, solve_lyapunov_direct
 
 # Default edge-candidate search: eigenvalues within this fraction of the
 # spectral diameter around kappa, ranked by weight on this many boundary
@@ -149,11 +149,11 @@ def natural_orbitals(correlator) -> NaturalOrbitalSet:
     """The resolved natural orbitals of a Hermitian PSD correlator, most occupied first.
 
     C passes the Hermitian rule of models (_hermitian, HERMITIAN_RTOL).
-    C is scaled by a power of two to unit peak (exact, and no norm or
-    square overflows).  The start block is the _START_BLOCK columns of C
-    with the largest diagonal entries; it is orthonormalized (QR) and
-    Rayleigh-Ritz gives Ritz pairs (theta, v) from the eigenpairs of
-    Q^H C Q.  With floor = (residual + 4 N EPS) max |theta|, where residual
+    C is scaled by the power of two that puts its peak in [1, 2)
+    (steady._unit_scale: exact, and no norm or square overflows).  The
+    start block is the _START_BLOCK columns of C with the largest diagonal
+    entries; it is orthonormalized (QR) and Rayleigh-Ritz gives Ritz pairs
+    (theta, v) from the eigenpairs of Q^H C Q.  With floor = (residual + 4 N EPS) max |theta|, where residual
     is the solver's backward error of a SteadyCorrelator (0 for a plain
     array), the pairs are accepted when
 
@@ -176,8 +176,7 @@ def natural_orbitals(correlator) -> NaturalOrbitalSet:
     """
     c = _hermitian(matrix_entries(correlator, "correlator"), "correlator")
     n = c.shape[0]
-    # the exponent is capped so that a subnormal peak gets a finite factor
-    unit = 2.0 ** -max(int(np.frexp(np.abs(c).max())[1]), -1000)
+    unit = _unit_scale(float(np.abs(c).max()))
     c = c * unit
     rounding = float(getattr(correlator, "residual", 0.0)) + _FLOOR_ROUNDING * n * EPS
     diag = c.diagonal().real
@@ -507,6 +506,7 @@ def ssh_crossover_scan(params: SshParams, pump_cell: int, pump_sublattice: str,
     """
     g_values = _vector("g_values", g_values).tolist()
     site = ssh_index(pump_cell, pump_sublattice, params.n_cells)
+    pump_strength = _strength("pump strength", pump_strength)
 
     rows, failures = [], []
     for g in g_values:

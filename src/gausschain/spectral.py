@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import (DecompositionError, DegeneracyError, EnvelopeOverflowError,
                      ParameterError, RegimeError, StabilityError)
-from .models import (HatanoNelsonParams, SshParams, _check_finite_scalar, _frozen_array,
-                     _positions, _vector, build_hatano_nelson, matrix_entries)
+from .models import (HatanoNelsonParams, SshParams, _bonds, _check_finite_scalar,
+                     _frozen_array, _positions, _vector, matrix_entries)
 
 # Mode sums over spectra with a worse right-mode condition than this cancel
 # to noise, so steady._mode_sum refuses them; single products (loadings,
@@ -390,12 +390,13 @@ def hn_similarity_residual(params: HatanoNelsonParams) -> float:
 
     The similarity S maps the nonreciprocal chain onto its reciprocal
     reference; the returned max |M - M^dag| should vanish to rounding.  M
-    has X's diagonal and the bands X[k+1,k] / r and X[k,k+1] r, so the
-    defect is read off the bands at any chain length.
+    has X's diagonal and, on each bond (models._bonds), the hoppings
+    t_right / r and t_left r, so the defect is read off the bonds at any
+    chain length.
     """
     r = math.exp(_hn_log_ratio(params))
-    x = build_hatano_nelson(params).entries
-    return float(np.abs(np.diagonal(x, -1) / r - np.diagonal(x, 1) * r).max(initial=0.0))
+    _, rightward, leftward = _bonds(params)
+    return float(np.abs(rightward / r - leftward * r).max(initial=0.0))
 
 
 def ssh_edge_envelopes(params: SshParams) -> tuple[ModeVector, ModeVector]:

@@ -18,7 +18,7 @@ import pytest
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
-from gausschain import DensityMatrix
+from gausschain import DensityMatrix, SshParams
 from gausschain.errors import ParameterError, SolveError
 from gausschain.manybody import operator_set
 from gausschain.models import _hermitian, matrix_entries
@@ -332,6 +332,82 @@ def dense_decompose_reference(x):
     order = _sorted_order(betas)
     r = _gauge_columns(r[:, order])
     return betas[order], r, np.linalg.inv(r).conj().T
+
+
+# The chain layer as first written, before X, the local jumps and the
+# similarity residual read one bond table (models._bonds): a loop builder
+# per model, a bond list per model, and one loop per jump kind.  The
+# library must reproduce them bit for bit.
+
+def hn_matrix_reference(params):
+    """X of the single-band chain: kappa I, -t_right below and -t_left above the diagonal."""
+    n = params.n_sites
+    x = params.kappa * np.eye(n)
+    idx = np.arange(n - 1)
+    x[idx + 1, idx] -= params.t_right
+    x[idx, idx + 1] -= params.t_left
+    return x
+
+
+def _ssh_hoppings(params):
+    """(t1 e^g, t1 e^-g, t2 e^g, t2 e^-g) of the two-band chain."""
+    return (params.t1 * math.exp(params.g), params.t1 * math.exp(-params.g),
+            params.t2 * math.exp(params.g), params.t2 * math.exp(-params.g))
+
+
+def ssh_matrix_reference(params):
+    """X of the two-band chain, one cell at a time: t1 within cells, t2 between them."""
+    n = params.n_cells
+    t1_right, t1_left, t2_right, t2_left = _ssh_hoppings(params)
+    x = params.kappa * np.eye(2 * n)
+    for cell in range(n):
+        a, b = 2 * cell, 2 * cell + 1
+        x[b, a] -= t1_right
+        x[a, b] -= t1_left
+    for cell in range(n - 1):
+        b, a2 = 2 * cell + 1, 2 * cell + 2
+        x[a2, b] -= t2_right
+        x[b, a2] -= t2_left
+    return x
+
+
+def bond_list_reference(params):
+    """(1-based left site, beta) of every bond, in the order the local jumps list them."""
+    if isinstance(params, SshParams):
+        t1_right, t1_left, t2_right, t2_left = _ssh_hoppings(params)
+        n = params.n_cells
+        return ([(2 * cell - 1, t1_right + t1_left) for cell in range(1, n + 1)]
+                + [(2 * cell, t2_right + t2_left) for cell in range(1, n)])
+    beta = params.t_right + params.t_left
+    return [(j, beta) for j in range(1, params.n_sites)]
+
+
+def jump_reference(labels, kappa, bonds, y):
+    """(label, kind, vector) of every bond, onsite and pump jump of a feasible chain."""
+    dim = len(labels)
+    bond_sum = np.zeros(dim)
+    for left, beta in bonds:
+        bond_sum[left - 1:left + 1] += beta
+    args = (2.0 * kappa - y) - bond_sum
+    out = []
+    for left, beta in bonds:
+        v = np.zeros(dim, dtype=complex)
+        v[left - 1], v[left] = np.sqrt(beta), -np.sqrt(beta)
+        out.append((f"bond({labels[left - 1]})", "loss", v))
+    eye = np.eye(dim, dtype=complex)
+    out += [(f"onsite({labels[j]})", "loss", np.sqrt(max(a, 0.0)) * eye[j])
+            for j, a in enumerate(args)]
+    out += [(f"pump({labels[j]})", "gain", np.sqrt(y[j]) * eye[j]) for j in range(dim) if y[j] > 0]
+    return out
+
+
+def similarity_residual_reference(params):
+    """max |X[k+1,k] / r - X[k,k+1] r| read off the dense X of the single-band chain."""
+    from gausschain.spectral import _hn_log_ratio
+
+    r = math.exp(_hn_log_ratio(params))
+    x = hn_matrix_reference(params)
+    return float(np.abs(np.diagonal(x, -1) / r - np.diagonal(x, 1) * r).max(initial=0.0))
 
 
 def crossover_grid():

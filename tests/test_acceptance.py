@@ -18,6 +18,7 @@ from gausschain import (
     InfeasibilityError,
     SshParams,
     biorthogonal_decompose,
+    build_diagonal_pump,
     build_hatano_nelson,
     build_local_pump,
     build_ssh,
@@ -178,7 +179,8 @@ def test_criterion_04_physical_realizations_give_physical_states():
                       ssh_jump_decomposition(params, gamma)))
     profile_params = HatanoNelsonParams(4, 1.0, 0.17, 1.5)
     cases.append((matrix_entries(build_hatano_nelson(profile_params)),
-                  hn_jump_decomposition(profile_params, [0.3, 0.0, 0.0, 0.1])))
+                  hn_jump_decomposition(profile_params,
+                                        build_diagonal_pump([0.3, 0.0, 0.0, 0.1]))))
 
     worst_occ_low, worst_occ_high, worst_recon = 0.0, 1.0, 0.0
     for x, jumps in cases:

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gausschain import orbitals
 from gausschain.cli import COMMAND_DEFAULTS, _peak_site, main
 from gausschain.matio import write_matrix
 from gausschain.models import (HatanoNelsonParams, SshParams, build_hatano_nelson,
@@ -329,6 +330,19 @@ class TestSshCommands:
         # math.exp(1000) once leaked OverflowError, a traceback and exit 1
         assert main(["ssh-profiles", "--g", "1000", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ParameterError: g must keep ")
+
+    def test_a_negative_pump_strength_exits_2_before_any_scan_point(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # the strength was gated per point: X was built at all 24 points, and
+        # the command exited 2 with "every crossover scan point failed; first: ..."
+        def no_build(params):
+            raise AssertionError("X built for a refused pump strength")
+
+        monkeypatch.setattr(orbitals, "build_ssh", no_build)
+        assert main(["ssh-crossover", "--pump-strength", "-1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: ParameterError: pump strength must be positive, got -1.0\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigResolution:

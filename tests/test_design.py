@@ -10,11 +10,12 @@ from numpy.testing import assert_allclose
 
 from gausschain import (HatanoNelsonParams, InfeasibilityError, JumpSet,
                         JumpVector, ParameterError, SourceMatrix, SshParams, ValidationError,
-                        build_diagonal_pump, build_hatano_nelson, build_ssh, hn_jump_decomposition,
-                        inverse_design, jump_set_payload, realization_payload,
-                        solve_lyapunov_direct, ssh_jump_decomposition,
-                        validate_jump_set)
-from gausschain.matio import dumps_json
+                        build_diagonal_pump, build_hatano_nelson, build_ssh, default_labels,
+                        hn_jump_decomposition, inverse_design, jump_set_payload,
+                        realization_payload, solve_lyapunov_direct, ssh_jump_decomposition,
+                        ssh_labels, validate_jump_set)
+from tests.conftest import (bond_list_reference, hn_matrix_reference, jump_reference,
+                            ssh_matrix_reference)
 
 
 def hn_target(n, t_right=1.0, t_left=0.17, kappa=1.5, gamma=0.1):
@@ -210,19 +211,16 @@ def test_ssh_single_cell_has_no_intercell_bonds():
 
 def test_site_profile_feasible_and_gated_per_site():
     params = HatanoNelsonParams(3, 1.0, 0.17, 1.5)
-    profile = np.array([0.1, 0.0, 0.0])
-    jumps = hn_jump_decomposition(params, profile)
+    y = build_diagonal_pump([0.1, 0.0, 0.0])
+    jumps = hn_jump_decomposition(params, y)
     gains = [v.label for v in jumps.gain_vectors]
     assert gains == ["pump(1)"]
     x = build_hatano_nelson(params)
-    real = inverse_design(x, np.diag(profile))
+    real = inverse_design(x, y)
     assert validate_jump_set(jumps, real).passed
-    # the pump Y of the profile, judged once, gives the same jumps
-    judged = hn_jump_decomposition(params, build_diagonal_pump(profile))
-    assert dumps_json(jump_set_payload(judged)) == dumps_json(jump_set_payload(jumps))
 
     ssh = SshParams(2, 0.5, 1.0, 0.0, 2.0)
-    bad = np.array([0.1, 5.0, 0.1, 0.1])
+    bad = build_diagonal_pump([0.1, 5.0, 0.1, 0.1])
     with pytest.raises(InfeasibilityError) as err:
         ssh_jump_decomposition(ssh, bad)
     labels = [label for label, _ in err.value.deficits]
@@ -236,12 +234,16 @@ def test_pump_profile_validation():
         hn_jump_decomposition(params, 0.0)
     with pytest.raises(ParameterError):
         hn_jump_decomposition(params, -0.1)
-    with pytest.raises(ParameterError):
-        hn_jump_decomposition(params, np.array([0.1, 0.1]))
-    with pytest.raises(ParameterError):
-        hn_jump_decomposition(params, np.array([0.1, -0.1, 0.1]))
+    with pytest.raises(ParameterError, match="^source matrix not positive semidefinite"):
+        hn_jump_decomposition(params, build_diagonal_pump([0.1, -0.1, 0.1]))
+    # a profile is passed as its Y: a raw list or array meets the scalar gate
+    for profile in ([0.1, 0.1, 0.1], np.array([0.1, 0.1, 0.1])):
+        with pytest.raises(ParameterError, match=re.escape(
+                "single-band decomposition: uniform pump strength must be finite, "
+                f"got {profile!r}") + "$"):
+            hn_jump_decomposition(params, profile)
     off_diagonal = SourceMatrix([[0.1, 0.05, 0.0], [0.05, 0.1, 0.0], [0.0, 0.0, 0.1]])
-    for pump in ([0.1, 0.1], build_diagonal_pump([0.1, 0.1]), off_diagonal):
+    for pump in (build_diagonal_pump([0.1, 0.1]), off_diagonal):
         with pytest.raises(ParameterError, match=re.escape(
                 "single-band decomposition: pump must be 3 site strengths (a diagonal Y)") + "$"):
             hn_jump_decomposition(params, pump)
@@ -310,6 +312,48 @@ def test_payload_structures():
                        "loss_min_eigenvalue", "physical"}
 
 
+def table_chains(rng, count):
+    """Seeded feasible chains, each with its pump (uniform, or a profile's Y with zeros):
+    single-band at 1-300 sites with hoppings 1e-8 to 1e8, two-band at 1-150 cells
+    with |g| <= 300, kappa from the slack-free edge of feasibility to twice past it."""
+    for k in range(count):
+        t = 10.0 ** rng.uniform(-8, 8, 2)
+        n = k // 2 + 1 if k < 4 else int(rng.integers(1, 301 if k % 2 else 151))
+        if k % 2:
+            params = HatanoNelsonParams(n, *t, 1.0)
+        else:
+            params = SshParams(n, *t, rng.uniform(-300, 300), 1.0)
+        bond_sum = np.zeros(params.n_sites)
+        for left, beta in bond_list_reference(params):
+            bond_sum[left - 1:left + 1] += beta
+        scale = 10.0 ** rng.uniform(-8, 8)
+        if rng.random() < 0.5:
+            y = np.full(params.n_sites, scale * rng.uniform(0.01, 1.0))
+            pump = float(y[0])
+        else:
+            y = scale * rng.uniform(0.0, 1.0, params.n_sites) * (rng.random(params.n_sites) < 0.7)
+            pump = build_diagonal_pump(y)
+        kappa = 0.5 * float(np.max(y + bond_sum)) * (1.0 + rng.choice([0.0, 1e-15, rng.random()]))
+        yield dataclasses.replace(params, kappa=kappa), pump, y
+
+
+def test_bond_table_rebuilds_x_and_the_jumps_of_the_loop_builders_bit_for_bit():
+    # X and the local jumps read one bond table (models._bonds); the loop
+    # builders and bond lists it replaced are the references
+    for params, pump, y in table_chains(np.random.default_rng(40), 60):
+        hn = isinstance(params, HatanoNelsonParams)
+        x = (build_hatano_nelson if hn else build_ssh)(params)
+        want = (hn_matrix_reference if hn else ssh_matrix_reference)(params)
+        assert x.entries.dtype == want.dtype and x.entries.tobytes() == want.tobytes()
+        labels = default_labels(params.n_sites) if hn else ssh_labels(params.n_cells)
+        assert x.labels == labels
+        jumps = (hn_jump_decomposition if hn else ssh_jump_decomposition)(params, pump)
+        got = [(v.label, v.kind, v.vector) for v in (*jumps.loss_vectors, *jumps.gain_vectors)]
+        want = jump_reference(labels, params.kappa, bond_list_reference(params), y)
+        assert [j[:2] for j in got] == [j[:2] for j in want]
+        assert all(a[2].tobytes() == b[2].tobytes() for a, b in zip(got, want))
+
+
 def chain_targets(rng, count):
     """Seeded chain targets: both models, uniform or site-resolved gamma, scales
     1e-6 to 1e6, and 2 kappa - gamma_j - b_j at its least a margin from -1e-3
@@ -321,16 +365,15 @@ def chain_targets(rng, count):
         hoppings = scale * rng.uniform(0.1, 1.0, 2)
         if rng.random() < 0.5:
             params = HatanoNelsonParams(n, *hoppings, 1.0)
-            bonds = [(j, params.t_right + params.t_left) for j in range(1, n)]
+            x = build_hatano_nelson(params).entries
         else:
-            n = 2 * ((n + 1) // 2)
-            params = SshParams(n // 2, *hoppings, rng.uniform(-0.5, 0.5), 1.0)
-            beta1, beta2 = params.t1_right + params.t1_left, params.t2_right + params.t2_left
-            bonds = [(j, beta1 if j % 2 else beta2) for j in range(1, n)]
-        bond_sum = np.zeros(n)
-        for left, beta in bonds:
-            bond_sum[left - 1:left + 1] += beta
-        gamma = scale * (rng.uniform(0.01, 1.0, n) if rng.random() < 0.5 else rng.uniform(0.01, 1.0))
+            params = SshParams((n + 1) // 2, *hoppings, rng.uniform(-0.5, 0.5), 1.0)
+            x = build_ssh(params).entries
+        # bond j's beta is the sum of its two hoppings, the bands of X
+        beta = -(np.diagonal(x, -1) + np.diagonal(x, 1))
+        bond_sum = np.r_[beta, 0.0] + np.r_[0.0, beta]
+        gamma = scale * (rng.uniform(0.01, 1.0, x.shape[0]) if rng.random() < 0.5
+                         else rng.uniform(0.01, 1.0))
         kappa = 0.5 * float(np.max(gamma + bond_sum)) * (1.0 + rng.choice(margins))
         yield dataclasses.replace(params, kappa=kappa), gamma
 
@@ -343,7 +386,8 @@ def test_every_gated_jump_set_validates():
     for params, gamma in chain_targets(np.random.default_rng(32), 1000):
         hn = isinstance(params, HatanoNelsonParams)
         try:
-            jumps = (hn_jump_decomposition if hn else ssh_jump_decomposition)(params, gamma)
+            pump = build_diagonal_pump(gamma) if np.ndim(gamma) else gamma
+            jumps = (hn_jump_decomposition if hn else ssh_jump_decomposition)(params, pump)
         except InfeasibilityError:
             outcomes["refused"] += 1
             continue

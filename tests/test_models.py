@@ -122,8 +122,8 @@ def test_ssh_refuses_a_g_whose_bonds_leave_the_double_range(t1, g):
     # t1 e^-100 = 0.0 at t1 = 1e-300 made a bond the builder took
     with pytest.raises(ParameterError, match=f"^g must keep .* got {re.escape(repr(g))}$"):
         SshParams(3, t1, 1.0, g, 1.5)
-    edge = SshParams(3, 0.5, 1.0, 700.0, 1.5)  # t2 e^700 is 1e304, t1 e^-700 1e-304
-    assert 0.0 < edge.t1_left < edge.t2_right < math.inf
+    edge = build_ssh(SshParams(3, 0.5, 1.0, 700.0, 1.5)).entries  # bands t e^+-700
+    assert 0.0 < -edge[0, 1] < -edge[2, 1] < math.inf  # t1 e^-700 is 1e-304, t2 e^700 1e304
 
 
 def test_ssh_index_and_labels():
@@ -443,7 +443,7 @@ def test_every_scalar_entry_point_refuses_a_bad_value_by_role(entry, bad):
         error, message = ParameterError, f"{role} must be positive, got {bad}"
     else:
         error, message = ParameterError, f"{role} must be finite, got {bad!r}"
-    with pytest.raises(error, match=re.escape(message) + "$"):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(bad)
 
 
@@ -464,10 +464,12 @@ def gated_vectors():
     occupations = [3.0, 2.0, 1.0]
     table = {
         "build_diagonal_pump": ("vector", "pump profile", [0.1, 0.2, 0.3], build_diagonal_pump),
-        "hn_jump_decomposition profile": ("vector", "pump profile", [0.1, 0.2, 0.3],
-                                          lambda g: hn_jump_decomposition(params, g)),
-        "ssh_jump_decomposition profile": ("vector", "pump profile", [0.1] * 6,
-                                           lambda g: ssh_jump_decomposition(wide_gap, g)),
+        "hn_jump_decomposition profile": (
+            "vector", "pump profile", [0.1, 0.2, 0.3],
+            lambda g: hn_jump_decomposition(params, build_diagonal_pump(g))),
+        "ssh_jump_decomposition profile": (
+            "vector", "pump profile", [0.1] * 6,
+            lambda g: ssh_jump_decomposition(wide_gap, build_diagonal_pump(g))),
         "ssh_crossover_scan g_values": ("vector", "g_values", [0.0, 0.1, 0.2],
                                         lambda g: ssh_crossover_scan(wide_gap, 1, "A", 0.1, g)),
         "ModeVector": ("vector", "mode vector", unit, ModeVector),

@@ -18,7 +18,7 @@ from gausschain.orbitals import (identify_edge_candidate, identify_slow_mode,
 from gausschain.spectral import _gauge_columns, _gauge_symmetrize
 from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, crossover_grid,
                             dense_decompose_reference, dense_hn_spectrum_reference,
-                            hn_closed_form_betas, unit_gauge)
+                            hn_closed_form_betas, similarity_residual_reference, unit_gauge)
 
 EPS = np.finfo(float).eps
 
@@ -510,6 +510,16 @@ def test_similarity_residual_at_any_chain_length():
     # defect is read off the bands of S^-1 X S, which never form it
     for n in (680, 900):
         assert hn_similarity_residual(hn_params(n)) <= 2.3e-16
+
+
+def test_similarity_residual_of_the_bonds_is_that_of_the_dense_x_bit_for_bit():
+    # the defect was read off the bands of a dense N x N X; it reads the bond table
+    rng = np.random.default_rng(40)
+    for _ in range(600):
+        n = int(rng.integers(1, 301))
+        t_right, t_left = 10.0 ** rng.uniform(-150, 150, 2)
+        params = HatanoNelsonParams(n, t_right, t_left, 1.0)
+        assert hn_similarity_residual(params) == similarity_residual_reference(params)
 
 
 @pytest.mark.parametrize("power", [-1000, -520, -2, 2, 520, 1000])
