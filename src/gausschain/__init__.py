@@ -32,10 +32,10 @@ _EXPORTS = {
     "design": ("JumpSet", "JumpValidationReport", "JumpVector", "MicroscopicRealization",
                "hn_jump_decomposition", "inverse_design", "jump_set_payload",
                "realization_payload", "ssh_jump_decomposition", "validate_jump_set"),
-    "errors": ("DarkSourceError", "DecompositionError", "DegeneracyError",
-               "EnvelopeOverflowError", "GausschainError", "InfeasibilityError",
-               "NormalizationError", "ParameterError", "RegimeError", "ScaleError",
-               "SiteIndexError", "SolveError", "StabilityError", "ValidationError"),
+    "errors": ("DarkSourceError", "EnvelopeOverflowError", "GausschainError",
+               "InfeasibilityError", "NormalizationError", "ParameterError", "RegimeError",
+               "ScaleError", "SiteIndexError", "SolveError", "StabilityError",
+               "ValidationError"),
     "manybody": ("DensityMatrix", "FockOperatorSet", "MasterTrajectory", "correlator_of",
                  "evolve_master", "steady_state_oracle"),
     "models": ("HatanoNelsonParams", "RelaxationMatrix", "SourceMatrix", "SshParams",
@@ -49,8 +49,8 @@ _EXPORTS = {
                  "hn_analytic_spectrum", "hn_normalized_modes", "hn_similarity_residual",
                  "slow_mode_position", "ssh_edge_envelopes"),
     "steady": ("CorrelatorTrajectory", "SteadyCorrelator", "closed_form_correlator",
-               "lyapunov_residual", "propagate_correlator", "single_mode_approximation",
-               "solve_lyapunov_direct", "solve_lyapunov_spectral"),
+               "propagate_correlator", "single_mode_approximation", "solve_lyapunov_direct",
+               "solve_lyapunov_spectral"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

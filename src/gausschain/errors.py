@@ -24,14 +24,6 @@ class StabilityError(GausschainError):
     """Relaxation spectrum not strictly decaying (some Re beta <= 0)."""
 
 
-class DegeneracyError(GausschainError):
-    """Near-defective spectrum: clustered eigenvalues with ill-conditioned modes."""
-
-
-class DecompositionError(GausschainError):
-    """Eigendecomposition failed or produced a singular mode matrix."""
-
-
 class EnvelopeOverflowError(GausschainError):
     """Closed-form mode envelope not representable in double precision."""
 

@@ -295,7 +295,7 @@ def identify_edge_candidate(spectrum: BiorthogonalSpectrum, kappa: float) -> Edg
     if spectrum.dim == 1:
         return EdgeCandidate(1, 1, False)
     dist = np.abs(spectrum.betas - kappa)
-    diameter = float(np.abs(spectrum.betas[:, None] - spectrum.betas[None, :]).max())
+    diameter = float(np.ptp(spectrum.betas))
     window = np.flatnonzero(dist <= EDGE_WINDOW_FRACTION * diameter)
     fallback = window.size == 0
     pool = window if not fallback else np.array([int(np.argmin(dist))])

@@ -1,24 +1,21 @@
-"""Biorthogonal spectral analysis of non-Hermitian relaxation matrices.
+"""Biorthogonal spectral analysis of nonreciprocal chain relaxation matrices.
 
 A diagonalizable relaxation matrix X has right and left eigenvectors
 
     X |R_n> = beta_n |R_n>,      X^dag |L_n> = conj(beta_n) |L_n>,
 
-normalized pairwise so that <L_m|R_n> = delta_mn.  For strongly
-nonreciprocal chains the right/left modes carry exponentially opposite
-envelopes, so every spectrum holds them scale-free, as (U, V, log d)
-with R = D U and L = D^-1 V (see :class:`BiorthogonalSpectrum`).
-
-:func:`biorthogonal_decompose` takes one of two routes: real tridiagonal
-X with X[j+1, j] X[j, j+1] > 0 (both chain models, reciprocal ones
-included), which the imaginary gauge of Hatano & Nelson (PRL 77, 570,
-1996) makes symmetric, so its rates are exact where a nonsymmetric
-eigensolver returns pseudospectrum; or ``eig`` for any other X, Hermitian
-ones included.
+normalized pairwise so that <L_m|R_n> = delta_mn.  Every X decomposed
+here is a chain: real tridiagonal with X[j+1, j] X[j, j+1] > 0 on every
+bond, as both chain models are, reciprocal ones included.  The imaginary
+gauge of Hatano & Nelson (PRL 77, 570, 1996) makes such an X symmetric,
+H = D^-1 X D, so its rates are real and exact where a nonsymmetric
+eigensolver returns pseudospectrum, and its modes are R = D U and
+L = D^-1 U with U real orthogonal.  On strongly nonreciprocal chains R
+and L carry exponentially opposite envelopes, so every spectrum holds
+them scale-free, as (betas, U, log d) (see :class:`BiorthogonalSpectrum`).
 
 Mode indices, like site indices, are 1-based in the public interface.
-Modes are ordered by ascending real part of beta (slowest first), with
-ties broken by ascending imaginary part.
+Modes are ordered by ascending beta (slowest first).
 """
 
 from __future__ import annotations
@@ -29,10 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (DecompositionError, DegeneracyError, EnvelopeOverflowError,
-                     ParameterError, RegimeError, StabilityError)
-from .models import (HatanoNelsonParams, SshParams, _bonds, _check_finite_scalar,
-                     _frozen_array, _positions, _vector, matrix_entries)
+from .errors import EnvelopeOverflowError, ParameterError, RegimeError, StabilityError
+from .models import (HatanoNelsonParams, SshParams, _bonds, _frozen_array, _positions,
+                     _vector, matrix_entries)
 
 # Mode sums over spectra with a worse right-mode condition than this cancel
 # to noise, so steady._mode_sum refuses them; single products (loadings,
@@ -107,20 +103,19 @@ def _dense_modes(m: np.ndarray, log_d: np.ndarray, side: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BiorthogonalSpectrum:
-    """Sorted eigenvalues with right modes R = D U and left modes L = D^-1 V.
+    """Ascending real rates with right modes R = D U and left modes L = D^-1 U.
 
-    D = diag(exp(log_d)) and V^dag U = identity, so <L_m|R_n> = delta_mn.
+    D = diag(exp(log_d)) and U is orthogonal, so <L_m|R_n> = delta_mn.
     The anchor of log d is the route's:
 
-    * :func:`hn_analytic_spectrum`: U = V = the sine basis, log d_j = j log r;
-    * gauge route: U = V = eigenvectors of H = D^-1 X D, centred log d;
-    * ``eig`` route: log d = 0, U the eigenvectors of X and V the inverse
-      of U conjugate transposed.
+    * :func:`hn_analytic_spectrum`: U = the sine basis, log d_j = j log r;
+    * :func:`biorthogonal_decompose`: U = eigenvectors of H = D^-1 X D,
+      centred log d.
 
-    Each column of R has its peak real positive, found in the log domain
-    for the two real routes.  Unit modes, pump loadings and
-    ``log10_condition``, the log10 of the 2-norm condition of R, come from
-    (U, V, log d) at any chain length.  The dense ``right`` and ``left``
+    Each column of R has its peak positive, found in the log domain.  Unit
+    modes, pump loadings and ``log10_condition`` = (max log d - min log d)
+    / ln 10, the log10 of cond_2(R) exactly because U is orthogonal, come
+    from (U, log d) at any chain length.  The dense ``right`` and ``left``
     are built on first request and raise EnvelopeOverflowError where they
     are not representable (:func:`_dense_modes`).  ``condition_estimate``
     decides whether mode sums can be trusted (:data:`CONDITION_TRUST_LIMIT`);
@@ -129,23 +124,20 @@ class BiorthogonalSpectrum:
 
     betas: np.ndarray
     u: np.ndarray
-    v: np.ndarray
     log_d: np.ndarray
-    log10_condition: float
 
     def __post_init__(self):
-        b = _frozen_array(_vector("spectrum betas", self.betas, "iufc"))
+        b = _frozen_array(_vector("spectrum betas", self.betas))
         u = _frozen_array(matrix_entries(self.u, "spectrum u"))
-        v = u if self.v is self.u else _frozen_array(matrix_entries(self.v, "spectrum v"))
         log_d = _frozen_array(_vector("spectrum log_d", self.log_d))
-        if u.shape != (b.size, b.size) or v.shape != u.shape or log_d.shape != b.shape:
+        if u.shape != (b.size, b.size) or log_d.shape != b.shape:
             raise ParameterError("spectrum arrays have inconsistent shapes")
-        for name, arr in (("betas", b), ("u", u), ("v", v), ("log_d", log_d)):
+        for name, arr in (("betas", b), ("u", u), ("log_d", log_d)):
             object.__setattr__(self, name, arr)
-        cond = self.log10_condition  # inf where the condition of R overflows
-        object.__setattr__(self, "log10_condition",
-                           math.inf if isinstance(cond, float) and cond == math.inf
-                           else _check_finite_scalar("spectrum log10_condition", cond))
+
+    @cached_property
+    def log10_condition(self) -> float:
+        return float((self.log_d.max() - self.log_d.min()) / math.log(10.0))
 
     @cached_property
     def right(self) -> np.ndarray:
@@ -153,7 +145,7 @@ class BiorthogonalSpectrum:
 
     @cached_property
     def left(self) -> np.ndarray:
-        return _dense_modes(self.v, -self.log_d, "left")
+        return _dense_modes(self.u, -self.log_d, "left")
 
     @property
     def dim(self) -> int:
@@ -176,7 +168,7 @@ class BiorthogonalSpectrum:
 
 
 def slow_mode_position(betas: np.ndarray) -> int:
-    """0-based index of the slowest mode, the one _sorted_order lists first: among
+    """0-based index of the slowest of any ``betas``, complex ones included: among
     the rates within _rate_tolerance of the least, least Im, then Re, then index."""
     b = np.asarray(betas)
     ties = np.flatnonzero(b.real <= b.real.min() + _rate_tolerance(b))
@@ -199,42 +191,18 @@ def _check_beta_stability(betas: np.ndarray) -> float:
 
 
 def _pump_loadings(spectrum: BiorthogonalSpectrum, positions, strength: float) -> np.ndarray:
-    """A_n(s) = strength |L_n(s)|^2 / (2 Re beta_n) of every mode n, from the pump
-    rows of L = D^-1 V only; one row per 0-based position if ``positions``, gated by
+    """A_n(s) = strength |L_n(s)|^2 / (2 beta_n) of every mode n, from the pump
+    rows of L = D^-1 U only; one row per 0-based position if ``positions``, gated by
     the caller, is an array.  Raises EnvelopeOverflowError if any loading is not finite."""
     _check_beta_stability(spectrum.betas)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        amps = spectrum.v[positions] * np.exp(-spectrum.log_d)[positions, None]
-        loadings = strength * np.abs(amps) ** 2 / (2.0 * spectrum.betas.real)
+        amps = spectrum.u[positions] * np.exp(-spectrum.log_d)[positions, None]
+        loadings = strength * np.abs(amps) ** 2 / (2.0 * spectrum.betas)
     if not np.isfinite(loadings).all():
         rows = np.broadcast_to(np.asarray(positions)[..., None], loadings.shape)
         raise EnvelopeOverflowError(f"pump loading at site {rows[~np.isfinite(loadings)][0] + 1} "
                                     "is not representable: |L_n(s)|^2 overflows")
     return loadings
-
-
-def _sorted_order(betas: np.ndarray) -> np.ndarray:
-    """Ascending (Re, Im), with rates that tie counted as one: each group runs from
-    its least rate to _rate_tolerance above it and is ordered by (Im, Re)."""
-    order = np.lexsort((betas.imag, betas.real))
-    re = betas.real[order]
-    ends = np.searchsorted(re, re + _rate_tolerance(betas), side="right").tolist()
-    start = 0
-    while start < betas.size:
-        stop = ends[start]
-        if stop - start > 1:
-            sub = order[start:stop]
-            order[start:stop] = sub[np.lexsort((betas[sub].real, betas[sub].imag))]
-        start = stop
-    return order
-
-
-def _min_pairwise_gap(betas: np.ndarray) -> tuple[float, tuple[int, int]]:
-    d = np.abs(betas[:, None] - betas[None, :])
-    np.fill_diagonal(d, np.inf)
-    flat = int(np.argmin(d))
-    i, j = divmod(flat, betas.size)
-    return float(d[i, j]), (min(i, j) + 1, max(i, j) + 1)
 
 
 def _tridiagonal_bands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -269,61 +237,22 @@ def _gauge_symmetrize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
-    """Full biorthogonal eigendecomposition of a relaxation matrix.
+    """Biorthogonal eigendecomposition of a chain relaxation matrix.
 
-    X that is not square or not finite is refused here, by
-    models.matrix_entries (ParameterError).  The route is chosen from X:
-
-    * Real tridiagonal X with X[j+1, j] X[j, j+1] > 0 for every j,
-      Hermitian or not: ``eigh`` of the gauge-symmetrized H = D^-1 X D,
-      so <L_m|R_n> = delta_mn holds to the orthogonality of U at any
-      chain length.  All beta are real.  ``log10_condition`` is
-      (max log d - min log d) / ln 10, the log10 of cond_2(D U) exactly
-      because U is orthogonal.
-    * Any other X, Hermitian X included: ``eig``; left modes come from
-      the inverse of the right-eigenvector matrix, which enforces
-      <L_m|R_n> = delta_mn to solver accuracy instead of pairing two
-      independent eigensolves, and ``log10_condition`` is the log10 of
-      the 2-norm condition of ``right``.  A degenerate Hermitian X gets
-      a basis with L = R^-dag that is not orthonormal.
-
-    Raises
-    ------
-    DegeneracyError
-        ``eig`` route only: near-defective input, an eigenvalue pair
-        closer than 1e-10 of the spectral diameter while the mode matrix
-        condition exceeds 1e12.
-    DecompositionError
-        The eigensolver failed or the mode matrix is singular.
+    X must be real tridiagonal with X[j+1, j] X[j, j+1] > 0 for every j,
+    as both chain models are, reciprocal ones included: ``eigh`` of the
+    gauge-symmetrized H = D^-1 X D (_gauge_symmetrize) gives real rates,
+    and <L_m|R_n> = delta_mn holds to the orthogonality of U at any chain
+    length.  Any other X raises ParameterError naming that rule, and X
+    that is not square or not finite is refused by models.matrix_entries
+    (ParameterError).
     """
-    x = matrix_entries(matrix, "relaxation matrix")
-    dim = x.shape[0]
-    gauge = _gauge_symmetrize(x)
-    if gauge is not None:
-        logd, h = gauge
-        return _orthogonal_spectrum(*np.linalg.eigh(h), logd)
-
-    try:
-        betas, r = np.linalg.eig(x)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"eigendecomposition failed: {exc}") from exc
-    order = _sorted_order(betas)
-    betas, r = betas[order], _gauge_columns(r[:, order])
-
-    cond = float(np.linalg.cond(r))
-    if dim > 1:
-        gap, pair = _min_pairwise_gap(betas)
-        diameter = float(np.abs(betas[:, None] - betas[None, :]).max())
-        clustered = (gap < 1e-10 * diameter) if diameter > 0 else True
-        if clustered and cond > CONDITION_TRUST_LIMIT:
-            raise DegeneracyError(
-                f"modes {pair[0]} and {pair[1]} are nearly degenerate "
-                f"(gap {gap:.3e}) with mode-matrix condition {cond:.3e}")
-    try:
-        left = np.linalg.inv(r).conj().T
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"right-eigenvector matrix is singular: {exc}") from exc
-    return BiorthogonalSpectrum(betas, r, left, np.zeros(dim), math.log10(cond))
+    gauge = _gauge_symmetrize(matrix_entries(matrix, "relaxation matrix"))
+    if gauge is None:
+        raise ParameterError("relaxation matrix is not a chain: biorthogonal_decompose takes "
+                             "real tridiagonal X with X[j+1, j] X[j, j+1] > 0 on every bond")
+    logd, h = gauge
+    return _orthogonal_spectrum(*np.linalg.eigh(h), logd)
 
 
 def _hn_log_ratio(params: HatanoNelsonParams) -> float:
@@ -346,11 +275,10 @@ def _geometric_mean(a: float, b: float) -> float:
 
 def _orthogonal_spectrum(betas: np.ndarray, u: np.ndarray,
                          log_d: np.ndarray) -> BiorthogonalSpectrum:
-    """Spectrum with U = V = u, real orthogonal, each column of R = D u peaking positive."""
+    """Spectrum of the real orthogonal u, each column of R = D u peaking positive."""
     _, peak = _peak_rows(u, log_d)
     u = u * np.where(u[peak, np.arange(u.shape[1])] >= 0, 1.0, -1.0)
-    return BiorthogonalSpectrum(betas, u, u, log_d,
-                                (log_d.max() - log_d.min()) / math.log(10.0))
+    return BiorthogonalSpectrum(betas, u, log_d)
 
 
 def hn_analytic_spectrum(params: HatanoNelsonParams) -> BiorthogonalSpectrum:
@@ -361,7 +289,7 @@ def hn_analytic_spectrum(params: HatanoNelsonParams) -> BiorthogonalSpectrum:
         beta_n  = kappa - 2 sqrt(t_right t_left) cos(n pi / (N+1)),
         R_n(j)  = r^j  phi_n(j),      L_n(j) = r^-j phi_n(j),
 
-    already biorthonormal, held as U = V = phi and log d_j = j log r, so
+    already biorthonormal, held as U = phi and log d_j = j log r, so
     it builds at any chain length; cond(R) = r^(N-1) exactly.
     """
     n = params.n_sites
@@ -381,8 +309,8 @@ def hn_analytic_spectrum(params: HatanoNelsonParams) -> BiorthogonalSpectrum:
 def hn_normalized_modes(params: HatanoNelsonParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(betas, right_unit, left_unit) of :func:`hn_analytic_spectrum`, unit-norm gauged columns."""
     spec = hn_analytic_spectrum(params)
-    return spec.betas.real.copy(), _unit_columns(spec.u, spec.log_d), _unit_columns(
-        spec.v, -spec.log_d)
+    return spec.betas.copy(), _unit_columns(spec.u, spec.log_d), _unit_columns(
+        spec.u, -spec.log_d)
 
 
 def hn_similarity_residual(params: HatanoNelsonParams) -> float:

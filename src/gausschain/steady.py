@@ -77,7 +77,7 @@ class SteadyCorrelator(_GatedMatrix):
 
     ``method`` is "direct" or "spectral"; ``residual`` is the normwise
     backward error of C as a solution of X C + C X^dag = Y (see
-    lyapunov_residual); ``asymmetry`` records max |C - C^dag| before the
+    _backward_error); ``asymmetry`` records max |C - C^dag| before the
     Hermitian symmetrization that every producer applies.
     """
 
@@ -119,35 +119,25 @@ class CorrelatorTrajectory:
     states: np.ndarray
 
 
-def lyapunov_residual(x, c, y) -> float:
-    """Normwise backward error ||X C + C X^dag - Y||_F / (2 ||X||_F ||C||_F + ||Y||_F).
-
-    Higham, BIT 33, 124 (1993); 0 when the denominator vanishes.  C and Y
-    are divided by the larger of their peaks first, so no norm overflows
-    on long chains, and real inputs stay in real arithmetic.  A real
-    tridiagonal X (both chain models) is applied from its bands in N^2
-    operations (_backward_error); every other X takes dense products.
-    Non-finite X, C or Y raises ParameterError (models.matrix_entries).
-    """
-    x = matrix_entries(x, "relaxation matrix")
-    return _backward_error(x, _tridiagonal_bands(x), matrix_entries(c, "correlator"),
-                           matrix_entries(y, "source matrix"))
-
-
 def _unit_scale(peak: float) -> float:
     """The power of two u with u peak in [1, 2), 1 for both reference chains; at most 2^1001."""
     return math.ldexp(1.0, 1 - max(math.frexp(peak)[1], -1000))
 
 
 def _backward_error(x: np.ndarray, bands, c: np.ndarray, y: np.ndarray) -> float:
-    """lyapunov_residual of X, C and Y, with X applied from ``bands`` unless they are None.
+    """Normwise backward error ||X C + C X^dag - Y||_F / (2 ||X||_F ||C||_F + ||Y||_F).
 
-    It is that of (uX, C, uY) with u of _unit_scale, so no norm overflows at
-    any scale of X.  The banded defect is P + C X^T - Y with P = X C =
-    (C^T X^T)^T, three scaled rows of C (_times_tridiagonal).  C X^T is
-    P^dag when C is exactly Hermitian, as _hermitize makes every correlator
-    the library returns, and three scaled columns of C otherwise.  X, C and
-    Y are finite (models.matrix_entries, and DirectSolver._settle's output check).
+    Higham, BIT 33, 124 (1993); 0 when the denominator vanishes.  X is
+    applied from ``bands`` (_tridiagonal_bands) in N^2 operations unless
+    they are None, and by dense products then.  It is the error of
+    (uX, C, uY) with u of _unit_scale, and C and Y are divided by the
+    larger of their peaks, so no norm overflows at any scale of X or on
+    long chains; real inputs stay in real arithmetic.  The banded defect
+    is P + C X^T - Y with P = X C = (C^T X^T)^T, three scaled rows of C
+    (_times_tridiagonal).  C X^T is P^dag when C is exactly Hermitian, as
+    _hermitize makes every correlator the library returns, and three
+    scaled columns of C otherwise.  X, C and Y are finite
+    (models.matrix_entries, and DirectSolver._settle's output check).
     """
     parts = x if bands is None else np.concatenate(bands)
     unit = _unit_scale(float(np.abs(parts).max()))
@@ -542,7 +532,7 @@ def _mode_sum(spectrum: BiorthogonalSpectrum, source, initial=None,
             f"spectrum condition estimate {spectrum.condition_estimate:.3e} exceeds the "
             f"trust limit {CONDITION_TRUST_LIMIT:.0e}; use solve_lyapunov_direct")
     right, left = spectrum.right, spectrum.left
-    denom = betas[:, None] + betas[None, :].conj()
+    denom = betas[:, None] + betas[None, :]
     loads = left.conj().T @ y @ left
     if t is None:
         return _hermitize(right @ (loads / denom) @ right.conj().T)
@@ -561,8 +551,9 @@ def solve_lyapunov_spectral(spectrum: BiorthogonalSpectrum, source) -> SteadyCor
     CONDITION_TRUST_LIMIT; _mode_sum refuses those with SolveError.
     """
     c, asym = _mode_sum(spectrum, source)
-    return SteadyCorrelator(c, "spectral",
-                            lyapunov_residual(spectrum.reconstruct(), c, source), asym)
+    residual = _backward_error(spectrum.reconstruct(), None, c,
+                               matrix_entries(source, "source matrix"))
+    return SteadyCorrelator(c, "spectral", residual, asym)
 
 
 def single_mode_approximation(spectrum: BiorthogonalSpectrum, pump_site: int,
@@ -599,7 +590,7 @@ def single_mode_approximation(spectrum: BiorthogonalSpectrum, pump_site: int,
                                     f"{predicted:.3e} is not representable")
     y = np.zeros((spectrum.dim, spectrum.dim))
     y[site, site] = strength
-    residual = lyapunov_residual(spectrum.reconstruct(), c, y)
+    residual = _backward_error(spectrum.reconstruct(), None, c, y)
     return SingleModeResult(SteadyCorrelator(c, "spectral", residual, asym), loading, predicted)
 
 

@@ -315,21 +315,41 @@ def dense_hn_spectrum_reference(params):
     phi = sines[np.outer(sites, sites) % period]
     env = sites.astype(float) * logr
     right, left = _sign_gauge_pair(np.exp(env)[:, None] * phi, np.exp(-env)[:, None] * phi)
-    return betas.astype(complex), right, left
+    return betas, right, left
+
+
+def sorted_order(betas):
+    """Ascending (Re, Im), with rates that tie counted as one: each group runs from
+    its least rate to _rate_tolerance above it and is ordered by (Im, Re).  The
+    order of the dense ``eig`` route the decomposition once had for any X."""
+    from gausschain.spectral import _rate_tolerance
+
+    order = np.lexsort((betas.imag, betas.real))
+    re = betas.real[order]
+    ends = np.searchsorted(re, re + _rate_tolerance(betas), side="right").tolist()
+    start = 0
+    while start < betas.size:
+        stop = ends[start]
+        if stop - start > 1:
+            sub = order[start:stop]
+            order[start:stop] = sub[np.lexsort((betas[sub].real, betas[sub].imag))]
+        start = stop
+    return order
 
 
 def dense_decompose_reference(x):
-    """(betas, R, L) by the gauge or eig route of the decomposition."""
-    from gausschain.spectral import _gauge_columns, _gauge_symmetrize, _sorted_order
+    """(betas, R, L) of a chain X by the gauge route with dense R and L, or of any
+    other X by ``eig``: sorted by sorted_order, L = R^-dag."""
+    from gausschain.spectral import _gauge_columns, _gauge_symmetrize
 
     x = np.asarray(x)
     gauge = _gauge_symmetrize(x)
     if gauge is not None:
         w, u = np.linalg.eigh(gauge[1])
         d = np.exp(gauge[0])[:, None]
-        return (w.astype(complex),) + _sign_gauge_pair(d * u, u / d)
+        return (w,) + _sign_gauge_pair(d * u, u / d)
     betas, r = np.linalg.eig(x)
-    order = _sorted_order(betas)
+    order = sorted_order(betas)
     r = _gauge_columns(r[:, order])
     return betas[order], r, np.linalg.inv(r).conj().T
 

@@ -24,8 +24,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 # the public surface, pinned: the seven submodules and what they export
 PUBLIC_NAMES = [
-    "BiorthogonalSpectrum", "CorrelatorTrajectory", "DarkSourceError", "DecompositionError",
-    "DegeneracyError", "DensityMatrix", "DiagnosticsReport", "EdgeCandidate",
+    "BiorthogonalSpectrum", "CorrelatorTrajectory", "DarkSourceError", "DensityMatrix",
+    "DiagnosticsReport", "EdgeCandidate",
     "EnvelopeOverflowError", "FockOperatorSet", "GausschainError", "HatanoNelsonParams",
     "InfeasibilityError", "JumpSet", "JumpValidationReport", "JumpVector", "LoadingFactors",
     "MasterTrajectory", "MicroscopicRealization", "ModeVector", "NaturalOrbitalSet",
@@ -37,7 +37,7 @@ PUBLIC_NAMES = [
     "evolve_master", "hn_analytic_spectrum", "hn_jump_decomposition", "hn_normalized_modes",
     "hn_similarity_residual", "hn_source_scan", "identify_edge_candidate",
     "identify_slow_mode", "inverse_design", "jump_set_payload", "loading_factors",
-    "lyapunov_residual", "manybody", "models", "natural_orbitals", "normalized_density",
+    "manybody", "models", "natural_orbitals", "normalized_density",
     "orbitals", "overlap", "propagate_correlator", "realization_payload",
     "single_mode_approximation", "slow_mode_position", "solve_lyapunov_direct",
     "solve_lyapunov_spectral", "spectral", "ssh_crossover_scan", "ssh_edge_envelopes",

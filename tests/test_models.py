@@ -21,7 +21,7 @@ from gausschain import (BiorthogonalSpectrum, DensityMatrix, FockOperatorSet, Ga
                         build_diagonal_pump, build_hatano_nelson, build_local_pump, build_ssh,
                         closed_form_correlator, default_labels, density, evolve_master,
                         hn_jump_decomposition, hn_source_scan, identify_edge_candidate,
-                        inverse_design, loading_factors, lyapunov_residual, natural_orbitals,
+                        inverse_design, loading_factors, natural_orbitals,
                         normalized_density, overlap, propagate_correlator,
                         single_mode_approximation, solve_lyapunov_direct, ssh_crossover_scan,
                         ssh_index, ssh_jump_decomposition, ssh_labels, steady_state_oracle)
@@ -258,9 +258,6 @@ def gated_calls():
         "DirectSolver": ("relaxation matrix", x, DirectSolver),
         "DirectSolver.solve": ("source matrix", y, lambda m: DirectSolver(x).solve(m)),
         "solve_lyapunov_direct": ("source matrix", y, lambda m: solve_lyapunov_direct(x, m)),
-        "lyapunov_residual X": ("relaxation matrix", x, lambda m: lyapunov_residual(m, c, y)),
-        "lyapunov_residual C": ("correlator", c, lambda m: lyapunov_residual(x, m, y)),
-        "lyapunov_residual Y": ("source matrix", y, lambda m: lyapunov_residual(x, c, m)),
         "propagate_correlator X": ("relaxation X", x,
                                    lambda m: propagate_correlator(m, y, zero, 1.0, 0.1)),
         "propagate_correlator Y": ("source Y", y,
@@ -280,9 +277,7 @@ def gated_calls():
         "DensityMatrix": ("density matrix", vacuum, DensityMatrix),
         "one_body_operator": ("coefficient matrix", h, FockOperatorSet(3).one_body_operator),
         "BiorthogonalSpectrum u": ("spectrum u", eye,
-                                   lambda m: BiorthogonalSpectrum(unit, m, eye, unit, 0.0)),
-        "BiorthogonalSpectrum v": ("spectrum v", eye,
-                                   lambda m: BiorthogonalSpectrum(unit, eye, m, unit, 0.0)),
+                                   lambda m: BiorthogonalSpectrum(unit, m, unit)),
     }
 
 
@@ -305,7 +300,7 @@ def test_every_matrix_entry_point_refuses_non_finite_entries_by_role(entry, bad)
 def test_every_matrix_entry_point_refuses_an_empty_matrix_by_role(entry):
     # A 0x0 matrix once made DirectSolver, solve_lyapunov_direct,
     # natural_orbitals, biorthogonal_decompose and inverse_design raise a
-    # raw numpy ValueError, and lyapunov_residual return a float.
+    # raw numpy ValueError.
     role, _, call = gated_calls()[entry]
     with pytest.raises(ParameterError, match=f"^{role} must not be empty$"):
         call(np.zeros((0, 0)))
@@ -477,9 +472,9 @@ def gated_vectors():
         "overlap first": ("vector", "overlap input", unit, lambda v: overlap(v, unit)),
         "overlap second": ("vector", "overlap input", unit, lambda v: overlap(unit, v)),
         "BiorthogonalSpectrum betas": ("vector", "spectrum betas", [1.0, 2.0, 3.0],
-                                       lambda b: BiorthogonalSpectrum(b, eye, eye, unit, 0.0)),
+                                       lambda b: BiorthogonalSpectrum(b, eye, unit)),
         "BiorthogonalSpectrum log_d": ("vector", "spectrum log_d", unit,
-                                       lambda d: BiorthogonalSpectrum(unit, eye, eye, d, 0.0)),
+                                       lambda d: BiorthogonalSpectrum(unit, eye, d)),
         "loss_operator": ("vector", "loss vector", unit, ops.loss_operator),
         "gain_operator": ("vector", "gain vector", unit, ops.gain_operator),
         "NaturalOrbitalSet occupations": ("vector", "orbital occupations", occupations,
@@ -537,7 +532,7 @@ def test_every_vector_and_matrix_entry_point_refuses_a_bad_entry_by_role(entry, 
 def held_arrays():
     """Wrapper -> (build from caller arrays, the caller arrays, the held fields)."""
     eye, cplx = np.eye(2), np.array([[1.0, 0.5j], [-0.5j, 1.0]])
-    betas, log_d, unit = np.array([1.0, 2.0], dtype=complex), np.zeros(2), np.array([1.0, 0.0])
+    betas, log_d, unit = np.array([1.0, 2.0]), np.zeros(2), np.array([1.0, 0.0])
     other = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     return {
         "RelaxationMatrix": (RelaxationMatrix, (eye,), ("entries",)),
@@ -547,9 +542,8 @@ def held_arrays():
         "ModeVector": (ModeVector, (unit,), ("amplitudes",)),
         "JumpVector": (lambda v: JumpVector("x", "loss", v), (unit,), ("vector",)),
         "DensityMatrix": (DensityMatrix, (np.diag([1.0, 0.0]).astype(complex),), ("entries",)),
-        "BiorthogonalSpectrum": (lambda b, u, v, d: BiorthogonalSpectrum(b, u, v, d, 0.0),
-                                 (betas, other, other.copy(), log_d),
-                                 ("betas", "u", "v", "log_d")),
+        "BiorthogonalSpectrum": (BiorthogonalSpectrum, (betas, other, log_d),
+                                 ("betas", "u", "log_d")),
         "NaturalOrbitalSet": (lambda w, v: NaturalOrbitalSet(w, v, 0.0, 2),
                               (np.array([2.0, 1.0]), other), ("occupations", "orbitals")),
     }
@@ -558,7 +552,7 @@ def held_arrays():
 @pytest.mark.parametrize("wrapper", list(held_arrays()))
 def test_every_array_holding_wrapper_leaves_the_caller_array_writable_and_unaliased(wrapper):
     # BiorthogonalSpectrum and NaturalOrbitalSet once set writeable = False on
-    # a caller's complex u, v or orbital matrix, which np.asarray passed through
+    # a caller's complex u or orbital matrix, which np.asarray passed through
     build, arrays, fields = held_arrays()[wrapper]
     held = build(*arrays)
     for array, name in zip(arrays, fields):
@@ -567,22 +561,16 @@ def test_every_array_holding_wrapper_leaves_the_caller_array_writable_and_unalia
         assert not np.shares_memory(array, mine)
 
 
-def test_spectrum_holds_one_copy_when_u_is_v():
-    u = np.eye(2)
-    spectrum = BiorthogonalSpectrum([1.0, 2.0], u, u, [0.0, 0.0], 0.0)
-    assert spectrum.u is spectrum.v and not np.shares_memory(u, spectrum.u)
-
-
-def test_spectrum_condition_is_a_real_number_or_inf():
-    # float() once took True as 1.0 and "1" as 1.0; inf stays, as
-    # biorthogonal_decompose passes it where cond_2 R overflows
-    eye = np.eye(2)
-    spectrum = BiorthogonalSpectrum([1.0, 2.0], eye, eye, [0.0, 0.0], math.inf)
-    assert spectrum.log10_condition == math.inf and spectrum.condition_estimate == math.inf
-    for bad in (True, None, "1", math.nan, -math.inf, np.array([math.inf, math.inf])):
-        with pytest.raises(ParameterError, match=re.escape(
-                f"spectrum log10_condition must be finite, got {bad!r}") + "$"):
-            BiorthogonalSpectrum([1.0, 2.0], eye, eye, [0.0, 0.0], bad)
+def test_spectrum_condition_is_read_once_off_the_envelope():
+    # the span of log d over ln 10, computed on first read and kept: the
+    # oracle reads condition_estimate on every sample of a trajectory
+    log_d = np.array([-400.0, 400.0]) * math.log(10.0)
+    spectrum = BiorthogonalSpectrum([1.0, 2.0], np.eye(2), log_d)
+    assert spectrum.log10_condition == (log_d[1] - log_d[0]) / math.log(10.0)
+    assert spectrum.log10_condition is spectrum.log10_condition
+    assert type(spectrum.log10_condition) is float
+    assert spectrum.condition_estimate == math.inf  # 10^800 overflows
+    assert BiorthogonalSpectrum([1.0], np.eye(1), [3.0]).condition_estimate == 1.0
 
 
 def test_the_number_rule_reads_an_ndarray_by_its_dtype_and_a_list_entry_by_entry():
@@ -614,7 +602,7 @@ def number_gates():
         lambda v: _vector("vector", v), lambda v: _vector("vector", v, "iufc"),
         matrix_entries, build_diagonal_pump, ModeVector, lambda v: JumpVector("x", "gain", v),
         lambda v: hn_jump_decomposition(params, v), matrix_from_payload,
-        lambda v: BiorthogonalSpectrum(v, np.eye(1), np.eye(1), [0.0], v),
+        lambda v: BiorthogonalSpectrum(v, np.eye(1), v),
         lambda v: matrix_from_payload({"dim": 1, "labels": ["1"], "re": v, "im": [[0.0]]}),
     ]
 

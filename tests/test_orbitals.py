@@ -10,20 +10,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gausschain import (EnvelopeOverflowError, HatanoNelsonParams, NormalizationError,
-                        ParameterError, SiteIndexError, SshParams, StabilityError,
-                        biorthogonal_decompose, build_hatano_nelson,
+from gausschain import (BiorthogonalSpectrum, EnvelopeOverflowError, HatanoNelsonParams,
+                        NormalizationError, ParameterError, SiteIndexError, SshParams,
+                        StabilityError, biorthogonal_decompose, build_hatano_nelson,
                         build_local_pump, build_ssh, diagnostics_report,
                         hn_analytic_spectrum,
                         hn_source_scan, identify_edge_candidate,
                         identify_slow_mode, loading_factors, natural_orbitals,
                         normalized_density, overlap, single_mode_approximation,
-                        solve_lyapunov_direct, ssh_crossover_scan)
+                        slow_mode_position, solve_lyapunov_direct, ssh_crossover_scan)
 from gausschain import orbitals
 from gausschain.orbitals import SCAN_CHUNK_ENTRIES, _top_occupations, density
 from gausschain.steady import EPS, DirectSolver
 from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, crossover_grid, loading_reference,
-                            unit_gauge)
+                            sorted_order, unit_gauge)
 
 SSH_PUMP = (SSH_REFERENCE["pump_cell"], SSH_REFERENCE["pump_sublattice"],
             SSH_REFERENCE["pump_strength"])
@@ -200,7 +200,8 @@ def test_identify_slow_mode_cases():
     x = np.zeros((3, 3))
     x[:2, :2] = [[0.5, -0.3], [0.3, 0.5]]
     x[2, 2] = 2.0
-    assert identify_slow_mode(biorthogonal_decompose(x)) == 1
+    betas = np.linalg.eigvals(x)
+    assert slow_mode_position(betas[sorted_order(betas)]) == 0
 
 
 def test_edge_candidate_topological_point_sits_in_window():
@@ -497,7 +498,7 @@ def test_dominant_tie_is_flagged_not_resolved():
     c = np.diag([0.5, 0.5, 0.1])
     orbs = natural_orbitals(c)
     assert orbs.dominant_indices() == (1, 2)
-    spec = biorthogonal_decompose(np.diag([0.2, 0.9, 1.1]))
+    spec = BiorthogonalSpectrum([0.2, 0.9, 1.1], np.eye(3), np.zeros(3))
     report = diagnostics_report(spec, c)
     assert report.orbitals.dominant_indices() == (1, 2)
     assert not report.orbitals.locked
@@ -516,8 +517,9 @@ def test_locking_improves_monotonically_with_gap():
     pump = build_local_pump(4, 2, 0.01)
     previous = -1.0
     for gap in (0.1, 0.3, 0.6, 1.0, 2.0, 4.0):
-        x = phi @ np.diag([0.1, 0.1 * (1 + gap), 0.6, 1.0]) @ phi.T
-        spec = biorthogonal_decompose(x)
+        rates = [0.1, 0.1 * (1 + gap), 0.6, 1.0]
+        x = phi @ np.diag(rates) @ phi.T
+        spec = BiorthogonalSpectrum(rates, phi, np.zeros(4))
         lf = loading_factors(spec, 2, 0.01)
         assert int(np.argmax(lf.values)) == identify_slow_mode(spec) - 1
         c = solve_lyapunov_direct(x, pump)
@@ -545,8 +547,9 @@ def test_predicted_occupation_error_bounded_by_subleading_loadings():
     assert abs(pred - exact) <= bound * max(pred, exact)
     # With near-orthogonal modes and a wide gap the same bound is sharp.
     phi = sine_basis(4)
-    x = phi @ np.diag([0.01, 1.0, 1.2, 1.5]) @ phi.T
-    gapped = biorthogonal_decompose(x)
+    rates = [0.01, 1.0, 1.2, 1.5]
+    x = phi @ np.diag(rates) @ phi.T
+    gapped = BiorthogonalSpectrum(rates, phi, np.zeros(4))
     lf2 = loading_factors(gapped, 2, 0.005)
     order2 = np.argsort(lf2.values)[::-1]
     bound2 = float(lf2.normalized[order2[1:]].sum())

@@ -1,15 +1,17 @@
-"""Biorthogonal spectra: closed forms, numeric decomposition, envelopes."""
+"""Biorthogonal spectra: closed forms, chain decomposition, envelopes."""
 
 import math
+import re
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gausschain import (DegeneracyError, EnvelopeOverflowError,
+from gausschain import (EnvelopeOverflowError,
                         HatanoNelsonParams, ParameterError, RegimeError,
-                        RelaxationMatrix, SiteIndexError, SshParams,
+                        SiteIndexError, SshParams,
                         biorthogonal_decompose, build_hatano_nelson, build_ssh,
                         hn_analytic_spectrum, hn_normalized_modes, hn_similarity_residual,
                         slow_mode_position, ssh_edge_envelopes)
@@ -18,14 +20,10 @@ from gausschain.orbitals import (identify_edge_candidate, identify_slow_mode,
 from gausschain.spectral import _gauge_columns, _gauge_symmetrize
 from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, crossover_grid,
                             dense_decompose_reference, dense_hn_spectrum_reference,
-                            hn_closed_form_betas, similarity_residual_reference, unit_gauge)
+                            hn_closed_form_betas, similarity_residual_reference, sorted_order,
+                            unit_gauge)
 
 EPS = np.finfo(float).eps
-
-
-def pairing_tolerance(spec):
-    """Accuracy bound for <L|R> = 1 and completeness, scaled by conditioning."""
-    return 1e-8 * max(1.0, spec.condition_estimate * EPS * spec.dim)
 
 
 def hn_params(n_sites, **overrides):
@@ -105,26 +103,9 @@ def test_two_site_betas_are_kappa_plus_minus_root():
     assert_allclose(numeric, expected, atol=1e-12)
 
 
-def test_biorthonormality_and_completeness_random_matrices():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        dim = int(rng.integers(2, 10))
-        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        spec = biorthogonal_decompose(x)
-        tol = pairing_tolerance(spec)
-        eye = np.eye(dim)
-        assert np.abs(spec.left.conj().T @ spec.right - eye).max() <= tol
-        assert np.abs(spec.right @ spec.left.conj().T - eye).max() <= tol
-        scale = max(1.0, float(np.abs(x).max()))
-        assert np.abs(spec.reconstruct() - x).max() <= tol * scale
-
-
 def test_eigenvector_residuals_are_small():
-    rng = np.random.default_rng(11)
     cases = [np.asarray(build_hatano_nelson(hn_params(n)).entries)
              for n in (2, 5, 12)]
-    cases += [rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-              for _ in range(5)]
     for x in cases:
         spec = biorthogonal_decompose(x)
         assert eigenpair_residuals(x, spec).max() <= 1e-8
@@ -132,7 +113,7 @@ def test_eigenvector_residuals_are_small():
 
 @pytest.mark.parametrize("g", [-0.55, 0.19, 0.20, 0.6])
 def test_long_two_band_chain_takes_the_gauge_route(g):
-    # 100 cells: eig on X raises DegeneracyError at three of these points.
+    # 100 cells: a dense eig of X finds near-defective modes at three of these points.
     x = np.asarray(build_ssh(ssh_params(100, g)).entries)
     spec = biorthogonal_decompose(x)
     assert np.all(spec.betas.imag == 0.0)
@@ -166,7 +147,7 @@ def test_every_same_sign_chain_takes_the_gauge_route():
         x = np.asarray(build_ssh(ssh_params(SSH_REFERENCE["n_cells"], g)).entries)
         log_d, h = _gauge_symmetrize(x)
         spec = biorthogonal_decompose(x)
-        assert np.array_equal(spec.betas, np.linalg.eigh(h)[0].astype(complex)), g
+        assert np.array_equal(spec.betas, np.linalg.eigh(h)[0]), g
         assert np.array_equal(spec.log_d, log_d)
         assert spec.log10_condition == (log_d.max() - log_d.min()) / math.log(10.0)
         if g == 0.0:
@@ -206,8 +187,9 @@ def test_analytic_modes_are_exactly_biorthonormal():
 
 
 def test_mode_ordering_is_real_then_imaginary_ascending():
-    # Conjugate pairs of a real matrix share their real part to rounding,
-    # so the imaginary-part tiebreak is exercised on every run.
+    # The order of the dense eig route, kept in tests/conftest.py for the
+    # slow-mode rule.  Conjugate pairs of a real matrix share their real
+    # part to rounding, so the imaginary-part tiebreak is exercised on every run.
     blocks = [np.array([[2.0, -1.0], [1.0, 2.0]]),
               np.array([[1.0, -2.0], [2.0, 1.0]]),
               np.array([[3.0]])]
@@ -216,15 +198,16 @@ def test_mode_ordering_is_real_then_imaginary_ascending():
     for b in blocks:
         x[pos:pos + b.shape[0], pos:pos + b.shape[0]] = b
         pos += b.shape[0]
-    spec = biorthogonal_decompose(x)
+    eigvals = np.linalg.eigvals(x)
+    betas = eigvals[sorted_order(eigvals)]
     expected = np.array([1 - 2j, 1 + 2j, 2 - 1j, 2 + 1j, 3 + 0j])
-    assert_allclose(spec.betas, expected, atol=1e-12)
+    assert_allclose(betas, expected, atol=1e-12)
     for k in (0, 2):
-        assert abs(spec.betas[k].real - spec.betas[k + 1].real) <= 1e-13
-        assert spec.betas[k].imag < spec.betas[k + 1].imag
-    # Re-running the decomposition reproduces the order bit for bit.
-    again = biorthogonal_decompose(x)
-    assert np.array_equal(again.betas, spec.betas)
+        assert abs(betas[k].real - betas[k + 1].real) <= 1e-13
+        assert betas[k].imag < betas[k + 1].imag
+    # Re-running the eigensolve and the sort reproduces the order bit for bit.
+    again = np.linalg.eigvals(x)
+    assert np.array_equal(again[sorted_order(again)], betas)
 
 
 def test_all_rates_positive_above_stability_threshold():
@@ -244,18 +227,13 @@ def test_all_rates_positive_above_stability_threshold():
 
 
 def test_right_columns_gauge_largest_entry_real_positive():
-    rng = np.random.default_rng(31)
-    mats = [rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)),
-            np.diag([2.0, 1.0, 3.0]) + 0.1j * np.diag([1.0, 1.0, 1.0])]
-    herm = rng.standard_normal((4, 4))
-    mats.append(herm + herm.T)
-    mats.append(build_ssh(ssh_params(5, 0.3)))
+    mats = [build_ssh(ssh_params(5, 0.3)), build_hatano_nelson(hn_params(7)),
+            build_hatano_nelson(HatanoNelsonParams(6, 0.6, 0.6, 2.0))]
     for x in mats:
         spec = biorthogonal_decompose(x)
         for k in range(spec.dim):
             pivot = spec.right[int(np.argmax(np.abs(spec.right[:, k]))), k]
-            assert abs(pivot.imag) <= 1e-12 * abs(pivot)
-            assert pivot.real > 0
+            assert pivot.imag == 0 and pivot.real > 0
 
 
 @pytest.mark.parametrize("n", [12, 40, 200])
@@ -277,28 +255,45 @@ def test_column_gauge_matches_the_per_column_loop(n):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_near_defective_matrix_raises_degeneracy_error():
-    x = np.array([[1.0, 1e6, 0.0],
-                  [0.0, 1.0 + 1e-12, 0.0],
-                  [0.0, 0.0, 5.0]])
-    with pytest.raises(DegeneracyError, match="1 and 2"):
-        biorthogonal_decompose(x)
+NOT_A_CHAIN = re.escape("relaxation matrix is not a chain: biorthogonal_decompose takes real "
+                        "tridiagonal X with X[j+1, j] X[j, j+1] > 0 on every bond") + "$"
 
 
-def test_jordan_block_raises_degeneracy_error():
-    with pytest.raises(DegeneracyError):
-        biorthogonal_decompose(np.array([[2.0, 1.0], [0.0, 2.0]]))
+def refused_matrices():
+    """One X of each class the chain route refuses, by label."""
+    chain = np.asarray(build_hatano_nelson(hn_params(5)).entries)
+    one_way, mixed = chain.copy(), chain.copy()
+    one_way[2, 3] = 0.0  # sub != 0, sup = 0 on bond 3
+    mixed[2, 3] = -mixed[2, 3]  # sub and sup of opposite signs on bond 3
+    rng = np.random.default_rng(41)
+    return {
+        "dense real": rng.standard_normal((4, 4)) + 4.0 * np.eye(4),
+        "complex tridiagonal": chain + 0.05j * np.eye(5),
+        "one-way bond": one_way,
+        "mixed-sign bond": mixed,
+        "Jordan block": np.array([[2.0, 1.0], [0.0, 2.0]]),
+        "diagonal": np.diag([0.2, 0.9, 1.1]),
+        "diagonal 2x2": np.diag([0.2, 1.0]),
+    }
 
 
-def test_close_rates_with_good_conditioning_are_accepted():
-    # Clustered eigenvalues alone are fine; only the ill-conditioned
-    # mode matrix turns them into an error.
-    x = np.array([[1.0, 0.0, 0.1],
-                  [0.0, 1.0 + 1e-12, 0.0],
-                  [0.0, 0.0, 5.0]])
-    spec = biorthogonal_decompose(x)
-    assert spec.condition_estimate < 10.0
-    assert np.abs(spec.left.conj().T @ spec.right - np.eye(3)).max() <= 1e-10
+@pytest.mark.parametrize("label", list(refused_matrices()))
+def test_decompose_refuses_every_non_chain_by_its_rule(label):
+    # a chain is all that is decomposed, and the refusal says what a chain is
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the refusal
+        with pytest.raises(ParameterError, match=f"^{NOT_A_CHAIN}"):
+            biorthogonal_decompose(refused_matrices()[label])
+
+
+def test_decompose_takes_one_site_and_both_chain_models():
+    for x in (np.array([[0.91]]), np.array([[-3.0]]), build_hatano_nelson(hn_params(5)),
+              build_hatano_nelson(HatanoNelsonParams(4, 0.6, 0.6, 2.0)),
+              build_ssh(ssh_params(3, -0.25)), build_ssh(ssh_params(3, 0.0))):
+        spec = biorthogonal_decompose(x)
+        assert spec.betas.dtype == spec.u.dtype == spec.log_d.dtype == np.float64
+        assert np.all(np.diff(spec.betas) >= 0)
+        assert np.abs(spec.u.T @ spec.u - np.eye(spec.dim)).max() <= 1e-14
 
 
 def test_condition_estimate_is_envelope_power():
@@ -418,24 +413,17 @@ def test_long_chain_loadings_are_finite(long_spectra):
 
 
 def rounding_cases():
-    """(label, spectrum, dense reference) over the closed form and both routes, 4 to 40 sites."""
-    shift = 0.05j  # a uniform imaginary rate shift sends a chain to eig
+    """(label, spectrum, dense reference) over the closed form and the chain route, 4 to 40 sites."""
     for n, cells in ((4, 2), (9, 5), (21, 11), (40, 20)):
         params = hn_params(n)
         yield f"closed {n}", hn_analytic_spectrum(params), dense_hn_spectrum_reference(params)
-        # complex Hermitian hoppings have no imaginary gauge, so they take
-        # eig; a graded diagonal keeps the mode peaks from tying
-        hop = 0.6 * np.exp(0.3j) * np.eye(n, k=-1)
-        graded = np.diag(2.0 + 0.05 * np.arange(n))
         chains = {f"hn {n}": build_hatano_nelson(params),
-                  f"hn reciprocal {n}": build_hatano_nelson(HatanoNelsonParams(n, 0.6, 0.6, 2.0)),
-                  f"hermitian {n}": RelaxationMatrix(graded - hop - hop.conj().T)}
+                  f"hn reciprocal {n}": build_hatano_nelson(HatanoNelsonParams(n, 0.6, 0.6, 2.0))}
         chains.update({f"ssh {cells} g={g}": build_ssh(ssh_params(cells, g))
                        for g in (SSH_REFERENCE["g_edge"], 0.0, SSH_REFERENCE["g_bulk"])})
         for label, x in chains.items():
             x = np.asarray(x.entries)
-            for tag, m in (("", x), (" shifted", x + shift * np.eye(x.shape[0]))):
-                yield label + tag, biorthogonal_decompose(m), dense_decompose_reference(m)
+            yield label, biorthogonal_decompose(x), dense_decompose_reference(x)
 
 
 def assert_within_ulps(got, want, ulps=4):
@@ -467,9 +455,7 @@ def test_scale_free_spectra_agree_with_the_dense_formulas():
     gamma = HN_REFERENCE["pump_strength"]
     routes = set()
     for label, spec, (betas, right, left) in rounding_cases():
-        routes.add(("closed" if label.startswith("closed") else
-                    "eig" if "shifted" in label or label.startswith("hermitian") else
-                    "gauge"))
+        routes.add("closed" if label.startswith("closed") else "gauge")
         assert np.array_equal(spec.betas, betas), label
         flips = tied_peak_flips(spec.right, right)  # each L column flips with its R partner
         assert_within_ulps(spec.right * flips, right)
@@ -482,7 +468,7 @@ def test_scale_free_spectra_agree_with_the_dense_formulas():
             want = unit_gauge(right[:, k])
             got = spec.right_mode_unit(k + 1).amplitudes
             assert np.abs(got * tied_peak_flips(got, want) - want).max() <= 1e-14, label
-    assert routes == {"closed", "gauge", "eig"}
+    assert routes == {"closed", "gauge"}
 
 
 def test_normalized_modes_match_analytic_where_both_exist():
@@ -596,15 +582,15 @@ def test_slow_mode_position_breaks_ties_deterministically():
     betas = np.array([0.5 + 1j, 0.5 - 1j, 0.5 - 1j, 2.0])
     assert slow_mode_position(betas) == 1
     # eig can round Re of 0.1 - 0.316j above its conjugate's (by 7e-17 with
-    # OpenBLAS); the spectrum lists it first, and so does the slow-mode rule
-    spec = biorthogonal_decompose(np.array([[0.1, 0.1], [-1.0, 0.1]]))
-    assert spec.betas[0].imag < 0 < spec.betas[1].imag
-    assert slow_mode_position(spec.betas) == 0
-    assert identify_slow_mode(spec) == 1
+    # OpenBLAS); the dense eig order lists it first, and so does the slow-mode rule
+    eigvals = np.linalg.eigvals(np.array([[0.1, 0.1], [-1.0, 0.1]]))
+    betas = eigvals[sorted_order(eigvals)]
+    assert betas[0].imag < 0 < betas[1].imag
+    assert slow_mode_position(betas) == 0
     rng = np.random.default_rng(1)
     for dim in rng.integers(2, 7, size=300):
-        betas = biorthogonal_decompose(rng.standard_normal((dim, dim))).betas
-        assert slow_mode_position(betas) == 0
+        eigvals = np.linalg.eigvals(rng.standard_normal((dim, dim)))
+        assert slow_mode_position(eigvals[sorted_order(eigvals)]) == 0
 
 
 def test_mode_accessors_and_index_errors():

@@ -1,4 +1,4 @@
-"""Time DirectSolver on long reference chains, one JSON line per size.
+"""Time DirectSolver and the chain spectrum on long reference chains, one JSON line per size.
 
 For the single-band reference chain (t_right = 1, t_left = 0.17,
 kappa = 0.91, local pump of strength 0.03 at site 15) at 200, 400 and 700
@@ -17,13 +17,17 @@ occupations it resolves above the floor (``resolved_count``) and the width
 of the Rayleigh-Ritz block that certified them (``block_width``; N means
 the whole of C was diagonalized).
 
-Last, for ``hn_source_scan`` on the same chain with the same pump
+Then, for ``hn_source_scan`` on the same chain with the same pump
 strength at 40 and 200 sites, one line with the median over five runs of
 the whole scan (``scan_s``), of the DirectSolver construction
 (``build_s``), of the stacked solve of the first chunk of pumps, named by
 their sites (``chunk_solve_s``, ``pumps`` of them: all 40 at 40 sites, 3
 at 200), and of the certified top occupations of that chunk
 (``chunk_top_s``).
+
+Last, for the two-band reference chain (t1 = 0.5, t2 = 1, g = -0.25,
+kappa = 1.5) at 100 and 500 cells, one line with the median over five
+runs of ``biorthogonal_decompose`` on its X (``decompose_s``).
 Writes no file.  Run from the repository root with BLAS on one thread:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/solver_scaling.py
@@ -35,14 +39,15 @@ import time
 
 import numpy as np
 
-from gausschain import (HatanoNelsonParams, build_hatano_nelson, build_local_pump,
-                        hn_analytic_spectrum, hn_source_scan, identify_slow_mode,
-                        natural_orbitals)
+from gausschain import (HatanoNelsonParams, SshParams, biorthogonal_decompose,
+                        build_hatano_nelson, build_local_pump, build_ssh, hn_analytic_spectrum,
+                        hn_source_scan, identify_slow_mode, natural_orbitals)
 from gausschain.orbitals import SCAN_CHUNK_ENTRIES, _top_occupations
 from gausschain.steady import DirectSolver, _thin_doublings
 
 SIZES = (200, 400, 700)
 SCAN_SIZES = (40, 200)
+SPECTRUM_CELLS = (100, 500)
 SOLVES = 5
 STRENGTH = 0.03
 
@@ -103,6 +108,12 @@ def measure_scan(n_sites: int) -> dict:
             "chunk_top_s": timed(lambda: _top_occupations(corr))[0]}
 
 
+def measure_spectrum(n_cells: int) -> dict:
+    x = build_ssh(SshParams(n_cells, 0.5, 1.0, -0.25, 1.5))
+    return {"spectrum": "biorthogonal_decompose", "n_cells": n_cells,
+            "decompose_s": timed(lambda: biorthogonal_decompose(x))[0]}
+
+
 if __name__ == "__main__":
     for n in SIZES:
         print(json.dumps(measure(n)), flush=True)
@@ -110,3 +121,5 @@ if __name__ == "__main__":
         print(json.dumps(measure_orbitals(n)), flush=True)
     for n in SCAN_SIZES:
         print(json.dumps(measure_scan(n)), flush=True)
+    for cells in SPECTRUM_CELLS:
+        print(json.dumps(measure_spectrum(cells)), flush=True)
