@@ -19,12 +19,12 @@ from gausschain import (BiorthogonalSpectrum, DensityMatrix, FockOperatorSet, Ga
                         RelaxationMatrix, SiteIndexError, SourceMatrix, SshParams,
                         SteadyCorrelator, biorthogonal_decompose,
                         build_diagonal_pump, build_hatano_nelson, build_local_pump, build_ssh,
-                        closed_form_correlator, default_labels, density, evolve_master,
-                        hn_jump_decomposition, hn_source_scan, identify_edge_candidate,
+                        closed_form_correlator, default_labels, density, diagnostics_report,
+                        evolve_master, hn_jump_decomposition, hn_source_scan, identify_edge_candidate,
                         inverse_design, loading_factors, natural_orbitals,
                         normalized_density, overlap, propagate_correlator,
-                        single_mode_approximation, solve_lyapunov_direct, ssh_crossover_scan,
-                        ssh_index, ssh_jump_decomposition, ssh_labels, steady_state_oracle)
+                        single_mode_approximation, solve_lyapunov_direct,
+                        solve_lyapunov_spectral, ssh_crossover_scan, ssh_index, ssh_jump_decomposition, ssh_labels, steady_state_oracle)
 from gausschain.matio import dumps_json, matrix_from_payload, matrix_payload
 from gausschain.models import (PSD_TOL, _check_finite_scalar, _count, _number_mask, _positions,
                                _strength, _vector, matrix_entries)
@@ -247,6 +247,7 @@ def gated_calls():
     x = matrix_entries(build_hatano_nelson(params))
     y = 0.1 * np.eye(3)
     c = solve_lyapunov_direct(x, y).entries
+    spec = biorthogonal_decompose(x)
     h = inverse_design(x, y).hamiltonian
     jumps = hn_jump_decomposition(params, 0.1)
     zero, eye, unit = np.zeros((3, 3)), np.eye(3), [1.0, 0.0, 0.0]
@@ -257,7 +258,15 @@ def gated_calls():
         "SteadyCorrelator": ("correlator", c, lambda m: SteadyCorrelator(m, "direct", 0.0, 0.0)),
         "DirectSolver": ("relaxation matrix", x, DirectSolver),
         "DirectSolver.solve": ("source matrix", y, lambda m: DirectSolver(x).solve(m)),
+        "solve_lyapunov_direct X": ("relaxation matrix", x,
+                                    lambda m: solve_lyapunov_direct(m, y)),
         "solve_lyapunov_direct": ("source matrix", y, lambda m: solve_lyapunov_direct(x, m)),
+        "solve_lyapunov_spectral": ("source matrix", y,
+                                    lambda m: solve_lyapunov_spectral(spec, m)),
+        "closed_form_correlator Y": ("source matrix", y,
+                                     lambda m: closed_form_correlator(spec, m, zero, 1.0)),
+        "closed_form_correlator C0": ("initial state C0", zero,
+                                      lambda m: closed_form_correlator(spec, y, m, 1.0)),
         "propagate_correlator X": ("relaxation X", x,
                                    lambda m: propagate_correlator(m, y, zero, 1.0, 0.1)),
         "propagate_correlator Y": ("source Y", y,
@@ -267,6 +276,7 @@ def gated_calls():
         "natural_orbitals": ("correlator", c, natural_orbitals),
         "density": ("correlator", c, density),
         "normalized_density": ("correlator", c, normalized_density),
+        "diagnostics_report": ("correlator", c, lambda m: diagnostics_report(spec, m)),
         "biorthogonal_decompose": ("relaxation matrix", x, biorthogonal_decompose),
         "inverse_design X": ("relaxation matrix", x, lambda m: inverse_design(m, y)),
         "inverse_design Y": ("source matrix", y, lambda m: inverse_design(x, m)),
@@ -276,6 +286,7 @@ def gated_calls():
                                 lambda m: steady_state_oracle(m, jumps)),
         "DensityMatrix": ("density matrix", vacuum, DensityMatrix),
         "one_body_operator": ("coefficient matrix", h, FockOperatorSet(3).one_body_operator),
+        "matrix_payload": ("matrix payload", eye, lambda m: matrix_payload(m, ("1", "2", "3"))),
         "BiorthogonalSpectrum u": ("spectrum u", eye,
                                    lambda m: BiorthogonalSpectrum(unit, m, unit)),
     }
