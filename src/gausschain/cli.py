@@ -391,7 +391,7 @@ def cmd_inverse_design(cfg: dict) -> None:
 
 def cmd_validate(cfg: dict) -> None:
     from .orbitals import natural_orbitals
-    from .steady import DirectSolver
+    from .steady import DirectSolver, _unit_scale
 
     x, labels, y_entries = _read_pair(cfg, "validate")
 
@@ -426,10 +426,16 @@ def cmd_validate(cfg: dict) -> None:
             c, orbs = np.asarray(corr.entries), natural_orbitals(corr)
             occ = orbs.occupations
             # rounding in C scales with C: asymmetry, density and trace are read per nu_max
+            # as (v u) (1 / (u nu_max)), u = 2^k: v (1 / nu_max) overflows at a subnormal nu_max
             nu_max = float(np.abs(occ).max(initial=0.0))
-            per_nu = 1.0 / nu_max if nu_max > 0 else 0.0
+            unit = _unit_scale(nu_max)
+            per_unit = 1.0 / (unit * nu_max) if nu_max > 0 else 0.0
+
+            def per_nu(value):
+                return value * unit * per_unit
+
             add("steady_residual", corr.residual, VALIDATE_RESIDUAL_LIMIT)
-            add("correlator_hermitian", corr.asymmetry * per_nu, VALIDATE_ASYMMETRY_LIMIT)
+            add("correlator_hermitian", per_nu(corr.asymmetry), VALIDATE_ASYMMETRY_LIMIT)
             # every omitted occupation lies within the floor, and their
             # total within tail_bound: the limits are what the certificate proves
             floor = orbs.occupation_floor
@@ -444,9 +450,9 @@ def cmd_validate(cfg: dict) -> None:
                           "a physical pair has >= 0")
             add("occupations_in_unit_interval", bounds, floor, in_unit, detail)
             defect = (np.abs(orbs.orbitals) ** 2 @ occ).real - c.diagonal().real
-            add("density_reconstruction", per_nu * np.abs(defect).max(), per_nu * orbs.tail_bound)
-            add("occupation_trace", per_nu * abs(occ.sum() - np.trace(c).real),
-                per_nu * orbs.tail_bound)
+            add("density_reconstruction", per_nu(np.abs(defect).max()), per_nu(orbs.tail_bound))
+            add("occupation_trace", per_nu(abs(occ.sum() - np.trace(c).real)),
+                per_nu(orbs.tail_bound))
         except GausschainError as exc:
             add("steady_state", None, None, False, str(exc))
     else:

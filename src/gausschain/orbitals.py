@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GausschainError, NormalizationError, ParameterError
+from .errors import EnvelopeOverflowError, GausschainError, NormalizationError, ParameterError
 from .models import (HatanoNelsonParams, SshParams, _check_finite_scalar, _frozen_array,
                      _hermitian, _numbers, _positions, _strength, _vector, build_hatano_nelson,
                      build_local_pump, build_ssh, matrix_entries, ssh_index)
@@ -172,7 +172,8 @@ def natural_orbitals(correlator) -> NaturalOrbitalSet:
     Kept are the pairs with |theta| above the floor, and always the top
     one.  Each orbital is phase-gauged (largest-|entry| real positive) so
     exported profiles are reproducible; real correlators, as every chain
-    correlator is, are diagonalized in real arithmetic.
+    correlator is, are diagonalized in real arithmetic.  Occupations past
+    the double range of a finite C raise EnvelopeOverflowError.
     """
     c = _hermitian(matrix_entries(correlator, "correlator"), "correlator")
     n = c.shape[0]
@@ -196,8 +197,7 @@ def natural_orbitals(correlator) -> NaturalOrbitalSet:
             ritz_residual = np.linalg.norm(cq @ u[:, keep] - v * theta[keep], axis=0)
             if (trace - theta.sum() <= floor and theta[-1] >= -floor
                     and (ritz_residual <= floor).all()):
-                return NaturalOrbitalSet(theta[keep] / unit, _gauge_columns(v),
-                                         floor / unit, width)
+                return _orbital_set(theta[keep], _gauge_columns(v), floor, unit, width)
             if step == 0:
                 q = np.linalg.qr(cq)[0]
         block = np.hstack([cq, c[:, order[width:2 * width]]])
@@ -206,7 +206,17 @@ def natural_orbitals(correlator) -> NaturalOrbitalSet:
     w, v = w[::-1], v[:, ::-1]
     floor = rounding * float(np.abs(w).max(initial=0.0))
     keep = _resolved(w, floor)
-    return NaturalOrbitalSet(w[keep] / unit, _gauge_columns(v[:, keep]), floor / unit, n)
+    return _orbital_set(w[keep], _gauge_columns(v[:, keep]), floor, unit, n)
+
+
+def _orbital_set(theta, orbitals, floor, unit, width) -> NaturalOrbitalSet:
+    """The set of the Ritz values and floor of unit C, in the units of C."""
+    with np.errstate(over="ignore"):  # checked below
+        occupations, floor = theta / unit, floor / unit
+    if not (np.isfinite(occupations).all() and np.isfinite(floor)):
+        raise EnvelopeOverflowError(f"orbital occupations are not representable: the top one, "
+                                    f"{theta[0]:.6g} x 2^{-int(np.log2(unit))}, overflows")
+    return NaturalOrbitalSet(occupations, orbitals, floor, width)
 
 
 def _resolved(values: np.ndarray, floor: float) -> np.ndarray:
@@ -264,7 +274,7 @@ def overlap(first, second) -> float:
 
 
 def identify_slow_mode(spectrum: BiorthogonalSpectrum) -> int:
-    """1-based index of the slowest mode (min Re beta; ties: min Im, lowest index)."""
+    """1-based index of the slowest mode (min Re beta, the first of exact ties)."""
     return slow_mode_position(spectrum.betas) + 1
 
 
@@ -292,16 +302,14 @@ def identify_edge_candidate(spectrum: BiorthogonalSpectrum, kappa: float) -> Edg
     empty window falls back to the globally closest eigenvalue.
     """
     kappa = _check_finite_scalar("kappa", kappa)
-    if spectrum.dim == 1:
-        return EdgeCandidate(1, 1, False)
     dist = np.abs(spectrum.betas - kappa)
     diameter = float(np.ptp(spectrum.betas))
     window = np.flatnonzero(dist <= EDGE_WINDOW_FRACTION * diameter)
     fallback = window.size == 0
     pool = window if not fallback else np.array([int(np.argmin(dist))])
-    m = min(EDGE_BOUNDARY_SITES, spectrum.dim)
     profile = np.abs(_unit_columns(spectrum.u[:, pool], spectrum.log_d)) ** 2
-    weight = np.maximum(profile[:m].sum(axis=0), profile[-m:].sum(axis=0))
+    weight = np.maximum(profile[:EDGE_BOUNDARY_SITES].sum(axis=0),
+                        profile[-EDGE_BOUNDARY_SITES:].sum(axis=0))
     return EdgeCandidate(int(pool[np.argmax(weight)]) + 1, int(window.size), fallback)
 
 
@@ -402,7 +410,8 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
     normalized columns agree exactly where the slow mode locks the top
     orbital.  A chain without a steady state aborts the scan with the
     first pump site named in the message, an overflowing correlator with
-    its own pump site (DirectSolver.solve_local).
+    its own pump site (DirectSolver.solve_local), and a column that is 0
+    at every site, as underflowed loadings are, with NormalizationError.
     """
     n = params.n_sites
     strength = _strength("pump strength", pump_strength)
@@ -426,6 +435,9 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
     for first in range(0, positions.size, chunk):
         corr, _ = solver.solve_local(sites[first:first + chunk], strength)
         nu[first:first + chunk] = _top_occupations(corr)
+    for name, column in (("nu_max", nu), ("A1", a1)):
+        if column.max() == 0:
+            raise NormalizationError(f"scan column {name} vanishes at every pump site")
     return SourceScan(sites, nu, a1, nu / nu.max(), a1 / a1.max())
 
 

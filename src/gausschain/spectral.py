@@ -117,9 +117,8 @@ class BiorthogonalSpectrum:
     / ln 10, the log10 of cond_2(R) exactly because U is orthogonal, come
     from (U, log d) at any chain length.  The dense ``right`` and ``left``
     are built on first request and raise EnvelopeOverflowError where they
-    are not representable (:func:`_dense_modes`).  ``condition_estimate``
-    decides whether mode sums can be trusted (:data:`CONDITION_TRUST_LIMIT`);
-    it is inf where 10^log10_condition overflows.
+    are not representable (:func:`_dense_modes`).  ``log10_condition``
+    decides whether mode sums can be trusted (:data:`CONDITION_TRUST_LIMIT`).
     """
 
     betas: np.ndarray
@@ -151,13 +150,6 @@ class BiorthogonalSpectrum:
     def dim(self) -> int:
         return self.betas.size
 
-    @property
-    def condition_estimate(self) -> float:
-        try:
-            return 10.0 ** self.log10_condition
-        except OverflowError:
-            return math.inf
-
     def right_mode_unit(self, n: int) -> ModeVector:
         k = _positions("mode index", n, self.dim)
         return ModeVector(_unit_columns(self.u[:, k:k + 1], self.log_d)[:, 0], "euclidean")
@@ -168,18 +160,9 @@ class BiorthogonalSpectrum:
 
 
 def slow_mode_position(betas: np.ndarray) -> int:
-    """0-based index of the slowest of any ``betas``, complex ones included: among
-    the rates within _rate_tolerance of the least, least Im, then Re, then index."""
-    b = np.asarray(betas)
-    ties = np.flatnonzero(b.real <= b.real.min() + _rate_tolerance(b))
-    return int(ties[np.lexsort((b.real[ties], b.imag[ties]))[0]])
-
-
-def _rate_tolerance(betas: np.ndarray) -> float:
-    """Rates closer than 64 eps times the spread of the betas are rounding apart; the
-    spread is their bounding box's diagonal, within sqrt 2 of their diameter."""
-    return 64.0 * np.finfo(float).eps * float(np.hypot(np.ptp(betas.real),
-                                                       np.ptp(betas.imag)))
+    """0-based index of the least Re beta, the first of exact ties: 0 for every
+    spectrum built here, whose rates ascend."""
+    return int(np.argmin(np.real(betas)))
 
 
 def _check_beta_stability(betas: np.ndarray) -> float:

@@ -320,13 +320,15 @@ def dense_hn_spectrum_reference(params):
 
 def sorted_order(betas):
     """Ascending (Re, Im), with rates that tie counted as one: each group runs from
-    its least rate to _rate_tolerance above it and is ordered by (Im, Re).  The
-    order of the dense ``eig`` route the decomposition once had for any X."""
-    from gausschain.spectral import _rate_tolerance
-
+    its least rate to 64 eps times the spread of the betas above it and is ordered
+    by (Im, Re).  The spread is their bounding box's diagonal, within sqrt 2 of
+    their diameter.  The order of the dense ``eig`` route the decomposition once
+    had for any X."""
+    tolerance = 64.0 * np.finfo(float).eps * float(np.hypot(np.ptp(betas.real),
+                                                            np.ptp(betas.imag)))
     order = np.lexsort((betas.imag, betas.real))
     re = betas.real[order]
-    ends = np.searchsorted(re, re + _rate_tolerance(betas), side="right").tolist()
+    ends = np.searchsorted(re, re + tolerance, side="right").tolist()
     start = 0
     while start < betas.size:
         stop = ends[start]

@@ -459,6 +459,23 @@ class TestFailureExitCodes:
         assert "EnvelopeOverflowError: steady correlator is not finite" in err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("command", ["hn-profiles", "hn-occupations"])
+    def test_overflowing_occupations_exit_2_naming_them(self, tmp_path, capsys, command):
+        # C is finite but its top occupation is not: the command printed a
+        # numpy RuntimeWarning and blamed a non-finite entry of the occupations
+        assert main([command, "--pump-strength", "1e300", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "EnvelopeOverflowError: orbital occupations are not representable" in err
+        assert not os.listdir(tmp_path)
+
+    def test_underflowing_scan_column_exits_2_naming_it(self, tmp_path, capsys):
+        # every A1 underflows at 1e-320: the command printed a numpy
+        # RuntimeWarning and failed to serialize the NaN of 0 / 0
+        assert main(["hn-source-scan", "--pump-strength", "1e-320",
+                     "--out", str(tmp_path)]) == 2
+        assert "NormalizationError: scan column A1 vanishes" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
     def test_pump_site_out_of_range_exits_2(self, tmp_path, capsys):
         assert main(["hn-profiles", "--n-sites", "8", "--pump-site", "99",
                      "--out", str(tmp_path)]) == 2
@@ -690,6 +707,27 @@ class TestValidateCommand:
         root = (0.91 + math.sqrt(0.91 ** 2 - 0.68)) / 2.0
         assert by_name["relaxation_stable"]["value"] == pytest.approx(root, rel=0, abs=1e-12)
         assert by_name["steady_residual"]["value"] <= 1e-15
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_subnormal_pump_reports_every_check(self, tmp_path, dense):
+        # Y = 1e-320 I: 1 / nu_max overflowed, and validate exited 2 on the
+        # NaN of inf * 0, after a numpy RuntimeWarning for the dense X
+        x = matrix_entries(build_hatano_nelson(HatanoNelsonParams(6, 1.0, 0.17, 1.3))).copy()
+        if dense:
+            x[0, 3], x[4, 1] = 0.05, -0.03
+        x_file, y_file = str(tmp_path / "x.json"), str(tmp_path / "y.json")
+        labels = tuple(str(j) for j in range(1, 7))
+        write_matrix(x_file, x, labels)
+        write_matrix(y_file, 1e-320 * np.eye(6), labels)
+        out = str(tmp_path / "out")
+        assert main(["validate", "--x-file", x_file, "--y-file", y_file, "--out", out]) in (0, 1)
+        checks = read_summary(out + "/validate.json")["checks"]
+        assert [c["name"] for c in checks] == [
+            "source_hermitian_psd", "relaxation_stable", "steady_residual",
+            "correlator_hermitian", "occupations_in_unit_interval",
+            "density_reconstruction", "occupation_trace"]
+        per_nu = [c["value"] for c in checks[3:] if c["name"] != "occupations_in_unit_interval"]
+        assert all(0 <= v < 1 for v in per_nu), per_nu
 
     def test_dense_unstable_relaxation_fails_the_eigenvalue_screen(self, tmp_path):
         # not tridiagonal, so the solver screens eigvals: 0.1 - 1.5 = -1.4 < 0

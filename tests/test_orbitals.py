@@ -20,10 +20,10 @@ from gausschain import (BiorthogonalSpectrum, EnvelopeOverflowError, HatanoNelso
                         normalized_density, overlap, single_mode_approximation,
                         slow_mode_position, solve_lyapunov_direct, ssh_crossover_scan)
 from gausschain import orbitals
-from gausschain.orbitals import SCAN_CHUNK_ENTRIES, _top_occupations, density
+from gausschain.orbitals import SCAN_CHUNK_ENTRIES, EdgeCandidate, _top_occupations, density
 from gausschain.steady import EPS, DirectSolver
 from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, crossover_grid, loading_reference,
-                            sorted_order, unit_gauge)
+                            unit_gauge)
 
 SSH_PUMP = (SSH_REFERENCE["pump_cell"], SSH_REFERENCE["pump_sublattice"],
             SSH_REFERENCE["pump_strength"])
@@ -158,6 +158,20 @@ def test_overflowing_loadings_raise_instead_of_inf():
         hn_source_scan(HatanoNelsonParams(120, 1e-3, 1.0, 0.91), 0.03, sites=[1, 2, 120])
 
 
+@pytest.mark.parametrize("n", [3, 40])
+def test_overflowing_occupations_raise_instead_of_inf(n):
+    # C is finite, but its one occupation, n 1e308, is not: by plain eigh at 3
+    # sites and by the Rayleigh-Ritz block at 40
+    with pytest.raises(EnvelopeOverflowError, match="orbital occupations are not representable"):
+        natural_orbitals(1e308 * np.ones((n, n)))
+
+
+def test_underflowing_scan_column_raises_instead_of_nan():
+    # at strength 1e-320 every A1 underflows to 0 while nu_max stays normal
+    with pytest.raises(NormalizationError, match="scan column A1 vanishes"):
+        hn_source_scan(hn_reference_params(40), 1e-320)
+
+
 def test_loadings_equal_the_formula_bit_for_bit():
     # every mode from loading_factors, the slow one from the scan's column
     gamma = HN_REFERENCE["pump_strength"]
@@ -196,12 +210,10 @@ def test_identify_slow_mode_cases():
     assert identify_slow_mode(spec) == 1
     single = biorthogonal_decompose(np.array([[2.0]]))
     assert identify_slow_mode(single) == 1
-    # Conjugate pair: equal real parts resolve by the smaller imaginary part.
-    x = np.zeros((3, 3))
-    x[:2, :2] = [[0.5, -0.3], [0.3, 0.5]]
-    x[2, 2] = 2.0
-    betas = np.linalg.eigvals(x)
-    assert slow_mode_position(betas[sorted_order(betas)]) == 0
+    # Conjugate pair: equal real parts resolve to the first listed, whatever
+    # the imaginary parts.
+    assert slow_mode_position(np.array([0.5 + 0.3j, 0.5 - 0.3j, 2.0])) == 0
+    assert slow_mode_position(np.array([2.0, 0.5 + 0.3j, 0.5 - 0.3j])) == 1
 
 
 def test_edge_candidate_topological_point_sits_in_window():
@@ -226,10 +238,12 @@ def test_edge_candidate_trivial_regime_uses_fallback():
 
 
 def test_edge_candidate_single_mode():
+    # one mode takes the general rule: the window around kappa is 0.1 of a
+    # zero diameter wide, so the lone rate is in it only at kappa = beta and
+    # is the fallback anywhere else
     spec = biorthogonal_decompose(np.array([[1.5]]))
-    cand = identify_edge_candidate(spec, 1.5)
-    assert cand.index == 1
-    assert not cand.used_fallback
+    assert identify_edge_candidate(spec, 1.5) == EdgeCandidate(1, 1, False)
+    assert identify_edge_candidate(spec, 0.7) == EdgeCandidate(1, 0, True)
 
 
 def test_source_scan_reference_grid_agrees_with_loading_shape(golden):

@@ -49,7 +49,7 @@ def test_single_site_decomposition_is_trivial():
     assert_allclose(spec.betas, [0.91], rtol=0, atol=0)
     assert_allclose(spec.right, [[1.0]], rtol=0, atol=0)
     assert_allclose(spec.left, [[1.0]], rtol=0, atol=0)
-    assert spec.condition_estimate == pytest.approx(1.0)
+    assert spec.log10_condition == 0.0
 
 
 def test_hermitian_input_gives_real_betas_and_equal_mode_families():
@@ -59,7 +59,7 @@ def test_hermitian_input_gives_real_betas_and_equal_mode_families():
     assert_allclose(spec.left, spec.right, rtol=0, atol=0)
     expected = np.sort(hn_closed_form_betas(6, 0.6, 0.6, 2.0))
     assert_allclose(spec.betas.real, expected, atol=1e-13)
-    assert spec.condition_estimate == pytest.approx(1.0, abs=1e-12)
+    assert spec.log10_condition == pytest.approx(0.0, abs=1e-12)
 
 
 def test_numeric_betas_match_closed_form_n8():
@@ -296,18 +296,18 @@ def test_decompose_takes_one_site_and_both_chain_models():
         assert np.abs(spec.u.T @ spec.u - np.eye(spec.dim)).max() <= 1e-14
 
 
-def test_condition_estimate_is_envelope_power():
+def test_condition_is_envelope_power():
     for tr, tl in [(1.0, 0.17), (0.17, 1.0)]:
         params = HatanoNelsonParams(6, tr, tl, 0.91)
         spec = hn_analytic_spectrum(params)
         r = max(tr / tl, tl / tr) ** 0.5
-        assert spec.condition_estimate == pytest.approx(r ** 5, rel=1e-12)
-        assert spec.condition_estimate == pytest.approx(
+        assert 10 ** spec.log10_condition == pytest.approx(r ** 5, rel=1e-12)
+        assert 10 ** spec.log10_condition == pytest.approx(
             np.linalg.cond(spec.right), rel=1e-10)
     # The gauge route reports exp(span of log d) = cond_2(D U) without an SVD.
     for g in (SSH_REFERENCE["g_edge"], SSH_REFERENCE["g_bulk"]):
         spec = biorthogonal_decompose(build_ssh(ssh_params(20, g)))
-        assert spec.condition_estimate == pytest.approx(
+        assert 10 ** spec.log10_condition == pytest.approx(
             np.linalg.cond(spec.right), rel=1e-10)
 
 
@@ -356,7 +356,7 @@ def test_long_chain_spectra_build_without_dense_modes(long_spectra):
     assert 745 < ssh.log_d.max() - ssh.log_d.min() < 755
     for spec in long_spectra.values():
         assert np.all(spec.betas.imag == 0.0)
-        assert spec.condition_estimate == math.inf
+        assert spec.log10_condition > math.log10(np.finfo(float).max)
         for side in ("right", "left"):
             with pytest.raises(EnvelopeOverflowError, match=side):
                 getattr(spec, side)
@@ -578,19 +578,22 @@ def test_ssh_edge_envelope_regime_and_parameter_errors():
 
 
 def test_slow_mode_position_breaks_ties_deterministically():
+    # the least real part, the first of exact ties whatever the imaginary parts
     assert slow_mode_position(np.array([3.0, 1.0, 2.0])) == 1
-    betas = np.array([0.5 + 1j, 0.5 - 1j, 0.5 - 1j, 2.0])
-    assert slow_mode_position(betas) == 1
-    # eig can round Re of 0.1 - 0.316j above its conjugate's (by 7e-17 with
-    # OpenBLAS); the dense eig order lists it first, and so does the slow-mode rule
-    eigvals = np.linalg.eigvals(np.array([[0.1, 0.1], [-1.0, 0.1]]))
-    betas = eigvals[sorted_order(eigvals)]
-    assert betas[0].imag < 0 < betas[1].imag
-    assert slow_mode_position(betas) == 0
-    rng = np.random.default_rng(1)
-    for dim in rng.integers(2, 7, size=300):
-        eigvals = np.linalg.eigvals(rng.standard_normal((dim, dim)))
-        assert slow_mode_position(eigvals[sorted_order(eigvals)]) == 0
+    assert slow_mode_position(np.array([0.5 + 1j, 0.5 - 1j, 0.5 - 1j, 2.0])) == 0
+    assert slow_mode_position(np.array([2.0, 0.5 - 1j, 0.5 + 1j])) == 1
+    assert slow_mode_position(np.array([2.0, 0.5, 0.5])) == 1
+    # one ulp is no tie: the lesser rate wins wherever it sits
+    assert slow_mode_position(np.array([np.nextafter(0.5, 1.0), 0.5])) == 1
+    # every spectrum built here ascends, so its slow mode is the first, also
+    # as the complex copy of its rates
+    for spec in (hn_analytic_spectrum(hn_params(40)),
+                 biorthogonal_decompose(build_hatano_nelson(hn_params(40))),
+                 biorthogonal_decompose(build_hatano_nelson(HatanoNelsonParams(7, 0.6, 0.6, 2.0))),
+                 *(biorthogonal_decompose(build_ssh(ssh_params(20, g)))
+                   for g in (SSH_REFERENCE["g_edge"], 0.0, SSH_REFERENCE["g_bulk"]))):
+        assert slow_mode_position(spec.betas) == 0
+        assert slow_mode_position(spec.betas.astype(complex)) == 0
 
 
 def test_mode_accessors_and_index_errors():

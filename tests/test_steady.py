@@ -334,10 +334,11 @@ def test_sign_gauge_keeps_the_pivot_certificate_and_the_schur_split():
 
 def test_solve_local_matches_per_pump_solve():
     # Local pumps stacked by site, a site repeated, are bit for bit the
-    # per-pump solve on the M-matrix route and on the Schur route (complex
-    # X).  solve starts one- and two-site pumps thin and a dense or
-    # all-zero pump dense; the zero pump gives zero C and zero asymmetry
-    # on both routes, and a complex pump is solved by Schur to rounding.
+    # per-pump solve on the M-matrix route; the Schur route (complex X)
+    # takes no stacks, and solves its local pumps one by one to rounding.
+    # solve starts one- and two-site pumps thin and a dense or all-zero
+    # pump dense; the zero pump gives zero C and zero asymmetry on both
+    # routes, and a complex pump is solved by Schur to rounding.
     rng = np.random.default_rng(5)
     _, x, _ = hn_reference_system(30)
     solver = DirectSolver(x)
@@ -362,10 +363,14 @@ def test_solve_local_matches_per_pump_solve():
     xc, yc = random_stable_pair(rng, 8)
     solver = DirectSolver(xc)
     assert solver._powers is None
-    c, asym = solver.solve_local([3, 6], 40.0)
-    for k, site in enumerate([3, 6]):
-        one = solver.solve(build_local_pump(8, site, 40.0))
-        assert np.array_equal(c[k], one.entries) and asym[k] == one.asymmetry
+    with pytest.raises(ParameterError, match=r"chains only: real tridiagonal X"):
+        solver.solve_local([3, 6], 40.0)
+    for site in (3, 6):
+        pump = build_local_pump(8, site, 40.0)
+        one = solver.solve(pump)
+        oracle = solve_vectorized(xc, matrix_entries(pump))
+        assert np.abs(one.entries - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        assert one.asymmetry <= 1e-12 * np.abs(oracle).max()
     one = solver.solve(yc).entries
     oracle = solve_vectorized(xc, yc)
     assert np.abs(one - oracle).max() <= 1e-12 * np.abs(oracle).max()
@@ -634,7 +639,7 @@ def test_spectral_solver_matches_direct_at_moderate_conditioning():
     _, x, y = hn_reference_system(12)
     direct = solve_lyapunov_direct(x, y)
     spec = biorthogonal_decompose(x)
-    assert spec.condition_estimate < 1e10
+    assert spec.log10_condition < 10
     spectral = solve_lyapunov_spectral(spec, y)
     rel = (np.linalg.norm(spectral.entries - direct.entries)
            / np.linalg.norm(direct.entries))
@@ -1026,8 +1031,8 @@ def test_mode_sums_refuse_spectra_above_the_trust_limit():
     # against 1.8e29 from the direct solve, with a residual of 4.5e-22.
     _, _, y = hn_reference_system(100, pump_site=15)
     for spec in hn_spectra(100).values():
-        assert spec.condition_estimate > CONDITION_TRUST_LIMIT
-        names = re.escape(f"{spec.condition_estimate:.3e}") + ".*" + re.escape(
+        assert spec.log10_condition > math.log10(CONDITION_TRUST_LIMIT)
+        names = re.escape(f"10^{spec.log10_condition:.3f}") + ".*" + re.escape(
             f"{CONDITION_TRUST_LIMIT:.0e}")
         with pytest.raises(SolveError, match=names):
             solve_lyapunov_spectral(spec, y)
@@ -1040,7 +1045,7 @@ def test_mode_sums_match_direct_just_below_the_trust_limit():
     direct = solve_lyapunov_direct(x, y).entries
     scale = np.linalg.norm(direct)
     for spec in hn_spectra(32).values():
-        assert 1e11 < spec.condition_estimate <= CONDITION_TRUST_LIMIT
+        assert 11 < spec.log10_condition <= math.log10(CONDITION_TRUST_LIMIT)
         steady = solve_lyapunov_spectral(spec, y).entries
         late = closed_form_correlator(spec, y, np.zeros((32, 32)), 1e4)
         assert np.linalg.norm(steady - direct) <= 1e-10 * scale
@@ -1072,7 +1077,7 @@ def test_single_mode_sees_no_node_where_the_sine_mode_has_none(n_sites, site):
     # but the site's share |L_0(s) R_0(s)| = phi_0(s)^2 of <L_0|R_0> is not
     params, _, _ = hn_reference_system(n_sites)
     spec = hn_analytic_spectrum(params)
-    assert spec.condition_estimate > CONDITION_TRUST_LIMIT  # a single term is exempt
+    assert spec.log10_condition > math.log10(CONDITION_TRUST_LIMIT)  # a single term is exempt
     result = single_mode_approximation(spec, site, HN_REFERENCE["pump_strength"])
     phi0 = math.sqrt(2.0 / (n_sites + 1)) * math.sin(math.pi * site / (n_sites + 1))
     pos = int(np.argmin(spec.betas.real))
