@@ -2,9 +2,9 @@
 
 Each subcommand reads its parameters from built-in defaults, an optional
 JSON config file, and command-line flags, in that order (flags win).
-Outputs are a CSV table plus a JSON summary per command; both embed the
-toolkit version and the fully resolved config, and identical configs
-produce byte-identical files.
+Every command writes a JSON summary, after a CSV table where it has one,
+through one writer (_write); both embed the toolkit version and the fully
+resolved config, and identical configs produce byte-identical files.
 
 Exit codes: 0 success, 1 validation failure, 2 numeric or parameter
 error, 3 infeasibility.
@@ -153,18 +153,19 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return {"command": command, **cfg}
 
 
-def _comments(cfg: dict) -> tuple[str, str]:
-    return (f"gausschain {__version__}", f"config: {dumps_json(cfg)}")
-
-
-def _summary(cfg: dict, **fields) -> dict:
-    return {"version": __version__, "command": cfg["command"], "config": cfg, **fields}
-
-
-def _out_paths(cfg: dict) -> tuple[str, str]:
-    outdir = ensure_dir(cfg["out"])
-    base = os.path.join(outdir, cfg["command"])
-    return base + ".csv", base + ".json"
+def _write(cfg: dict, fields: dict, table=None) -> str:
+    """Write <out>/<command>.csv, with the version and config as comment lines, when
+    ``table`` = (header, rows) is given, then <out>/<command>.json as {version,
+    command, config, **fields}; returns the "wrote ..." phrase of the stdout line."""
+    base = os.path.join(ensure_dir(cfg["out"]), cfg["command"])
+    paths = []
+    if table is not None:
+        write_csv(base + ".csv", *table,
+                  comments=(f"gausschain {__version__}", f"config: {dumps_json(cfg)}"))
+        paths.append(base + ".csv")
+    write_json(base + ".json", {"version": __version__, "command": cfg["command"],
+                                "config": cfg, **fields})
+    return "wrote " + " and ".join(paths + [base + ".json"])
 
 
 def _hn_params(cfg: dict) -> HatanoNelsonParams:
@@ -192,14 +193,8 @@ def cmd_hn_profiles(cfg: dict) -> None:
 
     params = _hn_params(cfg)
     spectrum, corr, report = _pumped_chain(params, cfg["pump_site"], cfg["pump_strength"])
-    orbs = report.orbitals
-
-    csv_path, json_path = _out_paths(cfg)
-    write_csv(csv_path, PROFILE_HEADER, profile_rows(default_labels(params.n_sites), report),
-              comments=_comments(cfg))
-    o_slow = report.overlaps["slow"]
-    write_json(json_path, _summary(
-        cfg,
+    orbs, o_slow = report.orbitals, report.overlaps["slow"]
+    wrote = _write(cfg, dict(
         betas=_complex_parts(spectrum.betas),
         occupations=orbs.occupations,
         occupations_normalized=orbs.occupations_normalized(),
@@ -212,9 +207,8 @@ def cmd_hn_profiles(cfg: dict) -> None:
         log10_condition=spectrum.log10_condition,
         residual=corr.residual,
         method=corr.method,
-    ))
-    print(f"hn-profiles: {params.n_sites} sites, overlap_slow={o_slow:.9f}, "
-          f"wrote {csv_path} and {json_path}")
+    ), (PROFILE_HEADER, profile_rows(default_labels(params.n_sites), report)))
+    print(f"hn-profiles: {params.n_sites} sites, overlap_slow={o_slow:.9f}, {wrote}")
 
 
 def cmd_hn_occupations(cfg: dict) -> None:
@@ -223,13 +217,9 @@ def cmd_hn_occupations(cfg: dict) -> None:
     _, corr, report = _pumped_chain(_hn_params(cfg), cfg["pump_site"], cfg["pump_strength"])
     orbs = report.orbitals
     normalized = orbs.occupations_normalized()
-
-    csv_path, json_path = _out_paths(cfg)
-    rows = zip(range(1, orbs.resolved_count + 1), orbs.occupations, normalized)
-    write_csv(csv_path, OCCUPATION_HEADER, rows, comments=_comments(cfg))
     separation = normalized[1] if orbs.resolved_count > 1 else None
-    write_json(json_path, _summary(
-        cfg,
+    rows = zip(range(1, orbs.resolved_count + 1), orbs.occupations, normalized)
+    wrote = _write(cfg, dict(
         nu_max=orbs.occupations[0],
         occupations=orbs.occupations,
         occupations_normalized=normalized,
@@ -241,10 +231,9 @@ def cmd_hn_occupations(cfg: dict) -> None:
         locked=orbs.locked,
         residual=corr.residual,
         method=corr.method,
-    ))
+    ), (OCCUPATION_HEADER, rows))
     print(f"hn-occupations: nu_max={orbs.occupations[0]:.9g}, "
-          f"second/top={separation if separation is not None else 'n/a'}, "
-          f"wrote {csv_path} and {json_path}")
+          f"second/top={separation if separation is not None else 'n/a'}, {wrote}")
 
 
 def cmd_hn_source_scan(cfg: dict) -> None:
@@ -256,20 +245,16 @@ def cmd_hn_source_scan(cfg: dict) -> None:
     s_max = cfg["s_max"] or params.n_sites
     sites = range(cfg["s_min"], s_max + 1)
     scan = hn_source_scan(params, cfg["pump_strength"], sites=sites)
-    csv_path, json_path = _out_paths(cfg)
-    write_csv(csv_path, SOURCE_SCAN_HEADER, scan.rows(), comments=_comments(cfg))
     deviation = np.abs(scan.nu_max_normalized - scan.loading_normalized)
-    write_json(json_path, _summary(
-        cfg,
+    wrote = _write(cfg, dict(
         n_points=scan.sites.size,
         max_abs_deviation=deviation.max(),
         deviation_argmax_site=_peak_site(scan.sites, deviation),
         occupation_argmax_site=_peak_site(scan.sites, scan.nu_max_normalized),
         loading_argmax_site=_peak_site(scan.sites, scan.loading_normalized),
-    ))
+    ), (SOURCE_SCAN_HEADER, scan.rows()))
     print(f"hn-source-scan: {scan.sites.size} sites, "
-          f"max |nu_norm - A1_norm| = {deviation.max():.6g}, "
-          f"wrote {csv_path} and {json_path}")
+          f"max |nu_norm - A1_norm| = {deviation.max():.6g}, {wrote}")
 
 
 def cmd_ssh_profiles(cfg: dict) -> None:
@@ -279,13 +264,8 @@ def cmd_ssh_profiles(cfg: dict) -> None:
     site = ssh_index(cfg["pump_cell"], cfg["pump_sublattice"], params.n_cells)
     spectrum, corr, report = _pumped_chain(params, site, cfg["pump_strength"])
     orbs, edge = report.orbitals, report.edge
-
-    csv_path, json_path = _out_paths(cfg)
-    write_csv(csv_path, PROFILE_HEADER, profile_rows(ssh_labels(params.n_cells), report),
-              comments=_comments(cfg))
     o_slow, o_edge = report.overlaps["slow"], report.overlaps["edge"]
-    write_json(json_path, _summary(
-        cfg,
+    wrote = _write(cfg, dict(
         betas=_complex_parts(spectrum.betas),
         overlap_edge=o_edge,
         overlap_slow=o_slow,
@@ -300,9 +280,8 @@ def cmd_ssh_profiles(cfg: dict) -> None:
         log10_condition=spectrum.log10_condition,
         residual=corr.residual,
         method=corr.method,
-    ))
-    print(f"ssh-profiles: g={params.g:g}, O_edge={o_edge:.6f}, O_slow={o_slow:.6f}, "
-          f"wrote {csv_path} and {json_path}")
+    ), (PROFILE_HEADER, profile_rows(ssh_labels(params.n_cells), report)))
+    print(f"ssh-profiles: g={params.g:g}, O_edge={o_edge:.6f}, O_slow={o_slow:.6f}, {wrote}")
 
 
 def cmd_ssh_crossover(cfg: dict) -> None:
@@ -312,20 +291,13 @@ def cmd_ssh_crossover(cfg: dict) -> None:
     params = _ssh_params(cfg, g=0.0)
     scan = ssh_crossover_scan(params, cfg["pump_cell"], cfg["pump_sublattice"],
                               cfg["pump_strength"], g_values=grid)
-    csv_path, json_path = _out_paths(cfg)
-    write_csv(csv_path, CROSSOVER_HEADER, scan.rows(), comments=_comments(cfg))
     margin = scan.o_edge - scan.o_slow
     crossings = [scan.g_values[k:k + 2] for k in range(margin.size - 1)
                  if margin[k] != 0 and margin[k] * margin[k + 1] < 0]
-    write_json(json_path, _summary(
-        cfg,
-        n_points=scan.g_values.size,
-        crossings=crossings,
-        failures=scan.failures,
-    ))
+    wrote = _write(cfg, dict(n_points=scan.g_values.size, crossings=crossings,
+                             failures=scan.failures), (CROSSOVER_HEADER, scan.rows()))
     print(f"ssh-crossover: {scan.g_values.size} points, "
-          f"{len(crossings)} sign change(s) of O_edge - O_slow, "
-          f"wrote {csv_path} and {json_path}")
+          f"{len(crossings)} sign change(s) of O_edge - O_slow, {wrote}")
 
 
 def _read_pair(cfg: dict, who: str) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
@@ -374,16 +346,13 @@ def cmd_inverse_design(cfg: dict) -> None:
     validation = None
     if jumps is not None:
         validation = dataclasses.asdict(validate_jump_set(jumps, realization))
-    _, json_path = _out_paths(cfg)
-    write_json(json_path, _summary(
-        cfg,
+    wrote = _write(cfg, dict(
         realization=realization_payload(realization, labels),
         jumps=jump_set_payload(jumps) if jumps is not None else None,
         validation=validation,
     ))
     print(f"inverse-design: physical={realization.physical}, "
-          f"loss_min_eigenvalue={realization.loss_min_eigenvalue:.6g}, "
-          f"wrote {json_path}")
+          f"loss_min_eigenvalue={realization.loss_min_eigenvalue:.6g}, {wrote}")
     if validation is not None:
         print(f"inverse-design: jump set validated, max deviation "
               f"{max(v for k, v in validation.items() if k.endswith('_error')):.3e}")
@@ -391,7 +360,7 @@ def cmd_inverse_design(cfg: dict) -> None:
 
 def cmd_validate(cfg: dict) -> None:
     from .orbitals import natural_orbitals
-    from .steady import DirectSolver, _unit_scale
+    from .steady import DirectSolver
 
     x, labels, y_entries = _read_pair(cfg, "validate")
 
@@ -426,16 +395,10 @@ def cmd_validate(cfg: dict) -> None:
             c, orbs = np.asarray(corr.entries), natural_orbitals(corr)
             occ = orbs.occupations
             # rounding in C scales with C: asymmetry, density and trace are read per nu_max
-            # as (v u) (1 / (u nu_max)), u = 2^k: v (1 / nu_max) overflows at a subnormal nu_max
             nu_max = float(np.abs(occ).max(initial=0.0))
-            unit = _unit_scale(nu_max)
-            per_unit = 1.0 / (unit * nu_max) if nu_max > 0 else 0.0
-
-            def per_nu(value):
-                return value * unit * per_unit
-
+            per_nu = 1.0 / nu_max if nu_max > 0 else 0.0
             add("steady_residual", corr.residual, VALIDATE_RESIDUAL_LIMIT)
-            add("correlator_hermitian", per_nu(corr.asymmetry), VALIDATE_ASYMMETRY_LIMIT)
+            add("correlator_hermitian", corr.asymmetry * per_nu, VALIDATE_ASYMMETRY_LIMIT)
             # every omitted occupation lies within the floor, and their
             # total within tail_bound: the limits are what the certificate proves
             floor = orbs.occupation_floor
@@ -450,9 +413,9 @@ def cmd_validate(cfg: dict) -> None:
                           "a physical pair has >= 0")
             add("occupations_in_unit_interval", bounds, floor, in_unit, detail)
             defect = (np.abs(orbs.orbitals) ** 2 @ occ).real - c.diagonal().real
-            add("density_reconstruction", per_nu(np.abs(defect).max()), per_nu(orbs.tail_bound))
-            add("occupation_trace", per_nu(abs(occ.sum() - np.trace(c).real)),
-                per_nu(orbs.tail_bound))
+            add("density_reconstruction", per_nu * np.abs(defect).max(), per_nu * orbs.tail_bound)
+            add("occupation_trace", per_nu * abs(occ.sum() - np.trace(c).real),
+                per_nu * orbs.tail_bound)
         except GausschainError as exc:
             add("steady_state", None, None, False, str(exc))
     else:
@@ -460,8 +423,7 @@ def cmd_validate(cfg: dict) -> None:
             "skipped: prerequisites failed (source or stability)")
 
     passed = all(c["passed"] for c in checks)
-    _, json_path = _out_paths(cfg)
-    write_json(json_path, _summary(cfg, checks=checks, passed=passed))
+    wrote = _write(cfg, dict(checks=checks, passed=passed))
     for c in checks:
         status = "ok  " if c["passed"] else "FAIL"
         print(f"validate: {status} {c['name']} value={dumps_json(c['value'])} "
@@ -470,7 +432,7 @@ def cmd_validate(cfg: dict) -> None:
     if not passed:
         failed = ", ".join(c["name"] for c in checks if not c["passed"])
         raise ValidationError(f"invariant suite failed: {failed}", checks)
-    print(f"validate: all {len(checks)} checks passed, wrote {json_path}")
+    print(f"validate: all {len(checks)} checks passed, {wrote}")
 
 
 def cmd_oracle_check(cfg: dict) -> None:
@@ -498,9 +460,7 @@ def cmd_oracle_check(cfg: dict) -> None:
     steady_dev = np.abs(correlator_of(steady_rho) - np.asarray(direct.entries)).max()
 
     passed = max_dev <= ORACLE_TRAJECTORY_LIMIT and steady_dev <= ORACLE_STEADY_LIMIT
-    _, json_path = _out_paths(cfg)
-    write_json(json_path, _summary(
-        cfg,
+    wrote = _write(cfg, dict(
         n_samples=trajectory.times.size,
         max_trajectory_deviation=max_dev,
         trajectory_limit=ORACLE_TRAJECTORY_LIMIT,
@@ -511,7 +471,7 @@ def cmd_oracle_check(cfg: dict) -> None:
     ))
     print(f"oracle-check: max trajectory deviation {max_dev:.3e} "
           f"(limit {ORACLE_TRAJECTORY_LIMIT:g}), steady deviation {steady_dev:.3e} "
-          f"(limit {ORACLE_STEADY_LIMIT:g}), wrote {json_path}")
+          f"(limit {ORACLE_STEADY_LIMIT:g}), {wrote}")
     if not passed:
         raise ValidationError(
             f"oracle disagrees with the correlator stack: trajectory {max_dev:.3e}, "

@@ -25,7 +25,8 @@ class StabilityError(GausschainError):
 
 
 class EnvelopeOverflowError(GausschainError):
-    """Closed-form mode envelope not representable in double precision."""
+    """Envelope, doubling power, correlator or occupation not representable in
+    double precision: it overflows, or a correlator's peak is subnormal."""
 
 
 class RegimeError(GausschainError):

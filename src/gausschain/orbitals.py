@@ -409,9 +409,11 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
     ``loading_factors(...).values`` of the slow mode, so the two
     normalized columns agree exactly where the slow mode locks the top
     orbital.  A chain without a steady state aborts the scan with the
-    first pump site named in the message, an overflowing correlator with
-    its own pump site (DirectSolver.solve_local), and a column that is 0
-    at every site, as underflowed loadings are, with NormalizationError.
+    first pump site named in the message, a correlator that overflows or
+    peaks below the smallest normal double with its own pump site
+    (DirectSolver.solve_local), and an A1 column that is 0 at every site,
+    as underflowed loadings are, with NormalizationError before any pump
+    is solved; nu_max is at least the peak of an accepted C, so never 0.
     """
     n = params.n_sites
     strength = _strength("pump strength", pump_strength)
@@ -429,15 +431,14 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
     spectrum = hn_analytic_spectrum(params)  # not held while the pumps are solved
     a1 = _pump_loadings(spectrum, positions, strength)[:, slow_mode_position(spectrum.betas)]
     del spectrum
+    if a1.max() == 0:
+        raise NormalizationError("scan column A1 vanishes at every pump site")
 
     nu = np.empty(positions.size)
     chunk = max(1, SCAN_CHUNK_ENTRIES // (n * n))
     for first in range(0, positions.size, chunk):
         corr, _ = solver.solve_local(sites[first:first + chunk], strength)
         nu[first:first + chunk] = _top_occupations(corr)
-    for name, column in (("nu_max", nu), ("A1", a1)):
-        if column.max() == 0:
-            raise NormalizationError(f"scan column {name} vanishes at every pump site")
     return SourceScan(sites, nu, a1, nu / nu.max(), a1 / a1.max())
 
 

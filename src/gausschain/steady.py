@@ -56,6 +56,7 @@ from .spectral import (CONDITION_TRUST_LIMIT, BiorthogonalSpectrum, _check_beta_
                        _pump_loadings, _tridiagonal_bands, slow_mode_position)
 
 EPS = float(np.finfo(float).eps)
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 # Powers A^(2^k) that still matter after this many squarings need a
 # spectral radius equal to 1 in double precision: X is numerically singular.
@@ -134,22 +135,29 @@ def _backward_error(x: np.ndarray, bands, c: np.ndarray, y: np.ndarray) -> float
     larger of their peaks, so no norm overflows at any scale of X or on
     long chains; real inputs stay in real arithmetic.  The banded defect
     is X C + C X^T - Y with X C = (C^T X^T)^T, three scaled rows of C, and
-    C X^T three scaled columns (_times_tridiagonal).  X, C and Y are finite
-    (models.matrix_entries, and DirectSolver._settle's output check).
+    C X^T three scaled columns (_times_tridiagonal).  The defect is summed
+    in place and uY, exact, is formed after the products, so the call peaks
+    at about four N^2 arrays besides its inputs.  X, C and Y are finite
+    (models.matrix_entries, and DirectSolver._settle's output check), and
+    C is complex where Y is, as every solver returns it.
     """
     parts = x if bands is None else np.concatenate(bands)
     unit = _unit_scale(float(np.abs(parts).max()))
-    y = y * unit
-    scale = max(float(np.abs(c).max(initial=0.0)), float(np.abs(y).max(initial=0.0)))
+    scale = max(float(np.abs(c).max(initial=0.0)), unit * float(np.abs(y).max(initial=0.0)))
     if scale > 0:
-        c, y = c / scale, y / scale
+        c = c / scale
     if bands is None:
         x = x * unit
-        defect = x @ c + c @ x.conj().T - y
+        defect = x @ c
+        defect += c @ x.conj().T
     else:
         diag, sub, sup = (b * unit for b in bands)  # the bands of X^T are (diag, sup, sub)
-        defect = (_times_tridiagonal(c.T, diag, sup, sub).T
-                  + _times_tridiagonal(c, diag, sup, sub) - y)
+        defect = _times_tridiagonal(c, diag, sup, sub)
+        defect += _times_tridiagonal(c.T, diag, sup, sub).T
+    y = y * unit
+    if scale > 0:
+        y /= scale
+    defect -= y
     x_norm = float(np.linalg.norm(parts * unit))
     bound = 2.0 * x_norm * float(np.linalg.norm(c)) + float(np.linalg.norm(y))
     return float(np.linalg.norm(defect)) / bound if bound > 0 else 0.0
@@ -412,17 +420,22 @@ class DirectSolver:
 
     def _settle(self, c: np.ndarray, scale: float, positions=()) -> tuple[np.ndarray, np.ndarray]:
         """Unit-peak correlators out of the sign gauge, hermitized, times ``scale``,
-        with each max |C - C^dag|; EnvelopeOverflowError names the pump site of
-        the first C that is not finite, given the pumps' 0-based ``positions``."""
+        with each max |C - C^dag|.  EnvelopeOverflowError names the pump site of
+        the first C that is not finite, then of the first nonzero C whose peak
+        is below the smallest normal double, where subnormal rounding exceeds
+        eps times the peak, given the pumps' 0-based ``positions``."""
         if self._signs is not None:
             c *= self._signs
         c, asym = _hermitize_stack(c)
         c *= scale
-        finite = np.isfinite(c).all(axis=(1, 2))
-        if not finite.all():
-            site = f" of pump site {positions[np.argmin(finite)] + 1}" if len(positions) else ""
-            raise EnvelopeOverflowError(f"steady correlator{site} is not finite: it overflows "
-                                        "double precision")
+        parts = c.reshape(len(c), -1).view(float)  # a complex C's re and im parts, not copied
+        peak = np.maximum(parts.max(axis=1), -parts.min(axis=1))  # NaN stays NaN
+        for bad, problem in ((~np.isfinite(peak), "is not finite: it overflows"),
+                             ((peak > 0) & (peak < _SMALLEST_NORMAL),
+                              "peaks below the smallest normal double: it underflows")):
+            if bad.any():
+                site = f" of pump site {positions[np.argmax(bad)] + 1}" if len(positions) else ""
+                raise EnvelopeOverflowError(f"steady correlator{site} {problem} double precision")
         return c, scale * asym
 
 

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gausschain import orbitals
+from gausschain import __version__, orbitals
 from gausschain.cli import COMMAND_DEFAULTS, _peak_site, main
 from gausschain.matio import write_matrix
 from gausschain.models import (HatanoNelsonParams, SshParams, build_hatano_nelson,
@@ -421,7 +421,7 @@ class TestConfigResolution:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", list(COMMAND_DEFAULTS))
-    def test_reruns_are_byte_identical(self, tmp_path, command):
+    def test_reruns_are_byte_identical(self, tmp_path, capsys, command):
         out = tmp_path / "twice"
         argv = [command, *RERUN_FLAGS.get(command, []), "--out", str(out)]
         if command == "validate":
@@ -432,6 +432,21 @@ class TestConfigResolution:
         assert main(argv) == 0
         first = {path.name: read_bytes(path) for path in out.iterdir()}
         assert f"{command}.json" in first
+        # the one writer's contract: the summary opens with version, command
+        # and config, a table with its two comment lines, and stdout names
+        # exactly the files written
+        summary = read_summary(str(out / f"{command}.json"))
+        assert list(summary)[:3] == ["version", "command", "config"]
+        assert summary["version"] == __version__ and summary["command"] == command
+        if f"{command}.csv" in first:
+            version, config = first[f"{command}.csv"].decode().splitlines()[:2]
+            assert version == f"# gausschain {__version__}"
+            assert config.startswith("# config: ")
+            assert json.loads(config[len("# config: "):]) == summary["config"]
+        wrote = [line.split(", wrote ", 1)[1] for line in capsys.readouterr().out.splitlines()
+                 if ", wrote " in line]
+        assert len(wrote) == 1
+        assert wrote[0].split(" and ") == [str(out / name) for name in sorted(first)]
         assert main(argv) == 0
         assert {path.name: read_bytes(path) for path in out.iterdir()} == first
 
@@ -466,6 +481,21 @@ class TestFailureExitCodes:
         assert main([command, "--pump-strength", "1e300", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "EnvelopeOverflowError: orbital occupations are not representable" in err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("command", ["hn-profiles", "hn-occupations", "ssh-profiles"])
+    def test_subnormal_correlator_exits_2_naming_the_underflow(self, tmp_path, capsys,
+                                                               command):
+        # C is linear in the pump, yet at 1e-320 these exited 0 with overlaps
+        # and occupations moved by subnormal rounding (21 resolved
+        # occupations instead of 15, O_slow 0.053797 instead of 0.053949)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--pump-strength", "1e-320", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: EnvelopeOverflowError: steady correlator peaks below "
+                                "the smallest normal double: it underflows double precision\n")
         assert not os.listdir(tmp_path)
 
     def test_underflowing_scan_column_exits_2_naming_it(self, tmp_path, capsys):
@@ -711,7 +741,9 @@ class TestValidateCommand:
     @pytest.mark.parametrize("dense", [False, True])
     def test_subnormal_pump_reports_every_check(self, tmp_path, dense):
         # Y = 1e-320 I: 1 / nu_max overflowed, and validate exited 2 on the
-        # NaN of inf * 0, after a numpy RuntimeWarning for the dense X
+        # NaN of inf * 0, after a numpy RuntimeWarning for the dense X.  Its
+        # C peaks below the smallest normal double, so the steady check
+        # fails naming the underflow, after the two checks that need no C.
         x = matrix_entries(build_hatano_nelson(HatanoNelsonParams(6, 1.0, 0.17, 1.3))).copy()
         if dense:
             x[0, 3], x[4, 1] = 0.05, -0.03
@@ -720,14 +752,16 @@ class TestValidateCommand:
         write_matrix(x_file, x, labels)
         write_matrix(y_file, 1e-320 * np.eye(6), labels)
         out = str(tmp_path / "out")
-        assert main(["validate", "--x-file", x_file, "--y-file", y_file, "--out", out]) in (0, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--x-file", x_file, "--y-file", y_file,
+                         "--out", out]) == 1
         checks = read_summary(out + "/validate.json")["checks"]
-        assert [c["name"] for c in checks] == [
-            "source_hermitian_psd", "relaxation_stable", "steady_residual",
-            "correlator_hermitian", "occupations_in_unit_interval",
-            "density_reconstruction", "occupation_trace"]
-        per_nu = [c["value"] for c in checks[3:] if c["name"] != "occupations_in_unit_interval"]
-        assert all(0 <= v < 1 for v in per_nu), per_nu
+        assert [(c["name"], c["passed"]) for c in checks] == [
+            ("source_hermitian_psd", True), ("relaxation_stable", True),
+            ("steady_state", False)]
+        assert checks[2]["detail"] == ("steady correlator peaks below the smallest normal "
+                                       "double: it underflows double precision")
 
     def test_dense_unstable_relaxation_fails_the_eigenvalue_screen(self, tmp_path):
         # not tridiagonal, so the solver screens eigvals: 0.1 - 1.5 = -1.4 < 0

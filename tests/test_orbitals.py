@@ -428,6 +428,24 @@ def test_crossover_records_a_g_past_the_double_range_as_a_failure():
     assert g == 1000.0 and reason.startswith("ParameterError: g must keep ")
 
 
+def test_crossover_keeps_only_points_whose_correlator_is_normal():
+    # C is linear in the pump: at 1e-320 all 24 points once came back with
+    # overlaps moved by subnormal rounding.  Only the two whose C stays normal
+    # remain, equal to the default pump's; the rest name the underflow.
+    params = SshParams(SSH_REFERENCE["n_cells"], SSH_REFERENCE["t1"], SSH_REFERENCE["t2"], 0.0,
+                       SSH_REFERENCE["kappa"])
+    grid = crossover_grid()
+    tiny = ssh_crossover_scan(params, *SSH_PUMP[:2], 1e-320, g_values=grid)
+    reference = ssh_crossover_scan(params, *SSH_PUMP, g_values=grid)
+    assert tiny.g_values.tolist() == reference.g_values[-2:].tolist()
+    assert_allclose(tiny.o_edge, reference.o_edge[-2:], rtol=1e-12)
+    assert_allclose(tiny.o_slow, reference.o_slow[-2:], rtol=1e-12)
+    assert [g for g, _ in tiny.failures] == grid[:-2].tolist()
+    assert {reason for _, reason in tiny.failures} == {
+        "EnvelopeOverflowError: steady correlator peaks below the smallest normal double: "
+        "it underflows double precision"}
+
+
 def test_crossover_grid_matches_documented_default():
     grid = crossover_grid()
     assert grid.size == 24

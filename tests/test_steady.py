@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -523,6 +524,49 @@ def test_overflowing_solve_raises_without_numpy_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EnvelopeOverflowError, match="^steady correlator is not finite"):
             solve_lyapunov_direct(x, build_local_pump(60, 1, 1.0))
+
+
+def test_subnormal_correlator_is_an_error_not_a_result():
+    # C is linear in the pump, yet a C peaking below the smallest normal
+    # double came back with overlaps and occupations moved by subnormal rounding
+    _, x, _ = hn_reference_system(40)
+    # normal pumps on X 1e300 faster: C peaks at 1.4e-312 (dense start), at
+    # 9.5e-313 by the Schur route of a dense X, and is complex for a complex Y
+    fast = 1e300 * matrix_entries(x)
+    dense = fast.copy()
+    dense[0, 3], dense[4, 1] = 0.05, -0.03
+    hermitian = np.eye(40) + 0.1j * (np.eye(40, k=1) - np.eye(40, k=-1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for relaxation, pump in ((x, build_local_pump(40, 15, 1e-320)),
+                                 (fast, 1e-25 * np.eye(40)), (dense, 1e-25 * np.eye(40)),
+                                 (fast, 1e-25 * hermitian)):
+            with pytest.raises(EnvelopeOverflowError, match="^steady correlator peaks below "
+                               "the smallest normal double: it underflows double precision"):
+                solve_lyapunov_direct(relaxation, pump)
+        # per unit strength a pump at site 40 peaks at 0.63, at site 15 at 9.8e7
+        with pytest.raises(EnvelopeOverflowError,
+                           match="^steady correlator of pump site 40 peaks below"):
+            DirectSolver(x).solve_local([15, 40, 15], 1e-310)
+        c, _ = DirectSolver(x).solve_local([15], 1e-310)
+        assert np.abs(c).max() >= np.finfo(float).tiny
+    # no pump, no correlator: C = 0 is exact, not an underflow
+    assert not solve_lyapunov_direct(x, np.zeros((40, 40))).entries.any()
+
+
+def test_banded_residual_peaks_below_four_and_a_half_n_squared_arrays():
+    # it held 5.44 N^2 float64 arrays while uY was formed before the products
+    _, x, y = hn_reference_system(200, pump_site=HN_REFERENCE["pump_site"])
+    solver = DirectSolver(x)
+    c, y = solver.solve(y).entries, matrix_entries(y)
+    residual = _backward_error(solver.x, solver._bands, c, y)
+    tracemalloc.start()
+    try:
+        assert _backward_error(solver.x, solver._bands, c, y) == residual
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * c.nbytes
 
 
 def test_overflowing_powers_are_named_without_numpy_warnings():
