@@ -233,7 +233,7 @@ def cmd_hn_occupations(cfg: dict) -> None:
         method=corr.method,
     ), (OCCUPATION_HEADER, rows))
     print(f"hn-occupations: nu_max={orbs.occupations[0]:.9g}, "
-          f"second/top={separation if separation is not None else 'n/a'}, {wrote}")
+          f"second/top={'n/a' if separation is None else f'{separation:.9g}'}, {wrote}")
 
 
 def cmd_hn_source_scan(cfg: dict) -> None:

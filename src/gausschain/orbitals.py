@@ -35,9 +35,8 @@ from .errors import EnvelopeOverflowError, GausschainError, NormalizationError, 
 from .models import (HatanoNelsonParams, SshParams, _check_finite_scalar, _frozen_array,
                      _hermitian, _numbers, _positions, _strength, _vector, build_hatano_nelson,
                      build_local_pump, build_ssh, matrix_entries, ssh_index)
-from .spectral import (BiorthogonalSpectrum, ModeVector, _gauge_columns, _pump_loadings,
-                       _unit_columns, biorthogonal_decompose, hn_analytic_spectrum,
-                       slow_mode_position)
+from .spectral import (BiorthogonalSpectrum, ModeVector, _pump_loadings, _unit_columns,
+                       biorthogonal_decompose, hn_analytic_spectrum, slow_mode_position)
 from .steady import EPS, DirectSolver, _unit_scale, solve_lyapunov_direct
 
 # Default edge-candidate search: eigenvalues within this fraction of the
@@ -170,9 +169,9 @@ def natural_orbitals(correlator) -> NaturalOrbitalSet:
     space, and C is then diagonalized by plain ``eigh``.  No random start
     is drawn, so identical inputs give identical bits.
     Kept are the pairs with |theta| above the floor, and always the top
-    one.  Each orbital is phase-gauged (largest-|entry| real positive) so
-    exported profiles are reproducible; real correlators, as every chain
-    correlator is, are diagonalized in real arithmetic.  Occupations past
+    one.  Orbital phases are the eigensolver's, arbitrary, and every output
+    is invariant under them; real correlators, as every chain correlator
+    is, are diagonalized in real arithmetic.  Occupations past
     the double range of a finite C raise EnvelopeOverflowError.
     """
     c = _hermitian(matrix_entries(correlator, "correlator"), "correlator")
@@ -197,7 +196,7 @@ def natural_orbitals(correlator) -> NaturalOrbitalSet:
             ritz_residual = np.linalg.norm(cq @ u[:, keep] - v * theta[keep], axis=0)
             if (trace - theta.sum() <= floor and theta[-1] >= -floor
                     and (ritz_residual <= floor).all()):
-                return _orbital_set(theta[keep], _gauge_columns(v), floor, unit, width)
+                return _orbital_set(theta[keep], v, floor, unit, width)
             if step == 0:
                 q = np.linalg.qr(cq)[0]
         block = np.hstack([cq, c[:, order[width:2 * width]]])
@@ -206,7 +205,7 @@ def natural_orbitals(correlator) -> NaturalOrbitalSet:
     w, v = w[::-1], v[:, ::-1]
     floor = rounding * float(np.abs(w).max(initial=0.0))
     keep = _resolved(w, floor)
-    return _orbital_set(w[keep], _gauge_columns(v[:, keep]), floor, unit, n)
+    return _orbital_set(w[keep], v[:, keep], floor, unit, n)
 
 
 def _orbital_set(theta, orbitals, floor, unit, width) -> NaturalOrbitalSet:

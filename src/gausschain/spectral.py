@@ -41,7 +41,8 @@ class ModeVector:
     """Single mode profile with its normalization convention.
 
     normalization is "biorthogonal" (paired with a left/right partner so
-    <L|R> = 1) or "euclidean" (unit 2-norm, phase-gauged).
+    <L|R> = 1) or "euclidean" (unit 2-norm).  Its sign or phase is arbitrary,
+    and no output sees it.
     """
 
     amplitudes: np.ndarray
@@ -58,32 +59,15 @@ class ModeVector:
         return self.amplitudes.size
 
 
-def _gauge_columns(m: np.ndarray) -> np.ndarray:
-    """Copy of m with each (nonzero) column's largest-|entry| rotated real positive."""
-    peaks = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
-    # hypot, not np.abs: it rounds like the scalar abs() the gauge has
-    # always used, so gauged columns keep their last bits
-    return m * (peaks.conjugate() / np.hypot(peaks.real, peaks.imag))[None, :]
-
-
-def _peak_rows(m: np.ndarray, log_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log|m| + log d, row of each column's peak of diag(exp(log d)) m), in the log domain."""
+def _unit_columns(m: np.ndarray, log_d: np.ndarray) -> np.ndarray:
+    """Unit-norm columns of diag(exp(log d)) m, signs as in m.  Only ratios to the peak,
+    found in the log domain, are exponentiated, so no column overflows at any length."""
     a = np.abs(m)
     with np.errstate(divide="ignore"):
         np.log(a, out=a)
     a += log_d[:, None]
-    return a, np.argmax(a, axis=0)
-
-
-def _unit_columns(m: np.ndarray, log_d: np.ndarray) -> np.ndarray:
-    """Unit-norm columns of diag(exp(log d)) m with their peaks real positive.  Only
-    ratios to the peak are exponentiated, so no column overflows at any length."""
-    a, peak = _peak_rows(m, log_d)
-    cols = np.arange(m.shape[1])
-    a -= a[peak, cols]
-    phase = np.sign(m)  # m / |m|, and 0 where m is
-    out = np.exp(a, out=a) * phase
-    out *= phase[peak, cols].conj()
+    a -= a.max(axis=0)
+    out = np.exp(a, out=a) * np.sign(m)  # m / |m|, and 0 where m is
     out /= np.linalg.norm(out, axis=0)
     return out
 
@@ -112,7 +96,8 @@ class BiorthogonalSpectrum:
     * :func:`biorthogonal_decompose`: U = eigenvectors of H = D^-1 X D,
       centred log d.
 
-    Each column of R has its peak positive, found in the log domain.  Unit
+    Column signs of U are arbitrary, the eigensolver's or the sine basis's,
+    and every output is invariant under them.  Unit
     modes, pump loadings and ``log10_condition`` = (max log d - min log d)
     / ln 10, the log10 of cond_2(R) exactly because U is orthogonal, come
     from (U, log d) at any chain length.  The dense ``right`` and ``left``
@@ -235,7 +220,7 @@ def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
         raise ParameterError("relaxation matrix is not a chain: biorthogonal_decompose takes "
                              "real tridiagonal X with X[j+1, j] X[j, j+1] > 0 on every bond")
     logd, h = gauge
-    return _orthogonal_spectrum(*np.linalg.eigh(h), logd)
+    return BiorthogonalSpectrum(*np.linalg.eigh(h), logd)
 
 
 def _hn_log_ratio(params: HatanoNelsonParams) -> float:
@@ -254,14 +239,6 @@ def _geometric_mean(a: float, b: float) -> float:
     """sqrt(a b) from the mantissas, so a b cannot overflow; math.sqrt(a * b) if a b is normal."""
     (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
     return math.ldexp(math.sqrt(ma * mb * 2 ** ((ea + eb) % 2)), (ea + eb) // 2)
-
-
-def _orthogonal_spectrum(betas: np.ndarray, u: np.ndarray,
-                         log_d: np.ndarray) -> BiorthogonalSpectrum:
-    """Spectrum of the real orthogonal u, each column of R = D u peaking positive."""
-    _, peak = _peak_rows(u, log_d)
-    u = u * np.where(u[peak, np.arange(u.shape[1])] >= 0, 1.0, -1.0)
-    return BiorthogonalSpectrum(betas, u, log_d)
 
 
 def hn_analytic_spectrum(params: HatanoNelsonParams) -> BiorthogonalSpectrum:
@@ -286,11 +263,11 @@ def hn_analytic_spectrum(params: HatanoNelsonParams) -> BiorthogonalSpectrum:
     period = 2 * (n + 1)
     sines = math.sqrt(2.0 / (n + 1)) * np.sin(np.arange(period) * np.pi / (n + 1))
     phi = sines[np.outer(modes, modes) % period]
-    return _orthogonal_spectrum(betas, phi, modes * _hn_log_ratio(params))
+    return BiorthogonalSpectrum(betas, phi, modes * _hn_log_ratio(params))
 
 
 def hn_normalized_modes(params: HatanoNelsonParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(betas, right_unit, left_unit) of :func:`hn_analytic_spectrum`, unit-norm gauged columns."""
+    """(betas, right_unit, left_unit) of :func:`hn_analytic_spectrum`, unit-norm columns."""
     spec = hn_analytic_spectrum(params)
     return spec.betas.copy(), _unit_columns(spec.u, spec.log_d), _unit_columns(
         spec.u, -spec.log_d)

@@ -340,13 +340,17 @@ class DirectSolver:
 
         Y is solved at unit largest entry and its scale restored after, so
         C(2^k X, s Y) = s 2^-k C(X, Y) holds bit for bit for real Y with
-        largest entry 1.  Real X and Y give a float64 C.
+        largest entry 1, and a subnormal largest entry is raised with Y by
+        2^1001 first, exactly.  Real X and Y give a float64 C.
         """
         y = _hermitian(matrix_entries(source, "source matrix"), "source matrix")
         if y.shape != self.x.shape:
             raise ParameterError(f"source shape {y.shape} does not match X {self.x.shape}")
         scale = float(np.abs(y).max()) or 1.0
-        unit = y / scale
+        # a complex y / scale multiplies by 1 / scale, which overflows for a
+        # subnormal scale: then both are first raised by one power of two, exactly
+        lift = _unit_scale(scale)
+        unit = y / scale if scale >= _SMALLEST_NORMAL else (y * lift) / (scale * lift)
         with np.errstate(over="ignore", invalid="ignore"):  # checked in _settle
             if self._powers is None:
                 c = solve_schur(self.x, unit)[None]

@@ -296,6 +296,12 @@ def loading_reference(spectrum, site, strength):
 # the largest |R| entry.  Rounding-level references for the scale-free
 # representation; the helpers they import did not change with it.
 
+def _gauge_columns(m):
+    """Copy of m with each (nonzero) column's largest-|entry| rotated real positive."""
+    peaks = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
+    return m * (peaks.conjugate() / np.hypot(peaks.real, peaks.imag))[None, :]
+
+
 def _sign_gauge_pair(r, l):
     peaks = r[np.argmax(np.abs(r), axis=0), np.arange(r.shape[1])]
     signs = np.where(peaks.real >= 0, 1.0, -1.0)[None, :]
@@ -342,7 +348,7 @@ def sorted_order(betas):
 def dense_decompose_reference(x):
     """(betas, R, L) of a chain X by the gauge route with dense R and L, or of any
     other X by ``eig``: sorted by sorted_order, L = R^-dag."""
-    from gausschain.spectral import _gauge_columns, _gauge_symmetrize
+    from gausschain.spectral import _gauge_symmetrize
 
     x = np.asarray(x)
     gauge = _gauge_symmetrize(x)

@@ -164,10 +164,11 @@ class TestHnCommands:
         err = capsys.readouterr().err
         assert err == "error: MemoryError: Unable to allocate 745. TiB for an array\n"
 
-    def test_occupations_table_is_sorted(self, tmp_path):
+    def test_occupations_table_is_sorted(self, tmp_path, capsys):
         out = str(tmp_path / "occ")
         assert main(["hn-occupations", "--n-sites", "8", "--pump-site", "3",
                      "--out", out]) == 0
+        stdout = capsys.readouterr().out
         rows = data_lines(out + "/hn-occupations.csv")
         assert rows[0] == "alpha,nu,nu_norm"
         summary = read_summary(out + "/hn-occupations.json")
@@ -183,6 +184,9 @@ class TestHnCommands:
         assert summary["nu_max"] == pytest.approx(nus[0], rel=1e-11)
         assert summary["separation_second"] < 1.0
         assert summary["locked"] is True
+        # stdout prints nu_max and second/top to 9 significant digits
+        assert (f"nu_max={summary['nu_max']:.9g}, "
+                f"second/top={summary['separation_second']:.9g}, wrote") in stdout
 
     @pytest.mark.parametrize("argv, n_sites", [(["hn-profiles"], 40), (["hn-occupations"], 40),
                                                (["hn-occupations", "--n-sites", "200"], 200),

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -13,14 +14,17 @@ from numpy.testing import assert_allclose
 from gausschain import (BiorthogonalSpectrum, EnvelopeOverflowError, HatanoNelsonParams,
                         NormalizationError, ParameterError, SiteIndexError, SshParams,
                         StabilityError, biorthogonal_decompose, build_hatano_nelson,
-                        build_local_pump, build_ssh, diagnostics_report,
-                        hn_analytic_spectrum,
+                        build_local_pump, build_ssh, closed_form_correlator,
+                        diagnostics_report, hn_analytic_spectrum,
                         hn_source_scan, identify_edge_candidate,
                         identify_slow_mode, loading_factors, natural_orbitals,
                         normalized_density, overlap, single_mode_approximation,
-                        slow_mode_position, solve_lyapunov_direct, ssh_crossover_scan)
+                        slow_mode_position, solve_lyapunov_direct, solve_lyapunov_spectral,
+                        ssh_crossover_scan)
 from gausschain import orbitals
-from gausschain.orbitals import SCAN_CHUNK_ENTRIES, EdgeCandidate, _top_occupations, density
+from gausschain.orbitals import (SCAN_CHUNK_ENTRIES, EdgeCandidate, _top_occupations, density,
+                                 profile_rows)
+from gausschain.spectral import _pump_loadings
 from gausschain.steady import EPS, DirectSolver
 from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, crossover_grid, loading_reference,
                             unit_gauge)
@@ -526,6 +530,57 @@ def test_diagnostics_report_shapes_and_flags():
     assert without_kappa.edge is None and set(without_kappa.overlaps) == {"slow"}
 
 
+def sign_blind_outputs(spec, corr, y, site, kappa, phases=None):
+    """Every output that reads modes or orbitals, as bytes: the loadings at every
+    site, |unit mode|^2, the edge pick, the three mode sums, the overlaps and the
+    profile rows; ``phases`` multiply the natural orbitals' columns first."""
+    n = spec.dim
+    report = diagnostics_report(spec, corr, kappa)
+    if phases is not None:
+        orbs = report.orbitals
+        report = replace(report, orbitals=replace(orbs, orbitals=orbs.orbitals * phases))
+    rows = list(profile_rows([str(j) for j in range(n)], report))
+    units = [np.abs(spec.right_mode_unit(k).amplitudes) ** 2 for k in range(1, n + 1)]
+    sums = (solve_lyapunov_spectral(spec, y).entries,
+            closed_form_correlator(spec, y, 0.02 * np.eye(n), 1.3),
+            single_mode_approximation(spec, site, 0.03).rank_one.entries)
+    arrays = [_pump_loadings(spec, np.arange(n), 0.03), *units, *sums,
+              np.array([row[2:] for row in rows], dtype=float)]
+    return ([a.tobytes() for a in arrays], identify_edge_candidate(spec, kappa),
+            report.overlaps)
+
+
+@pytest.mark.parametrize("route", ["closed form", "single-band chain", "two-band chain"])
+def test_outputs_are_blind_to_mode_signs_and_orbital_phases(route):
+    # the sign of each mode and the phase of each orbital are the
+    # eigensolver's; on real inputs a flip of either moves no output bit
+    rng = np.random.default_rng(44)
+    params = (SshParams(6, 0.5, 1.0, -0.25, 1.5) if route == "two-band chain"
+              else hn_reference_params(12))
+    x = build_ssh(params) if route == "two-band chain" else build_hatano_nelson(params)
+    spec = hn_analytic_spectrum(params) if route == "closed form" else biorthogonal_decompose(x)
+    kappa = params.kappa
+    n, site = spec.dim, 3
+    y = np.asarray(build_local_pump(n, site, 0.03).entries) + 0.01 * np.eye(n)
+    corr = solve_lyapunov_direct(x, y)
+    signs = rng.choice([-1.0, 1.0], n)
+    signs[0] = -1.0  # the slow mode flips
+    flipped = BiorthogonalSpectrum(spec.betas, spec.u * signs, spec.log_d)
+    width = natural_orbitals(corr).resolved_count
+    want = sign_blind_outputs(spec, corr, y, site, kappa)
+    assert sign_blind_outputs(flipped, corr, y, site, kappa,
+                              rng.choice([-1.0, 1.0], width)) == want
+    # complex phases move the orbitals' last bits, so overlaps and profiles
+    # agree to rounding
+    turned = sign_blind_outputs(flipped, corr, y, site, kappa,
+                                np.exp(2j * np.pi * rng.random(width)))
+    assert turned[0][:-1] == want[0][:-1] and turned[1] == want[1]
+    profiles = [np.frombuffer(out[0][-1]) for out in (turned, want)]
+    assert_allclose(*profiles, rtol=8 * EPS, atol=0)
+    for key, value in want[2].items():
+        assert turned[2][key] == pytest.approx(value, rel=8 * EPS)
+
+
 def test_dominant_tie_is_flagged_not_resolved():
     c = np.diag([0.5, 0.5, 0.1])
     orbs = natural_orbitals(c)
@@ -703,9 +758,6 @@ def test_complex_hermitian_correlator_takes_the_partial_solve():
     assert orbs.block_width == 32 and orbs.resolved_count == 6
     assert orbs.orbitals.dtype == np.complex128 and np.iscomplexobj(c)
     assert_matches_full_eigh(orbs, c)
-    top = orbs.orbitals[:, 0]
-    peak = top[np.argmax(np.abs(top))]
-    assert abs(peak.imag) <= 1e-15 * peak.real  # phase-gauged
 
 
 def test_natural_orbitals_are_bit_reproducible():

@@ -17,7 +17,7 @@ from gausschain import (EnvelopeOverflowError,
                         slow_mode_position, ssh_edge_envelopes)
 from gausschain.orbitals import (identify_edge_candidate, identify_slow_mode,
                                  loading_factors)
-from gausschain.spectral import _gauge_columns, _gauge_symmetrize
+from gausschain.spectral import _gauge_symmetrize
 from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, crossover_grid,
                             dense_decompose_reference, dense_hn_spectrum_reference,
                             hn_closed_form_betas, similarity_residual_reference, sorted_order,
@@ -226,35 +226,6 @@ def test_all_rates_positive_above_stability_threshold():
                         np.sort(analytic.betas.real), atol=1e-10)
 
 
-def test_right_columns_gauge_largest_entry_real_positive():
-    mats = [build_ssh(ssh_params(5, 0.3)), build_hatano_nelson(hn_params(7)),
-            build_hatano_nelson(HatanoNelsonParams(6, 0.6, 0.6, 2.0))]
-    for x in mats:
-        spec = biorthogonal_decompose(x)
-        for k in range(spec.dim):
-            pivot = spec.right[int(np.argmax(np.abs(spec.right[:, k]))), k]
-            assert pivot.imag == 0 and pivot.real > 0
-
-
-@pytest.mark.parametrize("n", [12, 40, 200])
-def test_column_gauge_matches_the_per_column_loop(n):
-    # the loop the natural orbitals and the eig route once ran, column by column
-    def loop_gauge(m):
-        out = m.copy()
-        for k in range(m.shape[1]):
-            col = m[:, k]
-            pivot = col[int(np.argmax(np.abs(col)))]
-            out[:, k] = col * (pivot.conjugate() / abs(pivot))
-        return out
-
-    rng = np.random.default_rng(n)
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    for m in (np.linalg.eigh(a + a.conj().T)[1][:, ::-1], np.linalg.eig(a)[1],
-              np.linalg.eigh(a.real + a.real.T)[1].astype(complex)):
-        got, want = _gauge_columns(m), loop_gauge(m)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
 NOT_A_CHAIN = re.escape("relaxation matrix is not a chain: biorthogonal_decompose takes real "
                         "tridiagonal X with X[j+1, j] X[j, j+1] > 0 on every bond") + "$"
 
@@ -438,17 +409,10 @@ def assert_within_ulps(got, want, ulps=4):
         assert np.all(np.abs(g - w) <= ulps * EPS * np.abs(w))
 
 
-def tied_peak_flips(got, want):
-    """-1 for each column of got (or the one vector) that points against want
-    where want's peak is tied to rounding, else +1.
-
-    Where the two largest |entries| of a mode tie (mirror-symmetric
-    reciprocal chains), which one gauges the sign is decided by rounding,
-    in the dense formulas as in the log domain.
-    """
-    top = np.sort(np.abs(want), axis=0)[-2:]
-    tied = top[1] - top[0] <= 4 * EPS * top[1]
-    return np.where(tied & (np.sum(want.conj() * got, axis=0).real < 0), -1.0, 1.0)
+def aligned(got, want):
+    """got with each column (or the one vector) negated where it points against
+    want: spectra and unit modes are defined up to the sign of each mode."""
+    return got * np.where(np.sum(want.conj() * got, axis=0).real < 0, -1.0, 1.0)
 
 
 def test_scale_free_spectra_agree_with_the_dense_formulas():
@@ -457,9 +421,9 @@ def test_scale_free_spectra_agree_with_the_dense_formulas():
     for label, spec, (betas, right, left) in rounding_cases():
         routes.add("closed" if label.startswith("closed") else "gauge")
         assert np.array_equal(spec.betas, betas), label
-        flips = tied_peak_flips(spec.right, right)  # each L column flips with its R partner
-        assert_within_ulps(spec.right * flips, right)
-        assert_within_ulps(spec.left * flips, left)
+        assert_within_ulps(aligned(spec.right, right), right)
+        # each L column has the sign of its R partner
+        assert_within_ulps(aligned(spec.left, right), left)
         rates = 2.0 * betas.real
         for s in range(1, spec.dim + 1):
             assert_within_ulps(loading_factors(spec, s, gamma).values,
@@ -467,7 +431,7 @@ def test_scale_free_spectra_agree_with_the_dense_formulas():
         for k in range(spec.dim):
             want = unit_gauge(right[:, k])
             got = spec.right_mode_unit(k + 1).amplitudes
-            assert np.abs(got * tied_peak_flips(got, want) - want).max() <= 1e-14, label
+            assert np.abs(aligned(got, want) - want).max() <= 1e-14, label
     assert routes == {"closed", "gauge"}
 
 
@@ -477,12 +441,10 @@ def test_normalized_modes_match_analytic_where_both_exist():
     betas, right, left = hn_normalized_modes(params)
     assert_allclose(betas, spec.betas.real, atol=1e-14)
     for k in range(10):
-        assert_allclose(right[:, k],
-                        unit_gauge(spec.right[:, k]).real,
-                        atol=1e-13)
-        assert_allclose(left[:, k],
-                        unit_gauge(spec.left[:, k]).real,
-                        atol=1e-13)
+        want_right = unit_gauge(spec.right[:, k]).real
+        want_left = unit_gauge(spec.left[:, k]).real
+        assert_allclose(aligned(right[:, k], want_right), want_right, atol=1e-13)
+        assert_allclose(aligned(left[:, k], want_left), want_left, atol=1e-13)
 
 
 def test_similarity_residual_small_in_range():

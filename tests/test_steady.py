@@ -554,6 +554,27 @@ def test_subnormal_correlator_is_an_error_not_a_result():
     assert not solve_lyapunov_direct(x, np.zeros((40, 40))).entries.any()
 
 
+def test_subnormal_complex_pump_solves_like_its_lifted_copy():
+    # numpy divides a complex Y by its real subnormal peak through the
+    # reciprocal, which overflowed: this Y, whose C peaks at 1.44e-307,
+    # was refused as overflowing with a RuntimeWarning
+    _, x, _ = hn_reference_system(40)
+    y = 1e-320 * (np.eye(40) + 0.1j * (np.eye(40, k=1) - np.eye(40, k=-1)))
+
+    def ldexp(z, k):
+        return np.ldexp(z.real, k) + 1j * np.ldexp(z.imag, k)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = solve_lyapunov_direct(x, y).entries
+        lifted = solve_lyapunov_direct(x, ldexp(y, 1070)).entries
+    assert np.abs(c).max() == pytest.approx(1.44e-307, rel=1e-3)
+    want = ldexp(lifted, -1070)
+    normal = np.abs(want) >= np.finfo(float).tiny
+    assert normal.any() and np.array_equal(np.abs(c) >= np.finfo(float).tiny, normal)
+    assert np.all(np.abs(c - want)[normal] <= 2 * EPS * np.abs(want)[normal])
+
+
 def test_banded_residual_peaks_below_four_and_a_half_n_squared_arrays():
     # it held 5.44 N^2 float64 arrays while uY was formed before the products
     _, x, y = hn_reference_system(200, pump_site=HN_REFERENCE["pump_site"])
