@@ -273,6 +273,7 @@ def cmd_ssh_profiles(cfg: dict) -> None:
         slow_mode_index=report.slow,
         edge_in_window_count=edge.in_window_count,
         edge_used_fallback=edge.used_fallback,
+        edge_tied_indices=edge.tied,
         occupation_floor=orbs.occupation_floor,
         resolved_count=orbs.resolved_count,
         dominant_indices=orbs.dominant_indices(),

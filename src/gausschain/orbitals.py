@@ -45,6 +45,12 @@ from .steady import EPS, DirectSolver, _unit_scale, solve_lyapunov_direct
 EDGE_WINDOW_FRACTION = 0.1
 EDGE_BOUNDARY_SITES = 2
 
+# Boundary weights within this fraction of the largest are one weight.  The
+# even and odd members of a mirror pair, such as the two-band edge pair,
+# agree to rounding (at most 3.2e-15 relative at 20 to 350 cells), and no
+# two modes of different boundary character come near 1e-8.
+_EDGE_TIE_RTOL = 1e-8
+
 UNIT_NORM_TOL = 1e-8
 
 # Largest stack of correlators, in float64 entries, that hn_source_scan
@@ -61,8 +67,8 @@ SCAN_CHUNK_ENTRIES = 2 ** 17
 _POWER_STEPS = 63
 _CHECK_EVERY = 3
 
-# Width of the first Rayleigh-Ritz block of natural_orbitals; it doubles
-# until the occupation certificate holds.
+# Width of the first Rayleigh-Ritz block of natural_orbitals; it grows by
+# half until the occupation certificate holds.
 _START_BLOCK = 32
 
 # c of the occupation floor (residual + c N EPS) nu_max.  A full eigh of a
@@ -164,8 +170,9 @@ def natural_orbitals(correlator) -> NaturalOrbitalSet:
     - no theta lies below -floor.
 
     Otherwise the block takes one subspace step (Q from C Q) and is tested
-    again; after that the width doubles, the new block being the stepped
-    C Q beside the next pivot columns.  A block as wide as C is the whole
+    again; after that the width grows by half, or by the columns still
+    missing when fewer remain, the new block being the stepped C Q beside
+    the next pivot columns.  A block as wide as C is the whole
     space, and C is then diagonalized by plain ``eigh``.  No random start
     is drawn, so identical inputs give identical bits.
     Kept are the pairs with |theta| above the floor, and always the top
@@ -199,8 +206,8 @@ def natural_orbitals(correlator) -> NaturalOrbitalSet:
                 return _orbital_set(theta[keep], v, floor, unit, width)
             if step == 0:
                 q = np.linalg.qr(cq)[0]
-        block = np.hstack([cq, c[:, order[width:2 * width]]])
-        width *= 2
+        block = np.hstack([cq, c[:, order[width:width + width // 2]]])
+        width += width // 2
     w, v = np.linalg.eigh(c)
     w, v = w[::-1], v[:, ::-1]
     floor = rounding * float(np.abs(w).max(initial=0.0))
@@ -283,12 +290,15 @@ class EdgeCandidate:
 
     ``in_window_count`` is how many eigenvalues fell inside the search
     window around kappa; when zero, the globally closest eigenvalue was
-    used instead (``used_fallback``).
+    used instead (``used_fallback``).  ``tied`` holds the 1-based indices
+    of the modes whose boundary weight ties the largest, ``index`` among
+    them; more than one means the pick was made by the tie rule.
     """
 
     index: int
     in_window_count: int
     used_fallback: bool
+    tied: tuple[int, ...]
 
 
 def identify_edge_candidate(spectrum: BiorthogonalSpectrum, kappa: float) -> EdgeCandidate:
@@ -299,6 +309,15 @@ def identify_edge_candidate(spectrum: BiorthogonalSpectrum, kappa: float) -> Edg
     right mode has the largest weight on the first or last
     :data:`EDGE_BOUNDARY_SITES` sites.  Always returns a candidate; an
     empty window falls back to the globally closest eigenvalue.
+
+    Weights within _EDGE_TIE_RTOL of the largest tie.  The two members of
+    the two-band edge pair always do: they are the even and odd
+    combinations of the two boundary states, with equal boundary weights
+    and equal pump loadings, and on long chains equal rates, all to
+    rounding, so rounding would pick one.  A tie goes to the most even
+    mode, the largest u . Ju with J the reversal, which is +1 for the even
+    member and -1 for the odd one of a mirror pair (spectral._mirror_eigh),
+    whatever the rates and the order of the two.
     """
     kappa = _check_finite_scalar("kappa", kappa)
     dist = np.abs(spectrum.betas - kappa)
@@ -309,7 +328,11 @@ def identify_edge_candidate(spectrum: BiorthogonalSpectrum, kappa: float) -> Edg
     profile = np.abs(_unit_columns(spectrum.u[:, pool], spectrum.log_d)) ** 2
     weight = np.maximum(profile[:EDGE_BOUNDARY_SITES].sum(axis=0),
                         profile[-EDGE_BOUNDARY_SITES:].sum(axis=0))
-    return EdgeCandidate(int(pool[np.argmax(weight)]) + 1, int(window.size), fallback)
+    tied = pool[weight >= (1.0 - _EDGE_TIE_RTOL) * weight.max()]
+    u = spectrum.u[:, tied]
+    pick = tied[np.argmax(np.einsum("ij,ij->j", u, u[::-1]))]
+    return EdgeCandidate(int(pick) + 1, int(window.size), fallback,
+                         tuple(int(k) + 1 for k in tied))
 
 
 @dataclass(frozen=True)

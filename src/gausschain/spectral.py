@@ -13,6 +13,11 @@ eigensolver returns pseudospectrum, and its modes are R = D U and
 L = D^-1 U with U real orthogonal.  On strongly nonreciprocal chains R
 and L carry exponentially opposite envelopes, so every spectrum holds
 them scale-free, as (betas, U, log d) (see :class:`BiorthogonalSpectrum`).
+Both chain models have uniform kappa and palindromic bonds, so H commutes
+with the reversal J and is solved as its even and odd mirror sectors
+(:func:`_mirror_eigh`): half the eigensolver's work, and modes that tie to
+rounding, such as the two-band edge pair on long chains, come out as their
+exact even and odd combinations.
 
 Mode indices, like site indices, are 1-based in the public interface.
 Modes are ordered by ascending beta (slowest first).
@@ -94,6 +99,7 @@ class BiorthogonalSpectrum:
 
     * :func:`hn_analytic_spectrum`: U = the sine basis, log d_j = j log r;
     * :func:`biorthogonal_decompose`: U = eigenvectors of H = D^-1 X D,
+      each even or odd under the reversal where H is mirror-symmetric,
       centred log d.
 
     Column signs of U are arbitrary, the eigensolver's or the sine basis's,
@@ -184,13 +190,14 @@ def _tridiagonal_bands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return bands
 
 
-def _gauge_symmetrize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Imaginary-gauge form (log d, H = D^-1 X D) of X, or None if X does not qualify.
+def _gauge_symmetrize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Imaginary-gauge form (log d, diag, off) of X, or None if X does not qualify.
 
     X qualifies when _tridiagonal_bands accepts it and X[j+1, j] X[j, j+1] > 0
-    for every j.  Then H is real symmetric with diagonal X_jj and off-diagonal
-    sign(X[j+1, j]) sqrt(X[j+1, j] X[j, j+1]).  The gauge exponents log d are
-    centred so that max + min = 0.
+    for every j.  Then H = D^-1 X D is real symmetric tridiagonal with
+    diagonal ``diag`` = X_jj and off-diagonal ``off`` = sign(X[j+1, j])
+    sqrt(X[j+1, j] X[j, j+1]).  The gauge exponents log d are centred so
+    that max + min = 0.
     """
     bands = _tridiagonal_bands(x)
     if bands is None or not np.all(np.sign(bands[1]) * np.sign(bands[2]) > 0):
@@ -199,28 +206,83 @@ def _gauge_symmetrize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     abs_sub, abs_sup = np.abs(sub), np.abs(sup)
     logd = np.concatenate(([0.0], np.cumsum(0.5 * (np.log(abs_sub) - np.log(abs_sup)))))
     logd -= 0.5 * (logd.max() + logd.min())
-    off = np.sign(sub) * np.sqrt(abs_sub) * np.sqrt(abs_sup)
-    h = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
-    return logd, h
+    return logd, diag, np.sign(sub) * np.sqrt(abs_sub) * np.sqrt(abs_sup)
+
+
+def _symmetric_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The dense symmetric matrix with diagonal ``diag`` and off-diagonal ``off``."""
+    return np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+
+
+def _mirror_eigh(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Ascending (rates, U) of the symmetric tridiagonal H = (diag, off) from its mirror
+    sectors, or None for one site or unless H commutes with the reversal J bit for bit.
+
+    A symmetric centrosymmetric H splits into an even and an odd sector
+    (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  Let A be H's
+    leading m x m block.  For order 2m with middle bond h the sectors are A
+    with h added to, and taken from, its last diagonal entry, and the
+    modes are (v, +-Jv) / sqrt 2.  For order 2m + 1 the even sector is the
+    leading (m + 1) x (m + 1) block with its last coupling times sqrt 2,
+    whose modes are (v / sqrt 2, c, Jv / sqrt 2), and the odd sector is A,
+    whose modes are (v, 0, -Jv) / sqrt 2.  Each sector is solved by
+    ``eigh`` and the modes are merged by ascending rate, the even member of
+    an exact tie first.  Every column is even or odd under J bit for bit,
+    so a pair that ties to rounding, as the two-band edge pair does on
+    long chains, comes out as its exact even and odd combinations.
+    """
+    n = diag.size
+    if n < 2 or not (np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])):
+        return None
+    m, odd = divmod(n, 2)
+    lead = _symmetric_tridiagonal(diag[:m + odd], off[:m + odd - 1])
+    if odd:
+        lead[m, m - 1] = lead[m - 1, m] = math.sqrt(2.0) * off[m - 1]
+        even, rest = lead, lead[:m, :m]
+    else:
+        even, rest = lead.copy(), lead
+        even[m - 1, m - 1] += off[m - 1]
+        rest[m - 1, m - 1] -= off[m - 1]
+    (w_even, v_even), (w_odd, v_odd) = np.linalg.eigh(even), np.linalg.eigh(rest)
+    rates = np.concatenate([w_even, w_odd])
+    order = np.argsort(rates, kind="stable")
+    column = np.argsort(order)  # where each sector mode lands
+    u = np.zeros((n, n))
+    for v, cols, sign in ((v_even, column[:m + odd], 1.0), (v_odd, column[m + odd:], -1.0)):
+        half = v[:m] * math.sqrt(0.5)
+        u[:m, cols] = half
+        half *= sign
+        u[n - m:, cols] = half[::-1]
+    if odd:
+        u[m, column[:m + 1]] = v_even[m]
+    return rates[order], u
 
 
 def biorthogonal_decompose(matrix) -> BiorthogonalSpectrum:
     """Biorthogonal eigendecomposition of a chain relaxation matrix.
 
     X must be real tridiagonal with X[j+1, j] X[j, j+1] > 0 for every j,
-    as both chain models are, reciprocal ones included: ``eigh`` of the
-    gauge-symmetrized H = D^-1 X D (_gauge_symmetrize) gives real rates,
-    and <L_m|R_n> = delta_mn holds to the orthogonality of U at any chain
-    length.  Any other X raises ParameterError naming that rule, and X
-    that is not square or not finite is refused by models.matrix_entries
-    (ParameterError).
+    as both chain models are, reciprocal ones included.  The
+    gauge-symmetrized H = D^-1 X D (_gauge_symmetrize) has real rates.
+    When H commutes with the reversal J bit for bit, as for both chain
+    models (uniform kappa, palindromic bonds), its even and odd mirror
+    sectors are solved apart (_mirror_eigh): half the eigensolver's work,
+    and a pair of modes that ties to rounding comes out as its exact
+    even and odd combinations, each a true eigenvector.  A chain whose H
+    is not mirror-symmetric takes ``eigh`` of H whole.  <L_m|R_n> = delta_mn holds to the
+    orthogonality of U at any chain length.  Any other X raises
+    ParameterError naming that rule, and X that is not square or not
+    finite is refused by models.matrix_entries (ParameterError).
     """
     gauge = _gauge_symmetrize(matrix_entries(matrix, "relaxation matrix"))
     if gauge is None:
         raise ParameterError("relaxation matrix is not a chain: biorthogonal_decompose takes "
                              "real tridiagonal X with X[j+1, j] X[j, j+1] > 0 on every bond")
-    logd, h = gauge
-    return BiorthogonalSpectrum(*np.linalg.eigh(h), logd)
+    logd, diag, off = gauge
+    modes = _mirror_eigh(diag, off)
+    if modes is None:
+        modes = np.linalg.eigh(_symmetric_tridiagonal(diag, off))
+    return BiorthogonalSpectrum(*modes, logd)
 
 
 def _hn_log_ratio(params: HatanoNelsonParams) -> float:

@@ -141,12 +141,7 @@ def tridiagonal_steady_mp(x, s, dps=60):
         log_d = [mpmath.mpf(0)]
         for j in range(n - 1):
             log_d.append(log_d[-1] + mpmath.log(mpmath.mpf(x[j + 1, j]) / x[j, j + 1]) / 2)
-        h = mpmath.matrix(n)
-        for j in range(n):
-            h[j, j] = x[j, j]
-            if j + 1 < n:
-                h[j, j + 1] = h[j + 1, j] = -mpmath.sqrt(mpmath.mpf(x[j + 1, j]) * x[j, j + 1])
-        betas, vecs = mpmath.eigsy(h)
+        betas, vecs = mpmath.eigsy(gauge_h_mp(x))
         phi = [[vecs[j, m] for m in range(n)] for j in range(n)]
         envelope = [mpmath.exp(log_d[j] - log_d[s - 1]) for j in range(n)]
         return _mp_mode_sum(phi, list(betas), s, envelope)
@@ -296,16 +291,48 @@ def loading_reference(spectrum, site, strength):
 # the largest |R| entry.  Rounding-level references for the scale-free
 # representation; the helpers they import did not change with it.
 
-def _gauge_columns(m):
-    """Copy of m with each (nonzero) column's largest-|entry| rotated real positive."""
-    peaks = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
-    return m * (peaks.conjugate() / np.hypot(peaks.real, peaks.imag))[None, :]
-
-
 def _sign_gauge_pair(r, l):
     peaks = r[np.argmax(np.abs(r), axis=0), np.arange(r.shape[1])]
     signs = np.where(peaks.real >= 0, 1.0, -1.0)[None, :]
     return r * signs, l * signs
+
+
+def even_edge_mode_mp(x, near, dps):
+    """Unit even combination (v, Jv) / |(v, Jv)| of the edge pair of a mirror-symmetric
+    chain X of even order with negative bonds, at g = 0 (so D = I), as float64.
+
+    v is the eigenvector of the even sector, H's leading half with the middle
+    bond added to its last diagonal entry, whose rate is nearest ``near``: the
+    secant method from ``near`` finds the zero of the last row of the
+    three-term recurrence, which then gives v.
+    The recurrence carries the growing solution along, so ``dps`` must cover
+    its growth over the half chain; the mode is returned only if it is an
+    eigenvector of the whole H to 30 digits.
+    """
+    m = np.asarray(x).shape[0] // 2
+    with mpmath.workdps(dps):
+        h = gauge_h_mp(x)
+        diag = [h[j, j] for j in range(m)]
+        off = [h[j, j + 1] for j in range(m)]
+        diag[-1] += off[-1]
+
+        def recurrence(rate):
+            v = [mpmath.mpf(1), (rate - diag[0]) / off[0]]
+            for j in range(1, m - 1):
+                v.append(((rate - diag[j]) * v[j] - off[j - 1] * v[j - 1]) / off[j])
+            return v
+
+        def last_row(rate):
+            v = recurrence(rate)
+            return (rate - diag[-1]) * v[-1] - off[m - 2] * v[-2]
+
+        rate = mpmath.findroot(last_row, mpmath.mpf(near), verify=False)
+        v = recurrence(rate)
+        norm = mpmath.sqrt(2 * mpmath.fsum(a * a for a in v))
+        full = [a / norm for a in v + v[::-1]]
+        residual = h * mpmath.matrix(full) - rate * mpmath.matrix(full)
+        assert mpmath.mnorm(residual, "inf") < mpmath.mpf(10) ** -30
+        return np.array([float(a) for a in full])
 
 
 def dense_hn_spectrum_reference(params):
@@ -345,21 +372,28 @@ def sorted_order(betas):
     return order
 
 
-def dense_decompose_reference(x):
-    """(betas, R, L) of a chain X by the gauge route with dense R and L, or of any
-    other X by ``eig``: sorted by sorted_order, L = R^-dag."""
-    from gausschain.spectral import _gauge_symmetrize
+def gauge_eigh_reference(x):
+    """BiorthogonalSpectrum of a chain X by ``eigh`` of the whole gauge-symmetrized
+    H = D^-1 X D, the route every chain took before the mirror sectors and the one
+    a chain that is not mirror-symmetric still takes."""
+    from gausschain.spectral import BiorthogonalSpectrum, _gauge_symmetrize
 
-    x = np.asarray(x)
-    gauge = _gauge_symmetrize(x)
-    if gauge is not None:
-        w, u = np.linalg.eigh(gauge[1])
-        d = np.exp(gauge[0])[:, None]
-        return (w,) + _sign_gauge_pair(d * u, u / d)
-    betas, r = np.linalg.eig(x)
-    order = sorted_order(betas)
-    r = _gauge_columns(r[:, order])
-    return betas[order], r, np.linalg.inv(r).conj().T
+    log_d, diag, off = _gauge_symmetrize(np.asarray(x))
+    h = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+    return BiorthogonalSpectrum(*np.linalg.eigh(h), log_d)
+
+
+def gauge_h_mp(x):
+    """The gauge-symmetrized H = D^-1 X D of a real chain X with negative bonds, as both
+    chain models have, as an mpmath matrix at the working precision: diagonal X_jj,
+    off-diagonal -sqrt(X[j+1, j] X[j, j+1])."""
+    x = np.asarray(x).real
+    h = mpmath.matrix(x.shape[0])
+    for j in range(x.shape[0]):
+        h[j, j] = x[j, j]
+        if j + 1 < x.shape[0]:
+            h[j, j + 1] = h[j + 1, j] = -mpmath.sqrt(mpmath.mpf(x[j + 1, j]) * x[j, j + 1])
+    return h
 
 
 # The chain layer as first written, before X, the local jumps and the

@@ -20,14 +20,14 @@ from gausschain import (BiorthogonalSpectrum, EnvelopeOverflowError, HatanoNelso
                         identify_slow_mode, loading_factors, natural_orbitals,
                         normalized_density, overlap, single_mode_approximation,
                         slow_mode_position, solve_lyapunov_direct, solve_lyapunov_spectral,
-                        ssh_crossover_scan)
+                        ssh_crossover_scan, ssh_index)
 from gausschain import orbitals
 from gausschain.orbitals import (SCAN_CHUNK_ENTRIES, EdgeCandidate, _top_occupations, density,
                                  profile_rows)
 from gausschain.spectral import _pump_loadings
 from gausschain.steady import EPS, DirectSolver
-from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, crossover_grid, loading_reference,
-                            unit_gauge)
+from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, crossover_grid, even_edge_mode_mp,
+                            loading_reference, unit_gauge)
 
 SSH_PUMP = (SSH_REFERENCE["pump_cell"], SSH_REFERENCE["pump_sublattice"],
             SSH_REFERENCE["pump_strength"])
@@ -246,8 +246,55 @@ def test_edge_candidate_single_mode():
     # zero diameter wide, so the lone rate is in it only at kappa = beta and
     # is the fallback anywhere else
     spec = biorthogonal_decompose(np.array([[1.5]]))
-    assert identify_edge_candidate(spec, 1.5) == EdgeCandidate(1, 1, False)
-    assert identify_edge_candidate(spec, 0.7) == EdgeCandidate(1, 0, True)
+    assert identify_edge_candidate(spec, 1.5) == EdgeCandidate(1, 1, False, (1,))
+    assert identify_edge_candidate(spec, 0.7) == EdgeCandidate(1, 0, True, (1,))
+
+
+@pytest.mark.parametrize("n_cells", [100, 200, 350])
+def test_reciprocal_edge_overlap_is_that_of_the_even_combination(n_cells):
+    # From 100 cells the edge pair ties to rounding.  eigh of the whole H
+    # returned the two decoupled boundary states and rounding picked the one
+    # at the pump, whose overlap is twice the even combination's: O_edge read
+    # 0.616845 here against 0.308423 at 20 and 50 cells.
+    params = SshParams(n_cells, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"], 0.0,
+                       SSH_REFERENCE["kappa"])
+    site = ssh_index(SSH_REFERENCE["pump_cell"], SSH_REFERENCE["pump_sublattice"], n_cells)
+    spec, _, report = orbitals._pumped_chain(params, site, SSH_REFERENCE["pump_strength"])
+    assert len(report.edge.tied) == 2 and report.edge.index in report.edge.tied
+    # the even mode in mpmath, at the digits the recurrence's growth 2^n_cells needs
+    even = even_edge_mode_mp(build_ssh(params).entries, params.kappa,
+                             40 + math.ceil(n_cells * math.log10(2.0)))
+    top = report.orbitals.top_orbital().amplitudes.real
+    with mpmath.workdps(30):
+        truth = float(mpmath.fdot([mpmath.mpf(a) for a in top], [mpmath.mpf(b) for b in even]) ** 2)
+    assert abs(report.overlaps["edge"] - truth) <= 1e-12
+    assert report.overlaps["edge"] == pytest.approx(0.3084226, abs=1e-7)
+
+
+@pytest.mark.parametrize("n_cells,g", [(20, SSH_REFERENCE["g_bulk"]), (100, 0.0), (100, 0.5)])
+def test_edge_pick_is_blind_to_the_order_and_last_bits_of_the_tied_rates(n_cells, g):
+    params = SshParams(n_cells, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"], g,
+                       SSH_REFERENCE["kappa"])
+    spec = biorthogonal_decompose(build_ssh(params))
+    edge = identify_edge_candidate(spec, params.kappa)
+    assert len(edge.tied) == 2
+    mode = spec.right_mode_unit(edge.index).amplitudes
+    first, second = (k - 1 for k in edge.tied)
+    # the pick is the even member, u = Ju
+    assert np.array_equal(spec.u[:, edge.index - 1], spec.u[::-1, edge.index - 1])
+    for moves in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        betas = spec.betas.copy()
+        for k, move in zip((first, second), moves):
+            betas[k] = np.nextafter(betas[k], move * np.inf)
+        nudged = BiorthogonalSpectrum(betas, spec.u, spec.log_d)
+        assert identify_edge_candidate(nudged, params.kappa) == edge
+        # with the two members in the other order, the pick follows the even one
+        swap = np.arange(spec.dim)
+        swap[[first, second]] = swap[[second, first]]
+        swapped = BiorthogonalSpectrum(betas[swap], spec.u[:, swap], spec.log_d)
+        pick = identify_edge_candidate(swapped, params.kappa)
+        assert pick.index - 1 == swap[edge.index - 1] and pick.tied == edge.tied
+        assert np.array_equal(swapped.right_mode_unit(pick.index).amplitudes, mode)
 
 
 def test_source_scan_reference_grid_agrees_with_loading_shape(golden):
@@ -723,7 +770,7 @@ def test_long_lattice_resolved_pairs_match_full_eigh(n_sites):
         assert np.all(orbs.occupations > orbs.occupation_floor)
         assert_matches_full_eigh(orbs, np.asarray(corr.entries))
         widths.add(orbs.block_width)
-    assert widths == {32, 64}  # the lattice takes the partial solve at both widths
+    assert widths == {32, 48}  # the lattice takes the partial solve at both widths
 
 
 def test_full_rank_correlator_grows_the_block_to_every_pair():
@@ -733,7 +780,7 @@ def test_full_rank_correlator_grows_the_block_to_every_pair():
     orbs = natural_orbitals(c)
     assert orbs.resolved_count == orbs.block_width == 12
     assert_matches_full_eigh(orbs, np.asarray(c.entries))
-    # a dense random PSD matrix: 32 -> 64 -> 128 columns, so all of C
+    # a dense random PSD matrix: 32 -> 48 -> 72 -> 108 columns, so all of C
     rng = np.random.default_rng(5)
     a = rng.standard_normal((100, 100))
     orbs = natural_orbitals(a @ a.T)
@@ -746,7 +793,7 @@ def test_block_grows_until_the_trace_is_accounted_for():
     # zero residual; only the trace test sees the 8 occupations outside them.
     c = np.diag(np.concatenate([np.linspace(1.0, 0.5, 40), np.zeros(60)]))
     orbs = natural_orbitals(c)
-    assert orbs.block_width == 64 and orbs.resolved_count == 40
+    assert orbs.block_width == 48 and orbs.resolved_count == 40
     assert_allclose(orbs.occupations, np.linspace(1.0, 0.5, 40), rtol=0, atol=1e-15)
 
 

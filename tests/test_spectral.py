@@ -17,9 +17,9 @@ from gausschain import (EnvelopeOverflowError,
                         slow_mode_position, ssh_edge_envelopes)
 from gausschain.orbitals import (identify_edge_candidate, identify_slow_mode,
                                  loading_factors)
-from gausschain.spectral import _gauge_symmetrize
+from gausschain.spectral import _gauge_symmetrize, _mirror_eigh
 from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, crossover_grid,
-                            dense_decompose_reference, dense_hn_spectrum_reference,
+                            dense_hn_spectrum_reference, gauge_eigh_reference, gauge_h_mp,
                             hn_closed_form_betas, similarity_residual_reference, sorted_order,
                             unit_gauge)
 
@@ -118,23 +118,22 @@ def test_long_two_band_chain_takes_the_gauge_route(g):
     spec = biorthogonal_decompose(x)
     assert np.all(spec.betas.imag == 0.0)
     assert np.abs(spec.left.conj().T @ spec.right - np.eye(spec.dim)).max() <= 1e-12
-    resid = eigenpair_residuals(x, spec)
-    # The two edge modes are split by about (t1/t2)^100, far below rounding,
-    # so eigh returns them with equal rates as the two decoupled boundary
-    # states.  D times the one D amplifies more is the right mode to
-    # rounding; D times the other is no eigenvector of X, because D
-    # magnifies the far-end part that a pure boundary state lacks.  Every
-    # other mode, and the edge candidate the diagnostics use, meets the
-    # residual bound.
+    # The two edge modes are split by about (t1/t2)^100, far below rounding.
+    # eigh of the whole H returned them as the two decoupled boundary states,
+    # and D times one of them was no eigenvector of X (residual 0.31-0.37).
+    # The mirror sectors return their exact even and odd combinations, one
+    # per sector, so every mode meets the bound.
+    assert eigenpair_residuals(x, spec).max() <= 1e-8
     rates = spec.betas.real
     tied = np.flatnonzero(np.diff(rates) <= 4 * EPS * np.abs(rates).max())
     assert tied.size == 1
     pair = [int(tied[0]), int(tied[0]) + 1]
     assert_allclose(rates[pair], SSH_REFERENCE["kappa"], rtol=0, atol=1e-13)
-    assert np.delete(resid, pair).max() <= 1e-8
+    parity = np.sum(spec.u[:, pair] * spec.u[::-1, pair], axis=0)
+    assert sorted(parity.round(12)) == [-1.0, 1.0]
     edge = identify_edge_candidate(spec, SSH_REFERENCE["kappa"])
-    assert edge.index - 1 in pair
-    assert resid[edge.index - 1] <= 1e-8
+    assert sorted(edge.tied) == [k + 1 for k in pair]
+    assert parity[pair.index(edge.index - 1)] > 0  # the even member
 
 
 def test_every_same_sign_chain_takes_the_gauge_route():
@@ -145,26 +144,52 @@ def test_every_same_sign_chain_takes_the_gauge_route():
     assert 0 < abs(grid[11]) < 1e-15
     for g in list(grid) + [0.0]:
         x = np.asarray(build_ssh(ssh_params(SSH_REFERENCE["n_cells"], g)).entries)
-        log_d, h = _gauge_symmetrize(x)
+        log_d = _gauge_symmetrize(x)[0]
         spec = biorthogonal_decompose(x)
-        assert np.array_equal(spec.betas, np.linalg.eigh(h)[0]), g
+        # the mirror sectors' rates hold to a few ulps of the largest against
+        # eigh of the whole H
+        reference = gauge_eigh_reference(x).betas
+        assert np.abs(spec.betas - reference).max() <= 8 * EPS * np.abs(reference).max(), g
         assert np.array_equal(spec.log_d, log_d)
         assert spec.log10_condition == (log_d.max() - log_d.min()) / math.log(10.0)
         if g == 0.0:
             assert spec.log10_condition == 0.0  # U is orthogonal and D = I
-    # the rates hold to a few ulps of the largest against 40-digit mpmath
+    # and against 40-digit mpmath
     for g in (grid[11], 0.0):
         x = np.asarray(build_ssh(ssh_params(SSH_REFERENCE["n_cells"], g)).entries).real
         with mpmath.workdps(40):
-            h = mpmath.matrix(x.shape[0])
-            for j in range(x.shape[0]):
-                h[j, j] = x[j, j]
-                if j + 1 < x.shape[0]:
-                    h[j, j + 1] = h[j + 1, j] = -mpmath.sqrt(
-                        mpmath.mpf(x[j + 1, j]) * x[j, j + 1])
-            truth = np.array(sorted(float(b) for b in mpmath.eigsy(h, eigvals_only=True)))
+            truth = np.array(sorted(float(b) for b in mpmath.eigsy(gauge_h_mp(x),
+                                                                    eigvals_only=True)))
         rates = biorthogonal_decompose(x).betas.real
         assert np.abs(rates - truth).max() <= 8 * EPS * np.abs(truth).max()
+
+
+def short_chains():
+    """X of the chains of one to four sites, both models, by label."""
+    chains = {f"hn {n}": build_hatano_nelson(hn_params(n)) for n in (1, 2, 3, 4)}
+    chains["hn reciprocal 3"] = build_hatano_nelson(HatanoNelsonParams(3, 0.6, 0.6, 2.0))
+    chains.update({f"ssh {cells} g={g}": build_ssh(ssh_params(cells, g))
+                   for cells in (1, 2) for g in (SSH_REFERENCE["g_edge"], 0.0)})
+    return {label: np.asarray(x.entries) for label, x in chains.items()}
+
+
+@pytest.mark.parametrize("label", list(short_chains()))
+def test_short_chains_match_mpmath(label):
+    # the oracle decomposes 2 to 4 sites; one site is the eigh of a 1 x 1 H,
+    # odd orders have a middle site of their own, even orders a middle bond
+    x = short_chains()[label]
+    n = x.shape[0]
+    assert (_mirror_eigh(*_gauge_symmetrize(x)[1:]) is None) == (n == 1)
+    spec = biorthogonal_decompose(x)
+    with mpmath.workdps(40):
+        rates, modes = mpmath.eigsy(gauge_h_mp(x))
+        truth = np.array([float(b) for b in rates])
+        u = np.array(modes.tolist(), dtype=float)
+    order = np.argsort(truth)
+    truth, u = truth[order], u[:, order]
+    assert np.abs(spec.betas - truth).max() <= 8 * EPS * np.abs(truth).max()
+    assert np.abs(aligned(spec.u, u) - u).max() <= 8 * EPS
+    assert eigenpair_residuals(x, spec).max() <= 8 * EPS
 
 
 @pytest.mark.parametrize("n_sites", [2, 6, 12])
@@ -384,17 +409,27 @@ def test_long_chain_loadings_are_finite(long_spectra):
 
 
 def rounding_cases():
-    """(label, spectrum, dense reference) over the closed form and the chain route, 4 to 40 sites."""
+    """(label, spectrum, reference rates, dense (R, L)) over the closed form and the chain
+    route, 4 to 40 sites.
+
+    The closed form's references are its dense formulas.  The chain route's
+    rates are eigh's of the whole H, and its dense R = D U and L = U / D are
+    formed from its own (U, log d): eigh gives U only to eps ||H|| over each
+    mode's gap, which the 11-cell edge pair (gap 5e-4) makes 1800 ulps.
+    """
     for n, cells in ((4, 2), (9, 5), (21, 11), (40, 20)):
         params = hn_params(n)
-        yield f"closed {n}", hn_analytic_spectrum(params), dense_hn_spectrum_reference(params)
+        betas, right, left = dense_hn_spectrum_reference(params)
+        yield f"closed {n}", hn_analytic_spectrum(params), betas, (right, left)
         chains = {f"hn {n}": build_hatano_nelson(params),
                   f"hn reciprocal {n}": build_hatano_nelson(HatanoNelsonParams(n, 0.6, 0.6, 2.0))}
         chains.update({f"ssh {cells} g={g}": build_ssh(ssh_params(cells, g))
                        for g in (SSH_REFERENCE["g_edge"], 0.0, SSH_REFERENCE["g_bulk"])})
         for label, x in chains.items():
             x = np.asarray(x.entries)
-            yield label, biorthogonal_decompose(x), dense_decompose_reference(x)
+            spec = biorthogonal_decompose(x)
+            d = np.exp(spec.log_d)[:, None]
+            yield label, spec, gauge_eigh_reference(x).betas, (d * spec.u, spec.u / d)
 
 
 def assert_within_ulps(got, want, ulps=4):
@@ -418,13 +453,16 @@ def aligned(got, want):
 def test_scale_free_spectra_agree_with_the_dense_formulas():
     gamma = HN_REFERENCE["pump_strength"]
     routes = set()
-    for label, spec, (betas, right, left) in rounding_cases():
+    for label, spec, betas, (right, left) in rounding_cases():
         routes.add("closed" if label.startswith("closed") else "gauge")
-        assert np.array_equal(spec.betas, betas), label
+        if label.startswith("closed"):
+            assert np.array_equal(spec.betas, betas), label
+        else:
+            assert np.abs(spec.betas - betas).max() <= 8 * EPS * np.abs(betas).max(), label
         assert_within_ulps(aligned(spec.right, right), right)
         # each L column has the sign of its R partner
         assert_within_ulps(aligned(spec.left, right), left)
-        rates = 2.0 * betas.real
+        rates = 2.0 * spec.betas
         for s in range(1, spec.dim + 1):
             assert_within_ulps(loading_factors(spec, s, gamma).values,
                                gamma * np.abs(left[s - 1]) ** 2 / rates)
