@@ -59,10 +59,6 @@ class ModeVector:
             raise ParameterError(f"unknown normalization {self.normalization!r}")
         object.__setattr__(self, "amplitudes", _frozen_array(v))
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
 
 def _unit_columns(m: np.ndarray, log_d: np.ndarray) -> np.ndarray:
     """Unit-norm columns of diag(exp(log d)) m, signs as in m.  Only ratios to the peak,

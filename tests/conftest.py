@@ -18,7 +18,7 @@ import pytest
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
-from gausschain import DensityMatrix, SshParams
+from gausschain import DensityMatrix, HatanoNelsonParams, SshParams, build_hatano_nelson
 from gausschain.errors import ParameterError, SolveError
 from gausschain.manybody import operator_set
 from gausschain.models import _hermitian, matrix_entries
@@ -487,6 +487,16 @@ def unit_gauge(v):
     v = v / float(np.linalg.norm(v))
     pivot = v[int(np.argmax(np.abs(v)))]
     return v * (pivot / abs(pivot)).conjugate()
+
+
+def motivation_pair():
+    """(X, Y) of the 6-site chain (t_left 0.17, kappa 1.3) with a dense positive definite
+    pump Y of peak 1.2e5, 0.4 ulp of its peak away from Hermitian."""
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((6, 6))
+    d = np.diag(rng.uniform(1, 2, 6))
+    x = build_hatano_nelson(HatanoNelsonParams(6, 1.0, 0.17, 1.3))
+    return matrix_entries(x), (1e4 * m @ d) @ m.T
 
 
 def read_bytes(path):

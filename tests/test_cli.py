@@ -12,9 +12,10 @@ import pytest
 
 from gausschain import __version__, orbitals
 from gausschain.cli import COMMAND_DEFAULTS, _peak_site, main
+from gausschain.manybody import MAX_ORACLE_SITES
 from gausschain.matio import write_matrix
 from gausschain.models import (HatanoNelsonParams, SshParams, build_hatano_nelson,
-                               build_local_pump, matrix_entries)
+                               build_local_pump, default_labels, matrix_entries)
 from gausschain.orbitals import hn_source_scan, ssh_crossover_scan
 from gausschain.steady import solve_lyapunov_direct
 from tests.conftest import read_bytes
@@ -191,7 +192,8 @@ class TestHnCommands:
     @pytest.mark.parametrize("argv, n_sites", [(["hn-profiles"], 40), (["hn-occupations"], 40),
                                                (["hn-occupations", "--n-sites", "200"], 200),
                                                (["ssh-profiles"], 40),
-                                               (["ssh-profiles", "--n-cells", "100"], 200)])
+                                               (["ssh-profiles", "--n-cells", "100"], 200),
+                                               (["hn-profiles", "--n-sites", "200"], 200)])
     def test_only_resolved_occupations_reach_the_outputs(self, tmp_path, argv, n_sites):
         # occupations at or below the floor are rounding noise (at the
         # 40-site reference 12 of them came out negative) and are not written
@@ -218,16 +220,19 @@ class TestHnCommands:
             assert summary["trace"] == pytest.approx(float(np.trace(c.entries)), rel=1e-15)
             assert summary["trace"] - sum(summary["occupations"]) > 0
 
-    def test_source_scan_covers_every_site_by_default(self, tmp_path):
+    # a 200-site scan solves its pumps in 67 stacks of at most 3
+    @pytest.mark.parametrize("n_sites", [10, 200])
+    def test_source_scan_covers_every_site_by_default(self, tmp_path, n_sites):
         out = str(tmp_path / "scan")
-        assert main(["hn-source-scan", "--n-sites", "10", "--out", out]) == 0
+        assert main(["hn-source-scan", "--n-sites", str(n_sites), "--out", out]) == 0
         rows = data_lines(out + "/hn-source-scan.csv")
         assert rows[0] == "s,nu_max,A1,nu_max_norm,A1_norm"
-        assert len(rows) == 1 + 10
-        assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(1, 11))
+        assert len(rows) == 1 + n_sites
+        assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(1, n_sites + 1))
+        assert all(0 < float(r.split(",")[1]) < math.inf for r in rows[1:])
 
         summary = read_summary(out + "/hn-source-scan.json")
-        assert summary["n_points"] == 10
+        assert summary["n_points"] == n_sites
         # the analytic loading and the measured occupation rank sites alike
         assert summary["occupation_argmax_site"] == summary["loading_argmax_site"]
 
@@ -310,6 +315,15 @@ class TestSshCommands:
         assert summary["edge_mode_index"] == edge_index
         assert summary["slow_mode_index"] == slow_index
 
+    def test_reciprocal_edge_pair_is_reported_as_a_tie(self, tmp_path):
+        # from 100 cells the g = 0 edge pair ties to rounding: O_edge is the
+        # even combination's 0.308423, not the 0.616845 of one boundary state
+        assert main(["ssh-profiles", "--n-cells", "100", "--g=0", "--out", str(tmp_path)]) == 0
+        summary = read_summary(str(tmp_path / "ssh-profiles.json"))
+        assert round(summary["overlap_edge"], 6) == 0.308423
+        assert len(summary["edge_tied_indices"]) == 2
+        assert summary["edge_mode_index"] in summary["edge_tied_indices"]
+
     def test_crossover_grid_and_summary(self, tmp_path):
         out = str(tmp_path / "cross")
         assert main(["ssh-crossover", "--n-cells", "6", "--g-min", "-0.3",
@@ -326,9 +340,18 @@ class TestSshCommands:
         for lo, hi in summary["crossings"]:
             assert -0.3 <= lo < hi <= 0.3
 
-    def test_empty_grid_is_rejected(self, tmp_path):
-        assert main(["ssh-crossover", "--g-points", "0",
-                     "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("flags, err", [
+        (["--g-points", "0"], "g_points must be a positive integer, got 0\n"),
+        # kappa 0.1 is unstable at every g of the grid
+        (["--kappa", "0.1", "--g-points", "3"],
+         "every crossover scan point failed; first: StabilityError: relaxation matrix is not "
+         "strictly stable: pivot 2 of its unpivoted LU factorization is -2.400000e+00 <= 0\n"),
+    ], ids=["empty grid", "every point fails"])
+    def test_a_scan_with_no_point_exits_2(self, tmp_path, capsys, flags, err):
+        out = tmp_path / "out"
+        assert main(["ssh-crossover", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: ParameterError: " + err
+        assert not out.exists()
 
     def test_a_g_past_the_double_range_exits_2_naming_g(self, tmp_path, capsys):
         # math.exp(1000) once leaked OverflowError, a traceback and exit 1
@@ -352,14 +375,16 @@ class TestSshCommands:
 class TestConfigResolution:
 
     def test_config_file_applies_and_flags_win(self, tmp_path):
+        # a whole-number float is taken for an int key, and echoed as one
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"n_sites": 6, "kappa": 1.2}))
+        config.write_text(json.dumps({"n_sites": 6, "kappa": 1.2, "pump_site": 2.0}))
         out = str(tmp_path / "run")
         assert main(["hn-occupations", "--config", str(config), "--n-sites", "8",
-                     "--pump-site", "2", "--out", out]) == 0
+                     "--out", out]) == 0
         echoed = read_summary(out + "/hn-occupations.json")["config"]
         assert echoed["n_sites"] == 8
         assert echoed["kappa"] == 1.2
+        assert type(echoed["pump_site"]) is int and echoed["pump_site"] == 2
         assert set(echoed) == {"command", "out"} | set(COMMAND_DEFAULTS["hn-occupations"])
 
     def test_unknown_config_key_is_an_error(self, tmp_path, capsys):
@@ -371,10 +396,12 @@ class TestConfigResolution:
 
     def test_wrong_config_value_type_is_an_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"n_sites": "forty"}))
-        assert main(["hn-occupations", "--config", str(config),
-                     "--out", str(tmp_path)]) == 2
-        assert "must be of type int" in capsys.readouterr().err
+        for payload, message in (({"n_sites": "forty"}, "must be of type int"),
+                                 ([{"n_sites": 6}], "must hold a JSON object")):
+            config.write_text(json.dumps(payload))
+            assert main(["hn-occupations", "--config", str(config),
+                         "--out", str(tmp_path)]) == 2
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("threads", 2), ("solver", "spectral"),
                                             ("seed", 7)])
@@ -634,10 +661,14 @@ class TestInverseDesignCommand:
                      "--kappa", "1.21999999649", "--out", str(tmp_path)]) == 3
         assert "(need 2 kappa - gamma >= 2.34, have 2.33999999)" in capsys.readouterr().err
 
-    def test_custom_file_model_requires_matrix_files(self, tmp_path, capsys):
-        assert main(["inverse-design", "--model", "custom-file",
-                     "--out", str(tmp_path)]) == 2
-        assert "x_file" in capsys.readouterr().err
+    @pytest.mark.parametrize("model, err", [
+        ("custom-file", "model custom-file requires x_file and y_file"),
+        ("foo", "model must be hn, ssh, or custom-file, got 'foo'")], ids=["custom-file", "foo"])
+    def test_model_without_its_inputs_exits_2_naming_them(self, tmp_path, capsys, model, err):
+        out = tmp_path / "out"
+        assert main(["inverse-design", "--model", model, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: ParameterError: {err}\n"
+        assert not out.exists()
 
     def test_custom_file_size_mismatch_names_both_shapes(self, tmp_path, capsys):
         x_file, y_file = write_mismatched_pair(tmp_path)
@@ -742,19 +773,24 @@ class TestValidateCommand:
         assert by_name["relaxation_stable"]["value"] == pytest.approx(root, rel=0, abs=1e-12)
         assert by_name["steady_residual"]["value"] <= 1e-15
 
-    @pytest.mark.parametrize("dense", [False, True])
-    def test_subnormal_pump_reports_every_check(self, tmp_path, dense):
+    @pytest.mark.parametrize("case", ["chain", "dense", "complex"])
+    def test_subnormal_pump_reports_every_check(self, tmp_path, case):
         # Y = 1e-320 I: 1 / nu_max overflowed, and validate exited 2 on the
-        # NaN of inf * 0, after a numpy RuntimeWarning for the dense X.  Its
-        # C peaks below the smallest normal double, so the steady check
-        # fails naming the underflow, after the two checks that need no C.
-        x = matrix_entries(build_hatano_nelson(HatanoNelsonParams(6, 1.0, 0.17, 1.3))).copy()
-        if dense:
+        # NaN of inf * 0, after a numpy RuntimeWarning for the dense X.  The
+        # complex 12-site pump overflowed in the division by its subnormal
+        # peak.  Each C peaks below the smallest normal double, so the steady
+        # check fails naming the underflow, after the two checks that need no C.
+        n_sites = 12 if case == "complex" else 6
+        x = matrix_entries(build_hatano_nelson(HatanoNelsonParams(n_sites, 1.0, 0.17,
+                                                                  1.3))).copy()
+        if case == "dense":
             x[0, 3], x[4, 1] = 0.05, -0.03
+        hop = np.eye(n_sites, k=1) - np.eye(n_sites, k=-1)
+        y = 1e-320 * (np.eye(n_sites) + (0.1j * hop if case == "complex" else 0.0))
         x_file, y_file = str(tmp_path / "x.json"), str(tmp_path / "y.json")
-        labels = tuple(str(j) for j in range(1, 7))
+        labels = default_labels(n_sites)
         write_matrix(x_file, x, labels)
-        write_matrix(y_file, 1e-320 * np.eye(6), labels)
+        write_matrix(y_file, y, labels)
         out = str(tmp_path / "out")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -879,17 +915,28 @@ class TestValidateCommand:
 
 class TestOracleCheckCommand:
 
-    @pytest.mark.parametrize("n_sites", ["2", "4", "5"])
+    # the default grid, t in [0, 10] every 0.1; 6 sites is the widest
+    # charge block, 924 wide
+    @pytest.mark.parametrize("n_sites", range(2, MAX_ORACLE_SITES + 1))
     def test_chain_agrees_with_the_oracle(self, tmp_path, capsys, n_sites):
         out = str(tmp_path / "oracle")
-        assert main(["oracle-check", "--n-sites", n_sites, "--t-final", "2.0",
-                     "--stride", "100", "--out", out]) == 0
+        assert main(["oracle-check", "--n-sites", str(n_sites), "--out", out]) == 0
         summary = read_summary(out + "/oracle-check.json")
         assert summary["passed"] is True
         assert summary["max_trajectory_deviation"] <= summary["trajectory_limit"]
         assert summary["steady_state_deviation"] <= summary["steady_limit"]
         assert summary["max_trace_drift"] <= 1e-10
         assert "oracle-check:" in capsys.readouterr().out
+
+    def test_a_disagreement_exits_1_after_writing_the_verdict(self, tmp_path, capsys,
+                                                              monkeypatch):
+        monkeypatch.setattr("gausschain.cli.ORACLE_STEADY_LIMIT", 0.0)
+        out = str(tmp_path / "oracle")
+        assert main(["oracle-check", "--n-sites", "2", "--t-final", "1.0", "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(
+            "validation failure: oracle disagrees with the correlator stack: trajectory ")
+        summary = read_summary(out + "/oracle-check.json")
+        assert summary["passed"] is False and summary["steady_limit"] == 0.0
 
     def test_seven_sites_exit_2_on_the_cap(self, tmp_path, capsys):
         out = tmp_path / "oracle"

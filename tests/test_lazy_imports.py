@@ -19,6 +19,7 @@ import gausschain
 from gausschain.matio import write_matrix
 from gausschain.models import (HatanoNelsonParams, build_hatano_nelson, build_local_pump,
                                matrix_entries)
+from tests.conftest import motivation_pair
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -143,12 +144,14 @@ def test_star_import_binds_every_public_name():
 
 @pytest.fixture(scope="module")
 def matrix_files(tmp_path_factory):
-    """(X, Y) files of a physical 4-site pair and of the unphysical 40-site reference."""
+    """(X, Y) files of a physical 4-site pair, of the unphysical 40-site reference, and
+    of the unphysical 6-site pair whose dense pump is 0.4 ulp of its peak from Hermitian."""
     root = tmp_path_factory.mktemp("pairs")
     files = {}
     for name, n_sites, kappa, y in (
             ("physical", 4, 1.5, 0.1 * np.eye(4)),
-            ("reference", 40, 0.91, matrix_entries(build_local_pump(40, 15, 0.03)))):
+            ("reference", 40, 0.91, matrix_entries(build_local_pump(40, 15, 0.03))),
+            ("dense", 6, 1.3, motivation_pair()[1])):
         x = build_hatano_nelson(HatanoNelsonParams(n_sites, 1.0, 0.17, kappa))
         x_file, y_file = str(root / f"{name}-x.json"), str(root / f"{name}-y.json")
         write_matrix(x_file, matrix_entries(x), x.labels)
@@ -167,9 +170,13 @@ COMMANDS = [
     (["inverse-design"], None, 0, DESIGN),
     (["inverse-design", "--model", "ssh"], None, 0, DESIGN),
     (["inverse-design", "--model", "custom-file"], "physical", 0, DESIGN),
+    # the Hermitian rule is relative to Y's peak, so a dense pump of peak
+    # 1.2e5 is taken; its occupations above 1 still fail validate
+    (["inverse-design", "--model", "custom-file"], "dense", 0, DESIGN),
     (["validate"], "physical", 0, SOLVE),
     # only a failed occupation check reports the loss Gram, so only it loads design
     (["validate"], "reference", 1, SOLVE | {"gausschain.design"}),
+    (["validate"], "dense", 1, SOLVE | {"gausschain.design"}),
     (["oracle-check", "--n-sites", "2", "--t-final", "1.0"], None, 0, ORACLE),
 ]
 

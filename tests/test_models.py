@@ -29,6 +29,7 @@ from gausschain.matio import dumps_json, matrix_from_payload, matrix_payload
 from gausschain.models import (PSD_TOL, _check_finite_scalar, _count, _number_mask, _positions,
                                _strength, _vector, matrix_entries)
 from gausschain.steady import DirectSolver
+from tests.conftest import motivation_pair
 
 
 def test_hn_two_sites_reference_values():
@@ -659,16 +660,6 @@ def test_site_index_error_is_raised_only_by_the_models_gate():
 HERMITIAN_SCALES = (1e-12, 1.0, 1e8)
 HERMITIAN_ENTRIES = ("SourceMatrix", "natural_orbitals", "evolve_master", "steady_state_oracle",
                      "inverse_design", "validate")
-
-
-def motivation_pair():
-    """(X, Y) of the 6-site chain (t_left 0.17, kappa 1.3) with a dense positive definite
-    pump Y of peak 1.2e5, 0.4 ulp of its peak away from Hermitian."""
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((6, 6))
-    d = np.diag(rng.uniform(1, 2, 6))
-    x = build_hatano_nelson(HatanoNelsonParams(6, 1.0, 0.17, 1.3))
-    return matrix_entries(x), (1e4 * m @ d) @ m.T
 
 
 def validate_source_check(tmp_path, x, y):
