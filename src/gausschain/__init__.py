@@ -41,7 +41,7 @@ _EXPORTS = {
     "models": ("HatanoNelsonParams", "RelaxationMatrix", "SourceMatrix", "SshParams",
                "build_diagonal_pump", "build_hatano_nelson", "build_local_pump", "build_ssh",
                "default_labels", "ssh_index", "ssh_labels"),
-    "orbitals": ("DiagnosticsReport", "EdgeCandidate", "LoadingFactors", "NaturalOrbitalSet",
+    "orbitals": ("DiagnosticsReport", "EdgeCandidate", "NaturalOrbitalSet",
                  "density", "diagnostics_report", "hn_source_scan", "identify_edge_candidate",
                  "identify_slow_mode", "loading_factors", "natural_orbitals",
                  "normalized_density", "overlap", "ssh_crossover_scan"),

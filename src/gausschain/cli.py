@@ -272,7 +272,7 @@ def cmd_ssh_profiles(cfg: dict) -> None:
         edge_mode_index=edge.index,
         slow_mode_index=report.slow,
         edge_in_window_count=edge.in_window_count,
-        edge_used_fallback=edge.used_fallback,
+        edge_used_fallback=edge.in_window_count == 0,
         edge_tied_indices=edge.tied,
         occupation_floor=orbs.occupation_floor,
         resolved_count=orbs.resolved_count,
@@ -319,15 +319,15 @@ def _design_inputs(cfg: dict):
     model = cfg["model"]
     if model == "hn":
         params = _hn_params(cfg)
-        x = build_hatano_nelson(params)
+        x, labels = build_hatano_nelson(params), default_labels(params.n_sites)
         decompose = hn_jump_decomposition
     elif model == "ssh":
         params = _ssh_params(cfg)
-        x = build_ssh(params)
+        x, labels = build_ssh(params), ssh_labels(params.n_cells)
         decompose = ssh_jump_decomposition
     elif model == "custom-file":
         entries, labels, y_entries = _read_pair(cfg, "model custom-file")
-        return entries, labels, SourceMatrix(y_entries, labels=labels), None
+        return entries, labels, SourceMatrix(y_entries), None
     else:
         raise ParameterError(f"model must be hn, ssh, or custom-file, got {model!r}")
     if cfg["pump_file"]:  # one Y for both; its length is checked by the decomposition
@@ -336,7 +336,7 @@ def _design_inputs(cfg: dict):
     else:
         gamma = cfg["gamma"]
         y = build_diagonal_pump([gamma] * params.n_sites)
-    return matrix_entries(x), x.labels, y, decompose(params, gamma)
+    return matrix_entries(x), labels, y, decompose(params, gamma)
 
 
 def cmd_inverse_design(cfg: dict) -> None:
@@ -354,6 +354,11 @@ def cmd_inverse_design(cfg: dict) -> None:
     ))
     print(f"inverse-design: physical={realization.physical}, "
           f"loss_min_eigenvalue={realization.loss_min_eigenvalue:.6g}, {wrote}")
+    if jumps is None and not realization.physical:  # models hn and ssh gate by their jumps
+        raise InfeasibilityError(
+            f"model custom-file: loss Gram X + X^dag - Y has min eigenvalue "
+            f"{realization.loss_min_eigenvalue:.6g}; a physical pair has >= 0",
+            (("loss Gram", realization.loss_min_eigenvalue),))
     if validation is not None:
         print(f"inverse-design: jump set validated, max deviation "
               f"{max(v for k, v in validation.items() if k.endswith('_error')):.3e}")
@@ -363,7 +368,7 @@ def cmd_validate(cfg: dict) -> None:
     from .orbitals import natural_orbitals
     from .steady import DirectSolver
 
-    x, labels, y_entries = _read_pair(cfg, "validate")
+    x, _, y_entries = _read_pair(cfg, "validate")
 
     checks: list[dict] = []
 
@@ -373,7 +378,7 @@ def cmd_validate(cfg: dict) -> None:
                        "value": value, "limit": limit, "detail": detail})
 
     try:
-        source = SourceMatrix(y_entries, labels=labels)
+        source = SourceMatrix(y_entries)
         add("source_hermitian_psd", *source._psd, True)
     except GausschainError as exc:
         source = None

@@ -29,18 +29,14 @@ from .models import (PSD_TOL, HatanoNelsonParams, SourceMatrix, SshParams, _bond
 class JumpVector:
     """One jump operator, stored as its one-body coefficient vector.
 
-    ``kind`` is "loss" (operator sum_j v_j c_j) or "gain"
-    (sum_j v_j c_j^dag); ``label`` names the structural role, e.g.
-    "bond(3)", "onsite(2A)", "pump(1)".
+    ``label`` names the structural role, e.g. "bond(3)", "onsite(2A)",
+    "pump(1)".  Whether it is a loss or a gain is where a JumpSet holds it.
     """
 
     label: str
-    kind: str
     vector: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("loss", "gain"):
-            raise ParameterError(f"jump kind must be 'loss' or 'gain', got {self.kind!r}")
         v = _vector(f"jump vector {self.label!r}", self.vector, "iufc")
         object.__setattr__(self, "vector", _frozen_array(v))
 
@@ -51,7 +47,11 @@ class JumpVector:
 
 @dataclass(frozen=True)
 class JumpSet:
-    """All loss and gain jump vectors of one microscopic realization."""
+    """All jump vectors of one microscopic realization, by kind.
+
+    A vector v of ``loss_vectors`` is the operator sum_j v_j c_j, one of
+    ``gain_vectors`` the operator sum_j v_j c_j^dag.
+    """
 
     dim: int
     loss_vectors: tuple[JumpVector, ...]
@@ -176,11 +176,11 @@ def _chain_jumps(params: HatanoNelsonParams | SshParams, labels: tuple[str, ...]
     for j, root in zip(left, np.sqrt(beta)):
         v = np.zeros(dim, dtype=complex)
         v[j], v[j + 1] = root, -root
-        loss.append(JumpVector(f"bond({labels[j]})", "loss", v))
+        loss.append(JumpVector(f"bond({labels[j]})", v))
     eye = np.eye(dim, dtype=complex)
-    loss += [JumpVector(f"onsite({labels[j]})", "loss", np.sqrt(max(a, 0.0)) * eye[j])
+    loss += [JumpVector(f"onsite({labels[j]})", np.sqrt(max(a, 0.0)) * eye[j])
              for j, a in enumerate(args)]
-    gain = [JumpVector(f"pump({labels[j]})", "gain", np.sqrt(y[j]) * eye[j])
+    gain = [JumpVector(f"pump({labels[j]})", np.sqrt(y[j]) * eye[j])
             for j in range(dim) if y[j] > 0]
     return JumpSet(dim, tuple(loss), tuple(gain))
 
@@ -276,14 +276,14 @@ def validate_jump_set(jumps: JumpSet, realization: MicroscopicRealization) -> Ju
 
 
 def jump_set_payload(jumps: JumpSet) -> dict:
-    """JSON payload listing every jump vector with its label and kind."""
-    def vec(v: JumpVector) -> dict:
-        return {"label": v.label, "kind": v.kind, **_complex_parts(v.vector)}
+    """JSON payload listing every jump vector with its label and the kind that holds it."""
+    def vec(v: JumpVector, kind: str) -> dict:
+        return {"label": v.label, "kind": kind, **_complex_parts(v.vector)}
 
     return {
         "dim": jumps.dim,
-        "loss": [vec(v) for v in jumps.loss_vectors],
-        "gain": [vec(v) for v in jumps.gain_vectors],
+        "loss": [vec(v, "loss") for v in jumps.loss_vectors],
+        "gain": [vec(v, "gain") for v in jumps.gain_vectors],
     }
 
 

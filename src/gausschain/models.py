@@ -35,17 +35,15 @@ class _GatedMatrix:
     """Base of the wrappers (X, Y, C) whose entries passed matrix_entries when built.
 
     Their entries are frozen, so matrix_entries hands them back as they are.
+    A wrapper holds its entries only: row labels belong to whoever writes the
+    matrix (default_labels, ssh_labels, or a matrix file's own).
     """
 
     __slots__ = ()
 
-    def _hold(self, m: np.ndarray, labels=None) -> None:
-        """Set ``entries`` to a frozen copy of the gated ``m`` and, unless ``labels`` is
-        None, ``labels`` to them by the label rule (_labels; 1..dim if empty)."""
+    def _hold(self, m: np.ndarray) -> None:
+        """Set ``entries`` to a frozen copy of the gated ``m``."""
         object.__setattr__(self, "entries", _frozen_array(m))
-        if labels is not None:
-            object.__setattr__(self, "labels", _labels(type(self).__name__, tuple(labels) or None,
-                                                       m.shape[0]))
 
     @property
     def dim(self) -> int:
@@ -207,10 +205,9 @@ class RelaxationMatrix(_GatedMatrix):
     """Square matrix generating the one-body relaxation dynamics; real X is float64."""
 
     entries: np.ndarray
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        self._hold(matrix_entries(self.entries, "relaxation matrix"), self.labels)
+        self._hold(matrix_entries(self.entries, "relaxation matrix"))
 
 
 @dataclass(frozen=True)
@@ -219,7 +216,6 @@ class SourceMatrix(_GatedMatrix):
     matrix Y; real Y is float64.  ``_psd`` keeps the least eigenvalue and its limit."""
 
     entries: np.ndarray
-    labels: tuple[str, ...] = ()
     _psd: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -229,7 +225,7 @@ class SourceMatrix(_GatedMatrix):
             raise ParameterError(
                 f"source matrix not positive semidefinite: min eigenvalue {wmin:.3e}")
         object.__setattr__(self, "_psd", (wmin, limit))
-        self._hold(m, self.labels)
+        self._hold(m)
 
 
 @dataclass(frozen=True)
@@ -298,13 +294,13 @@ def _bonds(params: HatanoNelsonParams | SshParams) -> tuple[np.ndarray, ...]:
     return left, np.full(left.size, params.t_right), np.full(left.size, params.t_left)
 
 
-def _chain_matrix(params: HatanoNelsonParams | SshParams, labels) -> RelaxationMatrix:
+def _chain_matrix(params: HatanoNelsonParams | SshParams) -> RelaxationMatrix:
     """X = kappa I minus each bond's hoppings: -rightward at (j+1, j), -leftward at (j, j+1)."""
     left, rightward, leftward = _bonds(params)
-    x = params.kappa * np.eye(len(labels))
+    x = params.kappa * np.eye(params.n_sites)
     x[left + 1, left] -= rightward
     x[left, left + 1] -= leftward
-    return RelaxationMatrix(x, labels)
+    return RelaxationMatrix(x)
 
 
 def build_hatano_nelson(params: HatanoNelsonParams) -> RelaxationMatrix:
@@ -314,7 +310,7 @@ def build_hatano_nelson(params: HatanoNelsonParams) -> RelaxationMatrix:
     i.e. -t_right on the first subdiagonal and -t_left on the first
     superdiagonal.
     """
-    return _chain_matrix(params, default_labels(params.n_sites))
+    return _chain_matrix(params)
 
 
 def ssh_labels(n_cells: int) -> tuple[str, ...]:
@@ -340,7 +336,7 @@ def build_ssh(params: SshParams) -> RelaxationMatrix:
     reversed hops carry exp(-g).  Entry (row, col) = amplitude for
     col -> row, so e.g. X[nB, nA] = -t1 exp(g).
     """
-    return _chain_matrix(params, ssh_labels(params.n_cells))
+    return _chain_matrix(params)
 
 
 def build_local_pump(dim: int, site: int, strength: float) -> SourceMatrix:

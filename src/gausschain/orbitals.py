@@ -246,22 +246,12 @@ def normalized_density(correlator) -> np.ndarray:
     return n / total
 
 
-@dataclass(frozen=True)
-class LoadingFactors:
-    """Per-mode pump loadings A_n(s) and their unit-peak normalization."""
-
-    values: np.ndarray
-    normalized: np.ndarray
-
-
 def loading_factors(spectrum: BiorthogonalSpectrum, pump_site: int,
-                    pump_strength: float) -> LoadingFactors:
-    """A_n(s) = strength |L_n(s)|^2 / (2 Re beta_n) for every mode, at any condition."""
-    values = _pump_loadings(spectrum, _positions("pump site", pump_site, spectrum.dim),
-                            _strength("pump strength", pump_strength))
-    peak = values.max()
-    normalized = values / peak if peak > 0 else values.copy()
-    return LoadingFactors(values, normalized)
+                    pump_strength: float) -> np.ndarray:
+    """A_n(s) = strength |L_n(s)|^2 / (2 Re beta_n) of every mode n, in mode order, as an
+    array; it is read from the pump row of L = D^-1 U, so it holds at any condition."""
+    return _pump_loadings(spectrum, _positions("pump site", pump_site, spectrum.dim),
+                          _strength("pump strength", pump_strength))
 
 
 def overlap(first, second) -> float:
@@ -290,14 +280,13 @@ class EdgeCandidate:
 
     ``in_window_count`` is how many eigenvalues fell inside the search
     window around kappa; when zero, the globally closest eigenvalue was
-    used instead (``used_fallback``).  ``tied`` holds the 1-based indices
-    of the modes whose boundary weight ties the largest, ``index`` among
-    them; more than one means the pick was made by the tie rule.
+    used instead.  ``tied`` holds the 1-based indices of the modes whose
+    boundary weight ties the largest, ``index`` among them; more than one
+    means the pick was made by the tie rule.
     """
 
     index: int
     in_window_count: int
-    used_fallback: bool
     tied: tuple[int, ...]
 
 
@@ -323,16 +312,14 @@ def identify_edge_candidate(spectrum: BiorthogonalSpectrum, kappa: float) -> Edg
     dist = np.abs(spectrum.betas - kappa)
     diameter = float(np.ptp(spectrum.betas))
     window = np.flatnonzero(dist <= EDGE_WINDOW_FRACTION * diameter)
-    fallback = window.size == 0
-    pool = window if not fallback else np.array([int(np.argmin(dist))])
+    pool = window if window.size else np.array([int(np.argmin(dist))])
     profile = np.abs(_unit_columns(spectrum.u[:, pool], spectrum.log_d)) ** 2
     weight = np.maximum(profile[:EDGE_BOUNDARY_SITES].sum(axis=0),
                         profile[-EDGE_BOUNDARY_SITES:].sum(axis=0))
     tied = pool[weight >= (1.0 - _EDGE_TIE_RTOL) * weight.max()]
     u = spectrum.u[:, tied]
     pick = tied[np.argmax(np.einsum("ij,ij->j", u, u[::-1]))]
-    return EdgeCandidate(int(pick) + 1, int(window.size), fallback,
-                         tuple(int(k) + 1 for k in tied))
+    return EdgeCandidate(int(pick) + 1, int(window.size), tuple(int(k) + 1 for k in tied))
 
 
 @dataclass(frozen=True)
@@ -345,7 +332,8 @@ class DiagnosticsReport:
     edge candidate around kappa, None when no kappa was given.
     ``overlaps`` maps "slow", and "edge" when kappa was given, to the
     squared overlap of the top orbital with that mode's unit right mode.
-    Pump loadings are not part of the report: see :func:`loading_factors`.
+    Pump loadings are not part of the report: :func:`loading_factors`
+    gives A_n(s) of every mode as an array.
     """
 
     orbitals: NaturalOrbitalSet
@@ -428,7 +416,7 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
     may differ by rounding from versions that tested the certificate after
     every power step.  The
     loading column comes from the closed-form spectrum and equals
-    ``loading_factors(...).values`` of the slow mode, so the two
+    ``loading_factors(...)`` of the slow mode, so the two
     normalized columns agree exactly where the slow mode locks the top
     orbital.  A chain without a steady state aborts the scan with the
     first pump site named in the message, a correlator that overflows or

@@ -74,14 +74,14 @@ def _unit_columns(m: np.ndarray, log_d: np.ndarray) -> np.ndarray:
 
 
 def _dense_modes(m: np.ndarray, log_d: np.ndarray, side: str) -> np.ndarray:
-    """diag(exp(log d)) m, read-only complex.  EnvelopeOverflowError unless every
+    """diag(exp(log d)) m, read-only and real like m.  EnvelopeOverflowError unless every
     d_j, 1/d_j and d_j/d_k is a normal double, for R and L alike."""
     reach = max(float(log_d.max()), 0.0) - min(float(log_d.min()), 0.0)
     if reach > -math.log(np.finfo(float).tiny):
         raise EnvelopeOverflowError(
             f"dense {side} modes are not representable: their envelope spans "
             f"e^{reach:.1f}; use right_mode_unit or loading_factors")
-    out = np.asarray(np.exp(log_d)[:, None] * m, dtype=complex)
+    out = np.exp(log_d)[:, None] * m
     out.flags.writeable = False
     return out
 

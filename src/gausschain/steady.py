@@ -34,7 +34,8 @@ The spectral route sums over biorthogonal mode pairs
 
 the paper's formula, with its transient in closed form; both run through
 one kernel that refuses spectra above CONDITION_TRUST_LIMIT, where the sum
-cancels to noise.  The one-term slow-mode approximation cancels nothing.
+cancels to noise.  The one-term slow-mode approximation cancels nothing;
+it is a SteadyCorrelator like the others, and its trace is its one occupation.
 
 Transients are exact: each sample interval is one affine map read off a
 block exponential (_affine_step), and the many-body oracle shares the
@@ -91,21 +92,6 @@ class SteadyCorrelator(_GatedMatrix):
         self._hold(matrix_entries(self.entries, "correlator"))
         if self.method not in ("direct", "spectral"):
             raise ParameterError(f"unknown solver method {self.method!r}")
-
-
-@dataclass(frozen=True)
-class SingleModeResult:
-    """Rank-one slow-mode approximation of a steady correlator.
-
-    ``loading`` is A_0 = strength |L_0(s)|^2 / (2 Re beta_0) and
-    ``predicted_occupation`` is A_0 <R_0|R_0>, which estimates the top
-    natural-orbital occupation nu_1 only where one slow mode dominates a
-    near-normal chain; on nonnormal chains it can exceed nu_1 manyfold.
-    """
-
-    rank_one: SteadyCorrelator
-    loading: float
-    predicted_occupation: float
 
 
 @dataclass(frozen=True)
@@ -571,20 +557,22 @@ def solve_lyapunov_spectral(spectrum: BiorthogonalSpectrum, source) -> SteadyCor
 
 
 def single_mode_approximation(spectrum: BiorthogonalSpectrum, pump_site: int,
-                              pump_strength: float) -> SingleModeResult:
+                              pump_strength: float) -> SteadyCorrelator:
     """Rank-one steady state kept by the slowest mode alone.
 
     For a single-site pump of the given strength at ``pump_site``, the
-    slow-mode term of the mode sum is A_0 |R_0><R_0| with A_0 = strength
-    |L_0(s)|^2 / (2 Re beta_0).  One term cancels nothing, so
-    CONDITION_TRUST_LIMIT does not apply; but where the chain is
-    nonnormal the full sum cancels, so A_0 <R_0|R_0> estimates nu_1 only
-    where one slow mode dominates a near-normal chain.
+    slow-mode term of the mode sum is A_0 |R_0><R_0|, with the loading
+    A_0 = strength |L_0(s)|^2 / (2 Re beta_0) of orbitals.loading_factors.
+    The term's one nonzero occupation is its trace A_0 <R_0|R_0>, which
+    estimates nu_1 only where one slow mode dominates a near-normal chain;
+    where the chain is nonnormal the full sum cancels, and the trace can
+    exceed nu_1 manyfold.  One term cancels nothing, so
+    CONDITION_TRUST_LIMIT does not apply.
 
     Raises DarkSourceError on a node of the slow mode: the site's share
     |L_0(s) R_0(s)| of <L_0|R_0> = 1, unchanged by how the pair is
     normalized, is at most N eps.  Raises EnvelopeOverflowError when the
-    loading, the predicted occupation or the correlator is not representable.
+    loading or the term is not representable.
     """
     site = _positions("pump site", pump_site, spectrum.dim)
     strength = _strength("pump strength", pump_strength)
@@ -592,20 +580,20 @@ def single_mode_approximation(spectrum: BiorthogonalSpectrum, pump_site: int,
     r0 = spectrum.right[:, pos]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         loading = float(_pump_loadings(spectrum, site, strength)[pos])
-        predicted = loading * float(np.vdot(r0, r0).real)
         c, asym = _hermitize(loading * np.outer(r0, r0.conj()))
+        finite = np.isfinite(c).all() and np.isfinite(np.trace(c))
     weight = abs(spectrum.left[site, pos] * r0[site])
     if weight <= spectrum.dim * EPS:
         raise DarkSourceError(f"pump site {site + 1} is a node of the slow mode "
                               f"(|L_0(s) R_0(s)| = {weight:.2e})")
     # off a node the true loading is > 0, so 0 means it underflowed
-    if not (0 < loading and np.isfinite(predicted) and np.isfinite(c).all()):
-        raise EnvelopeOverflowError(f"slow-mode loading {loading:.3e} or occupation "
-                                    f"{predicted:.3e} is not representable")
+    if not (0 < loading and finite):
+        raise EnvelopeOverflowError(f"slow-mode loading {loading:.3e} or its rank-one term "
+                                    "is not representable")
     y = np.zeros((spectrum.dim, spectrum.dim))
     y[site, site] = strength
     residual = _backward_error(spectrum.reconstruct(), None, c, y)
-    return SingleModeResult(SteadyCorrelator(c, "spectral", residual, asym), loading, predicted)
+    return SteadyCorrelator(c, "spectral", residual, asym)
 
 
 def _halvings(norm: float) -> int:

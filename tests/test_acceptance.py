@@ -284,7 +284,7 @@ def test_criterion_07_normalized_diagnostics_ignore_pump_scale():
         deltas = [float(np.abs(a.density_normalized - b.density_normalized).max()),
                   float(np.abs(a.orbitals.occupations_normalized()
                                - b.orbitals.occupations_normalized()).max()),
-                  float(np.abs(la.normalized - lb.normalized).max())]
+                  float(np.abs(la / la.max() - lb / lb.max()).max())]
         deltas += [abs(a.overlaps[key] - b.overlaps[key]) for key in a.overlaps]
         worst = max(worst, max(deltas))
 

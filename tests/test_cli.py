@@ -18,7 +18,7 @@ from gausschain.models import (HatanoNelsonParams, SshParams, build_hatano_nelso
                                build_local_pump, default_labels, matrix_entries)
 from gausschain.orbitals import hn_source_scan, ssh_crossover_scan
 from gausschain.steady import solve_lyapunov_direct
-from tests.conftest import read_bytes
+from tests.conftest import motivation_pair, read_bytes
 
 
 def read_summary(path):
@@ -55,8 +55,8 @@ def write_mismatched_pair(tmp_path):
     """Matrix files of a 12-site X and a 3x3 positive definite Y."""
     x = build_hatano_nelson(HatanoNelsonParams(12, 1.0, 0.17, 1.5))
     x_file, y_file = str(tmp_path / "x.json"), str(tmp_path / "y.json")
-    write_matrix(x_file, matrix_entries(x), x.labels)
-    write_matrix(y_file, 0.1 * np.eye(3), x.labels[:3])
+    write_matrix(x_file, matrix_entries(x), default_labels(x.dim))
+    write_matrix(y_file, 0.1 * np.eye(3), default_labels(x.dim)[:3])
     return x_file, y_file
 
 
@@ -457,8 +457,8 @@ class TestConfigResolution:
         argv = [command, *RERUN_FLAGS.get(command, []), "--out", str(out)]
         if command == "validate":
             x = build_hatano_nelson(HatanoNelsonParams(6, 1.0, 0.17, 1.3))
-            write_matrix(str(tmp_path / "x.json"), x.entries, x.labels)
-            write_matrix(str(tmp_path / "y.json"), 0.1 * np.eye(6), x.labels)
+            write_matrix(str(tmp_path / "x.json"), x.entries, default_labels(x.dim))
+            write_matrix(str(tmp_path / "y.json"), 0.1 * np.eye(6), default_labels(x.dim))
             argv += ["--x-file", str(tmp_path / "x.json"), "--y-file", str(tmp_path / "y.json")]
         assert main(argv) == 0
         first = {path.name: read_bytes(path) for path in out.iterdir()}
@@ -679,6 +679,32 @@ class TestInverseDesignCommand:
             "error: ParameterError: y_file shape (3, 3) does not match x_file shape (12, 12)\n")
         assert not out.exists()
 
+    def test_custom_file_target_that_is_not_physical_exits_3_after_writing(self, tmp_path,
+                                                                          capsys):
+        # the dense 6-site pump leaves the loss Gram X + X^dag - Y far from PSD;
+        # this model wrote physical false and exited 0, while hn and ssh exit 3
+        labels = default_labels(6)
+        x_file, y_file = str(tmp_path / "x.json"), str(tmp_path / "y.json")
+        for path, m in zip((x_file, y_file), motivation_pair()):
+            write_matrix(path, m, labels)
+        out = str(tmp_path / "out")
+        assert main(["inverse-design", "--model", "custom-file", "--x-file", x_file,
+                     "--y-file", y_file, "--out", out]) == 3
+        realization = read_summary(out + "/inverse-design.json")["realization"]
+        least = realization["loss_min_eigenvalue"]
+        assert realization["physical"] is False and least < -1e5
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"inverse-design: physical=False, "
+                                       f"loss_min_eigenvalue={least:.6g}, wrote ")
+        assert captured.err == (
+            f"infeasible: model custom-file: loss Gram X + X^dag - Y has min eigenvalue "
+            f"{least:.6g}; a physical pair has >= 0\n  deficit at loss Gram: {least:.6g}\n")
+        # a physical pair still exits 0
+        x_file, y_file = TestValidateCommand.write_pair(tmp_path, kappa=1.5)
+        assert main(["inverse-design", "--model", "custom-file", "--x-file", x_file,
+                     "--y-file", y_file, "--out", out]) == 0
+        assert read_summary(out + "/inverse-design.json")["realization"]["physical"] is True
+
 
 class TestValidateCommand:
 
@@ -686,7 +712,7 @@ class TestValidateCommand:
     def write_pair(tmp_path, kappa):
         params = HatanoNelsonParams(4, 1.0, 0.17, kappa)
         x = build_hatano_nelson(params)
-        labels = x.labels
+        labels = default_labels(x.dim)
         x_file = str(tmp_path / "x.json")
         y_file = str(tmp_path / "y.json")
         write_matrix(x_file, matrix_entries(x), labels)
@@ -735,8 +761,9 @@ class TestValidateCommand:
             entries[one_way_bond, one_way_bond - 1] = 0.0
         x_file = str(tmp_path / "x.json")
         y_file = str(tmp_path / "y.json")
-        write_matrix(x_file, entries, x.labels)
-        write_matrix(y_file, matrix_entries(build_local_pump(n_sites, 15, 0.03)), x.labels)
+        write_matrix(x_file, entries, default_labels(x.dim))
+        write_matrix(y_file, matrix_entries(build_local_pump(n_sites, 15, 0.03)),
+                     default_labels(x.dim))
         out = str(tmp_path / "out")
         main(["validate", "--x-file", x_file, "--y-file", y_file, "--out", out])
         return {c["name"]: c for c in read_summary(out + "/validate.json")["checks"]}
@@ -858,8 +885,8 @@ class TestValidateCommand:
         x = build_hatano_nelson(params)
         x_file = str(tmp_path / "x.json")
         y_file = str(tmp_path / "y.json")
-        write_matrix(x_file, matrix_entries(x), x.labels)
-        write_matrix(y_file, np.diag([1.0, -1.0]), x.labels)
+        write_matrix(x_file, matrix_entries(x), default_labels(x.dim))
+        write_matrix(y_file, np.diag([1.0, -1.0]), default_labels(x.dim))
         assert main(["validate", "--x-file", x_file, "--y-file", y_file,
                      "--out", str(tmp_path / "out")]) == 1
         assert "validation failure" in capsys.readouterr().err
@@ -868,8 +895,9 @@ class TestValidateCommand:
         params = HatanoNelsonParams(231, *(float(v) for v in OVERFLOWING_CHAIN[3::2]))
         x = build_hatano_nelson(params)
         x_file, y_file = str(tmp_path / "x.json"), str(tmp_path / "y.json")
-        write_matrix(x_file, matrix_entries(x), x.labels)
-        write_matrix(y_file, matrix_entries(build_local_pump(231, 231, 0.03)), x.labels)
+        write_matrix(x_file, matrix_entries(x), default_labels(x.dim))
+        write_matrix(y_file, matrix_entries(build_local_pump(231, 231, 0.03)),
+                     default_labels(x.dim))
         out = str(tmp_path / "out")
         with warnings.catch_warnings():
             warnings.simplefilter("error")

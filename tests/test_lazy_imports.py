@@ -18,7 +18,7 @@ import pytest
 import gausschain
 from gausschain.matio import write_matrix
 from gausschain.models import (HatanoNelsonParams, build_hatano_nelson, build_local_pump,
-                               matrix_entries)
+                               default_labels, matrix_entries)
 from tests.conftest import motivation_pair
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -28,7 +28,7 @@ PUBLIC_NAMES = [
     "BiorthogonalSpectrum", "CorrelatorTrajectory", "DarkSourceError", "DensityMatrix",
     "DiagnosticsReport", "EdgeCandidate",
     "EnvelopeOverflowError", "FockOperatorSet", "GausschainError", "HatanoNelsonParams",
-    "InfeasibilityError", "JumpSet", "JumpValidationReport", "JumpVector", "LoadingFactors",
+    "InfeasibilityError", "JumpSet", "JumpValidationReport", "JumpVector",
     "MasterTrajectory", "MicroscopicRealization", "ModeVector", "NaturalOrbitalSet",
     "NormalizationError", "ParameterError", "RegimeError", "RelaxationMatrix", "ScaleError",
     "SiteIndexError", "SolveError", "SourceMatrix", "SshParams", "StabilityError",
@@ -154,8 +154,8 @@ def matrix_files(tmp_path_factory):
             ("dense", 6, 1.3, motivation_pair()[1])):
         x = build_hatano_nelson(HatanoNelsonParams(n_sites, 1.0, 0.17, kappa))
         x_file, y_file = str(root / f"{name}-x.json"), str(root / f"{name}-y.json")
-        write_matrix(x_file, matrix_entries(x), x.labels)
-        write_matrix(y_file, y, x.labels)
+        write_matrix(x_file, matrix_entries(x), default_labels(x.dim))
+        write_matrix(y_file, y, default_labels(x.dim))
         files[name] = ["--x-file", x_file, "--y-file", y_file]
     return files
 
@@ -171,8 +171,9 @@ COMMANDS = [
     (["inverse-design", "--model", "ssh"], None, 0, DESIGN),
     (["inverse-design", "--model", "custom-file"], "physical", 0, DESIGN),
     # the Hermitian rule is relative to Y's peak, so a dense pump of peak
-    # 1.2e5 is taken; its occupations above 1 still fail validate
-    (["inverse-design", "--model", "custom-file"], "dense", 0, DESIGN),
+    # 1.2e5 is taken; its loss Gram is not PSD, so the design is infeasible,
+    # and its occupations above 1 fail validate
+    (["inverse-design", "--model", "custom-file"], "dense", 3, DESIGN),
     (["validate"], "physical", 0, SOLVE),
     # only a failed occupation check reports the loss Gram, so only it loads design
     (["validate"], "reference", 1, SOLVE | {"gausschain.design"}),

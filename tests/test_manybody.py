@@ -45,10 +45,10 @@ BAD_MATRICES = [
 
 def random_jump_set(rng, n, n_loss=2, n_gain=1, gain_scale=0.5):
     losses = tuple(
-        JumpVector(f"l{k}", "loss", rng.normal(size=n) + 1j * rng.normal(size=n))
+        JumpVector(f"l{k}", rng.normal(size=n) + 1j * rng.normal(size=n))
         for k in range(n_loss))
     gains = tuple(
-        JumpVector(f"g{k}", "gain",
+        JumpVector(f"g{k}",
                    gain_scale * (rng.normal(size=n) + 1j * rng.normal(size=n)))
         for k in range(n_gain))
     return JumpSet(n, losses, gains)
@@ -99,7 +99,7 @@ def ssh_system(n_cells, g, gamma=0.1, kappa=2.0):
 def phased(jumps, phase=np.exp(0.7j)):
     """``jumps`` with every vector times ``phase``: the same Lindbladian, complex operators."""
     def turn(vectors):
-        return tuple(JumpVector(v.label, v.kind, phase * v.vector) for v in vectors)
+        return tuple(JumpVector(v.label, phase * v.vector) for v in vectors)
     return JumpSet(jumps.dim, turn(jumps.loss_vectors), turn(jumps.gain_vectors))
 
 
@@ -318,7 +318,7 @@ class TestEvolveMaster:
 
     def test_single_site_decay_is_exponential(self):
         lam = 0.8
-        jumps = JumpSet(1, (JumpVector("onsite(1)", "loss", [np.sqrt(lam)]),), ())
+        jumps = JumpSet(1, (JumpVector("onsite(1)", [np.sqrt(lam)]),), ())
         # 2.03 and 1.9995 end on a shorter last interval with a propagator of its own
         for t_final in (2.0, 2.03, 1.9995):
             traj = evolve_master(pure_state([0.0, 1.0]), [[0.0]], jumps,
@@ -382,7 +382,7 @@ class TestEvolveMaster:
     def test_stiff_loss_follows_the_exponential(self):
         # rate 100 at dt = 0.1: far outside any explicit step's stability region
         filled = pure_state([0.0, 1.0])
-        jumps = JumpSet(1, (JumpVector("onsite(1)", "loss", [10.0]),), ())
+        jumps = JumpSet(1, (JumpVector("onsite(1)", [10.0]),), ())
         for stride in (1, 50):
             traj = evolve_master(filled, [[0.0]], jumps,
                                  t_final=10.0, dt=0.1, stride=stride)
@@ -573,19 +573,19 @@ class TestSteadyStateOracle:
         kappa, strength = 0.7, 0.6
         jumps = JumpSet(
             1,
-            (JumpVector("onsite(1)", "loss", [np.sqrt(2 * kappa - strength)]),),
-            (JumpVector("pump(1)", "gain", [np.sqrt(strength)]),))
+            (JumpVector("onsite(1)", [np.sqrt(2 * kappa - strength)]),),
+            (JumpVector("pump(1)", [np.sqrt(strength)]),))
         rho = steady_state_oracle([[0.0]], jumps)
         assert_allclose(correlator_of(rho)[0, 0].real,
                         strength / (2 * kappa), atol=1e-10)
 
     def test_pure_gain_fills_the_site(self):
-        jumps = JumpSet(1, (), (JumpVector("pump(1)", "gain", [1.0]),))
+        jumps = JumpSet(1, (), (JumpVector("pump(1)", [1.0]),))
         rho = steady_state_oracle([[0.0]], jumps)
         assert_allclose(correlator_of(rho), [[1.0]], atol=1e-10)
 
     def test_pure_loss_returns_vacuum_unchanged(self):
-        jumps = JumpSet(1, (JumpVector("onsite(1)", "loss", [1.0]),), ())
+        jumps = JumpSet(1, (JumpVector("onsite(1)", [1.0]),), ())
         rho = steady_state_oracle([[0.0]], jumps)
         assert_allclose(rho.entries, DensityMatrix.vacuum(1).entries, atol=0)
 
@@ -596,15 +596,15 @@ class TestSteadyStateOracle:
     def test_four_sites_need_no_time_budget(self):
         jumps = JumpSet(
             4,
-            tuple(JumpVector(f"onsite({j})", "loss",
+            tuple(JumpVector(f"onsite({j})",
                              np.sqrt(1.6) * np.eye(4)[j - 1]) for j in range(1, 5)),
-            tuple(JumpVector(f"pump({j})", "gain",
+            tuple(JumpVector(f"pump({j})",
                              np.sqrt(0.4) * np.eye(4)[j - 1]) for j in range(1, 5)))
         rho = steady_state_oracle(np.zeros((4, 4)), jumps)
         assert np.abs(correlator_of(rho) - 0.2 * np.eye(4)).max() <= 1e-14
 
     def test_seven_sites_exceed_the_oracle_cap(self):
-        jumps = JumpSet(7, tuple(JumpVector(f"onsite({j})", "loss", np.eye(7)[j - 1])
+        jumps = JumpSet(7, tuple(JumpVector(f"onsite({j})", np.eye(7)[j - 1])
                                  for j in range(1, 8)), ())
         with pytest.raises(ScaleError, match="at most 6"):
             steady_state_oracle(np.zeros((7, 7)), jumps, t_max=1.0)
@@ -632,15 +632,15 @@ class TestSteadyStateOracle:
         # relaxation time 200, far beyond t_max, which is accepted and ignored
         jumps = JumpSet(
             1,
-            (JumpVector("onsite(1)", "loss", [np.sqrt(0.009)]),),
-            (JumpVector("pump(1)", "gain", [np.sqrt(0.001)]),))
+            (JumpVector("onsite(1)", [np.sqrt(0.009)]),),
+            (JumpVector("pump(1)", [np.sqrt(0.001)]),))
         rho = steady_state_oracle([[0.0]], jumps, t_max=1.0)
         assert abs(correlator_of(rho)[0, 0] - 0.1) <= 1e-14
 
     def test_stiff_pump_loss_pair_is_solved_exactly(self):
         jumps = JumpSet(
             1,
-            (JumpVector("onsite(1)", "loss", [np.sqrt(140.0)]),),
-            (JumpVector("pump(1)", "gain", [np.sqrt(100.0)]),))
+            (JumpVector("onsite(1)", [np.sqrt(140.0)]),),
+            (JumpVector("pump(1)", [np.sqrt(100.0)]),))
         rho = steady_state_oracle([[0.0]], jumps, t_max=5.0)
         assert abs(correlator_of(rho)[0, 0] - 100.0 / 240.0) <= 1e-14

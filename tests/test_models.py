@@ -35,7 +35,7 @@ from tests.conftest import motivation_pair
 def test_hn_two_sites_reference_values():
     x = build_hatano_nelson(HatanoNelsonParams(2, 1.0, 0.17, 0.91))
     assert_array_equal(np.asarray(x.entries), np.array([[0.91, -0.17], [-1.0, 0.91]]))
-    assert x.labels == ("1", "2")
+    assert default_labels(x.dim) == ("1", "2")
 
 
 def test_hn_single_site_is_bare_damping():
@@ -86,7 +86,7 @@ def test_hn_params_reject_bad_sizes():
 def test_ssh_single_cell_reciprocal():
     x = build_ssh(SshParams(1, 0.5, 1.0, 0.0, 1.5))
     assert_array_equal(np.asarray(x.entries), np.array([[1.5, -0.5], [-0.5, 1.5]]))
-    assert x.labels == ("1A", "1B")
+    assert ssh_labels(x.dim // 2) == ("1A", "1B")
 
 
 def test_ssh_nonreciprocal_entry_values():
@@ -198,8 +198,6 @@ def test_source_matrix_symmetrizes_only_inexact_input():
     for bad in (np.nan, complex(0.0, np.inf)):
         with pytest.raises(ParameterError, match="non-finite"):
             SourceMatrix(np.diag([1.0, bad]))
-    with pytest.raises(ParameterError, match="label count"):
-        SourceMatrix(np.eye(2), ("1",))
 
 
 def test_source_matrix_psd_rule_on_diagonal_and_dense_pumps():
@@ -438,7 +436,7 @@ def test_every_scalar_entry_point_refuses_a_bad_value_by_role(entry, bad):
     # returned a wrong answer: FockOperatorSet(2.5) built a 2-site set,
     # annihilation(0) gave site 3's operator, and build_local_pump(3, True,
     # 0.1) pumped site 1.  float() took True as 1.0 and leaked a raw
-    # ValueError for "abc", and a NaN kappa gave mode 1 with used_fallback.
+    # ValueError for "abc", and a NaN kappa gave mode 1 from the empty-window fallback.
     # t_final=True sampled to t = 1 and closed_form_correlator took t=True.
     kind, role, good, call = gated_scalars()[entry]
     call(good)
@@ -480,7 +478,7 @@ def gated_vectors():
         "ssh_crossover_scan g_values": ("vector", "g_values", [0.0, 0.1, 0.2],
                                         lambda g: ssh_crossover_scan(wide_gap, 1, "A", 0.1, g)),
         "ModeVector": ("vector", "mode vector", unit, ModeVector),
-        "JumpVector": ("vector", "jump vector 'x'", unit, lambda v: JumpVector("x", "loss", v)),
+        "JumpVector": ("vector", "jump vector 'x'", unit, lambda v: JumpVector("x", v)),
         "overlap first": ("vector", "overlap input", unit, lambda v: overlap(v, unit)),
         "overlap second": ("vector", "overlap input", unit, lambda v: overlap(unit, v)),
         "BiorthogonalSpectrum betas": ("vector", "spectrum betas", [1.0, 2.0, 3.0],
@@ -552,7 +550,7 @@ def held_arrays():
         "SteadyCorrelator": (lambda c: SteadyCorrelator(c, "direct", 0.0, 0.0), (eye,),
                              ("entries",)),
         "ModeVector": (ModeVector, (unit,), ("amplitudes",)),
-        "JumpVector": (lambda v: JumpVector("x", "loss", v), (unit,), ("vector",)),
+        "JumpVector": (lambda v: JumpVector("x", v), (unit,), ("vector",)),
         "DensityMatrix": (DensityMatrix, (np.diag([1.0, 0.0]).astype(complex),), ("entries",)),
         "BiorthogonalSpectrum": (BiorthogonalSpectrum, (betas, other, log_d),
                                  ("betas", "u", "log_d")),
@@ -611,7 +609,7 @@ def number_gates():
         lambda v: _positions("site", v, 3), lambda v: _count("count", v),
         lambda v: _check_finite_scalar("scalar", v), lambda v: _strength("strength", v),
         lambda v: _vector("vector", v), lambda v: _vector("vector", v, "iufc"),
-        matrix_entries, build_diagonal_pump, ModeVector, lambda v: JumpVector("x", "gain", v),
+        matrix_entries, build_diagonal_pump, ModeVector, lambda v: JumpVector("x", v),
         lambda v: hn_jump_decomposition(params, v), matrix_from_payload,
         lambda v: BiorthogonalSpectrum(v, np.eye(1), v),
         lambda v: matrix_from_payload({"dim": 1, "labels": ["1"], "re": v, "im": [[0.0]]}),
@@ -698,7 +696,7 @@ def hermitian_entries(tmp_path, scale):
     unit = hn_jump_decomposition(params, 0.1)
 
     def scaled(vectors):
-        return tuple(JumpVector(v.label, v.kind, math.sqrt(scale) * v.vector) for v in vectors)
+        return tuple(JumpVector(v.label, math.sqrt(scale) * v.vector) for v in vectors)
 
     jumps = JumpSet(3, scaled(unit.loss_vectors), scaled(unit.gain_vectors))
 

@@ -25,7 +25,7 @@ from gausschain import (BiorthogonalSpectrum, DarkSourceError, DensityMatrix,
                         closed_form_correlator, correlator_of,
                         evolve_master, hn_analytic_spectrum, hn_jump_decomposition,
                         hn_source_scan,
-                        inverse_design, natural_orbitals, propagate_correlator,
+                        inverse_design, loading_factors, natural_orbitals, propagate_correlator,
                         single_mode_approximation, solve_lyapunov_direct,
                         solve_lyapunov_spectral)
 from gausschain.models import matrix_entries
@@ -791,7 +791,7 @@ def test_single_mode_tracks_dominant_orbital_at_reference_point():
     full = solve_lyapunov_direct(x, y)
     occ, vecs = np.linalg.eigh(full.entries)
     phi_max = vecs[:, -1]
-    r0 = unit_gauge(result.rank_one.entries[:, 0])
+    r0 = unit_gauge(result.entries[:, 0])
     overlap = abs(np.vdot(r0, phi_max)) ** 2
     assert overlap >= 0.95
     assert occ[-1] > 0
@@ -799,9 +799,10 @@ def test_single_mode_tracks_dominant_orbital_at_reference_point():
     pos = int(np.argmin(spec.betas.real))
     expected = (HN_REFERENCE["pump_strength"] * abs(spec.left[14, pos]) ** 2
                 / (2.0 * spec.betas[pos].real))
-    assert result.loading == pytest.approx(expected, rel=1e-12)
-    assert result.predicted_occupation == pytest.approx(
-        result.loading * np.vdot(spec.right[:, pos], spec.right[:, pos]).real,
+    loading = loading_factors(spec, 15, HN_REFERENCE["pump_strength"])[pos]
+    assert loading == pytest.approx(expected, rel=1e-12)
+    assert np.trace(result.entries) == pytest.approx(
+        loading * np.vdot(spec.right[:, pos], spec.right[:, pos]).real,
         rel=1e-12)
 
 
@@ -817,15 +818,15 @@ def test_single_mode_occupation_is_accurate_when_gapped():
     result = single_mode_approximation(spec, 2, 0.005)
     full = solve_lyapunov_direct(x, y)
     nu_max = float(np.linalg.eigvalsh(full.entries)[-1])
-    assert result.predicted_occupation == pytest.approx(nu_max, rel=1e-2)
+    assert np.trace(result.entries) == pytest.approx(nu_max, rel=1e-2)
 
 
 def single_mode_against_nu1(params, site):
-    """(predicted_occupation, nu_1) at a pump of strength 0.03 on ``site``."""
+    """(trace of the rank-one term, nu_1) at a pump of strength 0.03 on ``site``."""
     result = single_mode_approximation(hn_analytic_spectrum(params), site, 0.03)
     full = solve_lyapunov_direct(build_hatano_nelson(params),
                                  build_local_pump(params.n_sites, site, 0.03))
-    return result.predicted_occupation, natural_orbitals(full).occupations[0]
+    return np.trace(result.entries), natural_orbitals(full).occupations[0]
 
 
 def test_single_mode_occupation_estimates_nu1_on_a_near_normal_chain():
@@ -847,8 +848,8 @@ def test_single_mode_occupation_is_no_estimate_on_a_nonnormal_chain():
 def test_single_mode_is_exact_for_one_site():
     spec = biorthogonal_decompose(np.array([[0.91]]))
     result = single_mode_approximation(spec, 1, 0.03)
-    assert_allclose(result.rank_one.entries, [[0.03 / 1.82]], rtol=1e-14)
-    assert result.predicted_occupation == pytest.approx(0.03 / 1.82, rel=1e-14)
+    assert_allclose(result.entries, [[0.03 / 1.82]], rtol=1e-14)
+    assert np.trace(result.entries) == pytest.approx(0.03 / 1.82, rel=1e-14)
 
 
 def test_pump_on_slow_mode_node_is_dark():
@@ -861,7 +862,7 @@ def test_pump_on_slow_mode_node_is_dark():
         single_mode_approximation(spec, 2, 0.03)
     # Off the node the approximation exists.
     result = single_mode_approximation(spec, 1, 0.03)
-    assert result.loading > 0
+    assert loading_factors(spec, 1, 0.03)[0] > 0 and np.trace(result.entries) > 0
 
 
 def test_single_mode_input_validation():
@@ -1085,10 +1086,14 @@ def test_single_mode_loading_equals_the_formula_bit_for_bit():
         for spec in hn_spectra(n).values():
             pos = int(np.argmin(spec.betas.real))
             for s in (1, n // 2, n):
-                result = single_mode_approximation(spec, s, gamma)
-                assert result.loading == loading_reference(spec, s, gamma)[pos]
+                loading = loading_factors(spec, s, gamma)[pos]
+                assert loading == loading_reference(spec, s, gamma)[pos]
                 scalar = gamma * abs(spec.left[s - 1, pos]) ** 2 / (2.0 * spec.betas[pos].real)
-                assert result.loading == float(scalar)
+                assert loading == float(scalar)
+                # the term is that loading times R_0 R_0^T, bit for bit
+                r0 = spec.right[:, pos]
+                term = single_mode_approximation(spec, s, gamma).entries
+                assert np.array_equal(term, loading * np.outer(r0, r0))
 
 
 def test_mode_sums_refuse_spectra_above_the_trust_limit():
@@ -1158,7 +1163,8 @@ def test_single_mode_sees_no_node_where_the_sine_mode_has_none(n_sites, site):
     pos = int(np.argmin(spec.betas.real))
     assert abs(spec.left[site - 1, pos] * spec.right[site - 1, pos]) == pytest.approx(
         phi0 ** 2, rel=1e-12)
-    assert 0 < result.loading and np.isfinite(result.predicted_occupation)
+    assert 0 < loading_factors(spec, site, HN_REFERENCE["pump_strength"])[pos]
+    assert np.isfinite(np.trace(result.entries))
 
 
 def test_single_mode_refuses_an_overflowing_prediction():
@@ -1167,6 +1173,15 @@ def test_single_mode_refuses_an_overflowing_prediction():
     with pytest.raises(EnvelopeOverflowError):
         single_mode_approximation(hn_analytic_spectrum(params), 5,
                                   HN_REFERENCE["pump_strength"])
+
+
+def test_single_mode_refuses_a_term_whose_occupation_overflows():
+    # every entry of the term is finite, about 7e307 on sites 2-4, but its
+    # trace, the term's one occupation, is past the double range
+    u = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+    spec = BiorthogonalSpectrum([0.5, 1.0, 1.5, 2.0], u, [0.0, 354.0, 354.0, 354.0])
+    with pytest.raises(EnvelopeOverflowError, match="rank-one term is not representable"):
+        single_mode_approximation(spec, 1, 37.0)
 
 
 def test_propagation_input_validation():

@@ -1,12 +1,12 @@
 """Time DirectSolver and the chain spectrum on long reference chains, one JSON line per size.
 
-For the single-band reference chain (t_right = 1, t_left = 0.17,
-kappa = 0.91, local pump of strength 0.03 at site 15) at 200, 400 and 700
-sites, prints the number of doublings, how many of them the thin start
-takes and the width its factor reaches, and the median over five runs
-of the construction (``build_s``), of one ``solve`` with its residual
-(``solve_s``) and of the closed-form spectrum plus its unit slow mode
-(``spectrum_s``).  ``minflt_build`` and ``minflt_solve`` are the minor
+For the single-band reference chain, the defaults of ``hn-profiles``
+(t_right = 1, t_left = 0.17, kappa = 0.91, local pump of strength 0.03 at
+site 15), at 200, 400 and 700 sites, prints the number of doublings, how
+many of them the thin start takes and the width its factor reaches, and
+the median over five runs of the construction (``build_s``), of one
+``solve`` with its residual (``solve_s``) and of the closed-form spectrum
+plus its unit slow mode (``spectrum_s``).  ``minflt_build`` and ``minflt_solve`` are the minor
 page faults (``getrusage``) per construction and per solve over the same
 timed runs, so a change that moves faults can be told from one that
 moves flops.
@@ -25,9 +25,10 @@ their sites (``chunk_solve_s``, ``pumps`` of them: all 40 at 40 sites, 3
 at 200), and of the certified top occupations of that chunk
 (``chunk_top_s``).
 
-Last, for the two-band reference chain (t1 = 0.5, t2 = 1, g = -0.25,
-kappa = 1.5) at 100 and 500 cells, one line with the median over five
-runs of ``biorthogonal_decompose`` on its X (``decompose_s``).
+Last, for the two-band reference chain, the defaults of ``ssh-profiles``
+(t1 = 0.5, t2 = 1, g = -0.25, kappa = 1.5), at 100 and 500 cells, one
+line with the median over five runs of ``biorthogonal_decompose`` on its
+X (``decompose_s``).
 Writes no file.  Run from the repository root with BLAS on one thread:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/solver_scaling.py
@@ -42,6 +43,7 @@ import numpy as np
 from gausschain import (HatanoNelsonParams, SshParams, biorthogonal_decompose,
                         build_hatano_nelson, build_local_pump, build_ssh, hn_analytic_spectrum,
                         hn_source_scan, identify_slow_mode, natural_orbitals)
+from gausschain.cli import COMMAND_DEFAULTS
 from gausschain.orbitals import SCAN_CHUNK_ENTRIES, _top_occupations
 from gausschain.steady import DirectSolver, _thin_doublings
 
@@ -49,7 +51,9 @@ SIZES = (200, 400, 700)
 SCAN_SIZES = (40, 200)
 SPECTRUM_CELLS = (100, 500)
 SOLVES = 5
-STRENGTH = 0.03
+HN = COMMAND_DEFAULTS["hn-profiles"]
+SSH = COMMAND_DEFAULTS["ssh-profiles"]
+STRENGTH = HN["pump_strength"]
 
 
 def minor_faults() -> int:
@@ -71,11 +75,15 @@ def slow_unit_mode(params: HatanoNelsonParams):
     return spectrum.right_mode_unit(identify_slow_mode(spectrum))
 
 
+def hn_params(n_sites: int) -> HatanoNelsonParams:
+    return HatanoNelsonParams(n_sites, HN["t_right"], HN["t_left"], HN["kappa"])
+
+
 def measure(n_sites: int) -> dict:
-    params = HatanoNelsonParams(n_sites, 1.0, 0.17, 0.91)
+    params = hn_params(n_sites)
     x = build_hatano_nelson(params)
     solver = DirectSolver(x)
-    pump = build_local_pump(n_sites, 15, STRENGTH)
+    pump = build_local_pump(n_sites, HN["pump_site"], STRENGTH)
     doublings = len(solver._powers)
     thin = _thin_doublings(1, n_sites, doublings)
     build_s, build_faults = timed(lambda: DirectSolver(x))
@@ -87,8 +95,8 @@ def measure(n_sites: int) -> dict:
 
 
 def measure_orbitals(n_sites: int) -> dict:
-    x = build_hatano_nelson(HatanoNelsonParams(n_sites, 1.0, 0.17, 0.91))
-    corr = DirectSolver(x).solve(build_local_pump(n_sites, 15, STRENGTH))
+    x = build_hatano_nelson(hn_params(n_sites))
+    corr = DirectSolver(x).solve(build_local_pump(n_sites, HN["pump_site"], STRENGTH))
     orbs = natural_orbitals(corr)
     return {"orbitals": "natural_orbitals", "n_sites": n_sites,
             "orbitals_s": timed(lambda: natural_orbitals(corr))[0],
@@ -96,7 +104,7 @@ def measure_orbitals(n_sites: int) -> dict:
 
 
 def measure_scan(n_sites: int) -> dict:
-    params = HatanoNelsonParams(n_sites, 1.0, 0.17, 0.91)
+    params = hn_params(n_sites)
     x = build_hatano_nelson(params)
     solver = DirectSolver(x)
     sites = np.arange(1, min(n_sites, max(1, SCAN_CHUNK_ENTRIES // n_sites ** 2)) + 1)
@@ -109,7 +117,7 @@ def measure_scan(n_sites: int) -> dict:
 
 
 def measure_spectrum(n_cells: int) -> dict:
-    x = build_ssh(SshParams(n_cells, 0.5, 1.0, -0.25, 1.5))
+    x = build_ssh(SshParams(n_cells, SSH["t1"], SSH["t2"], SSH["g"], SSH["kappa"]))
     return {"spectrum": "biorthogonal_decompose", "n_cells": n_cells,
             "decompose_s": timed(lambda: biorthogonal_decompose(x))[0]}
 
