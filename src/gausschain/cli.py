@@ -4,7 +4,9 @@ Each subcommand reads its parameters from built-in defaults, an optional
 JSON config file, and command-line flags, in that order (flags win).
 Every command writes a JSON summary, after a CSV table where it has one,
 through one writer (_write); both embed the toolkit version and the fully
-resolved config, and identical configs produce byte-identical files.
+resolved config, and identical configs produce byte-identical files.  Every
+table's header and rows are laid out here, from the results the library
+returns (the *_HEADER constants and the row builders beside them).
 
 Exit codes: 0 success, 1 validation failure, 2 numeric or parameter
 error, 3 infeasibility.
@@ -32,6 +34,9 @@ from .models import (HatanoNelsonParams, SourceMatrix, SshParams, _check_finite_
                      default_labels, matrix_entries, ssh_index, ssh_labels)
 
 OCCUPATION_HEADER = ("alpha", "nu", "nu_norm")
+PROFILE_HEADER = ("j", "label", "R_slow_sq", "phi_max_sq", "density_norm")
+SOURCE_SCAN_HEADER = ("s", "nu_max", "A1", "nu_max_norm", "A1_norm")
+CROSSOVER_HEADER = ("g", "O_edge", "O_slow", "edge_mode_index", "slow_mode_index")
 
 # Thresholds applied by the validate and oracle-check commands; validate reads
 # asymmetry, density and trace relative to the top occupation nu_max, and
@@ -188,8 +193,16 @@ def _peak_site(sites: np.ndarray, values: np.ndarray) -> int:
     return int(sites[int(np.argmax(near))])
 
 
+def profile_rows(labels, report):
+    """Rows of the profile table: 1-based site, label, and the slow mode's, the top
+    orbital's and the normalized density's profiles of the report."""
+    r2 = np.abs(report.slow_mode.amplitudes) ** 2
+    p2 = np.abs(report.orbitals.top_orbital().amplitudes) ** 2
+    return zip(range(1, len(labels) + 1), labels, r2, p2, report.density_normalized)
+
+
 def cmd_hn_profiles(cfg: dict) -> None:
-    from .orbitals import PROFILE_HEADER, _pumped_chain, profile_rows
+    from .orbitals import _pumped_chain
 
     params = _hn_params(cfg)
     spectrum, corr, report = _pumped_chain(params, cfg["pump_site"], cfg["pump_strength"])
@@ -237,7 +250,7 @@ def cmd_hn_occupations(cfg: dict) -> None:
 
 
 def cmd_hn_source_scan(cfg: dict) -> None:
-    from .orbitals import SOURCE_SCAN_HEADER, hn_source_scan
+    from .orbitals import hn_source_scan
 
     params = _hn_params(cfg)
     if cfg["s_max"] < 0:
@@ -245,20 +258,21 @@ def cmd_hn_source_scan(cfg: dict) -> None:
     s_max = cfg["s_max"] or params.n_sites
     sites = range(cfg["s_min"], s_max + 1)
     scan = hn_source_scan(params, cfg["pump_strength"], sites=sites)
-    deviation = np.abs(scan.nu_max_normalized - scan.loading_normalized)
+    nu_norm, a1_norm = scan.nu_max / scan.nu_max.max(), scan.loading / scan.loading.max()
+    deviation = np.abs(nu_norm - a1_norm)
     wrote = _write(cfg, dict(
         n_points=scan.sites.size,
         max_abs_deviation=deviation.max(),
         deviation_argmax_site=_peak_site(scan.sites, deviation),
-        occupation_argmax_site=_peak_site(scan.sites, scan.nu_max_normalized),
-        loading_argmax_site=_peak_site(scan.sites, scan.loading_normalized),
-    ), (SOURCE_SCAN_HEADER, scan.rows()))
+        occupation_argmax_site=_peak_site(scan.sites, nu_norm),
+        loading_argmax_site=_peak_site(scan.sites, a1_norm),
+    ), (SOURCE_SCAN_HEADER, zip(scan.sites, scan.nu_max, scan.loading, nu_norm, a1_norm)))
     print(f"hn-source-scan: {scan.sites.size} sites, "
           f"max |nu_norm - A1_norm| = {deviation.max():.6g}, {wrote}")
 
 
 def cmd_ssh_profiles(cfg: dict) -> None:
-    from .orbitals import PROFILE_HEADER, _pumped_chain, profile_rows
+    from .orbitals import _pumped_chain
 
     params = _ssh_params(cfg)
     site = ssh_index(cfg["pump_cell"], cfg["pump_sublattice"], params.n_cells)
@@ -286,7 +300,7 @@ def cmd_ssh_profiles(cfg: dict) -> None:
 
 
 def cmd_ssh_crossover(cfg: dict) -> None:
-    from .orbitals import CROSSOVER_HEADER, ssh_crossover_scan
+    from .orbitals import ssh_crossover_scan
 
     grid = np.linspace(cfg["g_min"], cfg["g_max"], _count("g_points", cfg["g_points"]))
     params = _ssh_params(cfg, g=0.0)
@@ -295,8 +309,9 @@ def cmd_ssh_crossover(cfg: dict) -> None:
     margin = scan.o_edge - scan.o_slow
     crossings = [scan.g_values[k:k + 2] for k in range(margin.size - 1)
                  if margin[k] != 0 and margin[k] * margin[k + 1] < 0]
+    rows = zip(scan.g_values, scan.o_edge, scan.o_slow, scan.edge_index, scan.slow_index)
     wrote = _write(cfg, dict(n_points=scan.g_values.size, crossings=crossings,
-                             failures=scan.failures), (CROSSOVER_HEADER, scan.rows()))
+                             failures=scan.failures), (CROSSOVER_HEADER, rows))
     print(f"ssh-crossover: {scan.g_values.size} points, "
           f"{len(crossings)} sign change(s) of O_edge - O_slow, {wrote}")
 

@@ -287,10 +287,10 @@ def jump_set_payload(jumps: JumpSet) -> dict:
     }
 
 
-def realization_payload(realization: MicroscopicRealization, labels=None) -> dict:
+def realization_payload(realization: MicroscopicRealization, labels) -> dict:
     """JSON payload of the formal split (matrices plus physicality report); the labels
-    pass the label rule of models (_labels), 1..dim if none are given."""
-    labels = _labels("realization payload", labels or None, realization.dim)
+    pass the label rule of models (_labels)."""
+    labels = _labels("realization payload", labels, realization.dim)
     return {
         "dim": realization.dim,
         "hamiltonian": matrix_payload(realization.hamiltonian, labels),

@@ -38,7 +38,7 @@ import numpy as np
 
 from .design import JumpSet
 from .errors import ParameterError, ScaleError, StabilityError
-from .models import _count, _hermitian, _vector, matrix_entries
+from .models import _count, _hermitian, _hermitian_part, _vector, matrix_entries
 from .steady import _expm, _sample_grid
 
 # widest charge block C(2N, N) is 924 here: tools/oracle_scaling.py, 2-core Xeon, BLAS on one
@@ -164,11 +164,12 @@ def operator_set(n_sites: int) -> FockOperatorSet:
 def _checked_states(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate a (S, D, D) stack of density matrices, each square already.
 
-    Each sample must be finite, Hermitian to 1e-12 and, once symmetrized,
-    of unit trace to 1e-10 with no eigenvalue below -1e-8.  Returns the
-    symmetrized samples, read-only complex128, and each one's |Tr rho - 1|,
-    read off those.  A real stack is checked in real arithmetic.  A stack
-    of one is a single state; in a longer stack errors name the sample.
+    Each sample must be finite, Hermitian to 1e-12 and, as its Hermitian
+    part (models._hermitian_part), of unit trace to 1e-10 with no eigenvalue
+    below -1e-8.  Returns those parts, read-only complex128, and each one's
+    |Tr rho - 1|, read off those.  A real stack is checked in real
+    arithmetic.  A stack of one is a single state; in a longer stack errors
+    name the sample.
 
     One stacked Cholesky factorization of rho + 1e-8 I certifies the
     eigenvalue bound at a fraction of an eigensolve's cost; only when it
@@ -187,10 +188,8 @@ def _checked_states(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             raise ParameterError(f"{name} {problem(k)}")
 
     reject(~np.isfinite(stack).all(axis=(1, 2)), lambda k: "has non-finite entries")
-    adjoint = stack.conj().swapaxes(1, 2)
-    herm = np.abs(stack - adjoint).max(axis=(1, 2))
+    rho, herm = _hermitian_part(stack)
     reject(herm > 1e-12, lambda k: f"not Hermitian: max deviation {herm[k]:.3e}")
-    rho = 0.5 * (stack + adjoint)
     states = rho.astype(complex, copy=False)
     trace_err = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
     reject(trace_err > 1e-10, lambda k: f"trace off by {trace_err[k]:.3e}")
@@ -364,10 +363,10 @@ def evolve_master(rho0: DensityMatrix, h, jumps: JumpSet, t_final: float,
 
 
 def correlator_of(rho: DensityMatrix) -> np.ndarray:
-    """One-body correlator C_ij = Tr(rho c_j^dag c_i), symmetrized."""
+    """Hermitian part (models._hermitian_part) of the one-body correlator
+    C_ij = Tr(rho c_j^dag c_i)."""
     ops = operator_set(rho.n_sites)
-    c = (rho.entries.take(ops._trace_index) * ops._trace_signs).sum(-1)
-    return 0.5 * (c + c.conj().T)
+    return _hermitian_part((rho.entries.take(ops._trace_index) * ops._trace_signs).sum(-1))[0]
 
 
 def steady_state_oracle(h, jumps: JumpSet, t_max: float | None = None) -> DensityMatrix:

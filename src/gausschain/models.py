@@ -15,7 +15,8 @@ number rule (_number_mask): matrix_entries for matrices, _vector for
 vectors, _positions, _count, _check_finite_scalar and _strength for indices,
 counts and scalars, and one label rule (_labels) asks for one label per
 matrix row.  One rule judges a matrix Hermitian (_hermitian, HERMITIAN_RTOL)
-and one PSD (_psd, PSD_TOL), each relative to its own scale.
+and one PSD (_psd, PSD_TOL), each relative to its own scale, and one helper
+forms every Hermitian part (M + M^dag) / 2 the library takes (_hermitian_part).
 """
 
 from __future__ import annotations
@@ -113,18 +114,33 @@ def matrix_entries(obj, name: str = "matrix") -> np.ndarray:
     return np.asarray(m.real, dtype=float)
 
 
+def _hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """((M + M^dag) / 2, max |M - M^dag|) over the last two axes of a matrix or a stack:
+    the one place a Hermitian part is formed.  Each side is halved before the sum, so
+    the part is finite wherever M is, and its bits are those of the sum halved for
+    every normal entry.  A real M takes two temporaries the size of M: the difference,
+    whose buffer then holds the part, and M / 2."""
+    adjoint = np.swapaxes(m, -1, -2).conj()
+    difference = m - adjoint
+    magnitude = np.abs(difference, out=difference if difference.dtype.kind == "f" else None)
+    defect = magnitude.max(axis=(-2, -1), initial=0.0)
+    part = np.multiply(adjoint, 0.5, out=difference)
+    part += m * 0.5
+    return part, defect
+
+
 def _hermitian(m: np.ndarray, role: str) -> np.ndarray:
-    """``m`` itself when exactly Hermitian, (M + M^dag) / 2 when its defect
-    max |M - M^dag| is at most HERMITIAN_RTOL max |M|; else ParameterError
+    """``m`` itself when exactly Hermitian, its Hermitian part (_hermitian_part) when
+    the defect max |M - M^dag| is at most HERMITIAN_RTOL max |M|; else ParameterError
     naming ``role``, the defect and the peak."""
-    adjoint = m.conj().T
-    if np.array_equal(m, adjoint):  # every builder's Y and solver's C: no N^2 temporaries
+    if np.array_equal(m, m.conj().T):  # every builder's Y and solver's C: no N^2 temporaries
         return m
-    defect, peak = float(np.abs(m - adjoint).max()), float(np.abs(m).max())
+    part, defect = _hermitian_part(m)
+    peak = float(np.abs(m).max())
     if defect > HERMITIAN_RTOL * peak:
         raise ParameterError(
             f"{role} not Hermitian: max |M - M^dag| = {defect:.3e} at peak {peak:.3e}")
-    return 0.5 * (m + adjoint)
+    return part
 
 
 def _psd(m: np.ndarray) -> tuple[float, float]:
@@ -178,8 +194,8 @@ def _strength(role: str, value) -> float:
     return v
 
 
-def _frozen_array(m: np.ndarray, dtype=None) -> np.ndarray:
-    out = np.array(m, dtype=dtype)
+def _frozen_array(m: np.ndarray) -> np.ndarray:
+    out = np.array(m)
     out.flags.writeable = False
     return out
 
@@ -189,10 +205,8 @@ def default_labels(dim: int) -> tuple[str, ...]:
 
 
 def _labels(role: str, labels, dim: int) -> tuple[str, ...]:
-    """The label rule: ``labels`` as strings, one per row of a dim x dim matrix
-    (1..dim if None); ParameterError naming ``role`` for any other count."""
-    if labels is None:
-        return default_labels(dim)
+    """The label rule: ``labels`` as strings, one per row of a dim x dim matrix;
+    ParameterError naming ``role`` for any other count."""
     out = tuple(str(s) for s in labels)
     if len(out) != dim:
         raise ParameterError(f"{role} label count {len(out)} does not match matrix "

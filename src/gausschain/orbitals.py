@@ -18,7 +18,8 @@ is the one place that reads it: the natural orbitals (with the lock
 verdict :attr:`NaturalOrbitalSet.locked`), the normalized density, the
 slow mode and the edge candidate, and the overlaps of the top orbital with
 both.  The profile and occupation commands and the nonreciprocity scan of
-the two-band chain write from the report of :func:`_pumped_chain`.  The
+the two-band chain read the report of :func:`_pumped_chain`; the tables
+they write are laid out in ``cli``, which holds every header and row.  The
 pump-position scan of the single-band chain reads only the top occupation
 of each correlator and takes it from a stacked power iteration that stops
 each pump on a Kato-Temple certificate; pumps it cannot certify go to
@@ -85,8 +86,9 @@ class NaturalOrbitalSet:
     ``occupations`` are the eigenvalues of C whose magnitude exceeds
     ``occupation_floor`` = (residual + 4 N EPS) nu_max, together with the top
     one; ``orbitals`` holds their orthonormal eigenvectors as its columns
-    (N rows, one column per occupation).  Occupations at or below the floor
-    are rounding noise of C and its solve (Weyl), so they are not held.
+    (N rows, one column per occupation), in the number type of C: real for
+    every chain.  Occupations at or below the floor are rounding noise of C
+    and its solve (Weyl), so they are not held.
     ``block_width`` is the width of the Rayleigh-Ritz block that certified
     them; it equals N when the whole of C was diagonalized.
     """
@@ -102,7 +104,7 @@ class NaturalOrbitalSet:
         if v.ndim != 2 or v.shape[1] != w.size:
             raise ParameterError("orbital matrix shape does not match occupations")
         object.__setattr__(self, "occupations", _frozen_array(w))
-        object.__setattr__(self, "orbitals", _frozen_array(v, complex))
+        object.__setattr__(self, "orbitals", _frozen_array(v))
 
     @property
     def dim(self) -> int:
@@ -381,24 +383,12 @@ def _pumped_chain(params: HatanoNelsonParams | SshParams, pump_site: int,
 
 @dataclass(frozen=True)
 class SourceScan:
-    """Pump-position scan of the single-band chain.
-
-    Columns: pump site, exact top occupation, slow-mode loading A_1(s),
-    and both normalized to unit peak over the scan.
-    """
+    """Pump-position scan of the single-band chain: the 1-based pump sites,
+    the exact top occupation and the slow-mode loading A_1(s) at each."""
 
     sites: np.ndarray
     nu_max: np.ndarray
     loading: np.ndarray
-    nu_max_normalized: np.ndarray
-    loading_normalized: np.ndarray
-
-    def rows(self):
-        return zip(self.sites, self.nu_max, self.loading, self.nu_max_normalized,
-                   self.loading_normalized)
-
-
-SOURCE_SCAN_HEADER = ("s", "nu_max", "A1", "nu_max_norm", "A1_norm")
 
 
 def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
@@ -416,10 +406,10 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
     may differ by rounding from versions that tested the certificate after
     every power step.  The
     loading column comes from the closed-form spectrum and equals
-    ``loading_factors(...)`` of the slow mode, so the two
-    normalized columns agree exactly where the slow mode locks the top
-    orbital.  A chain without a steady state aborts the scan with the
-    first pump site named in the message, a correlator that overflows or
+    ``loading_factors(...)`` of the slow mode, so nu_max and A1, each
+    normalized to unit peak over the scan, agree exactly where the slow
+    mode locks the top orbital.  A chain without a steady state aborts the
+    scan with the first pump site named in the message, a correlator that overflows or
     peaks below the smallest normal double with its own pump site
     (DirectSolver.solve_local), and an A1 column that is 0 at every site,
     as underflowed loadings are, with NormalizationError before any pump
@@ -449,7 +439,7 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
     for first in range(0, positions.size, chunk):
         corr, _ = solver.solve_local(sites[first:first + chunk], strength)
         nu[first:first + chunk] = _top_occupations(corr)
-    return SourceScan(sites, nu, a1, nu / nu.max(), a1 / a1.max())
+    return SourceScan(sites, nu, a1)
 
 
 def _top_occupations(stack: np.ndarray) -> np.ndarray:
@@ -501,7 +491,7 @@ class CrossoverScan:
     For each g, the squared overlap of the top orbital with the edge
     candidate and with the slowest mode, plus the 1-based indices of
     both modes.  Points whose solve failed are recorded in ``failures``
-    as (g, message) and skipped in the table.
+    as (g, message) and hold no entry in the arrays.
     """
 
     g_values: np.ndarray
@@ -510,12 +500,6 @@ class CrossoverScan:
     edge_index: np.ndarray
     slow_index: np.ndarray
     failures: tuple[tuple[float, str], ...]
-
-    def rows(self):
-        return zip(self.g_values, self.o_edge, self.o_slow, self.edge_index, self.slow_index)
-
-
-CROSSOVER_HEADER = ("g", "O_edge", "O_slow", "edge_mode_index", "slow_mode_index")
 
 
 def ssh_crossover_scan(params: SshParams, pump_cell: int, pump_sublattice: str,
@@ -551,13 +535,3 @@ def ssh_crossover_scan(params: SshParams, pump_cell: int, pump_sublattice: str,
         slow_index=np.asarray([r[4] for r in rows], dtype=int),
         failures=tuple(failures),
     )
-
-
-PROFILE_HEADER = ("j", "label", "R_slow_sq", "phi_max_sq", "density_norm")
-
-
-def profile_rows(labels, report: DiagnosticsReport):
-    """Rows of the standard profile table (1-based site, label, three profiles of the report)."""
-    r2 = np.abs(report.slow_mode.amplitudes) ** 2
-    p2 = np.abs(report.orbitals.top_orbital().amplitudes) ** 2
-    return zip(range(1, len(labels) + 1), labels, r2, p2, report.density_normalized)

@@ -40,6 +40,10 @@ it is a SteadyCorrelator like the others, and its trace is its one occupation.
 Transients are exact: each sample interval is one affine map read off a
 block exponential (_affine_step), and the many-body oracle shares the
 exponential and the sampling rule (_expm, _sample_grid).
+
+Every route returns the Hermitian part of the C it computed, formed by
+models._hermitian_part, which halves C and C^dag before their sum, so a C
+whose entries are representable is never refused for that sum.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ import numpy as np
 
 from .errors import (DarkSourceError, EnvelopeOverflowError, ParameterError, SolveError,
                      StabilityError)
-from .models import (_GatedMatrix, _check_finite_scalar, _count, _hermitian, _positions,
-                     _strength, matrix_entries)
+from .models import (_GatedMatrix, _check_finite_scalar, _count, _hermitian,
+                     _hermitian_part, _positions, _strength, matrix_entries)
 from .spectral import (CONDITION_TRUST_LIMIT, BiorthogonalSpectrum, _check_beta_stability,
                        _pump_loadings, _tridiagonal_bands, slow_mode_position)
 
@@ -79,8 +83,8 @@ class SteadyCorrelator(_GatedMatrix):
 
     ``method`` is "direct" or "spectral"; ``residual`` is the normwise
     backward error of C as a solution of X C + C X^dag = Y (see
-    _backward_error); ``asymmetry`` records max |C - C^dag| before the
-    Hermitian symmetrization that every producer applies.
+    _backward_error); ``asymmetry`` records max |C - C^dag| of the matrix
+    whose Hermitian part (models._hermitian_part) every producer returns.
     """
 
     entries: np.ndarray
@@ -160,21 +164,6 @@ def _times_tridiagonal(m: np.ndarray, diag: np.ndarray, sub: np.ndarray,
     out[..., 1:] += m[..., :-1] * sup
     out[..., :-1] += m[..., 1:] * sub
     return out
-
-
-def _hermitize_stack(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(C + C^dag) / 2 and max |C - C^dag| of each matrix of a (P, N, N) stack."""
-    adjoint = np.swapaxes(c, 1, 2).conj()
-    herm = c - adjoint
-    asym = np.abs(herm).max(axis=(1, 2), initial=0.0)
-    np.add(c, adjoint, out=herm)
-    herm *= 0.5
-    return herm, asym
-
-
-def _hermitize(c: np.ndarray) -> tuple[np.ndarray, float]:
-    c, asym = _hermitize_stack(c[None])
-    return c[0], float(asym[0])
 
 
 def solve_schur(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -351,11 +340,12 @@ class DirectSolver:
                                 float(asym[0]))
 
     def solve_local(self, sites, strength: float) -> tuple[np.ndarray, np.ndarray]:
-        """Hermitized steady correlators of the pumps strength |s><s|, one per 1-based site s.
+        """Steady correlators of the pumps strength |s><s|, one per 1-based site s.
 
         Returns the (P, N, N) stack, each C bit for bit what ``solve`` gives,
-        and each max |C - C^dag| before symmetrization.  No pump matrix is
-        built, but the doubling holds a few P N^2 arrays: callers bound P.
+        and each max |C - C^dag| before its Hermitian part was taken.  No
+        pump matrix is built, but the doubling holds a few P N^2 arrays:
+        callers bound P.
         EnvelopeOverflowError names the first pump site whose C is not finite,
         and ParameterError an X that is not a chain.
         """
@@ -409,14 +399,15 @@ class DirectSolver:
         return c
 
     def _settle(self, c: np.ndarray, scale: float, positions=()) -> tuple[np.ndarray, np.ndarray]:
-        """Unit-peak correlators out of the sign gauge, hermitized, times ``scale``,
-        with each max |C - C^dag|.  EnvelopeOverflowError names the pump site of
-        the first C that is not finite, then of the first nonzero C whose peak
-        is below the smallest normal double, where subnormal rounding exceeds
-        eps times the peak, given the pumps' 0-based ``positions``."""
+        """Unit-peak correlators out of the sign gauge, their Hermitian parts
+        (models._hermitian_part) times ``scale``, with each max |C - C^dag|.
+        EnvelopeOverflowError names the pump site of the first C that is not
+        finite, then of the first nonzero C whose peak is below the smallest
+        normal double, where subnormal rounding exceeds eps times the peak,
+        given the pumps' 0-based ``positions``."""
         if self._signs is not None:
             c *= self._signs
-        c, asym = _hermitize_stack(c)
+        c, asym = _hermitian_part(c)
         c *= scale
         parts = c.reshape(len(c), -1).view(float)  # a complex C's re and im parts, not copied
         peak = np.maximum(parts.max(axis=1), -parts.min(axis=1))  # NaN stays NaN
@@ -516,9 +507,10 @@ def solve_lyapunov_direct(relaxation, source) -> SteadyCorrelator:
 
 def _mode_sum(spectrum: BiorthogonalSpectrum, source, initial=None,
               t: float | None = None) -> tuple[np.ndarray, float]:
-    """_hermitize of the biorthogonal mode sum: the steady state for t = None,
-    else C(t) from C0 = initial.  The one place mode sums check their input,
-    and the one that enforces CONDITION_TRUST_LIMIT (SolveError)."""
+    """Hermitian part and max |C - C^dag| (models._hermitian_part) of the
+    biorthogonal mode sum: the steady state for t = None, else C(t) from
+    C0 = initial.  The one place mode sums check their input, and the one
+    that enforces CONDITION_TRUST_LIMIT (SolveError)."""
     y = matrix_entries(source, "source matrix")
     c0 = y if t is None else matrix_entries(initial, "initial state C0")
     if y.shape[0] != spectrum.dim or c0.shape[0] != spectrum.dim:
@@ -535,11 +527,14 @@ def _mode_sum(spectrum: BiorthogonalSpectrum, source, initial=None,
     denom = betas[:, None] + betas[None, :]
     loads = left.conj().T @ y @ left
     if t is None:
-        return _hermitize(right @ (loads / denom) @ right.conj().T)
-    decay = right * np.exp(-betas * t)[None, :]
-    propagated = decay @ (left.conj().T @ c0 @ left) @ decay.conj().T
-    driven = right @ (loads * (-np.expm1(-denom * t) / denom)) @ right.conj().T
-    return _hermitize(propagated + driven)
+        c = right @ (loads / denom) @ right.conj().T
+    else:
+        decay = right * np.exp(-betas * t)[None, :]
+        propagated = decay @ (left.conj().T @ c0 @ left) @ decay.conj().T
+        driven = right @ (loads * (-np.expm1(-denom * t) / denom)) @ right.conj().T
+        c = propagated + driven
+    c, asym = _hermitian_part(c)
+    return c, float(asym)
 
 
 def solve_lyapunov_spectral(spectrum: BiorthogonalSpectrum, source) -> SteadyCorrelator:
@@ -580,7 +575,7 @@ def single_mode_approximation(spectrum: BiorthogonalSpectrum, pump_site: int,
     r0 = spectrum.right[:, pos]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         loading = float(_pump_loadings(spectrum, site, strength)[pos])
-        c, asym = _hermitize(loading * np.outer(r0, r0.conj()))
+        c, asym = _hermitian_part(loading * np.outer(r0, r0.conj()))
         finite = np.isfinite(c).all() and np.isfinite(np.trace(c))
     weight = abs(spectrum.left[site, pos] * r0[site])
     if weight <= spectrum.dim * EPS:
@@ -593,7 +588,7 @@ def single_mode_approximation(spectrum: BiorthogonalSpectrum, pump_site: int,
     y = np.zeros((spectrum.dim, spectrum.dim))
     y[site, site] = strength
     residual = _backward_error(spectrum.reconstruct(), None, c, y)
-    return SteadyCorrelator(c, "spectral", residual, asym)
+    return SteadyCorrelator(c, "spectral", residual, float(asym))
 
 
 def _halvings(norm: float) -> int:
@@ -669,9 +664,9 @@ def propagate_correlator(relaxation, source, initial, t_final: float,
 
     Each sample is the last under C <- F C F^dag + Q (_affine_step), so
     ``dt`` only spaces the samples.  Y and C0 pass the Hermitian rule
-    (_hermitian); samples are symmetrized and returned as one read-only
-    (S, N, N) array.  SolveError names the first sample that is not
-    finite, which only an unstable X gives.
+    (_hermitian), each sample is its Hermitian part (_hermitian_part), and
+    they are returned as one read-only (S, N, N) array.  SolveError names
+    the first sample that is not finite, which only an unstable X gives.
     """
     x = matrix_entries(relaxation, "relaxation X")
     y = _hermitian(matrix_entries(source, "source Y"), "source Y")
@@ -684,8 +679,7 @@ def propagate_correlator(relaxation, source, initial, t_final: float,
         maps = {h: _affine_step(x, y, h) for h in set(intervals)}
         for t, h in zip(times[1:], intervals):
             f, q = maps[h]
-            c = f @ c @ f.conj().T + q
-            c = 0.5 * (c + c.conj().T)
+            c = _hermitian_part(f @ c @ f.conj().T + q)[0]
             if not np.isfinite(c).all():
                 raise SolveError(f"correlator is not finite at t = {t:.6g}; "
                                  "the relaxation matrix is not stable")

@@ -134,6 +134,21 @@ class TestHnCommands:
         assert summary["locked"] is True
         assert 0.0 <= summary["residual"] <= 1e-15
 
+    def test_837_site_correlator_near_the_double_range_is_kept(self, tmp_path):
+        # C peaks at 1.2e307, and C + C^dag overflowed where its Hermitian
+        # part was formed, so this exited 2 calling C not finite; at 838
+        # sites C itself overflows.  C is linear in the pump, so at 1/1024
+        # of it the overlap keeps its bits and the occupations scale exactly.
+        summaries = []
+        for k, strength in enumerate((0.03, 0.03 / 1024)):
+            out = str(tmp_path / str(k))
+            assert main(["hn-profiles", "--n-sites", "837", f"--pump-strength={strength!r}",
+                         "--out", out]) == 0
+            summaries.append(read_summary(out + "/hn-profiles.json"))
+        full, low = summaries
+        assert full["overlap_slow"] == low["overlap_slow"]
+        assert full["occupations"][0] == 1024 * low["occupations"][0] > 1e307
+
     def test_profiles_of_the_reference_chain_times_2_to_520_are_its_own(self, tmp_path):
         # sub * sup overflowed in the pivot recurrence here, which called the
         # chain unstable (exit 2), and the closed-form betas read -inf.  C and
@@ -247,7 +262,7 @@ class TestHnCommands:
 
     def test_peak_site_ties_within_eight_eps(self):
         scan = hn_source_scan(HatanoNelsonParams(7, 0.8, 0.8, 2.0), 0.03)
-        deviation = np.abs(scan.nu_max_normalized - scan.loading_normalized)
+        deviation = np.abs(scan.nu_max / scan.nu_max.max() - scan.loading / scan.loading.max())
         for column in (deviation, deviation[::-1]):
             assert _peak_site(scan.sites, column) == 1
         eps = np.finfo(float).eps
@@ -309,7 +324,8 @@ class TestSshCommands:
         scan = ssh_crossover_scan(params, cfg["pump_cell"], cfg["pump_sublattice"],
                                   cfg["pump_strength"], g_values=[g])
         assert scan.failures == ()
-        (_, o_edge, o_slow, edge_index, slow_index), = scan.rows()
+        (o_edge,), (o_slow,) = scan.o_edge, scan.o_slow
+        (edge_index,), (slow_index,) = scan.edge_index, scan.slow_index
         assert summary["overlap_edge"] == o_edge
         assert summary["overlap_slow"] == o_slow
         assert summary["edge_mode_index"] == edge_index

@@ -304,7 +304,7 @@ def test_payload_structures():
     assert all(v["kind"] == "gain" for v in payload["gain"])
     x, y = hn_target(2)
     real = inverse_design(x, y)
-    rp = realization_payload(real)
+    rp = realization_payload(real, default_labels(real.dim))
     assert rp["physical"] is True
     assert set(rp) == {"dim", "hamiltonian", "gain_gram", "loss_gram",
                        "loss_min_eigenvalue", "physical"}

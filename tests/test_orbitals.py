@@ -22,8 +22,8 @@ from gausschain import (BiorthogonalSpectrum, EnvelopeOverflowError, HatanoNelso
                         slow_mode_position, solve_lyapunov_direct, solve_lyapunov_spectral,
                         ssh_crossover_scan, ssh_index)
 from gausschain import orbitals
-from gausschain.orbitals import (SCAN_CHUNK_ENTRIES, EdgeCandidate, _top_occupations, density,
-                                 profile_rows)
+from gausschain.cli import profile_rows
+from gausschain.orbitals import SCAN_CHUNK_ENTRIES, EdgeCandidate, _top_occupations, density
 from gausschain.spectral import _pump_loadings
 from gausschain.steady import EPS, DirectSolver
 from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, crossover_grid, even_edge_mode_mp,
@@ -297,11 +297,11 @@ def test_edge_pick_is_blind_to_the_order_and_last_bits_of_the_tied_rates(n_cells
 def test_source_scan_reference_grid_agrees_with_loading_shape(golden):
     scan = hn_source_scan(hn_reference_params(40), HN_REFERENCE["pump_strength"])
     assert scan.sites.tolist() == list(range(1, 41))
-    deviation = np.abs(scan.nu_max_normalized - scan.loading_normalized)
+    nu_norm, a1_norm = scan.nu_max / scan.nu_max.max(), scan.loading / scan.loading.max()
+    deviation = np.abs(nu_norm - a1_norm)
     assert float(deviation.max()) == pytest.approx(
         golden["hn_locking"]["scan_max_deviation"], abs=1e-9)
-    assert int(np.argmax(scan.nu_max_normalized)) == int(
-        np.argmax(scan.loading_normalized))
+    assert int(np.argmax(nu_norm)) == int(np.argmax(a1_norm))
 
 
 def test_source_scan_reciprocal_symmetry():
@@ -312,8 +312,8 @@ def test_source_scan_reciprocal_symmetry():
 
 def test_source_scan_single_site_is_unity():
     scan = hn_source_scan(HatanoNelsonParams(1, 1.0, 0.17, 0.91), 0.03)
-    assert_allclose(scan.nu_max_normalized, [1.0], rtol=0, atol=0)
-    assert_allclose(scan.loading_normalized, [1.0], rtol=0, atol=0)
+    assert_allclose(scan.nu_max / scan.nu_max.max(), [1.0], rtol=0, atol=0)
+    assert_allclose(scan.loading / scan.loading.max(), [1.0], rtol=0, atol=0)
 
 
 def test_source_scan_across_stack_chunks_matches_per_pump_solves():

@@ -1184,6 +1184,15 @@ def test_single_mode_refuses_a_term_whose_occupation_overflows():
         single_mode_approximation(spec, 1, 37.0)
 
 
+def test_single_mode_keeps_a_term_whose_entries_and_trace_are_representable():
+    # one entry of 1.13e308 on site 2: C + C^dag overflowed where the term's
+    # Hermitian part was formed, and this raised EnvelopeOverflowError
+    u = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+    spec = BiorthogonalSpectrum([0.5, 1.0, 1.5, 2.0], u, [0.0, 354.0, 0.0, 0.0])
+    c = np.asarray(single_mode_approximation(spec, 1, 60.0).entries)
+    assert np.abs(c).max() == np.trace(c) == 1.1337686791035205e+308
+
+
 def test_propagation_input_validation():
     _, x, y = hn_reference_system(3)
     c0 = np.zeros((3, 3))
