@@ -29,8 +29,8 @@ from .errors import (GausschainError, InfeasibilityError, ParameterError,
                      ValidationError)
 from .matio import (_complex_parts, dumps_json, ensure_dir, read_json, read_matrix, write_csv,
                     write_json)
-from .models import (HatanoNelsonParams, SourceMatrix, SshParams, _check_finite_scalar, _count,
-                     _vector, build_diagonal_pump, build_hatano_nelson, build_ssh,
+from .models import (PSD_TOL, HatanoNelsonParams, SourceMatrix, SshParams, _check_finite_scalar,
+                     _count, _vector, build_diagonal_pump, build_hatano_nelson, build_ssh,
                      default_labels, matrix_entries, ssh_index, ssh_labels)
 
 OCCUPATION_HEADER = ("alpha", "nu", "nu_norm")
@@ -394,7 +394,8 @@ def cmd_validate(cfg: dict) -> None:
 
     try:
         source = SourceMatrix(y_entries)
-        add("source_hermitian_psd", *source._psd, True)
+        # least eigenvalue per largest |eigenvalue|, so the limit holds at every scale
+        add("source_hermitian_psd", source._psd, -PSD_TOL, True)
     except GausschainError as exc:
         source = None
         add("source_hermitian_psd", None, None, False, str(exc))

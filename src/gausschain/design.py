@@ -119,14 +119,14 @@ def inverse_design(relaxation, source) -> MicroscopicRealization:
         raise ParameterError(f"source shape {y.shape} does not match target {x.shape}")
     h = (x - x.conj().T) / 2j
     loss = x + x.conj().T - y
-    wmin, limit = _psd(loss)
+    wmin, ratio = _psd(loss)
     return MicroscopicRealization(
         hamiltonian=h,
         gain_gram=y,
         loss_gram=loss,
         target_relaxation=x,
         loss_min_eigenvalue=wmin,
-        physical=wmin >= limit,
+        physical=ratio >= -PSD_TOL,
     )
 
 

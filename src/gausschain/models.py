@@ -144,12 +144,15 @@ def _hermitian(m: np.ndarray, role: str) -> np.ndarray:
 
 
 def _psd(m: np.ndarray) -> tuple[float, float]:
-    """(least eigenvalue, limit) of the Hermitian ``m``: it is positive semidefinite
-    when the least eigenvalue is at least the limit -PSD_TOL max |eigenvalue|."""
+    """(least eigenvalue, least / largest |eigenvalue|) of the Hermitian ``m``, the
+    ratio 0 for m = 0: it is positive semidefinite when the ratio is at least -PSD_TOL.
+    The ratio keeps the rule at every scale; the limit -PSD_TOL max |eigenvalue|
+    would underflow to -0.0 at a subnormal peak."""
     diag = np.diagonal(m).real
     # A diagonal matrix (every chain pump) has its entries as eigenvalues.
     w = diag if np.count_nonzero(m) == np.count_nonzero(diag) else np.linalg.eigvalsh(m)
-    return float(w.min()), -PSD_TOL * float(np.abs(w).max())
+    least, peak = float(w.min()), float(np.abs(w).max())
+    return least, least / peak if peak > 0 else 0.0
 
 
 def _whole(value, upper) -> tuple[np.ndarray, np.ndarray]:
@@ -227,18 +230,19 @@ class RelaxationMatrix(_GatedMatrix):
 @dataclass(frozen=True)
 class SourceMatrix(_GatedMatrix):
     """Hermitian (_hermitian, HERMITIAN_RTOL) positive semidefinite (_psd, PSD_TOL) pump
-    matrix Y; real Y is float64.  ``_psd`` keeps the least eigenvalue and its limit."""
+    matrix Y; real Y is float64.  ``_psd`` keeps its least eigenvalue over its largest
+    |eigenvalue|."""
 
     entries: np.ndarray
-    _psd: tuple[float, float] = field(init=False, repr=False, compare=False)
+    _psd: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _hermitian(matrix_entries(self.entries, "source matrix"), "source matrix")
-        wmin, limit = _psd(m)
-        if wmin < limit:
+        wmin, ratio = _psd(m)
+        if ratio < -PSD_TOL:
             raise ParameterError(
                 f"source matrix not positive semidefinite: min eigenvalue {wmin:.3e}")
-        object.__setattr__(self, "_psd", (wmin, limit))
+        object.__setattr__(self, "_psd", ratio)
         self._hold(m)
 
 

@@ -411,7 +411,9 @@ def hn_source_scan(params: HatanoNelsonParams, pump_strength: float,
     mode locks the top orbital.  A chain without a steady state aborts the
     scan with the first pump site named in the message, a correlator that overflows or
     peaks below the smallest normal double with its own pump site
-    (DirectSolver.solve_local), and an A1 column that is 0 at every site,
+    (DirectSolver.solve_local), a power of the doubling that overflows with
+    that power named, when the first pump that needs it is solved, and an
+    A1 column that is 0 at every site,
     as underflowed loadings are, with NormalizationError before any pump
     is solved; nu_max is at least the peak of an accepted C, so never 0.
     """

@@ -23,8 +23,15 @@ O(N^2), with the inverse, the Cayley transform and the residual formed
 from the bands of X.  A local pump (real, diagonal, >= 0, on at most half
 the sites) starts the doubling as a thin nonnegative factor Z of
 C = 2p Z Z^T, which costs N^2 per column instead of N^3 per step until Z
-is N columns wide; its terms stay nonnegative too.  A scan names its
-one-site pumps by their 1-based sites alone (DirectSolver.solve_local).
+is N columns wide; its terms stay nonnegative too.  Past 100 sites the
+factor doubles only to about N/2 columns and then grows by appended
+blocks, N^2 per column, until a per-pump entrywise certificate bounds
+what is left out by eps/2 C, so a local pump squares no power past A^64
+at 200 sites; a pump not certified by about 2-4 N columns hands over to
+the dense steps.  Powers are squared when a solve first needs them, so
+construction costs O(N^2) and the doubling's own errors come from solves.
+A scan names its one-site pumps by their 1-based sites alone
+(DirectSolver.solve_local).
 Every other X, a bond of mixed sign included, takes an eigenvalue screen
 and the Schur method.
 
@@ -74,6 +81,8 @@ MAX_DOUBLINGS = 64
 # Above it both ran alike, syrk ran Z Z^T in 0.6x gemm's time, and a copy
 # only cost.  The kernels can round differently, so DirectSolver._smith
 # picks the operand by N alone, and a stack keeps the bits of its pumps.
+# Up to it the thin start also takes no appends (_thin_squarings), so the
+# pump-scan and reference chains keep the doubling's bits.
 _SMALL_PRODUCT_SITES = 100
 
 
@@ -255,25 +264,37 @@ class DirectSolver:
           A = (pI + X)^-1 (pI - X) >= 0,   C_0 = 2p (pI + X)^-1 Y (pI + X)^-T,
           C <- C + A_k C A_k^T,   A_k+1 = A_k^2,
 
-      kept here as (pI + X)^-1 and the powers A_k.  Everything here but
-      the squarings A_k^2 costs O(N^2): the inverse is a cumulative
-      product and a row recurrence (_m_matrix_inverse), and A is three
-      nonnegative scaled columns of it (_times_tridiagonal).  The number
-      of powers is fixed here by a bound that holds for every pump (see
-      _doubling_powers).  For Y >= 0 every term is nonnegative, so even
-      the smallest entries of C are accurate.  A real diagonal pump
-      Y >= 0 on w <= N/2 sites has C_0 = 2p Z_0 Z_0^T with the
-      nonnegative N x w factor Z_0 = (pI + X)^-1[:, sites] diag(sqrt y),
-      and the first steps double the factor instead, Z <- [Z, A_k Z],
-      while it stays at most N columns wide (_smith).  That sums the same
-      nonnegative terms as the dense steps, so accuracy is kept, at
-      N^2 w 2^k operations per step instead of N^3: a local pump on
-      200 sites takes 7 such steps to 128 columns and 2 dense ones.
-      Every product broadcasts over a stack of pumps; up to
-      _SMALL_PRODUCT_SITES sites its transposed right operands are copied
-      to C order first, as BLAS's small-matrix kernel for a transposed
-      operand is slower, and the choice depends on N alone, so a stack
-      gives each pump the bits of its own solve.  The residual of
+      kept here as (pI + X)^-1 and A.  Construction costs O(N^2): the
+      inverse is a cumulative product and a row recurrence
+      (_m_matrix_inverse), and A is three nonnegative scaled columns of
+      it (_times_tridiagonal).  The powers A_k are squared when a solve
+      first needs one and kept for every later pump (_power), and the
+      number of them the dense steps take is fixed by a bound that holds
+      for every pump (_doubling_powers), so the doubling's SolveError and
+      EnvelopeOverflowError come from solves.  For Y >= 0 every term is
+      nonnegative, so even the smallest entries of C are accurate.  A
+      real diagonal pump Y >= 0 on w <= N/2 sites has C_0 = 2p Z_0 Z_0^T
+      with the nonnegative N x w factor Z_0 = (pI + X)^-1[:, sites]
+      diag(sqrt y), and the first steps double the factor instead,
+      Z <- [Z, A_k Z], at N^2 w 2^k operations per step instead of N^3
+      (_smith).  Up to _SMALL_PRODUCT_SITES sites it doubles while it
+      stays at most N columns wide, then takes the dense steps left.
+      Above, it doubles to a block B of at most N/2 columns (64 columns,
+      6 squarings, at 200 sites) and then appends blocks B <- A_k0 B,
+      N^2 per column whatever the power, until the entrywise certificate
+      of _appended bounds the terms left out by eps/2 C, the bound of the
+      dense steps; a pump not certified by the cap, the first power of
+      two at or past 2N columns, holds exactly the terms j < 2^k and
+      takes the dense steps from A_k.  Every way sums the same
+      nonnegative terms, so accuracy is kept: a local pump on 200 sites
+      of the benchmark's chains takes 6 squarings and 2 to 7 appends,
+      where the dense doubling took 8 to 10 squarings.  Every product
+      but the appends broadcasts over a stack of pumps, and a pump stops
+      appending once certified; up to _SMALL_PRODUCT_SITES sites the
+      transposed right operands are copied to C order first, as BLAS's
+      small-matrix kernel for a transposed operand is slower, and the
+      choice depends on N alone, so a stack gives each pump the bits of
+      its own solve.  The residual of
       ``solve`` applies X from its bands, in N^2 operations;
     - anything else, dense real Z-matrices and bonds of mixed sign
       included: the eigenvalue screen and the Schur method, one ``solve`` per pump.
@@ -303,12 +324,12 @@ class DirectSolver:
         diag, sub, sup = diag * u, sub * u, sup * u
         self._certificate = ("smallest LU pivot", _certify_m_matrix(diag, sub, sup) / u)
         self._shift = float(diag.max())
-        # entries past the double range are named by _doubling_powers
+        # entries past the double range are named by _square when a solve needs them
         with np.errstate(over="ignore", invalid="ignore"):
             self._inverse = _m_matrix_inverse(self._shift + diag, sub, sup)
             # A = (pI + X)^-1 (pI - X), every term of the banded product >= 0
-            self._powers = _doubling_powers(
-                _times_tridiagonal(self._inverse, self._shift - diag, -sub, -sup))
+            a = _times_tridiagonal(self._inverse, self._shift - diag, -sub, -sup)
+        self._powers = [a] if a.any() else [None]
 
     def solve(self, source) -> SteadyCorrelator:
         """Steady correlator for pump Y, which passes the Hermitian rule (_hermitian).
@@ -365,38 +386,80 @@ class DirectSolver:
         C_0 = 2p (pI + X)^-1 Y (pI + X)^-T, or with ``weights`` a (P, w)
         stack of the sites of diagonal pumps >= 0, which start from the
         factor Z_0 = (pI + X)^-1[:, sites] diag(weights) of C_0 = 2p Z_0
-        Z_0^T (weights = sqrt Y there).  Z doubles as [Z, A_k Z] while it
-        stays at most N columns wide, then C = 2p Z Z^T takes the dense
-        steps left.  Up to _SMALL_PRODUCT_SITES sites the transposed right
-        operands (Z^T, A_k^T) are C-order copies.
+        Z_0^T (weights = sqrt Y there).  Z doubles as [Z, A_k Z] to the
+        block B of 2^k0 w columns (_thin_squarings), which holds A^j Z_0
+        for j < 2^k0.  Past _SMALL_PRODUCT_SITES sites each pump then
+        appends blocks B <- A_k0 B, summing C = 2p sum B B^T, until
+        _appended certifies its tail or the blocks reach the cap of
+        2^k_cap w columns; only the pumps not certified by then take dense
+        steps, from A_k_cap, their C holding exactly the terms j < 2^k_cap.
+        Up to _SMALL_PRODUCT_SITES sites no block is appended, every pump
+        takes the dense steps from A_k0, and the transposed right operands
+        (B^T, A_k^T) are C-order copies.  The powers come from _power, so
+        a pump certified by its appends squares no power past A_k0.
         """
-        powers = self._powers
         n = self.x.shape[0]
-        ordered = n <= _SMALL_PRODUCT_SITES
+        scale = 2.0 * self._shift * self._unit  # C(X, Y) = u C(uX, Y)
         if weights is None:
             c = self._inverse @ start @ self._inverse.T
+            c *= scale
+            self._dense_steps(c, 0)
+            return c
+        width = start.shape[1]
+        k0, k_cap = _thin_squarings(width, n)
+        # a second block for the appends, so each block is one C-order N x 2^k0 w matrix
+        z = np.empty((len(start), 1 if k_cap == k0 else 2, n, width << k0))
+        block = z[:, 0]
+        block[:, :, :width] = self._inverse.T[start].transpose(0, 2, 1)
+        block[:, :, :width] *= weights[:, None, :]
+        k = 0
+        while k < k0 and (a := self._power(k)) is not None:
+            cols = width << k
+            np.matmul(a, block[:, :, :cols], out=block[:, :, cols:2 * cols])
+            k += 1
+        block = block[:, :, :width << k]  # narrower where the list of powers ended first
+        bt = block.transpose(0, 2, 1)
+        c = block @ (bt.copy() if n <= _SMALL_PRODUCT_SITES else bt)
+        handover = range(len(c))  # the pumps whose C holds the terms j < 2^k
+        if k < k_cap and (a := self._power(k)) is not None:
+            gram = np.empty((n, n))
+            appends = (1 << k_cap - k) - 1
+            handover = [p for p in handover if not _appended(a, z[p], c[p], gram, appends)]
+            k = k_cap
+        del z, block, bt  # freed before the dense steps, so peak memory stays the dense start's
+        c *= scale
+        # one stacked product per step when every pump hands over, as always
+        # up to _SMALL_PRODUCT_SITES sites: per-pump calls cost more there
+        if len(handover) == len(c):
+            self._dense_steps(c, k)
         else:
-            width = start.shape[1]
-            steps = _thin_doublings(width, n, len(powers))
-            z = np.empty((len(start), n, width << steps))
-            z[:, :, :width] = self._inverse.T[start].transpose(0, 2, 1)
-            z[:, :, :width] *= weights[:, None, :]
-            for k, a in enumerate(powers[:steps]):
-                cols = width << k
-                np.matmul(a, z[:, :, :cols], out=z[:, :, cols:2 * cols])
-            zt = z.transpose(0, 2, 1)
-            c = z @ (zt.copy() if ordered else zt)
-            del z, zt  # freed before the dense steps, so peak memory stays the dense start's
-            powers = powers[steps:]
-        c *= 2.0 * self._shift * self._unit  # C(X, Y) = u C(uX, Y)
+            for p in handover:
+                self._dense_steps(c[p:p + 1], k)
+        return c
+
+    def _dense_steps(self, c: np.ndarray, k: int) -> None:
+        """C <- C + A_j C A_j^T in place on the (P, N, N) stack c, for j = k, k + 1, ...
+        while the list of powers goes on (_power)."""
+        ordered = c.shape[1] <= _SMALL_PRODUCT_SITES
         # two buffers serve every step: fresh stack-sized temporaries page-fault
         # on every step and cost more than the products of a 40-site stack
-        work, term = np.empty_like(c), np.empty_like(c)
-        for a in powers:
+        work = term = None
+        while (a := self._power(k)) is not None:
+            if work is None:
+                work, term = np.empty_like(c), np.empty_like(c)
             np.matmul(a, c, out=work)
             np.matmul(work, a.T.copy() if ordered else a.T, out=term)
             c += term
-        return c
+            k += 1
+
+    def _power(self, k: int) -> np.ndarray | None:
+        """A_k = A^(2^k), squared on first request (_square) and kept for
+        every later pump; None where the doubling rule ended the list
+        before k, which ``_powers`` then records with a closing None."""
+        powers = self._powers
+        while len(powers) <= k and powers[-1] is not None:
+            powers.append(_square(powers[-1], len(powers) - 1))
+        return powers[k] if k < len(powers) else None
 
     def _settle(self, c: np.ndarray, scale: float, positions=()) -> tuple[np.ndarray, np.ndarray]:
         """Unit-peak correlators out of the sign gauge, their Hermitian parts
@@ -431,9 +494,80 @@ def _thin_sites(unit: np.ndarray) -> np.ndarray | None:
     return sites if thin else None
 
 
-def _thin_doublings(width: int, n: int, available: int) -> int:
-    """Doublings a width-column factor takes before it would pass n columns."""
-    return min(available, (n // width).bit_length() - 1)
+def _thin_squarings(width: int, n: int) -> tuple[int, int]:
+    """(k0, k_cap) of a width-column thin start on n sites (DirectSolver._smith).
+
+    Its factor doubles to the block of 2^k0 width columns, the widest at
+    most n (up to _SMALL_PRODUCT_SITES sites, where k_cap = k0 and no
+    block is appended) or n/2 columns wide, and appends blocks up to
+    2^k_cap width columns, the first power of two at or past 2n.
+    """
+    if n <= _SMALL_PRODUCT_SITES:
+        k0 = (n // width).bit_length() - 1
+        return k0, k0
+    k0 = (n // 2 // width).bit_length() - 1
+    return k0, k0 + (-(-2 * n // (width << k0)) - 1).bit_length()
+
+
+def _appended(a: np.ndarray, z: np.ndarray, c: np.ndarray, gram: np.ndarray,
+              appends: int) -> bool:
+    """Appends to C = sum B B^T (unscaled, in place) up to ``appends`` blocks
+    B' = A_k0 B, True at the first one that certifies the tail.
+
+    ``z`` holds the last block B in z[0] and takes B' in z[1], alternately;
+    ``gram`` is an N x N buffer, so no append allocates one.  B' certifies
+    the tail when B' <= d B entrywise with d < 1, and d^2 q / (1 - d^2) <=
+    eps / 2 with q = max B'B'^T / C over the entries where C > 0 (C holds
+    B'B'^T).  Proof: A_k0 >= 0, so A_k0 B' <= d A_k0 B = d B', and by
+    induction the m-th block after B' is at most d^m B' entrywise; so the
+    terms left out sum to at most sum_m>=1 d^2m B'B'^T = d^2 / (1 - d^2)
+    B'B'^T <= d^2 q / (1 - d^2) C <= eps / 2 C, entrywise, the bound the
+    doubling rule keeps (_doubling_powers).  A zero of B under a nonzero
+    entry of B' makes d infinite; entries where both vanish (0 / 0) bound
+    nothing and are skipped by np.fmax.
+    """
+    old, new = z
+    for _ in range(appends):
+        np.matmul(a, old, out=new)
+        np.matmul(new, new.T, out=gram)
+        c += gram
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = float(np.fmax.reduce(np.divide(new, old, out=old), axis=None))
+            if d < 1.0:
+                q = float(np.fmax.reduce(np.divide(gram, c, out=gram), axis=None))
+                if d * d * q <= EPS / 2 * (1.0 - d * d):
+                    return True
+        old, new = new, old
+    return False
+
+
+def _square(a: np.ndarray, k: int) -> np.ndarray | None:
+    """A^(2^(k+1)) from a = A^(2^k), or None where the doubling rule
+    (_doubling_powers) ends the list at a.
+
+    The ratio pass costs N^2 and cannot pass where max A^2 > sqrt(eps / 2)
+    max A, as its bound is at least max A^2 / max A; it is skipped there,
+    with a factor 2 to spare for rounding.  A NaN square fails that test
+    and takes the ratio pass, which names it.
+    """
+    square = a @ a
+    if not float(square.max()) > 2.0 * math.sqrt(EPS / 2) * float(a.max()):
+        if a.all():
+            ratio = np.divide(square, a)
+        else:
+            ratio = np.divide(square, a, out=np.where(square > 0, np.inf, 0.0), where=a > 0)
+        bound = float(ratio.max())
+        if np.isnan(bound):
+            raise EnvelopeOverflowError(
+                f"Smith doubling power A^(2^{k}) is not finite: the "
+                "Cayley transform's powers overflow double precision")
+        if bound ** 2 <= EPS / 2:
+            return None
+    if k + 1 == MAX_DOUBLINGS:
+        raise SolveError(
+            f"Smith doubling did not converge in {MAX_DOUBLINGS} steps; "
+            "the relaxation matrix is numerically singular")
+    return square
 
 
 def _doubling_powers(a: np.ndarray) -> list[np.ndarray]:
@@ -446,6 +580,8 @@ def _doubling_powers(a: np.ndarray) -> list[np.ndarray]:
     fills, d is infinite and squaring goes on.  Zeros come from one-way
     bonds and from underflow far from the diagonal: the single-band
     reference chain's A has 3081 at 400 sites and 71631 at 700, none at 200.
+    Each step is _square; DirectSolver takes the same steps one power at a
+    time, on first request (DirectSolver._power).
 
     Powers of a strongly nonreciprocal chain can overflow, so DirectSolver
     squares under np.errstate.  A power with an infinite entry gives a NaN
@@ -454,26 +590,9 @@ def _doubling_powers(a: np.ndarray) -> list[np.ndarray]:
     EnvelopeOverflowError names it.  SolveError is kept for powers whose
     ratio never falls, which needs a numerically singular X.
     """
-    powers = []
-    while a.any():
-        if len(powers) == MAX_DOUBLINGS:
-            raise SolveError(
-                f"Smith doubling did not converge in {MAX_DOUBLINGS} steps; "
-                "the relaxation matrix is numerically singular")
-        powers.append(a)
-        square = a @ a
-        if a.all():
-            ratio = np.divide(square, a)
-        else:
-            ratio = np.divide(square, a, out=np.where(square > 0, np.inf, 0.0), where=a > 0)
-        bound = float(ratio.max())
-        if np.isnan(bound):
-            raise EnvelopeOverflowError(
-                f"Smith doubling power A^(2^{len(powers) - 1}) is not finite: the "
-                "Cayley transform's powers overflow double precision")
-        if bound ** 2 <= EPS / 2:
-            break
-        a = square
+    powers = [a] if a.any() else []
+    while powers and (square := _square(powers[-1], len(powers) - 1)) is not None:
+        powers.append(square)
     return powers
 
 

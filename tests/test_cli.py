@@ -559,15 +559,17 @@ class TestFailureExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_overflowing_doubling_exits_2_naming_the_power_without_warnings(self, tmp_path):
-        # 231 sites 5% above the stability edge: A^(2^8) overflows.  The
-        # command printed three numpy RuntimeWarnings and blamed a
+        # 231 sites 5% above the stability edge: A^(2^8) overflows, and the
+        # pump at site 1 is not certified before its dense steps need it.
+        # The command printed three numpy RuntimeWarnings and blamed a
         # numerically singular X; run as a subprocess, so stderr is the
-        # command's own.
+        # command's own.  (The pump at site 231 is certified after A^(2^6)
+        # and solves: test_steady.py::test_certified_tail_solves_a_pump_whose_powers_overflow.)
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         out = tmp_path / "run"
         proc = subprocess.run(
             [sys.executable, "-m", "gausschain.cli", "hn-profiles"] + OVERFLOWING_CHAIN
-            + ["--pump-site", "231", "--out", str(out)],
+            + ["--pump-site", "1", "--out", str(out)],
             env=dict(os.environ, PYTHONPATH=src), timeout=120, capture_output=True, text=True)
         assert proc.returncode == 2
         assert "RuntimeWarning" not in proc.stderr
@@ -843,6 +845,10 @@ class TestValidateCommand:
         assert [(c["name"], c["passed"]) for c in checks] == [
             ("source_hermitian_psd", True), ("relaxation_stable", True),
             ("steady_state", False)]
+        # the PSD rule is read per Y's largest |eigenvalue|: its limit
+        # -PSD_TOL 1.2e-320 once underflowed to -0.0, which kept no tolerance
+        w = np.linalg.eigvalsh(y)
+        assert checks[0]["value"] == w.min() / np.abs(w).max() and checks[0]["limit"] == -1e-12
         assert checks[2]["detail"] == ("steady correlator peaks below the smallest normal "
                                        "double: it underflows double precision")
 
@@ -890,7 +896,9 @@ class TestValidateCommand:
         # 3.6e-12 at 150 sites
         for name in ("density_reconstruction", "occupation_trace"):
             assert by_name[name]["value"] <= by_name[name]["limit"] <= 1e-11
-        assert by_name["source_hermitian_psd"]["limit"] == -1e-12 * 0.03
+        # Y's least eigenvalue (0) per its largest, at the relative limit
+        assert by_name["source_hermitian_psd"]["value"] == 0.0
+        assert by_name["source_hermitian_psd"]["limit"] == -1e-12
 
     def test_physical_long_pair_passes_every_check(self, tmp_path):
         by_name = self.validate_chain(tmp_path, 150, 1.5)
@@ -907,21 +915,25 @@ class TestValidateCommand:
                      "--out", str(tmp_path / "out")]) == 1
         assert "validation failure" in capsys.readouterr().err
 
-    def test_overflowing_doubling_is_reported_in_the_stability_check(self, tmp_path):
+    def test_overflowing_doubling_is_reported_in_the_steady_check(self, tmp_path):
         params = HatanoNelsonParams(231, *(float(v) for v in OVERFLOWING_CHAIN[3::2]))
         x = build_hatano_nelson(params)
         x_file, y_file = str(tmp_path / "x.json"), str(tmp_path / "y.json")
         write_matrix(x_file, matrix_entries(x), default_labels(x.dim))
-        write_matrix(y_file, matrix_entries(build_local_pump(231, 231, 0.03)),
+        write_matrix(y_file, matrix_entries(build_local_pump(231, 1, 0.03)),
                      default_labels(x.dim))
         out = str(tmp_path / "out")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["validate", "--x-file", x_file, "--y-file", y_file,
                          "--out", out]) == 1
-        check = read_summary(out + "/validate.json")["checks"][1]
-        assert check["name"] == "relaxation_stable" and check["passed"] is False
-        assert check["detail"].startswith("Smith doubling power A^(2^8) is not finite")
+        # the LU pivots certify the chain stable; the powers are squared
+        # when the pump's dense steps need them, and the overflow is named there
+        stable, steady = read_summary(out + "/validate.json")["checks"][1:]
+        assert stable["name"] == "relaxation_stable" and stable["passed"] is True
+        assert stable["detail"] == "certified by the smallest LU pivot"
+        assert steady["name"] == "steady_state" and steady["passed"] is False
+        assert steady["detail"].startswith("Smith doubling power A^(2^8) is not finite")
 
     # At the parent of the number rule true was read as 1.0 and "0.1" as 0.1,
     # both with exit 0, and null leaked a TypeError.

@@ -31,7 +31,7 @@ from gausschain import (BiorthogonalSpectrum, DarkSourceError, DensityMatrix,
 from gausschain.models import matrix_entries
 from gausschain.spectral import CONDITION_TRUST_LIMIT, _gauge_symmetrize, _tridiagonal_bands
 from gausschain.steady import (EPS, DirectSolver, _backward_error, _doubling_powers,
-                               _thin_sites, solve_schur)
+                               _thin_sites, _thin_squarings, solve_schur)
 from tests.conftest import (HN_REFERENCE, SSH_REFERENCE, banded_cayley_reference,
                             banded_m_matrix_inverse, dense_residual_reference,
                             doubling_powers_reference, hn_closed_form_steady,
@@ -150,13 +150,18 @@ def test_chain_route_equals_the_banded_reference_bit_for_bit():
         reference = copy.copy(solver)
         reference._inverse = banded_m_matrix_inverse(shifted + unit)
         cayley = banded_cayley_reference(reference._inverse, unit, solver._shift)
-        reference._powers = doubling_powers_reference(cayley)
+        # the whole list, closed by None, so the reference never squares on its own
+        reference._powers = doubling_powers_reference(cayley) + [None]
         assert solver._inverse.tobytes() == reference._inverse.tobytes()
         dense = reference._inverse @ (shifted - unit)
         assert np.all(np.abs(cayley - dense) <= 2 * np.spacing(dense))
-        assert len(solver._powers) == len(reference._powers)
-        for a, b in zip(solver._powers, reference._powers):
-            assert a.tobytes() == b.tobytes()
+        # the solver holds A alone and squares on demand, to the same list;
+        # the solves below start again from A, so they square on demand too
+        assert len(solver._powers) == 1
+        powers = [solver._power(k) for k in range(len(reference._powers))]
+        assert powers[-1] is None and solver._powers[-1] is None
+        assert [a.tobytes() for a in powers[:-1]] == [b.tobytes() for b in reference._powers[:-1]]
+        solver._powers = solver._powers[:1]
         b = rng.standard_normal((n, n))
         for y in (build_local_pump(n, 1 + n // 3, 0.03), 0.1 * np.eye(n), b @ b.T):
             ours, theirs = solver.solve(y), reference.solve(y)
@@ -198,6 +203,24 @@ def test_stopping_test_keeps_the_guarded_powers_bit_for_bit():
     assert not any(p.all() for p in _doubling_powers(one_way))
     powers = _doubling_powers(filled)
     assert not powers[0].all() and powers[1].all()
+
+
+def test_ratio_pass_is_skipped_only_where_it_cannot_pass():
+    # The rule's ratio bound is at least max A^2 / max A, so the pass is
+    # skipped where that exceeds twice sqrt(eps / 2).  A power just inside
+    # the rule still ends the list, one just outside does not, and a
+    # square that is NaN or a power that is infinite is still named.
+    s = math.sqrt(EPS / 2)
+    for a, count in ((0.99 * s, 1), (1.01 * s, 2), (1.9 * s, 2), (0.5, 6)):
+        powers = _doubling_powers(np.array([[a]]))
+        reference = doubling_powers_reference(np.array([[a]]))
+        assert len(powers) == len(reference) == count
+    with pytest.raises(EnvelopeOverflowError, match=r"power A\^\(2\^0\) is not finite"):
+        _doubling_powers(np.array([[np.nan, 0.5], [0.5, 0.5]]))
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("error")
+        with pytest.raises(EnvelopeOverflowError, match=r"power A\^\(2\^1\) is not finite"):
+            _doubling_powers(np.array([[1e200]]))
 
 
 @pytest.mark.parametrize("model, size", [("hn", 1), ("hn", 2), ("hn", 7), ("hn", 40),
@@ -403,7 +426,7 @@ def test_scan_sized_stacks_match_per_pump_solves_bit_for_bit():
 def dense_start_smith(solver, y):
     """DirectSolver's doubling from the dense C_0 for a unit-peak real Y, hermitized."""
     c = (2.0 * solver._shift) * (solver._inverse @ y @ solver._inverse.T)
-    for a in solver._powers:
+    for a in _doubling_powers(solver._powers[0]):
         c += a @ c @ a.T
     return 0.5 * (c + c.T)
 
@@ -476,6 +499,85 @@ def test_pumps_on_more_than_half_the_sites_keep_the_dense_start():
     for y in (past_half, signed, coupled, full):
         assert _thin_sites(y) is None
         assert np.array_equal(solver.solve(y).entries, dense_start_smith(solver, y))
+
+
+def unit_pump(n, site):
+    y = np.zeros((1, n, n))
+    y[0, site - 1, site - 1] = 1.0
+    return y
+
+
+def thin_smith(x, site):
+    """_smith's thin start of a unit pump at ``site`` on a fresh solver, and
+    whether the appends certified it: then it squared no power past A_k0."""
+    solver = DirectSolver(x)
+    n = solver.x.shape[0]
+    c = solver._smith(np.array([[site - 1]]), np.ones((1, 1)))[0]
+    return solver, c, len(solver._powers) == _thin_squarings(1, n)[0] + 1
+
+
+@pytest.mark.parametrize("n_sites", [101, 200, 256])
+def test_certified_appends_agree_with_the_dense_start_entrywise(n_sites):
+    # Single-band pumps at both ends and the middle, and the two-band pump
+    # at 1A at the reference damping and 0.25 above it (102 sites for 101,
+    # as a two-band chain has whole cells).  The appends and the dense steps
+    # sum the same nonnegative terms in other orders, the appends up to
+    # their certificate and the dense steps up to the doubling rule, each
+    # leaving out at most eps / 2 of every entry, so they agree to rounding
+    # on every entry: the worst was 15 eps (3.4e-15, the 256-site two-band
+    # chain 0.25 above the reference damping).  The middle pumps and the
+    # damped two-band one are certified at every size; the end pumps at 101
+    # and 256 sites and the reference two-band pump, whose slowest rate is
+    # O(1/N^2), reach the cap and hand over to dense steps.
+    cells = n_sites // 2 + n_sites % 2
+    cases = [(build_hatano_nelson(HatanoNelsonParams(n_sites, 1.0, 0.17, 0.91)), site)
+             for site in (1, n_sites // 2, n_sites)]
+    cases += [(build_ssh(SshParams(cells, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"],
+                                   SSH_REFERENCE["g_edge"], kappa)), 1)
+              for kappa in (SSH_REFERENCE["kappa"], SSH_REFERENCE["kappa"] + 0.25)]
+    certified = []
+    for x, site in cases:
+        solver, c, done = thin_smith(x, site)
+        dense = solver._smith(unit_pump(solver.x.shape[0], site))[0]
+        assert dense.min() >= np.finfo(float).tiny
+        assert (np.abs(c - dense) / dense).max() <= 32 * EPS
+        certified.append(done)
+    ends = n_sites == 200
+    assert certified == [ends, True, ends, False, True]
+
+
+def test_a_tail_past_the_cap_hands_over_to_the_dense_steps():
+    # t_left 0.3, 1e-3 above the stability edge: the slowest mode decays
+    # at 1e-3, so no pump is certified within the cap of 512 columns, and
+    # each C, then the exact sum over j < 2^9, takes dense steps from A_9.
+    kappa = 2.0 * math.sqrt(0.3) * math.cos(math.pi / 151) + 1e-3
+    x = build_hatano_nelson(HatanoNelsonParams(150, 1.0, 0.3, kappa))
+    assert _thin_squarings(1, 150) == (6, 9)
+    for site in (1, 75, 150):
+        solver, c, done = thin_smith(x, site)
+        assert not done and len(solver._powers) > 10
+        dense = solver._smith(unit_pump(150, site))[0]
+        assert (np.abs(c - dense) / dense).max() <= 32 * EPS
+
+
+def test_stacks_of_certified_and_handed_over_pumps_match_per_pump_solves_bit_for_bit():
+    # 200 sites: the single-band chain, whose pumps are all certified, and
+    # the reference two-band chain, whose pumps all hand over; 101 sites,
+    # where the end pumps hand over and the middle one is certified within
+    # one stack; and the chain above, where every pump hands over.
+    kappa = 2.0 * math.sqrt(0.3) * math.cos(math.pi / 151) + 1e-3
+    ssh = SshParams(100, SSH_REFERENCE["t1"], SSH_REFERENCE["t2"], SSH_REFERENCE["g_edge"],
+                    SSH_REFERENCE["kappa"])
+    for x, sites in [(hn_reference_system(200)[1], [1, 2, 57, 100, 163, 199, 200, 57]),
+                     (build_ssh(ssh), [1, 2, 100, 101, 200]),
+                     (hn_reference_system(101)[1], [1, 50, 101]),
+                     (build_hatano_nelson(HatanoNelsonParams(150, 1.0, 0.3, kappa)), [1, 75])]:
+        solver = DirectSolver(x)
+        n = solver.x.shape[0]
+        stack, asym = solver.solve_local(sites, 0.037)
+        for c, a, site in zip(stack, asym, sites):
+            one = DirectSolver(x).solve(build_local_pump(n, site, 0.037))
+            assert np.array_equal(c, one.entries) and a == one.asymmetry
 
 
 def test_direct_solver_rejects_non_finite_input():
@@ -598,18 +700,49 @@ def test_overflowing_powers_are_named_without_numpy_warnings():
     long_chain = HatanoNelsonParams(231, 2.1139725255515978, 0.0017818522520433315,
                                     0.12934881571526421)
     edge = 2.0 * math.sqrt(1e-12) * math.cos(math.pi / 61) * (1 + 1e-3)
+    # The powers are squared when a solve needs them, so the errors come
+    # from the solve, for a thin pump (site 1) and a dense one alike, and
+    # again from each later solve.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        solver = DirectSolver(build_hatano_nelson(long_chain))
+        for y in (build_local_pump(231, 1, 0.03), build_local_pump(231, 1, 0.03),
+                  0.03 * np.eye(231)):
+            with pytest.raises(EnvelopeOverflowError, match=r"power A\^\(2\^8\) is not finite"):
+                solver.solve(y)
         with pytest.raises(EnvelopeOverflowError, match=r"power A\^\(2\^8\) is not finite"):
-            DirectSolver(build_hatano_nelson(long_chain))
+            solver.solve_local([1, 231], 0.03)
+        solver = DirectSolver(build_hatano_nelson(HatanoNelsonParams(60, 1.0, 1e-12, edge)))
         with pytest.raises(EnvelopeOverflowError, match=r"power A\^\(2\^0\) is not finite"):
-            DirectSolver(build_hatano_nelson(HatanoNelsonParams(60, 1.0, 1e-12, edge)))
+            solver.solve(build_local_pump(60, 60, 1.0))
+
+
+def test_certified_tail_solves_a_pump_whose_powers_overflow():
+    # The chain above, pumped at its last site: the appends certify the
+    # tail before any power past A^(2^6) is squared, so C, which peaks at
+    # 4.53 and has no entry past the double range, is returned.  The
+    # dense doubling overflowed at A^(2^8) and refused it.  Every term is
+    # nonnegative, so C is too, and its normwise backward error is that of
+    # the reference solves.
+    long_chain = HatanoNelsonParams(231, 2.1139725255515978, 0.0017818522520433315,
+                                    0.12934881571526421)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solver = DirectSolver(build_hatano_nelson(long_chain))
+        c = solver.solve(build_local_pump(231, 231, 1.0))
+    assert len(solver._powers) == 7 and solver._powers[-1] is not None
+    assert c.entries.min() >= 0.0 and 4.5 < c.entries.max() < 4.6
+    assert c.residual <= 1e-16
 
 
 def test_numerically_singular_relaxation_still_exhausts_the_doublings():
-    # 1 - 1e-20 rounds to 1, so A = diag(1, 0) and its powers never decay
-    with pytest.raises(SolveError, match="did not converge in 64 steps"):
-        DirectSolver(np.diag([1e-20, 1.0]))
+    # 1 - 1e-20 rounds to 1, so A = diag(1, 0) and its powers never decay;
+    # they are squared, and the doubling refused, when a solve needs them
+    solver = DirectSolver(np.diag([1e-20, 1.0]))
+    for y in (np.diag([1.0, 0.0]), np.eye(2)):
+        with pytest.raises(SolveError, match="did not converge in 64 steps"):
+            solver.solve(y)
+    assert len(solver._powers) == 64
 
 
 @pytest.mark.parametrize("n_sites, pump_site", [(60, 31), (80, 80)])

@@ -2,14 +2,16 @@
 
 For the single-band reference chain, the defaults of ``hn-profiles``
 (t_right = 1, t_left = 0.17, kappa = 0.91, local pump of strength 0.03 at
-site 15), at 200, 400 and 700 sites, prints the number of doublings, how
-many of them the thin start takes and the width its factor reaches, and
-the median over five runs of the construction (``build_s``), of one
-``solve`` with its residual (``solve_s``) and of the closed-form spectrum
-plus its unit slow mode (``spectrum_s``).  ``minflt_build`` and ``minflt_solve`` are the minor
-page faults (``getrusage``) per construction and per solve over the same
-timed runs, so a change that moves faults can be told from one that
-moves flops.
+site 15), at 200, 400 and 700 sites, prints how many powers A^(2^k) a
+solve squared (``powers``), the squarings of the thin start before its
+appends (``thin_squarings``), the width of its first block and of its cap
+(``thin_width``, ``cap_width``), and the median over five runs of the
+construction (``build_s``), of a construction and one ``solve`` with its
+residual (``solve_s``: the solve squares the powers it needs), and of the
+closed-form spectrum plus its unit slow mode (``spectrum_s``).
+``minflt_build`` and ``minflt_solve`` are the minor page faults
+(``getrusage``) per run of the same two timings, so a change that moves
+faults can be told from one that moves flops.
 
 Then, for each size, one ``natural_orbitals`` line on the correlator of
 that solve: the median over five calls (``orbitals_s``), how many
@@ -45,7 +47,7 @@ from gausschain import (HatanoNelsonParams, SshParams, biorthogonal_decompose,
                         hn_source_scan, identify_slow_mode, natural_orbitals)
 from gausschain.cli import COMMAND_DEFAULTS
 from gausschain.orbitals import SCAN_CHUNK_ENTRIES, _top_occupations
-from gausschain.steady import DirectSolver, _thin_doublings
+from gausschain.steady import DirectSolver, _thin_squarings
 
 SIZES = (200, 400, 700)
 SCAN_SIZES = (40, 200)
@@ -84,12 +86,13 @@ def measure(n_sites: int) -> dict:
     x = build_hatano_nelson(params)
     solver = DirectSolver(x)
     pump = build_local_pump(n_sites, HN["pump_site"], STRENGTH)
-    doublings = len(solver._powers)
-    thin = _thin_doublings(1, n_sites, doublings)
+    solver.solve(pump)
+    thin, cap = _thin_squarings(1, n_sites)
     build_s, build_faults = timed(lambda: DirectSolver(x))
-    solve_s, solve_faults = timed(lambda: solver.solve(pump))
-    return {"n_sites": n_sites, "doublings": doublings, "thin_doublings": thin,
-            "thin_width": 1 << thin, "build_s": build_s, "solve_s": solve_s,
+    solve_s, solve_faults = timed(lambda: DirectSolver(x).solve(pump))
+    return {"n_sites": n_sites, "powers": sum(a is not None for a in solver._powers),
+            "thin_squarings": thin, "thin_width": 1 << thin, "cap_width": 1 << cap,
+            "build_s": build_s, "solve_s": solve_s,
             "spectrum_s": timed(lambda: slow_unit_mode(params))[0],
             "minflt_build": build_faults, "minflt_solve": solve_faults}
 
